@@ -31,7 +31,7 @@ use ptsbe_circuit::{FusionStats, NoisyCircuit};
 use ptsbe_math::Scalar;
 use ptsbe_rng::Rng;
 use ptsbe_statevector::{exec as sv_exec, sampling as sv_sampling, SamplingStrategy, StateVector};
-use ptsbe_tensornet::{advance_mps, compile_mps_opts, Mps, MpsCompiled, MpsConfig};
+use ptsbe_tensornet::{advance_mps, compile_mps_with, Mps, MpsCompiled, MpsConfig};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -328,16 +328,10 @@ impl<T: Scalar> MpsBackend<T> {
         fuse: bool,
     ) -> Result<Self, ptsbe_tensornet::MpsError> {
         Ok(Self {
-            compiled: compile_mps_opts(nc, fuse, config.ordering)?,
+            compiled: compile_mps_with(nc, fuse)?,
             config,
             mode,
         })
-    }
-
-    /// The qubit→site permutation the MPS compiler chose (`None` for the
-    /// linear layout). Measured-record bits are unaffected.
-    pub fn qubit_ordering(&self) -> Option<&[usize]> {
-        self.compiled.qubit_ordering()
     }
 
     /// The compilation's fusion report (ops before/after, kernel-class

@@ -9,8 +9,8 @@
 //! 16 bytes per shot — the format the trillion-shot regime wants; the
 //! JSON headers keep it self-describing.
 
-use crate::record::{DatasetHeader, TrajectoryRecord};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::record::{hex_u128, DatasetHeader, TrajectoryRecord};
+use bytes::{BufMut, Bytes, BytesMut};
 use ptsbe_core::assignment::TrajectoryMeta;
 use std::io;
 
@@ -59,48 +59,20 @@ pub fn encode(header: &DatasetHeader, records: &[TrajectoryRecord]) -> io::Resul
     Ok(buf.freeze())
 }
 
-/// Parse a dataset encoded by [`encode`].
+/// Parse a dataset encoded by [`encode`]: [`decode_prefix`] whose valid
+/// prefix must be the whole buffer.
 ///
 /// # Errors
-/// Returns `InvalidData` on magic/version/structure mismatches.
-pub fn decode(mut data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if data.remaining() < 12 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let hlen = data.get_u32_le() as usize;
-    if data.remaining() < hlen {
-        return Err(bad("truncated dataset header"));
-    }
-    let header: DatasetHeader = serde_json::from_slice(&data.split_to(hlen))?;
-    let mut records = Vec::new();
-    while data.has_remaining() {
-        if data.remaining() < 4 {
-            return Err(bad("truncated record header"));
-        }
-        let mlen = data.get_u32_le() as usize;
-        if data.remaining() < mlen + 8 {
-            return Err(bad("truncated record meta"));
-        }
-        let meta: TrajectoryMeta = serde_json::from_slice(&data.split_to(mlen))?;
-        let n_shots = data.get_u64_le() as usize;
-        if data.remaining() < n_shots * 16 {
-            return Err(bad("truncated shots"));
-        }
-        let mut shots = Vec::with_capacity(n_shots);
-        for _ in 0..n_shots {
-            shots.push(crate::record::hex_u128(data.get_u128_le()));
-        }
-        records.push(TrajectoryRecord { meta, shots });
+/// Returns `InvalidData` on magic/version/structure mismatches, a torn
+/// last frame, or bytes after it.
+pub fn decode(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)> {
+    let len = data.len();
+    let (header, records, prefix_len) = decode_prefix(data)?;
+    if prefix_len != len {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("truncated or trailing bytes: {prefix_len} of {len} bytes are whole frames"),
+        ));
     }
     Ok((header, records))
 }
@@ -164,7 +136,7 @@ pub fn decode_prefix(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRe
         let mut shots = Vec::with_capacity(n_shots);
         for _ in 0..n_shots {
             let word = u128::from_le_bytes(buf[at..at + 16].try_into().expect("16 bytes"));
-            shots.push(format!("{word:x}"));
+            shots.push(hex_u128(word));
             at += 16;
         }
         records.push(TrajectoryRecord { meta, shots });
@@ -222,6 +194,36 @@ mod tests {
         let bytes = encode(&header, &records).unwrap();
         let truncated = bytes.slice(0..bytes.len() - 5);
         assert!(decode(truncated).is_err());
+    }
+
+    #[test]
+    fn trailing_garbage_rejected() {
+        let (header, records) = sample();
+        let mut bytes = encode(&header, &records).unwrap().to_vec();
+        let whole = bytes.len();
+        bytes.extend_from_slice(&[0xAB; 3]);
+        let err = decode(Bytes::from(bytes.clone())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Recovery keeps the whole frames and reports where they end.
+        let (_, recovered, prefix_len) = decode_prefix(Bytes::from(bytes)).unwrap();
+        assert_eq!((recovered.len(), prefix_len), (1, whole));
+    }
+
+    #[test]
+    fn absurd_shot_count_is_invalid_data_not_a_panic() {
+        // A frame claiming 2^60 shots: `n_shots * 16` overflows usize, so
+        // the check must divide the remaining bytes instead.
+        let (header, records) = sample();
+        let mut bytes = encode(&header, &[]).unwrap().to_vec();
+        let mjson = serde_json::to_vec(&records[0].meta).unwrap();
+        bytes.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&mjson);
+        bytes.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 32]);
+        let err = decode(Bytes::from(bytes.clone())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let (_, recovered, _) = decode_prefix(Bytes::from(bytes)).unwrap();
+        assert!(recovered.is_empty());
     }
 
     #[test]

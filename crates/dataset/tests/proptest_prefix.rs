@@ -1,0 +1,168 @@
+//! Property tests for the valid-prefix recovery readers: a shard cut at
+//! any byte offset recovers to an exact prefix of what was written (or
+//! to an error), and a single flipped bit never panics a reader.
+
+use bytes::Bytes;
+use proptest::prelude::*;
+use ptsbe_core::assignment::{ErrorEvent, TrajectoryMeta};
+use ptsbe_core::backend::TruncationStats;
+use ptsbe_dataset::record::hex_u128;
+use ptsbe_dataset::{binary, jsonl, DatasetHeader, TrajectoryRecord};
+
+/// Raw draws for one record: (probability, has-truncation, Kraus
+/// choices, shot words as two u64 halves).
+type RawRecord = (f64, bool, Vec<usize>, Vec<(u64, u64)>);
+
+fn raw_dataset() -> impl Strategy<Value = (u64, usize, Vec<RawRecord>)> {
+    let record = (
+        0.0f64..1.0,
+        prop::bool::ANY,
+        prop::collection::vec(0usize..4, 0..5),
+        prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..5),
+    );
+    (
+        0u64..u64::MAX,
+        1usize..128,
+        prop::collection::vec(record, 0..5),
+    )
+}
+
+fn build(seed: u64, n_qubits: usize, raw: &[RawRecord]) -> (DatasetHeader, Vec<TrajectoryRecord>) {
+    let header = DatasetHeader {
+        workload: format!("prop \"{seed:x}\"\n"),
+        n_qubits,
+        n_measured: n_qubits,
+        backend: "mps-f64".into(),
+        seed,
+    };
+    let records = raw
+        .iter()
+        .enumerate()
+        .map(|(traj_id, (prob, truncated, choices, words))| {
+            let errors = choices
+                .iter()
+                .enumerate()
+                .filter(|(_, &k)| k != 0)
+                .map(|(site_id, &kraus_index)| ErrorEvent {
+                    site_id,
+                    op_index: 3 * site_id + 1,
+                    qubits: vec![site_id % n_qubits],
+                    kraus_index,
+                    label: ["I", "X", "Y", "Z"][kraus_index].into(),
+                    channel: "depolarizing".into(),
+                })
+                .collect();
+            TrajectoryRecord {
+                meta: TrajectoryMeta {
+                    traj_id,
+                    nominal_prob: *prob,
+                    realized_prob: prob * 0.5,
+                    choices: choices.clone(),
+                    errors,
+                    truncation: truncated.then_some(TruncationStats {
+                        trunc_error: prob * 1e-6,
+                        max_bond_reached: 1 + traj_id,
+                        budget_exhausted: false,
+                    }),
+                },
+                shots: words
+                    .iter()
+                    .map(|&(hi, lo)| hex_u128((u128::from(hi) << 64) | u128::from(lo)))
+                    .collect(),
+            }
+        })
+        .collect();
+    (header, records)
+}
+
+/// `TrajectoryRecord` has no `PartialEq`; its JSON line is its identity.
+fn lines(records: &[TrajectoryRecord]) -> Vec<String> {
+    records
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("record serializes"))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Binary: every cut yields `Err` or an exact record prefix whose
+    /// `prefix_len` is a frame boundary at or before the cut.
+    #[test]
+    fn binary_cut_recovers_exact_prefix((seed, n_qubits, raw) in raw_dataset()) {
+        let (header, records) = build(seed, n_qubits, &raw);
+        let want = lines(&records);
+        let bytes = binary::encode(&header, &records).unwrap();
+        // Frame boundaries: the encoding of the first k records.
+        let boundary: Vec<usize> = (0..=records.len())
+            .map(|k| binary::encode(&header, &records[..k]).unwrap().len())
+            .collect();
+        for cut in 0..=bytes.len() {
+            match binary::decode_prefix(bytes.slice(0..cut)) {
+                Err(_) => prop_assert!(cut < boundary[0], "cut {cut} lost a whole preamble"),
+                Ok((h, got, prefix_len)) => {
+                    prop_assert_eq!(&h, &header);
+                    prop_assert!(prefix_len <= cut);
+                    prop_assert_eq!(prefix_len, boundary[got.len()]);
+                    prop_assert!(boundary.get(got.len() + 1).is_none_or(|&next| cut < next));
+                    prop_assert_eq!(&lines(&got)[..], &want[..got.len()]);
+                }
+            }
+            // The strict reader accepts exactly the frame boundaries.
+            let strict = binary::decode(bytes.slice(0..cut));
+            prop_assert_eq!(strict.is_ok(), boundary.contains(&cut), "cut {}", cut);
+        }
+    }
+
+    /// JSONL: every cut yields `Err` or an exact record prefix made of
+    /// whole lines that fit inside the cut, dropping at most the tail.
+    #[test]
+    fn jsonl_cut_recovers_exact_prefix((seed, n_qubits, raw) in raw_dataset()) {
+        let (header, records) = build(seed, n_qubits, &raw);
+        let want = lines(&records);
+        let mut bytes = Vec::new();
+        jsonl::write(&mut bytes, &header, &records).unwrap();
+        let header_len = serde_json::to_string(&header).unwrap().len() + 1;
+        for cut in 0..=bytes.len() {
+            match jsonl::read_recovered(&bytes[..cut]) {
+                Err(_) => prop_assert!(cut < header_len, "cut {cut} lost a whole header line"),
+                Ok((h, got, dropped)) => {
+                    prop_assert_eq!(&h, &header);
+                    prop_assert!(dropped <= 1);
+                    prop_assert_eq!(&lines(&got)[..], &want[..got.len()]);
+                    let prefix_len: usize =
+                        header_len + want[..got.len()].iter().map(|l| l.len() + 1).sum::<usize>();
+                    prop_assert!(prefix_len <= cut);
+                    // Nothing recoverable was left behind.
+                    prop_assert!(want.get(got.len()).is_none_or(|l| cut < prefix_len + l.len() + 1));
+                }
+            }
+        }
+    }
+
+    /// Corruption (as opposed to truncation) may fail or mis-decode, but
+    /// no reader panics and no prefix runs past the buffer.
+    #[test]
+    fn single_bit_flip_never_panics((seed, n_qubits, raw) in raw_dataset()) {
+        let (header, records) = build(seed, n_qubits, &raw);
+        let bin = binary::encode(&header, &records).unwrap().to_vec();
+        let mut text = Vec::new();
+        jsonl::write(&mut text, &header, &records).unwrap();
+        for bit in 0..bin.len() * 8 {
+            let mut flipped = bin.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok((_, _, prefix_len)) = binary::decode_prefix(Bytes::from(flipped.clone())) {
+                prop_assert!(prefix_len <= flipped.len());
+            }
+            let _ = binary::decode(Bytes::from(flipped));
+        }
+        for bit in 0..text.len() * 8 {
+            let mut flipped = text.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok((_, got, _)) = jsonl::read_recovered(&flipped[..]) {
+                prop_assert!(got.len() <= records.len());
+            }
+            let _ = jsonl::read(&flipped[..]);
+        }
+    }
+}

@@ -422,15 +422,14 @@ impl<T: Scalar> CompileCache<T> {
         fuse: bool,
     ) -> Result<Arc<MpsEntry<T>>, String> {
         // Every MpsConfig field participates: two jobs that differ only
-        // in a truncation budget (or ordering) produce different states,
-        // so they must never share a compiled entry or its warm pool.
+        // in a truncation budget produce different states, so they must
+        // never share a compiled entry or its warm pool.
         let mut h = StableHasher::new();
         h.write_u64(Self::precision_tag());
         h.write_usize(config.max_bond);
         h.write_f64(config.cutoff);
         h.write_f64(config.trunc_per_update);
         h.write_f64(config.trunc_budget);
-        h.write_u8(config.ordering.tag());
         h.write_u8(u8::from(fuse));
         let key = combine(circuit_hash, h.finish());
         if let Some(hit) = self.mps.get(key, &self.clock) {
@@ -579,7 +578,7 @@ mod tests {
 
     #[test]
     fn mps_key_covers_every_config_field() {
-        use ptsbe_tensornet::{MpsConfig, MpsOrdering};
+        use ptsbe_tensornet::MpsConfig;
         let cache = CompileCache::<f64>::new();
         let nc = noisy_bell(0.1);
         let h = nc.content_hash();
@@ -595,7 +594,6 @@ mod tests {
             base.with_cutoff(1e-9),
             MpsConfig::adaptive(16, 1e-6, 0.0).with_cutoff(base.cutoff),
             MpsConfig::adaptive(16, 0.0, 1e-3).with_cutoff(base.cutoff),
-            base.with_ordering(MpsOrdering::Auto),
         ];
         for (i, cfg) in variants.iter().enumerate() {
             let v = cache.mps(&nc, h, *cfg, true).unwrap();
@@ -605,7 +603,7 @@ mod tests {
             );
         }
         let stats = cache.stats();
-        assert_eq!((stats.mps_hits, stats.mps_misses), (1, 6));
+        assert_eq!((stats.mps_hits, stats.mps_misses), (1, 5));
     }
 
     #[test]

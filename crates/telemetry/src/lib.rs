@@ -20,9 +20,8 @@
 //! of three modes: `Off`, `Counters` (histograms only), `Spans`
 //! (histograms + ring). When off, **every hook is one relaxed atomic
 //! load and a branch** — no clock reads, no TLS writes, no allocation.
-//! The `no-hooks` cargo feature compiles [`enabled`] to a constant
-//! `false` so benches can price the hooks themselves (bench_pr9 pins
-//! off-mode overhead ≤ 2% against that build).
+//! The cost of switching spans *on* is measured by the `perf`
+//! benchmark's `telemetry.spans_overhead_frac`.
 //!
 //! Instrumentation never touches output bytes: hooks only read clocks
 //! and bump atomics — they cannot perturb RNG streams, record contents,
@@ -304,9 +303,6 @@ pub fn configure(cfg: &TelemetryConfig) {
 
 /// Current mode (one relaxed load).
 pub fn mode() -> TelemetryMode {
-    if cfg!(feature = "no-hooks") {
-        return TelemetryMode::Off;
-    }
     match MODE.load(Ordering::Relaxed) {
         1 => TelemetryMode::Counters,
         2 => TelemetryMode::Spans,
@@ -315,22 +311,15 @@ pub fn mode() -> TelemetryMode {
 }
 
 /// Is anything being recorded? One relaxed atomic load — the entire
-/// cost of every hook when telemetry is off (constant `false` under the
-/// `no-hooks` feature).
+/// cost of every hook when telemetry is off.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "no-hooks") {
-        return false;
-    }
     MODE.load(Ordering::Relaxed) != TelemetryMode::Off as u8
 }
 
 /// Is the span ring being fed?
 #[inline]
 pub fn spans_enabled() -> bool {
-    if cfg!(feature = "no-hooks") {
-        return false;
-    }
     MODE.load(Ordering::Relaxed) == TelemetryMode::Spans as u8
 }
 

@@ -1,7 +1,7 @@
 //! Noisy-circuit execution on the MPS backend (the tensornet analog of
 //! `ptsbe_statevector::exec`).
 
-use crate::mps::{Mps, MpsConfig, MpsOrdering};
+use crate::mps::{Mps, MpsConfig};
 use ptsbe_circuit::fusion::{FusedKernel, FusedOp, Fuser, FusionStats};
 use ptsbe_circuit::{ChannelKind, Gate, NoisyCircuit, NoisyOp};
 use ptsbe_math::{Complex, Matrix, Scalar};
@@ -80,9 +80,6 @@ pub struct MpsCompiled<T: Scalar> {
     seg_bounds: Vec<usize>,
     /// Fusion report (ops in/out per kernel class).
     fusion_stats: FusionStats,
-    /// Qubit→site permutation chosen at compile time (`None` = identity).
-    /// Ops, sites, and `measured` are already lowered through it.
-    site_of: Option<Vec<usize>>,
 }
 
 impl<T: Scalar> MpsCompiled<T> {
@@ -111,13 +108,6 @@ impl<T: Scalar> MpsCompiled<T> {
     pub fn fusion_stats(&self) -> FusionStats {
         self.fusion_stats
     }
-    /// The qubit→site permutation the compiler chose (`None` when sites
-    /// follow circuit qubits 1:1). Measured-bit extraction is already
-    /// expressed in site indices, so record bits are unaffected; only
-    /// callers inspecting raw site amplitudes need this map.
-    pub fn qubit_ordering(&self) -> Option<&[usize]> {
-        self.site_of.as_deref()
-    }
 }
 
 /// Lower a noisy circuit for the MPS backend, fusing adjacent-gate runs
@@ -130,37 +120,17 @@ pub fn compile_mps<T: Scalar>(nc: &NoisyCircuit) -> Result<MpsCompiled<T>, MpsEr
 }
 
 /// Lower a noisy circuit for the MPS backend with fusion explicitly on
-/// or off (linear qubit ordering; see [`compile_mps_opts`]).
+/// or off. MPS sites follow circuit qubits 1:1. Toffoli gates are first
+/// decomposed into the standard 2q + T network, whose pieces then feed
+/// the same fuser — so the decomposition overhead is largely fused back
+/// away. Fusion never crosses a noise site (the fuser is flushed before
+/// every [`MpsOp::Site`]).
 ///
 /// # Errors
 /// See [`MpsError`].
 pub fn compile_mps_with<T: Scalar>(
     nc: &NoisyCircuit,
     fuse: bool,
-) -> Result<MpsCompiled<T>, MpsError> {
-    compile_mps_opts(nc, fuse, MpsOrdering::Linear)
-}
-
-/// Lower a noisy circuit for the MPS backend with fusion and qubit
-/// ordering explicitly chosen. Toffoli gates are first decomposed into
-/// the standard 2q + T network, whose pieces then feed the same fuser —
-/// so the decomposition overhead is largely fused back away. Fusion
-/// never crosses a noise site (the fuser is flushed before every
-/// [`MpsOp::Site`]).
-///
-/// With [`MpsOrdering::Auto`], a qubit→site permutation is picked from
-/// the circuit's weighted two-qubit interaction graph (greedy
-/// max-attachment clustering) and kept only when it lowers the
-/// Σ weight·distance cost versus the linear layout; every op, noise
-/// site, and measured qubit is lowered through it, so sampled records
-/// are byte-identical in meaning to the linear layout's.
-///
-/// # Errors
-/// See [`MpsError`].
-pub fn compile_mps_opts<T: Scalar>(
-    nc: &NoisyCircuit,
-    fuse: bool,
-    ordering: MpsOrdering,
 ) -> Result<MpsCompiled<T>, MpsError> {
     let mut ops = Vec::with_capacity(nc.ops().len());
     let mut measured = Vec::new();
@@ -261,31 +231,6 @@ pub fn compile_mps_opts<T: Scalar>(
             }
         })
         .collect();
-    let mut sites: Vec<MpsSite<T>> = sites;
-    let site_of = match ordering {
-        MpsOrdering::Linear => None,
-        MpsOrdering::Auto => choose_ordering(nc),
-    };
-    if let Some(map) = &site_of {
-        for op in &mut ops {
-            match op {
-                MpsOp::G1(_, q) | MpsOp::U1(_, q) | MpsOp::D1(_, _, q) => *q = map[*q],
-                MpsOp::G2(_, a, b) => {
-                    *a = map[*a];
-                    *b = map[*b];
-                }
-                MpsOp::Site(_) => {}
-            }
-        }
-        for site in &mut sites {
-            for q in &mut site.qubits {
-                *q = map[*q];
-            }
-        }
-        for q in &mut measured {
-            *q = map[*q];
-        }
-    }
     let mut seg_bounds = Vec::with_capacity(nc.n_sites() + 2);
     seg_bounds.push(0);
     for (i, op) in ops.iter().enumerate() {
@@ -302,103 +247,7 @@ pub fn compile_mps_opts<T: Scalar>(
         measured,
         seg_bounds,
         fusion_stats,
-        site_of,
     })
-}
-
-/// Weighted-interaction-graph linear arrangement: every two-qubit gate
-/// and two-qubit noise site contributes an edge; qubits are placed
-/// greedily by strongest attachment to the already-placed prefix (the
-/// internal weight of dense clusters — e.g. QEC code blocks — keeps
-/// their qubits contiguous). Returns the qubit→site map only when it
-/// strictly lowers the Σ weight·|site distance| cost of the circuit.
-fn choose_ordering(nc: &NoisyCircuit) -> Option<Vec<usize>> {
-    let n = nc.n_qubits();
-    if n < 3 {
-        return None;
-    }
-    let mut w = vec![0.0f64; n * n];
-    let mut add = |a: usize, b: usize, weight: f64| {
-        if a != b {
-            w[a * n + b] += weight;
-            w[b * n + a] += weight;
-        }
-    };
-    for op in nc.ops() {
-        if let NoisyOp::Gate(g) = op {
-            match *g.qubits.as_slice() {
-                [a, b] => add(a, b, 1.0),
-                // Toffoli lowers to six CX across its three pairs.
-                [a, b, c] => {
-                    add(a, c, 2.0);
-                    add(b, c, 2.0);
-                    add(a, b, 2.0);
-                }
-                _ => {}
-            }
-        }
-    }
-    for site in nc.sites() {
-        if let &[a, b] = site.qubits.as_slice() {
-            add(a, b, 1.0);
-        }
-    }
-    // Greedy placement: seed with the heaviest qubit, then repeatedly
-    // append the unplaced qubit with the strongest total weight into the
-    // placed set (ties and zero attachment fall back to lowest index, so
-    // untouched qubits keep their relative order).
-    let strength: Vec<f64> = (0..n).map(|q| w[q * n..(q + 1) * n].iter().sum()).collect();
-    let seed = (0..n)
-        .max_by(|&a, &b| strength[a].total_cmp(&strength[b]))
-        .unwrap_or(0);
-    if strength[seed] == 0.0 {
-        return None;
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    let mut attach = vec![0.0f64; n];
-    order.push(seed);
-    placed[seed] = true;
-    for q in 0..n {
-        attach[q] = w[q * n + seed];
-    }
-    while order.len() < n {
-        let mut best: Option<usize> = None;
-        for q in 0..n {
-            if placed[q] {
-                continue;
-            }
-            match best {
-                Some(b) if attach[q] <= attach[b] => {}
-                _ => best = Some(q),
-            }
-        }
-        let q = best.expect("unplaced qubit must exist");
-        order.push(q);
-        placed[q] = true;
-        for p in 0..n {
-            attach[p] += w[p * n + q];
-        }
-    }
-    let mut site_of = vec![0usize; n];
-    for (site, &q) in order.iter().enumerate() {
-        site_of[q] = site;
-    }
-    let cost = |pos: &dyn Fn(usize) -> usize| {
-        let mut c = 0.0f64;
-        for a in 0..n {
-            for b in a + 1..n {
-                let weight = w[a * n + b];
-                if weight > 0.0 {
-                    c += weight * pos(a).abs_diff(pos(b)) as f64;
-                }
-            }
-        }
-        c
-    };
-    let linear_cost = cost(&|q| q);
-    let auto_cost = cost(&|q| site_of[q]);
-    (auto_cost < linear_cost).then_some(site_of)
 }
 
 /// Lower one classified fused op onto the MPS kernel set: diagonal 1q →
@@ -655,45 +504,6 @@ mod tests {
         let (mps, _) = prepare_mps(&compiled, &[], exact());
         // |110⟩ with ccx(0,1,2) → target qubit 2 flips → |111⟩.
         assert!((mps.amplitude(0b111).norm_sqr() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn auto_ordering_preserves_state_through_permutation() {
-        // Two interleaved "blocks" {0,2,4} and {1,3,5} with heavy
-        // intra-block coupling: Auto should regroup them, and the
-        // compiled state must equal the linear one up to the site
-        // permutation.
-        let mut c = Circuit::new(6);
-        c.h(0).h(1);
-        for _ in 0..3 {
-            c.cx(0, 2).cx(2, 4).cx(1, 3).cx(3, 5);
-        }
-        c.cx(0, 1).measure_all();
-        let nc = NoiseModel::new().apply(&c);
-        let lin = compile_mps_opts::<f64>(&nc, true, crate::mps::MpsOrdering::Linear).unwrap();
-        let auto = compile_mps_opts::<f64>(&nc, true, crate::mps::MpsOrdering::Auto).unwrap();
-        let map = auto
-            .qubit_ordering()
-            .expect("interleaved blocks must beat the linear layout")
-            .to_vec();
-        let (m_lin, _) = prepare_mps(&lin, &[], exact());
-        let (m_auto, _) = prepare_mps(&auto, &[], exact());
-        for bits in 0..64u128 {
-            let mut permuted = 0u128;
-            for (q, &site) in map.iter().enumerate() {
-                if (bits >> q) & 1 == 1 {
-                    permuted |= 1 << site;
-                }
-            }
-            let d = (m_lin.amplitude(bits) - m_auto.amplitude(permuted)).abs();
-            assert!(d < 1e-10, "bits {bits} differ by {d}");
-        }
-        // Measured-bit extraction is expressed in sites: record order
-        // still follows circuit qubits.
-        assert_eq!(
-            auto.measured_qubits(),
-            (0..6).map(|q| map[q]).collect::<Vec<_>>()
-        );
     }
 
     #[test]

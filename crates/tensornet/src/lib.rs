@@ -27,9 +27,6 @@ pub mod mps;
 pub mod sample;
 pub mod tensor;
 
-pub use exec::{
-    advance_mps, compile_mps, compile_mps_opts, compile_mps_with, prepare_mps, MpsCompiled,
-    MpsError,
-};
-pub use mps::{BondStats, Mps, MpsConfig, MpsOrdering};
+pub use exec::{advance_mps, compile_mps, compile_mps_with, prepare_mps, MpsCompiled, MpsError};
+pub use mps::{BondStats, Mps, MpsConfig};
 pub use tensor::Tensor3;

@@ -6,29 +6,6 @@ use ptsbe_math::qr::qr_thin;
 use ptsbe_math::svd::{svd, svd_qr};
 use ptsbe_math::{Complex, Matrix, Scalar};
 
-/// Qubit-ordering policy the MPS compiler applies before lowering a
-/// circuit onto the chain (see `ptsbe_tensornet::exec`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MpsOrdering {
-    /// Site `i` = circuit qubit `i` (the historical behavior).
-    #[default]
-    Linear,
-    /// Choose a site permutation from the circuit's weighted two-qubit
-    /// interaction graph at compile time (greedy clustering; falls back
-    /// to `Linear` when it does not lower the Σ weight·distance cost).
-    Auto,
-}
-
-impl MpsOrdering {
-    /// Stable tag for cache-key hashing.
-    pub fn tag(self) -> u8 {
-        match self {
-            MpsOrdering::Linear => 0,
-            MpsOrdering::Auto => 1,
-        }
-    }
-}
-
 /// Truncation policy for two-site updates.
 ///
 /// Two regimes share this struct:
@@ -59,8 +36,6 @@ pub struct MpsConfig {
     /// accumulate before [`Mps::budget_exhausted`] reports true. `0.0`
     /// disables the cumulative check.
     pub trunc_budget: f64,
-    /// Qubit-ordering policy applied by the MPS compiler.
-    pub ordering: MpsOrdering,
 }
 
 impl MpsConfig {
@@ -81,7 +56,6 @@ impl MpsConfig {
             cutoff: Self::DEFAULT_CUTOFF,
             trunc_per_update: 0.0,
             trunc_budget: 0.0,
-            ordering: MpsOrdering::Linear,
         }
     }
 
@@ -118,12 +92,6 @@ impl MpsConfig {
     /// Builder-style cutoff override.
     pub fn with_cutoff(mut self, cutoff: f64) -> Self {
         self.cutoff = cutoff;
-        self
-    }
-
-    /// Builder-style ordering override.
-    pub fn with_ordering(mut self, ordering: MpsOrdering) -> Self {
-        self.ordering = ordering;
         self
     }
 }

@@ -62,5 +62,5 @@ pub mod prelude {
     pub use ptsbe_service::{EngineKind, EnginePolicy, JobSpec, ServiceConfig, ShotService};
     pub use ptsbe_statevector::{SamplingStrategy, StateVector};
     pub use ptsbe_telemetry::{Stage, TelemetryConfig, TelemetryMode, TelemetrySnapshot};
-    pub use ptsbe_tensornet::{BondStats, Mps, MpsConfig, MpsOrdering};
+    pub use ptsbe_tensornet::{BondStats, Mps, MpsConfig};
 }
