@@ -1,6 +1,7 @@
 //! Statevector gate-kernel microbenchmarks: dense 1q/2q application vs.
-//! the permutation fast paths, f32 vs. f64, and the batch-major lane
-//! sweeps against an equal number of per-state sweeps.
+//! the permutation fast paths, f32 vs. f64, the batch-major lane sweeps
+//! against an equal number of per-state sweeps, and the per-gate thread
+//! fan-out against a one-thread sweep around the fan-out threshold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptsbe_math::gates;
@@ -129,10 +130,38 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Where the per-gate fan-out starts paying: the same dense 2q sweep as
+/// the kernel runs it on a bare thread (above
+/// `PARALLEL_THRESHOLD_QUBITS` that is a thread spawn + join per gate)
+/// and pinned to one thread. The qubit count where `fanout` overtakes
+/// `one_thread` is what the threshold should be on this machine.
+fn bench_fanout_break_even(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fanout_break_even");
+    group.sample_size(20);
+
+    let cx = gates::cx::<f64>();
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool always builds");
+    for n in [14usize, 16, 18, 20] {
+        group.bench_function(format!("apply_2q_dense_n{n}_fanout"), |b| {
+            let mut sv = StateVector::<f64>::zero_state(n);
+            b.iter(|| sv.apply_2q(black_box(&cx), 3, 11));
+        });
+        group.bench_function(format!("apply_2q_dense_n{n}_one_thread"), |b| {
+            let mut sv = StateVector::<f64>::zero_state(n);
+            one_thread.install(|| b.iter(|| sv.apply_2q(black_box(&cx), 3, 11)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gates,
     bench_batch_vs_per_state,
-    bench_kernel_dispatch
+    bench_kernel_dispatch,
+    bench_fanout_break_even
 );
 criterion_main!(benches);

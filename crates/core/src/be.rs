@@ -24,12 +24,16 @@
 //!   pass serve the whole group, with a lane-contiguous inner loop that
 //!   autovectorizes. Also bitwise identical to the flat executor.
 //!
-//! Both fan out over rayon (the CPU analog of the paper's
+//! All three fan out over rayon (the CPU analog of the paper's
 //! inter-trajectory multi-GPU distribution): the flat executor maps over
 //! trajectories, the tree executor expands a bounded frontier of
-//! independent subtrees and maps over those. Every trajectory is seeded
-//! with its own counter-based stream, so results are reproducible
-//! regardless of scheduling.
+//! independent subtrees and maps over those, the batch-major executor
+//! maps over lane groups. With `parallel: false` an execution is one
+//! thread all the way down — the statevector kernels' own per-gate
+//! fan-out is switched off with it — so a caller that parallelizes
+//! *across* executions keeps exactly one parallel layer. Every trajectory
+//! is seeded with its own counter-based stream, so results are
+//! reproducible regardless of scheduling.
 
 use crate::assignment::TrajectoryMeta;
 use crate::backend::{Backend, SvBackend};
@@ -41,19 +45,31 @@ use ptsbe_rng::PhiloxRng;
 use ptsbe_statevector::{batch, StateVector};
 use rayon::prelude::*;
 
-/// Order-preserving map over owned items: rayon fan-out when `parallel`,
-/// plain iteration otherwise. The single switch point both executors
-/// route their trajectory/subtree parallelism through.
+/// Order-preserving map over owned items — the single switch point all
+/// three executors route their parallelism through. `parallel` fans the
+/// items out over rayon; otherwise they run in turn on the calling
+/// thread *under a one-thread rayon budget*, so no kernel underneath
+/// (gate sweeps, norms, Kraus probabilities, lane sweeps, sorted-merge
+/// sampling) fans out either. Output-neutral: the kernels key their
+/// summation grouping on the qubit count, never on the thread count.
 fn fan_out<T, R, F>(parallel: bool, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync + Send,
 {
+    static ONE_THREAD: std::sync::OnceLock<rayon::ThreadPool> = std::sync::OnceLock::new();
     if parallel {
         items.into_par_iter().map(f).collect()
     } else {
-        items.into_iter().map(f).collect()
+        ONE_THREAD
+            .get_or_init(|| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(1)
+                    .build()
+                    .expect("a one-thread pool always builds")
+            })
+            .install(|| items.into_iter().map(f).collect())
     }
 }
 
@@ -98,7 +114,10 @@ impl BatchResult {
 pub struct BatchedExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
     pub seed: u64,
-    /// Run trajectories in parallel (disable to measure serial baselines).
+    /// Run trajectories in parallel. `false` runs the whole execution
+    /// under a one-thread rayon budget: no trajectory fan-out *and* no
+    /// kernel fan-out underneath — for serial baselines, and for callers
+    /// (the service's workers) that already own the parallelism.
     pub parallel: bool,
 }
 
@@ -185,7 +204,9 @@ impl BatchedExecutor {
 pub struct TreeExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
     pub seed: u64,
-    /// Fan sibling subtrees out over rayon (disable for serial baselines).
+    /// Fan sibling subtrees out over rayon. `false` walks the tree on
+    /// the calling thread under a one-thread rayon budget, kernels
+    /// included (see [`BatchedExecutor::parallel`]).
     pub parallel: bool,
 }
 
@@ -251,7 +272,8 @@ impl TreeExecutor {
             pool,
         };
         let state = backend.initial_state();
-        let mut tagged = if self.parallel {
+        let mut frontier: Vec<(usize, B::State, f64)> = vec![(tree.root(), state, 1.0)];
+        if self.parallel {
             // Expand a bounded frontier of independent subtrees breadth
             // first, then fan all of them out in ONE parallel map from
             // this (non-worker) thread. Fanning out per-node instead
@@ -259,7 +281,6 @@ impl TreeExecutor {
             // branch point, since nested parallel calls degrade to
             // serial inside a worker.
             let target = rayon::current_num_threads().max(1) * 2;
-            let mut frontier: Vec<(usize, B::State, f64)> = vec![(tree.root(), state, 1.0)];
             let mut at = 0usize;
             while frontier.len() < target && at < frontier.len() {
                 if tree.node(frontier[at].0).children.is_empty() {
@@ -272,15 +293,16 @@ impl TreeExecutor {
                     frontier.push(ctx.fork_and_advance(node_idx, i, &mut carrier, acc));
                 }
             }
-            fan_out(true, frontier, |(node_idx, node_state, acc)| {
+        }
+        // Serial: the frontier is the root alone, one walk of the whole
+        // tree on this thread.
+        let mut tagged: Vec<(usize, TrajectoryResult)> =
+            fan_out(self.parallel, frontier, |(node_idx, node_state, acc)| {
                 self.walk(&ctx, node_idx, node_state, acc)
             })
             .into_iter()
             .flatten()
-            .collect()
-        } else {
-            self.walk(&ctx, tree.root(), state, 1.0)
-        };
+            .collect();
         // Leaves surface in depth-first (sorted-assignment) order;
         // restore plan order for flat-executor equivalence.
         tagged.sort_unstable_by_key(|(idx, _)| *idx);
@@ -564,7 +586,9 @@ impl BatchConfig {
 pub struct BatchMajorExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
     pub seed: u64,
-    /// Fan lane-groups out over rayon (disable for serial baselines).
+    /// Fan lane-groups out over rayon. `false` runs the groups in turn
+    /// under a one-thread rayon budget, lane sweeps included (see
+    /// [`BatchedExecutor::parallel`]).
     pub parallel: bool,
     /// Maximum trajectories per batch; `0` sizes the group automatically
     /// from `cfg` (see [`BatchConfig::lanes_for`]). More lanes amortize
@@ -831,6 +855,185 @@ mod tests {
                 a.shots, b.shots,
                 "per-trajectory streams must be deterministic"
             );
+        }
+    }
+
+    /// [`SvBackend`] wrapper recording the rayon thread budget every
+    /// `advance`/`prepare`/`sample` call runs under.
+    struct BudgetProbe {
+        inner: SvBackend<f64>,
+        seen: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl BudgetProbe {
+        fn record(&self) {
+            self.seen.lock().unwrap().push(rayon::current_num_threads());
+        }
+    }
+
+    impl Backend for BudgetProbe {
+        type State = StateVector<f64>;
+
+        fn n_qubits(&self) -> usize {
+            self.inner.n_qubits()
+        }
+        fn measured_qubits(&self) -> &[usize] {
+            self.inner.measured_qubits()
+        }
+        fn n_segments(&self) -> usize {
+            self.inner.n_segments()
+        }
+        fn initial_state(&self) -> Self::State {
+            self.inner.initial_state()
+        }
+        fn advance(
+            &self,
+            state: &mut Self::State,
+            segments: std::ops::Range<usize>,
+            choices: &[usize],
+        ) -> f64 {
+            self.record();
+            self.inner.advance(state, segments, choices)
+        }
+        fn fork(&self, state: &Self::State) -> Self::State {
+            self.inner.fork(state)
+        }
+        fn prepare(&self, choices: &[usize]) -> (Self::State, f64) {
+            self.record();
+            self.inner.prepare(choices)
+        }
+        fn sample<R: ptsbe_rng::Rng + ?Sized>(
+            &self,
+            state: &mut Self::State,
+            shots: usize,
+            rng: &mut R,
+        ) -> Vec<u128> {
+            self.record();
+            self.inner.sample(state, shots, rng)
+        }
+    }
+
+    #[test]
+    fn serial_executors_run_backend_under_one_thread_budget() {
+        let nc = noisy_bell(0.2);
+        let probe = BudgetProbe {
+            inner: SvBackend::new(&nc, SamplingStrategy::Auto).unwrap(),
+            seen: std::sync::Mutex::new(Vec::new()),
+        };
+        let mut rng = PhiloxRng::new(169, 0);
+        let plan = ProbabilisticPts {
+            n_samples: 20,
+            shots_per_trajectory: 5,
+            dedup: true,
+        }
+        .sample_plan(&nc, &mut rng);
+        let run_both = || {
+            let before = rayon::current_num_threads();
+            BatchedExecutor {
+                seed: 1,
+                parallel: false,
+            }
+            .execute(&probe, &nc, &plan);
+            assert_eq!(
+                rayon::current_num_threads(),
+                before,
+                "flat leaked its budget"
+            );
+            TreeExecutor {
+                seed: 1,
+                parallel: false,
+            }
+            .execute(&probe, &nc, &plan);
+            assert_eq!(
+                rayon::current_num_threads(),
+                before,
+                "tree leaked its budget"
+            );
+        };
+        // Bare thread, then inside a caller's wider pool: the flag wins
+        // in both, and the caller's budget is back afterwards.
+        run_both();
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap()
+            .install(run_both);
+        let seen = probe.seen.lock().unwrap();
+        // Per context: one prepare + one sample per flat trajectory, then
+        // at least one advance + one sample per tree leaf.
+        assert!(seen.len() >= 2 * 4 * plan.n_trajectories());
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "parallel: false must mean a one-thread budget, saw {seen:?}"
+        );
+    }
+
+    /// GHZ-like circuit wide enough to cross
+    /// `PARALLEL_THRESHOLD_QUBITS`: the kernels' rayon branches and the
+    /// 4096-block norm reductions are live, which the 2-qubit cases above
+    /// never reach. Amplitude damping is non-unitary on every branch, so
+    /// each trajectory's `realized_prob` is a product of those norms.
+    fn noisy_threshold_circuit() -> NoisyCircuit {
+        let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
+        let mut c = Circuit::new(n);
+        c.h(0);
+        for q in 1..n {
+            c.cx(q - 1, q);
+        }
+        c.measure_all();
+        NoiseModel::new()
+            .with_default_1q(channels::amplitude_damping(0.2))
+            .with_default_2q(channels::depolarizing(0.1))
+            .apply(&c)
+    }
+
+    #[test]
+    fn executors_agree_exactly_above_the_fanout_threshold() {
+        let nc = noisy_threshold_circuit();
+        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let mut rng = PhiloxRng::new(170, 0);
+        let plan = ProbabilisticPts {
+            n_samples: 12,
+            shots_per_trajectory: 20,
+            dedup: false,
+        }
+        .sample_plan(&nc, &mut rng);
+        let reference = BatchedExecutor {
+            seed: 9,
+            parallel: false,
+        }
+        .execute(&backend, &nc, &plan);
+        for parallel in [false, true] {
+            let runs = [
+                (
+                    "flat",
+                    BatchedExecutor { seed: 9, parallel }.execute(&backend, &nc, &plan),
+                ),
+                (
+                    "tree",
+                    TreeExecutor { seed: 9, parallel }.execute(&backend, &nc, &plan),
+                ),
+                (
+                    "batch-major",
+                    BatchMajorExecutor {
+                        seed: 9,
+                        parallel,
+                        ..Default::default()
+                    }
+                    .execute(&backend, &nc, &plan),
+                ),
+            ];
+            for (name, run) in &runs {
+                assert_eq!(run.trajectories.len(), reference.trajectories.len());
+                for (a, b) in run.trajectories.iter().zip(&reference.trajectories) {
+                    assert_eq!(
+                        a.meta.realized_prob.to_bits(),
+                        b.meta.realized_prob.to_bits(),
+                        "{name} par={parallel}: realized probability must be bitwise identical"
+                    );
+                    assert_eq!(a.shots, b.shots, "{name} par={parallel}");
+                }
+            }
         }
     }
 

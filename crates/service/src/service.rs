@@ -150,9 +150,15 @@ pub struct ServiceConfig {
     /// (more per-bond truncations) and wrong (28% truncation error)
     /// against χ=256 on the encoded-MSD workload.
     pub mps_bond_ceiling: usize,
-    /// Let executors fan out over rayon *inside* a chunk. Output-neutral
-    /// (executors are scheduling-deterministic); disable to keep each
-    /// worker single-core when the pool itself saturates the machine.
+    /// Let executors fan out over rayon *inside* a chunk — across
+    /// trajectories / subtrees / lane groups, and inside the dense
+    /// kernels (per-gate sweeps of ≥ 14-qubit states). Output-neutral
+    /// (executors are scheduling-deterministic and kernels key their
+    /// summation order on the qubit count, not the thread count). `false`
+    /// (the default) keeps each worker strictly single-core, which is
+    /// right whenever the pool has enough chunks to fill the machine;
+    /// for lone jobs of ≥ 20 qubits, where one gate sweep outweighs a
+    /// thread spawn, set it to `true` or run fewer workers.
     pub executor_parallel: bool,
     /// Lane auto-sizing for the batch-major engine (L2 working-set
     /// target and lane bounds). Output-neutral: batch-major results are

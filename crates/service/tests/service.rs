@@ -3,7 +3,7 @@
 
 use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
 use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsSampler};
-use ptsbe_dataset::{JsonlSink, MemorySink, SharedBuffer};
+use ptsbe_dataset::{BinarySink, JsonlSink, MemorySink, SharedBuffer};
 use ptsbe_rng::PhiloxRng;
 use ptsbe_service::{
     EngineKind, EnginePolicy, JobSpec, JobStatus, ServiceConfig, ServiceError, ShotService,
@@ -496,6 +496,56 @@ fn bytes_identical_across_worker_counts_all_engines() {
                 bytes, reference,
                 "{label}: dataset bytes must not depend on worker count ({workers})"
             );
+        }
+    }
+}
+
+/// `executor_parallel` only moves where threads are spent — inside a
+/// chunk (`true`) or one per worker all the way down to the kernels
+/// (`false`). At `PARALLEL_THRESHOLD_QUBITS` qubits the dense kernels'
+/// fan-out branches and blocked norm reductions are live, so this is the
+/// case where the two settings take different code paths underneath.
+#[test]
+fn bytes_identical_across_executor_parallel_above_fanout_threshold() {
+    let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
+    let mut c = Circuit::new(n);
+    c.h(0).t(0);
+    for q in 1..n {
+        c.cx(q - 1, q);
+    }
+    c.measure_all();
+    let nc = Arc::new(
+        NoiseModel::new()
+            .with_default_1q(channels::amplitude_damping(0.2))
+            .with_default_2q(channels::depolarizing(0.05))
+            .apply(&c),
+    );
+    let plan = Arc::new(plan_for(&nc, 12, 10, false, 41));
+    for engine in [EngineKind::Tree, EngineKind::BatchMajor] {
+        let mut spec = JobSpec::new("x-par", Arc::clone(&nc), Arc::clone(&plan), 13)
+            .with_engine(EnginePolicy::Force(engine));
+        spec.chunk_trajectories = 3;
+        let mut reference: Option<Vec<u8>> = None;
+        for executor_parallel in [false, true] {
+            for workers in [1usize, 2] {
+                let service: ShotService = ShotService::start(ServiceConfig {
+                    workers,
+                    executor_parallel,
+                    ..ServiceConfig::default()
+                });
+                let buf = SharedBuffer::new();
+                let report = service
+                    .submit(spec.clone(), Box::new(BinarySink::new(buf.clone())))
+                    .unwrap()
+                    .wait();
+                assert!(report.status.is_success(), "{engine:?}: {report:?}");
+                let bytes = buf.bytes();
+                let reference = reference.get_or_insert_with(|| bytes.clone());
+                assert_eq!(
+                    &bytes, reference,
+                    "{engine:?}: executor_parallel={executor_parallel} workers={workers}"
+                );
+            }
         }
     }
 }

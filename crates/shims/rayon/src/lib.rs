@@ -99,12 +99,21 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Run `f` with this pool's thread count installed.
+    /// Run `f` with this pool's thread count installed. The previous
+    /// budget is restored when `f` returns *or unwinds*: callers that
+    /// catch a panic and keep the thread (the service's chunk supervisor)
+    /// must not inherit a stale override.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = POOL_THREADS.with(|c| c.replace(self.num_threads));
-        let out = f();
-        POOL_THREADS.with(|c| c.set(prev));
-        out
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                // `try_with`: a drop must not panic, even during thread
+                // teardown when the slot is already gone.
+                let _ = POOL_THREADS.try_with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(POOL_THREADS.with(|c| c.replace(self.num_threads)));
+        f()
     }
 
     /// The pool's thread budget.
@@ -648,6 +657,17 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         pool.install(|| {
             assert_eq!(current_num_threads(), 2);
+        });
+    }
+
+    #[test]
+    fn install_restores_budget_across_panic() {
+        let outer = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        outer.install(|| {
+            let caught = std::panic::catch_unwind(|| one.install(|| panic!("inside install")));
+            assert!(caught.is_err());
+            assert_eq!(current_num_threads(), 3);
         });
     }
 

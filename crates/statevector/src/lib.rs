@@ -30,7 +30,11 @@
 //! Parallelism: kernels switch to rayon data-parallel loops above
 //! [`PARALLEL_THRESHOLD_QUBITS`]; the caller controls the thread budget by
 //! running inside a configured `rayon::ThreadPool` (this substitutes for
-//! the paper's intra-trajectory multi-GPU distribution).
+//! the paper's intra-trajectory multi-GPU distribution). `ptsbe_core`'s
+//! executors are that caller: with `parallel: false` they `install` a
+//! one-thread pool around the whole execution, so every loop here stays
+//! on the calling thread. The budget never changes a result — block
+//! sizes and summation order are keyed on the qubit count alone.
 
 pub mod batch;
 pub mod exec;
