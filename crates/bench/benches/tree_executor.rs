@@ -14,6 +14,9 @@
 //! time, and every executor (flat or tree) inherits the reduction. Its
 //! `FusionStats` line prints the op counts and kernel-class histogram
 //! next to the timing rows.
+//!
+//! The `range_chunks` group measures what the service's plan-range split
+//! of a tree job repeats (see [`bench_range_chunks`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptsbe_bench::{msd_like, with_entangler_depolarizing};
@@ -129,5 +132,63 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flat_vs_tree, bench_fused_vs_unfused);
+/// What cutting a tree job into `k` plan ranges costs: the service walks
+/// one sub-trie per range, so every range re-walks the prefix it shares
+/// with its neighbours. Prints the measured redundancy (Σ sub-trie edges
+/// over whole-trie edges) next to the `1 + (k−1)·S/E` estimate the
+/// service's cut rule budgets with (`S` sites = one full spine per extra
+/// range: tight for the spine-shaped tries the router sends to the tree
+/// engine, an under-count for tries that share at several depths), and
+/// the max/mean chunk size — the imbalance a cost-aware cut
+/// could still win back; the timing rows walk all `k` sub-tries in turn
+/// (builds included), i.e. the total work of the split job.
+fn bench_range_chunks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("range_chunks");
+    group.sample_size(10);
+    for p in [1e-3, 1e-2, 1e-1] {
+        let nc = workload(p);
+        let plan = plan_for(&nc, 7_000 + (p * 1e4) as u64);
+        let n = plan.n_trajectories();
+        let whole = PtsPlanTree::from_plan(&plan);
+        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let exec = TreeExecutor {
+            seed: 1,
+            parallel: false,
+        };
+        for k in [1usize, 2, 4, 8] {
+            let per = n.div_ceil(k).max(1);
+            let ranges: Vec<_> = (0..n).step_by(per).map(|s| s..(s + per).min(n)).collect();
+            let edges: Vec<usize> = ranges
+                .iter()
+                .map(|r| PtsPlanTree::from_plan_range(&plan, r.clone()).n_edges())
+                .collect();
+            let total: usize = edges.iter().sum();
+            let mean = total as f64 / edges.len() as f64;
+            println!(
+                "p={p:<8} k={k} sub_trie_edges={total:<5} whole={:<5} redundancy={:.3} \
+                 estimate={:.3} max/mean chunk={:.2}",
+                whole.n_edges(),
+                total as f64 / whole.n_edges() as f64,
+                1.0 + ((k - 1) * whole.n_sites()) as f64 / whole.n_edges() as f64,
+                *edges.iter().max().unwrap() as f64 / mean,
+            );
+            group.bench_with_input(BenchmarkId::new(format!("p{p}"), k), &k, |b, _| {
+                b.iter(|| {
+                    for r in &ranges {
+                        let sub = PtsPlanTree::from_plan_range(&plan, r.clone());
+                        black_box(exec.execute_tree(black_box(&backend), &nc, &plan, &sub));
+                    }
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_flat_vs_tree,
+    bench_fused_vs_unfused,
+    bench_range_chunks
+);
 criterion_main!(benches);

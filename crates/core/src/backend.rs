@@ -103,6 +103,23 @@ pub trait Backend: Sync {
         }
     }
 
+    /// [`Backend::initial_state`] on a buffer recycled from `pool` when
+    /// one is parked — the root of a pooled tree walk. Every walk
+    /// releases one state per leaf, so a root allocated outside the pool
+    /// would park one more state per walk, forever. Bitwise
+    /// indistinguishable from `initial_state()`; the default goes through
+    /// [`Backend::fork_into`], backends whose `|0…0⟩` is as large as any
+    /// other state override it to reset in place.
+    fn initial_state_pooled(&self, pool: &StatePool<Self::State>) -> Self::State {
+        match pool.acquire() {
+            Some(mut dst) => {
+                self.fork_into(&self.initial_state(), &mut dst);
+                dst
+            }
+            None => self.initial_state(),
+        }
+    }
+
     /// Return a no-longer-needed state to `pool` so its buffers can serve
     /// a later [`Backend::fork_pooled`]. Backends whose states must not
     /// outlive a trajectory can override this to drop instead.
@@ -254,6 +271,19 @@ impl<T: Scalar> Backend for SvBackend<T> {
         // Overwrites every amplitude in place — recycled buffers cannot
         // leak stale values.
         dst.copy_from(src);
+    }
+
+    fn initial_state_pooled(&self, pool: &StatePool<Self::State>) -> Self::State {
+        match pool.acquire() {
+            Some(mut dst) => {
+                // Zero-fills the recycled allocation in place instead of
+                // building a second 2^n buffer to copy from.
+                dst.reinit(self.compiled.n_qubits());
+                dst.amplitudes_mut()[0] = ptsbe_math::Complex::one();
+                dst
+            }
+            None => self.initial_state(),
+        }
     }
 
     fn sample_mutates_state(&self) -> bool {

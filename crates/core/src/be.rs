@@ -249,10 +249,17 @@ impl TreeExecutor {
     }
 
     /// Execute through a pre-built tree with a caller-owned state pool:
-    /// branch-point forks draw recycled buffers from `pool` and finished
-    /// leaves release theirs back, making the walk allocation-free in
-    /// steady state. The pool may be reused (warm) across calls;
-    /// `pool.stats()` afterwards reports the recycled/fresh fork split.
+    /// the root and every branch-point fork draw recycled buffers from
+    /// `pool` and finished leaves release theirs back, making the walk
+    /// allocation-free in steady state and the pool's parked count
+    /// constant across warm calls. The pool may be reused (warm) across
+    /// calls; `pool.stats()` afterwards reports the recycled/fresh split.
+    ///
+    /// `tree` may cover only part of the plan
+    /// ([`PtsPlanTree::from_plan_range`]): exactly its trajectories run,
+    /// on their absolute-plan-index Philox streams, and come back in
+    /// plan order — concatenating range walks in range order is bitwise
+    /// the whole-plan walk (and [`BatchedExecutor::execute`]).
     pub fn execute_tree_pooled<B: Backend>(
         &self,
         backend: &B,
@@ -261,7 +268,7 @@ impl TreeExecutor {
         tree: &PtsPlanTree,
         pool: &StatePool<B::State>,
     ) -> BatchResult {
-        if plan.trajectories.is_empty() {
+        if tree.n_trajectories() == 0 {
             return BatchResult::default();
         }
         let ctx = TreeCtx {
@@ -271,7 +278,9 @@ impl TreeExecutor {
             tree,
             pool,
         };
-        let state = backend.initial_state();
+        // The root comes out of the pool like every fork: the walk
+        // releases one state per leaf, so it must also draw one per leaf.
+        let state = backend.initial_state_pooled(pool);
         let mut frontier: Vec<(usize, B::State, f64)> = vec![(tree.root(), state, 1.0)];
         if self.parallel {
             // Expand a bounded frontier of independent subtrees breadth
@@ -1380,6 +1389,64 @@ mod tests {
         for (a, b) in again.trajectories.iter().zip(&result.trajectories) {
             assert_eq!(a.shots, b.shots, "pooling must not perturb results");
         }
+    }
+
+    /// A walk draws exactly as many states from the pool as it releases
+    /// (root included), so a long-lived pool stops growing after its
+    /// first walk.
+    #[test]
+    fn warm_tree_walks_leave_the_pool_size_constant() {
+        use crate::backend::{MpsBackend, MpsSampleMode};
+        use ptsbe_tensornet::MpsConfig;
+        /// `pool.parked()` after 1 and after 20 walks on one pool.
+        fn parked_after<B: Backend>(backend: &B, nc: &NoisyCircuit, plan: &PtsPlan) -> [usize; 2] {
+            let tree = PtsPlanTree::from_plan(plan);
+            let pool = StatePool::new();
+            let ex = TreeExecutor {
+                seed: 5,
+                parallel: false,
+            };
+            ex.execute_tree_pooled(backend, nc, plan, &tree, &pool);
+            let first = pool.parked();
+            for _ in 1..20 {
+                ex.execute_tree_pooled(backend, nc, plan, &tree, &pool);
+            }
+            [first, pool.parked()]
+        }
+        let nc = noisy_bell(0.3);
+        let mut rng = PhiloxRng::new(169, 0);
+        let plan = ProbabilisticPts {
+            n_samples: 40,
+            shots_per_trajectory: 5,
+            dedup: false,
+        }
+        .sample_plan(&nc, &mut rng);
+        let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let [first, last] = parked_after(&sv, &nc, &plan);
+        assert!(first > 0);
+        assert_eq!(first, last, "sv pool grew across warm walks");
+        let mps = MpsBackend::<f64>::new(&nc, MpsConfig::exact(), MpsSampleMode::Batched).unwrap();
+        let [first, last] = parked_after(&mps, &nc, &plan);
+        assert!(first > 0);
+        assert_eq!(first, last, "mps pool grew across warm walks");
+    }
+
+    /// A pooled root is `|0…0⟩` whatever the recycled buffer held.
+    #[test]
+    fn pooled_root_is_bitwise_the_initial_state() {
+        let nc = noisy_bell(0.3);
+        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let pool = StatePool::new();
+        let (dirty, _) = backend.prepare(&vec![1; nc.n_sites()]);
+        backend.release(dirty, &pool);
+        // A buffer of another shape must come back reshaped, too.
+        backend.release(StateVector::zero_state(5), &pool);
+        let fresh = backend.initial_state();
+        for _ in 0..3 {
+            let root = backend.initial_state_pooled(&pool);
+            assert_eq!(root.amplitudes(), fresh.amplitudes());
+        }
+        assert_eq!(pool.stats().recycled, 2);
     }
 
     #[test]

@@ -95,23 +95,40 @@ pub struct PtsPlanTree {
 }
 
 impl PtsPlanTree {
-    /// Build the prefix tree of a plan.
-    ///
-    /// Trajectories are inserted in sorted-assignment order (ties broken
-    /// by plan index), which makes construction a single linear walk per
-    /// trajectory with no child-search backtracking.
+    /// Build the prefix tree of a whole plan
+    /// ([`PtsPlanTree::from_plan_range`] over `0..n`).
     ///
     /// # Panics
     /// Panics when trajectories disagree on assignment length (a plan
     /// always targets one circuit, so all assignments cover its full site
     /// list).
     pub fn from_plan(plan: &PtsPlan) -> Self {
-        let n_sites = plan.trajectories.first().map_or(0, |t| t.choices.len());
+        Self::from_plan_range(plan, 0..plan.trajectories.len())
+    }
+
+    /// Build the prefix tree of `plan.trajectories[range]` only — the
+    /// sub-trie one plan-range chunk of a split tree job walks. `leaves`
+    /// and `rep` keep *absolute* plan indices, so an executor indexes the
+    /// whole plan, keys Philox streams and orders results exactly as it
+    /// does for the whole-plan tree; the counters
+    /// ([`PtsPlanTree::n_trajectories`], [`PtsPlanTree::sharing_ratio`],
+    /// …) describe the range alone.
+    ///
+    /// Trajectories are inserted in sorted-assignment order (ties broken
+    /// by plan index), which makes construction a single linear walk per
+    /// trajectory with no child-search backtracking.
+    ///
+    /// # Panics
+    /// Panics when `range` exceeds the plan, or when its trajectories
+    /// disagree on assignment length.
+    pub fn from_plan_range(plan: &PtsPlan, range: std::ops::Range<usize>) -> Self {
+        let trajs = &plan.trajectories[range.clone()];
+        let n_sites = trajs.first().map_or(0, |t| t.choices.len());
         assert!(
-            plan.trajectories.iter().all(|t| t.choices.len() == n_sites),
+            trajs.iter().all(|t| t.choices.len() == n_sites),
             "all planned trajectories must assign the same site count"
         );
-        let mut order: Vec<usize> = (0..plan.trajectories.len()).collect();
+        let mut order: Vec<usize> = range.collect();
         order.sort_by(|&a, &b| {
             plan.trajectories[a]
                 .choices
@@ -152,7 +169,7 @@ impl PtsPlanTree {
         Self {
             nodes,
             n_sites,
-            n_trajectories: plan.trajectories.len(),
+            n_trajectories: order.len(),
         }
     }
 
@@ -342,6 +359,30 @@ mod tests {
             }
         }
         check(&tree, &plan, tree.root(), &mut Vec::new());
+    }
+
+    #[test]
+    fn range_trie_covers_its_range_with_absolute_indices() {
+        let plan = plan_of(&[&[0, 0, 1], &[0, 0, 0], &[1, 0, 0], &[0, 0, 2], &[0, 0, 1]]);
+        let sub = PtsPlanTree::from_plan_range(&plan, 2..5);
+        assert_eq!(sub.n_trajectories(), 3);
+        assert_eq!(sub.n_sites(), 3);
+        // [0,0,1] and [0,0,2] share two edges; [1,0,0] shares none.
+        assert_eq!(sub.n_edges(), 7);
+        assert_eq!(sub.flat_prep_ops(), 9);
+        assert_eq!(sub.leaf_plan_indices(), vec![4, 3, 2]);
+        assert_eq!(sub.total_shots(&plan), 30 + 40 + 50);
+        for i in 0..sub.n_nodes() {
+            assert!((2..5).contains(&sub.node(i).rep));
+        }
+        // Empty and single-trajectory ranges.
+        let empty = PtsPlanTree::from_plan_range(&plan, 3..3);
+        assert_eq!((empty.n_nodes(), empty.n_trajectories()), (1, 0));
+        assert_eq!(empty.sharing_ratio(), 0.0);
+        let one = PtsPlanTree::from_plan_range(&plan, 1..2);
+        assert_eq!((one.n_edges(), one.n_trajectories()), (3, 1));
+        assert_eq!(one.leaf_plan_indices(), vec![1]);
+        assert_eq!(one.sharing_ratio(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Jobs: what callers submit, what they hold while it runs, and what
 //! they get back.
 
-use crate::router::{EngineExec, EnginePolicy, RouteDecision};
+use crate::router::{EngineExec, EngineKind, EnginePolicy, RouteDecision};
 use ptsbe_circuit::NoisyCircuit;
 use ptsbe_core::PtsPlan;
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
@@ -140,9 +140,16 @@ pub struct JobSpec {
     pub fuse: bool,
     /// MPS configuration, used when the MPS tree engine is routed.
     pub mps: MpsConfig,
-    /// Trajectories per chunk for the flat/batch-major engines
-    /// (`0` = auto). Part of the spec — never derived from worker count —
-    /// so chunking cannot perturb output bytes.
+    /// Trajectories per chunk for the flat, batch-major and dense tree
+    /// engines (`0` = auto; the MPS tree engine always runs one chunk).
+    /// Output-neutral: trajectory-engine bytes are invariant under chunk
+    /// geometry by construction — every trajectory draws from the Philox
+    /// stream of its *absolute* plan index and the reorder buffer commits
+    /// chunks in plan order — so the auto rule is free to look at the
+    /// worker count (the dense tree engine cuts at most one plan range
+    /// per worker). Only the frame engine's chunking is part of the byte
+    /// contract (its streams are keyed by chunk ordinal; see
+    /// [`JobSpec::frame_chunk_shots`]).
     pub chunk_trajectories: usize,
     /// Shots per chunk for the frame engine (`0` = auto).
     pub frame_chunk_shots: usize,
@@ -199,9 +206,14 @@ pub struct JobReport {
     /// Terminal status.
     pub status: JobStatus,
     /// Routed engine (absent when the job failed before routing).
-    pub engine: Option<crate::router::EngineKind>,
-    /// Human-readable routing rationale.
+    pub engine: Option<EngineKind>,
+    /// Human-readable routing rationale; tree routes also say how many
+    /// plan-range chunks the walk was cut into.
     pub route_reason: String,
+    /// Scheduler chunks the job was split into (0 when it never reached
+    /// planning or had nothing to run; after engine degradation, the
+    /// fallback's count).
+    pub chunks: u64,
     /// Trajectory records delivered to the sink.
     pub records: u64,
     /// Shots delivered to the sink.
@@ -229,7 +241,9 @@ impl JobReport {
 /// One unit of schedulable execution within a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ChunkSpec {
-    /// `plan.trajectories[range]` through a slice-capable executor.
+    /// `plan.trajectories[range]`: a slice for the flat/batch-major
+    /// executors, a plan-range sub-trie walk for the tree engines (the
+    /// full range reuses the cached whole-plan trie).
     Traj(std::ops::Range<usize>),
     /// `shots` frame-sampled records on Philox stream `stream`.
     Shots {
@@ -238,9 +252,6 @@ pub(crate) enum ChunkSpec {
         /// Shot count.
         shots: usize,
     },
-    /// The whole plan in one task (tree engines, whose sharing spans the
-    /// full plan).
-    Whole,
 }
 
 /// What one emitter push did (the caller folds these into metrics).
@@ -530,14 +541,21 @@ impl<T: Scalar> JobInner<T> {
             .unwrap_or_else(|e| e.into_inner())
             .unwrap_or_else(|| self.submitted_at.elapsed());
         let route = self.route.lock().unwrap_or_else(|e| e.into_inner());
+        let chunks = self.chunks_total.load(Ordering::Acquire) as u64;
         JobReport {
             job_id: self.id,
             status: self.status(),
             engine: route.as_ref().map(|r| r.engine),
             route_reason: route
                 .as_ref()
-                .map(|r| r.reason.to_string())
+                .map(|r| match r.engine {
+                    EngineKind::Tree | EngineKind::MpsTree => {
+                        format!("{}; walked as {chunks} plan-range chunk(s)", r.reason)
+                    }
+                    _ => r.reason.to_string(),
+                })
                 .unwrap_or_default(),
+            chunks,
             records: self.records_emitted.load(Ordering::Relaxed),
             shots: self.shots_emitted.load(Ordering::Relaxed),
             wall,

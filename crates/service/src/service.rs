@@ -7,11 +7,23 @@
 //! cache, route an engine, stage the dataset header, and split the work
 //! into chunks. Chunks then become independent queue tasks any worker
 //! may claim; a per-job reorder buffer ([`crate::job::Emitter`]) commits
-//! finished chunks to the sink in chunk order. Chunk geometry is a pure
-//! function of the job spec (never of worker count or queue state), and
-//! every chunk keys its Philox streams by absolute plan/chunk index, so
-//! the delivered bytes are invariant under scheduling — the property the
-//! determinism suite pins across worker counts {1, 4, 8}.
+//! finished chunks to the sink in chunk order. Every trajectory engine
+//! keys its Philox streams by absolute plan index, so *where* a plan is
+//! cut cannot change the delivered bytes; the frame engine keys streams
+//! by chunk ordinal, so its geometry is a pure function of the job spec.
+//! Either way the bytes are invariant under scheduling — the property
+//! the determinism suite pins across worker counts {1, 2, 4, 8}.
+//!
+//! Tree jobs are cut too: a dense tree job becomes contiguous plan-index
+//! ranges (at most one per worker, see `tree_auto_chunks`), each walked
+//! over the sub-trie of its range
+//! ([`PtsPlanTree::from_plan_range`](ptsbe_core::PtsPlanTree::from_plan_range)),
+//! so the one parallel layer — across trajectories, as in the source
+//! paper's multi-device distribution — covers the prefix-sharing engine
+//! as well. A range repeats only the shared identity spine of a
+//! low-noise trie; MPS tree jobs stay one chunk (their plans fork at the
+//! root into a few long chains, so any range would repeat a whole
+//! chain).
 //!
 //! # Fault tolerance
 //!
@@ -32,7 +44,8 @@
 //!   the MPS engine re-routes the job once to a dense fallback
 //!   (recorded as [`RouteReason::EngineFallback`](crate::router::RouteReason)),
 //!   provided nothing reached the sink yet — guaranteed for MPS jobs,
-//!   which run as a single chunk behind a lazily-written header.
+//!   which run as the single chunk `Traj(0..n)` behind a lazily-written
+//!   header.
 //! - **Deadlines.** [`crate::JobSpec::deadline`] is enforced
 //!   cooperatively at chunk boundaries; an expired job transitions
 //!   [`JobStatus::TimedOut`] within one chunk of the expiry and its
@@ -68,7 +81,10 @@ use crate::fault::{FaultConfig, FaultSink, InjectedFault};
 use crate::job::{ChunkSpec, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{degrade_route, route_job, EngineExec, EngineKind, RouteDecision};
-use ptsbe_core::{BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, TreeExecutor};
+use ptsbe_core::{
+    Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlanTree, StatePool,
+    TreeExecutor,
+};
 use ptsbe_dataset::record::records_from_batch;
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -131,7 +147,9 @@ impl RetryPolicy {
 /// injection and retry included: recovery is byte-neutral).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (`0` = available parallelism).
+    /// Worker threads (`0` = available parallelism). Also the most
+    /// plan ranges a dense tree job is cut into (output-neutral: see
+    /// [`JobSpec::chunk_trajectories`]).
     pub workers: usize,
     /// Maximum concurrently admitted jobs (queued + running); submission
     /// blocks (or `try_submit` refuses) beyond it. Must be ≥ 1.
@@ -239,6 +257,9 @@ impl<T: Scalar> Clone for Task<T> {
 
 struct Shared<T: Scalar> {
     cfg: ServiceConfig,
+    /// Resolved worker count (`cfg.workers`, or the machine's
+    /// parallelism when that is 0).
+    n_workers: usize,
     cache: CompileCache<T>,
     queue: Mutex<VecDeque<Task<T>>>,
     queue_cv: Condvar,
@@ -264,7 +285,6 @@ pub struct ShotService<T: Scalar = f64> {
     shared: Arc<Shared<T>>,
     workers: WorkerTable,
     supervisor: Option<thread::JoinHandle<()>>,
-    n_workers: usize,
     next_id: AtomicU64,
 }
 
@@ -290,6 +310,7 @@ impl<T: Scalar> ShotService<T> {
         let shared = Arc::new(Shared {
             cache: CompileCache::with_budget(cfg.cache_budget_bytes),
             cfg,
+            n_workers,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             active: Mutex::new(0),
@@ -316,7 +337,6 @@ impl<T: Scalar> ShotService<T> {
             shared,
             workers,
             supervisor: Some(supervisor),
-            n_workers,
             next_id: AtomicU64::new(1),
         }
     }
@@ -407,7 +427,7 @@ impl<T: Scalar> ShotService<T> {
     /// Worker count the pool maintains (the supervisor respawns dead
     /// workers, so this is stable even under worker-kill faults).
     pub fn n_workers(&self) -> usize {
-        self.n_workers
+        self.shared.n_workers
     }
 }
 
@@ -626,7 +646,7 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
             .fetch_add(1, Ordering::Relaxed);
     }
     let header = make_header::<T>(&job.spec, decision.engine, exec.n_measured());
-    let chunks = split_chunks(&job.spec, &decision);
+    let chunks = split_chunks(&job.spec, &decision, &exec, shared.n_workers);
     install_route(&job, decision, exec);
     let staged = match job.emitter() {
         Ok(mut em) => em
@@ -685,11 +705,49 @@ fn enqueue_chunks<T: Scalar>(
     shared.queue_cv.notify_all();
 }
 
-/// Chunk geometry: a pure function of (spec, route decision) so
-/// scheduling can never shift record boundaries.
-fn split_chunks(spec: &JobSpec, decision: &crate::router::RouteDecision) -> Vec<ChunkSpec> {
-    match decision.engine {
-        EngineKind::Frame => {
+/// Contiguous plan-index ranges of `per` trajectories covering `0..n`.
+fn traj_ranges(n: usize, per: usize) -> Vec<ChunkSpec> {
+    let per = per.max(1);
+    (0..n)
+        .step_by(per)
+        .map(|s| ChunkSpec::Traj(s..(s + per).min(n)))
+        .collect()
+}
+
+/// A split tree job may spend at most 1/this of its edges re-walking
+/// the shared spine (each extra range repeats up to one root-to-leaf
+/// path of `n_sites` edges).
+const TREE_SPINE_BUDGET_DIV: usize = 4;
+/// Amplitude updates (`edges · 2^n`) a range must keep to be worth a
+/// queue task: 2^19 is about 2 ms of segment sweeps.
+const TREE_MIN_CHUNK_SWEEP: u128 = 1 << 19;
+
+/// How many plan ranges a dense tree job is cut into when the spec
+/// leaves it to the service: never more than there are workers (so a
+/// one-worker service repeats nothing), never so many that the repeated
+/// spine exceeds a quarter of the trie, never chunks too small to pay
+/// for their scheduling.
+fn tree_auto_chunks(tree: &PtsPlanTree, n_qubits: usize, workers: usize) -> usize {
+    let edges = tree.n_edges();
+    let by_spine = 1 + edges / (TREE_SPINE_BUDGET_DIV * tree.n_sites()).max(1);
+    let by_work = ((edges as u128) << n_qubits.min(64)) / TREE_MIN_CHUNK_SWEEP;
+    (workers.min(by_spine) as u128).min(by_work).max(1) as usize
+}
+
+/// Chunk geometry. Frame chunks are a pure function of the spec (their
+/// Philox streams are keyed by chunk ordinal); trajectory engines key
+/// streams by absolute plan index, so their cuts are free to follow the
+/// route decision and — for the dense tree engine — the worker count
+/// without touching the delivered bytes.
+fn split_chunks<T: Scalar>(
+    spec: &JobSpec,
+    decision: &RouteDecision,
+    exec: &EngineExec<T>,
+    workers: usize,
+) -> Vec<ChunkSpec> {
+    let n = spec.plan.trajectories.len();
+    match exec {
+        EngineExec::Frame(_) => {
             let total = spec.plan.total_shots();
             if total == 0 {
                 return Vec::new();
@@ -711,32 +769,29 @@ fn split_chunks(spec: &JobSpec, decision: &crate::router::RouteDecision) -> Vec<
             }
             chunks
         }
-        EngineKind::Tree | EngineKind::MpsTree => {
-            // Prefix sharing spans the whole plan; one task, internally
-            // parallel over subtrees.
-            if spec.plan.trajectories.is_empty() {
-                Vec::new()
+        // One plan range per worker, each walked over its own sub-trie:
+        // a range repeats only the trie's shared spine.
+        EngineExec::Tree { tree, .. } => {
+            let per = if spec.chunk_trajectories == 0 {
+                n.div_ceil(tree_auto_chunks(tree, spec.circuit.n_qubits(), workers))
             } else {
-                vec![ChunkSpec::Whole]
-            }
+                spec.chunk_trajectories
+            };
+            traj_ranges(n, per)
         }
-        EngineKind::BatchMajor | EngineKind::Flat => {
-            let n = spec.plan.trajectories.len();
-            if n == 0 {
-                return Vec::new();
-            }
+        // MPS plans fork at the root into a few long chains, so any
+        // range would repeat a whole chain: one chunk (which is also what
+        // keeps `try_degrade`'s untouched-sink precondition).
+        EngineExec::MpsTree { .. } => traj_ranges(n, n),
+        EngineExec::BatchMajor(_) | EngineExec::Flat(_) => {
             // The decision's geometry already folded lanes, L2 target
             // and the spec override together (router::batch_geometry).
             let per = match decision.geometry {
                 Some(g) => g.trajs_per_chunk,
                 None if spec.chunk_trajectories == 0 => 64,
                 None => spec.chunk_trajectories,
-            }
-            .max(1);
-            (0..n)
-                .step_by(per)
-                .map(|s| ChunkSpec::Traj(s..(s + per).min(n)))
-                .collect()
+            };
+            traj_ranges(n, per)
         }
     }
 }
@@ -904,7 +959,7 @@ fn deliver<T: Scalar>(
 /// Graceful engine degradation: when a chunk exhausts its retry budget
 /// on the MPS engine *before anything reached the sink*, re-plan the
 /// job once onto a dense fallback (the route records the failed
-/// engine). MPS jobs run as a single `Whole` chunk behind a lazy
+/// engine). MPS jobs run as the single chunk `Traj(0..n)` behind a lazy
 /// header, so the untouched-sink precondition holds exactly when this
 /// path is reachable.
 fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bool {
@@ -928,7 +983,7 @@ fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bo
         _ => return false,
     };
     let header = make_header::<T>(&job.spec, decision.engine, exec.n_measured());
-    let chunks = split_chunks(&job.spec, &decision);
+    let chunks = split_chunks(&job.spec, &decision, &exec, shared.n_workers);
     if chunks.is_empty() {
         return false;
     }
@@ -1053,37 +1108,45 @@ fn execute_chunk<T: Scalar>(
             };
             to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
         }
-        (EngineExec::Tree { entry, tree }, ChunkSpec::Whole) => {
-            let ex = TreeExecutor {
-                seed: spec.seed,
-                parallel,
-            };
-            to_records(ex.execute_tree_pooled(
-                &entry.backend,
-                &spec.circuit,
-                &spec.plan,
-                tree,
-                &entry.pool,
-            ))
+        (EngineExec::Tree { entry, tree }, ChunkSpec::Traj(range)) => {
+            walk_range(spec, parallel, &entry.backend, &entry.pool, tree, range)
         }
-        (EngineExec::MpsTree { entry, tree }, ChunkSpec::Whole) => {
-            let ex = TreeExecutor {
-                seed: spec.seed,
-                parallel,
-            };
-            to_records(ex.execute_tree_pooled(
-                &entry.backend,
-                &spec.circuit,
-                &spec.plan,
-                tree,
-                &entry.pool,
-            ))
+        (EngineExec::MpsTree { entry, tree }, ChunkSpec::Traj(range)) => {
+            walk_range(spec, parallel, &entry.backend, &entry.pool, tree, range)
         }
         _ => {
             return Err("internal: chunk shape does not match the routed engine".to_string());
         }
     };
     Ok(records)
+}
+
+/// One tree chunk: walk `plan.trajectories[range]` over its prefix trie
+/// — the cached whole-plan trie when the range is the whole plan, else
+/// the range's own sub-trie, built here (a fraction of a millisecond
+/// against a chunk of tens) and timed as this chunk's `Stage::Plan`.
+fn walk_range<B: Backend>(
+    spec: &JobSpec,
+    parallel: bool,
+    backend: &B,
+    pool: &StatePool<B::State>,
+    whole: &PtsPlanTree,
+    range: &std::ops::Range<usize>,
+) -> Vec<TrajectoryRecord> {
+    let sub;
+    let tree = if range.len() == whole.n_trajectories() {
+        whole
+    } else {
+        sub = spanned(Stage::Plan, || {
+            PtsPlanTree::from_plan_range(&spec.plan, range.clone())
+        });
+        &sub
+    };
+    let ex = TreeExecutor {
+        seed: spec.seed,
+        parallel,
+    };
+    to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool))
 }
 
 fn to_records(batch: BatchResult) -> Vec<TrajectoryRecord> {

@@ -5,11 +5,13 @@
 
 use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
 use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsSampler};
-use ptsbe_dataset::{DatasetHeader, JsonlSink, RecordSink, SharedBuffer, TrajectoryRecord};
+use ptsbe_dataset::{
+    BinarySink, DatasetHeader, JsonlSink, RecordSink, SharedBuffer, TrajectoryRecord,
+};
 use ptsbe_rng::PhiloxRng;
 use ptsbe_service::{
-    EngineKind, FaultConfig, JobReport, JobSpec, JobStatus, MetricsSnapshot, ServiceConfig,
-    ShotService,
+    EngineKind, EnginePolicy, FaultConfig, JobReport, JobSpec, JobStatus, MetricsSnapshot,
+    ServiceConfig, ShotService,
 };
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,6 +58,17 @@ fn chunked_spec(seed: u64) -> JobSpec {
     spec
 }
 
+/// A dense tree job cut into eight 3-trajectory plan ranges, each
+/// walked over its own sub-trie.
+fn split_tree_spec(seed: u64) -> JobSpec {
+    let nc = t_circuit(0.05);
+    let plan = plan_for(&nc, 24, 4, 7);
+    let mut spec = JobSpec::new("faults-tree", nc, plan, seed)
+        .with_engine(EnginePolicy::Force(EngineKind::Tree));
+    spec.chunk_trajectories = 3;
+    spec
+}
+
 /// Faults pinned OFF — explicit `Some(default)` beats any `PTSBE_FAULTS`
 /// environment preset, so baselines stay fault-free even under the CI
 /// fault matrix.
@@ -91,7 +104,21 @@ fn run_with(spec: JobSpec, cfg: ServiceConfig) -> (Vec<u8>, JobReport, MetricsSn
 
 #[test]
 fn every_preset_delivers_identical_bytes() {
-    let (baseline, report, _) = run_with(chunked_spec(42), faultless(2));
+    presets_deliver_identical_bytes(chunked_spec);
+}
+
+/// Split tree chunks (one sub-trie per plan range) are retried, killed
+/// and flaked like any other chunk, and recover as byte-neutrally.
+#[test]
+fn split_tree_chunks_recover_under_every_preset() {
+    let (_, report, _) = run_with(split_tree_spec(42), faultless(2));
+    assert_eq!(report.engine, Some(EngineKind::Tree));
+    assert_eq!(report.chunks, 8, "{}", report.route_reason);
+    presets_deliver_identical_bytes(split_tree_spec);
+}
+
+fn presets_deliver_identical_bytes(spec: fn(u64) -> JobSpec) {
+    let (baseline, report, _) = run_with(spec(42), faultless(2));
     assert!(report.status.is_success(), "{report:?}");
     assert!(!baseline.is_empty());
 
@@ -108,7 +135,7 @@ fn every_preset_delivers_identical_bytes() {
         ),
     ];
     for (name, f) in presets {
-        let (bytes, report, metrics) = run_with(chunked_spec(42), faulted(f.clone(), 3));
+        let (bytes, report, metrics) = run_with(spec(42), faulted(f.clone(), 3));
         assert!(
             report.status.is_success(),
             "{name}: job must recover, got {report:?}"
@@ -186,6 +213,58 @@ fn deadline_exceeded_terminates_timed_out() {
     }
 }
 
+/// A split tree job stopped mid-way — by its deadline or by a cancel —
+/// leaves whole plan ranges in plan order: the binary shard decodes as
+/// a strict record prefix of the full run.
+#[test]
+fn stopped_split_tree_job_leaves_a_valid_plan_order_prefix() {
+    let run = |spec: JobSpec, cfg: ServiceConfig, cancel_after_first_chunk: bool| {
+        let service: ShotService = ShotService::start(cfg);
+        let buf = SharedBuffer::new();
+        let handle = service
+            .submit(spec, Box::new(BinarySink::new(buf.clone())))
+            .unwrap();
+        if cancel_after_first_chunk {
+            while handle.shots_emitted() == 0 && !handle.status().is_terminal() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            handle.cancel();
+        }
+        let report = handle.wait();
+        (buf.bytes(), report)
+    };
+    let (full_bytes, full_report) = run(split_tree_spec(9), faultless(1), false);
+    assert_eq!(full_report.status, JobStatus::Done);
+    let (_, full) = ptsbe_dataset::binary::decode(full_bytes.into()).unwrap();
+
+    let crawl = FaultConfig {
+        chunk_delay: 1.0,
+        delay: Duration::from_millis(15),
+        ..FaultConfig::default()
+    };
+    let timed = split_tree_spec(9).with_deadline(Duration::from_millis(50));
+    for (label, spec, cancel, expect) in [
+        ("deadline", timed, false, JobStatus::TimedOut),
+        ("cancel", split_tree_spec(9), true, JobStatus::Cancelled),
+    ] {
+        let (bytes, report) = run(spec, faulted(crawl.clone(), 1), cancel);
+        assert_eq!(report.status, expect, "{label}: {report:?}");
+        assert!(report.records < full.len() as u64, "{label}: {report:?}");
+        if bytes.is_empty() {
+            continue; // the stop beat the first chunk
+        }
+        let len = bytes.len();
+        let (_, records, prefix_len) = ptsbe_dataset::binary::decode_prefix(bytes.into()).unwrap();
+        assert_eq!(prefix_len, len, "{label}: torn frame in the shard");
+        assert_eq!(records.len() as u64, report.records, "{label}");
+        assert_eq!(records.len() % 3, 0, "{label}: a partial plan range");
+        for (got, want) in records.iter().zip(&full) {
+            assert_eq!(got.meta.traj_id, want.meta.traj_id, "{label}");
+            assert_eq!(got.shots, want.shots, "{label}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Engine degradation
 
@@ -227,6 +306,7 @@ fn fatal_mps_failure_degrades_to_dense_fallback() {
         report.route_reason
     );
     assert_eq!(metrics.engine_fallbacks, 1);
+    assert_eq!(report.chunks, dense_report.chunks, "the fallback's cut");
     assert_eq!(bytes, dense_bytes, "degraded bytes must match a dense run");
 }
 

@@ -33,7 +33,9 @@ fn bell_circuit(p: f64) -> NoisyCircuit {
 }
 
 /// A spec forcing `engine`, sized so batch engines split into several
-/// chunks (the frame engine keeps its deterministic-reference circuit).
+/// chunks — the dense tree engine into one sub-trie per three
+/// trajectories, the MPS tree engine never (the frame engine keeps its
+/// deterministic-reference circuit).
 fn spec_for(engine: EngineKind, n: usize, shots: usize, seed: u64) -> JobSpec {
     let nc = match engine {
         EngineKind::Frame => parity_circuit(0.05),
@@ -53,7 +55,8 @@ fn spec_for(engine: EngineKind, n: usize, shots: usize, seed: u64) -> JobSpec {
     spec
 }
 
-fn run(spec: JobSpec, faults: FaultConfig, workers: usize) -> Result<Vec<u8>, String> {
+/// Dataset bytes and the job's chunk count.
+fn run(spec: JobSpec, faults: FaultConfig, workers: usize) -> Result<(Vec<u8>, u64), String> {
     let service: ShotService = ShotService::start(ServiceConfig {
         workers,
         faults: Some(faults),
@@ -67,7 +70,7 @@ fn run(spec: JobSpec, faults: FaultConfig, workers: usize) -> Result<Vec<u8>, St
     if !report.status.is_success() {
         return Err(format!("{report:?}"));
     }
-    Ok(buf.bytes())
+    Ok((buf.bytes(), report.chunks))
 }
 
 const ENGINES: [EngineKind; 4] = [
@@ -94,11 +97,16 @@ proptest! {
             ..FaultConfig::default()
         };
         for engine in ENGINES {
-            let baseline = run(spec_for(engine, n, shots, seed), FaultConfig::default(), 1)
+            let (baseline, _) = run(spec_for(engine, n, shots, seed), FaultConfig::default(), 1)
                 .map_err(TestCaseError::fail)?;
-            let faulted = run(spec_for(engine, n, shots, seed), storm.clone(), 2)
+            let (faulted, chunks) = run(spec_for(engine, n, shots, seed), storm.clone(), 2)
                 .map_err(TestCaseError::fail)?;
             prop_assert!(!baseline.is_empty(), "{engine:?}: empty baseline");
+            match engine {
+                EngineKind::Tree => prop_assert_eq!(chunks, n.div_ceil(3) as u64),
+                EngineKind::MpsTree => prop_assert_eq!(chunks, 1),
+                _ => {}
+            }
             prop_assert_eq!(
                 &faulted,
                 &baseline,

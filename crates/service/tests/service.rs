@@ -41,6 +41,24 @@ fn t_circuit(p: f64) -> NoisyCircuit {
         .apply(&c)
 }
 
+/// A CX chain at `PARALLEL_THRESHOLD_QUBITS` (14) qubits with
+/// non-unitary 1q noise: the smallest register on which the dense
+/// kernels' fan-out branches and blocked norm reductions are live, and
+/// on which a tree job is heavy enough for the service to split it.
+fn threshold_circuit() -> NoisyCircuit {
+    let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
+    let mut c = Circuit::new(n);
+    c.h(0).t(0);
+    for q in 1..n {
+        c.cx(q - 1, q);
+    }
+    c.measure_all();
+    NoiseModel::new()
+        .with_default_1q(channels::amplitude_damping(0.2))
+        .with_default_2q(channels::depolarizing(0.05))
+        .apply(&c)
+}
+
 fn plan_for(nc: &NoisyCircuit, n: usize, shots: usize, dedup: bool, seed: u64) -> PtsPlan {
     let mut rng = PhiloxRng::new(seed, 0);
     ProbabilisticPts {
@@ -59,18 +77,28 @@ fn one_worker() -> ServiceConfig {
 }
 
 /// Run `spec` to completion on a fresh service with `workers` workers,
-/// returning the emitted JSONL bytes and the report.
-fn run_jsonl(spec: JobSpec, workers: usize) -> (Vec<u8>, ptsbe_service::JobReport) {
+/// into the sink `make_sink` builds over a shared buffer; returns the
+/// emitted bytes and the report.
+fn run_into(
+    spec: JobSpec,
+    workers: usize,
+    make_sink: fn(SharedBuffer) -> Box<dyn ptsbe_dataset::RecordSink>,
+) -> (Vec<u8>, ptsbe_service::JobReport) {
     let service: ShotService = ShotService::start(ServiceConfig {
         workers,
         ..ServiceConfig::default()
     });
     let buf = SharedBuffer::new();
-    let handle = service
-        .submit(spec, Box::new(JsonlSink::new(buf.clone())))
-        .unwrap();
-    let report = handle.wait();
+    let report = service.submit(spec, make_sink(buf.clone())).unwrap().wait();
     (buf.bytes(), report)
+}
+
+fn run_jsonl(spec: JobSpec, workers: usize) -> (Vec<u8>, ptsbe_service::JobReport) {
+    run_into(spec, workers, |buf| Box::new(JsonlSink::new(buf)))
+}
+
+fn run_binary(spec: JobSpec, workers: usize) -> (Vec<u8>, ptsbe_service::JobReport) {
+    run_into(spec, workers, |buf| Box::new(BinarySink::new(buf)))
 }
 
 // ---------------------------------------------------------------------------
@@ -144,12 +172,13 @@ fn wide_registers_route_to_mps_tree() {
         ..ServiceConfig::default()
     });
     let (sink, store) = MemorySink::new();
-    let handle = service
-        .submit(JobSpec::new("wide", nc, plan.clone(), 3), Box::new(sink))
-        .unwrap();
+    let mut spec = JobSpec::new("wide", nc, plan.clone(), 3);
+    spec.chunk_trajectories = 3; // MPS tree jobs are never cut
+    let handle = service.submit(spec, Box::new(sink)).unwrap();
     let report = handle.wait();
     assert!(report.status.is_success(), "{report:?}");
     assert_eq!(report.engine, Some(EngineKind::MpsTree));
+    assert_eq!(report.chunks, 1, "{}", report.route_reason);
     let store = store.lock().unwrap();
     assert_eq!(store.records.len(), plan.n_trajectories());
     assert!(store.finished);
@@ -507,19 +536,7 @@ fn bytes_identical_across_worker_counts_all_engines() {
 /// case where the two settings take different code paths underneath.
 #[test]
 fn bytes_identical_across_executor_parallel_above_fanout_threshold() {
-    let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
-    let mut c = Circuit::new(n);
-    c.h(0).t(0);
-    for q in 1..n {
-        c.cx(q - 1, q);
-    }
-    c.measure_all();
-    let nc = Arc::new(
-        NoiseModel::new()
-            .with_default_1q(channels::amplitude_damping(0.2))
-            .with_default_2q(channels::depolarizing(0.05))
-            .apply(&c),
-    );
+    let nc = Arc::new(threshold_circuit());
     let plan = Arc::new(plan_for(&nc, 12, 10, false, 41));
     for engine in [EngineKind::Tree, EngineKind::BatchMajor] {
         let mut spec = JobSpec::new("x-par", Arc::clone(&nc), Arc::clone(&plan), 13)
@@ -547,6 +564,65 @@ fn bytes_identical_across_executor_parallel_above_fanout_threshold() {
                 );
             }
         }
+    }
+}
+
+/// A dense tree job heavy enough for the automatic rule is cut into
+/// plan ranges — at most one per worker, none on a one-worker service —
+/// and the cut never shows in the bytes.
+#[test]
+fn split_tree_job_bytes_identical_across_worker_counts() {
+    let nc = Arc::new(threshold_circuit());
+    let plan = Arc::new(plan_for(&nc, 400, 4, false, 43));
+    let spec = JobSpec::new("split-tree", Arc::clone(&nc), Arc::clone(&plan), 17)
+        .with_engine(EnginePolicy::Force(EngineKind::Tree));
+    let (reference, report) = run_binary(spec.clone(), 1);
+    assert!(report.status.is_success(), "{report:?}");
+    assert_eq!(report.chunks, 1, "one worker must not split: {report:?}");
+    assert!(
+        report.route_reason.contains("1 plan-range chunk"),
+        "{}",
+        report.route_reason
+    );
+    for workers in [2usize, 4, 8] {
+        let (bytes, report) = run_binary(spec.clone(), workers);
+        assert!(report.status.is_success(), "{workers}: {report:?}");
+        assert!(
+            report.chunks > 1 && report.chunks <= workers as u64,
+            "{workers} workers: cut into {} chunks",
+            report.chunks
+        );
+        assert!(
+            report
+                .route_reason
+                .contains(&format!("{} plan-range chunk", report.chunks)),
+            "{}",
+            report.route_reason
+        );
+        assert_eq!(report.records, plan.n_trajectories() as u64);
+        assert_eq!(bytes, reference, "split at {workers} workers changed bytes");
+    }
+}
+
+/// `chunk_trajectories` is honoured by the dense tree engine, and a
+/// forced fine split (17 sub-tries of ≤ 3 trajectories) delivers the
+/// unsplit walk's bytes.
+#[test]
+fn forced_tree_split_equals_unsplit() {
+    let nc = Arc::new(t_circuit(0.02));
+    let plan = Arc::new(plan_for(&nc, 50, 12, false, 44));
+    let unsplit = JobSpec::new("forced-split", Arc::clone(&nc), Arc::clone(&plan), 3)
+        .with_engine(EnginePolicy::Force(EngineKind::Tree));
+    let mut split = unsplit.clone();
+    split.chunk_trajectories = 3;
+    let (reference, report) = run_binary(unsplit, 4);
+    assert!(report.status.is_success(), "{report:?}");
+    assert_eq!(report.chunks, 1, "a 3-qubit trie is too small to cut");
+    for workers in [1usize, 4] {
+        let (bytes, report) = run_binary(split.clone(), workers);
+        assert!(report.status.is_success(), "{report:?}");
+        assert_eq!(report.chunks, 17);
+        assert_eq!(bytes, reference, "{workers} workers");
     }
 }
 

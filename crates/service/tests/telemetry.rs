@@ -14,8 +14,8 @@ use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsSampler};
 use ptsbe_dataset::{JsonlSink, SharedBuffer};
 use ptsbe_rng::PhiloxRng;
 use ptsbe_service::{
-    EngineKind, FaultConfig, JobSpec, ServiceConfig, ShotService, Stage, TelemetryConfig,
-    TelemetryMode,
+    EngineKind, EnginePolicy, FaultConfig, JobSpec, ServiceConfig, ShotService, Stage,
+    TelemetryConfig, TelemetryMode,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -130,6 +130,37 @@ fn warm_job_spans_sum_to_wall() {
         snap.dropped_spans == 0,
         "ring wrapped during a two-job test"
     );
+}
+
+/// A split tree job explains its own cut: every plan-range chunk
+/// records the build of its sub-trie as a `plan` span under its chunk
+/// id, next to the one chunk-less whole-plan build the router did.
+#[test]
+fn split_tree_chunks_record_their_sub_trie_builds() {
+    let _g = telemetry_lock();
+    ptsbe_telemetry::reset();
+    let (nc, plan) = tree_workload();
+    let n = plan.n_trajectories();
+    let mut spec = JobSpec::new("telemetry-split", nc, plan, 5)
+        .with_engine(EnginePolicy::Force(EngineKind::Tree));
+    spec.chunk_trajectories = n.div_ceil(3);
+    let service: ShotService = ShotService::start(pinned_config(TelemetryConfig::spans()));
+    let report = service
+        .submit(spec, Box::new(JsonlSink::new(SharedBuffer::new())))
+        .unwrap()
+        .wait();
+    assert!(report.status.is_success(), "{report:?}");
+    assert_eq!(report.engine, Some(EngineKind::Tree));
+    assert_eq!(report.chunks, 3, "{}", report.route_reason);
+
+    let snap = ptsbe_telemetry::snapshot();
+    let mut plan_chunks: Vec<Option<u32>> = snap
+        .job_spans(report.job_id)
+        .filter(|s| s.stage == Stage::Plan)
+        .map(|s| s.chunk)
+        .collect();
+    plan_chunks.sort_unstable();
+    assert_eq!(plan_chunks, vec![None, Some(0), Some(1), Some(2)]);
 }
 
 /// Instrumentation must never touch output bytes: the same spec yields

@@ -70,7 +70,10 @@ pub enum Stage {
     Route = 1,
     /// Backend compilation on a cache miss (nested inside `Route`).
     Compile = 2,
-    /// Plan-tree construction on a cache miss (nested inside `Route`).
+    /// Plan-tree construction: the whole-plan trie on a cache miss
+    /// (nested inside `Route`, no chunk id), and the sub-trie a
+    /// plan-range chunk of a split tree job builds for itself (inside
+    /// the chunk envelope, carrying its chunk id).
     Plan = 3,
     /// State preparation work inside a chunk: segment advances and
     /// branch-point forks (aggregated per chunk).

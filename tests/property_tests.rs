@@ -193,6 +193,68 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Plan-range sub-tries (the chunks of a split tree job): for any
+    /// cut points, each range-trie holds exactly its range under absolute
+    /// plan indices, and walking the ranges in order is bitwise the flat
+    /// executor on the whole plan.
+    #[test]
+    fn range_tries_concatenate_to_the_flat_execution(
+        (n, recipe, p) in circuit_strategy(),
+        cuts in prop::collection::vec(0usize..41, 0..5),
+    ) {
+        let noisy = build(n, &recipe, p);
+        let backend = SvBackend::<f64>::new(&noisy, SamplingStrategy::Auto).unwrap();
+        let mut rng = PhiloxRng::new(946, 0);
+        let plan = ProbabilisticPts { n_samples: 40, shots_per_trajectory: 6, dedup: false }
+            .sample_plan(&noisy, &mut rng);
+        let n_traj = plan.n_trajectories();
+
+        // `from_plan` is the 0..n range, node for node.
+        let whole = PtsPlanTree::from_plan(&plan);
+        let full = PtsPlanTree::from_plan_range(&plan, 0..n_traj);
+        prop_assert_eq!(whole.n_nodes(), full.n_nodes());
+        for i in 0..whole.n_nodes() {
+            let (a, b) = (whole.node(i), full.node(i));
+            prop_assert_eq!(
+                (a.depth, &a.children, &a.leaves, a.rep),
+                (b.depth, &b.children, &b.leaves, b.rep)
+            );
+        }
+
+        // Repeated cut points give empty ranges, adjacent ones give
+        // single-trajectory ranges.
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n_traj)).collect();
+        bounds.extend([0, n_traj]);
+        bounds.sort_unstable();
+        let ex = TreeExecutor { seed: 9, parallel: false };
+        let mut joined = Vec::new();
+        for w in bounds.windows(2) {
+            let range = w[0]..w[1];
+            let sub = PtsPlanTree::from_plan_range(&plan, range.clone());
+            let mut leaves = sub.leaf_plan_indices();
+            leaves.sort_unstable();
+            prop_assert_eq!(leaves, range.clone().collect::<Vec<_>>());
+            prop_assert_eq!(sub.n_trajectories(), range.len());
+            prop_assert_eq!(sub.flat_prep_ops(), range.len() * sub.n_sites());
+            prop_assert!(sub.n_edges() <= whole.n_edges());
+            let flat = sub.flat_prep_ops();
+            let expect = if flat == 0 { 0.0 } else { (flat - sub.n_edges()) as f64 / flat as f64 };
+            prop_assert_eq!(sub.sharing_ratio(), expect);
+            joined.extend(ex.execute_tree(&backend, &noisy, &plan, &sub).trajectories);
+        }
+        let flat = BatchedExecutor { seed: 9, parallel: false }.execute(&backend, &noisy, &plan);
+        prop_assert_eq!(joined.len(), flat.trajectories.len());
+        for (a, b) in joined.iter().zip(&flat.trajectories) {
+            prop_assert_eq!(a.meta.traj_id, b.meta.traj_id);
+            prop_assert_eq!(&a.shots, &b.shots);
+            prop_assert_eq!(a.meta.realized_prob.to_bits(), b.meta.realized_prob.to_bits());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Gate-fusion invariants
 
