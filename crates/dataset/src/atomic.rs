@@ -153,6 +153,7 @@ atomic_file_sink!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ShotWord;
     use ptsbe_core::assignment::TrajectoryMeta;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -184,7 +185,7 @@ mod tests {
                 choices: vec![0],
                 errors: vec![],
             },
-            shots: vec!["2".into(), "1".into()],
+            shots: vec![ShotWord(2), ShotWord(1)],
         }];
         (header, records)
     }

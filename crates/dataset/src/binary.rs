@@ -9,8 +9,7 @@
 //! 16 bytes per shot — the format the trillion-shot regime wants; the
 //! JSON headers keep it self-describing.
 
-use crate::record::{hex_u128, DatasetHeader, TrajectoryRecord};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::record::{DatasetHeader, ShotWord, TrajectoryRecord};
 use ptsbe_core::assignment::TrajectoryMeta;
 use std::io;
 
@@ -32,16 +31,13 @@ pub(crate) fn encode_header(header: &DatasetHeader) -> io::Result<Vec<u8>> {
 
 /// Encode one trajectory frame (meta JSON + shot words).
 pub(crate) fn encode_record(rec: &TrajectoryRecord) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
     let mjson = serde_json::to_vec(&rec.meta)?;
+    let mut buf = Vec::with_capacity(4 + mjson.len() + 8 + 16 * rec.shots.len());
     buf.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
     buf.extend_from_slice(&mjson);
-    let shots = rec
-        .decode_shots()
-        .map_err(|s| io::Error::new(io::ErrorKind::InvalidData, format!("bad hex {s}")))?;
-    buf.extend_from_slice(&(shots.len() as u64).to_le_bytes());
-    for s in shots {
-        buf.extend_from_slice(&s.to_le_bytes());
+    buf.extend_from_slice(&(rec.shots.len() as u64).to_le_bytes());
+    for s in &rec.shots {
+        buf.extend_from_slice(&s.0.to_le_bytes());
     }
     Ok(buf)
 }
@@ -50,13 +46,12 @@ pub(crate) fn encode_record(rec: &TrajectoryRecord) -> io::Result<Vec<u8>> {
 ///
 /// # Errors
 /// Propagates serialization failures.
-pub fn encode(header: &DatasetHeader, records: &[TrajectoryRecord]) -> io::Result<Bytes> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(&encode_header(header)?);
+pub fn encode(header: &DatasetHeader, records: &[TrajectoryRecord]) -> io::Result<Vec<u8>> {
+    let mut buf = encode_header(header)?;
     for rec in records {
-        buf.put_slice(&encode_record(rec)?);
+        buf.extend_from_slice(&encode_record(rec)?);
     }
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
 /// Parse a dataset encoded by [`encode`]: [`decode_prefix`] whose valid
@@ -65,8 +60,8 @@ pub fn encode(header: &DatasetHeader, records: &[TrajectoryRecord]) -> io::Resul
 /// # Errors
 /// Returns `InvalidData` on magic/version/structure mismatches, a torn
 /// last frame, or bytes after it.
-pub fn decode(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)> {
-    let len = data.len();
+pub fn decode(data: impl AsRef<[u8]>) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)> {
+    let len = data.as_ref().len();
     let (header, records, prefix_len) = decode_prefix(data)?;
     if prefix_len != len {
         return Err(io::Error::new(
@@ -93,9 +88,11 @@ pub fn decode(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)>
 /// or wrong — there is no dataset to recover — and on corrupt (not
 /// merely truncated) frames, which indicate real damage rather than an
 /// interrupted write.
-pub fn decode_prefix(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>, usize)> {
+pub fn decode_prefix(
+    data: impl AsRef<[u8]>,
+) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>, usize)> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let buf = data.as_slice();
+    let buf = data.as_ref();
     if buf.len() < 12 || &buf[..4] != MAGIC {
         return Err(bad(if buf.len() < 12 {
             "truncated preamble: no recoverable dataset"
@@ -136,7 +133,7 @@ pub fn decode_prefix(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRe
         let mut shots = Vec::with_capacity(n_shots);
         for _ in 0..n_shots {
             let word = u128::from_le_bytes(buf[at..at + 16].try_into().expect("16 bytes"));
-            shots.push(hex_u128(word));
+            shots.push(ShotWord(word));
             at += 16;
         }
         records.push(TrajectoryRecord { meta, shots });
@@ -166,7 +163,7 @@ mod tests {
                 choices: vec![],
                 errors: vec![],
             },
-            shots: vec![format!("{:x}", 0xdeadbeefu128), "7".into()],
+            shots: vec![ShotWord(0xdeadbeef), ShotWord(7)],
         }];
         (header, records)
     }
@@ -177,35 +174,34 @@ mod tests {
         let bytes = encode(&header, &records).unwrap();
         let (h2, r2) = decode(bytes).unwrap();
         assert_eq!(h2, header);
-        assert_eq!(r2[0].decode_shots().unwrap(), vec![0xdeadbeef, 7]);
+        assert_eq!(r2[0].shots, records[0].shots);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let (header, records) = sample();
-        let mut bytes = encode(&header, &records).unwrap().to_vec();
+        let mut bytes = encode(&header, &records).unwrap();
         bytes[0] = b'X';
-        assert!(decode(Bytes::from(bytes)).is_err());
+        assert!(decode(bytes).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
         let (header, records) = sample();
         let bytes = encode(&header, &records).unwrap();
-        let truncated = bytes.slice(0..bytes.len() - 5);
-        assert!(decode(truncated).is_err());
+        assert!(decode(&bytes[..bytes.len() - 5]).is_err());
     }
 
     #[test]
     fn trailing_garbage_rejected() {
         let (header, records) = sample();
-        let mut bytes = encode(&header, &records).unwrap().to_vec();
+        let mut bytes = encode(&header, &records).unwrap();
         let whole = bytes.len();
         bytes.extend_from_slice(&[0xAB; 3]);
-        let err = decode(Bytes::from(bytes.clone())).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Recovery keeps the whole frames and reports where they end.
-        let (_, recovered, prefix_len) = decode_prefix(Bytes::from(bytes)).unwrap();
+        let (_, recovered, prefix_len) = decode_prefix(&bytes).unwrap();
         assert_eq!((recovered.len(), prefix_len), (1, whole));
     }
 
@@ -214,15 +210,15 @@ mod tests {
         // A frame claiming 2^60 shots: `n_shots * 16` overflows usize, so
         // the check must divide the remaining bytes instead.
         let (header, records) = sample();
-        let mut bytes = encode(&header, &[]).unwrap().to_vec();
+        let mut bytes = encode(&header, &[]).unwrap();
         let mjson = serde_json::to_vec(&records[0].meta).unwrap();
         bytes.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&mjson);
         bytes.extend_from_slice(&(1u64 << 60).to_le_bytes());
         bytes.extend_from_slice(&[0u8; 32]);
-        let err = decode(Bytes::from(bytes.clone())).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let (_, recovered, _) = decode_prefix(Bytes::from(bytes)).unwrap();
+        let (_, recovered, _) = decode_prefix(&bytes).unwrap();
         assert!(recovered.is_empty());
     }
 
@@ -231,31 +227,30 @@ mod tests {
         let (header, mut records) = sample();
         records.push(TrajectoryRecord {
             meta: records[0].meta.clone(),
-            shots: vec!["9".into()],
+            shots: vec![ShotWord(9)],
         });
         let bytes = encode(&header, &records).unwrap();
         // Cut inside the second record's shot words.
-        let torn = bytes.slice(0..bytes.len() - 5);
-        let (h2, recovered, prefix_len) = decode_prefix(torn.clone()).unwrap();
+        let (h2, recovered, prefix_len) = decode_prefix(&bytes[..bytes.len() - 5]).unwrap();
         assert_eq!(h2, header);
         assert_eq!(recovered.len(), 1, "only the complete record survives");
-        assert_eq!(recovered[0].decode_shots().unwrap(), vec![0xdeadbeef, 7]);
+        assert_eq!(recovered[0].shots, records[0].shots);
         // The reported prefix is itself a fully valid dataset.
-        let (_, reparsed) = decode(bytes.slice(0..prefix_len)).unwrap();
+        let (_, reparsed) = decode(&bytes[..prefix_len]).unwrap();
         assert_eq!(reparsed.len(), 1);
         // An untorn shard recovers completely.
-        let (_, all, full_len) = decode_prefix(bytes.clone()).unwrap();
+        let (_, all, full_len) = decode_prefix(&bytes).unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(full_len, bytes.len());
         // A preamble tear is unrecoverable by design.
-        assert!(decode_prefix(bytes.slice(0..6)).is_err());
+        assert!(decode_prefix(&bytes[..6]).is_err());
     }
 
     #[test]
     fn shot_size_is_16_bytes() {
         let (header, mut records) = sample();
         let base = encode(&header, &records).unwrap().len();
-        records[0].shots.push("1".into());
+        records[0].shots.push(ShotWord(1));
         let plus_one = encode(&header, &records).unwrap().len();
         assert_eq!(plus_one - base, 16);
     }

@@ -6,15 +6,15 @@
 //! device data cannot provide and black-box trajectory simulators did not
 //! expose before this work.
 
-use crate::record::TrajectoryRecord;
+use crate::record::{ShotWord, TrajectoryRecord};
 use ptsbe_core::assignment::ErrorEvent;
 use serde::{Deserialize, Serialize};
 
 /// One supervised example.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecoderExample {
-    /// Measurement record (hex).
-    pub shot: String,
+    /// Measurement record (a hex string in JSON).
+    pub shot: ShotWord,
     /// Ground-truth injected errors (the training label).
     pub errors: Vec<ErrorEvent>,
     /// Joint probability of the error pattern (sample weight).
@@ -27,7 +27,7 @@ pub fn export_examples(records: &[TrajectoryRecord]) -> Vec<DecoderExample> {
     for rec in records {
         for shot in &rec.shots {
             out.push(DecoderExample {
-                shot: shot.clone(),
+                shot: *shot,
                 errors: rec.meta.errors.clone(),
                 weight: rec.meta.realized_prob,
             });
@@ -67,7 +67,7 @@ mod tests {
                     channel: "bit_flip".into(),
                 }],
             },
-            shots: vec!["1".into(), "3".into()],
+            shots: vec![ShotWord(1), ShotWord(3)],
         };
         let examples = export_examples(&[rec]);
         assert_eq!(examples.len(), 2);

@@ -100,6 +100,7 @@ pub fn read_recovered<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ShotWord;
     use ptsbe_core::assignment::TrajectoryMeta;
 
     fn sample() -> (DatasetHeader, Vec<TrajectoryRecord>) {
@@ -120,7 +121,7 @@ mod tests {
                     choices: vec![0],
                     errors: vec![],
                 },
-                shots: vec!["0".into(), "3".into()],
+                shots: vec![ShotWord(0), ShotWord(3)],
             },
             TrajectoryRecord {
                 meta: TrajectoryMeta {
@@ -131,7 +132,7 @@ mod tests {
                     choices: vec![1],
                     errors: vec![],
                 },
-                shots: vec!["1".into()],
+                shots: vec![ShotWord(1)],
             },
         ];
         (header, records)
@@ -172,6 +173,25 @@ mod tests {
         assert_eq!((all.len(), dropped), (2, 0));
         // A torn header is unrecoverable by design.
         assert!(read_recovered(io::BufReader::new(&buf[..10])).is_err());
+    }
+
+    #[test]
+    fn malformed_hex_is_refused_where_it_enters() {
+        let (header, records) = sample();
+        let mut buf = Vec::new();
+        write(&mut buf, &header, &records).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let wide = format!("\"0{:x}\"", u128::MAX); // 33 digits
+        for bad in ["\"zz\"", wide.as_str()] {
+            // Corrupt the second record's only shot.
+            let torn = text.replace(r#""shots":["1"]"#, &format!(r#""shots":[{bad}]"#));
+            assert_ne!(torn, text);
+            let err = read(torn.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+            let (_, recovered, dropped) = read_recovered(torn.as_bytes()).unwrap();
+            assert_eq!((recovered.len(), dropped), (1, 1), "{bad}");
+            assert_eq!(recovered[0].shots, records[0].shots);
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! into durable artifacts:
 //!
 //! - [`record`] — serializable per-trajectory records (provenance +
-//!   shots, hex-encoded so plain JSON tooling can read them);
+//!   shots; a shot is a [`ShotWord`], native `u128` in memory and a hex
+//!   string only in JSON text, so plain JSON tooling can read it);
 //! - [`jsonl`] — line-delimited JSON writer/reader (interchange format);
-//! - [`binary`] — compact length-prefixed binary format via `bytes`
-//!   (16 bytes/shot, for the "one trillion shots" regime);
+//! - [`binary`] — compact length-prefixed binary format (16 bytes/shot,
+//!   for the "one trillion shots" regime);
 //! - [`summary`] — corpus-level statistics (shots, unique fraction,
 //!   error-weight census);
 //! - [`decoder_export`] — supervised (features, labels) pairs for
@@ -30,6 +31,6 @@ pub mod sink;
 pub mod summary;
 
 pub use atomic::{BinaryFileSink, JsonlFileSink};
-pub use record::{DatasetHeader, TrajectoryRecord};
+pub use record::{DatasetHeader, ShotWord, TrajectoryRecord};
 pub use sink::{BinarySink, JsonlSink, MemorySink, MemoryStore, RecordSink, SharedBuffer};
 pub use summary::DatasetSummary;

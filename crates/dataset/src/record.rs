@@ -39,17 +39,64 @@ pub fn hex_u128(v: u128) -> String {
     buf
 }
 
-/// Encode a shot slice, reusing one scratch buffer across shots.
-pub fn hex_shots(shots: &[u128]) -> Vec<String> {
-    let mut buf = String::with_capacity(32 * shots.len());
-    shots
-        .iter()
-        .map(|&s| {
-            buf.clear();
-            push_hex_u128(&mut buf, s);
-            buf.clone()
-        })
-        .collect()
+/// One measurement record: bit `t` = measured qubit `t`.
+///
+/// A shot is a `u128` in memory and in `PTSB` frames, and a lowercase-hex
+/// string only in JSON text (so plain JSON tooling needs no 128-bit
+/// number support). The serde and `FromStr` impls below are the only
+/// place that hex is produced or parsed.
+#[repr(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ShotWord(pub u128);
+
+impl ShotWord {
+    /// Retype an executor's shot buffer without copying it: the in-place
+    /// `collect` reuses the allocation (bulk jobs hold 10⁵–10⁶ shots per
+    /// trajectory, so a copy here doubles the job's footprint).
+    pub fn wrap(shots: Vec<u128>) -> Vec<ShotWord> {
+        shots.into_iter().map(ShotWord).collect()
+    }
+}
+
+impl Serialize for ShotWord {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::String(hex_u128(self.0))
+    }
+}
+
+impl Deserialize for ShotWord {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        match value {
+            serde::Value::String(s) => s.parse(),
+            _ => Err(serde::Error::msg("expected a hex shot string")),
+        }
+    }
+}
+
+impl std::str::FromStr for ShotWord {
+    type Err = serde::Error;
+
+    /// 1–32 hex digits, nothing else (`from_str_radix` alone would also
+    /// take a sign and any number of leading zeros).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s.is_empty() || s.len() > 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(serde::Error::msg(format!("malformed hex shot {s:?}")));
+        }
+        let word = u128::from_str_radix(s, 16).expect("1-32 hex digits fit a u128");
+        Ok(ShotWord(word))
+    }
+}
+
+// Named by perf/sink.rs (`vec!["3".into(), …]`); goes with benchmark v2.
+impl From<&str> for ShotWord {
+    fn from(s: &str) -> Self {
+        s.parse().expect("shot literal is hex")
+    }
+}
+
+/// Named by perf/traced.rs; goes with benchmark v2.
+pub fn hex_shots(shots: &[u128]) -> Vec<ShotWord> {
+    ShotWord::wrap(shots.to_vec())
 }
 
 /// Corpus-level metadata written once per dataset.
@@ -67,43 +114,41 @@ pub struct DatasetHeader {
     pub seed: u64,
 }
 
-/// One trajectory's provenance and shots. Shots are hex strings so the
-/// JSON form needs no 128-bit number support.
+/// One trajectory's provenance and shots.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrajectoryRecord {
     /// Provenance metadata.
     pub meta: TrajectoryMeta,
-    /// Hex-encoded measurement records.
-    pub shots: Vec<String>,
+    /// Measurement records (hex strings in JSON, see [`ShotWord`]).
+    pub shots: Vec<ShotWord>,
 }
 
 impl TrajectoryRecord {
-    /// Convert an executed trajectory.
-    pub fn from_result(t: &TrajectoryResult) -> Self {
-        Self {
-            meta: t.meta.clone(),
-            shots: hex_shots(&t.shots),
-        }
-    }
-
-    /// Decode the hex shots back to bit patterns.
-    ///
-    /// # Errors
-    /// Returns the offending string on malformed hex.
-    pub fn decode_shots(&self) -> Result<Vec<u128>, String> {
-        self.shots
-            .iter()
-            .map(|s| u128::from_str_radix(s, 16).map_err(|_| s.clone()))
-            .collect()
+    /// Named by perf/sink.rs and perf/check.rs; goes with benchmark v2.
+    /// Cannot fail: read `shots` instead.
+    pub fn decode_shots(&self) -> Result<Vec<u128>, std::convert::Infallible> {
+        Ok(self.shots.iter().map(|w| w.0).collect())
     }
 }
 
-/// Convert a whole batch.
+/// Convert an executed trajectory, taking over its shot buffer.
+impl From<TrajectoryResult> for TrajectoryRecord {
+    fn from(t: TrajectoryResult) -> Self {
+        Self {
+            meta: t.meta,
+            shots: ShotWord::wrap(t.shots),
+        }
+    }
+}
+
+/// Convert a whole batch, copying its shots; a caller that is done with
+/// the batch converts each trajectory with `TrajectoryRecord::from`.
 pub fn records_from_batch(batch: &BatchResult) -> Vec<TrajectoryRecord> {
     batch
         .trajectories
         .iter()
-        .map(TrajectoryRecord::from_result)
+        .cloned()
+        .map(TrajectoryRecord::from)
         .collect()
 }
 
@@ -121,15 +166,18 @@ mod tests {
                 choices: vec![0, 1],
                 errors: vec![],
             },
-            shots: vec![format!("{:x}", u128::MAX), "0".into(), "1f".into()],
+            shots: vec![ShotWord(u128::MAX), ShotWord(0), ShotWord(0x1f)],
         }
     }
 
     #[test]
     fn hex_round_trip() {
-        let rec = sample_record();
-        let shots = rec.decode_shots().unwrap();
-        assert_eq!(shots, vec![u128::MAX, 0, 0x1f]);
+        let json = serde_json::to_string(&sample_record().shots).unwrap();
+        assert_eq!(json, format!(r#"["{:x}","0","1f"]"#, u128::MAX));
+        let back: Vec<ShotWord> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, sample_record().shots);
+        // Uppercase digits and leading zeros (up to 32 digits) parse too.
+        assert_eq!("001F".parse::<ShotWord>().unwrap(), ShotWord(0x1f));
     }
 
     #[test]
@@ -162,10 +210,6 @@ mod tests {
         for v in probes {
             assert_eq!(hex_u128(v), format!("{v:x}"), "value {v:#x}");
         }
-        assert_eq!(
-            hex_shots(&[0, 0x1f, u128::MAX]),
-            vec!["0".to_string(), "1f".into(), format!("{:x}", u128::MAX)]
-        );
     }
 
     #[test]
@@ -177,10 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn bad_hex_reported() {
-        let mut rec = sample_record();
-        rec.shots.push("zz".into());
-        assert_eq!(rec.decode_shots().unwrap_err(), "zz");
+    fn bad_hex_refused_at_deserialize() {
+        let wide = format!("\"0{:x}\"", u128::MAX); // 33 digits
+        for text in [
+            "\"zz\"", "\"\"", "\"+1f\"", "\"-1\"", "\"0x1f\"", "31", &wide,
+        ] {
+            let err = serde_json::from_str::<ShotWord>(text).unwrap_err();
+            assert!(err.to_string().contains("hex shot"), "{text}: {err}");
+        }
+        let record = r#"{"meta":{"traj_id":1,"nominal_prob":0.5,"realized_prob":0.5,"choices":[0,1],"errors":[],"truncation":null},"shots":["0","zz"]}"#;
+        assert!(serde_json::from_str::<TrajectoryRecord>(record).is_err());
+        assert!(serde_json::from_str::<TrajectoryRecord>(&record.replace("zz", "1f")).is_ok());
     }
 
     #[test]

@@ -192,6 +192,7 @@ impl Write for SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ShotWord;
     use ptsbe_core::assignment::TrajectoryMeta;
 
     fn sample() -> (DatasetHeader, Vec<TrajectoryRecord>) {
@@ -212,7 +213,7 @@ mod tests {
                     choices: vec![0, 2],
                     errors: vec![],
                 },
-                shots: vec!["3".into(), "0".into()],
+                shots: vec![ShotWord(3), ShotWord(0)],
             },
             TrajectoryRecord {
                 meta: TrajectoryMeta {
@@ -223,7 +224,7 @@ mod tests {
                     choices: vec![1, 0],
                     errors: vec![],
                 },
-                shots: vec![format!("{:x}", u128::MAX)],
+                shots: vec![ShotWord(u128::MAX)],
             },
         ];
         (header, records)
@@ -265,18 +266,11 @@ mod tests {
         stream_through(&mut sink, &header, &records);
 
         let batch = crate::binary::encode(&header, &records).unwrap();
-        assert_eq!(
-            buf.bytes(),
-            batch.as_slice(),
-            "streamed binary must be byte-identical"
-        );
+        assert_eq!(buf.bytes(), batch, "streamed binary must be byte-identical");
 
-        let (h2, r2) = crate::binary::decode(bytes::Bytes::from_vec(buf.bytes())).unwrap();
+        let (h2, r2) = crate::binary::decode(buf.bytes()).unwrap();
         assert_eq!(h2, header);
-        assert_eq!(
-            r2[0].decode_shots().unwrap(),
-            records[0].decode_shots().unwrap()
-        );
+        assert_eq!(r2[0].shots, records[0].shots);
     }
 
     #[test]
@@ -288,7 +282,7 @@ mod tests {
         let mut sink = BinarySink::new(buf.clone());
         sink.begin(&header).unwrap();
         sink.write(&records[0]).unwrap();
-        let (_, r) = crate::binary::decode(bytes::Bytes::from_vec(buf.bytes())).unwrap();
+        let (_, r) = crate::binary::decode(buf.bytes()).unwrap();
         assert_eq!(r.len(), 1);
     }
 

@@ -1,6 +1,6 @@
 //! Corpus-level statistics.
 
-use crate::record::TrajectoryRecord;
+use crate::record::{ShotWord, TrajectoryRecord};
 use std::collections::HashSet;
 
 /// Aggregate statistics over a dataset.
@@ -20,7 +20,7 @@ pub struct DatasetSummary {
 
 /// Summarize a record set.
 pub fn summarize(records: &[TrajectoryRecord]) -> DatasetSummary {
-    let mut unique: HashSet<u128> = HashSet::new();
+    let mut unique: HashSet<ShotWord> = HashSet::new();
     let mut n_shots = 0usize;
     let mut weight_census: Vec<usize> = Vec::new();
     let mut coverage = 0.0f64;
@@ -31,10 +31,8 @@ pub fn summarize(records: &[TrajectoryRecord]) -> DatasetSummary {
         }
         weight_census[w] += 1;
         coverage += rec.meta.nominal_prob;
-        for s in rec.decode_shots().unwrap_or_default() {
-            unique.insert(s);
-            n_shots += 1;
-        }
+        n_shots += rec.shots.len();
+        unique.extend(&rec.shots);
     }
     DatasetSummary {
         n_trajectories: records.len(),
@@ -73,7 +71,7 @@ mod tests {
                     })
                     .collect(),
             },
-            shots: shots.iter().map(|s| format!("{s:x}")).collect(),
+            shots: ShotWord::wrap(shots.to_vec()),
         }
     }
 

@@ -2,12 +2,10 @@
 //! any byte offset recovers to an exact prefix of what was written (or
 //! to an error), and a single flipped bit never panics a reader.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use ptsbe_core::assignment::{ErrorEvent, TrajectoryMeta};
 use ptsbe_core::backend::TruncationStats;
-use ptsbe_dataset::record::hex_u128;
-use ptsbe_dataset::{binary, jsonl, DatasetHeader, TrajectoryRecord};
+use ptsbe_dataset::{binary, jsonl, DatasetHeader, ShotWord, TrajectoryRecord};
 
 /// Raw draws for one record: (probability, has-truncation, Kraus
 /// choices, shot words as two u64 halves).
@@ -67,7 +65,7 @@ fn build(seed: u64, n_qubits: usize, raw: &[RawRecord]) -> (DatasetHeader, Vec<T
                 },
                 shots: words
                     .iter()
-                    .map(|&(hi, lo)| hex_u128((u128::from(hi) << 64) | u128::from(lo)))
+                    .map(|&(hi, lo)| ShotWord((u128::from(hi) << 64) | u128::from(lo)))
                     .collect(),
             }
         })
@@ -98,7 +96,7 @@ proptest! {
             .map(|k| binary::encode(&header, &records[..k]).unwrap().len())
             .collect();
         for cut in 0..=bytes.len() {
-            match binary::decode_prefix(bytes.slice(0..cut)) {
+            match binary::decode_prefix(&bytes[..cut]) {
                 Err(_) => prop_assert!(cut < boundary[0], "cut {cut} lost a whole preamble"),
                 Ok((h, got, prefix_len)) => {
                     prop_assert_eq!(&h, &header);
@@ -109,7 +107,7 @@ proptest! {
                 }
             }
             // The strict reader accepts exactly the frame boundaries.
-            let strict = binary::decode(bytes.slice(0..cut));
+            let strict = binary::decode(&bytes[..cut]);
             prop_assert_eq!(strict.is_ok(), boundary.contains(&cut), "cut {}", cut);
         }
     }
@@ -145,16 +143,16 @@ proptest! {
     #[test]
     fn single_bit_flip_never_panics((seed, n_qubits, raw) in raw_dataset()) {
         let (header, records) = build(seed, n_qubits, &raw);
-        let bin = binary::encode(&header, &records).unwrap().to_vec();
+        let bin = binary::encode(&header, &records).unwrap();
         let mut text = Vec::new();
         jsonl::write(&mut text, &header, &records).unwrap();
         for bit in 0..bin.len() * 8 {
             let mut flipped = bin.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            if let Ok((_, _, prefix_len)) = binary::decode_prefix(Bytes::from(flipped.clone())) {
+            if let Ok((_, _, prefix_len)) = binary::decode_prefix(&flipped) {
                 prop_assert!(prefix_len <= flipped.len());
             }
-            let _ = binary::decode(Bytes::from(flipped));
+            let _ = binary::decode(&flipped);
         }
         for bit in 0..text.len() * 8 {
             let mut flipped = text.clone();

@@ -451,7 +451,7 @@ mod tests {
                 errors: vec![],
                 truncation: None,
             },
-            shots: vec!["0".into()],
+            shots: vec![ptsbe_dataset::ShotWord(0)],
         };
         let mut flakes = 0;
         for i in 0..32 {

@@ -85,8 +85,7 @@ use ptsbe_core::{
     Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlanTree, StatePool,
     TreeExecutor,
 };
-use ptsbe_dataset::record::records_from_batch;
-use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
+use ptsbe_dataset::{DatasetHeader, RecordSink, ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
 use ptsbe_rng::PhiloxRng;
 use ptsbe_telemetry::{spanned, stage_span, task_scope, timer, Stage, TelemetryConfig};
@@ -1076,8 +1075,8 @@ fn execute_chunk<T: Scalar>(
             };
             // One record per shot block: frame sampling draws noise per
             // shot, so there is no per-trajectory provenance to attach —
-            // the Stim trade, documented on the router. Hex formatting
-            // is serialization, so it counts as the sink stage.
+            // the Stim trade, documented on the router. Building the
+            // record feeds the sink, so it counts as the sink stage.
             spanned(Stage::SinkWrite, || {
                 vec![TrajectoryRecord {
                     meta: ptsbe_core::assignment::TrajectoryMeta {
@@ -1088,7 +1087,7 @@ fn execute_chunk<T: Scalar>(
                         errors: Vec::new(),
                         truncation: None,
                     },
-                    shots: ptsbe_dataset::record::hex_shots(&result.shots),
+                    shots: ShotWord::wrap(result.shots),
                 }]
             })
         }
@@ -1150,10 +1149,16 @@ fn walk_range<B: Backend>(
 }
 
 fn to_records(batch: BatchResult) -> Vec<TrajectoryRecord> {
-    // Record serialization (hex shot formatting dominates) counts as
-    // the sink stage: it exists only to feed the sink, and leaving it
-    // untimed would hide ~a third of a warm job's wall time.
-    spanned(Stage::SinkWrite, || records_from_batch(&batch))
+    // Record building counts as the sink stage: it exists only to feed
+    // the sink. Each trajectory's shot buffer is moved, not copied — a
+    // bulk job's records are the executor's own allocations.
+    spanned(Stage::SinkWrite, || {
+        batch
+            .trajectories
+            .into_iter()
+            .map(TrajectoryRecord::from)
+            .collect()
+    })
 }
 
 /// Terminal bookkeeping shared by every exit path: metrics, the waiter
@@ -1177,4 +1182,42 @@ fn finalize<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
         *active = active.saturating_sub(1);
     }
     shared.admit_cv.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptsbe_core::assignment::TrajectoryMeta;
+    use ptsbe_core::be::TrajectoryResult;
+
+    /// The memory shape of a bulk job (`sv-sample`: 2 M shots in four
+    /// records): a record's shot buffer is the executor's allocation,
+    /// not a copy of it.
+    #[test]
+    fn records_take_over_the_result_shot_buffers() {
+        let batch = BatchResult {
+            trajectories: (0..3)
+                .map(|traj_id| TrajectoryResult {
+                    meta: TrajectoryMeta {
+                        traj_id,
+                        nominal_prob: 1.0,
+                        realized_prob: 1.0,
+                        choices: vec![],
+                        errors: vec![],
+                        truncation: None,
+                    },
+                    shots: vec![traj_id as u128; 4096],
+                })
+                .collect(),
+        };
+        let before: Vec<usize> = batch
+            .trajectories
+            .iter()
+            .map(|t| t.shots.as_ptr() as usize)
+            .collect();
+        let records = to_records(batch);
+        let after: Vec<usize> = records.iter().map(|r| r.shots.as_ptr() as usize).collect();
+        assert_eq!(after, before);
+        assert_eq!(records[2].shots[4095], ShotWord(2));
+    }
 }

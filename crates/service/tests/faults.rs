@@ -235,7 +235,7 @@ fn stopped_split_tree_job_leaves_a_valid_plan_order_prefix() {
     };
     let (full_bytes, full_report) = run(split_tree_spec(9), faultless(1), false);
     assert_eq!(full_report.status, JobStatus::Done);
-    let (_, full) = ptsbe_dataset::binary::decode(full_bytes.into()).unwrap();
+    let (_, full) = ptsbe_dataset::binary::decode(full_bytes).unwrap();
 
     let crawl = FaultConfig {
         chunk_delay: 1.0,
@@ -254,7 +254,7 @@ fn stopped_split_tree_job_leaves_a_valid_plan_order_prefix() {
             continue; // the stop beat the first chunk
         }
         let len = bytes.len();
-        let (_, records, prefix_len) = ptsbe_dataset::binary::decode_prefix(bytes.into()).unwrap();
+        let (_, records, prefix_len) = ptsbe_dataset::binary::decode_prefix(bytes).unwrap();
         assert_eq!(prefix_len, len, "{label}: torn frame in the shard");
         assert_eq!(records.len() as u64, report.records, "{label}");
         assert_eq!(records.len() % 3, 0, "{label}: a partial plan range");

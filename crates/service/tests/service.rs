@@ -704,8 +704,8 @@ fn frame_agrees_with_tree_on_deterministic_circuit() {
     let hist = |records: &[ptsbe_dataset::TrajectoryRecord], total: f64| {
         let mut h = [0.0f64; 8];
         for r in records {
-            for s in r.decode_shots().unwrap() {
-                h[s as usize] += 1.0 / total;
+            for s in &r.shots {
+                h[s.0 as usize] += 1.0 / total;
             }
         }
         h

@@ -136,8 +136,7 @@ fn main() {
     let mut failures = 0usize;
     let mut rejected = 0usize;
     for ex in &examples {
-        let shot = u128::from_str_radix(&ex.shot, 16).expect("hex");
-        match decoder.decode(shot) {
+        match decoder.decode(ex.shot.0) {
             Some(false) => correct += 1,
             Some(true) => failures += 1,
             None => rejected += 1,

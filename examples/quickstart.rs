@@ -140,10 +140,9 @@ fn main() {
     let mut hist = vec![0.0f64; 1 << n];
     let covered: f64 = store.records.iter().map(|t| t.meta.realized_prob).sum();
     for t in &store.records {
-        let shots = t.decode_shots().expect("hex");
-        let w = t.meta.realized_prob / (covered * shots.len() as f64);
-        for s in shots {
-            hist[s as usize] += w;
+        let w = t.meta.realized_prob / (covered * t.shots.len() as f64);
+        for s in &t.shots {
+            hist[s.0 as usize] += w;
         }
     }
     println!("\nweighted distribution (top outcomes):");

@@ -54,7 +54,7 @@ pub mod prelude {
         PtsPlanTree, PtsSampler, StatePool, SvBackend, TopKPts, TreeExecutor, TruncationStats,
     };
     pub use ptsbe_dataset::{
-        BinarySink, DatasetHeader, JsonlSink, MemorySink, RecordSink, TrajectoryRecord,
+        BinarySink, DatasetHeader, JsonlSink, MemorySink, RecordSink, ShotWord, TrajectoryRecord,
     };
     pub use ptsbe_densitymatrix::DensityMatrix;
     pub use ptsbe_qec::{codes, msd_bare, msd_encoded, LookupDecoder, MeasureBasis, MsdAnalysis};

@@ -51,7 +51,7 @@ fn full_pipeline_jsonl_and_binary() {
     assert_eq!(h3, header);
     assert_eq!(loaded_bin.len(), records.len());
     for (a, b) in loaded.iter().zip(&loaded_bin) {
-        assert_eq!(a.decode_shots().unwrap(), b.decode_shots().unwrap());
+        assert_eq!(a.shots, b.shots);
         assert_eq!(a.meta.choices, b.meta.choices);
     }
 
@@ -84,7 +84,7 @@ fn labels_survive_and_decode_consistently() {
     let decoder = LookupDecoder::new(&code);
     let mut clean_checked = 0;
     for ex in examples.iter().filter(|e| e.errors.is_empty()) {
-        let shot = u128::from_str_radix(&ex.shot, 16).unwrap();
+        let shot = ex.shot.0;
         assert_eq!(decoder.syndrome(shot), 0, "clean shot with syndrome");
         assert_eq!(decoder.decode(shot), Some(false));
         clean_checked += 1;
