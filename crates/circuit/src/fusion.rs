@@ -158,11 +158,6 @@ impl Fuser {
         Self::default()
     }
 
-    /// Number of gates pushed since construction.
-    pub fn n_pushed(&self) -> usize {
-        self.pushed
-    }
-
     /// Push the next gate of the run.
     ///
     /// # Panics

@@ -64,12 +64,6 @@ impl StableHasher {
         self.write_u64(v.to_bits());
     }
 
-    /// Absorb a length-prefixed byte string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-
     /// The accumulated hash.
     pub fn finish(&self) -> u64 {
         self.0

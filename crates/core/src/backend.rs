@@ -320,9 +320,6 @@ pub enum MpsSampleMode {
     /// "cached intermediates" behavior; the sequential reference the
     /// batched mode is pinned against).
     Cached,
-    /// Re-run the canonicalization sweep per shot (surrogate for the
-    /// re-contraction cost the paper measured against).
-    Naive,
 }
 
 /// Tensor-network backend (the paper's `tensornet` target).
@@ -425,7 +422,6 @@ impl<T: Scalar> Backend for MpsBackend<T> {
             MpsSampleMode::Cached => {
                 ptsbe_tensornet::sample::sample_shots_cached(state, shots, rng)
             }
-            MpsSampleMode::Naive => ptsbe_tensornet::sample::sample_shots_naive(state, shots, rng),
         };
         let measured = self.compiled.measured_qubits();
         raw.into_iter()

@@ -623,12 +623,6 @@ impl Default for BatchMajorExecutor {
 }
 
 impl BatchMajorExecutor {
-    /// Automatic lane count for a per-lane state footprint of
-    /// `state_bytes` under the default [`BatchConfig`].
-    pub fn auto_lanes(state_bytes: usize) -> usize {
-        BatchConfig::default().lanes_for_bytes(state_bytes)
-    }
-
     /// Execute a plan in lane groups of up to `self.lanes` trajectories
     /// (auto-sized groups when `lanes == 0`).
     ///

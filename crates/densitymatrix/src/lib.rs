@@ -38,24 +38,6 @@ impl DensityMatrix {
         }
     }
 
-    /// Pure-state density matrix |ψ⟩⟨ψ| from amplitudes.
-    pub fn from_pure(amps: &[C64]) -> Self {
-        assert!(amps.len().is_power_of_two());
-        let dim = amps.len();
-        let n_qubits = dim.trailing_zeros() as usize;
-        let mut data = vec![C64::zero(); dim * dim];
-        for r in 0..dim {
-            for c in 0..dim {
-                data[r * dim + c] = amps[r] * amps[c].conj();
-            }
-        }
-        Self {
-            n_qubits,
-            dim,
-            data,
-        }
-    }
-
     /// The maximally mixed state `I/2^n`.
     pub fn maximally_mixed(n_qubits: usize) -> Self {
         let dim = 1usize << n_qubits;

@@ -89,11 +89,6 @@ impl AliasTable {
         }
     }
 
-    /// Draw `m` outcomes into a fresh vector.
-    pub fn sample_many<R: Rng + ?Sized>(&self, m: usize, rng: &mut R) -> Vec<usize> {
-        (0..m).map(|_| self.sample(rng)).collect()
-    }
-
     /// Accumulate counts for `m` draws: `counts[i] += #draws of i`.
     pub fn sample_counts<R: Rng + ?Sized>(&self, m: usize, rng: &mut R, counts: &mut [usize]) {
         assert_eq!(counts.len(), self.prob.len());

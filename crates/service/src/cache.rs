@@ -33,8 +33,10 @@ use ptsbe_math::Scalar;
 use ptsbe_rng::PhiloxRng;
 use ptsbe_stabilizer::FrameSampler;
 use ptsbe_statevector::{SamplingStrategy, StateVector};
+use ptsbe_telemetry::{spanned, Stage};
 use ptsbe_tensornet::{Mps, MpsConfig};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -171,14 +173,6 @@ pub struct CompileCache<T: Scalar> {
     clock: AtomicU64,
     resident_bytes: AtomicUsize,
     evictions: AtomicU64,
-    sv_hits: AtomicU64,
-    sv_misses: AtomicU64,
-    mps_hits: AtomicU64,
-    mps_misses: AtomicU64,
-    frame_hits: AtomicU64,
-    frame_misses: AtomicU64,
-    tree_hits: AtomicU64,
-    tree_misses: AtomicU64,
 }
 
 /// Lock with poison healing. Cache maps are only ever mutated through
@@ -200,68 +194,35 @@ struct Slot<V> {
     last_used: u64,
 }
 
-/// A keyed artifact family under one lock.
+/// A keyed artifact family under one lock, with its own hit/miss
+/// counters.
 struct Shelf<V> {
+    /// Which shelf this is, so an eviction candidate can name its home.
+    tag: u8,
     map: Mutex<HashMap<u64, Slot<V>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<V> Shelf<V> {
-    fn new() -> Self {
+    fn new(tag: u8) -> Self {
         Self {
+            tag,
             map: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Look up `key`, refreshing its recency on a hit.
-    fn get(&self, key: u64, clock: &AtomicU64) -> Option<Arc<V>> {
-        let mut m = lock_healed(&self.map);
-        m.get_mut(&key).map(|slot| {
-            slot.last_used = clock.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(&slot.value)
-        })
-    }
-
-    /// Insert `value` under `key`, charging `bytes` to `resident`.
-    /// Two racing first-compilers may both build; the first insert wins
-    /// and the loser's artifact is dropped (and never charged).
-    fn put(
-        &self,
-        key: u64,
-        value: Arc<V>,
-        bytes: usize,
-        clock: &AtomicU64,
-        resident: &AtomicUsize,
-    ) -> Arc<V> {
-        let tick = clock.fetch_add(1, Ordering::Relaxed);
-        let mut m = lock_healed(&self.map);
-        match m.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                o.get_mut().last_used = tick;
-                Arc::clone(&o.get().value)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                resident.fetch_add(bytes, Ordering::Relaxed);
-                Arc::clone(
-                    &v.insert(Slot {
-                        value,
-                        bytes,
-                        last_used: tick,
-                    })
-                    .value,
-                )
-            }
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
     /// Fold this shelf's LRU candidate into `best`
-    /// (`(shelf_tag, key, last_used, bytes)`), skipping `protect`.
-    fn scan_lru(&self, tag: u8, protect: (u8, u64), best: &mut Option<(u8, u64, u64, usize)>) {
+    /// (`(shelf_tag, key, last_used)`), skipping `protect`.
+    fn scan_lru(&self, protect: (u8, u64), best: &mut Option<(u8, u64, u64)>) {
         for (&k, slot) in lock_healed(&self.map).iter() {
-            if (tag, k) == protect {
+            if (self.tag, k) == protect {
                 continue;
             }
-            if best.is_none_or(|(_, _, lu, _)| slot.last_used < lu) {
-                *best = Some((tag, k, slot.last_used, slot.bytes));
+            if best.is_none_or(|(_, _, lu)| slot.last_used < lu) {
+                *best = Some((self.tag, k, slot.last_used));
             }
         }
     }
@@ -296,23 +257,15 @@ impl<T: Scalar> CompileCache<T> {
     /// peak process memory.
     pub fn with_budget(budget: Option<usize>) -> Self {
         Self {
-            sv: Shelf::new(),
-            mps: Shelf::new(),
-            frame: Shelf::new(),
-            trees: Shelf::new(),
+            sv: Shelf::new(0),
+            mps: Shelf::new(1),
+            frame: Shelf::new(2),
+            trees: Shelf::new(3),
             traits: Mutex::new(HashMap::new()),
             budget,
             clock: AtomicU64::new(0),
             resident_bytes: AtomicUsize::new(0),
             evictions: AtomicU64::new(0),
-            sv_hits: AtomicU64::new(0),
-            sv_misses: AtomicU64::new(0),
-            mps_hits: AtomicU64::new(0),
-            mps_misses: AtomicU64::new(0),
-            frame_hits: AtomicU64::new(0),
-            frame_misses: AtomicU64::new(0),
-            tree_hits: AtomicU64::new(0),
-            tree_misses: AtomicU64::new(0),
         }
     }
 
@@ -323,11 +276,11 @@ impl<T: Scalar> CompileCache<T> {
         let Some(budget) = self.budget else { return };
         while self.resident_bytes.load(Ordering::Relaxed) > budget {
             let mut victim = None;
-            self.sv.scan_lru(0, protect, &mut victim);
-            self.mps.scan_lru(1, protect, &mut victim);
-            self.frame.scan_lru(2, protect, &mut victim);
-            self.trees.scan_lru(3, protect, &mut victim);
-            let Some((tag, key, _, _)) = victim else {
+            self.sv.scan_lru(protect, &mut victim);
+            self.mps.scan_lru(protect, &mut victim);
+            self.frame.scan_lru(protect, &mut victim);
+            self.trees.scan_lru(protect, &mut victim);
+            let Some((tag, key, _)) = victim else {
                 break;
             };
             let freed = match tag {
@@ -345,6 +298,47 @@ impl<T: Scalar> CompileCache<T> {
                 None => continue,
             }
         }
+    }
+
+    /// The one lookup path of every shelf. A hit refreshes the entry's
+    /// recency; a miss runs `build` (which returns the artifact and the
+    /// bytes to charge for it) *outside* the map lock under a `stage`
+    /// span, inserts, and evicts down to the budget. Two racing
+    /// first-builders may both build: the first insert wins and the
+    /// loser's artifact is dropped, never charged.
+    fn get_or_build<V, E>(
+        &self,
+        shelf: &Shelf<V>,
+        key: u64,
+        stage: Stage,
+        build: impl FnOnce() -> Result<(V, usize), E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(slot) = lock_healed(&shelf.map).get_mut(&key) {
+            slot.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
+            shelf.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(&slot.value));
+        }
+        shelf.misses.fetch_add(1, Ordering::Relaxed);
+        let (value, bytes) = spanned(stage, build)?;
+        let last_used = self.clock.fetch_add(1, Ordering::Relaxed);
+        let out = match lock_healed(&shelf.map).entry(key) {
+            Entry::Occupied(mut o) => {
+                o.get_mut().last_used = last_used;
+                Arc::clone(&o.get().value)
+            }
+            Entry::Vacant(v) => {
+                self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+                let value = Arc::new(value);
+                v.insert(Slot {
+                    value: Arc::clone(&value),
+                    bytes,
+                    last_used,
+                });
+                value
+            }
+        };
+        self.enforce_budget((shelf.tag, key));
+        Ok(out)
     }
 
     fn precision_tag() -> u64 {
@@ -388,26 +382,16 @@ impl<T: Scalar> CompileCache<T> {
             circuit_hash,
             combine(Self::precision_tag(), u64::from(fuse)),
         );
-        if let Some(hit) = self.sv.get(key, &self.clock) {
-            self.sv_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.sv_misses.fetch_add(1, Ordering::Relaxed);
-        let backend = ptsbe_telemetry::spanned(ptsbe_telemetry::Stage::Compile, || {
-            SvBackend::<T>::new_with_fusion(nc, SamplingStrategy::Auto, fuse)
-                .map_err(|e| format!("statevector compile failed: {e}"))
-        })?;
-        let entry = Arc::new(SvEntry {
-            fusion: backend.fusion_stats(),
-            backend,
-            pool: StatePool::new(),
-        });
-        let bytes = Self::sv_entry_bytes(nc.n_qubits());
-        let out = self
-            .sv
-            .put(key, entry, bytes, &self.clock, &self.resident_bytes);
-        self.enforce_budget((0, key));
-        Ok(out)
+        self.get_or_build(&self.sv, key, Stage::Compile, || {
+            let backend = SvBackend::<T>::new_with_fusion(nc, SamplingStrategy::Auto, fuse)
+                .map_err(|e| format!("statevector compile failed: {e}"))?;
+            let entry = SvEntry {
+                fusion: backend.fusion_stats(),
+                backend,
+                pool: StatePool::new(),
+            };
+            Ok((entry, Self::sv_entry_bytes(nc.n_qubits())))
+        })
     }
 
     /// MPS compilation for `nc` under `config`.
@@ -432,26 +416,16 @@ impl<T: Scalar> CompileCache<T> {
         h.write_f64(config.trunc_budget);
         h.write_u8(u8::from(fuse));
         let key = combine(circuit_hash, h.finish());
-        if let Some(hit) = self.mps.get(key, &self.clock) {
-            self.mps_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.mps_misses.fetch_add(1, Ordering::Relaxed);
-        let backend = ptsbe_telemetry::spanned(ptsbe_telemetry::Stage::Compile, || {
-            MpsBackend::<T>::new_with_fusion(nc, config, Default::default(), fuse)
-                .map_err(|e| format!("mps compile failed: {e}"))
-        })?;
-        let entry = Arc::new(MpsEntry {
-            backend,
-            pool: StatePool::new(),
-            probe: std::sync::OnceLock::new(),
-        });
-        let bytes = Self::mps_entry_bytes(nc.n_qubits(), &config);
-        let out = self
-            .mps
-            .put(key, entry, bytes, &self.clock, &self.resident_bytes);
-        self.enforce_budget((1, key));
-        Ok(out)
+        self.get_or_build(&self.mps, key, Stage::Compile, || {
+            let backend = MpsBackend::<T>::new_with_fusion(nc, config, Default::default(), fuse)
+                .map_err(|e| format!("mps compile failed: {e}"))?;
+            let entry = MpsEntry {
+                backend,
+                pool: StatePool::new(),
+                probe: std::sync::OnceLock::new(),
+            };
+            Ok((entry, Self::mps_entry_bytes(nc.n_qubits(), &config)))
+        })
     }
 
     /// Pauli-frame lowering + noiseless reference for `nc`. The reference
@@ -463,30 +437,19 @@ impl<T: Scalar> CompileCache<T> {
     /// Conversion failures (non-Clifford gate, non-Pauli channel, reset,
     /// too many measured bits) as strings.
     pub fn frame(&self, nc: &NoisyCircuit, circuit_hash: u64) -> Result<Arc<FrameEntry>, String> {
-        let key = circuit_hash;
-        if let Some(hit) = self.frame.get(key, &self.clock) {
-            self.frame_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.frame_misses.fetch_add(1, Ordering::Relaxed);
-        if nc.measured_qubits().len() > 128 {
-            return Err("frame sampler records are limited to 128 measured bits".to_string());
-        }
-        let mut rng = PhiloxRng::new(circuit_hash, 0);
-        let sampler = ptsbe_telemetry::spanned(ptsbe_telemetry::Stage::Compile, || {
-            FrameSampler::new(nc, &mut rng).map_err(|e| format!("frame lowering failed: {e}"))
-        })?;
-        let deterministic = !sampler.reference_was_random();
-        let entry = Arc::new(FrameEntry {
-            sampler,
-            deterministic,
-        });
-        let bytes = Self::frame_entry_bytes(nc);
-        let out = self
-            .frame
-            .put(key, entry, bytes, &self.clock, &self.resident_bytes);
-        self.enforce_budget((2, key));
-        Ok(out)
+        self.get_or_build(&self.frame, circuit_hash, Stage::Compile, || {
+            if nc.measured_qubits().len() > 128 {
+                return Err("frame sampler records are limited to 128 measured bits".to_string());
+            }
+            let mut rng = PhiloxRng::new(circuit_hash, 0);
+            let sampler = FrameSampler::new(nc, &mut rng)
+                .map_err(|e| format!("frame lowering failed: {e}"))?;
+            let entry = FrameEntry {
+                deterministic: !sampler.reference_was_random(),
+                sampler,
+            };
+            Ok((entry, Self::frame_entry_bytes(nc)))
+        })
     }
 
     /// Structural routing predicates of `nc`, memoized by content hash.
@@ -509,20 +472,12 @@ impl<T: Scalar> CompileCache<T> {
     /// `circuit_hash`.
     pub fn plan_tree(&self, circuit_hash: u64, plan: &PtsPlan) -> Arc<PtsPlanTree> {
         let key = combine(circuit_hash, plan_hash(plan));
-        if let Some(hit) = self.trees.get(key, &self.clock) {
-            self.tree_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.tree_misses.fetch_add(1, Ordering::Relaxed);
-        let tree = ptsbe_telemetry::spanned(ptsbe_telemetry::Stage::Plan, || {
-            Arc::new(PtsPlanTree::from_plan(plan))
+        let Ok(tree) = self.get_or_build(&self.trees, key, Stage::Plan, || {
+            let tree = PtsPlanTree::from_plan(plan);
+            let bytes = Self::tree_entry_bytes(&tree);
+            Ok::<_, Infallible>((tree, bytes))
         });
-        let bytes = Self::tree_entry_bytes(&tree);
-        let out = self
-            .trees
-            .put(key, tree, bytes, &self.clock, &self.resident_bytes);
-        self.enforce_budget((3, key));
-        out
+        tree
     }
 
     /// Counter snapshot.
@@ -530,14 +485,14 @@ impl<T: Scalar> CompileCache<T> {
         CacheStats {
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed) as u64,
-            sv_hits: self.sv_hits.load(Ordering::Relaxed),
-            sv_misses: self.sv_misses.load(Ordering::Relaxed),
-            mps_hits: self.mps_hits.load(Ordering::Relaxed),
-            mps_misses: self.mps_misses.load(Ordering::Relaxed),
-            frame_hits: self.frame_hits.load(Ordering::Relaxed),
-            frame_misses: self.frame_misses.load(Ordering::Relaxed),
-            tree_hits: self.tree_hits.load(Ordering::Relaxed),
-            tree_misses: self.tree_misses.load(Ordering::Relaxed),
+            sv_hits: self.sv.hits.load(Ordering::Relaxed),
+            sv_misses: self.sv.misses.load(Ordering::Relaxed),
+            mps_hits: self.mps.hits.load(Ordering::Relaxed),
+            mps_misses: self.mps.misses.load(Ordering::Relaxed),
+            frame_hits: self.frame.hits.load(Ordering::Relaxed),
+            frame_misses: self.frame.misses.load(Ordering::Relaxed),
+            tree_hits: self.trees.hits.load(Ordering::Relaxed),
+            tree_misses: self.trees.misses.load(Ordering::Relaxed),
         }
     }
 

@@ -1,7 +1,8 @@
 //! Jobs: what callers submit, what they hold while it runs, and what
 //! they get back.
 
-use crate::router::{EngineExec, EngineKind, EnginePolicy, RouteDecision};
+use crate::engine::{EngineExec, EngineKind};
+use crate::router::{EnginePolicy, RouteDecision};
 use ptsbe_circuit::NoisyCircuit;
 use ptsbe_core::PtsPlan;
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
@@ -238,22 +239,6 @@ impl JobReport {
 // ---------------------------------------------------------------------------
 // Internals shared between the handle and the workers.
 
-/// One unit of schedulable execution within a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ChunkSpec {
-    /// `plan.trajectories[range]`: a slice for the flat/batch-major
-    /// executors, a plan-range sub-trie walk for the tree engines (the
-    /// full range reuses the cached whole-plan trie).
-    Traj(std::ops::Range<usize>),
-    /// `shots` frame-sampled records on Philox stream `stream`.
-    Shots {
-        /// Philox stream index (chunk-ordinal, fixed by the spec).
-        stream: u64,
-        /// Shot count.
-        shots: usize,
-    },
-}
-
 /// What one emitter push did (the caller folds these into metrics).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PushOutcome {
@@ -417,8 +402,9 @@ pub(crate) struct JobInner<T: Scalar> {
     pub(crate) spec: JobSpec,
     pub(crate) status: AtomicU8,
     pub(crate) cancelled: AtomicBool,
-    pub(crate) route: Mutex<Option<RouteDecision>>,
-    pub(crate) exec: Mutex<Option<Arc<EngineExec<T>>>>,
+    /// The routing verdict and the engine it materialized, installed
+    /// together at plan time (and replaced together on degradation).
+    pub(crate) routed: Mutex<Option<(RouteDecision, Arc<EngineExec<T>>)>>,
     pub(crate) emitter: Mutex<Emitter>,
     pub(crate) chunks_total: AtomicUsize,
     pub(crate) chunks_done: AtomicUsize,
@@ -445,8 +431,7 @@ impl<T: Scalar> JobInner<T> {
             spec,
             status: AtomicU8::new(JobStatus::Queued.to_u8()),
             cancelled: AtomicBool::new(false),
-            route: Mutex::new(None),
-            exec: Mutex::new(None),
+            routed: Mutex::new(None),
             emitter: Mutex::new(Emitter::new(sink)),
             chunks_total: AtomicUsize::new(0),
             chunks_done: AtomicUsize::new(0),
@@ -534,13 +519,25 @@ impl<T: Scalar> JobInner<T> {
         })
     }
 
+    /// The current routing verdict, once made.
+    pub(crate) fn route(&self) -> Option<RouteDecision> {
+        let routed = self.routed.lock().unwrap_or_else(|e| e.into_inner());
+        routed.as_ref().map(|(decision, _)| decision.clone())
+    }
+
+    /// The engine chunks run on, once routed.
+    pub(crate) fn exec(&self) -> Option<Arc<EngineExec<T>>> {
+        let routed = self.routed.lock().unwrap_or_else(|e| e.into_inner());
+        routed.as_ref().map(|(_, exec)| Arc::clone(exec))
+    }
+
     pub(crate) fn report(&self) -> JobReport {
         let wall = self
             .wall
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .unwrap_or_else(|| self.submitted_at.elapsed());
-        let route = self.route.lock().unwrap_or_else(|e| e.into_inner());
+        let route = self.route();
         let chunks = self.chunks_total.load(Ordering::Acquire) as u64;
         JobReport {
             job_id: self.id,
@@ -548,11 +545,12 @@ impl<T: Scalar> JobInner<T> {
             engine: route.as_ref().map(|r| r.engine),
             route_reason: route
                 .as_ref()
-                .map(|r| match r.engine {
-                    EngineKind::Tree | EngineKind::MpsTree => {
+                .map(|r| {
+                    if r.engine.walks_plan_ranges() {
                         format!("{}; walked as {chunks} plan-range chunk(s)", r.reason)
+                    } else {
+                        r.reason.to_string()
                     }
-                    _ => r.reason.to_string(),
                 })
                 .unwrap_or_default(),
             chunks,
@@ -593,11 +591,7 @@ impl<T: Scalar> JobHandle<T> {
     /// is the *fallback* decision (its reason records the failed
     /// engine).
     pub fn route(&self) -> Option<RouteDecision> {
-        self.inner
-            .route
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.inner.route()
     }
 
     /// Shots delivered to the sink so far.

@@ -4,7 +4,7 @@
 //! data" regime actually runs in (qsim's noisy-trajectory service model,
 //! Stim's persistent bulk samplers).
 //!
-//! Three pieces, one per module:
+//! Four pieces, one per module:
 //!
 //! - [`service::ShotService`] — a sharded worker pool (std threads +
 //!   channels; no async runtime) behind a bounded admission queue with
@@ -30,6 +30,13 @@
 //!   everything else takes the [`ptsbe_core::BatchMajorExecutor`]. Wide
 //!   registers fall to the MPS tree engine. Policies can force any
 //!   engine.
+//! - `engine` (private) — the seam the other three meet at, and the only
+//!   module that knows what an engine *is*: [`EngineKind`] plus one enum
+//!   over the cached artifacts with `kind()`, `chunks()` (how a job is
+//!   cut into plain ranges, in the engine's own unit), `run()` (one
+//!   range → records in plan order) and `dense_fallback_allowed()`. The
+//!   router builds it, the service schedules its ranges without naming a
+//!   variant; adding an engine touches `engine` and `router` only.
 //!
 //! ```
 //! use ptsbe_circuit::{channels, Circuit, NoiseModel};
@@ -65,6 +72,7 @@
 //! output-neutral for a fixed seed (see [`service`]'s module docs).
 
 pub mod cache;
+mod engine;
 pub mod fault;
 pub mod job;
 pub mod metrics;
@@ -72,10 +80,11 @@ pub mod router;
 pub mod service;
 
 pub use cache::{CacheStats, CircuitTraits, CompileCache};
+pub use engine::EngineKind;
 pub use fault::{FaultConfig, InjectedFault};
 pub use job::{JobHandle, JobReport, JobSpec, JobStatus, ServiceError};
 pub use metrics::{MetricsSnapshot, RateWindow};
-pub use router::{BatchGeometry, EngineKind, EnginePolicy, RouteDecision, RouteReason};
+pub use router::{BatchGeometry, EnginePolicy, RouteDecision, RouteReason};
 pub use service::{RetryPolicy, ServiceConfig, ShotService};
 // Telemetry types a service embedder needs: configuration on
 // `ServiceConfig`, plus the stage taxonomy and snapshot for reading

@@ -4,7 +4,7 @@
 //! [`MetricsSnapshot::rate_since`]) built on `ptsbe_telemetry`.
 
 use crate::cache::CacheStats;
-use crate::router::EngineKind;
+use crate::engine::EngineKind;
 use ptsbe_telemetry::{Metric, Summary};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -18,7 +18,7 @@ pub(crate) struct ServiceMetrics {
     pub(crate) jobs_cancelled: AtomicU64,
     pub(crate) records_emitted: AtomicU64,
     pub(crate) shots_emitted: AtomicU64,
-    pub(crate) engine_jobs: [AtomicU64; EngineKind::COUNT],
+    pub(crate) engine_jobs: [AtomicU64; EngineKind::ALL.len()],
     pub(crate) peak_active_jobs: AtomicUsize,
     /// MPS jobs re-routed to a dense engine after the truncation probe
     /// blew their cumulative budget.
@@ -84,19 +84,17 @@ impl ServiceMetrics {
     }
 }
 
-/// Jobs routed to each engine.
+/// Jobs routed to each engine (a job that degraded to a fallback engine
+/// counts once under each).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineCensus {
-    /// Pauli-frame bulk sampler jobs.
-    pub frame: u64,
-    /// Statevector tree-executor jobs.
-    pub tree: u64,
-    /// Batch-major statevector jobs.
-    pub batch_major: u64,
-    /// Flat (forced) statevector jobs.
-    pub flat: u64,
-    /// MPS tree-executor jobs.
-    pub mps_tree: u64,
+pub struct EngineCensus([u64; EngineKind::ALL.len()]);
+
+impl EngineCensus {
+    /// Jobs routed to `kind`; iterate [`EngineKind::ALL`] for the whole
+    /// census.
+    pub fn get(&self, kind: EngineKind) -> u64 {
+        self.0[kind.index()]
+    }
 }
 
 /// Point-in-time snapshot of service health.
@@ -234,16 +232,11 @@ impl MetricsSnapshot {
                 self.shots_emitted,
             ),
         ];
-        for (label, n) in [
-            ("frame", self.engines.frame),
-            ("sv-tree", self.engines.tree),
-            ("sv-batch-major", self.engines.batch_major),
-            ("sv-flat", self.engines.flat),
-            ("mps-tree", self.engines.mps_tree),
-        ] {
+        for kind in EngineKind::ALL {
+            let n = self.engines.get(kind) as f64;
             out.push(
-                Metric::counter("ptsbe_engine_jobs", "Jobs routed per engine.", n as f64)
-                    .with_label("engine", label),
+                Metric::counter("ptsbe_engine_jobs", "Jobs routed per engine.", n)
+                    .with_label("engine", kind.label()),
             );
         }
         out.extend([
@@ -346,13 +339,7 @@ impl MetricsSnapshot {
             jobs_cancelled: load(&m.jobs_cancelled),
             records_emitted: load(&m.records_emitted),
             shots_emitted: load(&m.shots_emitted),
-            engines: EngineCensus {
-                frame: load(&m.engine_jobs[EngineKind::Frame.index()]),
-                tree: load(&m.engine_jobs[EngineKind::Tree.index()]),
-                batch_major: load(&m.engine_jobs[EngineKind::BatchMajor.index()]),
-                flat: load(&m.engine_jobs[EngineKind::Flat.index()]),
-                mps_tree: load(&m.engine_jobs[EngineKind::MpsTree.index()]),
-            },
+            engines: EngineCensus(std::array::from_fn(|i| load(&m.engine_jobs[i]))),
             peak_active_jobs: m.peak_active_jobs.load(Ordering::Relaxed),
             mps_probe_reroutes: load(&m.mps_probe_reroutes),
             mps_budget_refusals: load(&m.mps_budget_refusals),

@@ -18,53 +18,14 @@
 //! throughput (exactly Stim's trade). Jobs that need assignment-exact
 //! provenance force a statevector engine via [`EnginePolicy::Force`].
 
-use crate::cache::{CompileCache, FrameEntry, MpsEntry, SvEntry};
+use crate::cache::{CompileCache, MpsEntry};
+use crate::engine::{EngineExec, EngineKind};
 use crate::job::JobSpec;
 use crate::service::ServiceConfig;
-use ptsbe_core::PtsPlanTree;
+use ptsbe_circuit::NoisyCircuit;
+use ptsbe_core::backend::TruncationStats;
+use ptsbe_core::Backend;
 use ptsbe_math::Scalar;
-use std::sync::Arc;
-
-/// The engines the service can run a job on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Bit-packed Pauli-frame bulk sampler (stabilizer stack).
-    Frame,
-    /// Prefix-sharing tree executor over the pooled statevector backend.
-    Tree,
-    /// Batch-major (lane-swept) statevector executor.
-    BatchMajor,
-    /// Flat batched executor (one preparation per trajectory) — never
-    /// auto-routed; available for baselines via `Force`.
-    Flat,
-    /// Prefix-sharing tree executor over the MPS backend.
-    MpsTree,
-}
-
-impl EngineKind {
-    /// Stable label (dataset headers, metrics).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Frame => "frame",
-            EngineKind::Tree => "sv-tree",
-            EngineKind::BatchMajor => "sv-batch-major",
-            EngineKind::Flat => "sv-flat",
-            EngineKind::MpsTree => "mps-tree",
-        }
-    }
-
-    pub(crate) const COUNT: usize = 5;
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            EngineKind::Frame => 0,
-            EngineKind::Tree => 1,
-            EngineKind::BatchMajor => 2,
-            EngineKind::Flat => 3,
-            EngineKind::MpsTree => 4,
-        }
-    }
-}
 
 /// How a job chooses its engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -221,74 +182,46 @@ pub struct RouteDecision {
     pub geometry: Option<BatchGeometry>,
     /// Identity-assignment truncation probe result, when the MPS engine
     /// was considered under a finite cumulative truncation budget.
-    pub truncation: Option<ptsbe_core::backend::TruncationStats>,
+    pub truncation: Option<TruncationStats>,
 }
 
-/// Everything a worker needs to execute chunks of a routed job, built
-/// from cached artifacts.
-pub(crate) enum EngineExec<T: Scalar> {
-    Frame(Arc<FrameEntry>),
-    Tree {
-        entry: Arc<SvEntry<T>>,
-        tree: Arc<PtsPlanTree>,
-    },
-    BatchMajor(Arc<SvEntry<T>>),
-    Flat(Arc<SvEntry<T>>),
-    MpsTree {
-        entry: Arc<MpsEntry<T>>,
-        tree: Arc<PtsPlanTree>,
-    },
+/// A routed job: the verdict plus the engine that will run it.
+pub(crate) type Routed<T> = (RouteDecision, EngineExec<T>);
+
+/// Why a job could not be routed. Either way the message becomes the
+/// job's error text verbatim.
+pub(crate) enum RouteError {
+    /// The MPS probe blew the job's cumulative truncation budget and no
+    /// other engine may take the job (counted as a budget refusal).
+    Refused(String),
+    /// The circuit is outside the (possibly forced) engine's validity
+    /// domain, or failed to compile.
+    Invalid(String),
 }
 
-impl<T: Scalar> EngineExec<T> {
-    /// Measured bits per record (dataset header field).
-    pub(crate) fn n_measured(&self) -> usize {
-        match self {
-            EngineExec::Frame(e) => e.sampler.n_measured(),
-            EngineExec::Tree { entry, .. }
-            | EngineExec::BatchMajor(entry)
-            | EngineExec::Flat(entry) => ptsbe_core::Backend::measured_qubits(&entry.backend).len(),
-            EngineExec::MpsTree { entry, .. } => {
-                ptsbe_core::Backend::measured_qubits(&entry.backend).len()
-            }
-        }
+impl From<String> for RouteError {
+    fn from(msg: String) -> Self {
+        RouteError::Invalid(msg)
     }
 }
 
-/// Lane geometry for lane-swept (batch-major / flat) engines: the same
-/// arithmetic [`split_chunks`](crate::service) uses, captured once so
-/// the decision metadata and the scheduler can never disagree.
-pub(crate) fn batch_geometry<T: Scalar>(
+/// The verdict for running the job on `exec`: engine and lane geometry
+/// are read off the engine itself, so they cannot disagree with it.
+fn routed<T: Scalar>(
     cfg: &ServiceConfig,
     spec: &JobSpec,
-    exec: &EngineExec<T>,
-) -> Option<BatchGeometry> {
-    let entry = match exec {
-        EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => entry,
-        _ => return None,
+    exec: EngineExec<T>,
+    reason: RouteReason,
+    truncation: Option<TruncationStats>,
+) -> Routed<T> {
+    let decision = RouteDecision {
+        engine: exec.kind(),
+        reason,
+        geometry: exec.geometry(spec, cfg),
+        truncation,
     };
-    let n_qubits = ptsbe_core::Backend::n_qubits(&entry.backend);
-    let state_bytes = (2usize << n_qubits) * std::mem::size_of::<T>();
-    let lanes = cfg.batch.lanes_for_bytes(state_bytes);
-    let trajs_per_chunk = if spec.chunk_trajectories == 0 {
-        // A few lane groups per chunk: enough work to amortize
-        // scheduling, enough chunks to stream and cancel.
-        (lanes * 8).clamp(16, 512)
-    } else {
-        spec.chunk_trajectories
-    };
-    Some(BatchGeometry {
-        lanes,
-        trajs_per_chunk,
-        state_bytes,
-        l2_target_bytes: cfg.batch.l2_target_bytes,
-        kernels: ptsbe_statevector::KernelImpl::auto().label(),
-    })
+    (decision, exec)
 }
-
-/// Error prefix marking a truncation-budget refusal, so the service can
-/// count refusals without a structured error type.
-pub(crate) const MPS_REFUSAL_PREFIX: &str = "mps engine refused:";
 
 /// Dense-statevector feasibility ceiling for truncation-budget
 /// re-routing: 2^26 f64 amplitudes ≈ 1 GiB, the most a fallback may
@@ -300,14 +233,11 @@ const DENSE_FEASIBLE_MAX_QUBITS: usize = 26;
 /// job's config and record what truncation the gate structure alone
 /// costs. Cached on the entry, so repeat jobs pay nothing; `None` when
 /// the circuit has no identity assignment to probe.
-fn mps_probe<T: Scalar>(
-    entry: &MpsEntry<T>,
-    nc: &ptsbe_circuit::NoisyCircuit,
-) -> Option<ptsbe_core::backend::TruncationStats> {
+fn mps_probe<T: Scalar>(entry: &MpsEntry<T>, nc: &NoisyCircuit) -> Option<TruncationStats> {
     *entry.probe.get_or_init(|| {
         let choices = nc.identity_assignment()?;
-        let (state, _) = ptsbe_core::Backend::prepare(&entry.backend, &choices);
-        ptsbe_core::Backend::truncation_stats(&entry.backend, &state)
+        let (state, _) = entry.backend.prepare(&choices);
+        entry.backend.truncation_stats(&state)
     })
 }
 
@@ -318,14 +248,13 @@ fn mps_probe<T: Scalar>(
 /// route when the probe passes there; `None` when the cap was not the
 /// problem, the ceiling is no higher, or the budget is blown even at
 /// the ceiling (the caller falls through to refusal/dense logic).
-#[allow(clippy::type_complexity)]
 fn raise_to_honest_ceiling<T: Scalar>(
     cache: &CompileCache<T>,
     cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
-    probe: &ptsbe_core::backend::TruncationStats,
-) -> Option<(RouteDecision, EngineExec<T>)> {
+    probe: &TruncationStats,
+) -> Option<Routed<T>> {
     if probe.max_bond_reached < spec.mps.max_bond || cfg.mps_bond_ceiling <= spec.mps.max_bond {
         return None;
     }
@@ -339,77 +268,88 @@ fn raise_to_honest_ceiling<T: Scalar>(
         return None;
     }
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
-    Some((
-        RouteDecision {
-            engine: EngineKind::MpsTree,
-            reason: RouteReason::HonestCeiling {
-                requested: spec.mps.max_bond,
-                raised: cfg.mps_bond_ceiling,
-            },
-            geometry: None,
-            truncation: Some(raised_probe),
-        },
-        EngineExec::MpsTree { entry, tree },
-    ))
+    let reason = RouteReason::HonestCeiling {
+        requested: spec.mps.max_bond,
+        raised: cfg.mps_bond_ceiling,
+    };
+    let exec = EngineExec::MpsTree { entry, tree };
+    Some(routed(cfg, spec, exec, reason, Some(raised_probe)))
+}
+
+/// What the truncation probe says about running the job on `exec`.
+enum ProbeVerdict<T: Scalar> {
+    /// Within budget, or nothing to check (not an MPS engine, no
+    /// cumulative budget, no identity assignment): keep the engine and
+    /// record the probe.
+    Keep(Option<TruncationStats>),
+    /// The job's own bond cap caused the blowout: run MPS at the honest
+    /// ceiling instead.
+    Raised(Routed<T>),
+    /// Blown even at the ceiling: the caller refuses or goes dense.
+    Blown(TruncationStats),
+}
+
+/// Check a freshly built engine against the job's cumulative truncation
+/// budget, preferring the honest ceiling over giving MPS up: when the
+/// job's own cap caused the blowout, the raised route is both faster and
+/// accurate — and it still honors a `Force(MpsTree)`.
+fn probe_budget<T: Scalar>(
+    cache: &CompileCache<T>,
+    cfg: &ServiceConfig,
+    spec: &JobSpec,
+    circuit_hash: u64,
+    exec: &EngineExec<T>,
+) -> ProbeVerdict<T> {
+    let EngineExec::MpsTree { entry, .. } = exec else {
+        return ProbeVerdict::Keep(None);
+    };
+    if spec.mps.trunc_budget <= 0.0 {
+        return ProbeVerdict::Keep(None);
+    }
+    match mps_probe(entry, &spec.circuit) {
+        Some(p) if p.budget_exhausted => {
+            match raise_to_honest_ceiling(cache, cfg, spec, circuit_hash, &p) {
+                Some(raised) => ProbeVerdict::Raised(raised),
+                None => ProbeVerdict::Blown(p),
+            }
+        }
+        probe => ProbeVerdict::Keep(probe),
+    }
 }
 
 /// Route `spec` and materialize its engine from `cache`.
 ///
 /// # Errors
-/// A human-readable reason when the (possibly forced) engine cannot
-/// accept the circuit — including a truncation-budget refusal
-/// ([`MPS_REFUSAL_PREFIX`]) when the MPS probe blows the job's
-/// cumulative budget and no dense fallback is feasible.
+/// [`RouteError::Invalid`] when the (possibly forced) engine cannot
+/// accept the circuit; [`RouteError::Refused`] when the MPS probe blows
+/// the job's cumulative budget and no dense fallback is feasible.
 pub(crate) fn route_job<T: Scalar>(
     cache: &CompileCache<T>,
     cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
-) -> Result<(RouteDecision, EngineExec<T>), String> {
+) -> Result<Routed<T>, RouteError> {
     let nc = spec.circuit.as_ref();
     match spec.engine {
         EnginePolicy::Force(engine) => {
             let exec = build_engine(cache, spec, circuit_hash, engine)?;
-            let truncation = match (&exec, spec.mps.trunc_budget > 0.0) {
-                (EngineExec::MpsTree { entry, .. }, true) => {
-                    let probe = mps_probe(entry, nc);
-                    if let Some(p) = probe {
-                        if p.budget_exhausted {
-                            // Raising the bond ceiling still honors
-                            // `Force` — the job stays on MPS, just at
-                            // an honest cap.
-                            if let Some(raised) =
-                                raise_to_honest_ceiling(cache, cfg, spec, circuit_hash, &p)
-                            {
-                                return Ok(raised);
-                            }
-                            // The caller demanded MPS; silently handing
-                            // the job to another engine would violate
-                            // `Force`, so refuse outright.
-                            return Err(format!(
-                                "{MPS_REFUSAL_PREFIX} identity-assignment probe truncation \
-                                 {:.3e} exceeds the cumulative budget {:.3e} (bond ceiling \
-                                 {} reached: {})",
-                                p.trunc_error,
-                                spec.mps.trunc_budget,
-                                spec.mps.max_bond,
-                                p.max_bond_reached >= spec.mps.max_bond,
-                            ));
-                        }
-                    }
-                    probe
+            match probe_budget(cache, cfg, spec, circuit_hash, &exec) {
+                ProbeVerdict::Keep(truncation) => {
+                    Ok(routed(cfg, spec, exec, RouteReason::Forced, truncation))
                 }
-                _ => None,
-            };
-            Ok((
-                RouteDecision {
-                    engine,
-                    reason: RouteReason::Forced,
-                    geometry: batch_geometry(cfg, spec, &exec),
-                    truncation,
-                },
-                exec,
-            ))
+                ProbeVerdict::Raised(raised) => Ok(raised),
+                // The caller demanded MPS; silently handing the job to
+                // another engine would violate `Force`, so refuse
+                // outright.
+                ProbeVerdict::Blown(p) => Err(RouteError::Refused(format!(
+                    "mps engine refused: identity-assignment probe truncation {:.3e} exceeds \
+                     the cumulative budget {:.3e} (bond ceiling {} reached: {})",
+                    p.trunc_error,
+                    spec.mps.trunc_budget,
+                    spec.mps.max_bond,
+                    p.max_bond_reached >= spec.mps.max_bond,
+                ))),
+            }
         }
         EnginePolicy::Auto => {
             // 1. Frame domain: structural pre-checks (the circuit-crate
@@ -425,15 +365,8 @@ pub(crate) fn route_job<T: Scalar>(
             {
                 let entry = cache.frame(nc, circuit_hash)?;
                 if entry.deterministic {
-                    return Ok((
-                        RouteDecision {
-                            engine: EngineKind::Frame,
-                            reason: RouteReason::CliffordPauliDeterministic,
-                            geometry: None,
-                            truncation: None,
-                        },
-                        EngineExec::Frame(entry),
-                    ));
+                    let reason = RouteReason::CliffordPauliDeterministic;
+                    return Ok(routed(cfg, spec, EngineExec::Frame(entry), reason, None));
                 }
             }
             // 2. Wide registers: dense amplitudes are off the table —
@@ -442,122 +375,68 @@ pub(crate) fn route_job<T: Scalar>(
             //    case an accurate-but-slow dense fallback (when one
             //    fits) beats delivering out-of-budget MPS data.
             if nc.n_qubits() >= cfg.mps_qubit_threshold {
-                let engine = EngineKind::MpsTree;
-                let exec = build_engine(cache, spec, circuit_hash, engine)?;
-                let truncation = match (&exec, spec.mps.trunc_budget > 0.0) {
-                    (EngineExec::MpsTree { entry, .. }, true) => mps_probe(entry, nc),
-                    _ => None,
-                };
-                if let Some(p) = truncation {
-                    if p.budget_exhausted {
-                        // Prefer keeping the job on MPS at an honest
-                        // ceiling over any dense fallback: when the
-                        // job's own cap caused the blowout, the raised
-                        // route is both faster and accurate.
-                        if let Some(raised) =
-                            raise_to_honest_ceiling(cache, cfg, spec, circuit_hash, &p)
-                        {
-                            return Ok(raised);
-                        }
-                        if nc.n_qubits() > DENSE_FEASIBLE_MAX_QUBITS {
-                            return Err(format!(
-                                "{MPS_REFUSAL_PREFIX} identity-assignment probe truncation \
-                                 {:.3e} exceeds the cumulative budget {:.3e}, and {} qubits \
-                                 is too wide for a dense fallback — raise max_bond (ceiling \
-                                 {} reached: {}) or the budget",
-                                p.trunc_error,
-                                spec.mps.trunc_budget,
-                                nc.n_qubits(),
-                                spec.mps.max_bond,
-                                p.max_bond_reached >= spec.mps.max_bond,
-                            ));
-                        }
+                let exec = build_engine(cache, spec, circuit_hash, EngineKind::MpsTree)?;
+                return match probe_budget(cache, cfg, spec, circuit_hash, &exec) {
+                    ProbeVerdict::Keep(truncation) => {
+                        let reason = RouteReason::WideRegister {
+                            n_qubits: nc.n_qubits(),
+                        };
+                        Ok(routed(cfg, spec, exec, reason, truncation))
+                    }
+                    ProbeVerdict::Raised(raised) => Ok(raised),
+                    ProbeVerdict::Blown(p) if nc.n_qubits() > DENSE_FEASIBLE_MAX_QUBITS => {
+                        Err(RouteError::Refused(format!(
+                            "mps engine refused: identity-assignment probe truncation {:.3e} \
+                             exceeds the cumulative budget {:.3e}, and {} qubits is too wide for \
+                             a dense fallback — raise max_bond (ceiling {} reached: {}) or the \
+                             budget",
+                            p.trunc_error,
+                            spec.mps.trunc_budget,
+                            nc.n_qubits(),
+                            spec.mps.max_bond,
+                            p.max_bond_reached >= spec.mps.max_bond,
+                        )))
+                    }
+                    ProbeVerdict::Blown(p) => {
                         let reason = RouteReason::TruncationBudgetBlown {
                             trunc_error: p.trunc_error,
                             budget: spec.mps.trunc_budget,
                         };
-                        return route_dense(cache, cfg, spec, circuit_hash, reason, truncation);
+                        route_dense(cache, cfg, spec, circuit_hash, Some(reason), Some(p))
                     }
-                }
-                return Ok((
-                    RouteDecision {
-                        engine,
-                        reason: RouteReason::WideRegister {
-                            n_qubits: nc.n_qubits(),
-                        },
-                        geometry: None,
-                        truncation,
-                    },
-                    exec,
-                ));
+                };
             }
             // 3. Sharing decides between the tree walk and lane sweeps.
-            let tree = cache.plan_tree(circuit_hash, &spec.plan);
-            let sharing_ratio = tree.sharing_ratio();
-            let entry = cache.sv(nc, circuit_hash, spec.fuse)?;
-            if sharing_ratio >= cfg.sharing_threshold {
-                Ok((
-                    RouteDecision {
-                        engine: EngineKind::Tree,
-                        reason: RouteReason::HighSharing { sharing_ratio },
-                        geometry: None,
-                        truncation: None,
-                    },
-                    EngineExec::Tree { entry, tree },
-                ))
-            } else {
-                let exec = EngineExec::BatchMajor(entry);
-                Ok((
-                    RouteDecision {
-                        engine: EngineKind::BatchMajor,
-                        reason: RouteReason::LowSharing { sharing_ratio },
-                        geometry: batch_geometry(cfg, spec, &exec),
-                        truncation: None,
-                    },
-                    exec,
-                ))
-            }
+            route_dense(cache, cfg, spec, circuit_hash, None, None)
         }
     }
 }
 
-/// Build a dense (statevector) route for a job the MPS probe rejected:
-/// the usual sharing split decides between the tree walk and lane
-/// sweeps, but the recorded reason and probe stats carry the re-route's
-/// provenance.
+/// The dense (statevector) route: the plan tree's sharing ratio decides
+/// between the tree walk and lane sweeps. A job that lands here because
+/// another engine gave it up (`rerouted`: the MPS probe rejected it, or
+/// the engine failed at runtime) records that provenance instead of the
+/// sharing ratio.
 fn route_dense<T: Scalar>(
     cache: &CompileCache<T>,
     cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
-    reason: RouteReason,
-    truncation: Option<ptsbe_core::backend::TruncationStats>,
-) -> Result<(RouteDecision, EngineExec<T>), String> {
-    let nc = spec.circuit.as_ref();
+    rerouted: Option<RouteReason>,
+    truncation: Option<TruncationStats>,
+) -> Result<Routed<T>, RouteError> {
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
-    let entry = cache.sv(nc, circuit_hash, spec.fuse)?;
-    if tree.sharing_ratio() >= cfg.sharing_threshold {
-        Ok((
-            RouteDecision {
-                engine: EngineKind::Tree,
-                reason,
-                geometry: None,
-                truncation,
-            },
-            EngineExec::Tree { entry, tree },
-        ))
+    let entry = cache.sv(&spec.circuit, circuit_hash, spec.fuse)?;
+    let sharing_ratio = tree.sharing_ratio();
+    let (exec, by_sharing) = if sharing_ratio >= cfg.sharing_threshold {
+        let reason = RouteReason::HighSharing { sharing_ratio };
+        (EngineExec::Tree { entry, tree }, reason)
     } else {
-        let exec = EngineExec::BatchMajor(entry);
-        Ok((
-            RouteDecision {
-                engine: EngineKind::BatchMajor,
-                reason,
-                geometry: batch_geometry(cfg, spec, &exec),
-                truncation,
-            },
-            exec,
-        ))
-    }
+        let reason = RouteReason::LowSharing { sharing_ratio };
+        (EngineExec::BatchMajor(entry), reason)
+    };
+    let reason = rerouted.unwrap_or(by_sharing);
+    Ok(routed(cfg, spec, exec, reason, truncation))
 }
 
 /// Graceful degradation: re-route a job whose engine failed fatally at
@@ -566,29 +445,23 @@ fn route_dense<T: Scalar>(
 /// fits the register.
 ///
 /// # Errors
-/// A human-readable reason when no dense fallback is feasible.
+/// [`RouteError::Invalid`] when no dense fallback is feasible.
 pub(crate) fn degrade_route<T: Scalar>(
     cache: &CompileCache<T>,
     cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
     from: EngineKind,
-) -> Result<(RouteDecision, EngineExec<T>), String> {
+) -> Result<Routed<T>, RouteError> {
     let n_qubits = spec.circuit.n_qubits();
     if n_qubits > DENSE_FEASIBLE_MAX_QUBITS {
-        return Err(format!(
+        return Err(RouteError::Invalid(format!(
             "engine {} failed fatally and {n_qubits} qubits is too wide for a dense fallback",
             from.label()
-        ));
+        )));
     }
-    route_dense(
-        cache,
-        cfg,
-        spec,
-        circuit_hash,
-        RouteReason::EngineFallback { from },
-        None,
-    )
+    let reason = RouteReason::EngineFallback { from };
+    route_dense(cache, cfg, spec, circuit_hash, Some(reason), None)
 }
 
 fn build_engine<T: Scalar>(
@@ -598,7 +471,9 @@ fn build_engine<T: Scalar>(
     engine: EngineKind,
 ) -> Result<EngineExec<T>, String> {
     let nc = spec.circuit.as_ref();
-    match engine {
+    let sv = || cache.sv(nc, circuit_hash, spec.fuse);
+    let tree = || cache.plan_tree(circuit_hash, &spec.plan);
+    Ok(match engine {
         EngineKind::Frame => {
             let entry = cache.frame(nc, circuit_hash)?;
             if !entry.deterministic {
@@ -608,21 +483,17 @@ fn build_engine<T: Scalar>(
                         .to_string(),
                 );
             }
-            Ok(EngineExec::Frame(entry))
+            EngineExec::Frame(entry)
         }
-        EngineKind::Tree => Ok(EngineExec::Tree {
-            entry: cache.sv(nc, circuit_hash, spec.fuse)?,
-            tree: cache.plan_tree(circuit_hash, &spec.plan),
-        }),
-        EngineKind::BatchMajor => Ok(EngineExec::BatchMajor(cache.sv(
-            nc,
-            circuit_hash,
-            spec.fuse,
-        )?)),
-        EngineKind::Flat => Ok(EngineExec::Flat(cache.sv(nc, circuit_hash, spec.fuse)?)),
-        EngineKind::MpsTree => Ok(EngineExec::MpsTree {
+        EngineKind::Tree => EngineExec::Tree {
+            entry: sv()?,
+            tree: tree(),
+        },
+        EngineKind::BatchMajor => EngineExec::BatchMajor(sv()?),
+        EngineKind::Flat => EngineExec::Flat(sv()?),
+        EngineKind::MpsTree => EngineExec::MpsTree {
             entry: cache.mps(nc, circuit_hash, spec.mps, spec.fuse)?,
-            tree: cache.plan_tree(circuit_hash, &spec.plan),
-        }),
-    }
+            tree: tree(),
+        },
+    })
 }

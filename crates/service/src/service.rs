@@ -4,19 +4,23 @@
 //! # Execution model
 //!
 //! A submitted job first becomes one *plan task*: compile-or-hit the
-//! cache, route an engine, stage the dataset header, and split the work
-//! into chunks. Chunks then become independent queue tasks any worker
-//! may claim; a per-job reorder buffer ([`crate::job::Emitter`]) commits
-//! finished chunks to the sink in chunk order. Every trajectory engine
-//! keys its Philox streams by absolute plan index, so *where* a plan is
-//! cut cannot change the delivered bytes; the frame engine keys streams
-//! by chunk ordinal, so its geometry is a pure function of the job spec.
-//! Either way the bytes are invariant under scheduling — the property
-//! the determinism suite pins across worker counts {1, 2, 4, 8}.
+//! cache, route an engine, stage the dataset header, and let the engine
+//! cut the work into chunks. Chunks then become independent queue tasks
+//! any worker may claim; a per-job reorder buffer (the job's emitter)
+//! commits finished chunks to the sink in chunk order. This module only
+//! schedules, retries, delivers and accounts: what an engine is — how it
+//! cuts a job and what one chunk produces — lives in the `engine`
+//! module, and a chunk here is a plain range in the engine's own unit.
+//! Every trajectory engine keys its Philox streams by absolute plan
+//! index, so *where* a plan is cut cannot change the delivered bytes;
+//! the frame engine keys streams by chunk ordinal, so its geometry is a
+//! pure function of the job spec. Either way the bytes are invariant
+//! under scheduling — the property the determinism suite pins across
+//! worker counts {1, 2, 4, 8}.
 //!
 //! Tree jobs are cut too: a dense tree job becomes contiguous plan-index
-//! ranges (at most one per worker, see `tree_auto_chunks`), each walked
-//! over the sub-trie of its range
+//! ranges (at most one per worker), each walked over the sub-trie of its
+//! range
 //! ([`PtsPlanTree::from_plan_range`](ptsbe_core::PtsPlanTree::from_plan_range)),
 //! so the one parallel layer — across trajectories, as in the source
 //! paper's multi-device distribution — covers the prefix-sharing engine
@@ -44,14 +48,14 @@
 //!   the MPS engine re-routes the job once to a dense fallback
 //!   (recorded as [`RouteReason::EngineFallback`](crate::router::RouteReason)),
 //!   provided nothing reached the sink yet — guaranteed for MPS jobs,
-//!   which run as the single chunk `Traj(0..n)` behind a lazily-written
-//!   header.
+//!   which run as a single chunk behind a lazily-written header.
 //! - **Deadlines.** [`crate::JobSpec::deadline`] is enforced
 //!   cooperatively at chunk boundaries; an expired job transitions
 //!   [`JobStatus::TimedOut`] within one chunk of the expiry and its
 //!   sink holds a valid plan-order prefix.
-//! - **Transient sink writes** are retried inside the emitter (see
-//!   [`crate::job::Emitter`]).
+//! - **Transient sink writes** (`io::ErrorKind::Interrupted`: no bytes
+//!   were written) are retried inside the emitter with a short capped
+//!   backoff.
 //!
 //! All of it is exercised deterministically by the fault-injection
 //! harness ([`crate::fault::FaultConfig`]), enabled per service via
@@ -77,19 +81,17 @@
 //! sink twice.
 
 use crate::cache::CompileCache;
+use crate::engine::EngineExec;
 use crate::fault::{FaultConfig, FaultSink, InjectedFault};
-use crate::job::{ChunkSpec, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
+use crate::job::{JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::router::{degrade_route, route_job, EngineExec, EngineKind, RouteDecision};
-use ptsbe_core::{
-    Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlanTree, StatePool,
-    TreeExecutor,
-};
-use ptsbe_dataset::{DatasetHeader, RecordSink, ShotWord, TrajectoryRecord};
+use crate::router::{degrade_route, route_job, RouteError, RouteReason, Routed};
+use ptsbe_core::BatchConfig;
+use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_math::Scalar;
-use ptsbe_rng::PhiloxRng;
-use ptsbe_telemetry::{spanned, stage_span, task_scope, timer, Stage, TelemetryConfig};
+use ptsbe_telemetry::{spanned, stage_span, task_scope, Stage, TelemetryConfig};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -227,7 +229,9 @@ enum Task<T: Scalar> {
     Chunk {
         job: Arc<JobInner<T>>,
         index: usize,
-        chunk: ChunkSpec,
+        /// What the chunk covers, in the engine's own unit (plan
+        /// indices; shot offsets for the frame engine).
+        range: Range<usize>,
         /// Execution-attempt ordinal (preserved across a worker death so
         /// requeued chunks advance through the fault plan instead of
         /// deterministically re-dying forever).
@@ -242,12 +246,12 @@ impl<T: Scalar> Clone for Task<T> {
             Task::Chunk {
                 job,
                 index,
-                chunk,
+                range,
                 attempt,
             } => Task::Chunk {
                 job: Arc::clone(job),
                 index: *index,
-                chunk: chunk.clone(),
+                range: range.clone(),
                 attempt: *attempt,
             },
         }
@@ -563,20 +567,20 @@ fn worker_loop<T: Scalar>(shared: Arc<Shared<T>>, slot: usize) {
             Task::Chunk {
                 job,
                 index,
-                chunk,
+                range,
                 attempt,
-            } => run_chunk(&shared, job, index, chunk, attempt),
+            } => run_chunk(&shared, job, index, range, attempt),
         }
         lock_healed(&shared.in_flight)[slot] = None;
     }
 }
 
-fn make_header<T: Scalar>(spec: &JobSpec, engine: EngineKind, n_measured: usize) -> DatasetHeader {
+fn make_header<T: Scalar>(spec: &JobSpec, exec: &EngineExec<T>) -> DatasetHeader {
     DatasetHeader {
         workload: spec.name.clone(),
         n_qubits: spec.circuit.n_qubits(),
-        n_measured,
-        backend: format!("{}-f{}", engine.label(), 8 * std::mem::size_of::<T>()),
+        n_measured: exec.n_measured(),
+        backend: format!("{}-f{}", exec.kind().label(), 8 * std::mem::size_of::<T>()),
         seed: spec.seed,
     }
 }
@@ -603,61 +607,14 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
         job.submitted_at,
         job.submitted_at.elapsed(),
     );
-    let planned = catch_unwind(AssertUnwindSafe(|| {
-        // Identity scope so the compile/plan spans recorded inside the
-        // cache know which job they belong to.
-        let _scope = task_scope(job.id, None);
-        let circuit_hash = job.spec.circuit.content_hash();
-        spanned(Stage::Route, || {
-            route_job(&shared.cache, &shared.cfg, &job.spec, circuit_hash)
-        })
-    }));
-    let (decision, exec) = match planned {
-        Ok(Ok(pair)) => pair,
-        Ok(Err(msg)) => {
-            if msg.starts_with(crate::router::MPS_REFUSAL_PREFIX) {
-                shared
-                    .metrics
-                    .mps_budget_refusals
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+    let chunks = match route_and_install(shared, &job) {
+        Ok(chunks) => chunks,
+        Err(msg) => {
             job.fail(msg);
             finalize(shared, &job);
             return;
         }
-        Err(_) => {
-            job.fail("planning panicked".to_string());
-            finalize(shared, &job);
-            return;
-        }
     };
-    shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
-    if let Some(p) = &decision.truncation {
-        shared.metrics.note_truncation(p);
-    }
-    if matches!(
-        decision.reason,
-        crate::router::RouteReason::TruncationBudgetBlown { .. }
-    ) {
-        shared
-            .metrics
-            .mps_probe_reroutes
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    let header = make_header::<T>(&job.spec, decision.engine, exec.n_measured());
-    let chunks = split_chunks(&job.spec, &decision, &exec, shared.n_workers);
-    install_route(&job, decision, exec);
-    let staged = match job.emitter() {
-        Ok(mut em) => em
-            .stage_header(header)
-            .map_err(|e| format!("sink begin failed: {e}")),
-        Err(se) => Err(se.to_string()),
-    };
-    if let Err(msg) = staged {
-        job.fail(msg);
-        finalize(shared, &job);
-        return;
-    }
     if chunks.is_empty() {
         let finished = match job.emitter() {
             Ok(mut em) => em.finish().map_err(|e| format!("sink finish failed: {e}")),
@@ -677,122 +634,87 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
     enqueue_chunks(shared, &job, chunks);
 }
 
-fn install_route<T: Scalar>(job: &Arc<JobInner<T>>, decision: RouteDecision, exec: EngineExec<T>) {
-    *lock_healed(&job.route) = Some(decision);
-    *lock_healed(&job.exec) = Some(Arc::new(exec));
+/// Route the job (compiling through the cache), fold the verdict into
+/// the service counters, and install it. The error is the job's failure
+/// text.
+fn route_and_install<T: Scalar>(
+    shared: &Arc<Shared<T>>,
+    job: &Arc<JobInner<T>>,
+) -> Result<Vec<Range<usize>>, String> {
+    let planned = catch_unwind(AssertUnwindSafe(|| {
+        // Identity scope so the compile/plan spans recorded inside the
+        // cache know which job they belong to.
+        let _scope = task_scope(job.id, None);
+        let circuit_hash = job.spec.circuit.content_hash();
+        spanned(Stage::Route, || {
+            route_job(&shared.cache, &shared.cfg, &job.spec, circuit_hash)
+        })
+    }));
+    let routed = match planned {
+        Ok(Ok(routed)) => routed,
+        Ok(Err(RouteError::Refused(msg))) => {
+            shared
+                .metrics
+                .mps_budget_refusals
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(msg);
+        }
+        Ok(Err(RouteError::Invalid(msg))) => return Err(msg),
+        Err(_) => return Err("planning panicked".to_string()),
+    };
+    let decision = &routed.0;
+    if let Some(p) = &decision.truncation {
+        shared.metrics.note_truncation(p);
+    }
+    if matches!(decision.reason, RouteReason::TruncationBudgetBlown { .. }) {
+        shared
+            .metrics
+            .mps_probe_reroutes
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    install_route(shared, job, routed)
+}
+
+/// Make `routed` the job's engine: count it, install it, stage its
+/// dataset header, and return the chunks it cuts the job into.
+fn install_route<T: Scalar>(
+    shared: &Arc<Shared<T>>,
+    job: &Arc<JobInner<T>>,
+    (decision, exec): Routed<T>,
+) -> Result<Vec<Range<usize>>, String> {
+    shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
+    let header = make_header(&job.spec, &exec);
+    let chunks = exec.chunks(&job.spec, &shared.cfg, shared.n_workers);
+    *lock_healed(&job.routed) = Some((decision, Arc::new(exec)));
+    match job.emitter() {
+        Ok(mut em) => em
+            .stage_header(header)
+            .map_err(|e| format!("sink begin failed: {e}"))?,
+        Err(se) => return Err(se.to_string()),
+    }
+    Ok(chunks)
 }
 
 fn enqueue_chunks<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
-    chunks: Vec<ChunkSpec>,
+    chunks: Vec<Range<usize>>,
 ) {
     *lock_healed(&job.chunk_accounted) = vec![false; chunks.len()];
     job.chunks_done.store(0, Ordering::Release);
     job.chunks_total.store(chunks.len(), Ordering::Release);
     {
         let mut q = lock_healed(&shared.queue);
-        for (index, chunk) in chunks.into_iter().enumerate() {
+        for (index, range) in chunks.into_iter().enumerate() {
             q.push_back(Task::Chunk {
                 job: Arc::clone(job),
                 index,
-                chunk,
+                range,
                 attempt: 0,
             });
         }
     }
     shared.queue_cv.notify_all();
-}
-
-/// Contiguous plan-index ranges of `per` trajectories covering `0..n`.
-fn traj_ranges(n: usize, per: usize) -> Vec<ChunkSpec> {
-    let per = per.max(1);
-    (0..n)
-        .step_by(per)
-        .map(|s| ChunkSpec::Traj(s..(s + per).min(n)))
-        .collect()
-}
-
-/// A split tree job may spend at most 1/this of its edges re-walking
-/// the shared spine (each extra range repeats up to one root-to-leaf
-/// path of `n_sites` edges).
-const TREE_SPINE_BUDGET_DIV: usize = 4;
-/// Amplitude updates (`edges · 2^n`) a range must keep to be worth a
-/// queue task: 2^19 is about 2 ms of segment sweeps.
-const TREE_MIN_CHUNK_SWEEP: u128 = 1 << 19;
-
-/// How many plan ranges a dense tree job is cut into when the spec
-/// leaves it to the service: never more than there are workers (so a
-/// one-worker service repeats nothing), never so many that the repeated
-/// spine exceeds a quarter of the trie, never chunks too small to pay
-/// for their scheduling.
-fn tree_auto_chunks(tree: &PtsPlanTree, n_qubits: usize, workers: usize) -> usize {
-    let edges = tree.n_edges();
-    let by_spine = 1 + edges / (TREE_SPINE_BUDGET_DIV * tree.n_sites()).max(1);
-    let by_work = ((edges as u128) << n_qubits.min(64)) / TREE_MIN_CHUNK_SWEEP;
-    (workers.min(by_spine) as u128).min(by_work).max(1) as usize
-}
-
-/// Chunk geometry. Frame chunks are a pure function of the spec (their
-/// Philox streams are keyed by chunk ordinal); trajectory engines key
-/// streams by absolute plan index, so their cuts are free to follow the
-/// route decision and — for the dense tree engine — the worker count
-/// without touching the delivered bytes.
-fn split_chunks<T: Scalar>(
-    spec: &JobSpec,
-    decision: &RouteDecision,
-    exec: &EngineExec<T>,
-    workers: usize,
-) -> Vec<ChunkSpec> {
-    let n = spec.plan.trajectories.len();
-    match exec {
-        EngineExec::Frame(_) => {
-            let total = spec.plan.total_shots();
-            if total == 0 {
-                return Vec::new();
-            }
-            let per = if spec.frame_chunk_shots == 0 {
-                1 << 16
-            } else {
-                spec.frame_chunk_shots
-            };
-            let mut chunks = Vec::with_capacity(total.div_ceil(per));
-            let mut start = 0usize;
-            while start < total {
-                let shots = per.min(total - start);
-                chunks.push(ChunkSpec::Shots {
-                    stream: chunks.len() as u64,
-                    shots,
-                });
-                start += shots;
-            }
-            chunks
-        }
-        // One plan range per worker, each walked over its own sub-trie:
-        // a range repeats only the trie's shared spine.
-        EngineExec::Tree { tree, .. } => {
-            let per = if spec.chunk_trajectories == 0 {
-                n.div_ceil(tree_auto_chunks(tree, spec.circuit.n_qubits(), workers))
-            } else {
-                spec.chunk_trajectories
-            };
-            traj_ranges(n, per)
-        }
-        // MPS plans fork at the root into a few long chains, so any
-        // range would repeat a whole chain: one chunk (which is also what
-        // keeps `try_degrade`'s untouched-sink precondition).
-        EngineExec::MpsTree { .. } => traj_ranges(n, n),
-        EngineExec::BatchMajor(_) | EngineExec::Flat(_) => {
-            // The decision's geometry already folded lanes, L2 target
-            // and the spec override together (router::batch_geometry).
-            let per = match decision.geometry {
-                Some(g) => g.trajs_per_chunk,
-                None if spec.chunk_trajectories == 0 => 64,
-                None => spec.chunk_trajectories,
-            };
-            traj_ranges(n, per)
-        }
-    }
 }
 
 fn panic_message(index: usize, payload: Box<dyn std::any::Any + Send>, attempts: u32) -> String {
@@ -812,7 +734,7 @@ fn run_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: Arc<JobInner<T>>,
     index: usize,
-    chunk: ChunkSpec,
+    range: Range<usize>,
     first_attempt: u32,
 ) {
     let mut drain = job.cancelled.load(Ordering::Acquire) || job.status().is_terminal();
@@ -836,16 +758,19 @@ fn run_chunk<T: Scalar>(
         // Injected fatal engine failure: structural (not a panic), so it
         // skips the retry loop entirely and lands on the degradation
         // path — exactly like a real engine blowing up at runtime.
-        let injected_fatal = shared.faults.as_ref().is_some_and(|f| {
-            f.mps_fatal_chunk(seed, index as u64)
-                && lock_healed(&job.route).as_ref().map(|r| r.engine) == Some(EngineKind::MpsTree)
-        });
+        let injected_fatal = |exec: &EngineExec<T>| {
+            exec.dense_fallback_allowed()
+                && shared
+                    .faults
+                    .as_ref()
+                    .is_some_and(|f| f.mps_fatal_chunk(seed, index as u64))
+        };
         let mut attempt = first_attempt;
         let mut attempts_here = 0u32;
-        let outcome: Result<Vec<TrajectoryRecord>, String> = if injected_fatal {
-            Err("injected fatal engine failure".to_string())
-        } else {
-            loop {
+        let outcome: Result<Vec<TrajectoryRecord>, String> = match job.exec() {
+            None => Err("internal: chunk scheduled before its engine was installed".to_string()),
+            Some(exec) if injected_fatal(&exec) => Err("injected fatal engine failure".to_string()),
+            Some(exec) => loop {
                 if let Some(f) = &shared.faults {
                     if let Some(d) = f.chunk_delay(seed, index as u64, attempt) {
                         thread::sleep(d);
@@ -858,7 +783,7 @@ fn run_chunk<T: Scalar>(
                             crate::fault::raise("chunk-panic-early");
                         }
                     }
-                    let records = execute_chunk(shared, &job, &chunk)?;
+                    let records = exec.run(&job.spec, index, range.clone(), &shared.cfg);
                     if let Some(f) = &shared.faults {
                         // The partial panic: the chunk's records exist, but
                         // the panic discards them before delivery — the
@@ -867,13 +792,10 @@ fn run_chunk<T: Scalar>(
                             crate::fault::raise("chunk-panic-late");
                         }
                     }
-                    Ok(records)
+                    records
                 }));
                 match attempt_result {
-                    Ok(Ok(records)) => break Ok(records),
-                    // Structural errors (engine/chunk mismatch) are not
-                    // transient; retrying cannot help.
-                    Ok(Err(msg)) => break Err(msg),
+                    Ok(records) => break Ok(records),
                     Err(payload) => {
                         if attempts_here <= retry.max_retries {
                             shared.metrics.chunk_retries.fetch_add(1, Ordering::Relaxed);
@@ -886,7 +808,7 @@ fn run_chunk<T: Scalar>(
                         break Err(panic_message(index, payload, attempts_here));
                     }
                 }
-            }
+            },
         };
         match outcome {
             Ok(records) => deliver(shared, &job, index, records),
@@ -958,12 +880,12 @@ fn deliver<T: Scalar>(
 /// Graceful engine degradation: when a chunk exhausts its retry budget
 /// on the MPS engine *before anything reached the sink*, re-plan the
 /// job once onto a dense fallback (the route records the failed
-/// engine). MPS jobs run as the single chunk `Traj(0..n)` behind a lazy
-/// header, so the untouched-sink precondition holds exactly when this
-/// path is reachable.
+/// engine). MPS jobs run as one chunk behind a lazy header, so the
+/// untouched-sink precondition holds exactly when this path is
+/// reachable.
 fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bool {
-    let from = match lock_healed(&job.route).as_ref().map(|r| r.engine) {
-        Some(EngineKind::MpsTree) => EngineKind::MpsTree,
+    let from = match job.exec() {
+        Some(exec) if exec.dense_fallback_allowed() => exec.kind(),
         _ => return false,
     };
     if job.degraded.swap(true, Ordering::AcqRel) {
@@ -977,31 +899,20 @@ fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bo
         let circuit_hash = job.spec.circuit.content_hash();
         degrade_route(&shared.cache, &shared.cfg, &job.spec, circuit_hash, from)
     }));
-    let (decision, exec) = match planned {
-        Ok(Ok(pair)) => pair,
-        _ => return false,
-    };
-    let header = make_header::<T>(&job.spec, decision.engine, exec.n_measured());
-    let chunks = split_chunks(&job.spec, &decision, &exec, shared.n_workers);
-    if chunks.is_empty() {
+    let Ok(Ok(routed)) = planned else {
         return false;
-    }
-    shared
-        .metrics
-        .engine_fallbacks
-        .fetch_add(1, Ordering::Relaxed);
-    shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
-    install_route(job, decision, exec);
-    match job.emitter() {
-        Ok(mut em) => {
-            if em.stage_header(header).is_err() {
-                return false;
-            }
+    };
+    match install_route(shared, job, routed) {
+        Ok(chunks) if !chunks.is_empty() => {
+            shared
+                .metrics
+                .engine_fallbacks
+                .fetch_add(1, Ordering::Relaxed);
+            enqueue_chunks(shared, job, chunks);
+            true
         }
-        Err(_) => return false,
+        _ => false,
     }
-    enqueue_chunks(shared, job, chunks);
-    true
 }
 
 /// Exactly-once chunk accounting and end-of-job settlement. The bitmap
@@ -1051,116 +962,6 @@ fn account_chunk<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>, ind
     finalize(shared, job);
 }
 
-/// Execute one chunk to records. Every stream key is absolute (plan
-/// index or chunk ordinal), so results are independent of which worker
-/// runs what when.
-fn execute_chunk<T: Scalar>(
-    shared: &Arc<Shared<T>>,
-    job: &Arc<JobInner<T>>,
-    chunk: &ChunkSpec,
-) -> Result<Vec<TrajectoryRecord>, String> {
-    let spec = &job.spec;
-    let exec = lock_healed(&job.exec)
-        .clone()
-        .ok_or_else(|| "internal: chunk scheduled before its engine was installed".to_string())?;
-    let parallel = shared.cfg.executor_parallel;
-    let records = match (exec.as_ref(), chunk) {
-        (EngineExec::Frame(entry), ChunkSpec::Shots { stream, shots }) => {
-            let mut rng = PhiloxRng::for_trajectory(spec.seed, *stream);
-            let result = {
-                // Frame sampling has no prep phase; the whole draw is
-                // the sample stage.
-                let _t = timer(Stage::Sample);
-                entry.sampler.sample(*shots, &mut rng)
-            };
-            // One record per shot block: frame sampling draws noise per
-            // shot, so there is no per-trajectory provenance to attach —
-            // the Stim trade, documented on the router. Building the
-            // record feeds the sink, so it counts as the sink stage.
-            spanned(Stage::SinkWrite, || {
-                vec![TrajectoryRecord {
-                    meta: ptsbe_core::assignment::TrajectoryMeta {
-                        traj_id: *stream as usize,
-                        nominal_prob: 1.0,
-                        realized_prob: 1.0,
-                        choices: Vec::new(),
-                        errors: Vec::new(),
-                        truncation: None,
-                    },
-                    shots: ShotWord::wrap(result.shots),
-                }]
-            })
-        }
-        (EngineExec::Flat(entry), ChunkSpec::Traj(range)) => {
-            let ex = BatchedExecutor {
-                seed: spec.seed,
-                parallel,
-            };
-            to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
-        }
-        (EngineExec::BatchMajor(entry), ChunkSpec::Traj(range)) => {
-            let ex = BatchMajorExecutor {
-                seed: spec.seed,
-                parallel,
-                lanes: 0,
-                cfg: shared.cfg.batch,
-            };
-            to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
-        }
-        (EngineExec::Tree { entry, tree }, ChunkSpec::Traj(range)) => {
-            walk_range(spec, parallel, &entry.backend, &entry.pool, tree, range)
-        }
-        (EngineExec::MpsTree { entry, tree }, ChunkSpec::Traj(range)) => {
-            walk_range(spec, parallel, &entry.backend, &entry.pool, tree, range)
-        }
-        _ => {
-            return Err("internal: chunk shape does not match the routed engine".to_string());
-        }
-    };
-    Ok(records)
-}
-
-/// One tree chunk: walk `plan.trajectories[range]` over its prefix trie
-/// — the cached whole-plan trie when the range is the whole plan, else
-/// the range's own sub-trie, built here (a fraction of a millisecond
-/// against a chunk of tens) and timed as this chunk's `Stage::Plan`.
-fn walk_range<B: Backend>(
-    spec: &JobSpec,
-    parallel: bool,
-    backend: &B,
-    pool: &StatePool<B::State>,
-    whole: &PtsPlanTree,
-    range: &std::ops::Range<usize>,
-) -> Vec<TrajectoryRecord> {
-    let sub;
-    let tree = if range.len() == whole.n_trajectories() {
-        whole
-    } else {
-        sub = spanned(Stage::Plan, || {
-            PtsPlanTree::from_plan_range(&spec.plan, range.clone())
-        });
-        &sub
-    };
-    let ex = TreeExecutor {
-        seed: spec.seed,
-        parallel,
-    };
-    to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool))
-}
-
-fn to_records(batch: BatchResult) -> Vec<TrajectoryRecord> {
-    // Record building counts as the sink stage: it exists only to feed
-    // the sink. Each trajectory's shot buffer is moved, not copied — a
-    // bulk job's records are the executor's own allocations.
-    spanned(Stage::SinkWrite, || {
-        batch
-            .trajectories
-            .into_iter()
-            .map(TrajectoryRecord::from)
-            .collect()
-    })
-}
-
 /// Terminal bookkeeping shared by every exit path: metrics, the waiter
 /// handshake, and the admission slot release.
 fn finalize<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
@@ -1182,42 +983,4 @@ fn finalize<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
         *active = active.saturating_sub(1);
     }
     shared.admit_cv.notify_all();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ptsbe_core::assignment::TrajectoryMeta;
-    use ptsbe_core::be::TrajectoryResult;
-
-    /// The memory shape of a bulk job (`sv-sample`: 2 M shots in four
-    /// records): a record's shot buffer is the executor's allocation,
-    /// not a copy of it.
-    #[test]
-    fn records_take_over_the_result_shot_buffers() {
-        let batch = BatchResult {
-            trajectories: (0..3)
-                .map(|traj_id| TrajectoryResult {
-                    meta: TrajectoryMeta {
-                        traj_id,
-                        nominal_prob: 1.0,
-                        realized_prob: 1.0,
-                        choices: vec![],
-                        errors: vec![],
-                        truncation: None,
-                    },
-                    shots: vec![traj_id as u128; 4096],
-                })
-                .collect(),
-        };
-        let before: Vec<usize> = batch
-            .trajectories
-            .iter()
-            .map(|t| t.shots.as_ptr() as usize)
-            .collect();
-        let records = to_records(batch);
-        let after: Vec<usize> = records.iter().map(|r| r.shots.as_ptr() as usize).collect();
-        assert_eq!(after, before);
-        assert_eq!(records[2].shots[4095], ShotWord(2));
-    }
 }

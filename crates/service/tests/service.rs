@@ -283,11 +283,53 @@ fn forced_mps_job_with_blown_budget_is_refused() {
     let report = handle.wait();
     assert_eq!(report.status, JobStatus::Failed);
     let err = report.error.as_deref().unwrap_or("");
-    assert!(
-        err.contains("mps engine refused") && err.contains("budget"),
-        "refusal must name the budget: {err}"
+    assert_eq!(
+        err,
+        "mps engine refused: identity-assignment probe truncation 5.000e-1 exceeds the \
+         cumulative budget 1.000e-3 (bond ceiling 1 reached: true)"
     );
     assert_eq!(service.metrics().mps_budget_refusals, 1);
+}
+
+/// The auto router's refusal: a register too wide for a dense fallback
+/// whose probe blows the budget with no ceiling headroom. The error text
+/// is part of what operators grep for, so it is pinned whole.
+#[test]
+fn wide_auto_job_with_blown_budget_and_no_dense_fallback_is_refused() {
+    let n = 28;
+    let mut c = Circuit::new(n);
+    c.h(0);
+    for q in 1..n {
+        c.cx(q - 1, q);
+    }
+    c.measure_all();
+    let nc = NoiseModel::new()
+        .with_default_1q(channels::depolarizing(0.02))
+        .apply(&c);
+    let plan = plan_for(&nc, 4, 2, true, 36);
+    let service: ShotService = ShotService::start(ServiceConfig {
+        workers: 1,
+        mps_qubit_threshold: 20,
+        mps_bond_ceiling: 1,
+        ..ServiceConfig::default()
+    });
+    let mut spec = JobSpec::new("refused-wide", nc, plan, 7);
+    spec.mps = ptsbe_tensornet::MpsConfig::adaptive(1, 1e-6, 1e-3);
+    let (sink, _) = MemorySink::new();
+    let report = service.submit(spec, Box::new(sink)).unwrap().wait();
+    assert_eq!(report.status, JobStatus::Failed);
+    assert_eq!(report.engine, None);
+    assert_eq!(
+        report.error.as_deref(),
+        Some(
+            "mps engine refused: identity-assignment probe truncation 5.000e-1 exceeds the \
+             cumulative budget 1.000e-3, and 28 qubits is too wide for a dense fallback — raise \
+             max_bond (ceiling 1 reached: true) or the budget"
+        )
+    );
+    let m = service.metrics();
+    assert_eq!(m.mps_budget_refusals, 1);
+    assert_eq!(m.mps_probe_reroutes, 0);
 }
 
 /// The ROADMAP's χ=192-vs-256 lesson, scaled down: a binding bond cap

@@ -304,16 +304,10 @@ fn engine_census_matches_route_decisions() {
     }
     let count = |kind: EngineKind| reports.iter().filter(|r| r.engine == Some(kind)).count() as u64;
     let m = service.metrics();
-    assert_eq!(m.engines.frame, count(EngineKind::Frame));
-    assert_eq!(m.engines.tree, count(EngineKind::Tree));
-    assert_eq!(m.engines.batch_major, count(EngineKind::BatchMajor));
-    assert_eq!(m.engines.flat, count(EngineKind::Flat));
-    assert_eq!(m.engines.mps_tree, count(EngineKind::MpsTree));
-    let census_total = m.engines.frame
-        + m.engines.tree
-        + m.engines.batch_major
-        + m.engines.flat
-        + m.engines.mps_tree;
+    for kind in EngineKind::ALL {
+        assert_eq!(m.engines.get(kind), count(kind), "{kind:?}");
+    }
+    let census_total: u64 = EngineKind::ALL.iter().map(|&k| m.engines.get(k)).sum();
     assert_eq!(
         census_total,
         reports.len() as u64,
@@ -321,6 +315,6 @@ fn engine_census_matches_route_decisions() {
     );
     assert!(reports.iter().all(|r| r.status.is_success()));
     // The workloads were chosen to actually split across engines.
-    assert_eq!(m.engines.frame, 2);
-    assert_eq!(census_total - m.engines.frame, 2);
+    assert_eq!(m.engines.get(EngineKind::Frame), 2);
+    assert_eq!(census_total - m.engines.get(EngineKind::Frame), 2);
 }
