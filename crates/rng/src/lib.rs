@@ -20,7 +20,7 @@
 //!   categorical sampling when many shots are drawn from one distribution;
 //! - [`categorical`] — small-n CDF inversion used when a channel has only a
 //!   handful of Kraus operators;
-//! - [`mask`] — bit-packed Bernoulli word sampling (dense and sparse
+//! - [`mask`] — bit-packed Bernoulli word sampling (bit-sliced and sparse
 //!   geometric-skip variants) for the Stim-style Pauli-frame bulk sampler.
 
 pub mod alias;

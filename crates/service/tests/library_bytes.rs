@@ -136,6 +136,44 @@ fn frame_chunks_are_the_sampler_on_the_chunk_ordinal_stream() {
     assert_ne!(records[0].shots, records[1].shots);
 }
 
+/// A mid-circuit measurement makes the collapse draw part of the stream
+/// every later site reads from (`x(0)`'s bit flip at p = 0.1 takes the
+/// bit-sliced mask path, the rest the sparse one): the records still do
+/// not depend on the worker count and equal the direct sampler call.
+#[test]
+fn frame_mid_circuit_measurement_is_worker_independent_and_equals_the_sampler() {
+    let mut c = Circuit::new(2);
+    c.x(0).measure(&[0]).cx(0, 1).measure(&[1]);
+    let nc = NoiseModel::new()
+        .with_default_1q(channels::bit_flip(0.1))
+        .with_default_2q(channels::depolarizing2(0.02))
+        .apply(&c);
+    let plan = plan_for(&nc, 10, 130); // 1300 shots = 512 + 512 + 276
+    let sampler = FrameSampler::new(&nc, &mut PhiloxRng::new(nc.content_hash(), 0)).unwrap();
+    assert!(!sampler.reference_was_random());
+    let want: Vec<Vec<ShotWord>> = [512usize, 512, 276]
+        .into_iter()
+        .enumerate()
+        .map(|(i, shots)| {
+            let mut rng = PhiloxRng::for_trajectory(SEED, i as u64);
+            ShotWord::wrap(sampler.sample(shots, &mut rng).shots)
+        })
+        .collect();
+    // Both record bits see noise, so the streams are really consumed.
+    for bit in 0..2 {
+        let ones = want[0].iter().filter(|w| (w.0 >> bit) & 1 == 1).count();
+        assert!((1..512).contains(&ones), "bit {bit}: {ones} of 512");
+    }
+    for workers in [1, 2, 4] {
+        let mut spec = JobSpec::new("frame-mid", nc.clone(), plan.clone(), SEED);
+        spec.frame_chunk_shots = 512;
+        let (records, report) = run(spec, workers);
+        assert_eq!(report.engine, Some(EngineKind::Frame), "{workers} workers");
+        let got: Vec<&Vec<ShotWord>> = records.iter().map(|r| &r.shots).collect();
+        assert_eq!(got, want.iter().collect::<Vec<_>>(), "{workers} workers");
+    }
+}
+
 /// The three dense engines, cut into small ragged chunks over two
 /// workers, deliver what one flat `BatchedExecutor::execute` on a
 /// freshly compiled backend returns.

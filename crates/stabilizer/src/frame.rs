@@ -15,7 +15,7 @@
 //! all shots then share the reference's coin flips (still valid for
 //! detector-style differences).
 
-use crate::convert::{lower, CliffordOp, StabOp, StabProgram};
+use crate::convert::{lower, CliffordOp, PauliSite, StabOp, StabProgram};
 use crate::pauli::Pauli;
 use crate::tableau::Tableau;
 use ptsbe_circuit::NoisyCircuit;
@@ -59,6 +59,8 @@ pub struct FrameResult {
 /// shots in 64-wide batches.
 pub struct FrameSampler {
     program: StabProgram,
+    /// `program.sites`' branch tables, in the form `sample` injects them.
+    sites: Vec<FrameSite>,
     reference: Vec<bool>,
     reference_was_random: bool,
 }
@@ -88,6 +90,7 @@ impl FrameSampler {
             }
         }
         Ok(Self {
+            sites: program.sites.iter().map(FrameSite::new).collect(),
             program,
             reference,
             reference_was_random: was_random,
@@ -127,8 +130,8 @@ impl FrameSampler {
             match op {
                 StabOp::Gate(g) => apply_frame_gate(&mut fx, &mut fz, *g),
                 StabOp::Site(id) => {
-                    let site = &self.program.sites[*id];
-                    inject_noise(&mut fx, &mut fz, site, shots, &mut scratch, rng);
+                    let qubits = &self.program.sites[*id].qubits;
+                    self.sites[*id].inject(qubits, &mut fx, &mut fz, shots, &mut scratch, rng);
                 }
                 StabOp::Measure(qubits) => {
                     for &q in qubits {
@@ -151,7 +154,9 @@ impl FrameSampler {
                             }
                         }
                         // Collapse: randomize the Z frame on the measured
-                        // qubit (Gidney, Stim §4.2).
+                        // qubit (Gidney, Stim §4.2) — one random word per
+                        // 64 shots; only gates after this measurement can
+                        // bring it into a later record bit.
                         fill_bernoulli_words(&mut scratch, shots, 0.5, rng);
                         for (dst, src) in fz[q].iter_mut().zip(&scratch) {
                             *dst ^= src;
@@ -281,63 +286,82 @@ fn two_mut(v: &mut [Vec<u64>], i: usize, j: usize) -> (&mut Vec<u64>, &mut Vec<u
     }
 }
 
-/// Inject one Pauli-mixture site across all shots: a Bernoulli mask picks
-/// the erred shots, then each erred shot draws a branch (sparse iteration,
-/// so cost scales with the error rate).
-fn inject_noise<R: Rng + ?Sized>(
-    fx: &mut [Vec<u64>],
-    fz: &mut [Vec<u64>],
-    site: &crate::convert::PauliSite,
-    shots: usize,
-    scratch: &mut [u64],
-    rng: &mut R,
-) {
-    // Identity branch probability; all-error mass drives the mask.
-    let identity_idx = site
-        .paulis
-        .iter()
-        .position(|ps| ps.iter().all(|&p| p == Pauli::I));
-    let p_err: f64 = match identity_idx {
-        Some(idx) => 1.0 - site.probs[idx],
-        None => 1.0,
-    };
-    if p_err <= 0.0 {
-        return;
-    }
-    // Conditional branch weights among errors.
-    let mut err_branches: Vec<(usize, f64)> = Vec::with_capacity(site.probs.len());
-    for (i, &p) in site.probs.iter().enumerate() {
-        if Some(i) != identity_idx && p > 0.0 {
-            err_branches.push((i, p));
-        }
-    }
-    if err_branches.is_empty() {
-        return;
-    }
-    let cond: Vec<f64> = err_branches.iter().map(|(_, p)| p / p_err).collect();
-    fill_bernoulli_words(scratch, shots, p_err, rng);
-    for (w, &word) in scratch.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let shot = w * 64 + b;
-            if shot >= shots {
-                break;
-            }
-            let branch = if cond.len() == 1 {
-                0
-            } else {
-                index_of(rng.next_f64(), &cond)
-            };
-            let (k, _) = err_branches[branch];
-            for (t, &q) in site.qubits.iter().enumerate() {
-                let (xb, zb) = site.paulis[k][t].bits();
-                if xb {
-                    fx[q][w] ^= 1u64 << b;
+/// A Pauli-mixture site as the sampler injects it: the all-error mass
+/// that drives the shot mask, and the non-identity branches with their
+/// weights among errors.
+struct FrameSite {
+    p_err: f64,
+    /// Conditional branch weights; empty for a site that never errs.
+    cond: Vec<f64>,
+    /// Per branch of `cond`: which of the site's qubits (bit `t` = qubit
+    /// `t` of the site) get their X / Z frame bit flipped.
+    flips: Vec<(u8, u8)>,
+}
+
+impl FrameSite {
+    fn new(site: &PauliSite) -> Self {
+        assert!(site.qubits.len() <= 8, "branch masks hold 8 site qubits");
+        let identity_idx = site
+            .paulis
+            .iter()
+            .position(|ps| ps.iter().all(|&p| p == Pauli::I));
+        let p_err: f64 = match identity_idx {
+            Some(idx) => 1.0 - site.probs[idx],
+            None => 1.0,
+        };
+        let mut cond = Vec::new();
+        let mut flips = Vec::new();
+        if p_err > 0.0 {
+            for (i, &p) in site.probs.iter().enumerate() {
+                if Some(i) != identity_idx && p > 0.0 {
+                    cond.push(p / p_err);
+                    let (mut x, mut z) = (0u8, 0u8);
+                    for (t, pauli) in site.paulis[i].iter().enumerate() {
+                        let (xb, zb) = pauli.bits();
+                        x |= u8::from(xb) << t;
+                        z |= u8::from(zb) << t;
+                    }
+                    flips.push((x, z));
                 }
-                if zb {
-                    fz[q][w] ^= 1u64 << b;
+            }
+        }
+        Self { p_err, cond, flips }
+    }
+
+    /// Inject the site across all shots: a Bernoulli mask picks the erred
+    /// shots, then each erred shot draws a branch (sparse iteration, so
+    /// cost scales with the error rate).
+    fn inject<R: Rng + ?Sized>(
+        &self,
+        qubits: &[usize],
+        fx: &mut [Vec<u64>],
+        fz: &mut [Vec<u64>],
+        shots: usize,
+        scratch: &mut [u64],
+        rng: &mut R,
+    ) {
+        if self.cond.is_empty() {
+            return;
+        }
+        fill_bernoulli_words(scratch, shots, self.p_err, rng);
+        for (w, &word) in scratch.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let lane = bits & bits.wrapping_neg();
+                bits ^= lane;
+                let branch = if self.cond.len() == 1 {
+                    0
+                } else {
+                    index_of(rng.next_f64(), &self.cond)
+                };
+                let (x, z) = self.flips[branch];
+                for (t, &q) in qubits.iter().enumerate() {
+                    if (x >> t) & 1 == 1 {
+                        fx[q][w] ^= lane;
+                    }
+                    if (z >> t) & 1 == 1 {
+                        fz[q][w] ^= lane;
+                    }
                 }
             }
         }
@@ -427,6 +451,61 @@ mod tests {
         let sampler = FrameSampler::new(&nc, &mut rng).unwrap();
         let result = sampler.sample(10, &mut rng);
         assert!(result.reference_was_random);
+    }
+
+    /// Record bit 0 is a deterministic 1; record bit 1 is random only
+    /// through the collapse after the first measurement, which every other
+    /// test here (one terminal measurement) cannot see. The reference is
+    /// random, so this is library level: the router refuses such jobs.
+    fn assert_collapse_is_live(c: &Circuit, seed: u64) {
+        let nc = NoiseModel::new().apply(c);
+        let mut rng = PhiloxRng::new(seed, 0);
+        let sampler = FrameSampler::new(&nc, &mut rng).unwrap();
+        assert!(sampler.reference_was_random());
+        let shots = 100_000;
+        let bulk = sampler.sample(shots, &mut rng);
+        assert_eq!(bulk.n_bits, 2);
+        assert!(bulk.shots.iter().all(|&s| s & 1 == 1), "first bit moved");
+
+        // sd of a frequency over 1e5 shots ≤ 0.0016: bounds are 5 sd.
+        let second: Vec<bool> = bulk.shots.iter().map(|&s| s >> 1 == 1).collect();
+        let freq = |hits: usize, of: usize| hits as f64 / of as f64;
+        let ones = freq(second.iter().filter(|&&b| b).count(), shots);
+        assert!((ones - 0.5).abs() < 0.008, "second bit {ones}");
+        let mut tableau_ones = 0usize;
+        for _ in 0..shots {
+            let rec = tableau_sample_one(sampler.program(), &mut rng);
+            assert_eq!(rec & 1, 1);
+            tableau_ones += (rec >> 1) as usize;
+        }
+        let tableau_ones = freq(tableau_ones, shots);
+        assert!(
+            (ones - tableau_ones).abs() < 0.012,
+            "bulk {ones} vs tableau {tableau_ones}"
+        );
+        // Shots that share a mask word, and the same lane of adjacent
+        // words, flip independently.
+        for gap in [1, 64] {
+            let both = second.windows(gap + 1).filter(|w| w[0] && w[gap]).count();
+            let both = freq(both, shots - gap);
+            assert!((both - 0.25).abs() < 0.008, "shots {gap} apart: {both}");
+        }
+    }
+
+    #[test]
+    fn mid_circuit_collapse_randomizes_the_next_measurement() {
+        let mut c = Circuit::new(1);
+        c.x(0).measure(&[0]).h(0).measure(&[0]);
+        assert_collapse_is_live(&c, 107);
+    }
+
+    #[test]
+    fn mid_circuit_collapse_propagates_through_cx() {
+        // The Z frame drawn on qubit 1 reaches qubit 0 as the control of
+        // cx, and its record bit through the Hadamard.
+        let mut c = Circuit::new(2);
+        c.x(1).measure(&[1]).cx(0, 1).h(0).measure(&[0]);
+        assert_collapse_is_live(&c, 108);
     }
 
     #[test]
