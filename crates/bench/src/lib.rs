@@ -1,34 +1,11 @@
-//! Shared workload builders and timing helpers for the experiment
-//! harnesses (E1–E8 in DESIGN.md) and Criterion benches.
+//! Shared workload builders for the Criterion benches.
 
 use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
-use std::time::{Duration, Instant};
-
-/// Time a closure once.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
-}
-
-/// Best-of-`reps` wall time (reduces scheduler noise on short sections).
-pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
-    assert!(reps >= 1);
-    let (mut out, mut best) = time_once(&mut f);
-    for _ in 1..reps {
-        let (o, d) = time_once(&mut f);
-        if d < best {
-            best = d;
-            out = o;
-        }
-    }
-    (out, best)
-}
 
 /// A distillation-flavoured scaled workload for the statevector sweeps:
 /// magic preparations on every qubit, then brickwork CX + T/H layers.
 /// Stands in for the paper's 35-qubit MSD circuit at laptop-tractable
-/// sizes (2³⁵ amplitudes = 256 GiB; see EXPERIMENTS.md).
+/// sizes (2³⁵ single-precision complex amplitudes are 256 GiB).
 pub fn msd_like(n: usize, depth: usize) -> Circuit {
     let mut c = Circuit::new(n);
     for q in 0..n {
@@ -71,21 +48,14 @@ pub fn with_entangler_depolarizing(c: &Circuit, p: f64) -> NoisyCircuit {
         .apply(c)
 }
 
-/// Steane-code |0̄⟩ memory circuit (Clifford-only; the E6 workload).
+/// Steane-code |0̄⟩ memory circuit (Clifford-only; the frame-sampler
+/// bench workload).
 pub fn steane_memory() -> Circuit {
     let code = ptsbe_qec::codes::steane();
     let enc = ptsbe_qec::encoding_circuit(&code);
     let mut c = enc.circuit.clone();
     c.measure_all();
     c
-}
-
-/// Environment-variable override helper for harness parameters.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 #[cfg(test)]
@@ -107,17 +77,5 @@ mod tests {
         let c = steane_memory();
         assert!(c.is_clifford());
         assert_eq!(c.n_qubits(), 7);
-    }
-
-    #[test]
-    fn env_default() {
-        assert_eq!(env_usize("PTSBE_DOES_NOT_EXIST", 42), 42);
-    }
-
-    #[test]
-    fn timers_run() {
-        let (v, d) = time_best(3, || 2 + 2);
-        assert_eq!(v, 4);
-        assert!(d.as_nanos() < 1_000_000_000);
     }
 }

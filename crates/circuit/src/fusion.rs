@@ -3,14 +3,14 @@
 //! Every trajectory pays full price per gate, so the compiled op stream —
 //! shared by all trajectories and all plans in the trie — is the single
 //! highest-leverage place to optimize. This module implements the fusion
-//! pass both backend compilers run once per [`crate::NoisyCircuit`]
+//! pass [`crate::lower::lower`] runs once per [`crate::NoisyCircuit`]
 //! segment (qsim/Cirq report large wins from the same idea): runs of
 //! gates acting on overlapping qubit sets collapse into one fused
 //! unitary, capped at 2 qubits so the statevector and MPS kernels both
 //! apply the result natively.
 //!
-//! Fusion operates strictly *within* a gate run: the backend compilers
-//! flush the [`Fuser`] at every noise site, so Kraus branch points,
+//! Fusion operates strictly *within* a gate run: the lowering walk
+//! flushes the [`Fuser`] at every noise site, so Kraus branch points,
 //! segment boundaries, and Philox stream association are untouched.
 //!
 //! Each fused op is classified ([`FusedKernel`]) so backends can route it

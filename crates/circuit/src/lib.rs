@@ -19,6 +19,10 @@
 //! - [`fusion`] — the gate-fusion pass backend compilers run once per
 //!   segment, merging adjacent-gate runs into classified ≤2-qubit kernels
 //!   shared by every trajectory;
+//! - [`lower`] — the segmented-program contract: the one lowering walk
+//!   (segment → fuse → classify), the one definition of a lowered site
+//!   and program, and the [`lower::GateTable`] a backend fills in with
+//!   its op set;
 //! - [`hash`] — stable semantic content hashing, the cache key the
 //!   data-collection service memoizes compiled artifacts under.
 
@@ -28,6 +32,7 @@ pub mod fusion;
 pub mod gate;
 pub mod hash;
 pub mod kraus;
+pub mod lower;
 pub mod noise_model;
 pub mod noisy;
 pub mod op;

@@ -8,8 +8,11 @@
 //!
 //! A compiled circuit with `S` noise sites is split into `S + 1` segments:
 //! segment `k < S` is the gate run ending with (and including) site `k`;
-//! segment `S` is the trailing gate run after the last site. A backend
-//! must support:
+//! segment `S` is the trailing gate run after the last site. That shape —
+//! the lowering walk, the lowered-program and site types, the refusals —
+//! is defined once for every backend in [`ptsbe_circuit::lower`]; both
+//! backends here compile through it and differ only in their op sets. A
+//! backend must support:
 //!
 //! - [`Backend::initial_state`]: the `|0…0⟩` register;
 //! - [`Backend::advance`]: apply a contiguous segment range to a state,

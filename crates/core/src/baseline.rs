@@ -8,14 +8,14 @@
 //! distributional equal of a PTSBE run, which the workspace property
 //! tests verify.
 
+use ptsbe_circuit::lower::Pick;
 use ptsbe_circuit::NoisyCircuit;
 use ptsbe_math::Scalar;
-use ptsbe_rng::categorical::index_of;
 use ptsbe_rng::{PhiloxRng, Rng};
-use ptsbe_statevector::exec::{compile, Compiled, CompiledOp};
-use ptsbe_statevector::kraus::{apply_kraus_normalized, kraus_probabilities};
+use ptsbe_statevector::exec::{advance_with, compile, Compiled};
 use ptsbe_statevector::sampling::{extract_bits, sample_shots};
 use ptsbe_statevector::{SamplingStrategy, StateVector};
+use ptsbe_tensornet::exec::advance_mps_with;
 use ptsbe_tensornet::{compile_mps, Mps, MpsCompiled, MpsConfig};
 use rayon::prelude::*;
 
@@ -65,47 +65,13 @@ pub fn baseline_one_sv_into<T: Scalar, R: Rng + ?Sized>(
 ) -> u128 {
     assert_eq!(sv.n_qubits(), compiled.n_qubits(), "scratch shape mismatch");
     sv.reset_zero();
-    for op in compiled.ops() {
-        match op {
-            CompiledOp::G1(m, q) => sv.apply_1q(m, *q),
-            CompiledOp::G2(m, a, b) => sv.apply_2q(m, *a, *b),
-            CompiledOp::D1(d, q) => sv.apply_diag_1q(d, *q),
-            CompiledOp::D2(d, a, b) => sv.apply_diag_2q(d, *a, *b),
-            CompiledOp::P1(p, ph, q) => sv.apply_perm_1q(p, ph, *q),
-            CompiledOp::P2(p, ph, a, b) => sv.apply_perm_2q(p, ph, *a, *b),
-            CompiledOp::Cx(c, t) => sv.apply_cx(*c, *t),
-            CompiledOp::Cz(a, b) => sv.apply_cz(*a, *b),
-            CompiledOp::Swap(a, b) => sv.apply_swap(*a, *b),
-            CompiledOp::Gk(m, qs) => sv.apply_kq(m, qs),
-            CompiledOp::Site(id) => {
-                let site = &compiled.sites()[*id];
-                // Algorithm 1, lines 4-11.
-                let r = rng.next_f64();
-                if site.is_unitary_mixture {
-                    let k = index_of(r, &site.probs);
-                    // Exact-identity branches skip, same as every
-                    // fixed-assignment path.
-                    if !site.skip_identity[k] {
-                        apply_sized(sv, &site.mats[k], &site.qubits);
-                    }
-                } else {
-                    let probs = kraus_probabilities(sv, &site.mats, &site.qubits);
-                    let k = index_of(r, &probs);
-                    apply_kraus_normalized(sv, &site.mats[k], &site.qubits);
-                }
-            }
-        }
-    }
+    // Algorithm 1, lines 4-11: the engine's own walk, with the branch of
+    // each site drawn when the site fires instead of read from a plan.
+    advance_with(compiled, sv, 0..compiled.n_segments(), |_| {
+        Pick::Uniform(rng.next_f64())
+    });
     let shot = sample_shots(sv, 1, rng, SamplingStrategy::SortedMerge)[0];
     u128::from(extract_bits(shot, compiled.measured_qubits()))
-}
-
-fn apply_sized<T: Scalar>(sv: &mut StateVector<T>, m: &ptsbe_math::Matrix<T>, qubits: &[usize]) {
-    match qubits.len() {
-        1 => sv.apply_1q(m, qubits[0]),
-        2 => sv.apply_2q(m, qubits[0], qubits[1]),
-        _ => sv.apply_kq(m, qubits),
-    }
 }
 
 /// Algorithm-1 baseline on the MPS backend (one preparation per shot).
@@ -131,40 +97,12 @@ pub fn baseline_one_mps<T: Scalar, R: Rng + ?Sized>(
     config: MpsConfig,
     rng: &mut R,
 ) -> u128 {
-    use ptsbe_tensornet::exec::MpsOp;
     let mut mps = Mps::zero_state(compiled.n_qubits(), config);
-    for op in compiled.ops() {
-        match op {
-            MpsOp::G1(m, q) => mps.apply_1q(m, *q),
-            MpsOp::G2(m, a, b) => mps.apply_2q(m, *a, *b),
-            MpsOp::U1(m, q) => mps.apply_unitary_1q(m, *q),
-            MpsOp::D1(d0, d1, q) => mps.apply_diag_1q(*d0, *d1, *q),
-            MpsOp::Site(id) => {
-                let site = &compiled.sites()[*id];
-                let r = rng.next_f64();
-                if site.is_unitary_mixture {
-                    let k = index_of(r, &site.probs);
-                    if !site.skip_identity[k] {
-                        match site.qubits.as_slice() {
-                            [q] => mps.apply_1q(&site.mats[k], *q),
-                            [a, b] => mps.apply_2q(&site.mats[k], *a, *b),
-                            _ => unreachable!(),
-                        }
-                    }
-                } else {
-                    let probs = mps.kraus_probabilities(&site.mats, &site.qubits);
-                    let k = index_of(r, &probs);
-                    mps.apply_kraus_normalized(&site.mats[k], &site.qubits);
-                }
-            }
-        }
-    }
+    advance_mps_with(compiled, &mut mps, 0..compiled.n_segments(), |_| {
+        Pick::Uniform(rng.next_f64())
+    });
     let full = ptsbe_tensornet::sample::sample_shots_cached(&mut mps, 1, rng)[0];
-    let mut out = 0u128;
-    for (t, &q) in compiled.measured_qubits().iter().enumerate() {
-        out |= ((full >> q) & 1) << t;
-    }
-    out
+    ptsbe_rng::bits::extract_bits(full, compiled.measured_qubits())
 }
 
 #[cfg(test)]

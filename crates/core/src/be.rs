@@ -1255,6 +1255,92 @@ mod tests {
         }
     }
 
+    /// Sites on three qubits: the dense table lowers them, `advance`
+    /// applies them through `apply_kq`, and the batch-major path takes
+    /// its per-lane scalar fallback — a mixture (identity branch skipped)
+    /// and a general channel, bitwise across flat / tree / batch-major.
+    #[test]
+    fn three_qubit_sites_bitwise_across_flat_tree_and_batch_major() {
+        use ptsbe_circuit::KrausChannel;
+        use ptsbe_math::{gates, Matrix};
+        let kron3 = |a: &Matrix<f64>, b: &Matrix<f64>, c: &Matrix<f64>| a.kron(b).kron(c);
+        let (i2, x, z, h) = (Matrix::identity(2), gates::x(), gates::z(), gates::h());
+        let mixture = KrausChannel::new(
+            "mix3",
+            vec![
+                Matrix::identity(8).scaled_real(0.7f64.sqrt()),
+                kron3(&x, &x, &x).scaled_real(0.2f64.sqrt()),
+                kron3(&z, &h, &i2).scaled_real(0.1f64.sqrt()),
+            ],
+        )
+        .unwrap();
+        assert!(mixture.is_unitary_mixture());
+        let damping = channels::amplitude_damping(0.3);
+        let general = KrausChannel::new(
+            "damp3",
+            damping
+                .ops()
+                .iter()
+                .map(|k| kron3(&i2, k, &i2))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        assert!(!general.is_unitary_mixture());
+        let mut c = Circuit::new(4);
+        c.h(0).cx(0, 1).h(2).cx(2, 3);
+        c.noise(std::sync::Arc::new(mixture), &[2, 0, 3]);
+        c.t(1).cx(1, 2);
+        c.noise(std::sync::Arc::new(general), &[1, 3, 0]);
+        c.h(3).measure_all();
+        let nc = NoiseModel::new()
+            .with_default_2q(channels::depolarizing2(0.1))
+            .apply(&c);
+        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let mut rng = PhiloxRng::new(166, 0);
+        let plan = ProbabilisticPts {
+            n_samples: 40,
+            shots_per_trajectory: 20,
+            dedup: false,
+        }
+        .sample_plan(&nc, &mut rng);
+        let wide_branches: std::collections::HashSet<_> = plan
+            .trajectories
+            .iter()
+            .map(|t| (t.choices[2], t.choices[4]))
+            .collect();
+        assert!(
+            wide_branches.len() >= 4,
+            "plan must diverge on the wide sites"
+        );
+        let flat = BatchedExecutor {
+            seed: 12,
+            parallel: false,
+        }
+        .execute(&backend, &nc, &plan);
+        let tree = TreeExecutor {
+            seed: 12,
+            parallel: false,
+        }
+        .execute(&backend, &nc, &plan);
+        let batched = BatchMajorExecutor {
+            seed: 12,
+            lanes: 7,
+            ..Default::default()
+        }
+        .execute(&backend, &nc, &plan);
+        for other in [&tree, &batched] {
+            assert_eq!(other.trajectories.len(), flat.trajectories.len());
+            for (a, b) in other.trajectories.iter().zip(&flat.trajectories) {
+                assert_eq!(a.meta.choices, b.meta.choices);
+                assert_eq!(
+                    a.meta.realized_prob.to_bits(),
+                    b.meta.realized_prob.to_bits()
+                );
+                assert_eq!(a.shots, b.shots);
+            }
+        }
+    }
+
     #[test]
     fn batch_config_lane_geometry() {
         let cfg = BatchConfig::default();

@@ -4,8 +4,10 @@
 //! family ([[7,1,3]] = Steane-equivalent, [[19,1,5]], [[37,1,7]], …) from
 //! honeycomb geometry; construction and distance are verified by
 //! `StabilizerCode` validation plus exhaustive distance search in tests.
-//! See DESIGN.md for the documented substitution of the paper's 4.8.8
-//! [[17,1,5]] by the verified 6.6.6 [[19,1,5]].
+//! The paper's distance-5 block is the 4.8.8 [[17,1,5]] code; this
+//! workspace substitutes the verified 6.6.6 [[19,1,5]] (same distance, two
+//! more qubits per block), which the generator produces without a
+//! hand-entered stabilizer table.
 
 use crate::code::StabilizerCode;
 use ptsbe_stabilizer::{Pauli, PauliString};

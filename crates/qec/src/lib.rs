@@ -10,9 +10,10 @@
 //! - [`code::StabilizerCode`] — generators + logicals with full
 //!   commutation/independence/distance validation;
 //! - [`codes`] — the zoo: [[5,1,3]], Steane, triangular 6.6.6 color codes
-//!   of any odd distance (d = 5 gives [[19,1,5]]; see DESIGN.md for the
-//!   documented substitution of the paper's 4.8.8 [[17,1,5]]), repetition
-//!   and Shor codes;
+//!   of any odd distance (d = 5 gives [[19,1,5]], which stands in for
+//!   the paper's 4.8.8 [[17,1,5]]: same distance, generated and verified
+//!   from honeycomb geometry, 95 physical qubits for the 5→1 protocol
+//!   instead of 85), repetition and Shor codes;
 //! - [`encoder`] — the Gottesman standard-form encoding circuit,
 //!   algorithmic for *any* k = 1 stabilizer code (CSS or not);
 //! - [`transversal`] — validated transversal logical gates for self-dual

@@ -157,7 +157,7 @@ pub fn plan_hash(plan: &PtsPlan) -> u64 {
 /// The compiled-artifact cache at one working precision `T`.
 ///
 /// Keys mix the circuit content hash with every compilation parameter
-/// (fusion toggle, MPS config, the precision's byte width), so distinct
+/// (MPS config, the precision's byte width), so distinct
 /// pipelines never collide. Misses build *outside* the map lock — two
 /// racing first-submitters may both compile, and the first insert wins —
 /// so a slow compile never blocks unrelated cache traffic.
@@ -367,23 +367,14 @@ impl<T: Scalar> CompileCache<T> {
         128 * tree.n_nodes() + 256
     }
 
-    /// Statevector compilation for `nc` (content hash `circuit_hash`)
-    /// with the given fusion toggle.
+    /// Statevector compilation for `nc` (content hash `circuit_hash`).
     ///
     /// # Errors
     /// Compile failures (mid-circuit measurement, reset) as strings.
-    pub fn sv(
-        &self,
-        nc: &NoisyCircuit,
-        circuit_hash: u64,
-        fuse: bool,
-    ) -> Result<Arc<SvEntry<T>>, String> {
-        let key = combine(
-            circuit_hash,
-            combine(Self::precision_tag(), u64::from(fuse)),
-        );
+    pub fn sv(&self, nc: &NoisyCircuit, circuit_hash: u64) -> Result<Arc<SvEntry<T>>, String> {
+        let key = combine(circuit_hash, Self::precision_tag());
         self.get_or_build(&self.sv, key, Stage::Compile, || {
-            let backend = SvBackend::<T>::new_with_fusion(nc, SamplingStrategy::Auto, fuse)
+            let backend = SvBackend::<T>::new(nc, SamplingStrategy::Auto)
                 .map_err(|e| format!("statevector compile failed: {e}"))?;
             let entry = SvEntry {
                 fusion: backend.fusion_stats(),
@@ -403,7 +394,6 @@ impl<T: Scalar> CompileCache<T> {
         nc: &NoisyCircuit,
         circuit_hash: u64,
         config: MpsConfig,
-        fuse: bool,
     ) -> Result<Arc<MpsEntry<T>>, String> {
         // Every MpsConfig field participates: two jobs that differ only
         // in a truncation budget produce different states, so they must
@@ -414,10 +404,9 @@ impl<T: Scalar> CompileCache<T> {
         h.write_f64(config.cutoff);
         h.write_f64(config.trunc_per_update);
         h.write_f64(config.trunc_budget);
-        h.write_u8(u8::from(fuse));
         let key = combine(circuit_hash, h.finish());
         self.get_or_build(&self.mps, key, Stage::Compile, || {
-            let backend = MpsBackend::<T>::new_with_fusion(nc, config, Default::default(), fuse)
+            let backend = MpsBackend::<T>::new(nc, config, Default::default())
                 .map_err(|e| format!("mps compile failed: {e}"))?;
             let entry = MpsEntry {
                 backend,
@@ -521,14 +510,11 @@ mod tests {
         let cache = CompileCache::<f64>::new();
         let nc = noisy_bell(0.1);
         let h = nc.content_hash();
-        let a = cache.sv(&nc, h, true).unwrap();
-        let b = cache.sv(&nc, h, true).unwrap();
+        let a = cache.sv(&nc, h).unwrap();
+        let b = cache.sv(&nc, h).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "repeat compile must be the same entry");
-        // Fusion toggle is part of the key.
-        let c = cache.sv(&nc, h, false).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
         let stats = cache.stats();
-        assert_eq!((stats.sv_hits, stats.sv_misses), (1, 2));
+        assert_eq!((stats.sv_hits, stats.sv_misses), (1, 1));
     }
 
     #[test]
@@ -538,8 +524,8 @@ mod tests {
         let nc = noisy_bell(0.1);
         let h = nc.content_hash();
         let base = MpsConfig::new(16);
-        let a = cache.mps(&nc, h, base, true).unwrap();
-        let b = cache.mps(&nc, h, base, true).unwrap();
+        let a = cache.mps(&nc, h, base).unwrap();
+        let b = cache.mps(&nc, h, base).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "identical config must hit");
         // Jobs differing *only* in a truncation budget must not share a
         // compiled entry: the budget changes the states the entry's warm
@@ -551,7 +537,7 @@ mod tests {
             MpsConfig::adaptive(16, 0.0, 1e-3).with_cutoff(base.cutoff),
         ];
         for (i, cfg) in variants.iter().enumerate() {
-            let v = cache.mps(&nc, h, *cfg, true).unwrap();
+            let v = cache.mps(&nc, h, *cfg).unwrap();
             assert!(
                 !Arc::ptr_eq(&a, &v),
                 "variant {i} ({cfg:?}) collided with the base entry"
@@ -615,16 +601,16 @@ mod tests {
         let a = noisy_bell(0.1);
         let b = noisy_bell(0.2);
         let (ha, hb) = (a.content_hash(), b.content_hash());
-        let ea = cache.sv(&a, ha, true).unwrap();
+        let ea = cache.sv(&a, ha).unwrap();
         assert_eq!(cache.stats().evictions, 0);
-        let eb = cache.sv(&b, hb, true).unwrap();
+        let eb = cache.sv(&b, hb).unwrap();
         // Inserting b blew the budget: a (the LRU) went, b survives.
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.resident(), 1);
-        let eb2 = cache.sv(&b, hb, true).unwrap();
+        let eb2 = cache.sv(&b, hb).unwrap();
         assert!(Arc::ptr_eq(&eb, &eb2), "survivor must stay warm");
         // a recompiles (a fresh miss), evicting b in turn.
-        let ea2 = cache.sv(&a, ha, true).unwrap();
+        let ea2 = cache.sv(&a, ha).unwrap();
         assert!(!Arc::ptr_eq(&ea, &ea2), "evicted entry must recompile");
         let stats = cache.stats();
         assert_eq!(stats.evictions, 2);
@@ -634,7 +620,7 @@ mod tests {
         // A budget below a single artifact still serves it: the entry
         // just inserted is never the eviction victim.
         let tiny = CompileCache::<f64>::with_budget(Some(1));
-        assert!(tiny.sv(&a, ha, true).is_ok());
+        assert!(tiny.sv(&a, ha).is_ok());
         assert_eq!(tiny.resident(), 1);
     }
 
@@ -643,7 +629,7 @@ mod tests {
         let cache = CompileCache::<f64>::new();
         for p in [0.1, 0.2, 0.3, 0.4] {
             let nc = noisy_bell(p);
-            cache.sv(&nc, nc.content_hash(), true).unwrap();
+            cache.sv(&nc, nc.content_hash()).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.evictions, 0);

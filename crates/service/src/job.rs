@@ -137,8 +137,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Engine selection policy.
     pub engine: EnginePolicy,
-    /// Compile with gate fusion (the production default).
-    pub fuse: bool,
     /// MPS configuration, used when the MPS tree engine is routed.
     pub mps: MpsConfig,
     /// Trajectories per chunk for the flat, batch-major and dense tree
@@ -164,8 +162,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with production defaults (auto routing, fusion on, auto
-    /// chunking, no deadline).
+    /// A spec with production defaults (auto routing, auto chunking, no
+    /// deadline).
     pub fn new(
         name: impl Into<String>,
         circuit: impl Into<Arc<NoisyCircuit>>,
@@ -178,7 +176,6 @@ impl JobSpec {
             plan: plan.into(),
             seed,
             engine: EnginePolicy::Auto,
-            fuse: true,
             mps: MpsConfig::default(),
             chunk_trajectories: 0,
             frame_chunk_shots: 0,

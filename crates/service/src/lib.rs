@@ -15,8 +15,8 @@
 //!   job seed the emitted dataset is **byte-identical for any worker
 //!   count and any cache state**.
 //! - [`cache::CompileCache`] — memoizes compiled artifacts under the
-//!   stable content hash of `(circuit, noise model, precision, fusion
-//!   toggle)` ([`ptsbe_circuit::hash`]): statevector
+//!   stable content hash of `(circuit, noise model, precision)`
+//!   ([`ptsbe_circuit::hash`]): statevector
 //!   [`ptsbe_statevector::exec::Compiled`] streams (with their
 //!   [`ptsbe_circuit::FusionStats`] and a warm
 //!   [`ptsbe_core::StatePool`]), MPS compilations, lowered Pauli-frame

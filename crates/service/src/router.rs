@@ -262,7 +262,7 @@ fn raise_to_honest_ceiling<T: Scalar>(
     let nc = spec.circuit.as_ref();
     // Cache keys hash every MpsConfig field, so the raised compile is a
     // separate (warm-reusable) entry from the refused one.
-    let entry = cache.mps(nc, circuit_hash, raised_cfg, spec.fuse).ok()?;
+    let entry = cache.mps(nc, circuit_hash, raised_cfg).ok()?;
     let raised_probe = mps_probe(&entry, nc)?;
     if raised_probe.budget_exhausted {
         return None;
@@ -426,7 +426,7 @@ fn route_dense<T: Scalar>(
     truncation: Option<TruncationStats>,
 ) -> Result<Routed<T>, RouteError> {
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
-    let entry = cache.sv(&spec.circuit, circuit_hash, spec.fuse)?;
+    let entry = cache.sv(&spec.circuit, circuit_hash)?;
     let sharing_ratio = tree.sharing_ratio();
     let (exec, by_sharing) = if sharing_ratio >= cfg.sharing_threshold {
         let reason = RouteReason::HighSharing { sharing_ratio };
@@ -471,7 +471,7 @@ fn build_engine<T: Scalar>(
     engine: EngineKind,
 ) -> Result<EngineExec<T>, String> {
     let nc = spec.circuit.as_ref();
-    let sv = || cache.sv(nc, circuit_hash, spec.fuse);
+    let sv = || cache.sv(nc, circuit_hash);
     let tree = || cache.plan_tree(circuit_hash, &spec.plan);
     Ok(match engine {
         EngineKind::Frame => {
@@ -492,7 +492,7 @@ fn build_engine<T: Scalar>(
         EngineKind::BatchMajor => EngineExec::BatchMajor(sv()?),
         EngineKind::Flat => EngineExec::Flat(sv()?),
         EngineKind::MpsTree => EngineExec::MpsTree {
-            entry: cache.mps(nc, circuit_hash, spec.mps, spec.fuse)?,
+            entry: cache.mps(nc, circuit_hash, spec.mps)?,
             tree: tree(),
         },
     })

@@ -291,6 +291,44 @@ fn forced_mps_job_with_blown_budget_is_refused() {
     assert_eq!(service.metrics().mps_budget_refusals, 1);
 }
 
+/// A noise site on three qubits is outside the MPS kernel set. Its
+/// lowering refuses it, so a forced MPS job fails at routing — before
+/// any chunk exists to panic in the hot loop and be retried.
+#[test]
+fn forced_mps_job_with_a_three_qubit_site_fails_at_routing() {
+    use ptsbe_circuit::KrausChannel;
+    use ptsbe_math::{gates, Matrix};
+    let xxx = gates::x::<f64>().kron(&gates::x()).kron(&gates::x());
+    let wide = KrausChannel::new(
+        "mix3",
+        vec![
+            Matrix::identity(8).scaled_real(0.5f64.sqrt()),
+            xxx.scaled_real(0.5f64.sqrt()),
+        ],
+    )
+    .unwrap();
+    let mut c = Circuit::new(3);
+    c.h(0).cx(0, 1);
+    c.noise(Arc::new(wide), &[0, 1, 2]);
+    c.measure_all();
+    let nc = NoisyCircuit::from_circuit(c);
+    let plan = plan_for(&nc, 8, 5, false, 34);
+    let service: ShotService = ShotService::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let spec = JobSpec::new("wide-site", nc, plan, 7)
+        .with_engine(EnginePolicy::Force(EngineKind::MpsTree));
+    let (sink, _) = MemorySink::new();
+    let report = service.submit(spec, Box::new(sink)).unwrap().wait();
+    assert_eq!(report.status, JobStatus::Failed);
+    assert_eq!(
+        report.error.as_deref(),
+        Some("mps compile failed: 3-qubit gates and noise sites unsupported on MPS")
+    );
+    assert_eq!(service.metrics().chunk_retries, 0);
+}
+
 /// The auto router's refusal: a register too wide for a dense fallback
 /// whose probe blows the budget with no ceiling headroom. The error text
 /// is part of what operators grep for, so it is pinned whole.

@@ -35,11 +35,11 @@ use ptsbe_math::{cplx_mul_parts, Complex, Matrix, Scalar};
 use rayon::prelude::*;
 use std::ops::Range;
 
-use crate::exec::{Compiled, CompiledOp};
+use crate::exec::{apply_op, apply_site, Compiled, CompiledSite};
 use crate::kernels::{dispatch, BatchKernels, KernelImpl, LaneMats2, LaneMats4};
-use crate::kraus::apply_kraus_normalized;
 use crate::state::{local_2q_matrix, local_2q_perm, StateVector};
 use crate::PARALLEL_THRESHOLD_QUBITS;
+use ptsbe_circuit::lower::Pick;
 
 /// Rows per chunk for row-sweep operations (normalization).
 const ROWS_PER_CHUNK: usize = 1 << 12;
@@ -349,8 +349,7 @@ impl<T: Scalar> StateBatch<T> {
     }
 
     /// Dense two-qubit gate with one matrix per lane; `mms[lane]` must
-    /// already be in local `[hl]` order (see
-    /// [`crate::state::local_2q_matrix`] via [`localize_2q`]).
+    /// already be in local `[hl]` order (see [`localize_2q`]).
     pub fn apply_2q_lanes(&mut self, mms: &[[[Complex<T>; 4]; 4]], a: usize, b: usize) {
         self.apply_2q_lanes_inner(mms, None, a, b);
     }
@@ -729,11 +728,6 @@ pub fn advance_batch<T: Scalar>(
     );
     assert_eq!(choices.len(), batch.n_lanes(), "one assignment per lane");
     assert_eq!(realized.len(), batch.n_lanes(), "one weight per lane");
-    assert!(
-        segments.end <= compiled.n_segments(),
-        "segment range {segments:?} exceeds {} segments",
-        compiled.n_segments()
-    );
     let fired = segments.end.min(compiled.sites().len());
     for c in choices {
         assert!(
@@ -742,62 +736,44 @@ pub fn advance_batch<T: Scalar>(
             c.len()
         );
     }
-    if segments.is_empty() {
-        return;
-    }
-    let b = batch.n_lanes();
-    let mut n2 = vec![T::ZERO; b];
+    let mut n2 = vec![T::ZERO; batch.n_lanes()];
     for op in compiled.segment_ops(segments) {
-        match op {
-            CompiledOp::G1(m, q) => batch.apply_1q(m, *q),
-            CompiledOp::G2(m, a, bq) => batch.apply_2q(m, *a, *bq),
-            CompiledOp::D1(d, q) => batch.apply_diag_1q(d, *q),
-            CompiledOp::D2(d, a, bq) => batch.apply_diag_2q(d, *a, *bq),
-            CompiledOp::P1(p, ph, q) => batch.apply_perm_1q(p, ph, *q),
-            CompiledOp::P2(p, ph, a, bq) => batch.apply_perm_2q(p, ph, *a, *bq),
-            CompiledOp::Cx(c, t) => batch.apply_cx(*c, *t),
-            CompiledOp::Cz(a, bq) => batch.apply_cz(*a, *bq),
-            CompiledOp::Swap(a, bq) => batch.apply_swap(*a, *bq),
-            CompiledOp::Gk(m, qs) => batch.apply_kq(m, qs),
-            CompiledOp::Site(id) => {
-                let site = &compiled.sites()[*id];
-                let k0 = choices[0][*id];
-                let uniform = choices.iter().all(|c| c[*id] == k0);
-                if site.qubits.len() > 2 {
-                    // Arity ≥ 3 sites take the scalar path per lane (the
-                    // noise-model zoo never produces them; correctness
-                    // beats speed on this branch).
-                    apply_site_via_scalar(compiled, batch, *id, choices, realized);
-                    continue;
+        apply_op!(batch, op, id => {
+            let site = &compiled.sites()[*id];
+            let k0 = choices[0][*id];
+            let uniform = choices.iter().all(|c| c[*id] == k0);
+            if site.qubits.len() > 2 {
+                // Arity ≥ 3 sites take the scalar path per lane (the
+                // noise-model zoo never produces them; correctness
+                // beats speed on this branch).
+                apply_site_via_scalar(batch, site, *id, choices, realized);
+            } else if site.is_unitary_mixture {
+                for (r, c) in realized.iter_mut().zip(choices) {
+                    *r *= site.probs[c[*id]];
                 }
-                if site.is_unitary_mixture {
-                    for (r, c) in realized.iter_mut().zip(choices) {
-                        *r *= site.probs[c[*id]];
-                    }
-                    // A uniformly skippable branch (the low-noise common
-                    // case: every lane drew the identity) elides the
-                    // whole sweep; divergent groups skip per lane inside
-                    // the masked kernels.
-                    if !(uniform && site.skips(k0)) {
-                        apply_site_mats(batch, site, choices, *id, uniform, k0);
-                    }
-                } else {
+                // A uniformly skippable branch (the low-noise common
+                // case: every lane drew the identity) elides the
+                // whole sweep; divergent groups skip per lane inside
+                // the masked kernels.
+                if !(uniform && site.skips(k0)) {
                     apply_site_mats(batch, site, choices, *id, uniform, k0);
-                    batch.norm_sqr_lanes(&mut n2);
-                    for (r, n) in realized.iter_mut().zip(&n2) {
-                        *r *= n.to_f64();
-                    }
-                    batch.normalize_lanes(&n2);
                 }
+            } else {
+                apply_site_mats(batch, site, choices, *id, uniform, k0);
+                batch.norm_sqr_lanes(&mut n2);
+                for (r, n) in realized.iter_mut().zip(&n2) {
+                    *r *= n.to_f64();
+                }
+                batch.normalize_lanes(&n2);
             }
-        }
+        });
     }
 }
 
 /// Apply each lane's chosen branch matrix of a 1-/2-qubit site.
 fn apply_site_mats<T: Scalar>(
     batch: &mut StateBatch<T>,
-    site: &crate::exec::CompiledSite<T>,
+    site: &CompiledSite<T>,
     choices: &[&[usize]],
     id: usize,
     uniform: bool,
@@ -844,29 +820,19 @@ fn apply_site_mats<T: Scalar>(
 }
 
 /// Scalar-path fallback for ≥3-qubit sites: extract each lane, run the
-/// exact scalar site application, scatter back.
+/// scalar site application ([`apply_site`] — a skipped identity branch
+/// round-trips the lane's exact bits), scatter back.
 fn apply_site_via_scalar<T: Scalar>(
-    compiled: &Compiled<T>,
     batch: &mut StateBatch<T>,
+    site: &CompiledSite<T>,
     id: usize,
     choices: &[&[usize]],
     realized: &mut [f64],
 ) {
-    let site = &compiled.sites()[id];
     let mut scratch = StateVector::zero_state(0);
     for (lane, (c, r)) in choices.iter().zip(realized.iter_mut()).enumerate() {
-        let k = c[id];
-        if site.is_unitary_mixture {
-            *r *= site.probs[k];
-            if site.skip_identity[k] {
-                continue; // exact identity: the lane keeps its bits
-            }
-            batch.extract_lane_into(lane, &mut scratch);
-            scratch.apply_kq(&site.mats[k], &site.qubits);
-        } else {
-            batch.extract_lane_into(lane, &mut scratch);
-            *r *= apply_kraus_normalized(&mut scratch, &site.mats[k], &site.qubits);
-        }
+        batch.extract_lane_into(lane, &mut scratch);
+        *r *= apply_site(&mut scratch, site, Pick::Fixed(c[id]));
         batch.load_lane(lane, &scratch);
     }
 }

@@ -6,12 +6,17 @@
 //! per Kraus set instead of once per shot. Compilation is shared across
 //! trajectories, eliminating the "redundant circuit recompilation" the
 //! paper's BE bullet calls out.
+//!
+//! The shape of a compiled program (segments, site table, fusion flush
+//! points) is [`ptsbe_circuit::lower`]'s; this module holds the dense op
+//! set ([`CompiledOp`]), its gate table, and the kernels each op runs.
 
-use ptsbe_circuit::fusion::{self, FusedKernel, FusedOp, Fuser, FusionStats};
-use ptsbe_circuit::{ChannelKind, Circuit, NoisyCircuit, NoisyOp, Op};
+use ptsbe_circuit::fusion::{self, FusedKernel, FusedOp};
+use ptsbe_circuit::lower::{self, GateTable, LowerError, Lowered, LoweredSite, OpStream, Pick};
+use ptsbe_circuit::{Circuit, Gate, GateOp, NoisyCircuit, Op};
 use ptsbe_math::{Complex, Matrix, Scalar};
 
-use crate::kraus::apply_kraus_normalized;
+use crate::kraus::{apply_kraus_normalized, kraus_probabilities};
 use crate::state::StateVector;
 
 /// Execution failures.
@@ -19,21 +24,21 @@ use crate::state::StateVector;
 pub enum ExecError {
     /// A stochastic op appeared where a deterministic stream was required.
     UnexpectedNoise,
-    /// Gates after measurement (batched execution requires terminal
-    /// measurement so one prepared state serves every shot).
-    MidCircuitMeasurement,
-    /// Reset is stochastic and unsupported in fixed-assignment execution.
-    UnsupportedReset,
+    /// The circuit is outside the segmented-program contract.
+    Lower(LowerError),
+}
+
+impl From<LowerError> for ExecError {
+    fn from(e: LowerError) -> Self {
+        ExecError::Lower(e)
+    }
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::UnexpectedNoise => write!(f, "circuit contains unresolved noise ops"),
-            ExecError::MidCircuitMeasurement => {
-                write!(f, "batched execution requires terminal measurements")
-            }
-            ExecError::UnsupportedReset => write!(f, "reset is not supported in this mode"),
+            ExecError::Lower(e) => e.fmt(f),
         }
     }
 }
@@ -67,108 +72,42 @@ pub enum CompiledOp<T: Scalar> {
     Site(usize),
 }
 
-/// One lowered noise site: matrices pre-converted, classification cached.
-#[derive(Clone, Debug)]
-pub struct CompiledSite<T: Scalar> {
-    /// Site qubits.
-    pub qubits: Vec<usize>,
-    /// Unitary branches (for mixtures) or Kraus operators (general).
-    pub mats: Vec<Matrix<T>>,
-    /// True when branches are unitaries with state-independent probs.
-    pub is_unitary_mixture: bool,
-    /// Pre-sampling probabilities (exact for mixtures, nominal otherwise).
-    pub probs: Vec<f64>,
-    /// `skip_identity[k]`: branch `k` is an *exact* identity whose
-    /// application every execution path elides (detected on the `f64`
-    /// channel matrices at compile time, so scalar, batch-major and MPS
-    /// paths skip the same branches and stay bitwise aligned). Only ever
-    /// true for unitary mixtures — general channels renormalize, which is
-    /// never a no-op. Under low-noise unitary-mixture workloads the
-    /// identity branch dominates, so this removes the single most common
-    /// dense apply from `advance`.
-    pub skip_identity: Vec<bool>,
+/// The one `CompiledOp` → kernel table. `$state` is anything with the ten
+/// `apply_*` gate kernels ([`StateVector`], [`crate::batch::StateBatch`]);
+/// a site runs `$site` with its id bound to `$id`.
+macro_rules! apply_op {
+    ($state:expr, $op:expr, $id:ident => $site:expr) => {{
+        use $crate::exec::CompiledOp as Op;
+        match $op {
+            Op::G1(m, q) => $state.apply_1q(m, *q),
+            Op::G2(m, a, b) => $state.apply_2q(m, *a, *b),
+            Op::D1(d, q) => $state.apply_diag_1q(d, *q),
+            Op::D2(d, a, b) => $state.apply_diag_2q(d, *a, *b),
+            Op::P1(p, ph, q) => $state.apply_perm_1q(p, ph, *q),
+            Op::P2(p, ph, a, b) => $state.apply_perm_2q(p, ph, *a, *b),
+            Op::Cx(c, t) => $state.apply_cx(*c, *t),
+            Op::Cz(a, b) => $state.apply_cz(*a, *b),
+            Op::Swap(a, b) => $state.apply_swap(*a, *b),
+            Op::Gk(m, qs) => $state.apply_kq(m, qs),
+            Op::Site($id) => $site,
+        }
+    }};
 }
+pub(crate) use apply_op;
 
-impl<T: Scalar> CompiledSite<T> {
-    /// Whether branch `k`'s application can be elided entirely.
-    #[inline]
-    pub fn skips(&self, k: usize) -> bool {
-        self.is_unitary_mixture && self.skip_identity[k]
-    }
-}
+/// One lowered noise site (see [`LoweredSite`]).
+pub type CompiledSite<T> = LoweredSite<T>;
 
-/// A [`NoisyCircuit`] lowered for repeated execution at precision `T`.
-///
-/// The op stream is additionally split into *segments* delimited by noise
-/// sites: segment `k < n_sites` is the gate run ending with (and
-/// including) site `k`; the final segment is the trailing gate run after
-/// the last site. Segmentation is what lets the trajectory-tree executor
-/// re-play only the suffix of a circuit that differs between two
-/// trajectories (see `ptsbe_core::be::TreeExecutor`).
-#[derive(Clone, Debug)]
-pub struct Compiled<T: Scalar> {
-    n_qubits: usize,
-    ops: Vec<CompiledOp<T>>,
-    sites: Vec<CompiledSite<T>>,
-    measured: Vec<usize>,
-    /// `seg_bounds[k]..seg_bounds[k + 1]` = op range of segment `k`.
-    seg_bounds: Vec<usize>,
-    /// Fusion report (ops in/out per kernel class).
-    fusion_stats: FusionStats,
-}
+/// A [`NoisyCircuit`] lowered for repeated dense execution at precision
+/// `T`: the segmented program of [`ptsbe_circuit::lower`] over
+/// [`CompiledOp`].
+pub type Compiled<T> = Lowered<T, CompiledOp<T>>;
 
-impl<T: Scalar> Compiled<T> {
-    /// Number of qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-    /// Lowered op stream.
-    pub fn ops(&self) -> &[CompiledOp<T>] {
-        &self.ops
-    }
-    /// Lowered noise sites.
-    pub fn sites(&self) -> &[CompiledSite<T>] {
-        &self.sites
-    }
-    /// Mutable site access — exists for the unitary-mixture ablation
-    /// benchmark (forcing the general-channel path); not a normal API.
-    pub fn sites_mut(&mut self) -> &mut [CompiledSite<T>] {
-        &mut self.sites
-    }
-    /// Terminal measurement qubits, record order.
-    pub fn measured_qubits(&self) -> &[usize] {
-        &self.measured
-    }
-    /// Number of segments (`n_sites + 1`; the last segment is the gate
-    /// tail after the final noise site and fires no site).
-    pub fn n_segments(&self) -> usize {
-        self.seg_bounds.len() - 1
-    }
-    /// The ops covered by a contiguous segment span — the one slice both
-    /// the scalar [`advance`] loop and the batch-major
-    /// [`crate::batch::advance_batch`] loop walk, so the two paths can
-    /// never disagree on op order.
-    ///
-    /// # Panics
-    /// Panics when the range exceeds [`Compiled::n_segments`].
-    pub fn segment_ops(&self, segments: std::ops::Range<usize>) -> &[CompiledOp<T>] {
-        &self.ops[self.seg_bounds[segments.start]..self.seg_bounds[segments.end]]
-    }
-    /// The fusion report for this compilation (all-passthrough when the
-    /// circuit was compiled unfused).
-    pub fn fusion_stats(&self) -> FusionStats {
-        self.fusion_stats
-    }
-}
-
-/// Lower a noisy circuit for repeated fixed-assignment execution, fusing
-/// adjacent-gate runs within each segment (the default compilation every
-/// backend and executor shares; see [`compile_with`] for the unfused
-/// reference path).
+/// [`compile_with`] fusion on: the default compilation every backend and
+/// executor shares.
 ///
 /// # Errors
-/// [`ExecError::MidCircuitMeasurement`] if any gate/noise op follows a
-/// measurement; [`ExecError::UnsupportedReset`] on reset ops.
+/// [`LowerError`] for gates after a measurement and for resets.
 pub fn compile<T: Scalar>(nc: &NoisyCircuit) -> Result<Compiled<T>, ExecError> {
     compile_with(nc, true)
 }
@@ -177,122 +116,82 @@ pub fn compile<T: Scalar>(nc: &NoisyCircuit) -> Result<Compiled<T>, ExecError> {
 ///
 /// With `fuse = false` every gate is lowered individually (the reference
 /// pipeline the fusion equivalence suite compares against). With
-/// `fuse = true` runs of adjacent ≤2-qubit gates are merged by
-/// [`ptsbe_circuit::fusion::Fuser`] and classified into dense/diagonal/
-/// permutation kernels. Fusion never crosses a noise site: the fuser is
-/// flushed before every [`CompiledOp::Site`], so segment boundaries,
-/// Kraus branch points and Philox stream association are identical in
-/// both modes.
+/// `fuse = true` runs of adjacent ≤2-qubit gates are merged and classified
+/// into dense/diagonal/permutation kernels; wider gates are fusion
+/// barriers. Site arities are unrestricted: `apply_kq` and the batch
+/// path's scalar fallback take ≥3-qubit sites.
 ///
 /// # Errors
-/// [`ExecError::MidCircuitMeasurement`] if any gate/noise op follows a
-/// measurement; [`ExecError::UnsupportedReset`] on reset ops.
+/// [`LowerError`] for gates after a measurement and for resets.
 pub fn compile_with<T: Scalar>(nc: &NoisyCircuit, fuse: bool) -> Result<Compiled<T>, ExecError> {
-    let mut ops = Vec::with_capacity(nc.ops().len());
-    let mut measured = Vec::new();
-    let mut seen_measure = false;
-    let mut fusion_stats = FusionStats::default();
-    let mut fuser = Fuser::new();
-    let flush = |ops: &mut Vec<CompiledOp<T>>, fuser: &mut Fuser, stats: &mut FusionStats| {
-        let (before, run) = fuser.finish();
-        stats.record_run(before, &run);
-        ops.extend(run.iter().map(lower_fused));
-    };
-    for op in nc.ops() {
-        match op {
-            NoisyOp::Gate(g) => {
-                if seen_measure {
-                    return Err(ExecError::MidCircuitMeasurement);
-                }
-                if fuse {
-                    if g.qubits.len() <= 2 {
-                        fuser.push(&g.gate.matrix::<f64>(), &g.qubits);
-                    } else {
-                        // Fusion barrier: flush, pass the k-qubit gate
-                        // through unchanged.
-                        flush(&mut ops, &mut fuser, &mut fusion_stats);
-                        fusion_stats.record_passthrough();
-                        ops.push(lower_gate(g));
-                    }
-                } else {
-                    fusion_stats.record_passthrough();
-                    ops.push(lower_gate(g));
-                }
-            }
-            NoisyOp::Site(id) => {
-                if seen_measure {
-                    return Err(ExecError::MidCircuitMeasurement);
-                }
-                if fuse {
-                    flush(&mut ops, &mut fuser, &mut fusion_stats);
-                }
-                ops.push(CompiledOp::Site(*id));
-            }
-            NoisyOp::Measure { qubits } => {
-                seen_measure = true;
-                measured.extend_from_slice(qubits);
-            }
-            NoisyOp::Reset { .. } => return Err(ExecError::UnsupportedReset),
-        }
-    }
-    if fuse {
-        flush(&mut ops, &mut fuser, &mut fusion_stats);
-    }
-    let sites = nc
-        .sites()
-        .iter()
-        .map(|site| {
-            let (mats, is_mixture): (Vec<Matrix<T>>, bool) = match site.channel.kind() {
-                ChannelKind::UnitaryMixture { unitaries, .. } => (
-                    unitaries
-                        .iter()
-                        .map(|u| Matrix::from_f64_matrix(u))
-                        .collect(),
-                    true,
-                ),
-                ChannelKind::General { .. } => (
-                    site.channel
-                        .ops()
-                        .iter()
-                        .map(|k| Matrix::from_f64_matrix(k))
-                        .collect(),
-                    false,
-                ),
-            };
-            CompiledSite {
-                qubits: site.qubits.clone(),
-                mats,
-                is_unitary_mixture: is_mixture,
-                probs: site.channel.sampling_probs().to_vec(),
-                skip_identity: site.channel.identity_skip_flags(),
-            }
-        })
-        .collect();
-    // Segment boundaries: one cut after every noise site. Site ids are
-    // dense in encounter order (see `NoisyCircuit::from_circuit`), so
-    // segment `k` always fires site `k` — the invariant the segmented
-    // `advance` API and the trajectory-tree executor rely on.
-    let mut seg_bounds = Vec::with_capacity(nc.n_sites() + 2);
-    seg_bounds.push(0);
-    for (i, op) in ops.iter().enumerate() {
-        if let CompiledOp::Site(id) = op {
-            debug_assert_eq!(*id, seg_bounds.len() - 1, "site ids must be in op order");
-            seg_bounds.push(i + 1);
-        }
-    }
-    seg_bounds.push(ops.len());
-    Ok(Compiled {
-        n_qubits: nc.n_qubits(),
-        ops,
-        sites,
-        measured,
-        seg_bounds,
-        fusion_stats,
-    })
+    lower::lower::<T, DenseTable>(nc, fuse)
 }
 
-fn lower_gate<T: Scalar>(g: &ptsbe_circuit::GateOp) -> CompiledOp<T> {
-    use ptsbe_circuit::Gate;
+/// The dense backend's [`GateTable`].
+struct DenseTable;
+
+impl<T: Scalar> GateTable<T> for DenseTable {
+    type Op = CompiledOp<T>;
+    type Error = ExecError;
+
+    fn gate(g: &GateOp, fuse: bool, out: &mut OpStream<Self::Op>) -> Result<(), ExecError> {
+        if fuse && g.qubits.len() <= 2 {
+            out.fuse(&g.gate.matrix::<f64>(), &g.qubits);
+        } else {
+            out.emit(lower_gate(g));
+        }
+        Ok(())
+    }
+
+    fn fused(op: &FusedOp) -> Self::Op {
+        fn to_t<T: Scalar, const N: usize>(z: &[Complex<f64>]) -> [Complex<T>; N] {
+            std::array::from_fn(|i| Complex::from_f64_complex(z[i]))
+        }
+        let m = &op.matrix;
+        let one = Complex::<f64>::one();
+        match (op.kind, op.qubits.as_slice()) {
+            (FusedKernel::Diagonal, &[q]) => CompiledOp::D1(to_t(&[m[(0, 0)], m[(1, 1)]]), q),
+            (FusedKernel::Diagonal, &[a, b]) => {
+                let d = [m[(0, 0)], m[(1, 1)], m[(2, 2)], m[(3, 3)]];
+                // A fused op that is exactly CZ keeps the sign-flip fast
+                // path (touches 1/4 of the amplitudes, no multiplies).
+                if d == [one, one, one, -one] {
+                    return CompiledOp::Cz(a, b);
+                }
+                CompiledOp::D2(to_t(&d), a, b)
+            }
+            (FusedKernel::Permutation, &[q]) => {
+                let (perm, phase) = fusion::permutation_form(m);
+                CompiledOp::P1([perm[0], perm[1]], to_t(&phase), q)
+            }
+            (FusedKernel::Permutation, &[a, b]) => {
+                let (perm, phase) = fusion::permutation_form(m);
+                // Phase-free permutations that are exactly CX/SWAP keep the
+                // arithmetic-free swap kernels (common when a segment holds
+                // a single entangler, e.g. under noise-on-every-gate models
+                // where fusion has nothing to merge).
+                if phase.iter().all(|p| *p == one) {
+                    match perm.as_slice() {
+                        [0, 1, 3, 2] => return CompiledOp::Cx(a, b),
+                        [0, 3, 2, 1] => return CompiledOp::Cx(b, a),
+                        [0, 2, 1, 3] => return CompiledOp::Swap(a, b),
+                        _ => {}
+                    }
+                }
+                CompiledOp::P2([perm[0], perm[1], perm[2], perm[3]], to_t(&phase), a, b)
+            }
+            (FusedKernel::Dense, &[q]) => CompiledOp::G1(Matrix::from_f64_matrix(m), q),
+            (FusedKernel::Dense, &[a, b]) => CompiledOp::G2(Matrix::from_f64_matrix(m), a, b),
+            (_, qs) => unreachable!("fused ops are 1- or 2-qubit, got {}", qs.len()),
+        }
+    }
+
+    fn site(id: usize, _qubits: &[usize]) -> Result<Self::Op, ExecError> {
+        Ok(CompiledOp::Site(id))
+    }
+}
+
+fn lower_gate<T: Scalar>(g: &GateOp) -> CompiledOp<T> {
     match (&g.gate, g.qubits.as_slice()) {
         (Gate::Cx, [c, t]) => CompiledOp::Cx(*c, *t),
         (Gate::Cz, [a, b]) => CompiledOp::Cz(*a, *b),
@@ -300,80 +199,6 @@ fn lower_gate<T: Scalar>(g: &ptsbe_circuit::GateOp) -> CompiledOp<T> {
         (gate, [q]) => CompiledOp::G1(gate.matrix(), *q),
         (gate, [a, b]) => CompiledOp::G2(gate.matrix(), *a, *b),
         (gate, qs) => CompiledOp::Gk(gate.matrix(), qs.to_vec()),
-    }
-}
-
-/// Lower one classified fused op to its specialized kernel at precision
-/// `T`.
-fn lower_fused<T: Scalar>(op: &FusedOp) -> CompiledOp<T> {
-    let m = &op.matrix;
-    match (op.kind, op.qubits.as_slice()) {
-        (FusedKernel::Diagonal, &[q]) => CompiledOp::D1(
-            [
-                Complex::from_f64_complex(m[(0, 0)]),
-                Complex::from_f64_complex(m[(1, 1)]),
-            ],
-            q,
-        ),
-        (FusedKernel::Diagonal, &[a, b]) => {
-            let d = [m[(0, 0)], m[(1, 1)], m[(2, 2)], m[(3, 3)]];
-            let one = Complex::<f64>::one();
-            // A fused op that is exactly CZ keeps the sign-flip fast
-            // path (touches 1/4 of the amplitudes, no multiplies).
-            if d[0] == one && d[1] == one && d[2] == one && d[3] == -one {
-                return CompiledOp::Cz(a, b);
-            }
-            CompiledOp::D2(
-                [
-                    Complex::from_f64_complex(d[0]),
-                    Complex::from_f64_complex(d[1]),
-                    Complex::from_f64_complex(d[2]),
-                    Complex::from_f64_complex(d[3]),
-                ],
-                a,
-                b,
-            )
-        }
-        (FusedKernel::Permutation, &[q]) => {
-            let (perm, phase) = fusion::permutation_form(m);
-            CompiledOp::P1(
-                [perm[0], perm[1]],
-                [
-                    Complex::from_f64_complex(phase[0]),
-                    Complex::from_f64_complex(phase[1]),
-                ],
-                q,
-            )
-        }
-        (FusedKernel::Permutation, &[a, b]) => {
-            let (perm, phase) = fusion::permutation_form(m);
-            // Phase-free permutations that are exactly CX/SWAP keep the
-            // arithmetic-free swap kernels (common when a segment holds
-            // a single entangler, e.g. under noise-on-every-gate models
-            // where fusion has nothing to merge).
-            if phase.iter().all(|p| *p == Complex::<f64>::one()) {
-                match perm.as_slice() {
-                    [0, 1, 3, 2] => return CompiledOp::Cx(a, b),
-                    [0, 3, 2, 1] => return CompiledOp::Cx(b, a),
-                    [0, 2, 1, 3] => return CompiledOp::Swap(a, b),
-                    _ => {}
-                }
-            }
-            CompiledOp::P2(
-                [perm[0], perm[1], perm[2], perm[3]],
-                [
-                    Complex::from_f64_complex(phase[0]),
-                    Complex::from_f64_complex(phase[1]),
-                    Complex::from_f64_complex(phase[2]),
-                    Complex::from_f64_complex(phase[3]),
-                ],
-                a,
-                b,
-            )
-        }
-        (FusedKernel::Dense, &[q]) => CompiledOp::G1(Matrix::from_f64_matrix(m), q),
-        (FusedKernel::Dense, &[a, b]) => CompiledOp::G2(Matrix::from_f64_matrix(m), a, b),
-        (_, qs) => unreachable!("fused ops are 1- or 2-qubit, got {}", qs.len()),
     }
 }
 
@@ -385,13 +210,11 @@ fn lower_fused<T: Scalar>(op: &FusedOp) -> CompiledOp<T> {
 pub fn prepare<T: Scalar>(compiled: &Compiled<T>, choices: &[usize]) -> (StateVector<T>, f64) {
     assert_eq!(
         choices.len(),
-        compiled.sites.len(),
+        compiled.sites().len(),
         "assignment length does not match site count"
     );
-    // Degenerate single-span path through the segmented executor: one
-    // `advance` over every segment applies exactly the same op sequence
-    // (and probability-product order) the flat loop did.
-    let mut sv = StateVector::zero_state(compiled.n_qubits);
+    // Degenerate single-span path through the segmented executor.
+    let mut sv = StateVector::zero_state(compiled.n_qubits());
     let realized = advance(compiled, &mut sv, 0..compiled.n_segments(), choices);
     (sv, realized)
 }
@@ -415,51 +238,55 @@ pub fn advance<T: Scalar>(
     choices: &[usize],
 ) -> f64 {
     assert!(
-        segments.end <= compiled.n_segments(),
-        "segment range {segments:?} exceeds {} segments",
-        compiled.n_segments()
-    );
-    assert!(
-        choices.len() >= segments.end.min(compiled.sites.len()),
+        choices.len() >= segments.end.min(compiled.sites().len()),
         "assignment length {} does not cover sites fired by segments {segments:?}",
         choices.len()
     );
+    advance_with(compiled, sv, segments, |id| Pick::Fixed(choices[id]))
+}
+
+/// [`advance`] with the branch of each fired site chosen by `pick(site_id)`
+/// at the moment the site fires: a fixed assignment for PTSBE, a fresh
+/// uniform per site for the Algorithm-1 baseline.
+///
+/// # Panics
+/// Panics when the segment range is out of bounds.
+#[inline]
+pub fn advance_with<T: Scalar>(
+    compiled: &Compiled<T>,
+    sv: &mut StateVector<T>,
+    segments: std::ops::Range<usize>,
+    mut pick: impl FnMut(usize) -> Pick,
+) -> f64 {
     let mut realized = 1.0f64;
-    if segments.is_empty() {
-        return realized;
-    }
-    let ops = compiled.segment_ops(segments);
-    for op in ops {
-        match op {
-            CompiledOp::G1(m, q) => sv.apply_1q(m, *q),
-            CompiledOp::G2(m, a, b) => sv.apply_2q(m, *a, *b),
-            CompiledOp::D1(d, q) => sv.apply_diag_1q(d, *q),
-            CompiledOp::D2(d, a, b) => sv.apply_diag_2q(d, *a, *b),
-            CompiledOp::P1(p, ph, q) => sv.apply_perm_1q(p, ph, *q),
-            CompiledOp::P2(p, ph, a, b) => sv.apply_perm_2q(p, ph, *a, *b),
-            CompiledOp::Cx(c, t) => sv.apply_cx(*c, *t),
-            CompiledOp::Cz(a, b) => sv.apply_cz(*a, *b),
-            CompiledOp::Swap(a, b) => sv.apply_swap(*a, *b),
-            CompiledOp::Gk(m, qs) => sv.apply_kq(m, qs),
-            CompiledOp::Site(id) => {
-                let site = &compiled.sites[*id];
-                let k = choices[*id];
-                if site.is_unitary_mixture {
-                    realized *= site.probs[k];
-                    // Exact-identity branches are mathematical no-ops;
-                    // every execution path skips the same branches
-                    // (compile-time detection), preserving cross-path
-                    // bitwise identity.
-                    if !site.skip_identity[k] {
-                        apply_sized(sv, &site.mats[k], &site.qubits);
-                    }
-                } else {
-                    realized *= apply_kraus_normalized(sv, &site.mats[k], &site.qubits);
-                }
-            }
-        }
+    for op in compiled.segment_ops(segments) {
+        apply_op!(sv, op, id => realized *= apply_site(sv, &compiled.sites()[*id], pick(*id)));
     }
     realized
+}
+
+/// Apply one branch of a fired site to a state and return the branch's
+/// realized probability: exact for a unitary mixture (whose exact-identity
+/// branches are elided — every execution path skips the same ones, which
+/// keeps them bitwise aligned), the renormalization factor for a general
+/// channel.
+#[inline]
+pub(crate) fn apply_site<T: Scalar>(
+    sv: &mut StateVector<T>,
+    site: &CompiledSite<T>,
+    pick: Pick,
+) -> f64 {
+    if site.is_unitary_mixture {
+        let k = pick.branch(|| &site.probs);
+        if !site.skip_identity[k] {
+            apply_sized(sv, &site.mats[k], &site.qubits);
+        }
+        site.probs[k]
+    } else {
+        // Algorithm 1, line 9: branch probabilities depend on the state.
+        let k = pick.branch(|| kraus_probabilities(sv, &site.mats, &site.qubits));
+        apply_kraus_normalized(sv, &site.mats[k], &site.qubits)
+    }
 }
 
 fn apply_sized<T: Scalar>(sv: &mut StateVector<T>, m: &Matrix<T>, qubits: &[usize]) {
@@ -574,7 +401,7 @@ mod tests {
         let nc = NoisyCircuit::from_circuit(c);
         assert_eq!(
             compile::<f64>(&nc).unwrap_err(),
-            ExecError::MidCircuitMeasurement
+            ExecError::Lower(LowerError::MidCircuitMeasurement)
         );
     }
 
@@ -585,7 +412,7 @@ mod tests {
         let nc = NoisyCircuit::from_circuit(c);
         assert_eq!(
             compile::<f64>(&nc).unwrap_err(),
-            ExecError::UnsupportedReset
+            ExecError::Lower(LowerError::UnsupportedReset)
         );
     }
 

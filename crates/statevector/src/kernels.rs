@@ -847,7 +847,7 @@ pub mod x86 {
                 ///
                 /// # Safety
                 /// The CPU must support AVX2 and FMA (checked once by
-                /// [`KernelImpl::auto`] before this module is selected).
+                /// [`crate::kernels::KernelImpl::auto`] before this module is selected).
                 #[target_feature(enable = "avx2", enable = "fma")]
                 pub unsafe fn cmul(dr: $t, di: $t, re: &mut [$t], im: &mut [$t]) {
                     let n = re.len();
@@ -874,7 +874,7 @@ pub mod x86 {
                 ///
                 /// # Safety
                 /// The CPU must support AVX2 and FMA (checked once by
-                /// [`KernelImpl::auto`] before this module is selected).
+                /// [`crate::kernels::KernelImpl::auto`] before this module is selected).
                 #[target_feature(enable = "avx2", enable = "fma")]
                 pub unsafe fn mat2(
                     er: &[$t; 4],
@@ -927,7 +927,7 @@ pub mod x86 {
                 ///
                 /// # Safety
                 /// The CPU must support AVX2 and FMA (checked once by
-                /// [`KernelImpl::auto`] before this module is selected).
+                /// [`crate::kernels::KernelImpl::auto`] before this module is selected).
                 #[target_feature(enable = "avx2", enable = "fma")]
                 pub unsafe fn mat4(
                     mr: &[[$t; 4]; 4],

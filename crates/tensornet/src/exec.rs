@@ -1,30 +1,37 @@
 //! Noisy-circuit execution on the MPS backend (the tensornet analog of
-//! `ptsbe_statevector::exec`).
+//! `ptsbe_statevector::exec`). The shape of a compiled program is
+//! [`ptsbe_circuit::lower`]'s; this module holds the MPS op set
+//! ([`MpsOp`]), its gate table, and the tensor updates each op runs.
 
 use crate::mps::{Mps, MpsConfig};
-use ptsbe_circuit::fusion::{FusedKernel, FusedOp, Fuser, FusionStats};
-use ptsbe_circuit::{ChannelKind, Gate, NoisyCircuit, NoisyOp};
+use ptsbe_circuit::fusion::{FusedKernel, FusedOp};
+use ptsbe_circuit::lower::{self, GateTable, LowerError, Lowered, LoweredSite, OpStream, Pick};
+use ptsbe_circuit::{Gate, GateOp, NoisyCircuit};
 use ptsbe_math::{Complex, Matrix, Scalar};
 
 /// MPS execution failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpsError {
-    /// Gates after measurement.
-    MidCircuitMeasurement,
-    /// Reset unsupported in fixed-assignment execution.
-    UnsupportedReset,
-    /// Gates above 2 qubits are not lowered for MPS.
+    /// The circuit is outside the segmented-program contract.
+    Lower(LowerError),
+    /// A gate (other than Toffoli) or a noise site on more than 2 qubits:
+    /// the MPS kernels are one- and two-site updates.
     UnsupportedArity(usize),
+}
+
+impl From<LowerError> for MpsError {
+    fn from(e: LowerError) -> Self {
+        MpsError::Lower(e)
+    }
 }
 
 impl std::fmt::Display for MpsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MpsError::MidCircuitMeasurement => {
-                write!(f, "batched execution requires terminal measurements")
+            MpsError::Lower(e) => e.fmt(f),
+            MpsError::UnsupportedArity(k) => {
+                write!(f, "{k}-qubit gates and noise sites unsupported on MPS")
             }
-            MpsError::UnsupportedReset => write!(f, "reset unsupported on the MPS backend"),
-            MpsError::UnsupportedArity(k) => write!(f, "{k}-qubit gates unsupported on MPS"),
         }
     }
 }
@@ -47,71 +54,14 @@ pub enum MpsOp<T: Scalar> {
     Site(usize),
 }
 
-/// Lowered noise site.
-#[derive(Clone, Debug)]
-pub struct MpsSite<T: Scalar> {
-    /// Channel qubits in argument order.
-    pub qubits: Vec<usize>,
-    /// Branch matrices (unitaries for mixtures, Kraus ops otherwise).
-    pub mats: Vec<Matrix<T>>,
-    /// True for unitary mixtures.
-    pub is_unitary_mixture: bool,
-    /// Pre-sampling probabilities.
-    pub probs: Vec<f64>,
-    /// Exact-identity branch flags (same compile-time `f64` detection as
-    /// `ptsbe_statevector::exec::CompiledSite::skip_identity`, so the MPS
-    /// path skips exactly the branches the statevector paths skip).
-    pub skip_identity: Vec<bool>,
-}
+/// One lowered noise site (see [`LoweredSite`]).
+pub type MpsSite<T> = LoweredSite<T>;
 
-/// A noisy circuit lowered for repeated MPS execution.
-///
-/// Like `ptsbe_statevector::exec::Compiled`, the op stream is split into
-/// segments delimited by noise sites so the trajectory-tree executor can
-/// share common prefixes across trajectories: segment `k < n_sites` ends
-/// with site `k`; the final segment is the trailing gate run.
-#[derive(Clone, Debug)]
-pub struct MpsCompiled<T: Scalar> {
-    n_qubits: usize,
-    ops: Vec<MpsOp<T>>,
-    sites: Vec<MpsSite<T>>,
-    measured: Vec<usize>,
-    /// `seg_bounds[k]..seg_bounds[k + 1]` = op range of segment `k`.
-    seg_bounds: Vec<usize>,
-    /// Fusion report (ops in/out per kernel class).
-    fusion_stats: FusionStats,
-}
+/// A noisy circuit lowered for repeated MPS execution: the segmented
+/// program of [`ptsbe_circuit::lower`] over [`MpsOp`].
+pub type MpsCompiled<T> = Lowered<T, MpsOp<T>>;
 
-impl<T: Scalar> MpsCompiled<T> {
-    /// Number of qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-    /// Lowered op stream.
-    pub fn ops(&self) -> &[MpsOp<T>] {
-        &self.ops
-    }
-    /// Lowered sites.
-    pub fn sites(&self) -> &[MpsSite<T>] {
-        &self.sites
-    }
-    /// Measured qubits in record order.
-    pub fn measured_qubits(&self) -> &[usize] {
-        &self.measured
-    }
-    /// Number of segments (`n_sites + 1`).
-    pub fn n_segments(&self) -> usize {
-        self.seg_bounds.len() - 1
-    }
-    /// The fusion report for this compilation (all-passthrough when the
-    /// circuit was compiled unfused).
-    pub fn fusion_stats(&self) -> FusionStats {
-        self.fusion_stats
-    }
-}
-
-/// Lower a noisy circuit for the MPS backend, fusing adjacent-gate runs
-/// within each segment (the default; see [`compile_mps_with`]).
+/// [`compile_mps_with`] fusion on (the default).
 ///
 /// # Errors
 /// See [`MpsError`].
@@ -123,8 +73,8 @@ pub fn compile_mps<T: Scalar>(nc: &NoisyCircuit) -> Result<MpsCompiled<T>, MpsEr
 /// or off. MPS sites follow circuit qubits 1:1. Toffoli gates are first
 /// decomposed into the standard 2q + T network, whose pieces then feed
 /// the same fuser — so the decomposition overhead is largely fused back
-/// away. Fusion never crosses a noise site (the fuser is flushed before
-/// every [`MpsOp::Site`]).
+/// away. Any other gate, and any noise site, on more than 2 qubits is
+/// refused here rather than met in the hot loop.
 ///
 /// # Errors
 /// See [`MpsError`].
@@ -132,162 +82,87 @@ pub fn compile_mps_with<T: Scalar>(
     nc: &NoisyCircuit,
     fuse: bool,
 ) -> Result<MpsCompiled<T>, MpsError> {
-    let mut ops = Vec::with_capacity(nc.ops().len());
-    let mut measured = Vec::new();
-    let mut seen_measure = false;
-    let mut fusion_stats = FusionStats::default();
-    let mut fuser = Fuser::new();
-    let flush = |ops: &mut Vec<MpsOp<T>>, fuser: &mut Fuser, stats: &mut FusionStats| {
-        let (before, run) = fuser.finish();
-        stats.record_run(before, &run);
-        ops.extend(run.iter().map(lower_fused_mps));
-    };
-    for op in nc.ops() {
-        match op {
-            NoisyOp::Gate(g) => {
-                if seen_measure {
-                    return Err(MpsError::MidCircuitMeasurement);
-                }
-                match g.qubits.len() {
-                    1 if fuse => fuser.push(&g.gate.matrix::<f64>(), &g.qubits),
-                    2 if fuse => fuser.push(&g.gate.matrix::<f64>(), &g.qubits),
-                    1 => {
-                        fusion_stats.record_passthrough();
-                        ops.push(MpsOp::G1(g.gate.matrix(), g.qubits[0]));
-                    }
-                    2 => {
-                        fusion_stats.record_passthrough();
-                        ops.push(MpsOp::G2(g.gate.matrix(), g.qubits[0], g.qubits[1]));
-                    }
-                    3 if matches!(g.gate, Gate::Ccx) => {
-                        // Decompose Toffoli into the standard 2q + T
-                        // network; the pieces feed the fuser like any
-                        // other gates.
-                        for step in toffoli_network::<f64>(g.qubits[0], g.qubits[1], g.qubits[2]) {
-                            match step {
-                                MpsOp::G1(m, q) if fuse => fuser.push(&m, &[q]),
-                                MpsOp::G2(m, a, b) if fuse => fuser.push(&m, &[a, b]),
-                                MpsOp::G1(m, q) => {
-                                    fusion_stats.record_passthrough();
-                                    ops.push(MpsOp::G1(Matrix::from_f64_matrix(&m), q));
-                                }
-                                MpsOp::G2(m, a, b) => {
-                                    fusion_stats.record_passthrough();
-                                    ops.push(MpsOp::G2(Matrix::from_f64_matrix(&m), a, b));
-                                }
-                                _ => unreachable!("toffoli network is gates only"),
-                            }
-                        }
-                    }
-                    k => return Err(MpsError::UnsupportedArity(k)),
-                }
-            }
-            NoisyOp::Site(id) => {
-                if seen_measure {
-                    return Err(MpsError::MidCircuitMeasurement);
-                }
-                if fuse {
-                    flush(&mut ops, &mut fuser, &mut fusion_stats);
-                }
-                ops.push(MpsOp::Site(*id));
-            }
-            NoisyOp::Measure { qubits } => {
-                seen_measure = true;
-                measured.extend_from_slice(qubits);
-            }
-            NoisyOp::Reset { .. } => return Err(MpsError::UnsupportedReset),
-        }
-    }
-    if fuse {
-        flush(&mut ops, &mut fuser, &mut fusion_stats);
-    }
-    let sites = nc
-        .sites()
-        .iter()
-        .map(|site| {
-            let (mats, is_mixture): (Vec<Matrix<T>>, bool) = match site.channel.kind() {
-                ChannelKind::UnitaryMixture { unitaries, .. } => (
-                    unitaries
-                        .iter()
-                        .map(|u| Matrix::from_f64_matrix(u))
-                        .collect(),
-                    true,
-                ),
-                ChannelKind::General { .. } => (
-                    site.channel
-                        .ops()
-                        .iter()
-                        .map(|k| Matrix::from_f64_matrix(k))
-                        .collect(),
-                    false,
-                ),
-            };
-            MpsSite {
-                qubits: site.qubits.clone(),
-                mats,
-                is_unitary_mixture: is_mixture,
-                probs: site.channel.sampling_probs().to_vec(),
-                skip_identity: site.channel.identity_skip_flags(),
-            }
-        })
-        .collect();
-    let mut seg_bounds = Vec::with_capacity(nc.n_sites() + 2);
-    seg_bounds.push(0);
-    for (i, op) in ops.iter().enumerate() {
-        if let MpsOp::Site(id) = op {
-            debug_assert_eq!(*id, seg_bounds.len() - 1, "site ids must be in op order");
-            seg_bounds.push(i + 1);
-        }
-    }
-    seg_bounds.push(ops.len());
-    Ok(MpsCompiled {
-        n_qubits: nc.n_qubits(),
-        ops,
-        sites,
-        measured,
-        seg_bounds,
-        fusion_stats,
-    })
+    lower::lower::<T, MpsTable>(nc, fuse)
 }
 
-/// Lower one classified fused op onto the MPS kernel set: diagonal 1q →
-/// slice scaling, any other 1q → in-place unitary apply, 2q → dense
-/// two-site update (diagonal/permutation 2q ops still need the two-site
-/// contraction on MPS, so they stay dense here).
-fn lower_fused_mps<T: Scalar>(op: &FusedOp) -> MpsOp<T> {
-    let m = &op.matrix;
-    match (op.kind, op.qubits.as_slice()) {
-        (FusedKernel::Diagonal, &[q]) => MpsOp::D1(
-            Complex::from_f64_complex(m[(0, 0)]),
-            Complex::from_f64_complex(m[(1, 1)]),
-            q,
-        ),
-        (_, &[q]) => MpsOp::U1(Matrix::from_f64_matrix(m), q),
-        (_, &[a, b]) => MpsOp::G2(Matrix::from_f64_matrix(m), a, b),
-        (_, qs) => unreachable!("fused ops are 1- or 2-qubit, got {}", qs.len()),
+/// The MPS backend's [`GateTable`].
+struct MpsTable;
+
+impl<T: Scalar> GateTable<T> for MpsTable {
+    type Op = MpsOp<T>;
+    type Error = MpsError;
+
+    fn gate(g: &GateOp, fuse: bool, out: &mut OpStream<Self::Op>) -> Result<(), MpsError> {
+        match (&g.gate, g.qubits.as_slice()) {
+            (gate, [_] | [_, _]) if fuse => out.fuse(&gate.matrix::<f64>(), &g.qubits),
+            (gate, [_] | [_, _]) => out.emit(unfused(gate.matrix(), &g.qubits)),
+            (Gate::Ccx, &[c0, c1, t]) => {
+                for (m, qubits) in toffoli_network(c0, c1, t) {
+                    if fuse {
+                        out.fuse(&m, &qubits);
+                    } else {
+                        out.emit(unfused(Matrix::from_f64_matrix(&m), &qubits));
+                    }
+                }
+            }
+            (_, qs) => return Err(MpsError::UnsupportedArity(qs.len())),
+        }
+        Ok(())
+    }
+
+    /// Diagonal 1q → slice scaling, any other 1q → in-place unitary
+    /// apply, 2q → dense two-site update (diagonal/permutation 2q ops
+    /// still need the two-site contraction on MPS, so they stay dense).
+    fn fused(op: &FusedOp) -> Self::Op {
+        let m = &op.matrix;
+        match (op.kind, op.qubits.as_slice()) {
+            (FusedKernel::Diagonal, &[q]) => MpsOp::D1(
+                Complex::from_f64_complex(m[(0, 0)]),
+                Complex::from_f64_complex(m[(1, 1)]),
+                q,
+            ),
+            (_, &[q]) => MpsOp::U1(Matrix::from_f64_matrix(m), q),
+            (_, &[a, b]) => MpsOp::G2(Matrix::from_f64_matrix(m), a, b),
+            (_, qs) => unreachable!("fused ops are 1- or 2-qubit, got {}", qs.len()),
+        }
+    }
+
+    fn site(id: usize, qubits: &[usize]) -> Result<Self::Op, MpsError> {
+        match qubits.len() {
+            1 | 2 => Ok(MpsOp::Site(id)),
+            k => Err(MpsError::UnsupportedArity(k)),
+        }
     }
 }
 
-/// Standard 6-CNOT Toffoli decomposition.
-fn toffoli_network<T: Scalar>(c0: usize, c1: usize, t: usize) -> Vec<MpsOp<T>> {
-    use ptsbe_math::gates;
-    let cx = gates::cx::<T>();
+/// Lower one 1-/2-qubit gate individually (fusion off).
+fn unfused<T: Scalar>(m: Matrix<T>, qubits: &[usize]) -> MpsOp<T> {
+    match *qubits {
+        [q] => MpsOp::G1(m, q),
+        [a, b] => MpsOp::G2(m, a, b),
+        _ => unreachable!("unfused lowering is 1- or 2-qubit, got {}", qubits.len()),
+    }
+}
+
+/// Standard 6-CNOT Toffoli decomposition, as `f64` fuser input.
+fn toffoli_network(c0: usize, c1: usize, t: usize) -> Vec<(Matrix<f64>, Vec<usize>)> {
+    use ptsbe_math::gates::{cx, h, t as tg, tdg};
     vec![
-        MpsOp::G1(gates::h(), t),
-        MpsOp::G2(cx.clone(), c1, t),
-        MpsOp::G1(gates::tdg(), t),
-        MpsOp::G2(cx.clone(), c0, t),
-        MpsOp::G1(gates::t(), t),
-        MpsOp::G2(cx.clone(), c1, t),
-        MpsOp::G1(gates::tdg(), t),
-        MpsOp::G2(cx.clone(), c0, t),
-        MpsOp::G1(gates::t(), c1),
-        MpsOp::G1(gates::t(), t),
-        MpsOp::G2(cx.clone(), c0, c1),
-        MpsOp::G1(gates::h(), t),
-        MpsOp::G1(gates::t(), c0),
-        MpsOp::G1(gates::tdg(), c1),
-        MpsOp::G2(cx, c0, c1),
+        (h(), vec![t]),
+        (cx(), vec![c1, t]),
+        (tdg(), vec![t]),
+        (cx(), vec![c0, t]),
+        (tg(), vec![t]),
+        (cx(), vec![c1, t]),
+        (tdg(), vec![t]),
+        (cx(), vec![c0, t]),
+        (tg(), vec![c1]),
+        (tg(), vec![t]),
+        (cx(), vec![c0, c1]),
+        (h(), vec![t]),
+        (tg(), vec![c0]),
+        (tdg(), vec![c1]),
+        (cx(), vec![c0, c1]),
     ]
 }
 
@@ -303,11 +178,11 @@ pub fn prepare_mps<T: Scalar>(
 ) -> (Mps<T>, f64) {
     assert_eq!(
         choices.len(),
-        compiled.sites.len(),
+        compiled.sites().len(),
         "assignment length does not match site count"
     );
     // Degenerate single-span path through the segmented executor.
-    let mut mps = Mps::zero_state(compiled.n_qubits, config);
+    let mut mps = Mps::zero_state(compiled.n_qubits(), config);
     let realized = advance_mps(compiled, &mut mps, 0..compiled.n_segments(), choices);
     (mps, realized)
 }
@@ -327,49 +202,57 @@ pub fn advance_mps<T: Scalar>(
     choices: &[usize],
 ) -> f64 {
     assert!(
-        segments.end <= compiled.n_segments(),
-        "segment range {segments:?} exceeds {} segments",
-        compiled.n_segments()
-    );
-    assert!(
-        choices.len() >= segments.end.min(compiled.sites.len()),
+        choices.len() >= segments.end.min(compiled.sites().len()),
         "assignment length {} does not cover sites fired by segments {segments:?}",
         choices.len()
     );
+    advance_mps_with(compiled, mps, segments, |id| Pick::Fixed(choices[id]))
+}
+
+/// [`advance_mps`] with the branch of each fired site chosen by
+/// `pick(site_id)` when the site fires (a fresh uniform per site is the
+/// Algorithm-1 baseline). The one `MpsOp` → tensor-update table.
+///
+/// # Panics
+/// Panics when the segment range is out of bounds.
+pub fn advance_mps_with<T: Scalar>(
+    compiled: &MpsCompiled<T>,
+    mps: &mut Mps<T>,
+    segments: std::ops::Range<usize>,
+    mut pick: impl FnMut(usize) -> Pick,
+) -> f64 {
     let mut realized = 1.0f64;
-    if segments.is_empty() {
-        return realized;
-    }
-    let ops = &compiled.ops[compiled.seg_bounds[segments.start]..compiled.seg_bounds[segments.end]];
-    for op in ops {
+    for op in compiled.segment_ops(segments) {
         match op {
             MpsOp::G1(m, q) => mps.apply_1q(m, *q),
             MpsOp::G2(m, a, b) => mps.apply_2q(m, *a, *b),
             MpsOp::U1(m, q) => mps.apply_unitary_1q(m, *q),
             MpsOp::D1(d0, d1, q) => mps.apply_diag_1q(*d0, *d1, *q),
-            MpsOp::Site(id) => {
-                let site = &compiled.sites[*id];
-                let k = choices[*id];
-                if site.is_unitary_mixture {
-                    realized *= site.probs[k];
-                    // Exact-identity branches skip (consistent with the
-                    // statevector paths); on MPS this also avoids a
-                    // gratuitous two-site SVD for adjacent-pair sites.
-                    if site.skip_identity[k] {
-                        continue;
-                    }
-                    match site.qubits.as_slice() {
-                        [q] => mps.apply_1q(&site.mats[k], *q),
-                        [a, b] => mps.apply_2q(&site.mats[k], *a, *b),
-                        _ => unreachable!("channels are 1- or 2-qubit"),
-                    }
-                } else {
-                    realized *= mps.apply_kraus_normalized(&site.mats[k], &site.qubits);
-                }
-            }
+            MpsOp::Site(id) => realized *= apply_site_mps(mps, &compiled.sites()[*id], pick(*id)),
         }
     }
     realized
+}
+
+/// Apply one branch of a fired site and return its realized probability
+/// (the MPS analog of `ptsbe_statevector::exec::apply_site`). Skipping an
+/// exact-identity branch here also avoids a gratuitous two-site SVD for
+/// adjacent-pair sites.
+fn apply_site_mps<T: Scalar>(mps: &mut Mps<T>, site: &MpsSite<T>, pick: Pick) -> f64 {
+    if site.is_unitary_mixture {
+        let k = pick.branch(|| &site.probs);
+        if !site.skip_identity[k] {
+            match *site.qubits.as_slice() {
+                [q] => mps.apply_1q(&site.mats[k], q),
+                [a, b] => mps.apply_2q(&site.mats[k], a, b),
+                _ => unreachable!("lowering refuses sites above 2 qubits"),
+            }
+        }
+        site.probs[k]
+    } else {
+        let k = pick.branch(|| mps.kraus_probabilities(&site.mats, &site.qubits));
+        mps.apply_kraus_normalized(&site.mats[k], &site.qubits)
+    }
 }
 
 #[cfg(test)]
@@ -514,8 +397,40 @@ mod tests {
         let nc = NoisyCircuit::from_circuit(c);
         assert_eq!(
             compile_mps::<f64>(&nc).unwrap_err(),
-            MpsError::MidCircuitMeasurement
+            MpsError::Lower(LowerError::MidCircuitMeasurement)
         );
+    }
+
+    #[test]
+    fn noise_site_above_two_qubits_is_refused_at_lowering() {
+        // `KrausChannel::new` takes any 2ᵏ dimension and `Circuit::noise`
+        // is public; the MPS kernels are one- and two-site updates. Such
+        // a site used to compile and then panic inside `advance_mps`.
+        use ptsbe_circuit::KrausChannel;
+        let xxx = ptsbe_math::gates::x::<f64>()
+            .kron(&ptsbe_math::gates::x())
+            .kron(&ptsbe_math::gates::x());
+        let wide = KrausChannel::new(
+            "mix3",
+            vec![
+                Matrix::identity(8).scaled_real(0.9f64.sqrt()),
+                xxx.scaled_real(0.1f64.sqrt()),
+            ],
+        )
+        .unwrap();
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1);
+        c.noise(std::sync::Arc::new(wide), &[0, 1, 2]);
+        c.measure_all();
+        let nc = NoisyCircuit::from_circuit(c);
+        for fuse in [true, false] {
+            assert_eq!(
+                compile_mps_with::<f64>(&nc, fuse).unwrap_err(),
+                MpsError::UnsupportedArity(3)
+            );
+        }
+        // The dense table keeps taking it.
+        assert!(ptsbe_statevector::exec::compile::<f64>(&nc).is_ok());
     }
 
     use ptsbe_circuit::NoisyCircuit;

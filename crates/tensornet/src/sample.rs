@@ -3,7 +3,7 @@
 //!
 //! `cached` and `naive` bracket the paper's Fig. 5 discussion. `cached`
 //! pays one O(n·χ³) canonicalization then O(n·χ²) per shot — the
-//! "conditional and correlated tensor network sampling [reusing] cached
+//! "conditional and correlated tensor network sampling \[reusing\] cached
 //! intermediates" the paper projects. `naive` redoes the sweep for every
 //! shot — the surrogate for the current CUDA-Q behavior the paper
 //! measured 16× against.
@@ -43,7 +43,7 @@ pub fn sample_shots_cached<T: Scalar, R: Rng + ?Sized>(
 /// Draw `m` shots with *no cached intermediates*: at every site of every
 /// shot, the right environment is recontracted from scratch — O(n²·χ³)
 /// per shot, the paper's "nearly all of the tensor network contraction
-/// process [reoccurs] for each sample, caching only the minimally
+/// process \[reoccurs\] for each sample, caching only the minimally
 /// optimized contraction path".
 pub fn sample_shots_naive<T: Scalar, R: Rng + ?Sized>(
     mps: &Mps<T>,
@@ -229,7 +229,7 @@ struct TrieNode<T: Scalar> {
 /// environments entering site `i + 1`. One trie serves any number of
 /// shots and any number of independent RNG streams against the same
 /// prepared state — each draw walks root→leaf, expanding unvisited
-/// prefixes on first touch. Beyond [`TRIE_ENV_BYTE_CAP`] of cached
+/// prefixes on first touch. Beyond `TRIE_ENV_BYTE_CAP` of cached
 /// environments, new prefixes are completed transiently instead of
 /// being inserted (the hot prefixes are by then already resident).
 pub struct SampleTrie<T: Scalar> {

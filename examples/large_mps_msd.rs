@@ -2,8 +2,9 @@
 //! statevector reach.
 //!
 //! Builds the 5→1 distillation circuit over five distance-5 color-code
-//! blocks (95 physical qubits — the documented substitute for the paper's
-//! 85; see DESIGN.md), runs PTSBE on the MPS backend, and reports
+//! blocks (95 physical qubits — the 6.6.6 [[19,1,5]] code stands in for
+//! the paper's 4.8.8 [[17,1,5]], hence 95 rather than 85; see
+//! `ptsbe_qec::codes`), runs PTSBE on the MPS backend, and reports
 //! per-block decoding and distillation acceptance. A dense statevector at
 //! this size would need 2^95 amplitudes; the MPS handles it on a laptop.
 //!
