@@ -369,6 +369,11 @@ impl<T: Scalar> MpsBackend<T> {
     pub fn fusion_stats(&self) -> FusionStats {
         self.compiled.fusion_stats()
     }
+
+    /// The truncation configuration every state of this backend carries.
+    pub fn config(&self) -> &MpsConfig {
+        &self.config
+    }
 }
 
 impl<T: Scalar> Backend for MpsBackend<T> {

@@ -61,7 +61,7 @@ pub use baseline::{run_baseline_mps, run_baseline_sv};
 pub use be::{
     BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, TrajectoryResult, TreeExecutor,
 };
-pub use plan::{PlannedTrajectory, PtsPlan, PtsPlanTree, PtsTreeNode};
+pub use plan::{LeafChunk, PlannedTrajectory, PtsPlan, PtsPlanTree, PtsTreeNode};
 pub use pool::{PoolStats, StatePool};
 pub use pts::{
     BandPts, ConstrainedPts, CorrelatedPts, ExhaustivePts, ProbabilisticPts, ProportionalPts,

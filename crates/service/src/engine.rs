@@ -11,12 +11,22 @@
 //! router builds an [`EngineExec`] from cached artifacts; the scheduler
 //! only moves the ranges it hands out.
 //!
-//! A chunk is a `Range<usize>` in the engine's own unit. Trajectory
-//! engines cut **plan indices**, and every trajectory draws from the
-//! Philox stream of its absolute plan index, so where a plan is cut
-//! cannot change the delivered bytes. The frame engine cuts **shot
-//! offsets** and keys each chunk's stream by the chunk ordinal, so its
-//! cut is a pure function of the job spec and part of the byte contract.
+//! A chunk is a `Range<usize>` in the engine's own unit. The dense
+//! trajectory engines cut **plan indices**; the MPS tree engine cuts
+//! **positions of the plan's trie order** (the whole-plan trie's leaves
+//! in depth-first order,
+//! [`PtsPlanTree::leaf_plan_indices`]), closed only between leaves, and
+//! maps them back to plan indices when a chunk runs. Either way every
+//! trajectory draws from the Philox stream of its absolute plan index,
+//! so where a plan is cut cannot change the delivered bytes. The frame
+//! engine cuts **shot offsets** and keys each chunk's stream by the
+//! chunk ordinal, so its cut is a pure function of the job spec and part
+//! of the byte contract.
+//!
+//! Chunks in plan-index or shot units are delivered in chunk order as
+//! they finish. Trie-order chunks are not plan-contiguous, so the job's
+//! emitter holds them and writes them merged by plan index when the last
+//! one arrives ([`EngineExec::merged_delivery`]).
 
 use crate::cache::{FrameEntry, MpsEntry, SvEntry};
 use crate::job::JobSpec;
@@ -24,7 +34,8 @@ use crate::router::BatchGeometry;
 use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
-    Backend, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlanTree, StatePool, TreeExecutor,
+    Backend, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree, StatePool,
+    TreeExecutor,
 };
 use ptsbe_dataset::{ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -75,11 +86,26 @@ impl EngineKind {
         self as usize
     }
 
-    /// True for the engines that walk a prefix trie over plan ranges
-    /// (their job reports say how many ranges the walk was cut into).
-    pub(crate) fn walks_plan_ranges(self) -> bool {
-        matches!(self, EngineKind::Tree | EngineKind::MpsTree)
+    /// What a chunk of a prefix-trie walk is called in a job report
+    /// (the report says how many the walk was cut into, and how many
+    /// trie edges each advanced through); `None` for the engines that
+    /// walk no trie.
+    pub(crate) fn trie_chunk_unit(self) -> Option<&'static str> {
+        match self {
+            EngineKind::Tree => Some("plan-range"),
+            EngineKind::MpsTree => Some("trie-order"),
+            _ => None,
+        }
     }
+}
+
+/// What one executed chunk hands back to the scheduler.
+pub(crate) struct ChunkOutput {
+    /// The chunk's records, in plan order.
+    pub(crate) records: Vec<TrajectoryRecord>,
+    /// Edges of the trie the chunk walked (0 for the engines that walk
+    /// none).
+    pub(crate) trie_edges: u64,
 }
 
 /// Everything a worker needs to execute chunks of a routed job, built
@@ -119,6 +145,55 @@ fn tree_auto_chunks(tree: &PtsPlanTree, n_qubits: usize, workers: usize) -> usiz
     let by_spine = 1 + edges / (TREE_SPINE_BUDGET_DIV * tree.n_sites()).max(1);
     let by_work = ((edges as u128) << n_qubits.min(64)) / TREE_MIN_CHUNK_SWEEP;
     (workers.min(by_spine) as u128).min(by_work).max(1) as usize
+}
+
+/// Edges one shot of an MPS leaf weighs in the leaf cut's balance: at
+/// χ = 64 on 32 qubits one trie edge (a segment's two-site updates) is
+/// 0.54 ms and one conditionally sampled shot 0.154 ms (the
+/// `tree_executor` bench's `leaf_chunks` group prints both).
+const MPS_SHOT_WEIGHT: f64 = 0.29;
+/// Two-site-update work (`edges · χ³`) an MPS chunk must keep to be
+/// worth a walk of its own: 2^23 is about 17 ms at the 2 ns per unit
+/// measured at χ = 64, and three orders of magnitude above a ~3 ms job
+/// at χ = 8.
+const MPS_MIN_CHUNK_WORK: u128 = 1 << 23;
+
+/// The bond dimension an MPS job's states are expected to reach: what
+/// the cached identity probe reached, else the most the register and
+/// the configured cap allow.
+fn mps_bond_estimate<T: Scalar>(entry: &MpsEntry<T>) -> usize {
+    match entry.probe.get() {
+        Some(Some(probe)) => probe.max_bond_reached,
+        _ => {
+            let half = (entry.backend.n_qubits() / 2) as u32;
+            let by_width = 1usize.checked_shl(half).unwrap_or(usize::MAX);
+            entry.backend.config().max_bond.min(by_width)
+        }
+    }
+}
+
+/// Cut an MPS tree job in trie order, between leaves
+/// ([`PtsPlanTree::leaf_chunks`]). One worker walks the whole trie: its
+/// chunks are delivered together anyway, so a cut would only re-walk
+/// prefixes. Otherwise a non-zero `chunk_trajectories` (the spec's) is
+/// a minimum chunk size closed at the next leaf boundary, and the
+/// automatic rule cuts at most one chunk per worker and only while
+/// every chunk keeps [`MPS_MIN_CHUNK_WORK`] at bond dimension `bond`.
+fn mps_leaf_chunks(
+    tree: &PtsPlanTree,
+    plan: &PtsPlan,
+    chunk_trajectories: usize,
+    bond: usize,
+    workers: usize,
+) -> Vec<Range<usize>> {
+    let chunks = if workers > 1 && chunk_trajectories != 0 {
+        tree.leaf_chunks_of_at_least(plan, chunk_trajectories)
+    } else {
+        let work = (tree.n_edges() as u128).saturating_mul((bond as u128).saturating_pow(3));
+        let k = (workers as u128).min(work / MPS_MIN_CHUNK_WORK) as usize;
+        tree.leaf_chunks(plan, k, MPS_SHOT_WEIGHT)
+    };
+    chunks.into_iter().map(|c| c.range).collect()
 }
 
 /// Contiguous ranges of `per` units covering `0..total`.
@@ -190,8 +265,8 @@ impl<T: Scalar> EngineExec<T> {
     }
 
     /// Cut the job into chunks (see the module docs for the unit).
-    /// `workers` is the pool size the cut may use; only the dense tree
-    /// engine looks at it.
+    /// `workers` is the pool size the cut may use; only the two tree
+    /// engines look at it.
     pub(crate) fn chunks(
         &self,
         spec: &JobSpec,
@@ -218,11 +293,16 @@ impl<T: Scalar> EngineExec<T> {
                 };
                 ranges(n, per)
             }
-            // MPS plans fork at the root into a few long chains, so any
-            // range would repeat a whole chain: one chunk (which is also
-            // what keeps the degradation path's untouched-sink
-            // precondition).
-            EngineExec::MpsTree { .. } => ranges(n, n),
+            // MPS plans fork near the root into a few long chains, so a
+            // plan range would repeat a whole chain; a cut between the
+            // trie's leaves repeats only what the two sides share.
+            EngineExec::MpsTree { entry, tree } => mps_leaf_chunks(
+                tree,
+                &spec.plan,
+                spec.chunk_trajectories,
+                mps_bond_estimate(entry),
+                workers,
+            ),
             EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
                 ranges(n, lane_geometry(entry, spec, cfg).trajs_per_chunk)
             }
@@ -238,8 +318,12 @@ impl<T: Scalar> EngineExec<T> {
         chunk_index: usize,
         range: Range<usize>,
         cfg: &ServiceConfig,
-    ) -> Vec<TrajectoryRecord> {
+    ) -> ChunkOutput {
         let (seed, parallel) = (spec.seed, cfg.executor_parallel);
+        let no_trie = |records| ChunkOutput {
+            records,
+            trie_edges: 0,
+        };
         match self {
             EngineExec::Frame(entry) => {
                 let mut rng = PhiloxRng::for_trajectory(seed, chunk_index as u64);
@@ -254,7 +338,7 @@ impl<T: Scalar> EngineExec<T> {
                 // attach — the Stim trade, documented on the router.
                 // Building the record feeds the sink, so it counts as the
                 // sink stage.
-                spanned(Stage::SinkWrite, || {
+                no_trie(spanned(Stage::SinkWrite, || {
                     vec![TrajectoryRecord {
                         meta: TrajectoryMeta {
                             traj_id: chunk_index,
@@ -266,17 +350,17 @@ impl<T: Scalar> EngineExec<T> {
                         },
                         shots: ShotWord::wrap(result.shots),
                     }]
-                })
+                }))
             }
-            EngineExec::Flat(entry) => {
-                to_records(BatchedExecutor { seed, parallel }.execute_slice(
+            EngineExec::Flat(entry) => no_trie(to_records(
+                BatchedExecutor { seed, parallel }.execute_slice(
                     &entry.backend,
                     &spec.circuit,
                     &spec.plan,
                     range,
-                ))
-            }
-            EngineExec::BatchMajor(entry) => to_records(
+                ),
+            )),
+            EngineExec::BatchMajor(entry) => no_trie(to_records(
                 BatchMajorExecutor {
                     seed,
                     parallel,
@@ -284,43 +368,54 @@ impl<T: Scalar> EngineExec<T> {
                     cfg: cfg.batch,
                 }
                 .execute_slice(&entry.backend, &spec.circuit, &spec.plan, range),
-            ),
+            )),
             EngineExec::Tree { entry, tree } => {
-                walk_range(spec, parallel, &entry.backend, &entry.pool, tree, range)
+                let indices: Vec<usize> = range.collect();
+                walk_chunk(spec, parallel, &entry.backend, &entry.pool, tree, &indices)
             }
             EngineExec::MpsTree { entry, tree } => {
-                walk_range(spec, parallel, &entry.backend, &entry.pool, tree, range)
+                let indices = &tree.leaf_plan_indices()[range];
+                walk_chunk(spec, parallel, &entry.backend, &entry.pool, tree, indices)
             }
         }
     }
 
-    /// Whether a fatal runtime failure of this engine may re-route the
-    /// job to a dense fallback: only the MPS engine, whose single chunk
-    /// behind a lazily-written header guarantees nothing reached the
-    /// sink yet.
-    pub(crate) fn dense_fallback_allowed(&self) -> bool {
+    /// Whether the job's chunks are held by its emitter and written
+    /// merged by plan index when the last one arrives, instead of in
+    /// chunk order as they finish: the MPS tree engine, whose trie-order
+    /// chunks are not plan-contiguous.
+    pub(crate) fn merged_delivery(&self) -> bool {
         matches!(self, EngineExec::MpsTree { .. })
+    }
+
+    /// Whether a fatal runtime failure of this engine may re-route the
+    /// job to a dense fallback: only the MPS engine, whose merged
+    /// delivery behind a lazily-written header guarantees nothing reached
+    /// the sink while any of its chunks can still fail.
+    pub(crate) fn dense_fallback_allowed(&self) -> bool {
+        self.merged_delivery()
     }
 }
 
-/// One tree chunk: walk `plan.trajectories[range]` over its prefix trie
-/// — the cached whole-plan trie when the range is the whole plan, else
-/// the range's own sub-trie, built here (a fraction of a millisecond
-/// against a chunk of tens) and timed as this chunk's `Stage::Plan`.
-fn walk_range<B: Backend>(
+/// One tree chunk: walk the trajectories at plan `indices` over their
+/// prefix trie — the cached whole-plan trie when the chunk is the whole
+/// plan, else the chunk's own sub-trie, built here (a fraction of a
+/// millisecond against a chunk of tens) and timed as this chunk's
+/// `Stage::Plan`.
+fn walk_chunk<B: Backend>(
     spec: &JobSpec,
     parallel: bool,
     backend: &B,
     pool: &StatePool<B::State>,
     whole: &PtsPlanTree,
-    range: Range<usize>,
-) -> Vec<TrajectoryRecord> {
+    indices: &[usize],
+) -> ChunkOutput {
     let sub;
-    let tree = if range.len() == whole.n_trajectories() {
+    let tree = if indices.len() == whole.n_trajectories() {
         whole
     } else {
         sub = spanned(Stage::Plan, || {
-            PtsPlanTree::from_plan_range(&spec.plan, range)
+            PtsPlanTree::from_plan_indices(&spec.plan, indices)
         });
         &sub
     };
@@ -328,7 +423,10 @@ fn walk_range<B: Backend>(
         seed: spec.seed,
         parallel,
     };
-    to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool))
+    ChunkOutput {
+        records: to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool)),
+        trie_edges: tree.n_edges() as u64,
+    }
 }
 
 fn to_records(batch: BatchResult) -> Vec<TrajectoryRecord> {
@@ -385,6 +483,66 @@ mod tests {
         for (i, kind) in EngineKind::ALL.into_iter().enumerate() {
             assert_eq!(kind.index(), i, "{kind:?}");
         }
+    }
+
+    /// `n` iid-style trajectories of `shots` shots over `sites` sites:
+    /// all identity but the listed `(trajectory, site)` single errors.
+    fn chain_plan(n: usize, sites: usize, shots: usize, errors: &[(usize, usize)]) -> PtsPlan {
+        let mut trajectories = vec![
+            ptsbe_core::PlannedTrajectory {
+                choices: vec![0; sites],
+                shots,
+            };
+            n
+        ];
+        for &(t, site) in errors {
+            trajectories[t].choices[site] = 1;
+        }
+        PtsPlan { trajectories }
+    }
+
+    /// `mps-brick32`'s frozen plan: 8 trajectories of 100 shots over 248
+    /// sites, trajectory 1 with one error at site 0 — two chains forking
+    /// at the root, reaching bond 64.
+    #[test]
+    fn a_root_forked_mps_job_is_cut_between_its_two_chains() {
+        let plan = chain_plan(8, 248, 100, &[(1, 0)]);
+        let tree = PtsPlanTree::from_plan(&plan);
+        assert_eq!(tree.n_edges(), 496);
+        for workers in [2, 4, 8] {
+            // Trie order: the seven identity trajectories, then the error.
+            let cut = mps_leaf_chunks(&tree, &plan, 0, 64, workers);
+            assert_eq!(cut, vec![0..7, 7..8], "{workers} workers");
+        }
+        assert_eq!(tree.leaf_plan_indices(), vec![0, 2, 3, 4, 5, 6, 7, 1]);
+        // One worker walks the whole trie, whatever the spec asks for.
+        assert_eq!(mps_leaf_chunks(&tree, &plan, 0, 64, 1), vec![0..8]);
+        assert_eq!(mps_leaf_chunks(&tree, &plan, 1, 64, 1), vec![0..8]);
+        // The same trie at a bond the circuit barely entangles is not
+        // worth a second walk.
+        assert_eq!(mps_leaf_chunks(&tree, &plan, 0, 8, 2), vec![0..8]);
+    }
+
+    /// `svc-small`'s MPS jobs (32 qubits, depth 4-6: ~124 sites, bond 8,
+    /// 24 trajectories of which a few carry one error) are ~3 ms of work:
+    /// they stay one chunk on any pool.
+    #[test]
+    fn shallow_mps_jobs_stay_one_chunk() {
+        let plan = chain_plan(24, 124, 20, &[(3, 17), (11, 90), (19, 0)]);
+        let tree = PtsPlanTree::from_plan(&plan);
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(
+                mps_leaf_chunks(&tree, &plan, 0, 8, workers),
+                vec![0..24],
+                "{workers} workers"
+            );
+        }
+        // The spec's knob overrides the work threshold (how tests split
+        // tiny circuits): a minimum, closed at the next leaf boundary, so
+        // the 21 identity trajectories of one leaf stay together.
+        let forced = mps_leaf_chunks(&tree, &plan, 1, 8, 2);
+        assert_eq!(forced, vec![0..21, 21..22, 22..23, 23..24]);
+        assert_eq!(mps_leaf_chunks(&tree, &plan, 22, 8, 2), vec![0..22, 22..24]);
     }
 
     #[test]

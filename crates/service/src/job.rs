@@ -10,7 +10,7 @@ use ptsbe_math::Scalar;
 use ptsbe_tensornet::MpsConfig;
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -139,15 +139,20 @@ pub struct JobSpec {
     pub engine: EnginePolicy,
     /// MPS configuration, used when the MPS tree engine is routed.
     pub mps: MpsConfig,
-    /// Trajectories per chunk for the flat, batch-major and dense tree
-    /// engines (`0` = auto; the MPS tree engine always runs one chunk).
+    /// Trajectories per chunk for the trajectory engines (`0` = auto).
+    /// The flat, batch-major and dense tree engines cut plan ranges of
+    /// exactly this many; the MPS tree engine cuts its trie between
+    /// leaves, so there it is a *minimum* — a chunk closes at the first
+    /// leaf boundary at or past it — and a one-worker service still runs
+    /// one chunk (MPS chunks are delivered together, so a cut nobody runs
+    /// in parallel would only re-walk shared prefixes).
     /// Output-neutral: trajectory-engine bytes are invariant under chunk
     /// geometry by construction — every trajectory draws from the Philox
-    /// stream of its *absolute* plan index and the reorder buffer commits
-    /// chunks in plan order — so the auto rule is free to look at the
-    /// worker count (the dense tree engine cuts at most one plan range
-    /// per worker). Only the frame engine's chunking is part of the byte
-    /// contract (its streams are keyed by chunk ordinal; see
+    /// stream of its *absolute* plan index and the emitter commits
+    /// records in plan order — so the auto rule is free to look at the
+    /// worker count (both tree engines cut at most one chunk per worker).
+    /// Only the frame engine's chunking is part of the byte contract (its
+    /// streams are keyed by chunk ordinal; see
     /// [`JobSpec::frame_chunk_shots`]).
     pub chunk_trajectories: usize,
     /// Shots per chunk for the frame engine (`0` = auto).
@@ -206,12 +211,18 @@ pub struct JobReport {
     /// Routed engine (absent when the job failed before routing).
     pub engine: Option<EngineKind>,
     /// Human-readable routing rationale; tree routes also say how many
-    /// plan-range chunks the walk was cut into.
+    /// chunks the walk was cut into (plan ranges for the dense tree
+    /// engine, trie-order leaf runs for the MPS one).
     pub route_reason: String,
     /// Scheduler chunks the job was split into (0 when it never reached
     /// planning or had nothing to run; after engine degradation, the
     /// fallback's count).
     pub chunks: u64,
+    /// Tree engines: the edges of the sub-trie each chunk walked, in
+    /// chunk order (0 for a chunk that never ran) — with `chunks`, what
+    /// reconstructs how evenly the walk was cut and how much shared
+    /// prefix the cut repeated. Empty for the other engines.
+    pub chunk_edges: Vec<u64>,
     /// Trajectory records delivered to the sink.
     pub records: u64,
     /// Shots delivered to the sink.
@@ -252,8 +263,12 @@ pub(crate) struct PushOutcome {
 }
 
 /// Plan-order reassembly buffer in front of the sink. Workers finish
-/// chunks in any order; records reach the sink in chunk order, which is
-/// what pins the dataset bytes regardless of scheduling.
+/// chunks in any order; records reach the sink in plan order, which is
+/// what pins the dataset bytes regardless of scheduling. Chunks that are
+/// plan ranges (or shot blocks) stream out in chunk order as soon as
+/// every earlier chunk has arrived. Chunks that are *not* plan-contiguous
+/// (the MPS engine's trie-order cut) are staged as **merged**: all of
+/// them are held, and written sorted by `traj_id` when the last arrives.
 ///
 /// Fault-tolerance duties beyond reordering:
 ///
@@ -266,7 +281,9 @@ pub(crate) struct PushOutcome {
 ///   with the first record batch (or at [`Emitter::finish`]): until
 ///   something is committed the sink holds zero bytes, which is what
 ///   lets engine degradation re-route a failed job and re-stage the
-///   fallback engine's header.
+///   fallback engine's header. A merged job commits nothing until its
+///   last chunk is in, so it stays re-routable for as long as any of
+///   its chunks can still fail; re-staging drops what was held.
 /// - **Transient-write retry.** Writes failing with
 ///   [`io::ErrorKind::Interrupted`] — the transient contract: *no bytes
 ///   were written* — are retried with a short capped backoff before the
@@ -280,6 +297,9 @@ pub(crate) struct Emitter {
     header_written: bool,
     next: usize,
     pending: BTreeMap<usize, Vec<TrajectoryRecord>>,
+    /// `Some(n)`: hold all `n` chunks and write them merged by
+    /// `traj_id` when the last one arrives.
+    merge_after: Option<usize>,
     finished: bool,
     /// Bounded retries for transient (`Interrupted`) sink writes.
     transient_retry_limit: u32,
@@ -293,16 +313,23 @@ impl Emitter {
             header_written: false,
             next: 0,
             pending: BTreeMap::new(),
+            merge_after: None,
             finished: false,
             transient_retry_limit: 8,
         }
     }
 
-    /// Stage the dataset header (written lazily with the first commit).
-    /// Restaging is allowed until the header reaches the sink — the
-    /// engine-degradation path replaces the failed engine's header with
-    /// the fallback's.
-    pub(crate) fn stage_header(&mut self, header: DatasetHeader) -> io::Result<()> {
+    /// Stage a route's delivery: its dataset header (written lazily with
+    /// the first commit) and, for `merge_after: Some(n)`, merged delivery
+    /// of its `n` chunks. Restaging is allowed until the header reaches
+    /// the sink — the engine-degradation path replaces the failed
+    /// engine's header with the fallback's and drops the chunks the
+    /// failed engine's siblings had parked.
+    pub(crate) fn stage(
+        &mut self,
+        header: DatasetHeader,
+        merge_after: Option<usize>,
+    ) -> io::Result<()> {
         if self.header_written {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -310,6 +337,8 @@ impl Emitter {
             ));
         }
         self.header = Some(header);
+        self.merge_after = merge_after;
+        self.pending.clear();
         Ok(())
     }
 
@@ -352,9 +381,22 @@ impl Emitter {
         }
     }
 
-    /// Park `records` as chunk `idx`, then drain every in-order chunk to
-    /// the sink. Duplicate deliveries of an already-pushed index are
-    /// dropped (see the exactly-once note on the type).
+    /// Write `batch` to the sink (header first, if still staged).
+    fn write_batch(&mut self, batch: &[TrajectoryRecord], out: &mut PushOutcome) -> io::Result<()> {
+        self.write_header_if_needed()?;
+        for rec in batch {
+            self.write_with_retry(rec, &mut out.write_retries)?;
+            out.shots += rec.shots.len() as u64;
+        }
+        out.records += batch.len() as u64;
+        Ok(())
+    }
+
+    /// Park `records` as chunk `idx`, then write what is ready: every
+    /// in-order chunk, or — for a merged route — everything once all
+    /// chunks are parked, sorted by `traj_id`. Duplicate deliveries of an
+    /// already-pushed index are dropped (see the exactly-once note on
+    /// the type).
     pub(crate) fn push(
         &mut self,
         idx: usize,
@@ -368,14 +410,23 @@ impl Emitter {
         }
         self.pending.insert(idx, records);
         let mut out = PushOutcome::default();
-        while let Some(batch) = self.pending.remove(&self.next) {
-            self.write_header_if_needed()?;
-            for rec in &batch {
-                self.write_with_retry(rec, &mut out.write_retries)?;
-                out.shots += rec.shots.len() as u64;
+        match self.merge_after {
+            Some(n) if self.pending.len() < n => {}
+            Some(n) => {
+                let mut all: Vec<TrajectoryRecord> = std::mem::take(&mut self.pending)
+                    .into_values()
+                    .flatten()
+                    .collect();
+                all.sort_by_key(|r| r.meta.traj_id);
+                self.write_batch(&all, &mut out)?;
+                self.next = n;
             }
-            out.records += batch.len() as u64;
-            self.next += 1;
+            None => {
+                while let Some(batch) = self.pending.remove(&self.next) {
+                    self.write_batch(&batch, &mut out)?;
+                    self.next += 1;
+                }
+            }
         }
         Ok(out)
     }
@@ -393,6 +444,21 @@ impl Emitter {
     }
 }
 
+/// Per-chunk accounting of one installed route's cut. A chunk index
+/// counts exactly once even when worker death re-queues a chunk that
+/// already completed (the exactly-once counterpart of the emitter's
+/// delivery dedupe), and all of it sits under one lock so a re-cut
+/// (engine degradation) replaces it atomically.
+#[derive(Default)]
+pub(crate) struct ChunkLedger {
+    /// Whether chunk `i` has been accounted.
+    pub(crate) accounted: Vec<bool>,
+    /// How many have.
+    pub(crate) done: usize,
+    /// Trie edges chunk `i` walked (tree engines; 0 until it ran).
+    pub(crate) trie_edges: Vec<u64>,
+}
+
 /// Shared job state (handle side + worker side).
 pub(crate) struct JobInner<T: Scalar> {
     pub(crate) id: u64,
@@ -402,17 +468,15 @@ pub(crate) struct JobInner<T: Scalar> {
     /// The routing verdict and the engine it materialized, installed
     /// together at plan time (and replaced together on degradation).
     pub(crate) routed: Mutex<Option<(RouteDecision, Arc<EngineExec<T>>)>>,
+    /// Which installed route is current: 0 for the planned one, bumped
+    /// by [`JobInner::supersede`] the moment a failed chunk claims the
+    /// degradation — *before* the fallback is routed — so every sibling
+    /// chunk of the failed route is stale from then on. Every chunk task
+    /// carries the generation it was cut under.
+    pub(crate) generation: AtomicU32,
     pub(crate) emitter: Mutex<Emitter>,
-    pub(crate) chunks_total: AtomicUsize,
-    pub(crate) chunks_done: AtomicUsize,
-    /// Per-chunk accounting bitmap: a chunk index contributes to
-    /// `chunks_done` exactly once even when worker death re-queues a
-    /// chunk that already completed (the exactly-once counterpart of
-    /// the emitter's delivery dedupe).
-    pub(crate) chunk_accounted: Mutex<Vec<bool>>,
-    /// Engine degradation is single-shot: a job re-routes to its dense
-    /// fallback at most once.
-    pub(crate) degraded: AtomicBool,
+    /// Exactly-once chunk accounting of the current generation's cut.
+    pub(crate) ledger: Mutex<ChunkLedger>,
     pub(crate) records_emitted: AtomicU64,
     pub(crate) shots_emitted: AtomicU64,
     pub(crate) error: Mutex<Option<String>>,
@@ -429,11 +493,9 @@ impl<T: Scalar> JobInner<T> {
             status: AtomicU8::new(JobStatus::Queued.to_u8()),
             cancelled: AtomicBool::new(false),
             routed: Mutex::new(None),
+            generation: AtomicU32::new(0),
             emitter: Mutex::new(Emitter::new(sink)),
-            chunks_total: AtomicUsize::new(0),
-            chunks_done: AtomicUsize::new(0),
-            chunk_accounted: Mutex::new(Vec::new()),
-            degraded: AtomicBool::new(false),
+            ledger: Mutex::new(ChunkLedger::default()),
             records_emitted: AtomicU64::new(0),
             shots_emitted: AtomicU64::new(0),
             error: Mutex::new(None),
@@ -528,6 +590,30 @@ impl<T: Scalar> JobInner<T> {
         routed.as_ref().map(|(_, exec)| Arc::clone(exec))
     }
 
+    /// True while chunks cut under `generation` still belong to the
+    /// job's current route. A stale chunk must leave no trace: it
+    /// neither delivers, accounts, fails the job nor degrades it. The
+    /// emitter and the ledger re-check under their own locks, which
+    /// [`JobInner::supersede`]'s caller takes *after* the bump to
+    /// re-stage them — so a chunk that passes there wrote into state the
+    /// re-stage then replaces, and one that comes later sees the bump.
+    pub(crate) fn is_current(&self, generation: u32) -> bool {
+        self.generation.load(Ordering::Acquire) == generation
+    }
+
+    /// Claim the replacement of route `generation`: true for exactly one
+    /// caller, after which every chunk of that generation is stale.
+    pub(crate) fn supersede(&self, generation: u32) -> bool {
+        self.generation
+            .compare_exchange(
+                generation,
+                generation + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok()
+    }
+
     pub(crate) fn report(&self) -> JobReport {
         let wall = self
             .wall
@@ -535,22 +621,25 @@ impl<T: Scalar> JobInner<T> {
             .unwrap_or_else(|e| e.into_inner())
             .unwrap_or_else(|| self.submitted_at.elapsed());
         let route = self.route();
-        let chunks = self.chunks_total.load(Ordering::Acquire) as u64;
+        let unit = route.as_ref().and_then(|r| r.engine.trie_chunk_unit());
+        let (chunks, chunk_edges) = {
+            let ledger = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
+            let edges = unit.map(|_| ledger.trie_edges.clone());
+            (ledger.accounted.len() as u64, edges.unwrap_or_default())
+        };
         JobReport {
             job_id: self.id,
             status: self.status(),
             engine: route.as_ref().map(|r| r.engine),
             route_reason: route
                 .as_ref()
-                .map(|r| {
-                    if r.engine.walks_plan_ranges() {
-                        format!("{}; walked as {chunks} plan-range chunk(s)", r.reason)
-                    } else {
-                        r.reason.to_string()
-                    }
+                .map(|r| match unit {
+                    Some(unit) => format!("{}; walked as {chunks} {unit} chunk(s)", r.reason),
+                    None => r.reason.to_string(),
                 })
                 .unwrap_or_default(),
             chunks,
+            chunk_edges,
             records: self.records_emitted.load(Ordering::Relaxed),
             shots: self.shots_emitted.load(Ordering::Relaxed),
             wall,

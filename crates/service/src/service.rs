@@ -18,16 +18,20 @@
 //! under scheduling — the property the determinism suite pins across
 //! worker counts {1, 2, 4, 8}.
 //!
-//! Tree jobs are cut too: a dense tree job becomes contiguous plan-index
-//! ranges (at most one per worker), each walked over the sub-trie of its
-//! range
-//! ([`PtsPlanTree::from_plan_range`](ptsbe_core::PtsPlanTree::from_plan_range)),
+//! Tree jobs are cut too, at most one chunk per worker, each walked over
+//! the sub-trie of its own trajectories
+//! ([`PtsPlanTree::from_plan_indices`](ptsbe_core::PtsPlanTree::from_plan_indices)),
 //! so the one parallel layer — across trajectories, as in the source
-//! paper's multi-device distribution — covers the prefix-sharing engine
-//! as well. A range repeats only the shared identity spine of a
-//! low-noise trie; MPS tree jobs stay one chunk (their plans fork at the
-//! root into a few long chains, so any range would repeat a whole
-//! chain).
+//! paper's multi-device distribution — covers the prefix-sharing engines
+//! as well. A dense tree job becomes contiguous plan-index ranges: a
+//! range repeats only the shared identity spine of a low-noise trie, and
+//! its records stream out in chunk order. An MPS tree job's plan forks
+//! near the root into a few long chains, so a plan range would repeat a
+//! whole chain; it is cut in *trie order*, between leaves
+//! ([`PtsPlanTree::leaf_chunks`](ptsbe_core::PtsPlanTree::leaf_chunks)),
+//! which repeats only what the two sides of a cut share (nothing for a
+//! root fork). Such chunks are not plan-contiguous, so the emitter holds
+//! them and writes them merged by plan index when the last one arrives.
 //!
 //! # Fault tolerance
 //!
@@ -48,7 +52,11 @@
 //!   the MPS engine re-routes the job once to a dense fallback
 //!   (recorded as [`RouteReason::EngineFallback`](crate::router::RouteReason)),
 //!   provided nothing reached the sink yet — guaranteed for MPS jobs,
-//!   which run as a single chunk behind a lazily-written header.
+//!   whose chunks are held behind a lazily-written header until the
+//!   last one is in. The failing chunk bumps the job's route
+//!   *generation* first; sibling chunks of the failed route still in
+//!   flight are stale from that moment and leave no trace (no delivery,
+//!   no accounting, no verdict, no second fallback).
 //! - **Deadlines.** [`crate::JobSpec::deadline`] is enforced
 //!   cooperatively at chunk boundaries; an expired job transitions
 //!   [`JobStatus::TimedOut`] within one chunk of the expiry and its
@@ -81,9 +89,9 @@
 //! sink twice.
 
 use crate::cache::CompileCache;
-use crate::engine::EngineExec;
+use crate::engine::{ChunkOutput, EngineExec, EngineKind};
 use crate::fault::{FaultConfig, FaultSink, InjectedFault};
-use crate::job::{JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
+use crate::job::{ChunkLedger, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{degrade_route, route_job, RouteError, RouteReason, Routed};
 use ptsbe_core::BatchConfig;
@@ -149,7 +157,8 @@ impl RetryPolicy {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads (`0` = available parallelism). Also the most
-    /// plan ranges a dense tree job is cut into (output-neutral: see
+    /// chunks a tree job is cut into — plan ranges for the dense tree
+    /// engine, trie-order leaf runs for the MPS one (output-neutral: see
     /// [`JobSpec::chunk_trajectories`]).
     pub workers: usize,
     /// Maximum concurrently admitted jobs (queued + running); submission
@@ -228,9 +237,13 @@ enum Task<T: Scalar> {
     Plan(Arc<JobInner<T>>),
     Chunk {
         job: Arc<JobInner<T>>,
+        /// The route generation the chunk was cut under; once the job
+        /// has moved on (engine degradation) the chunk is stale.
+        generation: u32,
         index: usize,
         /// What the chunk covers, in the engine's own unit (plan
-        /// indices; shot offsets for the frame engine).
+        /// indices; trie-order positions for the MPS tree engine; shot
+        /// offsets for the frame engine).
         range: Range<usize>,
         /// Execution-attempt ordinal (preserved across a worker death so
         /// requeued chunks advance through the fault plan instead of
@@ -245,11 +258,13 @@ impl<T: Scalar> Clone for Task<T> {
             Task::Plan(job) => Task::Plan(Arc::clone(job)),
             Task::Chunk {
                 job,
+                generation,
                 index,
                 range,
                 attempt,
             } => Task::Chunk {
                 job: Arc::clone(job),
+                generation: *generation,
                 index: *index,
                 range: range.clone(),
                 attempt: *attempt,
@@ -505,16 +520,20 @@ fn supervisor_loop<T: Scalar>(shared: Arc<Shared<T>>, table: WorkerTable) {
             dead
         };
         for (slot, h) in dead {
-            let _ = h.join(); // reap (and discard) the panic payload
+            // Reap (and discard) the panic payload.
+            let _ = h.join();
+            // Count first: a live sibling may pick the requeued task up
+            // and finish the job before this loop gets any further, and
+            // the job's waiter must already see the respawn.
+            shared
+                .metrics
+                .workers_respawned
+                .fetch_add(1, Ordering::Relaxed);
             if let Some(task) = lock_healed(&shared.in_flight)[slot].take() {
                 lock_healed(&shared.queue).push_back(task);
                 shared.queue_cv.notify_one();
             }
             lock_healed(&table)[slot] = Some(spawn_worker(&shared, slot));
-            shared
-                .metrics
-                .workers_respawned
-                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -566,10 +585,11 @@ fn worker_loop<T: Scalar>(shared: Arc<Shared<T>>, slot: usize) {
             Task::Plan(job) => plan_job(&shared, job),
             Task::Chunk {
                 job,
+                generation,
                 index,
                 range,
                 attempt,
-            } => run_chunk(&shared, job, index, range, attempt),
+            } => run_chunk(&shared, job, generation, index, range, attempt),
         }
         lock_healed(&shared.in_flight)[slot] = None;
     }
@@ -616,22 +636,10 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
         }
     };
     if chunks.is_empty() {
-        let finished = match job.emitter() {
-            Ok(mut em) => em.finish().map_err(|e| format!("sink finish failed: {e}")),
-            Err(se) => Err(se.to_string()),
-        };
-        match finished {
-            Ok(()) => {
-                job.transition_terminal(JobStatus::Done);
-            }
-            Err(msg) => {
-                job.fail(msg);
-            }
-        }
-        finalize(shared, &job);
+        settle(shared, &job);
         return;
     }
-    enqueue_chunks(shared, &job, chunks);
+    enqueue_chunks(shared, &job, 0, chunks);
 }
 
 /// Route the job (compiling through the cache), fold the verdict into
@@ -676,7 +684,8 @@ fn route_and_install<T: Scalar>(
 }
 
 /// Make `routed` the job's engine: count it, install it, stage its
-/// dataset header, and return the chunks it cuts the job into.
+/// delivery (dataset header; merged or chunk-order), and return the
+/// chunks it cuts the job into.
 fn install_route<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
@@ -685,29 +694,35 @@ fn install_route<T: Scalar>(
     shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
     let header = make_header(&job.spec, &exec);
     let chunks = exec.chunks(&job.spec, &shared.cfg, shared.n_workers);
+    let merge_after = exec.merged_delivery().then_some(chunks.len());
     *lock_healed(&job.routed) = Some((decision, Arc::new(exec)));
     match job.emitter() {
         Ok(mut em) => em
-            .stage_header(header)
+            .stage(header, merge_after)
             .map_err(|e| format!("sink begin failed: {e}"))?,
         Err(se) => return Err(se.to_string()),
     }
     Ok(chunks)
 }
 
+/// Open the ledger of route `generation`'s cut and queue its chunks.
 fn enqueue_chunks<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
+    generation: u32,
     chunks: Vec<Range<usize>>,
 ) {
-    *lock_healed(&job.chunk_accounted) = vec![false; chunks.len()];
-    job.chunks_done.store(0, Ordering::Release);
-    job.chunks_total.store(chunks.len(), Ordering::Release);
+    *lock_healed(&job.ledger) = ChunkLedger {
+        accounted: vec![false; chunks.len()],
+        done: 0,
+        trie_edges: vec![0; chunks.len()],
+    };
     {
         let mut q = lock_healed(&shared.queue);
         for (index, range) in chunks.into_iter().enumerate() {
             q.push_back(Task::Chunk {
                 job: Arc::clone(job),
+                generation,
                 index,
                 range,
                 attempt: 0,
@@ -733,10 +748,18 @@ fn panic_message(index: usize, payload: Box<dyn std::any::Any + Send>, attempts:
 fn run_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: Arc<JobInner<T>>,
+    generation: u32,
     index: usize,
     range: Range<usize>,
     first_attempt: u32,
 ) {
+    // Engine first, generation second: when the generation still matches
+    // afterwards, the engine read above is that generation's (a
+    // replacement is installed only after the bump).
+    let exec = job.exec();
+    if !job.is_current(generation) {
+        return; // a chunk of a superseded route leaves no trace
+    }
     let mut drain = job.cancelled.load(Ordering::Acquire) || job.status().is_terminal();
     if !drain && job.deadline_exceeded() {
         // Cooperative deadline enforcement: the first chunk boundary
@@ -749,6 +772,7 @@ fn run_chunk<T: Scalar>(
         job.transition_terminal(JobStatus::TimedOut);
         drain = true;
     }
+    let mut trie_edges = 0;
     if !drain {
         // Chunk identity scope: executor prep/sample hooks aggregate
         // here, and the sink/backoff spans inherit (job, chunk) ids.
@@ -765,17 +789,24 @@ fn run_chunk<T: Scalar>(
                     .as_ref()
                     .is_some_and(|f| f.mps_fatal_chunk(seed, index as u64))
         };
+        let injected_delay = |attempt: u32| {
+            let delay = shared.faults.as_ref();
+            if let Some(d) = delay.and_then(|f| f.chunk_delay(seed, index as u64, attempt)) {
+                thread::sleep(d);
+            }
+        };
         let mut attempt = first_attempt;
         let mut attempts_here = 0u32;
-        let outcome: Result<Vec<TrajectoryRecord>, String> = match job.exec() {
+        let outcome: Result<ChunkOutput, String> = match &exec {
             None => Err("internal: chunk scheduled before its engine was installed".to_string()),
-            Some(exec) if injected_fatal(&exec) => Err("injected fatal engine failure".to_string()),
+            Some(exec) if injected_fatal(exec) => {
+                // A delayed chunk blows up late, like an engine that
+                // fails mid-run: siblings have started by then.
+                injected_delay(attempt);
+                Err("injected fatal engine failure".to_string())
+            }
             Some(exec) => loop {
-                if let Some(f) = &shared.faults {
-                    if let Some(d) = f.chunk_delay(seed, index as u64, attempt) {
-                        thread::sleep(d);
-                    }
-                }
+                injected_delay(attempt);
                 attempts_here += 1;
                 let attempt_result = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(f) = &shared.faults {
@@ -783,7 +814,7 @@ fn run_chunk<T: Scalar>(
                             crate::fault::raise("chunk-panic-early");
                         }
                     }
-                    let records = exec.run(&job.spec, index, range.clone(), &shared.cfg);
+                    let out = exec.run(&job.spec, index, range.clone(), &shared.cfg);
                     if let Some(f) = &shared.faults {
                         // The partial panic: the chunk's records exist, but
                         // the panic discards them before delivery — the
@@ -792,10 +823,10 @@ fn run_chunk<T: Scalar>(
                             crate::fault::raise("chunk-panic-late");
                         }
                     }
-                    records
+                    out
                 }));
                 match attempt_result {
-                    Ok(records) => break Ok(records),
+                    Ok(out) => break Ok(out),
                     Err(payload) => {
                         if attempts_here <= retry.max_retries {
                             shared.metrics.chunk_retries.fetch_add(1, Ordering::Relaxed);
@@ -811,35 +842,47 @@ fn run_chunk<T: Scalar>(
             },
         };
         match outcome {
-            Ok(records) => deliver(shared, &job, index, records),
+            Ok(out) => {
+                trie_edges = out.trie_edges;
+                deliver(shared, &job, generation, index, out.records);
+            }
             Err(msg) => {
-                if try_degrade(shared, &job) {
-                    // The job was re-planned onto a fallback engine and
-                    // fresh chunks were queued; this chunk is
-                    // superseded — no accounting against the new plan.
+                if let Some(exec) = exec.as_deref().filter(|e| e.dense_fallback_allowed()) {
+                    // The job was re-planned onto a fallback engine (or
+                    // failed for good) here or by a sibling: this chunk
+                    // is superseded — no accounting against the new plan.
+                    degrade(shared, &job, exec.kind(), generation, msg);
                     return;
                 }
                 job.fail(msg);
             }
         }
     }
-    account_chunk(shared, &job, index);
+    account_chunk(shared, &job, generation, index, trie_edges);
 }
 
-/// Push a finished chunk through the reorder buffer and fold the
+/// Push a finished chunk through the job's emitter and fold the
 /// delivery into job + service counters.
 fn deliver<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
+    generation: u32,
     index: usize,
     records: Vec<TrajectoryRecord>,
 ) {
+    let emitter = job.emitter();
+    // Checked with the emitter held: the fallback of a superseded route
+    // re-stages the emitter after the bump, so a push that gets past
+    // this check lands in state that re-stage then drops.
+    if !job.is_current(generation) {
+        return;
+    }
     for r in &records {
         if let Some(t) = &r.meta.truncation {
             shared.metrics.note_truncation(t);
         }
     }
-    let pushed = match job.emitter() {
+    let pushed = match emitter {
         Ok(mut em) => spanned(Stage::SinkWrite, || {
             em.push(index, records)
                 .map_err(|e| format!("sink write failed: {e}"))
@@ -877,62 +920,85 @@ fn deliver<T: Scalar>(
     }
 }
 
-/// Graceful engine degradation: when a chunk exhausts its retry budget
-/// on the MPS engine *before anything reached the sink*, re-plan the
-/// job once onto a dense fallback (the route records the failed
-/// engine). MPS jobs run as one chunk behind a lazy header, so the
-/// untouched-sink precondition holds exactly when this path is
-/// reachable.
-fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bool {
-    let from = match job.exec() {
-        Some(exec) if exec.dense_fallback_allowed() => exec.kind(),
-        _ => return false,
-    };
-    if job.degraded.swap(true, Ordering::AcqRel) {
-        return false; // single-shot: the fallback gets no fallback
+/// Graceful engine degradation: a chunk of route `generation` failed
+/// for good on engine `from` (the MPS engine — the only one that allows
+/// a dense fallback). Exactly one of the route's failing chunks wins
+/// [`JobInner::supersede`]; from that moment every sibling is stale, and
+/// the winner alone decides the job: it re-plans the job once onto a
+/// dense fallback (the route records the failed engine) *if nothing
+/// reached the sink yet* — which an MPS job's merged delivery behind a
+/// lazy header guarantees while any of its chunks can still fail — and
+/// otherwise fails and settles it with `msg`. The fallback is dense, so
+/// it gets no fallback of its own.
+fn degrade<T: Scalar>(
+    shared: &Arc<Shared<T>>,
+    job: &Arc<JobInner<T>>,
+    from: EngineKind,
+    generation: u32,
+    msg: String,
+) {
+    if !job.supersede(generation) {
+        return; // a sibling got here first
     }
-    match job.emitter() {
-        Ok(em) if em.untouched() => {}
-        _ => return false,
-    }
-    let planned = catch_unwind(AssertUnwindSafe(|| {
-        let circuit_hash = job.spec.circuit.content_hash();
-        degrade_route(&shared.cache, &shared.cfg, &job.spec, circuit_hash, from)
-    }));
-    let Ok(Ok(routed)) = planned else {
-        return false;
+    let replan = || {
+        if !job.emitter().is_ok_and(|em| em.untouched()) {
+            return None;
+        }
+        let routed = catch_unwind(AssertUnwindSafe(|| {
+            let circuit_hash = job.spec.circuit.content_hash();
+            degrade_route(&shared.cache, &shared.cfg, &job.spec, circuit_hash, from)
+        }));
+        let chunks = install_route(shared, job, routed.ok()?.ok()?).ok()?;
+        (!chunks.is_empty()).then_some(chunks)
     };
-    match install_route(shared, job, routed) {
-        Ok(chunks) if !chunks.is_empty() => {
+    match replan() {
+        Some(chunks) => {
             shared
                 .metrics
                 .engine_fallbacks
                 .fetch_add(1, Ordering::Relaxed);
-            enqueue_chunks(shared, job, chunks);
-            true
+            enqueue_chunks(shared, job, generation + 1, chunks);
         }
-        _ => false,
+        None => {
+            job.fail(msg);
+            settle(shared, job);
+        }
     }
 }
 
-/// Exactly-once chunk accounting and end-of-job settlement. The bitmap
-/// makes redundant re-executions (worker died between delivery and slot
-/// clear) count once; the terminal settlement CASes the status — first
-/// terminal transition wins — and relies on the emitter's idempotent
-/// finish, so the cancel/fail race can neither overwrite a `Failed`
-/// verdict nor double-finalize the sink.
-fn account_chunk<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>, index: usize) {
+/// Exactly-once chunk accounting: the ledger makes redundant
+/// re-executions (worker died between delivery and slot clear) count
+/// once, ignores chunks of a superseded route, and the chunk that
+/// completes it settles the job.
+fn account_chunk<T: Scalar>(
+    shared: &Arc<Shared<T>>,
+    job: &Arc<JobInner<T>>,
+    generation: u32,
+    index: usize,
+    trie_edges: u64,
+) {
     {
-        let mut acc = lock_healed(&job.chunk_accounted);
-        if index >= acc.len() || acc[index] {
+        let mut ledger = lock_healed(&job.ledger);
+        // Checked with the ledger held, for the same reason as in
+        // `deliver`: a re-cut replaces the ledger after the bump.
+        if !job.is_current(generation) || ledger.accounted.get(index) != Some(&false) {
             return;
         }
-        acc[index] = true;
+        ledger.accounted[index] = true;
+        ledger.trie_edges[index] = trie_edges;
+        ledger.done += 1;
+        if ledger.done != ledger.accounted.len() {
+            return;
+        }
     }
-    let done = job.chunks_done.fetch_add(1, Ordering::AcqRel) + 1;
-    if done != job.chunks_total.load(Ordering::Acquire) {
-        return;
-    }
+    settle(shared, job);
+}
+
+/// End-of-job settlement, reached once per job: the terminal transition
+/// CASes the status — first terminal transition wins — and relies on the
+/// emitter's idempotent finish, so the cancel/fail race can neither
+/// overwrite a `Failed` verdict nor double-finalize the sink.
+fn settle<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
     if !job.status().is_terminal() {
         if job.cancelled.load(Ordering::Acquire) {
             job.transition_terminal(JobStatus::Cancelled);

@@ -69,6 +69,18 @@ fn split_tree_spec(seed: u64) -> JobSpec {
     spec
 }
 
+/// An MPS tree job cut in trie order into leaf runs of at least three
+/// trajectories (saturated noise: nearly every trajectory is a leaf of
+/// its own), whose chunks the emitter holds and merges.
+fn split_mps_spec(seed: u64) -> JobSpec {
+    let nc = t_circuit(0.9);
+    let plan = plan_for(&nc, 24, 4, 7);
+    let mut spec = JobSpec::new("faults-mps", nc, plan, seed)
+        .with_engine(EnginePolicy::Force(EngineKind::MpsTree));
+    spec.chunk_trajectories = 3;
+    spec
+}
+
 /// Faults pinned OFF — explicit `Some(default)` beats any `PTSBE_FAULTS`
 /// environment preset, so baselines stay fault-free even under the CI
 /// fault matrix.
@@ -115,6 +127,17 @@ fn split_tree_chunks_recover_under_every_preset() {
     assert_eq!(report.engine, Some(EngineKind::Tree));
     assert_eq!(report.chunks, 8, "{}", report.route_reason);
     presets_deliver_identical_bytes(split_tree_spec);
+}
+
+/// Trie-order MPS chunks recover like any other chunk — a retried,
+/// requeued or late one lands in the emitter's held set under its own
+/// index — and the merged delivery is as byte-neutral.
+#[test]
+fn split_mps_chunks_recover_under_every_preset() {
+    let (_, report, _) = run_with(split_mps_spec(42), faultless(2));
+    assert_eq!(report.engine, Some(EngineKind::MpsTree));
+    assert!(report.chunks >= 6, "{}", report.route_reason);
+    presets_deliver_identical_bytes(split_mps_spec);
 }
 
 fn presets_deliver_identical_bytes(spec: fn(u64) -> JobSpec) {
@@ -265,6 +288,47 @@ fn stopped_split_tree_job_leaves_a_valid_plan_order_prefix() {
     }
 }
 
+/// A split MPS job stopped mid-way commits nothing: its chunks are held
+/// until the last one is in, so a deadline or a cancel leaves a valid
+/// header-only shard (or no bytes at all), never part of a merge.
+#[test]
+fn stopped_split_mps_job_leaves_a_valid_empty_shard() {
+    let crawl = FaultConfig {
+        chunk_delay: 1.0,
+        delay: Duration::from_millis(15),
+        ..FaultConfig::default()
+    };
+    for (label, deadline, cancel, expect) in [
+        ("deadline", Some(40), false, JobStatus::TimedOut),
+        ("cancel", None, true, JobStatus::Cancelled),
+    ] {
+        let mut spec = split_mps_spec(9);
+        spec.deadline = deadline.map(Duration::from_millis);
+        let service: ShotService = ShotService::start(faulted(crawl.clone(), 2));
+        let buf = SharedBuffer::new();
+        let handle = service
+            .submit(spec, Box::new(BinarySink::new(buf.clone())))
+            .unwrap();
+        if cancel {
+            // Let the first pair of chunks park in the emitter.
+            std::thread::sleep(Duration::from_millis(25));
+            handle.cancel();
+        }
+        let report = handle.wait();
+        assert_eq!(report.status, expect, "{label}: {report:?}");
+        assert_eq!(report.records, 0, "{label}: {report:?}");
+        let bytes = buf.bytes();
+        if bytes.is_empty() {
+            continue; // the stop beat the planning task
+        }
+        let len = bytes.len();
+        let (header, records, prefix_len) = ptsbe_dataset::binary::decode_prefix(bytes).unwrap();
+        assert_eq!(prefix_len, len, "{label}: torn frame in the shard");
+        assert!(header.backend.starts_with("mps-tree"), "{label}");
+        assert!(records.is_empty(), "{label}: part of a merge was written");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Engine degradation
 
@@ -308,6 +372,74 @@ fn fatal_mps_failure_degrades_to_dense_fallback() {
     assert_eq!(metrics.engine_fallbacks, 1);
     assert_eq!(report.chunks, dense_report.chunks, "the fallback's cut");
     assert_eq!(bytes, dense_bytes, "degraded bytes must match a dense run");
+}
+
+/// Degradation stays exactly-once with several MPS chunks in flight:
+/// whichever subset of them fails fatally — all, or some while healthy
+/// siblings finish before, during and after the re-route (chunks are
+/// slowed, so they fail together or arrive late) — the job falls back once,
+/// reaches one terminal status, and its sink holds the dense run's bytes
+/// with no record of the superseded plan.
+#[test]
+fn fatal_failure_of_split_mps_chunks_degrades_exactly_once() {
+    let nc = bell_circuit(0.3);
+    let plan = plan_for(&nc, 30, 3, 3);
+    let mut spec = JobSpec::new("degrade-split", nc, plan, 21);
+    spec.chunk_trajectories = 3;
+
+    let (dense_bytes, dense_report, _) = run_with(spec.clone(), faultless(2));
+    assert!(dense_report.status.is_success());
+    assert_ne!(dense_report.engine, Some(EngineKind::MpsTree));
+
+    // The same spec on a service that prefers MPS, fault-free: the job
+    // this test degrades really is cut into several chunks.
+    let prefers_mps = |cfg: ServiceConfig| ServiceConfig {
+        mps_qubit_threshold: 2,
+        ..cfg
+    };
+    let (_, mps_report, _) = run_with(spec.clone(), prefers_mps(faultless(2)));
+    assert_eq!(mps_report.engine, Some(EngineKind::MpsTree));
+    assert!(mps_report.chunks >= 4, "{}", mps_report.route_reason);
+
+    // `chunk_delay` 1.0 makes the first chunk of every worker fail (or
+    // finish) at the same moment; 0.5 staggers them.
+    for (mps_fatal, chunk_delay) in [(1.0, 1.0), (1.0, 0.5), (0.6, 0.5), (0.3, 0.5)] {
+        for workers in [2, 4] {
+            for fault_seed in 0..4u64 {
+                let faults = FaultConfig {
+                    seed: 0xFA17 + fault_seed,
+                    mps_fatal,
+                    chunk_delay,
+                    delay: Duration::from_millis(3),
+                    ..FaultConfig::default()
+                };
+                let label = format!(
+                    "mps_fatal {mps_fatal}, delay {chunk_delay}, {workers} workers, seed {fault_seed}"
+                );
+                let cfg = prefers_mps(faulted(faults, workers));
+                let (bytes, report, metrics) = run_with(spec.clone(), cfg);
+                if report.engine == Some(EngineKind::MpsTree) {
+                    // This fault seed spared every chunk.
+                    assert!(mps_fatal < 1.0, "{label}");
+                    assert_eq!(report.status, JobStatus::Done, "{label}: {report:?}");
+                    assert_eq!(metrics.engine_fallbacks, 0, "{label}");
+                    continue;
+                }
+                assert_eq!(report.status, JobStatus::Done, "{label}: {report:?}");
+                assert_eq!(report.engine, dense_report.engine, "{label}");
+                assert!(
+                    report.route_reason.contains("degraded to a dense fallback"),
+                    "{label}: {}",
+                    report.route_reason
+                );
+                assert_eq!(metrics.engine_fallbacks, 1, "{label}");
+                assert_eq!((metrics.jobs_done, metrics.jobs_failed), (1, 0), "{label}");
+                assert_eq!(report.chunks, dense_report.chunks, "{label}");
+                assert_eq!(report.records, dense_report.records, "{label}");
+                assert_eq!(bytes, dense_bytes, "{label}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -195,8 +195,10 @@ fn dense_engines_equal_the_flat_executor_on_a_fresh_backend() {
     }
 }
 
-/// The MPS tree engine (one chunk, pooled walk over the cached trie)
-/// against the flat executor on a fresh `MpsBackend`.
+/// The MPS tree engine — one pooled walk over the cached trie, and cut
+/// in trie order into leaf runs of at least four trajectories whose
+/// records the emitter merges back into plan order — against the flat
+/// executor on a fresh `MpsBackend`.
 #[test]
 fn mps_tree_equals_the_flat_executor_on_a_fresh_backend() {
     let nc = clifford_circuit();
@@ -206,11 +208,18 @@ fn mps_tree_equals_the_flat_executor_on_a_fresh_backend() {
         MpsBackend::<f64>::new_with_fusion(&nc, config, Default::default(), true).unwrap();
     let want = library_records(&backend, &nc, &plan);
     assert!(want.iter().all(|r| r.meta.truncation.is_some()));
-    let mut spec = JobSpec::new("mps", nc.clone(), plan, SEED)
-        .with_engine(EnginePolicy::Force(EngineKind::MpsTree));
-    spec.mps = config;
-    let (records, report) = run(spec, 2);
-    assert_eq!(report.engine, Some(EngineKind::MpsTree));
-    assert_eq!(report.chunks, 1);
-    assert_same_records(&records, &want, "mps-tree");
+    for chunk_trajectories in [0, 4] {
+        let mut spec = JobSpec::new("mps", nc.clone(), plan.clone(), SEED)
+            .with_engine(EnginePolicy::Force(EngineKind::MpsTree));
+        spec.mps = config;
+        spec.chunk_trajectories = chunk_trajectories;
+        let (records, report) = run(spec, 2);
+        assert_eq!(report.engine, Some(EngineKind::MpsTree));
+        if chunk_trajectories == 0 {
+            assert_eq!(report.chunks, 1, "{}", report.route_reason);
+        } else {
+            assert!((2..=4).contains(&report.chunks), "{}", report.route_reason);
+        }
+        assert_same_records(&records, &want, "mps-tree");
+    }
 }

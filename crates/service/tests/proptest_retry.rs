@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
-use ptsbe_core::{ProbabilisticPts, PtsSampler};
+use ptsbe_core::{ProbabilisticPts, PtsPlanTree, PtsSampler};
 use ptsbe_dataset::{JsonlSink, SharedBuffer};
 use ptsbe_rng::PhiloxRng;
 use ptsbe_service::{EngineKind, EnginePolicy, FaultConfig, JobSpec, ServiceConfig, ShotService};
@@ -34,7 +34,8 @@ fn bell_circuit(p: f64) -> NoisyCircuit {
 
 /// A spec forcing `engine`, sized so batch engines split into several
 /// chunks — the dense tree engine into one sub-trie per three
-/// trajectories, the MPS tree engine never (the frame engine keeps its
+/// trajectories, the MPS tree engine (on more than one worker) into
+/// leaf runs of at least three (the frame engine keeps its
 /// deterministic-reference circuit).
 fn spec_for(engine: EngineKind, n: usize, shots: usize, seed: u64) -> JobSpec {
     let nc = match engine {
@@ -97,14 +98,23 @@ proptest! {
             ..FaultConfig::default()
         };
         for engine in ENGINES {
-            let (baseline, _) = run(spec_for(engine, n, shots, seed), FaultConfig::default(), 1)
+            let spec = spec_for(engine, n, shots, seed);
+            let (baseline, chunks_1w) = run(spec.clone(), FaultConfig::default(), 1)
                 .map_err(TestCaseError::fail)?;
-            let (faulted, chunks) = run(spec_for(engine, n, shots, seed), storm.clone(), 2)
+            let (faulted, chunks) = run(spec.clone(), storm.clone(), 2)
                 .map_err(TestCaseError::fail)?;
             prop_assert!(!baseline.is_empty(), "{engine:?}: empty baseline");
             match engine {
                 EngineKind::Tree => prop_assert_eq!(chunks, n.div_ceil(3) as u64),
-                EngineKind::MpsTree => prop_assert_eq!(chunks, 1),
+                EngineKind::MpsTree => {
+                    // One worker never cuts; two cut between the trie's
+                    // leaves, each chunk but the last of >= 3 trajectories.
+                    prop_assert_eq!(chunks_1w, 1);
+                    let cut = PtsPlanTree::from_plan(&spec.plan)
+                        .leaf_chunks_of_at_least(&spec.plan, 3);
+                    prop_assert_eq!(chunks, cut.len() as u64);
+                    prop_assert!(chunks <= n.div_ceil(3) as u64, "{chunks} chunks of {n}");
+                }
                 _ => {}
             }
             prop_assert_eq!(

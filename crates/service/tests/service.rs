@@ -2,7 +2,7 @@
 //! worker counts and engines, cancellation, backpressure, failure paths.
 
 use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
-use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsSampler};
+use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsPlanTree, PtsSampler};
 use ptsbe_dataset::{BinarySink, JsonlSink, MemorySink, SharedBuffer};
 use ptsbe_rng::PhiloxRng;
 use ptsbe_service::{
@@ -56,6 +56,32 @@ fn threshold_circuit() -> NoisyCircuit {
     NoiseModel::new()
         .with_default_1q(channels::amplitude_damping(0.2))
         .with_default_2q(channels::depolarizing(0.05))
+        .apply(&c)
+}
+
+/// `mps-brick32`'s circuit family at a width the router sends to the
+/// MPS engine: a magic-ish preparation on every qubit, then brickwork CX
+/// + T/H layers, depolarizing noise on the entanglers only.
+fn brick_circuit(n: usize, depth: usize, p: f64) -> NoisyCircuit {
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.h(q).t(q);
+    }
+    for layer in 0..depth {
+        for q in (layer % 2..n - 1).step_by(2) {
+            c.cx(q, q + 1);
+        }
+        for q in 0..n {
+            match (q + layer) % 3 {
+                0 => c.t(q),
+                1 => c.h(q),
+                _ => &mut c,
+            };
+        }
+    }
+    c.measure_all();
+    NoiseModel::new()
+        .with_default_2q(channels::depolarizing2(p))
         .apply(&c)
 }
 
@@ -164,8 +190,8 @@ fn sharing_ratio_splits_tree_and_batch_major() {
 
 #[test]
 fn wide_registers_route_to_mps_tree() {
-    let nc = bell_circuit(0.02);
-    let plan = plan_for(&nc, 10, 5, true, 15);
+    let nc = bell_circuit(0.3);
+    let plan = plan_for(&nc, 10, 5, false, 15);
     let service: ShotService = ShotService::start(ServiceConfig {
         workers: 2,
         mps_qubit_threshold: 2, // force the wide-register branch
@@ -173,14 +199,31 @@ fn wide_registers_route_to_mps_tree() {
     });
     let (sink, store) = MemorySink::new();
     let mut spec = JobSpec::new("wide", nc, plan.clone(), 3);
-    spec.chunk_trajectories = 3; // MPS tree jobs are never cut
+    // An MPS tree job is cut between the leaves of its trie: at least
+    // three trajectories a chunk, closed at the next leaf boundary.
+    spec.chunk_trajectories = 3;
+    let cut = PtsPlanTree::from_plan(&plan).leaf_chunks_of_at_least(&plan, 3);
+    assert!(cut.len() > 1, "the plan must have leaves to cut between");
     let handle = service.submit(spec, Box::new(sink)).unwrap();
     let report = handle.wait();
     assert!(report.status.is_success(), "{report:?}");
     assert_eq!(report.engine, Some(EngineKind::MpsTree));
-    assert_eq!(report.chunks, 1, "{}", report.route_reason);
+    assert_eq!(report.chunks, cut.len() as u64, "{}", report.route_reason);
+    assert!(
+        report
+            .route_reason
+            .ends_with(&format!("walked as {} trie-order chunk(s)", cut.len())),
+        "{}",
+        report.route_reason
+    );
+    let cut_edges: Vec<u64> = cut.iter().map(|c| c.edges as u64).collect();
+    assert_eq!(report.chunk_edges, cut_edges);
     let store = store.lock().unwrap();
     assert_eq!(store.records.len(), plan.n_trajectories());
+    // Trie-order chunks reach the sink merged back into plan order.
+    for (i, r) in store.records.iter().enumerate() {
+        assert_eq!(r.meta.traj_id, i);
+    }
     assert!(store.finished);
     assert!(store
         .header
@@ -681,6 +724,72 @@ fn split_tree_job_bytes_identical_across_worker_counts() {
         );
         assert_eq!(report.records, plan.n_trajectories() as u64);
         assert_eq!(bytes, reference, "split at {workers} workers changed bytes");
+    }
+}
+
+/// An `mps-brick32`-shaped job (a 30-qubit brickwork circuit, Auto-routed
+/// to the MPS engine) cut in trie order: the bytes are those of the
+/// unsplit walk on any worker count, one worker never cuts, and the
+/// report says how the walk was cut.
+#[test]
+fn split_mps_job_bytes_identical_across_worker_counts() {
+    let nc = Arc::new(brick_circuit(30, 4, 2e-2));
+    let plan = Arc::new(plan_for(&nc, 10, 20, false, 45));
+    let mut unsplit = JobSpec::new("split-mps", Arc::clone(&nc), Arc::clone(&plan), 19);
+    // Budget-driven truncation, as `mps-brick32` runs: the router's
+    // identity probe then tells the cut rule the bond this depth reaches.
+    unsplit.mps = ptsbe_tensornet::MpsConfig::adaptive(256, 1e-5, 1e-2);
+    let mut split = unsplit.clone();
+    split.chunk_trajectories = 3;
+    let cut = PtsPlanTree::from_plan(&plan).leaf_chunks_of_at_least(&plan, 3);
+    assert!(cut.len() >= 3, "{} chunks", cut.len());
+
+    // Too little work for the automatic rule: the unsplit reference.
+    let (reference, report) = run_binary(unsplit, 4);
+    assert!(report.status.is_success(), "{report:?}");
+    assert_eq!(report.engine, Some(EngineKind::MpsTree));
+    assert_eq!(report.chunks, 1, "{}", report.route_reason);
+    let (_, records) = ptsbe_dataset::binary::decode(&reference).unwrap();
+    assert_eq!(records.len(), plan.n_trajectories());
+    assert!(records.iter().all(|r| r.meta.truncation.is_some()));
+
+    for workers in [1usize, 2, 4, 8] {
+        let (bytes, report) = run_binary(split.clone(), workers);
+        assert!(report.status.is_success(), "{workers}: {report:?}");
+        assert_eq!(report.engine, Some(EngineKind::MpsTree));
+        let expect = if workers == 1 { 1 } else { cut.len() as u64 };
+        assert_eq!(report.chunks, expect, "{workers}: {}", report.route_reason);
+        assert!(
+            report
+                .route_reason
+                .contains(&format!("walked as {expect} trie-order chunk(s)")),
+            "{}",
+            report.route_reason
+        );
+        assert_eq!(report.chunk_edges.len() as u64, expect);
+        if workers > 1 {
+            let edges: Vec<u64> = cut.iter().map(|c| c.edges as u64).collect();
+            assert_eq!(report.chunk_edges, edges, "{workers} workers");
+        }
+        assert_eq!(report.records, plan.n_trajectories() as u64);
+        assert_eq!(bytes, reference, "split at {workers} workers changed bytes");
+    }
+}
+
+/// `svc-small`'s MPS jobs — 32 qubits, depth 4-6, budget-driven
+/// truncation, two dozen iid trajectories — are a few milliseconds of
+/// bond-8 work: the automatic rule leaves them one chunk on any pool.
+#[test]
+fn shallow_wide_mps_jobs_stay_one_chunk() {
+    for depth in [4usize, 5, 6] {
+        let nc = brick_circuit(32, depth, 1e-3);
+        let plan = plan_for(&nc, 24, 20, false, 46 + depth as u64);
+        let mut spec = JobSpec::new("shallow-mps", nc, plan, 23);
+        spec.mps = ptsbe_tensornet::MpsConfig::adaptive(256, 1e-5, 1e-2);
+        let (_, report) = run_binary(spec, 4);
+        assert!(report.status.is_success(), "{report:?}");
+        assert_eq!(report.engine, Some(EngineKind::MpsTree));
+        assert_eq!(report.chunks, 1, "depth {depth}: {}", report.route_reason);
     }
 }
 

@@ -163,6 +163,49 @@ fn split_tree_chunks_record_their_sub_trie_builds() {
     assert_eq!(plan_chunks, vec![None, Some(0), Some(1), Some(2)]);
 }
 
+/// So does a split MPS job: each trie-order chunk builds the sub-trie of
+/// its leaf run under its own chunk id (two workers — one would not cut).
+#[test]
+fn split_mps_chunks_record_their_sub_trie_builds() {
+    let _g = telemetry_lock();
+    ptsbe_telemetry::reset();
+    let (nc, _) = tree_workload();
+    let mut rng = PhiloxRng::new(98, 0);
+    let plan = ProbabilisticPts {
+        n_samples: 400,
+        shots_per_trajectory: 4,
+        dedup: true,
+    }
+    .sample_plan(&nc, &mut rng);
+    let cut = ptsbe_core::PtsPlanTree::from_plan(&plan).leaf_chunks_of_at_least(&plan, 4);
+    assert!(cut.len() >= 3, "{} leaf runs", cut.len());
+    let mut spec = JobSpec::new("telemetry-split-mps", nc, plan, 5)
+        .with_engine(EnginePolicy::Force(EngineKind::MpsTree));
+    spec.chunk_trajectories = 4;
+    let service: ShotService = ShotService::start(ServiceConfig {
+        workers: 2,
+        ..pinned_config(TelemetryConfig::spans())
+    });
+    let report = service
+        .submit(spec, Box::new(JsonlSink::new(SharedBuffer::new())))
+        .unwrap()
+        .wait();
+    assert!(report.status.is_success(), "{report:?}");
+    assert_eq!(report.engine, Some(EngineKind::MpsTree));
+    assert_eq!(report.chunks, cut.len() as u64, "{}", report.route_reason);
+
+    let snap = ptsbe_telemetry::snapshot();
+    let mut plan_chunks: Vec<Option<u32>> = snap
+        .job_spans(report.job_id)
+        .filter(|s| s.stage == Stage::Plan)
+        .map(|s| s.chunk)
+        .collect();
+    plan_chunks.sort_unstable();
+    let mut want = vec![None];
+    want.extend((0..cut.len() as u32).map(Some));
+    assert_eq!(plan_chunks, want);
+}
+
 /// Instrumentation must never touch output bytes: the same spec yields
 /// byte-identical JSONL with telemetry off, counters, and spans.
 /// (Faults stay `None` here so the CI fault matrix blankets this test

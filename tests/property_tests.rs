@@ -196,10 +196,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Plan-range sub-tries (the chunks of a split tree job): for any
-    /// cut points, each range-trie holds exactly its range under absolute
-    /// plan indices, and walking the ranges in order is bitwise the flat
-    /// executor on the whole plan.
+    /// Sub-tries (the chunks of a split tree job). For any cut points,
+    /// each plan-range trie holds exactly its range under absolute plan
+    /// indices and is the indices-trie of the same trajectories, and
+    /// walking the ranges in order is bitwise the flat executor on the
+    /// whole plan. The same cut points read as boundaries between the
+    /// whole trie's *leaves* — parts that are not plan-contiguous, single
+    /// leaves and empty parts included — and the balanced leaf cut give
+    /// walks that, merged by plan index, are bitwise the flat executor
+    /// too, on the statevector and on a truncating MPS backend.
     #[test]
     fn range_tries_concatenate_to_the_flat_execution(
         (n, recipe, p) in circuit_strategy(),
@@ -214,15 +219,7 @@ proptest! {
 
         // `from_plan` is the 0..n range, node for node.
         let whole = PtsPlanTree::from_plan(&plan);
-        let full = PtsPlanTree::from_plan_range(&plan, 0..n_traj);
-        prop_assert_eq!(whole.n_nodes(), full.n_nodes());
-        for i in 0..whole.n_nodes() {
-            let (a, b) = (whole.node(i), full.node(i));
-            prop_assert_eq!(
-                (a.depth, &a.children, &a.leaves, a.rep),
-                (b.depth, &b.children, &b.leaves, b.rep)
-            );
-        }
+        prop_assert!(same_nodes(&whole, &PtsPlanTree::from_plan_range(&plan, 0..n_traj)));
 
         // Repeated cut points give empty ranges, adjacent ones give
         // single-trajectory ranges.
@@ -234,6 +231,10 @@ proptest! {
         for w in bounds.windows(2) {
             let range = w[0]..w[1];
             let sub = PtsPlanTree::from_plan_range(&plan, range.clone());
+            // The range form is the contiguous case of the indices form,
+            // whatever order the indices come in.
+            let backwards: Vec<usize> = range.clone().rev().collect();
+            prop_assert!(same_nodes(&sub, &PtsPlanTree::from_plan_indices(&plan, &backwards)));
             let mut leaves = sub.leaf_plan_indices();
             leaves.sort_unstable();
             prop_assert_eq!(leaves, range.clone().collect::<Vec<_>>());
@@ -246,13 +247,95 @@ proptest! {
             joined.extend(ex.execute_tree(&backend, &noisy, &plan, &sub).trajectories);
         }
         let flat = BatchedExecutor { seed: 9, parallel: false }.execute(&backend, &noisy, &plan);
-        prop_assert_eq!(joined.len(), flat.trajectories.len());
-        for (a, b) in joined.iter().zip(&flat.trajectories) {
-            prop_assert_eq!(a.meta.traj_id, b.meta.traj_id);
-            prop_assert_eq!(&a.shots, &b.shots);
-            prop_assert_eq!(a.meta.realized_prob.to_bits(), b.meta.realized_prob.to_bits());
+        prop_assert!(same_results(&joined, &flat.trajectories));
+
+        // Leaf-order partitions: the cut points snapped to leaf starts of
+        // the whole trie's depth-first order.
+        let order = whole.leaf_plan_indices();
+        let mut leaf_starts: Vec<usize> = (0..n_traj)
+            .filter(|&i| {
+                i == 0 || plan.trajectories[order[i]].choices != plan.trajectories[order[i - 1]].choices
+            })
+            .collect();
+        leaf_starts.push(n_traj);
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| leaf_starts[c % leaf_starts.len()]).collect();
+        bounds.extend([0, n_traj]);
+        bounds.sort_unstable();
+        let random_parts: Vec<&[usize]> = bounds.windows(2).map(|w| &order[w[0]..w[1]]).collect();
+        let k = cuts.len() + 1;
+        let balanced = whole.leaf_chunks(&plan, k, 0.25);
+        prop_assert!((1..=k).contains(&balanced.len()));
+        let mut repeated = 0;
+        for c in &balanced {
+            let sub = PtsPlanTree::from_plan_indices(&plan, &order[c.range.clone()]);
+            prop_assert_eq!((sub.n_edges(), sub.total_shots(&plan)), (c.edges, c.shots));
+            repeated += c.edges;
+        }
+        prop_assert!(4 * repeated <= 5 * whole.n_edges(), "{repeated} of {}", whole.n_edges());
+        let balanced_parts: Vec<&[usize]> =
+            balanced.iter().map(|c| &order[c.range.clone()]).collect();
+
+        let mps = MpsBackend::<f64>::new(&noisy, MpsConfig::new(2), Default::default()).unwrap();
+        let mps_flat = BatchedExecutor { seed: 9, parallel: false }.execute(&mps, &noisy, &plan);
+        for parts in [&random_parts, &balanced_parts] {
+            let sv = walk_parts(&backend, &noisy, &plan, parts);
+            prop_assert!(same_results(&sv, &flat.trajectories));
+            let tn = walk_parts(&mps, &noisy, &plan, parts);
+            prop_assert!(tn.iter().all(|t| t.meta.truncation.is_some()));
+            prop_assert!(same_results(&tn, &mps_flat.trajectories));
         }
     }
+}
+
+/// Node-for-node equality of two plan tries.
+fn same_nodes(a: &PtsPlanTree, b: &PtsPlanTree) -> bool {
+    a.n_nodes() == b.n_nodes()
+        && a.n_trajectories() == b.n_trajectories()
+        && (0..a.n_nodes()).all(|i| {
+            let (x, y) = (a.node(i), b.node(i));
+            (x.depth, &x.children, &x.leaves, x.rep) == (y.depth, &y.children, &y.leaves, y.rep)
+        })
+}
+
+/// Bitwise equality of two executions: plan order, shots,
+/// `realized_prob` bits and truncation provenance.
+fn same_results(
+    a: &[ptsbe::core::be::TrajectoryResult],
+    b: &[ptsbe::core::be::TrajectoryResult],
+) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.meta.traj_id == y.meta.traj_id
+                && x.shots == y.shots
+                && x.meta.realized_prob.to_bits() == y.meta.realized_prob.to_bits()
+                && x.meta.truncation == y.meta.truncation
+        })
+}
+
+/// Walk each part's own sub-trie over one shared pool (as the chunks of
+/// a split job do) and merge the results by plan index.
+fn walk_parts<B: ptsbe::core::Backend>(
+    backend: &B,
+    noisy: &NoisyCircuit,
+    plan: &PtsPlan,
+    parts: &[&[usize]],
+) -> Vec<ptsbe::core::be::TrajectoryResult> {
+    let ex = TreeExecutor {
+        seed: 9,
+        parallel: false,
+    };
+    let pool = StatePool::new();
+    let mut merged = Vec::new();
+    for part in parts {
+        let sub = PtsPlanTree::from_plan_indices(plan, part);
+        assert_eq!(sub.n_trajectories(), part.len());
+        merged.extend(
+            ex.execute_tree_pooled(backend, noisy, plan, &sub, &pool)
+                .trajectories,
+        );
+    }
+    merged.sort_by_key(|t| t.meta.traj_id);
+    merged
 }
 
 // ---------------------------------------------------------------------------
