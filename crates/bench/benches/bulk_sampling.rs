@@ -1,5 +1,9 @@
-//! Bulk-sampling ablation: sorted-uniform merge vs. alias table — the
-//! design choice behind Batched Execution's amortized shot cost.
+//! Bulk-sampling ablation: sorted-uniform merge vs. multinomial counts —
+//! the design choice behind Batched Execution's amortized shot cost, and
+//! the measurement `SamplingStrategy::Auto`'s crossover is read from
+//! (quoted in `ptsbe_statevector::sampling`'s module doc). The uniform
+//! state is the counted sampler's worst case: every amplitude carries
+//! mass, so none of the 2ⁿ binomials is skipped.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptsbe_math::gates;
@@ -20,16 +24,17 @@ fn bench_sampling(c: &mut Criterion) {
     let sv = uniform_state(n);
     let mut group = c.benchmark_group("bulk_sampling_n16");
     group.sample_size(15);
-    for m in [1_000usize, 100_000] {
+    // 131 072 = 2·2ⁿ is where `Auto` switches.
+    for m in [1_000usize, 100_000, 131_072, 500_000, 4_000_000] {
         group.bench_with_input(BenchmarkId::new("sorted_merge", m), &m, |b, &m| {
             let mut rng = PhiloxRng::new(1, 0);
             b.iter(|| {
                 sampling::sample_shots(black_box(&sv), m, &mut rng, SamplingStrategy::SortedMerge)
             });
         });
-        group.bench_with_input(BenchmarkId::new("alias", m), &m, |b, &m| {
+        group.bench_with_input(BenchmarkId::new("counted", m), &m, |b, &m| {
             let mut rng = PhiloxRng::new(2, 0);
-            b.iter(|| sampling::sample_shots(black_box(&sv), m, &mut rng, SamplingStrategy::Alias));
+            b.iter(|| sampling::sample_counts(black_box(&sv), m, &mut rng));
         });
     }
     group.finish();

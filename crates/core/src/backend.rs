@@ -300,11 +300,12 @@ impl<T: Scalar> Backend for SvBackend<T> {
         shots: usize,
         rng: &mut R,
     ) -> Vec<u128> {
-        let raw = sv_sampling::sample_shots(state, shots, rng, self.strategy);
         let measured = self.compiled.measured_qubits();
-        raw.into_iter()
-            .map(|s| ptsbe_rng::bits::extract_bits(u128::from(s), measured))
-            .collect()
+        // One extraction per distinct outcome where the strategy samples
+        // counts, not one per shot.
+        sv_sampling::sample_words(state, shots, rng, self.strategy, |index| {
+            ptsbe_rng::bits::extract_bits(u128::from(index), measured)
+        })
     }
 }
 

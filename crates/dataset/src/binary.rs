@@ -4,17 +4,47 @@
 //! ```text
 //! magic "PTSB" | version u32 | header_len u32 | header JSON bytes
 //! repeat per trajectory:
-//!   meta_len u32 | meta JSON bytes | n_shots u64 | shots as u128 LE …
+//!   meta_len u32 | meta JSON bytes | n_shots u64 | shots
+//! shots, version 1:  n_shots × u128
+//! shots, version 2:  tag u8, then by tag bit 0
+//!   0 (plain):       n_shots × word
+//!   1 (run-length):  n_runs u64 | n_runs × (word, count u32)
+//!   word is a u64 when tag bit 1 is set, a u128 otherwise
 //! ```
-//! 16 bytes per shot — the format the trillion-shot regime wants; the
-//! JSON headers keep it self-describing.
+//! A bulk-sampled trajectory is a histogram — 500 000 shots of a
+//! 16-qubit state hold at most 65 536 distinct words and arrive sorted —
+//! so version 2 stores a sorted record as *runs of equal words* where
+//! that is smaller, and 8-byte words when no word of the record needs
+//! more. The writer decides per record, from the record alone: 8-byte
+//! words iff every word fits in 64 bits; run-length iff the words never
+//! descend and `8 + n_runs·(w+4) < n_shots·w` for the word size `w` just
+//! chosen (a run longer than `u32::MAX` is split, and every piece
+//! counts). One scan finds the runs and never sorts. A record in shot
+//! order (the frame engine's) stays plain words although it has repeats:
+//! its run count is a draw, not a property of the job — the same
+//! 393 216-shot memory experiment came to 4.34–4.40 bytes a shot from one
+//! execution seed to the next — while a sorted record's is bounded by the
+//! distinct outcomes, and plain words cost the same on every run. The
+//! reader takes runs in any order. The encoding is a pure function of the
+//! record, which is what keeps a shard byte-identical across worker
+//! counts, cache states and retries.
+//!
+//! This crate writes version 2 and reads both; either way a frame decodes
+//! to the same `Vec<ShotWord>`. The JSON headers keep the file
+//! self-describing.
 
 use crate::record::{DatasetHeader, ShotWord, TrajectoryRecord};
 use ptsbe_core::assignment::TrajectoryMeta;
 use std::io;
 
 const MAGIC: &[u8; 4] = b"PTSB";
-const VERSION: u32 = 1;
+/// The version this crate writes; [`decode_prefix`] also reads 1.
+const VERSION: u32 = 2;
+
+/// Tag bit 0: the shots are `(word, count)` runs.
+const TAG_RUNS: u8 = 1;
+/// Tag bit 1: words are 8 bytes, not 16.
+const TAG_NARROW: u8 = 2;
 
 /// Encode the dataset preamble (magic, version, header JSON) — the
 /// `begin` frame shared by [`encode`] and the streaming
@@ -29,17 +59,69 @@ pub(crate) fn encode_header(header: &DatasetHeader) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Encode one trajectory frame (meta JSON + shot words).
-pub(crate) fn encode_record(rec: &TrajectoryRecord) -> io::Result<Vec<u8>> {
+/// Append one trajectory frame (meta JSON + shots) to `buf`.
+pub(crate) fn encode_record(rec: &TrajectoryRecord, buf: &mut Vec<u8>) -> io::Result<()> {
     let mjson = serde_json::to_vec(&rec.meta)?;
-    let mut buf = Vec::with_capacity(4 + mjson.len() + 8 + 16 * rec.shots.len());
     buf.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
     buf.extend_from_slice(&mjson);
     buf.extend_from_slice(&(rec.shots.len() as u64).to_le_bytes());
-    for s in &rec.shots {
-        buf.extend_from_slice(&s.0.to_le_bytes());
+    encode_shots(&rec.shots, u32::MAX, buf);
+    Ok(())
+}
+
+fn push_word(buf: &mut Vec<u8>, word: u128, narrow: bool) {
+    if narrow {
+        buf.extend_from_slice(&(word as u64).to_le_bytes());
+    } else {
+        buf.extend_from_slice(&word.to_le_bytes());
     }
-    Ok(buf)
+}
+
+/// The version-2 shot section: tag byte, then plain words or runs,
+/// whichever the module-level rule selects. `max_run` is `u32::MAX`
+/// outside tests.
+fn encode_shots(shots: &[ShotWord], max_run: u32, buf: &mut Vec<u8>) {
+    // No early exit: a plain OR-fold vectorizes, and a bulk record is
+    // all narrow anyway.
+    let narrow = shots.iter().fold(0, |high, s| high | (s.0 >> 64)) == 0;
+    let w = if narrow { 8 } else { 16 };
+    let plain_bytes = shots.len() * w;
+    // Write the runs as they are found and give up — back to plain words
+    // — at the first descent or as soon as there are too many to pay;
+    // `n_runs` is patched in once it is known. One pass, not a count and
+    // then an encode.
+    let start = buf.len();
+    buf.push(TAG_RUNS | (u8::from(narrow) * TAG_NARROW));
+    buf.extend_from_slice(&[0; 8]);
+    let mut n_runs = 0usize;
+    let mut rest = shots;
+    let mut last = 0;
+    let mut pays = 8 < plain_bytes;
+    while pays && !rest.is_empty() {
+        let word = rest[0].0;
+        let len = rest
+            .iter()
+            .take(max_run as usize)
+            .take_while(|s| s.0 == word)
+            .count();
+        push_word(buf, word, narrow);
+        buf.extend_from_slice(&(len as u32).to_le_bytes());
+        rest = &rest[len..];
+        n_runs += 1;
+        // `<=`: the pieces of a split run repeat their word.
+        pays = last <= word && 8 + n_runs * (w + 4) < plain_bytes;
+        last = word;
+    }
+    if pays {
+        buf[start + 1..start + 9].copy_from_slice(&(n_runs as u64).to_le_bytes());
+        return;
+    }
+    buf.truncate(start);
+    buf.push(u8::from(narrow) * TAG_NARROW);
+    buf.reserve(plain_bytes);
+    for s in shots {
+        push_word(buf, s.0, narrow);
+    }
 }
 
 /// Serialize a dataset to bytes.
@@ -49,7 +131,7 @@ pub(crate) fn encode_record(rec: &TrajectoryRecord) -> io::Result<Vec<u8>> {
 pub fn encode(header: &DatasetHeader, records: &[TrajectoryRecord]) -> io::Result<Vec<u8>> {
     let mut buf = encode_header(header)?;
     for rec in records {
-        buf.extend_from_slice(&encode_record(rec)?);
+        encode_record(rec, &mut buf)?;
     }
     Ok(buf)
 }
@@ -72,6 +154,135 @@ pub fn decode(data: impl AsRef<[u8]>) -> io::Result<(DatasetHeader, Vec<Trajecto
     Ok((header, records))
 }
 
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Little-endian reads at a cursor over a byte slice; `None` when the
+/// slice is too short (the caller decides whether that is a torn tail).
+struct Cursor<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.remaining() < n {
+            return None;
+        }
+        let out = &self.buf[self.at..self.at + n];
+        self.at += n;
+        Some(out)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.bytes(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.bytes(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// `n` records of `size` bytes each, without computing `n · size`
+    /// before knowing it fits (a corrupt count must not overflow).
+    fn records(&mut self, n: usize, size: usize) -> Option<std::slice::ChunksExact<'a, u8>> {
+        if self.remaining() / size < n {
+            return None;
+        }
+        self.bytes(n * size).map(|b| b.chunks_exact(size))
+    }
+}
+
+fn word_of(bytes: &[u8]) -> u128 {
+    match bytes.len() {
+        8 => u128::from(u64::from_le_bytes(bytes.try_into().expect("8 bytes"))),
+        _ => u128::from_le_bytes(bytes.try_into().expect("16 bytes")),
+    }
+}
+
+fn reserve_shots(n_shots: usize) -> io::Result<Vec<ShotWord>> {
+    let mut shots = Vec::new();
+    shots
+        .try_reserve_exact(n_shots)
+        .map_err(|_| bad("shot count exceeds available memory"))?;
+    Ok(shots)
+}
+
+/// One frame's shot section. `Ok(None)` is a torn tail (fewer bytes than
+/// the frame's own lengths claim); `Err` is damage no interrupted write
+/// can explain. Nothing is allocated before the section has been checked
+/// against the bytes that are really there.
+fn decode_shots(cur: &mut Cursor, version: u32, n_shots: u64) -> io::Result<Option<Vec<ShotWord>>> {
+    let n_shots = usize::try_from(n_shots).map_err(|_| bad("shot count exceeds usize"))?;
+    let tag = if version == 1 {
+        0
+    } else {
+        match cur.bytes(1) {
+            Some(b) => b[0],
+            None => return Ok(None),
+        }
+    };
+    if tag & !(TAG_RUNS | TAG_NARROW) != 0 {
+        return Err(bad("unknown shot encoding tag"));
+    }
+    let w = if tag & TAG_NARROW != 0 { 8 } else { 16 };
+    if tag & TAG_RUNS == 0 {
+        let Some(words) = cur.records(n_shots, w) else {
+            return Ok(None);
+        };
+        let mut shots = reserve_shots(n_shots)?;
+        shots.extend(words.map(|b| ShotWord(word_of(b))));
+        return Ok(Some(shots));
+    }
+    let Some(n_runs) = cur.u64() else {
+        return Ok(None);
+    };
+    let n_runs = usize::try_from(n_runs).map_err(|_| bad("run count exceeds usize"))?;
+    let Some(pairs) = cur.records(n_runs, w + 4) else {
+        return Ok(None);
+    };
+    let run = |pair: &[u8]| {
+        let count = u32::from_le_bytes(pair[w..].try_into().expect("4 bytes"));
+        (word_of(&pair[..w]), count as usize)
+    };
+    let mut total = 0usize;
+    for (_, count) in pairs.clone().map(run) {
+        if count == 0 {
+            return Err(bad("zero-length run"));
+        }
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| bad("run counts overflow"))?;
+    }
+    if total != n_shots {
+        return Err(bad("run counts do not sum to the shot count"));
+    }
+    let mut shots = reserve_shots(n_shots)?;
+    for (word, count) in pairs.map(run) {
+        shots.resize(shots.len() + count, ShotWord(word));
+    }
+    Ok(Some(shots))
+}
+
+/// One trajectory frame; `Ok(None)` when the bytes end inside it.
+fn decode_frame(cur: &mut Cursor, version: u32) -> io::Result<Option<TrajectoryRecord>> {
+    let Some(mjson) = cur.u32().and_then(|mlen| cur.bytes(mlen as usize)) else {
+        return Ok(None);
+    };
+    let Some(n_shots) = cur.u64() else {
+        return Ok(None);
+    };
+    let meta: TrajectoryMeta = serde_json::from_slice(mjson)?;
+    let shots = decode_shots(cur, version, n_shots)?;
+    Ok(shots.map(|shots| TrajectoryRecord { meta, shots }))
+}
+
 /// Valid-prefix recovery for a possibly-torn `PTSB` shard (the resume
 /// protocol for crash-safe binary sinks — see [`crate::atomic`]).
 ///
@@ -81,63 +292,42 @@ pub fn decode(data: impl AsRef<[u8]>) -> io::Result<(DatasetHeader, Vec<Trajecto
 /// than their own framing claims, then stops. Returns the header, the
 /// complete records, and the byte length of the valid prefix — re-emit
 /// from record `records.len()` (or truncate the shard to `prefix_len`
-/// and append) to resume.
+/// and append) to resume. Reads version 1 and version 2 shards.
 ///
 /// # Errors
 /// `InvalidData` when even the preamble (magic/version/header) is torn
 /// or wrong — there is no dataset to recover — and on corrupt (not
 /// merely truncated) frames, which indicate real damage rather than an
-/// interrupted write.
+/// interrupted write: unparseable metadata, an unknown encoding tag, a
+/// zero-length run, run counts that do not sum to the frame's shot
+/// count.
 pub fn decode_prefix(
     data: impl AsRef<[u8]>,
 ) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>, usize)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let buf = data.as_ref();
-    if buf.len() < 12 || &buf[..4] != MAGIC {
-        return Err(bad(if buf.len() < 12 {
-            "truncated preamble: no recoverable dataset"
-        } else {
-            "bad magic"
-        }));
+    let mut cur = Cursor { buf, at: 0 };
+    if buf.len() < 12 {
+        return Err(bad("truncated preamble: no recoverable dataset"));
     }
-    let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"));
-    if u32_at(4) != VERSION {
+    if cur.bytes(4) != Some(&MAGIC[..]) {
+        return Err(bad("bad magic"));
+    }
+    let version = cur.u32().expect("12-byte preamble");
+    if !(1..=VERSION).contains(&version) {
         return Err(bad("unsupported version"));
     }
-    let hlen = u32_at(8) as usize;
-    if buf.len() - 12 < hlen {
+    let hlen = cur.u32().expect("12-byte preamble") as usize;
+    let Some(hjson) = cur.bytes(hlen) else {
         return Err(bad("truncated dataset header: no recoverable dataset"));
-    }
-    let header: DatasetHeader = serde_json::from_slice(&buf[12..12 + hlen])?;
+    };
+    let header: DatasetHeader = serde_json::from_slice(hjson)?;
     let mut records = Vec::new();
-    let mut prefix_len = 12 + hlen;
-    loop {
-        // Parse one frame at a speculative cursor; commit `prefix_len`
-        // only once the frame is complete.
-        let mut at = prefix_len;
-        if buf.len() - at < 4 {
-            break;
-        }
-        let mlen = u32_at(at) as usize;
-        at += 4;
-        if buf.len() - at < mlen + 8 {
-            break;
-        }
-        let meta: TrajectoryMeta = serde_json::from_slice(&buf[at..at + mlen])?;
-        at += mlen;
-        let n_shots = u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes")) as usize;
-        at += 8;
-        if (buf.len() - at) / 16 < n_shots {
-            break;
-        }
-        let mut shots = Vec::with_capacity(n_shots);
-        for _ in 0..n_shots {
-            let word = u128::from_le_bytes(buf[at..at + 16].try_into().expect("16 bytes"));
-            shots.push(ShotWord(word));
-            at += 16;
-        }
-        records.push(TrajectoryRecord { meta, shots });
-        prefix_len = at;
+    let mut prefix_len = cur.at;
+    // Each frame is parsed at a speculative cursor; `prefix_len` moves
+    // only once the frame is complete.
+    while let Some(record) = decode_frame(&mut cur, version)? {
+        records.push(record);
+        prefix_len = cur.at;
     }
     Ok((header, records, prefix_len))
 }
@@ -246,12 +436,190 @@ mod tests {
         assert!(decode_prefix(&bytes[..6]).is_err());
     }
 
+    /// A version-2 shard of one frame whose bytes after the metadata
+    /// are `n_shots` and then `section` verbatim.
+    fn shard_with(n_shots: u64, section: &[u8]) -> Vec<u8> {
+        let (header, records) = sample();
+        let mut bytes = encode(&header, &[]).unwrap();
+        let mjson = serde_json::to_vec(&records[0].meta).unwrap();
+        bytes.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&mjson);
+        bytes.extend_from_slice(&n_shots.to_le_bytes());
+        bytes.extend_from_slice(section);
+        bytes
+    }
+
+    /// Tag, `n_runs`, then narrow `(word, count)` pairs.
+    fn narrow_runs(n_runs: u64, pairs: &[(u64, u32)]) -> Vec<u8> {
+        let mut section = vec![TAG_RUNS | TAG_NARROW];
+        section.extend_from_slice(&n_runs.to_le_bytes());
+        for (word, count) in pairs {
+            section.extend_from_slice(&word.to_le_bytes());
+            section.extend_from_slice(&count.to_le_bytes());
+        }
+        section
+    }
+
+    fn assert_corrupt(bytes: &[u8], why: &str) {
+        for err in [
+            decode(bytes).unwrap_err(),
+            decode_prefix(bytes).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        }
+    }
+
+    fn assert_torn(bytes: &[u8]) {
+        assert_eq!(
+            decode(bytes).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        let (_, recovered, prefix_len) = decode_prefix(bytes).unwrap();
+        assert!(recovered.is_empty());
+        let (header, _) = sample();
+        assert_eq!(prefix_len, encode(&header, &[]).unwrap().len());
+    }
+
     #[test]
-    fn shot_size_is_16_bytes() {
-        let (header, mut records) = sample();
-        let base = encode(&header, &records).unwrap().len();
-        records[0].shots.push(ShotWord(1));
-        let plus_one = encode(&header, &records).unwrap().len();
-        assert_eq!(plus_one - base, 16);
+    fn a_few_dozen_bytes_cannot_claim_a_terabyte_of_shots() {
+        // 2^40 shots from two runs: the counts cannot reach it, and the
+        // reader must say so before it allocates 16 TiB.
+        let max = u32::MAX;
+        assert_corrupt(
+            &shard_with(1 << 40, &narrow_runs(2, &[(0, max), (1, max)])),
+            "do not sum",
+        );
+        // The same two runs under the count they do add up to are a valid
+        // 8-GiB-when-expanded frame; only `try_reserve_exact` stands
+        // between it and the allocator, so it is not exercised here.
+    }
+
+    #[test]
+    fn run_counts_must_match_the_shot_count() {
+        let ok = shard_with(5, &narrow_runs(2, &[(9, 2), (4, 3)]));
+        let (_, records) = decode(&ok).unwrap();
+        let words: Vec<u128> = records[0].shots.iter().map(|s| s.0).collect();
+        assert_eq!(words, [9, 9, 4, 4, 4]);
+        for n_shots in [4, 6, 0] {
+            let bytes = shard_with(n_shots, &narrow_runs(2, &[(9, 2), (4, 3)]));
+            assert_corrupt(&bytes, "do not sum");
+        }
+        assert_corrupt(
+            &shard_with(5, &narrow_runs(3, &[(9, 2), (4, 0), (4, 3)])),
+            "zero-length run",
+        );
+        // A total past u32 is compared whole, not truncated to 3.
+        let bytes = shard_with(3, &narrow_runs(2, &[(1, u32::MAX), (1, 4)]));
+        assert_corrupt(&bytes, "do not sum");
+    }
+
+    #[test]
+    fn unknown_tag_bits_are_corrupt() {
+        for tag in [0b100u8, 0b1000_0001, 0xff] {
+            let mut section = narrow_runs(1, &[(9, 1)]);
+            section[0] = tag;
+            assert_corrupt(&shard_with(1, &section), "unknown shot encoding tag");
+        }
+    }
+
+    #[test]
+    fn short_run_sections_are_torn_tails() {
+        let whole = shard_with(5, &narrow_runs(2, &[(9, 2), (4, 3)]));
+        assert!(decode(&whole).is_ok());
+        // Cut anywhere inside the shot section: tag, n_runs, pairs.
+        for cut in 1..=1 + 8 + 24 {
+            assert_torn(&whole[..whole.len() - cut]);
+        }
+        // A run count no buffer could hold must not overflow `n · size`.
+        for n_runs in [3, u64::MAX / 12, u64::MAX] {
+            assert_torn(&shard_with(5, &narrow_runs(n_runs, &[(9, 2), (4, 3)])));
+        }
+    }
+
+    /// Bytes of the shot section alone.
+    fn section(words: &[u128], max_run: u32) -> Vec<u8> {
+        let shots: Vec<ShotWord> = words.iter().copied().map(ShotWord).collect();
+        let mut buf = Vec::new();
+        encode_shots(&shots, max_run, &mut buf);
+        let mut cur = Cursor { buf: &buf, at: 0 };
+        let back = decode_shots(&mut cur, VERSION, shots.len() as u64).unwrap();
+        assert_eq!(back.unwrap(), shots);
+        assert_eq!(cur.at, buf.len());
+        buf
+    }
+
+    #[test]
+    fn each_encoding_has_its_size() {
+        let wide = 1u128 << 64;
+        let max = u32::MAX;
+        // Plain: 8 or 16 bytes a shot after the tag.
+        assert_eq!(section(&[], max), [TAG_NARROW]);
+        assert_eq!(section(&[1, 2, 3], max).len(), 1 + 3 * 8);
+        assert_eq!(section(&[1, 2, 3], max)[0], TAG_NARROW);
+        assert_eq!(section(&[1, wide, 3], max).len(), 1 + 3 * 16);
+        assert_eq!(section(&[1, wide, 3], max)[0], 0);
+        // Runs: 8 + 12 or 20 a run, whatever the shot count.
+        assert_eq!(section(&[5; 1000], max).len(), 1 + 8 + 12);
+        assert_eq!(section(&[5; 1000], max)[0], TAG_RUNS | TAG_NARROW);
+        assert_eq!(section(&[wide; 1000], max).len(), 1 + 8 + 20);
+        assert_eq!(section(&[wide; 1000], max)[0], TAG_RUNS);
+        assert_eq!(
+            section(&[0, 0, 0, 7, 7, 7, 9, 9, 9], max).len(),
+            1 + 8 + 3 * 12
+        );
+        // Sorted records only: one descent and the repeats stay plain
+        // words in shot order, however long the runs around it.
+        let descends = [7, 7, 7, 0, 0, 0, 7, 7, 7];
+        assert_eq!(section(&descends, max).len(), 1 + 9 * 8);
+        assert_eq!(section(&descends, max)[0], TAG_NARROW);
+        let mut late = vec![3u128; 1000];
+        late.push(2);
+        assert_eq!(section(&late, max).len(), 1 + 1001 * 8);
+        late[1000] = wide;
+        late[0] = wide + 1;
+        assert_eq!(section(&late, max).len(), 1 + 1001 * 16);
+        // The rule is strict: runs iff 8 + n_runs·(w+4) < n_shots·w.
+        assert_eq!(section(&[5, 5], max), section(&[5, 5], 1)); // 20 ≮ 16
+        assert_eq!(section(&[5, 5], max)[0], TAG_NARROW);
+        assert_eq!(section(&[5, 5, 5], max)[0], TAG_RUNS | TAG_NARROW); // 20 < 24
+        assert_eq!(section(&[wide, wide], max)[0], TAG_RUNS); // 28 < 32
+        let five_runs = [1, 1, 2, 2, 3, 3, 4, 5, 5]; // 8 + 60 < 72
+        assert_eq!(section(&five_runs, max)[0], TAG_RUNS | TAG_NARROW);
+        let six_runs = [1, 1, 2, 2, 3, 3, 4, 5, 6]; // 8 + 72 ≮ 72
+        assert_eq!(section(&six_runs, max)[0], TAG_NARROW);
+    }
+
+    #[test]
+    fn a_run_past_the_count_width_is_split() {
+        // With counts capped at 3, eight equal shots are runs of 3, 3, 2.
+        let buf = section(&[7; 8], 3);
+        assert_eq!(buf[0], TAG_RUNS | TAG_NARROW);
+        assert_eq!(buf[1..9], 3u64.to_le_bytes());
+        let counts: Vec<u8> = buf[9..].chunks(12).map(|pair| pair[8]).collect();
+        assert_eq!(counts, [3, 3, 2]);
+        // Every piece counts against the rule: capped at 1 there is
+        // nothing to gain and the section is plain.
+        assert_eq!(section(&[7; 8], 1).len(), 1 + 8 * 8);
+    }
+
+    #[test]
+    fn version_1_shards_still_decode() {
+        let (header, records) = sample();
+        let mut v1 = encode(&header, &[]).unwrap();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mjson = serde_json::to_vec(&records[0].meta).unwrap();
+        v1.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&mjson);
+        v1.extend_from_slice(&2u64.to_le_bytes());
+        for s in &records[0].shots {
+            v1.extend_from_slice(&s.0.to_le_bytes());
+        }
+        let (h2, r2) = decode(&v1).unwrap();
+        assert_eq!(h2, header);
+        assert_eq!(r2[0].shots, records[0].shots);
+        // No version 3 yet.
+        v1[4..8].copy_from_slice(&3u32.to_le_bytes());
+        assert!(decode(&v1).unwrap_err().to_string().contains("version"));
     }
 }

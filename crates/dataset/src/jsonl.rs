@@ -1,8 +1,38 @@
 //! Line-delimited JSON dataset IO: header line, then one trajectory
 //! record per line.
 
-use crate::record::{DatasetHeader, TrajectoryRecord};
+use crate::record::{hex_digits, DatasetHeader, TrajectoryRecord};
 use std::io::{self, BufRead, Write};
+
+/// Write one record line — the bytes of `serde_json::to_writer(record)`
+/// plus the newline — without building the record's value tree: a bulk
+/// trajectory's half-million shots would each become a heap `String`
+/// there. The hex goes through a small stack buffer, so an unbuffered
+/// writer sees one write per ~4 KiB, not one per shot.
+pub(crate) fn write_record<W: Write>(w: &mut W, record: &TrajectoryRecord) -> io::Result<()> {
+    w.write_all(b"{\"meta\":")?;
+    serde_json::to_writer(&mut *w, &record.meta)?;
+    w.write_all(b",\"shots\":[")?;
+    let mut chunk = [0u8; 4096];
+    let mut len = 0;
+    let mut digits = [0u8; 32];
+    for (i, shot) in record.shots.iter().enumerate() {
+        // `,"` + 32 digits + `"` at most.
+        if chunk.len() - len < 35 {
+            w.write_all(&chunk[..len])?;
+            len = 0;
+        }
+        let mut put = |bytes: &[u8]| {
+            chunk[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        put(if i == 0 { b"\"" } else { b",\"" });
+        put(hex_digits(shot.0, &mut digits));
+        put(b"\"");
+    }
+    w.write_all(&chunk[..len])?;
+    w.write_all(b"]}\n")
+}
 
 /// Write a dataset: header first, then one record per line.
 ///
@@ -16,8 +46,7 @@ pub fn write<W: Write>(
     serde_json::to_writer(&mut w, header)?;
     w.write_all(b"\n")?;
     for rec in records {
-        serde_json::to_writer(&mut w, rec)?;
-        w.write_all(b"\n")?;
+        write_record(&mut w, rec)?;
     }
     Ok(())
 }
@@ -148,6 +177,23 @@ mod tests {
         assert_eq!(r2.len(), 2);
         assert_eq!(r2[0].shots, records[0].shots);
         assert_eq!(r2[1].meta.traj_id, 1);
+    }
+
+    #[test]
+    fn streamed_record_lines_are_the_serde_lines() {
+        let (_, mut records) = sample();
+        records[0].shots.clear();
+        // Enough shots of every width to cross the chunk buffer twice.
+        records[1].shots = (0..400u32)
+            .map(|i| ShotWord(u128::MAX >> (i % 128)))
+            .chain([ShotWord(0)])
+            .collect();
+        for rec in &records {
+            let mut line = Vec::new();
+            write_record(&mut line, rec).unwrap();
+            let want = serde_json::to_string(rec).unwrap() + "\n";
+            assert_eq!(String::from_utf8(line).unwrap(), want);
+        }
     }
 
     #[test]

@@ -24,12 +24,17 @@ static HEX_PAIRS: [[u8; 2]; 256] = {
 /// faster. Callers encoding many shots reuse one growing `String`.
 pub fn push_hex_u128(buf: &mut String, v: u128) {
     let mut tmp = [0u8; 32];
+    buf.push_str(core::str::from_utf8(hex_digits(v, &mut tmp)).expect("hex digits are ascii"));
+}
+
+/// The digits [`push_hex_u128`] appends, written into `tmp`.
+pub(crate) fn hex_digits(v: u128, tmp: &mut [u8; 32]) -> &[u8] {
     for (i, b) in v.to_be_bytes().iter().enumerate() {
         [tmp[2 * i], tmp[2 * i + 1]] = HEX_PAIRS[*b as usize];
     }
     // Number of leading zero nibbles; keep at least one digit.
     let skip = (v.leading_zeros() as usize / 4).min(31);
-    buf.push_str(core::str::from_utf8(&tmp[skip..]).expect("hex digits are ascii"));
+    &tmp[skip..]
 }
 
 /// One shot as an owned lowercase-hex string (see [`push_hex_u128`]).

@@ -8,15 +8,41 @@ use ptsbe_core::backend::TruncationStats;
 use ptsbe_dataset::{binary, jsonl, DatasetHeader, ShotWord, TrajectoryRecord};
 
 /// Raw draws for one record: (probability, has-truncation, Kraus
-/// choices, shot words as two u64 halves).
-type RawRecord = (f64, bool, Vec<usize>, Vec<(u64, u64)>);
+/// choices, (shot words as two u64 halves, shape of the shot vector,
+/// repeats per word)).
+type RawRecord = (f64, bool, Vec<usize>, (Vec<(u64, u64)>, usize, usize));
+
+/// The shot vectors a `PTSB` version-2 writer tells apart, from the raw
+/// words: as drawn (unsorted, mostly > 64 bits: plain 16-byte words), one
+/// word over and over (a single run), ≤ 64-bit words sorted with repeats
+/// (a bulk-sampled trajectory: runs of 8-byte words), > 64-bit words
+/// sorted with repeats (runs of 16-byte words), and words repeated in
+/// place (the frame engine: repeats in shot order, which stay plain).
+fn shape_shots(words: &[(u64, u64)], shape: usize, reps: usize) -> Vec<ShotWord> {
+    let word = |&(hi, lo): &(u64, u64)| (u128::from(hi) << 64) | u128::from(lo);
+    let mut words: Vec<u128> = match shape {
+        1 => vec![words.first().map_or(0, word); words.len()],
+        2 => words.iter().map(|&(_, lo)| u128::from(lo >> 40)).collect(),
+        _ => words.iter().map(word).collect(),
+    };
+    if shape == 2 || shape == 3 {
+        words.sort_unstable();
+    }
+    let reps = if shape == 0 { 1 } else { reps };
+    let repeated = words.iter().flat_map(|&w| vec![ShotWord(w); reps]);
+    repeated.collect()
+}
 
 fn raw_dataset() -> impl Strategy<Value = (u64, usize, Vec<RawRecord>)> {
     let record = (
         0.0f64..1.0,
         prop::bool::ANY,
         prop::collection::vec(0usize..4, 0..5),
-        prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..5),
+        (
+            prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..5),
+            0usize..5,
+            1usize..6,
+        ),
     );
     (
         0u64..u64::MAX,
@@ -36,39 +62,38 @@ fn build(seed: u64, n_qubits: usize, raw: &[RawRecord]) -> (DatasetHeader, Vec<T
     let records = raw
         .iter()
         .enumerate()
-        .map(|(traj_id, (prob, truncated, choices, words))| {
-            let errors = choices
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| k != 0)
-                .map(|(site_id, &kraus_index)| ErrorEvent {
-                    site_id,
-                    op_index: 3 * site_id + 1,
-                    qubits: vec![site_id % n_qubits],
-                    kraus_index,
-                    label: ["I", "X", "Y", "Z"][kraus_index].into(),
-                    channel: "depolarizing".into(),
-                })
-                .collect();
-            TrajectoryRecord {
-                meta: TrajectoryMeta {
-                    traj_id,
-                    nominal_prob: *prob,
-                    realized_prob: prob * 0.5,
-                    choices: choices.clone(),
-                    errors,
-                    truncation: truncated.then_some(TruncationStats {
-                        trunc_error: prob * 1e-6,
-                        max_bond_reached: 1 + traj_id,
-                        budget_exhausted: false,
-                    }),
-                },
-                shots: words
+        .map(
+            |(traj_id, (prob, truncated, choices, (words, shape, reps)))| {
+                let errors = choices
                     .iter()
-                    .map(|&(hi, lo)| ShotWord((u128::from(hi) << 64) | u128::from(lo)))
-                    .collect(),
-            }
-        })
+                    .enumerate()
+                    .filter(|(_, &k)| k != 0)
+                    .map(|(site_id, &kraus_index)| ErrorEvent {
+                        site_id,
+                        op_index: 3 * site_id + 1,
+                        qubits: vec![site_id % n_qubits],
+                        kraus_index,
+                        label: ["I", "X", "Y", "Z"][kraus_index].into(),
+                        channel: "depolarizing".into(),
+                    })
+                    .collect();
+                TrajectoryRecord {
+                    meta: TrajectoryMeta {
+                        traj_id,
+                        nominal_prob: *prob,
+                        realized_prob: prob * 0.5,
+                        choices: choices.clone(),
+                        errors,
+                        truncation: truncated.then_some(TruncationStats {
+                            trunc_error: prob * 1e-6,
+                            max_bond_reached: 1 + traj_id,
+                            budget_exhausted: false,
+                        }),
+                    },
+                    shots: shape_shots(words, *shape, *reps),
+                }
+            },
+        )
         .collect();
     (header, records)
 }
@@ -79,6 +104,28 @@ fn lines(records: &[TrajectoryRecord]) -> Vec<String> {
         .iter()
         .map(|r| serde_json::to_string(r).expect("record serializes"))
         .collect()
+}
+
+/// The generator's shapes reach the writer's four encodings: the frame
+/// of each has that encoding's size.
+#[test]
+fn shapes_reach_all_four_encodings() {
+    let words = [(4, 1 << 60), (3, 2 << 60), (2, 3 << 60), (1, 4 << 60)];
+    let frame_len = |shape| {
+        let raw = [(0.5, false, vec![], (words.to_vec(), shape, 5))];
+        let (header, records) = build(1, 4, &raw);
+        let empty = TrajectoryRecord {
+            meta: records[0].meta.clone(),
+            shots: vec![],
+        };
+        let base = binary::encode(&header, &[empty]).unwrap().len();
+        binary::encode(&header, &records).unwrap().len() - base
+    };
+    assert_eq!(frame_len(0), 4 * 16, "plain, 16-byte words");
+    assert_eq!(frame_len(1), 8 + 20, "one run of a 16-byte word");
+    assert_eq!(frame_len(2), 8 + 4 * 12, "runs of 8-byte words");
+    assert_eq!(frame_len(3), 8 + 4 * 20, "runs of 16-byte words");
+    assert_eq!(frame_len(4), 20 * 16, "repeats in shot order: plain");
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 //! Small-n categorical sampling by CDF inversion.
 //!
 //! Noise channels typically have 2-16 Kraus operators, where a linear scan
-//! beats both the alias table and binary search. This module is the per-site
+//! beats binary search. This module is the per-site
 //! sampler used by the PTS algorithms and the Algorithm-1 baseline engine.
 
 use crate::Rng;

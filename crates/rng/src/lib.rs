@@ -16,14 +16,14 @@
 //! - [`sorted::sorted_uniforms`] — O(m) generation of *sorted* uniforms, the
 //!   key trick that makes bulk CDF-inversion shot sampling a single linear
 //!   merge over the probability vector;
-//! - [`alias::AliasTable`] — Walker/Vose alias method for O(1)-per-shot
-//!   categorical sampling when many shots are drawn from one distribution;
+//! - [`binomial::binomial`] — exact binomial variates (inversion / BTRS),
+//!   the primitive under the counted multinomial shot sampler;
 //! - [`categorical`] — small-n CDF inversion used when a channel has only a
 //!   handful of Kraus operators;
 //! - [`mask`] — bit-packed Bernoulli word sampling (bit-sliced and sparse
 //!   geometric-skip variants) for the Stim-style Pauli-frame bulk sampler.
 
-pub mod alias;
+pub mod binomial;
 pub mod bits;
 pub mod categorical;
 pub mod mask;
@@ -31,7 +31,6 @@ pub mod philox;
 pub mod sorted;
 pub mod splitmix;
 
-pub use alias::AliasTable;
 pub use philox::{Philox4x32, PhiloxRng};
 pub use splitmix::SplitMix64;
 

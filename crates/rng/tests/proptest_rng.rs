@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use ptsbe_rng::categorical::{index_of, multinomial_counts, sample_weighted};
 use ptsbe_rng::sorted::sorted_uniforms;
-use ptsbe_rng::{AliasTable, PhiloxRng, Rng, SplitMix64};
+use ptsbe_rng::{PhiloxRng, Rng, SplitMix64};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
@@ -44,19 +44,6 @@ proptest! {
         b.seek(skip as u64);
         let tail_b: Vec<u32> = (0..8).map(|_| b.next_u32()).collect();
         prop_assert_eq!(tail_a, tail_b);
-    }
-
-    #[test]
-    fn alias_table_only_emits_positive_weights(seed in 0u64..1000, weights in prop::collection::vec(0.0f64..10.0, 1..20)) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let table = AliasTable::new(&weights);
-        let mut rng = PhiloxRng::new(seed, 2);
-        for _ in 0..200 {
-            let i = table.sample(&mut rng);
-            prop_assert!(i < weights.len());
-            // Zero-weight outcomes never appear.
-            prop_assert!(weights[i] > 0.0, "sampled zero-weight outcome {i}");
-        }
     }
 
     #[test]

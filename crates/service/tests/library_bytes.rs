@@ -176,22 +176,29 @@ fn frame_mid_circuit_measurement_is_worker_independent_and_equals_the_sampler() 
 
 /// The three dense engines, cut into small ragged chunks over two
 /// workers, deliver what one flat `BatchedExecutor::execute` on a
-/// freshly compiled backend returns.
+/// freshly compiled backend returns — with the shots of a trajectory
+/// below `Auto`'s switch to the counted sampler (2·2⁵) and above it.
 #[test]
 fn dense_engines_equal_the_flat_executor_on_a_fresh_backend() {
     let nc = clifford_circuit();
-    let plan = plan_for(&nc, 23, 40);
-    let backend = SvBackend::<f64>::new_with_fusion(&nc, SamplingStrategy::Auto, true).unwrap();
-    let want = library_records(&backend, &nc, &plan);
-    assert_eq!(want.len(), 23);
-    for engine in [EngineKind::Tree, EngineKind::BatchMajor, EngineKind::Flat] {
-        let mut spec = JobSpec::new("dense", nc.clone(), plan.clone(), SEED)
-            .with_engine(EnginePolicy::Force(engine));
-        spec.chunk_trajectories = 5; // 5 chunks, the last of 3
-        let (records, report) = run(spec, 2);
-        assert_eq!(report.engine, Some(engine));
-        assert_eq!(report.chunks, 5, "{engine:?}");
-        assert_same_records(&records, &want, engine.label());
+    for shots in [40, 400] {
+        assert_eq!(
+            SamplingStrategy::Auto.is_counted(shots, 1 << 5),
+            shots == 400
+        );
+        let plan = plan_for(&nc, 23, shots);
+        let backend = SvBackend::<f64>::new_with_fusion(&nc, SamplingStrategy::Auto, true).unwrap();
+        let want = library_records(&backend, &nc, &plan);
+        assert_eq!(want.len(), 23);
+        for engine in [EngineKind::Tree, EngineKind::BatchMajor, EngineKind::Flat] {
+            let mut spec = JobSpec::new("dense", nc.clone(), plan.clone(), SEED)
+                .with_engine(EnginePolicy::Force(engine));
+            spec.chunk_trajectories = 5; // 5 chunks, the last of 3
+            let (records, report) = run(spec, 2);
+            assert_eq!(report.engine, Some(engine));
+            assert_eq!(report.chunks, 5, "{engine:?}");
+            assert_same_records(&records, &want, engine.label());
+        }
     }
 }
 

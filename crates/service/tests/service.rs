@@ -603,9 +603,12 @@ fn capped_cache_evicts_cold_entries_without_changing_output() {
 // ---------------------------------------------------------------------------
 // Determinism
 
-/// Same spec, worker counts {1, 4, 8}: identical dataset bytes. Runs the
+/// Same spec, worker counts {1, 2, 4, 8}: identical dataset bytes, JSONL
+/// and `PTSB` (whose frames pick an encoding per record). Runs the
 /// multi-chunk engines with small chunks so the reorder buffer actually
-/// reassembles out-of-order completions.
+/// reassembles out-of-order completions. The 3-qubit dense jobs draw 20
+/// shots per trajectory — past `Auto`'s 2·2ⁿ, the counted sampler — and
+/// the flat one 10, the sorted merge.
 #[test]
 fn bytes_identical_across_worker_counts_all_engines() {
     let cases: Vec<(&str, JobSpec)> = vec![
@@ -639,15 +642,17 @@ fn bytes_identical_across_worker_counts_all_engines() {
         }),
     ];
     for (label, spec) in cases {
-        let (reference, report) = run_jsonl(spec.clone(), 1);
-        assert!(report.status.is_success(), "{label}: {report:?}");
-        for workers in [4usize, 8] {
-            let (bytes, report) = run_jsonl(spec.clone(), workers);
-            assert!(report.status.is_success(), "{label}/{workers}");
-            assert_eq!(
-                bytes, reference,
-                "{label}: dataset bytes must not depend on worker count ({workers})"
-            );
+        for run in [run_jsonl, run_binary] {
+            let (reference, report) = run(spec.clone(), 1);
+            assert!(report.status.is_success(), "{label}: {report:?}");
+            for workers in [2usize, 4, 8] {
+                let (bytes, report) = run(spec.clone(), workers);
+                assert!(report.status.is_success(), "{label}/{workers}");
+                assert_eq!(
+                    bytes, reference,
+                    "{label}: dataset bytes must not depend on worker count ({workers})"
+                );
+            }
         }
     }
 }

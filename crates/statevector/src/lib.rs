@@ -17,7 +17,8 @@
 //!   SoA-autovec, and AVX2/FMA implementations selected at batch
 //!   construction (`PTSBE_BATCH_KERNELS` overrides);
 //! - [`sampling`] — the *bulk* shot sampler: O(2^n + m) sorted-uniform
-//!   merge or O(1)-per-shot alias table, the polynomial-cost step whose
+//!   merge, or O(2^n) multinomial counts once `m` passes twice the state
+//!   size, the polynomial-cost step whose
 //!   amortization over `m_α` shots is the entire point of Batched
 //!   Execution (paper §3: "sampling all m_α desired quantum bitstrings at
 //!   once, a task of mere polynomial complexity");

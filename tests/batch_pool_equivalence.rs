@@ -70,15 +70,25 @@ fn zoo() -> Vec<(&'static str, NoisyCircuit)> {
     out
 }
 
-fn plan_for(nc: &NoisyCircuit, seed: u64) -> PtsPlan {
+fn plan_with_shots(nc: &NoisyCircuit, seed: u64, shots: usize) -> PtsPlan {
     let mut rng = PhiloxRng::new(seed, 0);
     ProbabilisticPts {
         n_samples: 40,
-        shots_per_trajectory: 30,
+        shots_per_trajectory: shots,
         dedup: false, // duplicates exercise shared leaves + ragged groups
     }
     .sample_plan(nc, &mut rng)
 }
+
+fn plan_for(nc: &NoisyCircuit, seed: u64) -> PtsPlan {
+    plan_with_shots(nc, seed, 30)
+}
+
+/// Shots per trajectory on either side of `SamplingStrategy::Auto`'s
+/// switch from the sorted merge to the counted sampler (`m ≥ 2·2ⁿ`; the
+/// zoo is 3–5 qubits wide): 30 is the merge from 4 qubits up, 3 000 is
+/// counted everywhere.
+const SHOTS_BOTH_SAMPLERS: [usize; 2] = [30, 3_000];
 
 fn assert_bitwise(label: &str, a: &ptsbe::core::BatchResult, b: &ptsbe::core::BatchResult) {
     assert_eq!(
@@ -103,9 +113,12 @@ fn assert_bitwise(label: &str, a: &ptsbe::core::BatchResult, b: &ptsbe::core::Ba
 
 #[test]
 fn batch_major_and_pooled_tree_match_flat_on_statevector() {
-    for (name, nc) in zoo() {
+    for ((name, nc), shots) in zoo()
+        .into_iter()
+        .flat_map(|case| SHOTS_BOTH_SAMPLERS.map(|shots| (case.clone(), shots)))
+    {
         let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
-        let plan = plan_for(&nc, 0xA11CE);
+        let plan = plan_with_shots(&nc, 0xA11CE, shots);
         let tree = PtsPlanTree::from_plan(&plan);
         let flat = BatchedExecutor {
             seed: 17,
@@ -144,9 +157,12 @@ fn batch_major_and_pooled_tree_match_flat_on_statevector() {
 
 #[test]
 fn batch_major_matches_flat_on_f32() {
-    for (name, nc) in zoo() {
+    for ((name, nc), shots) in zoo()
+        .into_iter()
+        .flat_map(|case| SHOTS_BOTH_SAMPLERS.map(|shots| (case.clone(), shots)))
+    {
         let backend = SvBackend::<f32>::new(&nc, SamplingStrategy::Auto).unwrap();
-        let plan = plan_for(&nc, 0xF32);
+        let plan = plan_with_shots(&nc, 0xF32, shots);
         let flat = BatchedExecutor {
             seed: 23,
             parallel: false,

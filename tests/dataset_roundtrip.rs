@@ -91,3 +91,47 @@ fn labels_survive_and_decode_consistently() {
     }
     assert!(clean_checked > 0, "no clean trajectories sampled");
 }
+
+/// A bulk-sampled trajectory is a histogram: 200 000 shots of a 7-qubit
+/// state are at most 128 runs on disk, and read back shot for shot.
+#[test]
+fn bulk_trajectory_round_trips_as_runs() {
+    let noisy = steane_memory_noisy(0.01);
+    let backend = SvBackend::<f64>::new(&noisy, SamplingStrategy::Auto).unwrap();
+    let plan = ProbabilisticPts {
+        n_samples: 1,
+        shots_per_trajectory: 200_000,
+        dedup: true,
+    }
+    .sample_plan(&noisy, &mut PhiloxRng::new(932, 0));
+    let result = BatchedExecutor::default().execute(&backend, &noisy, &plan);
+    let records = record::records_from_batch(&result);
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].shots.len(), 200_000);
+    let distinct: std::collections::BTreeSet<_> = records[0].shots.iter().map(|s| s.0).collect();
+    assert!(distinct.len() > 1, "a codeword superposition");
+
+    let header = DatasetHeader {
+        workload: "steane-bulk".into(),
+        n_qubits: 7,
+        n_measured: 7,
+        backend: "statevector-f64".into(),
+        seed: 932,
+    };
+    let bytes = binary::encode(&header, &records).unwrap();
+    let shotless = TrajectoryRecord {
+        meta: records[0].meta.clone(),
+        shots: vec![],
+    };
+    let framing = binary::encode(&header, &[shotless]).unwrap().len();
+    // n_runs, then one (u64 word, u32 count) per distinct outcome.
+    assert_eq!(bytes.len(), framing + 8 + 12 * distinct.len());
+    let (h2, loaded) = binary::decode(&bytes).unwrap();
+    assert_eq!(h2, header);
+    assert_eq!(loaded[0].shots, records[0].shots);
+
+    let mut text = Vec::new();
+    jsonl::write(&mut text, &header, &records).unwrap();
+    let (_, from_text) = jsonl::read(text.as_slice()).unwrap();
+    assert_eq!(from_text[0].shots, records[0].shots);
+}
