@@ -148,6 +148,12 @@ impl Bencher {
 }
 
 fn run_one(label: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) {
+    // `cargo bench --bench X -- <filter>`: like criterion, run only the
+    // benchmarks whose `group/name` contains the first non-flag argument.
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    if filter.is_some_and(|f| !label.contains(&f)) {
+        return;
+    }
     let mut b = Bencher {
         samples,
         last_mean: Duration::ZERO,

@@ -16,8 +16,12 @@
 //! [`crate::kernels::BatchKernels`] dispatch trait (scalar-reference /
 //! SoA-autovec / SoA-simd, chosen at construction, forced via
 //! `PTSBE_BATCH_KERNELS`); this module owns the *geometry* — which runs
-//! of the planes a gate touches, chunking, and the rayon fan-out. A
-//! GPU/accelerator backend can slot in as another `BatchKernels`
+//! of the planes a gate touches, chunking, and the rayon fan-out. The
+//! run decomposition itself (`kernels::quad_runs`: the four
+//! runs of a two-qubit quad) is shared with [`StateVector`], which is
+//! the `B = 1` case over interleaved complexes; CX / SWAP swap two of a
+//! quad's runs per plane and CZ negates one, with no per-row predicate.
+//! A GPU/accelerator backend can slot in as another `BatchKernels`
 //! implementation without touching [`advance_batch`] or the executors.
 //!
 //! Bitwise contract: every kernel routes its per-lane arithmetic through
@@ -36,8 +40,8 @@ use rayon::prelude::*;
 use std::ops::Range;
 
 use crate::exec::{apply_op, apply_site, Compiled, CompiledSite};
-use crate::kernels::{dispatch, BatchKernels, KernelImpl, LaneMats2, LaneMats4};
-use crate::state::{local_2q_matrix, local_2q_perm, StateVector};
+use crate::kernels::{dispatch, quad_runs, BatchKernels, KernelImpl, LaneMats2, LaneMats4, Run};
+use crate::state::{local_2q_diag, local_2q_matrix, local_2q_perm, StateVector};
 use crate::PARALLEL_THRESHOLD_QUBITS;
 use ptsbe_circuit::lower::Pick;
 
@@ -213,31 +217,23 @@ impl<T: Scalar> StateBatch<T> {
         }
     }
 
-    /// [`StateBatch::for_chunks`] with the chunk index.
-    fn for_chunks_enumerated<F>(&mut self, chunk: usize, f: F)
+    /// Hand `f` the four `(re, im)` runs `[h0l0, h0l1, h1l0, h1l1]` of
+    /// every quad of a two-qubit gate on bits `sh > sl`
+    /// ([`quad_runs`] with `B` lanes per row).
+    fn for_quads<F>(&mut self, sh: usize, sl: usize, f: F)
     where
-        F: Fn(usize, &mut [T], &mut [T]) + Sync + Send,
+        F: Fn([Run<'_, T>; 4]) + Sync + Send,
     {
-        if self.use_par {
-            let pairs: Vec<(&mut [T], &mut [T])> = self
-                .re
-                .chunks_mut(chunk)
-                .zip(self.im.chunks_mut(chunk))
-                .collect();
-            pairs
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(ci, (r, i))| f(ci, r, i));
-        } else {
-            for (ci, (r, i)) in self
-                .re
-                .chunks_mut(chunk)
-                .zip(self.im.chunks_mut(chunk))
-                .enumerate()
-            {
-                f(ci, r, i);
+        let bl = self.n_lanes;
+        self.for_chunks(2 * sh * bl, move |re, im| {
+            let mut base = 0usize;
+            while base < sh {
+                let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
+                let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
+                f([(r0, i0), (r1, i1), (r2, i2), (r3, i3)]);
+                base += 2 * sl;
             }
-        }
+        });
     }
 
     // ----- gate kernels -------------------------------------------------
@@ -301,17 +297,8 @@ impl<T: Scalar> StateBatch<T> {
         assert_eq!((m.rows(), m.cols()), (4, 4));
         let (mr, mi) = split_mat4(&local_2q_matrix(m, a, b));
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
-        let bl = self.n_lanes;
         let kern = self.kern();
-        self.for_chunks(2 * sh * bl, move |re, im| {
-            let mut base = 0usize;
-            while base < sh {
-                let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
-                let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.mat4_run(&mr, &mi, [(r0, i0), (r1, i1), (r2, i2), (r3, i3)]);
-                base += 2 * sl;
-            }
-        });
+        self.for_quads(sh, sl, move |runs| kern.mat4_run(&mr, &mi, runs));
     }
 
     /// Per-lane dense two-qubit application (shared by the public
@@ -331,20 +318,9 @@ impl<T: Scalar> StateBatch<T> {
         let lm = LaneMats4::from_mats(mms);
         let skip: Option<Vec<bool>> = skip.map(<[bool]>::to_vec);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
-        let bl = self.n_lanes;
         let kern = self.kern();
-        self.for_chunks(2 * sh * bl, move |re, im| {
-            let mut base = 0usize;
-            while base < sh {
-                let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
-                let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.mat4_lanes_run(
-                    &lm,
-                    skip.as_deref(),
-                    [(r0, i0), (r1, i1), (r2, i2), (r3, i3)],
-                );
-                base += 2 * sl;
-            }
+        self.for_quads(sh, sl, move |runs| {
+            kern.mat4_lanes_run(&lm, skip.as_deref(), runs)
         });
     }
 
@@ -385,27 +361,12 @@ impl<T: Scalar> StateBatch<T> {
     /// Diagonal two-qubit fast path, gate basis `(bit_a << 1) | bit_b`.
     pub fn apply_diag_2q(&mut self, d: &[Complex<T>; 4], a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
-        // Remap to local [hl] run order (h = high-qubit bit, l = low).
-        let qh = a.max(b);
-        let pick = |h: usize, l: usize| {
-            let bit_a = if a == qh { h } else { l };
-            let bit_b = if b == qh { h } else { l };
-            let z = d[(bit_a << 1) | bit_b];
-            (z.re, z.im)
-        };
-        let ld = [pick(0, 0), pick(0, 1), pick(1, 0), pick(1, 1)];
+        let ld = local_2q_diag(d, a, b).map(|z| (z.re, z.im));
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
-        let bl = self.n_lanes;
         let kern = self.kern();
-        self.for_chunks(2 * sh * bl, move |re, im| {
-            let mut base = 0usize;
-            while base < sh {
-                let rr = quad_runs(re, base, sh, sl, bl);
-                let ri = quad_runs(im, base, sh, sl, bl);
-                for (k, (r, i)) in rr.into_iter().zip(ri).enumerate() {
-                    kern.cmul_run(ld[k], (r, i));
-                }
-                base += 2 * sl;
+        self.for_quads(sh, sl, move |runs| {
+            for (d, run) in ld.into_iter().zip(runs) {
+                kern.cmul_run(d, run);
             }
         });
     }
@@ -441,63 +402,28 @@ impl<T: Scalar> StateBatch<T> {
         let phr = lphase.map(|z| z.re);
         let phi = lphase.map(|z| z.im);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
-        let bl = self.n_lanes;
         let kern = self.kern();
-        self.for_chunks(2 * sh * bl, move |re, im| {
-            let mut base = 0usize;
-            while base < sh {
-                let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
-                let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.perm4_run(&lperm, &phr, &phi, [(r0, i0), (r1, i1), (r2, i2), (r3, i3)]);
-                base += 2 * sl;
-            }
-        });
+        self.for_quads(sh, sl, move |runs| kern.perm4_run(&lperm, &phr, &phi, runs));
     }
 
-    /// CNOT fast path (row swaps, no arithmetic — pure plane memmoves,
-    /// identical under every kernel implementation).
+    /// CNOT fast path (no arithmetic — pure plane memmoves, identical
+    /// under every kernel implementation): one run swap per quad and
+    /// plane, the two control-set runs.
     pub fn apply_cx(&mut self, control: usize, target: usize) {
         assert!(control < self.n_qubits && target < self.n_qubits && control != target);
-        let cm = 1usize << control;
-        let tm = 1usize << target;
-        self.swap_rows_where(target.max(control), move |g| g & cm != 0 && g & tm == 0, tm);
+        let (sh, sl) = (1usize << control.max(target), 1usize << control.min(target));
+        if control > target {
+            self.for_quads(sh, sl, |[_, _, h1l0, h1l1]| swap_runs(h1l0, h1l1));
+        } else {
+            self.for_quads(sh, sl, |[_, h0l1, _, h1l1]| swap_runs(h0l1, h1l1));
+        }
     }
 
-    /// SWAP fast path.
+    /// SWAP fast path: exchange the two singly-set runs of each quad.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        // Swap |…a=1…b=0…⟩ with |…a=0…b=1…⟩: offset −am+bm, guarded to
-        // rows where it is positive by the predicate.
-        self.swap_rows_where(
-            a.max(b),
-            move |g| g & am != 0 && g & bm == 0,
-            bm.wrapping_sub(am),
-        );
-    }
-
-    /// Swap each row `g` satisfying `pred` with row `g + offset`
-    /// (wrapping add; callers guarantee the partner lies in the same
-    /// `2·sh`-row chunk, as in the scalar fast paths).
-    fn swap_rows_where<P>(&mut self, qh: usize, pred: P, offset: usize)
-    where
-        P: Fn(usize) -> bool + Sync + Send,
-    {
-        let b = self.n_lanes;
-        let sh = 1usize << qh;
-        self.for_chunks_enumerated(2 * sh * b, move |ci, re, im| {
-            let chunk_base = ci * 2 * sh;
-            let rows = re.len() / b;
-            for r in 0..rows {
-                if pred(chunk_base + r) {
-                    let j = r.wrapping_add(offset);
-                    let (lo, hi) = (r.min(j), r.max(j));
-                    swap_row_pair(re, lo, hi, b);
-                    swap_row_pair(im, lo, hi, b);
-                }
-            }
-        });
+        let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
+        self.for_quads(sh, sl, |[_, h0l1, h1l0, _]| swap_runs(h0l1, h1l0));
     }
 
     /// CZ fast path (sign flip on the doubly-set quarter — local quad
@@ -505,17 +431,8 @@ impl<T: Scalar> StateBatch<T> {
     pub fn apply_cz(&mut self, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
-        let bl = self.n_lanes;
         let kern = self.kern();
-        self.for_chunks(2 * sh * bl, move |re, im| {
-            let mut base = 0usize;
-            while base < sh {
-                let [_, _, _, r3] = quad_runs(re, base, sh, sl, bl);
-                let [_, _, _, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.neg_run((r3, i3));
-                base += 2 * sl;
-            }
-        });
+        self.for_quads(sh, sl, move |[_, _, _, h1l1]| kern.neg_run(h1l1));
     }
 
     /// General `k`-qubit gather kernel, same matrix on every lane
@@ -667,26 +584,11 @@ impl<T: Scalar> StateBatch<T> {
     }
 }
 
-/// The four `sl · B`-element runs of one quad group starting at row
-/// `base` (rows `base`, `base+sl`, `base+sh`, `base+sh+sl`) within a
-/// `2·sh`-row plane chunk.
+/// Exchange two split-plane runs.
 #[inline]
-fn quad_runs<T>(plane: &mut [T], base: usize, sh: usize, sl: usize, b: usize) -> [&mut [T]; 4] {
-    let run = sl * b;
-    let rest = &mut plane[base * b..];
-    let (r00, tail) = rest.split_at_mut(run);
-    let (r01, tail) = tail.split_at_mut(run);
-    let tail = &mut tail[(sh - 2 * sl) * b..];
-    let (r10, tail) = tail.split_at_mut(run);
-    let r11 = &mut tail[..run];
-    [r00, r01, r10, r11]
-}
-
-/// Swap the `b`-element rows `lo` and `hi` (`lo < hi`) of one plane.
-#[inline]
-fn swap_row_pair<T>(plane: &mut [T], lo: usize, hi: usize, b: usize) {
-    let (head, tail) = plane.split_at_mut(hi * b);
-    head[lo * b..lo * b + b].swap_with_slice(&mut tail[..b]);
+fn swap_runs<T>(x: Run<'_, T>, y: Run<'_, T>) {
+    x.0.swap_with_slice(y.0);
+    x.1.swap_with_slice(y.1);
 }
 
 /// Split a localized complex 4×4 into real/imaginary entry matrices.

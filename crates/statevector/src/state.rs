@@ -1,9 +1,50 @@
 //! The statevector type and its gate kernels.
+//!
+//! Amplitudes are interleaved [`Complex`] values. Every 1-/2-qubit kernel
+//! sweeps contiguous *runs* of them — the decomposition
+//! [`crate::batch::StateBatch`] uses with `B` lanes per row
+//! (`kernels::quad_runs`) at one complex per row: CX and SWAP
+//! exchange two of a quad's four runs (`swap_with_slice`), CZ negates
+//! one, a diagonal scales each by a constant, and the dense 1q/2q gates
+//! and the diagonals hand their runs to [`crate::kernels`]' interleaved
+//! kernels, which take AVX2/FMA paths under the same
+//! `PTSBE_BATCH_KERNELS` switch as the batch (bitwise identical to the
+//! per-element loops, which runs shorter than a vector still take). The
+//! forms that test an index bit per amplitude are gone from the crate;
+//! `tests/run_geometry.rs` keeps them as the reference side.
+//!
+//! What that is worth, on `perf`'s `sv-shared` program (14 qubits; 217
+//! gate ops: 77 `Cx`, 69 `G1`, 57 `D1`, 10 `G2` all on low qubit 0 or 1,
+//! 4 `P2`) replayed per op kind under a one-thread budget — `cargo bench
+//! -p ptsbe_bench --bench gate_kernels -- op_mix`, best µs per op, this
+//! layout / `StateBatch` B = 1 / B = 4 per lane, 2-vCPU Xeon @ 2.1 GHz:
+//!
+//! | op kind | per-index predicates, scalar AoS dense (before) | runs + AVX2 (after) |
+//! |---------|---------------------|---------------------|
+//! | `Cx`    | 13.0 / 29.8 / 10.7  | 3.4 / 3.8 / 3.3     |
+//! | `D1`    | 14.7 / 10.0 / 6.5   | 5.7 / 10.2 / 6.8    |
+//! | `G1`    | 20.9 / 17.1 / 8.9   | 7.3 / 18.8 / 9.2    |
+//! | `G2`    | 61.4 / 106.5 / 27.2 | 61.1 / 105.2 / 27.2 |
+//! | `P2`    | 26.9 / 49.5 / 24.7  | 17.1 / 47.6 / 24.8  |
+//! | whole program (ms) | 4.25 / 5.43 / 2.16 | 1.79 / 3.33 / 1.62 |
+//!
+//! (The issue that asked for this read 14.9 / 36.0 / 12.4 for `Cx` and
+//! 4.72 / 6.29 / 2.53 ms in total on the same box on another day.) The
+//! low-qubit `G2`s did not move on purpose: their runs are shorter than
+//! a vector, and in-register gathers for them wait for a like-for-like
+//! Algorithm-1 baseline (ROADMAP item 8).
 
 use ptsbe_math::{vec_ops, Complex, Matrix, Scalar};
 use rayon::prelude::*;
 
+use crate::kernels::{cmul_il, diag2_il, mat2_il, mat4_il, quad_runs, IlPath};
 use crate::PARALLEL_THRESHOLD_QUBITS;
+
+/// Smallest piece (in amplitudes) a fanned-out gate sweep hands to a
+/// kernel call; a power of two, so it is a whole number of any shorter
+/// chunk, and `2^PARALLEL_THRESHOLD_QUBITS / PAR_PIECE` pieces still
+/// cover every core of a small machine.
+const PAR_PIECE: usize = 1 << 12;
 
 /// An `n`-qubit pure state: `2^n` amplitudes, qubit `q` = bit `q` of the
 /// basis index (LSB-first, matching [`ptsbe_math::gates`] conventions).
@@ -172,6 +213,29 @@ impl<T: Scalar> StateVector<T> {
     }
 
     // ----- gate kernels -------------------------------------------------
+    //
+    // Every 1-/2-qubit kernel sweeps contiguous *runs*: the amplitudes a
+    // gate on qubit `q` pairs sit `2^q` apart, so a `2·2^q` chunk is a
+    // `(lo, hi)` run pair, and a two-qubit gate's `2·sh` chunk is `sh/2sl`
+    // quads of four `sl`-long runs ([`quad_runs`], the decomposition
+    // `StateBatch` uses with `B` lanes per row). No kernel tests an index
+    // bit per amplitude. Gate kernels are per-amplitude independent, so
+    // chunking never changes a value; rayon splits at chunk boundaries.
+
+    /// Run `kernel` — which accepts any whole number of `chunk`-amplitude
+    /// chunks — over the state: once over everything below the fan-out
+    /// threshold, else over pieces rayon may hand to different threads.
+    /// A piece is one chunk, or [`PAR_PIECE`] amplitudes when chunks are
+    /// shorter, so a low-qubit gate is not one kernel call per pair.
+    fn sweep(&mut self, chunk: usize, kernel: impl Fn(&mut [Complex<T>]) + Sync + Send) {
+        if self.use_parallel() {
+            self.amps
+                .par_chunks_mut(chunk.max(PAR_PIECE))
+                .for_each(kernel);
+        } else {
+            kernel(&mut self.amps);
+        }
+    }
 
     /// Apply a single-qubit gate.
     pub fn apply_1q(&mut self, m: &Matrix<T>, q: usize) {
@@ -179,19 +243,8 @@ impl<T: Scalar> StateVector<T> {
         assert_eq!((m.rows(), m.cols()), (2, 2));
         let e = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
         let stride = 1usize << q;
-        let kernel = |chunk: &mut [Complex<T>]| {
-            let (lo, hi) = chunk.split_at_mut(stride);
-            for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (y0, y1) = vec_ops::mat2_apply(&e, *a0, *a1);
-                *a0 = y0;
-                *a1 = y1;
-            }
-        };
-        if self.use_parallel() {
-            self.amps.par_chunks_mut(2 * stride).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(2 * stride).for_each(kernel);
-        }
+        let path = IlPath::for_run::<T>(stride);
+        self.sweep(2 * stride, move |amps| mat2_il(path, &e, amps, stride));
     }
 
     /// Apply a two-qubit gate; matrix basis is `(bit_a << 1) | bit_b` for
@@ -199,68 +252,31 @@ impl<T: Scalar> StateVector<T> {
     pub fn apply_2q(&mut self, m: &Matrix<T>, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
         assert_eq!((m.rows(), m.cols()), (4, 4));
-        let qh = a.max(b);
-        let ql = a.min(b);
-        let sh = 1usize << qh;
-        let sl = 1usize << ql;
+        let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let mm = local_2q_matrix(m, a, b);
-        let kernel = move |chunk: &mut [Complex<T>]| {
-            // chunk covers bits 0..=qh; enumerate positions with both gate
-            // bits clear.
-            let mut base = 0usize;
-            while base < sh {
-                for k in base..base + sl {
-                    let i00 = k;
-                    let i01 = k + sl;
-                    let i10 = k + sh;
-                    let i11 = k + sh + sl;
-                    let x = [chunk[i00], chunk[i01], chunk[i10], chunk[i11]];
-                    let y = vec_ops::mat4_apply(&mm, &x);
-                    chunk[i00] = y[0];
-                    chunk[i01] = y[1];
-                    chunk[i10] = y[2];
-                    chunk[i11] = y[3];
-                }
-                base += 2 * sl;
-            }
-        };
-        if self.use_parallel() {
-            self.amps.par_chunks_mut(2 * sh).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(2 * sh).for_each(kernel);
-        }
+        let path = IlPath::for_run::<T>(sl);
+        self.sweep(2 * sh, move |amps| mat4_il(path, &mm, amps, sh, sl));
     }
 
-    /// Diagonal single-qubit fast path: `amp[i] *= d[bit_q(i)]` — a pure
-    /// phase multiply, no amplitude movement or gather.
+    /// Diagonal single-qubit fast path: `amp[i] *= d[bit_q(i)]` — the
+    /// factor is constant over each `2^q` run, so the sweep is two run
+    /// scalings per pair block, no amplitude movement or gather.
     pub fn apply_diag_1q(&mut self, d: &[Complex<T>; 2], q: usize) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
-        let mask = 1usize << q;
-        let (d0, d1) = (d[0], d[1]);
-        let kernel = move |(i, z): (usize, &mut Complex<T>)| {
-            *z *= if i & mask != 0 { d1 } else { d0 };
-        };
-        if self.use_parallel() {
-            self.amps.par_iter_mut().enumerate().for_each(kernel);
-        } else {
-            self.amps.iter_mut().enumerate().for_each(kernel);
-        }
+        let d = *d;
+        let stride = 1usize << q;
+        let path = IlPath::for_run::<T>(stride);
+        self.sweep(2 * stride, move |amps| cmul_il(path, &d, amps, stride));
     }
 
     /// Diagonal two-qubit fast path; `d` is indexed in the gate basis
     /// `(bit_a << 1) | bit_b`.
     pub fn apply_diag_2q(&mut self, d: &[Complex<T>; 4], a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
-        let d = *d;
-        let kernel = move |(i, z): (usize, &mut Complex<T>)| {
-            let idx = (((i >> a) & 1) << 1) | ((i >> b) & 1);
-            *z *= d[idx];
-        };
-        if self.use_parallel() {
-            self.amps.par_iter_mut().enumerate().for_each(kernel);
-        } else {
-            self.amps.iter_mut().enumerate().for_each(kernel);
-        }
+        let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
+        let ld = local_2q_diag(d, a, b);
+        let path = IlPath::for_run::<T>(sl);
+        self.sweep(2 * sh, move |amps| diag2_il(path, &ld, amps, sh, sl));
     }
 
     /// Single-qubit permutation fast path:
@@ -271,19 +287,16 @@ impl<T: Scalar> StateVector<T> {
         assert!(perm[0] < 2 && perm[1] < 2);
         let stride = 1usize << q;
         let (perm, phase) = (*perm, *phase);
-        let kernel = move |chunk: &mut [Complex<T>]| {
-            let (lo, hi) = chunk.split_at_mut(stride);
-            for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-                let x = [*a0, *a1];
-                *a0 = phase[0] * x[perm[0]];
-                *a1 = phase[1] * x[perm[1]];
+        self.sweep(2 * stride, move |amps| {
+            for chunk in amps.chunks_exact_mut(2 * stride) {
+                let (lo, hi) = chunk.split_at_mut(stride);
+                for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let x = [*a0, *a1];
+                    *a0 = phase[0] * x[perm[0]];
+                    *a1 = phase[1] * x[perm[1]];
+                }
             }
-        };
-        if self.use_parallel() {
-            self.amps.par_chunks_mut(2 * stride).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(2 * stride).for_each(kernel);
-        }
+        });
     }
 
     /// Two-qubit permutation fast path; `perm`/`phase` are in the gate
@@ -298,101 +311,65 @@ impl<T: Scalar> StateVector<T> {
     ) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
         assert!(perm.iter().all(|&p| p < 4));
-        let qh = a.max(b);
-        let ql = a.min(b);
-        let sh = 1usize << qh;
-        let sl = 1usize << ql;
+        let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let (lperm, lphase) = local_2q_perm(perm, phase, a, b);
-        let kernel = move |chunk: &mut [Complex<T>]| {
-            let mut base = 0usize;
-            while base < sh {
-                for k in base..base + sl {
-                    let x = [chunk[k], chunk[k + sl], chunk[k + sh], chunk[k + sh + sl]];
-                    chunk[k] = lphase[0] * x[lperm[0]];
-                    chunk[k + sl] = lphase[1] * x[lperm[1]];
-                    chunk[k + sh] = lphase[2] * x[lperm[2]];
-                    chunk[k + sh + sl] = lphase[3] * x[lperm[3]];
-                }
-                base += 2 * sl;
+        self.sweep_quads(sh, sl, move |[r0, r1, r2, r3]| {
+            for j in 0..r0.len() {
+                let x = [r0[j], r1[j], r2[j], r3[j]];
+                r0[j] = lphase[0] * x[lperm[0]];
+                r1[j] = lphase[1] * x[lperm[1]];
+                r2[j] = lphase[2] * x[lperm[2]];
+                r3[j] = lphase[3] * x[lperm[3]];
             }
-        };
-        if self.use_parallel() {
-            self.amps.par_chunks_mut(2 * sh).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(2 * sh).for_each(kernel);
-        }
+        });
     }
 
-    /// CNOT fast path (pure permutation, no arithmetic).
+    /// Hand `f` the four runs `[h0l0, h0l1, h1l0, h1l1]` of every quad.
+    fn sweep_quads(
+        &mut self,
+        sh: usize,
+        sl: usize,
+        f: impl Fn([&mut [Complex<T>]; 4]) + Sync + Send,
+    ) {
+        self.sweep(2 * sh, move |amps| {
+            for chunk in amps.chunks_exact_mut(2 * sh) {
+                let mut base = 0usize;
+                while base < sh {
+                    f(quad_runs(chunk, base, sh, sl, 1));
+                    base += 2 * sl;
+                }
+            }
+        });
+    }
+
+    /// CNOT fast path (pure permutation, no arithmetic): one run swap
+    /// per quad — the two control-set runs.
     pub fn apply_cx(&mut self, control: usize, target: usize) {
         assert!(control < self.n_qubits && target < self.n_qubits && control != target);
-        let cm = 1usize << control;
-        let tm = 1usize << target;
-        let qh = control.max(target);
-        let sh = 1usize << qh;
-        let kernel = move |(ci, chunk): (usize, &mut [Complex<T>])| {
-            let chunk_base = ci * 2 * sh;
-            for i in 0..chunk.len() {
-                let g = chunk_base + i;
-                // Visit each swapped pair once: control set, target clear.
-                if g & cm != 0 && g & tm == 0 {
-                    chunk.swap(i, i + tm);
-                }
-            }
-        };
-        // Chunks must contain both pair elements: target bit < chunk span.
-        if self.use_parallel() {
-            self.amps
-                .par_chunks_mut(2 * sh)
-                .enumerate()
-                .for_each(kernel);
+        let (sh, sl) = (1usize << control.max(target), 1usize << control.min(target));
+        if control > target {
+            self.sweep_quads(sh, sl, |[_, _, h1l0, h1l1]| h1l0.swap_with_slice(h1l1));
         } else {
-            self.amps.chunks_mut(2 * sh).enumerate().for_each(kernel);
+            self.sweep_quads(sh, sl, |[_, h0l1, _, h1l1]| h0l1.swap_with_slice(h1l1));
         }
     }
 
-    /// CZ fast path (diagonal).
+    /// CZ fast path (diagonal): negate the doubly-set run of each quad.
     pub fn apply_cz(&mut self, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
-        let mask = (1usize << a) | (1usize << b);
-        let flip = |(i, z): (usize, &mut Complex<T>)| {
-            if i & mask == mask {
+        let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
+        self.sweep_quads(sh, sl, |[_, _, _, h1l1]| {
+            for z in h1l1 {
                 *z = -*z;
             }
-        };
-        if self.use_parallel() {
-            self.amps.par_iter_mut().enumerate().for_each(flip);
-        } else {
-            self.amps.iter_mut().enumerate().for_each(flip);
-        }
+        });
     }
 
-    /// SWAP fast path.
+    /// SWAP fast path: exchange the two singly-set runs of each quad.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        let qh = a.max(b);
-        let sh = 1usize << qh;
-        let kernel = move |(ci, chunk): (usize, &mut [Complex<T>])| {
-            let chunk_base = ci * 2 * sh;
-            for i in 0..chunk.len() {
-                let g = chunk_base + i;
-                // Swap |…a=1…b=0…⟩ with |…a=0…b=1…⟩, visiting once.
-                if g & am != 0 && g & bm == 0 {
-                    let j = i - am + bm;
-                    chunk.swap(i, j);
-                }
-            }
-        };
-        if self.use_parallel() {
-            self.amps
-                .par_chunks_mut(2 * sh)
-                .enumerate()
-                .for_each(kernel);
-        } else {
-            self.amps.chunks_mut(2 * sh).enumerate().for_each(kernel);
-        }
+        let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
+        self.sweep_quads(sh, sl, |[_, h0l1, h1l0, _]| h0l1.swap_with_slice(h1l0));
     }
 
     /// Apply a `k`-qubit gate (general bit-gather kernel; used for Toffoli
@@ -544,6 +521,16 @@ pub(crate) fn local_2q_matrix<T: Scalar>(
         }
     }
     mm
+}
+
+/// Remap a gate-basis diagonal to local `[hl]` run order, mirroring
+/// [`local_2q_matrix`].
+pub(crate) fn local_2q_diag<T: Scalar>(d: &[Complex<T>; 4], a: usize, b: usize) -> [Complex<T>; 4] {
+    let pick = |h: usize, l: usize| {
+        let (bit_a, bit_b) = if a > b { (h, l) } else { (l, h) };
+        d[(bit_a << 1) | bit_b]
+    };
+    [pick(0, 0), pick(0, 1), pick(1, 0), pick(1, 1)]
 }
 
 /// Remap a gate-basis permutation/phase pair to local `[hl]` positions,
