@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptsbe_bench::{steane_memory, with_depolarizing};
-use ptsbe_circuit::{channels, NoiseModel};
+use ptsbe_circuit::{channels, Circuit, NoiseModel};
 use ptsbe_qec::{codes::repetition, memory::MemoryExperiment};
 use ptsbe_rng::{mask::fill_bernoulli_words, PhiloxRng};
 use ptsbe_stabilizer::frame::{tableau_sample_one, FrameSampler};
@@ -54,6 +54,36 @@ fn bench_frame_bulk_chunk(c: &mut Criterion) {
     group.finish();
 }
 
+/// The one shape whose measurement collapses still draw: 12 qubits × 9
+/// rounds of H on every qubit, a CX chain and a mid-circuit `measure_all`
+/// (a random reference, so the 96 collapses before the last round reach a
+/// later record bit), depolarizing 1e-3 on every gate, 65 536 shots.
+fn bench_live_collapses(c: &mut Criterion) {
+    let mut circuit = Circuit::new(12);
+    for _ in 0..9 {
+        for q in 0..12 {
+            circuit.h(q);
+        }
+        for q in 0..11 {
+            circuit.cx(q, q + 1);
+        }
+        circuit.measure_all();
+    }
+    let noisy = NoiseModel::new()
+        .with_default_1q(channels::depolarizing(1e-3))
+        .with_default_2q(channels::depolarizing2(1e-3))
+        .apply(&circuit);
+    let sampler = FrameSampler::new(&noisy, &mut PhiloxRng::new(27, 0)).unwrap();
+
+    let mut group = c.benchmark_group("frame_sampler_live_collapses");
+    group.sample_size(15);
+    group.bench_function("chunk_65536_shots", |b| {
+        let mut rng = PhiloxRng::new(28, 0);
+        b.iter(|| black_box(&sampler).sample(65_536, &mut rng));
+    });
+    group.finish();
+}
+
 /// ns per 64-bit mask word (one chunk's 1 024 words per fill). Below the
 /// fill's cutoff (p < 0.05) this times the geometric-skip path, whose
 /// cost grows with p; from 0.06 up the bit-sliced path, flat in p but
@@ -80,5 +110,11 @@ fn bench_masks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_frames, bench_frame_bulk_chunk, bench_masks);
+criterion_group!(
+    benches,
+    bench_frames,
+    bench_frame_bulk_chunk,
+    bench_live_collapses,
+    bench_masks
+);
 criterion_main!(benches);

@@ -427,9 +427,6 @@ impl<T: Scalar> CompileCache<T> {
     /// too many measured bits) as strings.
     pub fn frame(&self, nc: &NoisyCircuit, circuit_hash: u64) -> Result<Arc<FrameEntry>, String> {
         self.get_or_build(&self.frame, circuit_hash, Stage::Compile, || {
-            if nc.measured_qubits().len() > 128 {
-                return Err("frame sampler records are limited to 128 measured bits".to_string());
-            }
             let mut rng = PhiloxRng::new(circuit_hash, 0);
             let sampler = FrameSampler::new(nc, &mut rng)
                 .map_err(|e| format!("frame lowering failed: {e}"))?;
@@ -592,6 +589,14 @@ mod tests {
         c.t(0).measure_all();
         let bad = NoisyCircuit::from_circuit(c);
         assert!(cache.frame(&bad, bad.content_hash()).is_err());
+
+        // A record is one u128: the sampler refuses a 129th bit.
+        let mut c = Circuit::new(1);
+        for _ in 0..129 {
+            c.measure(&[0]);
+        }
+        let wide = NoisyCircuit::from_circuit(c);
+        assert!(cache.frame(&wide, wide.content_hash()).is_err());
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! Bit-packed Pauli-frame bulk sampler (Stim's reference-frame method,
-//! paper §2.3: "a reference frame sampler to efficiently bulk sample noisy
-//! simulation data at a rate of MHz").
+//! Pauli-frame bulk sampler (Stim's reference-frame method, paper §2.3:
+//! "a reference frame sampler to efficiently bulk sample noisy simulation
+//! data at a rate of MHz").
 //!
-//! One exact tableau run produces the *reference* measurement record; then
-//! every shot is represented as a Pauli frame — the Pauli difference
-//! between that shot's state and the reference — packed 64 shots per
-//! machine word. Clifford gates act on frames by XOR rules; Pauli noise
-//! injects bit-masks; measurement outcomes are `reference ⊕ frame_x`.
+//! One exact tableau run produces the *reference* measurement record. Every
+//! shot differs from it by a Pauli frame, and in a Clifford+Pauli circuit
+//! the record bits a frame flips are a fixed linear function of the circuit
+//! alone. So [`FrameSampler::new`] walks the program once, last op first,
+//! carrying per qubit the `u128` sets of record bits that an X / Z frame on
+//! it at that point would flip (the transposes of the Clifford frame rules;
+//! a measurement of `q` into bit `b` adds `b` to the X set). Every random
+//! event becomes a *draw* with the record mask it reaches: a noise site, one
+//! mask per non-identity branch (the XOR of its qubits' sets), or the
+//! collapse after each measured qubit (a fair coin on its Z frame, Gidney,
+//! Stim §4.2). A chunk of shots is the reference word in every shot, XORed
+//! with the mask of every event drawn: per draw one Bernoulli fill over the
+//! shots ([`ptsbe_rng::mask`]), then per hit shot in ascending order a
+//! branch when there is more than one, and one XOR. Nothing is propagated
+//! per chunk.
 //!
 //! Exactness domain (same as Stim): when the noiseless reference circuit
 //! has deterministic measurements, the sampled records are exact iid
@@ -14,6 +24,28 @@
 //! measurements are flagged via [`FrameResult::reference_was_random`] —
 //! all shots then share the reference's coin flips (still valid for
 //! detector-style differences).
+//!
+//! A collapse whose mask is empty draws nothing, and under a deterministic
+//! reference that is every collapse: right after measuring `q` the
+//! reference state is stabilized by ±Z_q; each later reference measurement
+//! being deterministic, none disturbs the state, so each measures an
+//! observable in its stabilizer group, and pulled back to the collapse that
+//! observable commutes with Z_q — the collapse's Z frame reaches no record
+//! bit. A live collapse thus implies a later random reference measurement,
+//! which the service router never routes here. With terminal measurements
+//! every collapse comes after the last site, so the records equal bit for
+//! bit those of propagating 64-shot frame words through every gate and
+//! drawing every collapse (the tests' oracle) on the same stream; only a
+//! dead mid-circuit collapse with draws after it moves the stream (a
+//! different iid sample).
+//!
+//! Cost (`frame_sampler` bench, best of 15 in each of two alternated runs,
+//! 2-vCPU x86-64 VM, per-chunk frame walk → masks):
+//! `frame_sampler_frame_bulk/chunk_65536_shots` 2.05–2.11 → 0.76–0.79 ms,
+//! `frame_sampler_steane/bulk_100k_shots` 0.56–0.60 → 0.20–0.21 ms, and
+//! `frame_sampler_live_collapses/chunk_65536_shots` (96 live collapses, the
+//! one shape where they still draw: each now XORs its mask into about half
+//! the shots) 8.6–9.0 → 5.8–5.9 ms.
 
 use crate::convert::{lower, CliffordOp, PauliSite, StabOp, StabProgram};
 use crate::pauli::Pauli;
@@ -55,26 +87,43 @@ pub struct FrameResult {
     pub reference_was_random: bool,
 }
 
-/// The bulk sampler: lowers a circuit once, then samples any number of
-/// shots in 64-wide batches.
+/// The bulk sampler: lowers a circuit and derives every event's record
+/// mask once, then samples any number of shots.
 pub struct FrameSampler {
     program: StabProgram,
-    /// `program.sites`' branch tables, in the form `sample` injects them.
-    sites: Vec<FrameSite>,
-    reference: Vec<bool>,
+    /// The noiseless reference record.
+    reference: u128,
     reference_was_random: bool,
+    /// Every draw a chunk makes, in program order.
+    draws: Vec<Draw>,
+}
+
+/// One random event of a chunk: a Bernoulli fill at `p` picks the shots it
+/// hits, and each hit shot XORs one of `masks` into its record — branch
+/// `index_of(r, &cond)` for a fresh uniform `r` when there is more than one.
+struct Draw {
+    p: f64,
+    /// Branch weights among hits; empty for a collapse.
+    cond: Vec<f64>,
+    /// Per branch, the record bits it flips.
+    masks: Vec<u128>,
 }
 
 impl FrameSampler {
-    /// Lower `nc` and run the noiseless reference simulation.
+    /// Lower `nc`, run the noiseless reference simulation and derive the
+    /// draws.
+    ///
+    /// # Errors
+    /// Conversion failures of [`lower`], and [`FrameError::Unsupported`]
+    /// for more than 128 measured bits (a record is one `u128`).
     pub fn new<R: Rng + ?Sized>(nc: &NoisyCircuit, rng: &mut R) -> Result<Self, FrameError> {
         let program = lower(nc)?;
-        assert!(
-            program.measured.len() <= 128,
-            "frame sampler records are limited to 128 measured bits"
-        );
+        if program.measured.len() > 128 {
+            return Err(FrameError::Unsupported("more than 128 measured bits"));
+        }
         let mut tab = Tableau::zero_state(program.n_qubits);
-        let mut reference = Vec::with_capacity(program.measured.len());
+        let mut reference = 0u128;
+        let mut bit = 0;
         let mut was_random = false;
         for op in &program.ops {
             match op {
@@ -84,13 +133,14 @@ impl FrameSampler {
                     for &q in qubits {
                         let (outcome, random) = tab.measure(q, rng);
                         was_random |= random;
-                        reference.push(outcome);
+                        reference |= u128::from(outcome) << bit;
+                        bit += 1;
                     }
                 }
             }
         }
         Ok(Self {
-            sites: program.sites.iter().map(FrameSite::new).collect(),
+            draws: derive_draws(&program),
             program,
             reference,
             reference_was_random: was_random,
@@ -117,52 +167,21 @@ impl FrameSampler {
 
     /// Sample `shots` measurement records.
     pub fn sample<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> FrameResult {
-        let n = self.program.n_qubits;
-        let nwords = shots.div_ceil(64);
-        // Frame bits per qubit, packed across shots.
-        let mut fx = vec![vec![0u64; nwords]; n];
-        let mut fz = vec![vec![0u64; nwords]; n];
-        let mut records = vec![0u128; shots];
-        let mut bit_idx = 0usize;
-        let mut scratch = vec![0u64; nwords];
-
-        for op in &self.program.ops {
-            match op {
-                StabOp::Gate(g) => apply_frame_gate(&mut fx, &mut fz, *g),
-                StabOp::Site(id) => {
-                    let qubits = &self.program.sites[*id].qubits;
-                    self.sites[*id].inject(qubits, &mut fx, &mut fz, shots, &mut scratch, rng);
-                }
-                StabOp::Measure(qubits) => {
-                    for &q in qubits {
-                        let ref_bit = self.reference[bit_idx];
-                        // outcome(shot) = ref ⊕ fx[q](shot)
-                        for (w, &word) in fx[q].iter().enumerate() {
-                            let mut bits = word;
-                            while bits != 0 {
-                                let b = bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                let shot = w * 64 + b;
-                                if shot < shots {
-                                    records[shot] ^= 1u128 << bit_idx;
-                                }
-                            }
-                        }
-                        if ref_bit {
-                            for rec in records.iter_mut() {
-                                *rec ^= 1u128 << bit_idx;
-                            }
-                        }
-                        // Collapse: randomize the Z frame on the measured
-                        // qubit (Gidney, Stim §4.2) — one random word per
-                        // 64 shots; only gates after this measurement can
-                        // bring it into a later record bit.
-                        fill_bernoulli_words(&mut scratch, shots, 0.5, rng);
-                        for (dst, src) in fz[q].iter_mut().zip(&scratch) {
-                            *dst ^= src;
-                        }
-                        bit_idx += 1;
-                    }
+        let mut records = vec![self.reference; shots];
+        let mut hits = vec![0u64; shots.div_ceil(64)];
+        for draw in &self.draws {
+            fill_bernoulli_words(&mut hits, shots, draw.p, rng);
+            for (w, &word) in hits.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let shot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let branch = if draw.masks.len() == 1 {
+                        0
+                    } else {
+                        index_of(rng.next_f64(), &draw.cond)
+                    };
+                    records[shot] ^= draw.masks[branch];
                 }
             }
         }
@@ -172,6 +191,86 @@ impl FrameSampler {
             reference_was_random: self.reference_was_random,
         }
     }
+}
+
+/// The backward pass: walk `program` last op first with `sx[q]` / `sz[q]`
+/// the record bits an X / Z frame on `q` at that point would flip, and
+/// return every draw that can flip one, in program order. The gate rules
+/// transpose the forward frame rules (`H`: X ↔ Z; `S`: X → Y; `√X`: Z → Y;
+/// `Cx`: X_c → X_c X_t, Z_t → Z_c Z_t; `Cz`: X_a → X_a Z_b; Paulis commute
+/// with frames).
+fn derive_draws(program: &StabProgram) -> Vec<Draw> {
+    let mut sx = vec![0u128; program.n_qubits];
+    let mut sz = vec![0u128; program.n_qubits];
+    let mut bit = program.measured.len();
+    let mut draws = Vec::new();
+    for op in program.ops.iter().rev() {
+        match op {
+            StabOp::Gate(g) => match *g {
+                CliffordOp::H(q) | CliffordOp::Sy(q) | CliffordOp::Sydg(q) => {
+                    std::mem::swap(&mut sx[q], &mut sz[q]);
+                }
+                CliffordOp::S(q) | CliffordOp::Sdg(q) => sx[q] ^= sz[q],
+                CliffordOp::Sx(q) | CliffordOp::Sxdg(q) => sz[q] ^= sx[q],
+                CliffordOp::X(_) | CliffordOp::Y(_) | CliffordOp::Z(_) => {}
+                CliffordOp::Cx(c, t) => {
+                    sx[c] ^= sx[t];
+                    sz[t] ^= sz[c];
+                }
+                CliffordOp::Cz(a, b) => {
+                    sx[a] ^= sz[b];
+                    sx[b] ^= sz[a];
+                }
+                CliffordOp::Swap(a, b) => {
+                    sx.swap(a, b);
+                    sz.swap(a, b);
+                }
+            },
+            StabOp::Site(id) => draws.extend(site_draw(&program.sites[*id], &sx, &sz)),
+            StabOp::Measure(qubits) => {
+                for &q in qubits.iter().rev() {
+                    bit -= 1;
+                    if sz[q] != 0 {
+                        draws.push(Draw {
+                            p: 0.5,
+                            cond: Vec::new(),
+                            masks: vec![sz[q]],
+                        });
+                    }
+                    sx[q] ^= 1 << bit;
+                }
+            }
+        }
+    }
+    draws.reverse();
+    draws
+}
+
+/// A site as a draw: `p` is its all-error mass, and each non-identity
+/// branch of positive weight gets its share of it and the XOR of its
+/// qubits' sets. `None` for a site that never errs.
+fn site_draw(site: &PauliSite, sx: &[u128], sz: &[u128]) -> Option<Draw> {
+    let identity = site
+        .paulis
+        .iter()
+        .position(|ps| ps.iter().all(|&p| p == Pauli::I));
+    let p = identity.map_or(1.0, |i| 1.0 - site.probs[i]);
+    let mut draw = Draw {
+        p,
+        cond: Vec::new(),
+        masks: Vec::new(),
+    };
+    for (i, (&w, paulis)) in site.probs.iter().zip(&site.paulis).enumerate() {
+        if p > 0.0 && w > 0.0 && Some(i) != identity {
+            let mask = site.qubits.iter().zip(paulis).fold(0, |mask, (&q, pauli)| {
+                let (x, z) = pauli.bits();
+                mask ^ (if x { sx[q] } else { 0 }) ^ (if z { sz[q] } else { 0 })
+            });
+            draw.cond.push(w / p);
+            draw.masks.push(mask);
+        }
+    }
+    (!draw.masks.is_empty()).then_some(draw)
 }
 
 fn apply_tableau_gate(tab: &mut Tableau, g: CliffordOp) {
@@ -223,156 +322,12 @@ pub fn tableau_sample_one<R: Rng + ?Sized>(program: &StabProgram, rng: &mut R) -
     record
 }
 
-/// Frame propagation rules (signs are irrelevant for frames).
-fn apply_frame_gate(fx: &mut [Vec<u64>], fz: &mut [Vec<u64>], g: CliffordOp) {
-    match g {
-        // H: X ↔ Z.
-        CliffordOp::H(q) | CliffordOp::Sy(q) | CliffordOp::Sydg(q) => {
-            // √Y and √Y† also exchange X and Z (up to signs).
-            fx[q].iter_mut().zip(fz[q].iter_mut()).for_each(|(x, z)| {
-                std::mem::swap(x, z);
-            });
-        }
-        // S/S†: X → Y (z ^= x).
-        CliffordOp::S(q) | CliffordOp::Sdg(q) => {
-            for (z, &x) in fz[q].iter_mut().zip(fx[q].iter()) {
-                *z ^= x;
-            }
-        }
-        // √X/√X†: Z → Y (x ^= z).
-        CliffordOp::Sx(q) | CliffordOp::Sxdg(q) => {
-            for (x, &z) in fx[q].iter_mut().zip(fz[q].iter()) {
-                *x ^= z;
-            }
-        }
-        // Paulis commute with frames.
-        CliffordOp::X(_) | CliffordOp::Y(_) | CliffordOp::Z(_) => {}
-        CliffordOp::Cx(c, t) => {
-            // X on control propagates to target; Z on target to control.
-            let (fxc, fxt) = two_mut(fx, c, t);
-            for (t_, &c_) in fxt.iter_mut().zip(fxc.iter()) {
-                *t_ ^= c_;
-            }
-            let (fzc, fzt) = two_mut(fz, c, t);
-            for (c_, &t_) in fzc.iter_mut().zip(fzt.iter()) {
-                *c_ ^= t_;
-            }
-        }
-        CliffordOp::Cz(a, b) => {
-            let (fxa, fxb) = two_mut(fx, a, b);
-            // X_a → X_a Z_b and X_b → X_b Z_a.
-            let (fza, fzb) = two_mut(fz, a, b);
-            for i in 0..fxa.len() {
-                fzb[i] ^= fxa[i];
-                fza[i] ^= fxb[i];
-            }
-        }
-        CliffordOp::Swap(a, b) => {
-            fx.swap(a, b);
-            fz.swap(a, b);
-        }
-    }
-}
-
-/// Split two distinct rows of a per-qubit table mutably.
-fn two_mut(v: &mut [Vec<u64>], i: usize, j: usize) -> (&mut Vec<u64>, &mut Vec<u64>) {
-    assert_ne!(i, j);
-    if i < j {
-        let (a, b) = v.split_at_mut(j);
-        (&mut a[i], &mut b[0])
-    } else {
-        let (a, b) = v.split_at_mut(i);
-        (&mut b[0], &mut a[j])
-    }
-}
-
-/// A Pauli-mixture site as the sampler injects it: the all-error mass
-/// that drives the shot mask, and the non-identity branches with their
-/// weights among errors.
-struct FrameSite {
-    p_err: f64,
-    /// Conditional branch weights; empty for a site that never errs.
-    cond: Vec<f64>,
-    /// Per branch of `cond`: which of the site's qubits (bit `t` = qubit
-    /// `t` of the site) get their X / Z frame bit flipped.
-    flips: Vec<(u8, u8)>,
-}
-
-impl FrameSite {
-    fn new(site: &PauliSite) -> Self {
-        assert!(site.qubits.len() <= 8, "branch masks hold 8 site qubits");
-        let identity_idx = site
-            .paulis
-            .iter()
-            .position(|ps| ps.iter().all(|&p| p == Pauli::I));
-        let p_err: f64 = match identity_idx {
-            Some(idx) => 1.0 - site.probs[idx],
-            None => 1.0,
-        };
-        let mut cond = Vec::new();
-        let mut flips = Vec::new();
-        if p_err > 0.0 {
-            for (i, &p) in site.probs.iter().enumerate() {
-                if Some(i) != identity_idx && p > 0.0 {
-                    cond.push(p / p_err);
-                    let (mut x, mut z) = (0u8, 0u8);
-                    for (t, pauli) in site.paulis[i].iter().enumerate() {
-                        let (xb, zb) = pauli.bits();
-                        x |= u8::from(xb) << t;
-                        z |= u8::from(zb) << t;
-                    }
-                    flips.push((x, z));
-                }
-            }
-        }
-        Self { p_err, cond, flips }
-    }
-
-    /// Inject the site across all shots: a Bernoulli mask picks the erred
-    /// shots, then each erred shot draws a branch (sparse iteration, so
-    /// cost scales with the error rate).
-    fn inject<R: Rng + ?Sized>(
-        &self,
-        qubits: &[usize],
-        fx: &mut [Vec<u64>],
-        fz: &mut [Vec<u64>],
-        shots: usize,
-        scratch: &mut [u64],
-        rng: &mut R,
-    ) {
-        if self.cond.is_empty() {
-            return;
-        }
-        fill_bernoulli_words(scratch, shots, self.p_err, rng);
-        for (w, &word) in scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let lane = bits & bits.wrapping_neg();
-                bits ^= lane;
-                let branch = if self.cond.len() == 1 {
-                    0
-                } else {
-                    index_of(rng.next_f64(), &self.cond)
-                };
-                let (x, z) = self.flips[branch];
-                for (t, &q) in qubits.iter().enumerate() {
-                    if (x >> t) & 1 == 1 {
-                        fx[q][w] ^= lane;
-                    }
-                    if (z >> t) & 1 == 1 {
-                        fz[q][w] ^= lane;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ptsbe_circuit::{channels, Circuit, NoiseModel};
     use ptsbe_rng::PhiloxRng;
+    use std::sync::Arc;
 
     /// A deterministic-reference circuit: |0⟩ with X-flip noise, measured.
     fn flip_circuit(p: f64) -> NoisyCircuit {
@@ -576,5 +531,433 @@ mod tests {
         let frac = ones as f64 / shots as f64;
         let expect = 2.0 * 0.001 * 0.999;
         assert!((frac - expect).abs() < 3e-4, "frac {frac}");
+    }
+
+    #[test]
+    fn more_than_128_measured_bits_is_an_error() {
+        let mut c = Circuit::new(1);
+        for _ in 0..128 {
+            c.measure(&[0]);
+        }
+        let mut rng = PhiloxRng::new(109, 0);
+        let nc = NoiseModel::new().apply(&c);
+        assert_eq!(FrameSampler::new(&nc, &mut rng).unwrap().n_measured(), 128);
+        c.measure(&[0]);
+        let nc = NoiseModel::new().apply(&c);
+        assert!(matches!(
+            FrameSampler::new(&nc, &mut rng),
+            Err(FrameError::Unsupported(_))
+        ));
+    }
+
+    /// The reference `sample` is held to, by forward frame propagation:
+    /// 64-shot frame words per qubit pushed through every gate, every site
+    /// injected through its flip bytes, every record bit scattered from
+    /// `fx` and XORed with its reference bit, every collapse drawn.
+    mod oracle {
+        use crate::convert::{CliffordOp, PauliSite, StabOp};
+        use crate::frame::FrameSampler;
+        use crate::pauli::Pauli;
+        use ptsbe_rng::{categorical::index_of, mask::fill_bernoulli_words, Rng};
+
+        /// `FrameSampler::sample`'s records by frame propagation. With
+        /// `force = Some((k, word))` collapse `k`'s random words are set to
+        /// `word` after they are drawn, so the stream does not move.
+        pub(super) fn sample<R: Rng + ?Sized>(
+            sampler: &FrameSampler,
+            shots: usize,
+            rng: &mut R,
+            force: Option<(usize, u64)>,
+        ) -> Vec<u128> {
+            let program = &sampler.program;
+            let sites: Vec<FrameSite> = program.sites.iter().map(FrameSite::new).collect();
+            let n = program.n_qubits;
+            let nwords = shots.div_ceil(64);
+            let mut fx = vec![vec![0u64; nwords]; n];
+            let mut fz = vec![vec![0u64; nwords]; n];
+            let mut records = vec![0u128; shots];
+            let mut bit_idx = 0usize;
+            let mut scratch = vec![0u64; nwords];
+
+            for op in &program.ops {
+                match op {
+                    StabOp::Gate(g) => apply_frame_gate(&mut fx, &mut fz, *g),
+                    StabOp::Site(id) => {
+                        let qubits = &program.sites[*id].qubits;
+                        sites[*id].inject(qubits, &mut fx, &mut fz, shots, &mut scratch, rng);
+                    }
+                    StabOp::Measure(qubits) => {
+                        for &q in qubits {
+                            let ref_bit = (sampler.reference >> bit_idx) & 1 == 1;
+                            for (w, &word) in fx[q].iter().enumerate() {
+                                let mut bits = word;
+                                while bits != 0 {
+                                    let b = bits.trailing_zeros() as usize;
+                                    bits &= bits - 1;
+                                    let shot = w * 64 + b;
+                                    if shot < shots {
+                                        records[shot] ^= 1u128 << bit_idx;
+                                    }
+                                }
+                            }
+                            if ref_bit {
+                                for rec in records.iter_mut() {
+                                    *rec ^= 1u128 << bit_idx;
+                                }
+                            }
+                            fill_bernoulli_words(&mut scratch, shots, 0.5, rng);
+                            if let Some((k, word)) = force {
+                                if k == bit_idx {
+                                    scratch.fill(word);
+                                }
+                            }
+                            for (dst, src) in fz[q].iter_mut().zip(&scratch) {
+                                *dst ^= src;
+                            }
+                            bit_idx += 1;
+                        }
+                    }
+                }
+            }
+            records
+        }
+
+        /// Frame propagation rules (signs are irrelevant for frames).
+        fn apply_frame_gate(fx: &mut [Vec<u64>], fz: &mut [Vec<u64>], g: CliffordOp) {
+            match g {
+                // H: X ↔ Z.
+                CliffordOp::H(q) | CliffordOp::Sy(q) | CliffordOp::Sydg(q) => {
+                    // √Y and √Y† also exchange X and Z (up to signs).
+                    fx[q].iter_mut().zip(fz[q].iter_mut()).for_each(|(x, z)| {
+                        std::mem::swap(x, z);
+                    });
+                }
+                // S/S†: X → Y (z ^= x).
+                CliffordOp::S(q) | CliffordOp::Sdg(q) => {
+                    for (z, &x) in fz[q].iter_mut().zip(fx[q].iter()) {
+                        *z ^= x;
+                    }
+                }
+                // √X/√X†: Z → Y (x ^= z).
+                CliffordOp::Sx(q) | CliffordOp::Sxdg(q) => {
+                    for (x, &z) in fx[q].iter_mut().zip(fz[q].iter()) {
+                        *x ^= z;
+                    }
+                }
+                // Paulis commute with frames.
+                CliffordOp::X(_) | CliffordOp::Y(_) | CliffordOp::Z(_) => {}
+                CliffordOp::Cx(c, t) => {
+                    // X on control propagates to target; Z on target to control.
+                    let (fxc, fxt) = two_mut(fx, c, t);
+                    for (t_, &c_) in fxt.iter_mut().zip(fxc.iter()) {
+                        *t_ ^= c_;
+                    }
+                    let (fzc, fzt) = two_mut(fz, c, t);
+                    for (c_, &t_) in fzc.iter_mut().zip(fzt.iter()) {
+                        *c_ ^= t_;
+                    }
+                }
+                CliffordOp::Cz(a, b) => {
+                    let (fxa, fxb) = two_mut(fx, a, b);
+                    // X_a → X_a Z_b and X_b → X_b Z_a.
+                    let (fza, fzb) = two_mut(fz, a, b);
+                    for i in 0..fxa.len() {
+                        fzb[i] ^= fxa[i];
+                        fza[i] ^= fxb[i];
+                    }
+                }
+                CliffordOp::Swap(a, b) => {
+                    fx.swap(a, b);
+                    fz.swap(a, b);
+                }
+            }
+        }
+
+        /// Split two distinct rows of a per-qubit table mutably.
+        fn two_mut(v: &mut [Vec<u64>], i: usize, j: usize) -> (&mut Vec<u64>, &mut Vec<u64>) {
+            assert_ne!(i, j);
+            if i < j {
+                let (a, b) = v.split_at_mut(j);
+                (&mut a[i], &mut b[0])
+            } else {
+                let (a, b) = v.split_at_mut(i);
+                (&mut b[0], &mut a[j])
+            }
+        }
+
+        /// A Pauli-mixture site as the frame walk injects it: the all-error
+        /// mass that drives the shot mask, and the non-identity branches
+        /// with their weights among errors.
+        struct FrameSite {
+            p_err: f64,
+            /// Conditional branch weights; empty for a site that never errs.
+            cond: Vec<f64>,
+            /// Per branch of `cond`: which of the site's qubits (bit `t` =
+            /// qubit `t` of the site) get their X / Z frame bit flipped.
+            flips: Vec<(u8, u8)>,
+        }
+
+        impl FrameSite {
+            fn new(site: &PauliSite) -> Self {
+                assert!(site.qubits.len() <= 8, "branch masks hold 8 site qubits");
+                let identity_idx = site
+                    .paulis
+                    .iter()
+                    .position(|ps| ps.iter().all(|&p| p == Pauli::I));
+                let p_err: f64 = match identity_idx {
+                    Some(idx) => 1.0 - site.probs[idx],
+                    None => 1.0,
+                };
+                let mut cond = Vec::new();
+                let mut flips = Vec::new();
+                if p_err > 0.0 {
+                    for (i, &p) in site.probs.iter().enumerate() {
+                        if Some(i) != identity_idx && p > 0.0 {
+                            cond.push(p / p_err);
+                            let (mut x, mut z) = (0u8, 0u8);
+                            for (t, pauli) in site.paulis[i].iter().enumerate() {
+                                let (xb, zb) = pauli.bits();
+                                x |= u8::from(xb) << t;
+                                z |= u8::from(zb) << t;
+                            }
+                            flips.push((x, z));
+                        }
+                    }
+                }
+                Self { p_err, cond, flips }
+            }
+
+            /// Inject the site across all shots: a Bernoulli mask picks the
+            /// erred shots, then each erred shot draws a branch.
+            fn inject<R: Rng + ?Sized>(
+                &self,
+                qubits: &[usize],
+                fx: &mut [Vec<u64>],
+                fz: &mut [Vec<u64>],
+                shots: usize,
+                scratch: &mut [u64],
+                rng: &mut R,
+            ) {
+                if self.cond.is_empty() {
+                    return;
+                }
+                fill_bernoulli_words(scratch, shots, self.p_err, rng);
+                for (w, &word) in scratch.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let lane = bits & bits.wrapping_neg();
+                        bits ^= lane;
+                        let branch = if self.cond.len() == 1 {
+                            0
+                        } else {
+                            index_of(rng.next_f64(), &self.cond)
+                        };
+                        let (x, z) = self.flips[branch];
+                        for (t, &q) in qubits.iter().enumerate() {
+                            if (x >> t) & 1 == 1 {
+                                fx[q][w] ^= lane;
+                            }
+                            if (z >> t) & 1 == 1 {
+                                fz[q][w] ^= lane;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    const RATES: [f64; 4] = [1e-3, 0.02, 0.1, 0.5];
+
+    /// A random Clifford+Pauli circuit on `n` qubits of `len` ops: every
+    /// gate the lowering knows, and 1q / 2q sites of `bit_flip` (one
+    /// branch), `phase_flip`, `depolarizing` and `depolarizing2` at each of
+    /// `RATES`; with `mid`, single-qubit measurements along the way. Every
+    /// qubit is measured at the end.
+    fn random_circuit(rng: &mut PhiloxRng, n: usize, len: usize, mid: bool) -> NoisyCircuit {
+        let mut c = Circuit::new(n);
+        for _ in 0..len {
+            let q = rng.gen_index(n);
+            // A second qubit, distinct from `q` when there is one.
+            let r = (q + 1 + rng.gen_index(n.max(2) - 1)) % n;
+            let p = RATES[rng.gen_index(RATES.len())];
+            let kinds = if n > 1 { 18 } else { 14 };
+            match rng.gen_index(kinds) {
+                0 => c.h(q),
+                1 => c.s(q),
+                2 => c.sdg(q),
+                3 => c.sx(q),
+                4 => c.sxdg(q),
+                5 => c.sy(q),
+                6 => c.sydg(q),
+                7 => c.x(q),
+                8 => c.y(q),
+                9 => c.z(q),
+                10 => c.noise(Arc::new(channels::bit_flip(p)), &[q]),
+                11 => c.noise(Arc::new(channels::phase_flip(p)), &[q]),
+                12 => c.noise(Arc::new(channels::depolarizing(p)), &[q]),
+                13 if mid => c.measure(&[q]),
+                13 => c.x(q),
+                14 => c.cx(q, r),
+                15 => c.cz(q, r),
+                16 => c.swap(q, r),
+                _ => c.noise(Arc::new(channels::depolarizing2(p)), &[q, r]),
+            };
+        }
+        c.measure_all();
+        NoisyCircuit::from_circuit(c)
+    }
+
+    /// Terminal measurements: the masks give the frame walk's records bit
+    /// for bit on the same stream, in both fill regimes, on ragged and
+    /// whole 64-shot words.
+    #[test]
+    fn masks_equal_the_frame_walk_bit_for_bit() {
+        let mut gen = PhiloxRng::new(110, 0);
+        let mut reference_ones = 0;
+        for i in 0..240u64 {
+            let n = 1 + gen.gen_index(6);
+            let len = 1 + gen.gen_index(40);
+            let nc = random_circuit(&mut gen, n, len, false);
+            let sampler = FrameSampler::new(&nc, &mut PhiloxRng::new(i, 1)).unwrap();
+            reference_ones += sampler.reference.count_ones();
+            for shots in [1, 63, 64, 65, 4_000] {
+                let got = sampler.sample(shots, &mut PhiloxRng::new(i, 2));
+                let want = oracle::sample(&sampler, shots, &mut PhiloxRng::new(i, 2), None);
+                assert_eq!(got.shots, want, "circuit {i}, {shots} shots");
+            }
+        }
+        assert!(reference_ones > 0);
+    }
+
+    /// Collapse `k`'s record mask as the backward pass sees it: a one-branch
+    /// Z site on the measured qubit right after the measurement (the only
+    /// site, so the only draw with branch weights).
+    fn collapse_mask(program: &StabProgram, k: usize) -> u128 {
+        let mut probed = program.clone();
+        probed.ops.retain(|op| !matches!(op, StabOp::Site(_)));
+        let mut seen = 0;
+        let at = probed
+            .ops
+            .iter()
+            .position(|op| {
+                if let StabOp::Measure(qubits) = op {
+                    seen += qubits.len();
+                }
+                seen > k
+            })
+            .unwrap();
+        probed.sites.push(PauliSite {
+            qubits: vec![program.measured[k]],
+            probs: vec![0.0, 1.0],
+            paulis: vec![vec![Pauli::I], vec![Pauli::Z]],
+        });
+        probed
+            .ops
+            .insert(at + 1, StabOp::Site(probed.sites.len() - 1));
+        let probe: Vec<Draw> = derive_draws(&probed)
+            .into_iter()
+            .filter(|d| !d.cond.is_empty())
+            .collect();
+        assert_eq!(probe.len(), 1);
+        probe[0].masks[0]
+    }
+
+    /// Forcing one collapse's coins from all-zero to all-one changes every
+    /// shot in exactly that collapse's mask bits, so a collapse the pass
+    /// dropped (mask 0) changes nothing; and the live ones are the
+    /// sampler's collapse draws, in order.
+    #[test]
+    fn forcing_a_collapse_flips_exactly_its_mask() {
+        let mut gen = PhiloxRng::new(111, 0);
+        let (mut live, mut dead) = (0, 0);
+        for i in 0..200u64 {
+            let n = 1 + gen.gen_index(4);
+            let len = 1 + gen.gen_index(24);
+            let nc = random_circuit(&mut gen, n, len, true);
+            let sampler = FrameSampler::new(&nc, &mut PhiloxRng::new(i, 1)).unwrap();
+            let shots = 130;
+            let mut live_masks = Vec::new();
+            for k in 0..sampler.n_measured() {
+                let mask = collapse_mask(sampler.program(), k);
+                let run = |word| {
+                    oracle::sample(&sampler, shots, &mut PhiloxRng::new(i, 2), Some((k, word)))
+                };
+                let (ones, zeros) = (run(!0), run(0));
+                for (a, b) in ones.iter().zip(&zeros) {
+                    assert_eq!(a ^ b, mask, "circuit {i}, collapse {k}");
+                }
+                if mask == 0 {
+                    dead += 1;
+                } else {
+                    live += 1;
+                    live_masks.push(mask);
+                }
+            }
+            let drawn: Vec<u128> = sampler
+                .draws
+                .iter()
+                .filter(|d| d.cond.is_empty())
+                .map(|d| d.masks[0])
+                .collect();
+            assert_eq!(drawn, live_masks, "circuit {i}");
+        }
+        assert!(live > 0 && dead > 0, "{live} live, {dead} dead");
+    }
+
+    /// A deterministic reference leaves no collapse live (module doc).
+    #[test]
+    fn deterministic_reference_has_no_live_collapse() {
+        let mut gen = PhiloxRng::new(112, 0);
+        let (mut deterministic, mut random_live) = (0, 0);
+        for i in 0..3_000u64 {
+            let n = 1 + gen.gen_index(4);
+            let len = 1 + gen.gen_index(16);
+            let nc = random_circuit(&mut gen, n, len, true);
+            let sampler = FrameSampler::new(&nc, &mut PhiloxRng::new(i, 1)).unwrap();
+            let collapses = sampler.draws.iter().filter(|d| d.cond.is_empty()).count();
+            if sampler.reference_was_random() {
+                random_live += usize::from(collapses > 0);
+            } else {
+                deterministic += 1;
+                assert_eq!(collapses, 0, "circuit {i}");
+            }
+        }
+        assert!(
+            deterministic >= 100 && random_live >= 100,
+            "{deterministic} deterministic, {random_live} random with a live collapse"
+        );
+    }
+
+    /// A noisy mid-circuit circuit with a deterministic reference (the
+    /// service's frame-engine shape): its collapses are dead, and the
+    /// records match the per-shot tableau per outcome.
+    #[test]
+    fn dead_mid_circuit_collapse_matches_tableau_distribution() {
+        let mut c = Circuit::new(2);
+        c.x(0).measure(&[0]).cx(0, 1).measure(&[1]);
+        let nc = NoiseModel::new()
+            .with_default_1q(channels::bit_flip(0.1))
+            .with_default_2q(channels::depolarizing2(0.02))
+            .apply(&c);
+        let mut rng = PhiloxRng::new(113, 0);
+        let sampler = FrameSampler::new(&nc, &mut rng).unwrap();
+        assert!(!sampler.reference_was_random());
+        assert!(sampler.draws.iter().all(|d| !d.cond.is_empty()));
+        let shots = 100_000;
+        let bulk = sampler.sample(shots, &mut rng);
+        let mut counts_bulk = [0usize; 4];
+        for &s in &bulk.shots {
+            counts_bulk[s as usize] += 1;
+        }
+        let mut counts_ref = [0usize; 4];
+        for _ in 0..shots {
+            counts_ref[tableau_sample_one(sampler.program(), &mut rng) as usize] += 1;
+        }
+        for i in 0..4 {
+            let a = counts_bulk[i] as f64 / shots as f64;
+            let b = counts_ref[i] as f64 / shots as f64;
+            assert!((a - b).abs() < 0.01, "outcome {i}: bulk {a} vs tableau {b}");
+        }
     }
 }

@@ -8,10 +8,11 @@
 //!
 //! - [`tableau::Tableau`] — an Aaronson–Gottesman CHP simulator: exact
 //!   per-shot stabilizer evolution with measurement;
-//! - [`frame::FrameSampler`] — the bulk path: one reference tableau run,
-//!   then Pauli frames propagated 64-shots-per-word through the circuit,
-//!   with noise injected as bit-packed Bernoulli masks
-//!   ([`ptsbe_rng::mask`]).
+//! - [`frame::FrameSampler`] — the bulk path: one reference tableau run
+//!   and one backward pass that gives every noise branch and measurement
+//!   collapse the record bits its Pauli frame flips; a shot is then the
+//!   reference XORed with the masks of the events drawn for it, the
+//!   events picked by bit-packed Bernoulli masks ([`ptsbe_rng::mask`]).
 //!
 //! The frame sampler's validity domain is the same as Stim's: outputs are
 //! exact samples when every measurement is deterministic in the noiseless
