@@ -1,6 +1,6 @@
 //! Deterministic fault injection.
 //!
-//! Every recovery path in the service — chunk retry, worker respawn,
+//! Every recovery path in the service — chunk retry, escaped-panic requeue,
 //! transient-sink retry, engine degradation, deadline enforcement — is
 //! exercised by *reproducible* faults, not luck. A [`FaultConfig`]
 //! describes which faults fire and how often; whether a given fault
@@ -74,9 +74,8 @@ pub struct FaultConfig {
     /// Probability that a record's first sink write fails transiently
     /// (`ErrorKind::Interrupted`, before any byte is written).
     pub sink_flake: f64,
-    /// Probability that a chunk attempt kills its worker thread (a
-    /// panic *outside* the chunk's `catch_unwind`, exercising the
-    /// supervisor's requeue-and-respawn path).
+    /// Probability that a chunk attempt panics *outside* the chunk's
+    /// retry guard, exercising the worker loop's catch-and-requeue path.
     pub worker_kill: f64,
     /// Attempts at/above this index never kill the worker.
     pub kill_max_attempts: u32,
@@ -139,8 +138,9 @@ impl FaultConfig {
         }
     }
 
-    /// 25% of chunks kill their worker on the first attempt; the
-    /// supervisor requeues the in-flight chunk and respawns the worker.
+    /// 25% of chunks panic outside the retry guard on the first attempt;
+    /// the worker catches it, requeues the chunk with its attempt
+    /// ordinal bumped, and keeps serving.
     pub fn worker_kill() -> Self {
         Self {
             worker_kill: 0.25,

@@ -26,9 +26,9 @@ pub enum ServiceError {
     /// The service is shutting down and admits no new jobs.
     ShuttingDown,
     /// Service-internal invariant breakage surfaced as a typed error
-    /// instead of a worker-killing panic — today that means a poisoned
-    /// job-scoped lock (a panic tore through a critical section whose
-    /// state cannot be proven consistent, e.g. mid-write sink state).
+    /// instead of a panic — today that means a poisoned job-scoped lock
+    /// (a panic tore through a critical section whose state cannot be
+    /// proven consistent, e.g. mid-write sink state).
     /// The affected *job* fails; the worker and every other job
     /// survive.
     Internal(String),
@@ -257,8 +257,8 @@ pub(crate) struct PushOutcome {
     /// Transient sink-write failures absorbed by retry.
     pub(crate) write_retries: u64,
     /// The chunk index was already delivered (a redundant re-execution
-    /// after a worker died between delivery and accounting); nothing
-    /// was written.
+    /// after a panic escaped the task between delivery and accounting);
+    /// nothing was written.
     pub(crate) duplicate: bool,
 }
 
@@ -272,8 +272,8 @@ pub(crate) struct PushOutcome {
 ///
 /// Fault-tolerance duties beyond reordering:
 ///
-/// - **Exactly-once delivery.** Chunk retry and worker respawn can
-///   re-execute a chunk that was already delivered (the worker died
+/// - **Exactly-once delivery.** A task requeued after an escaped panic
+///   can re-execute a chunk that was already delivered (the panic came
 ///   *after* pushing but *before* accounting); a re-push of a delivered
 ///   index is detected and dropped, so at-least-once scheduling becomes
 ///   exactly-once sink delivery.
@@ -445,8 +445,8 @@ impl Emitter {
 }
 
 /// Per-chunk accounting of one installed route's cut. A chunk index
-/// counts exactly once even when worker death re-queues a chunk that
-/// already completed (the exactly-once counterpart of the emitter's
+/// counts exactly once even when an escaped panic re-queues a chunk
+/// that already completed (the exactly-once counterpart of the emitter's
 /// delivery dedupe), and all of it sits under one lock so a re-cut
 /// (engine degradation) replaces it atomically.
 #[derive(Default)]

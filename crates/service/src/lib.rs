@@ -6,9 +6,10 @@
 //!
 //! Four pieces, one per module:
 //!
-//! - [`service::ShotService`] — a sharded worker pool (std threads +
-//!   channels; no async runtime) behind a bounded admission queue with
-//!   backpressure, per-job cancellation, and streaming delivery of
+//! - [`service::ShotService`] — a worker pool (std threads over one
+//!   `Mutex<VecDeque>` task queue and a `Condvar`; no async runtime)
+//!   behind a bounded admission queue with backpressure, per-job
+//!   cancellation, and streaming delivery of
 //!   [`ptsbe_dataset::TrajectoryRecord`]s into
 //!   [`ptsbe_dataset::sink::RecordSink`]s as lane groups finish. A
 //!   per-job reorder buffer commits chunks in plan order, so for a fixed
@@ -67,9 +68,10 @@
 //!
 //! The service layer is fault tolerant: deterministic fault injection
 //! ([`fault::FaultConfig`], `PTSBE_FAULTS`), chunk retry with capped
-//! backoff, per-job deadlines ([`JobStatus::TimedOut`]), worker
-//! supervision with respawn, and single-shot engine degradation — all
-//! output-neutral for a fixed seed (see [`service`]'s module docs).
+//! backoff, per-job deadlines ([`JobStatus::TimedOut`]), requeue of a
+//! task a panic escaped (caught in the worker loop, so no worker thread
+//! dies), and single-shot engine degradation — all output-neutral for a
+//! fixed seed (see [`service`]'s module docs).
 
 pub mod cache;
 mod engine;

@@ -37,7 +37,8 @@ pub(crate) struct ServiceMetrics {
     pub(crate) chunk_retries: AtomicU64,
     /// Chunks abandoned at a deadline boundary (their job timed out).
     pub(crate) chunks_timed_out: AtomicU64,
-    /// Worker threads respawned by the supervisor after a worker died.
+    /// Tasks requeued after a panic escaped them (see
+    /// [`MetricsSnapshot::workers_respawned`]).
     pub(crate) workers_respawned: AtomicU64,
     /// Jobs re-routed to their dense fallback engine after a fatal
     /// engine failure (graceful degradation).
@@ -134,7 +135,10 @@ pub struct MetricsSnapshot {
     pub chunk_retries: u64,
     /// Chunks abandoned at a deadline boundary.
     pub chunks_timed_out: u64,
-    /// Worker threads respawned by the supervisor.
+    /// Tasks requeued after a panic escaped them — a `worker-kill`
+    /// fault, or an organic panic outside the chunk retry guard such as
+    /// a panicking sink. The worker catches the panic and keeps serving
+    /// (no thread is respawned; the name predates that).
     pub workers_respawned: u64,
     /// Jobs that gracefully degraded to their dense fallback engine.
     pub engine_fallbacks: u64,
@@ -257,7 +261,7 @@ impl MetricsSnapshot {
             ),
             c(
                 "ptsbe_workers_respawned",
-                "Workers respawned by the supervisor.",
+                "Tasks requeued after a panic escaped them.",
                 self.workers_respawned,
             ),
             c(

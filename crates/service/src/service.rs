@@ -43,11 +43,12 @@
 //! - **Chunk retry.** A panicking chunk attempt is retried in place
 //!   with capped exponential backoff ([`RetryPolicy`]); the retry
 //!   re-executes bitwise identically.
-//! - **Worker supervision.** A supervisor thread detects worker-thread
-//!   death (a panic escaping the chunk's `catch_unwind`), requeues the
-//!   task the dead worker held, and respawns the worker. A chunk that
-//!   was already delivered before its worker died is deduplicated by
-//!   the emitter and the per-job accounting bitmap.
+//! - **Escaped panics.** Every task a worker pops runs under
+//!   `catch_unwind`. A panic that escapes the chunk's retry guard (a
+//!   `worker-kill` fault, a panicking sink) is caught there: the worker
+//!   requeues the task with its attempt ordinal bumped and keeps
+//!   serving. A chunk that was already delivered before the panic is
+//!   deduplicated by the emitter and the per-job accounting bitmap.
 //! - **Engine degradation.** A chunk that exhausts its retry budget on
 //!   the MPS engine re-routes the job once to a dense fallback
 //!   (recorded as [`RouteReason::EngineFallback`](crate::router::RouteReason)),
@@ -106,14 +107,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-/// Lock with poison healing: service-global locks (queue, admission,
-/// worker table, in-flight registry) guard state that is consistent at
-/// every await point, so a panic between acquire and release cannot
-/// leave them torn — healing is safe and keeps one panicking worker
-/// from wedging the whole service. Job-*scoped* state with real
-/// mid-operation invariants (the emitter) is NOT healed; it surfaces a
-/// typed [`ServiceError::Internal`] instead (see
-/// [`crate::job::JobInner::emitter`]).
+/// Lock with poison healing: service-global locks (queue, admission)
+/// guard state that is consistent at every await point, so a panic
+/// between acquire and release cannot leave them torn — healing is safe
+/// and keeps one panicking task from wedging the whole service.
+/// Job-*scoped* state with real mid-operation invariants (the emitter)
+/// is NOT healed; it surfaces a typed [`ServiceError::Internal`] instead
+/// (see [`crate::job::JobInner::emitter`]).
 fn lock_healed<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -245,32 +245,11 @@ enum Task<T: Scalar> {
         /// indices; trie-order positions for the MPS tree engine; shot
         /// offsets for the frame engine).
         range: Range<usize>,
-        /// Execution-attempt ordinal (preserved across a worker death so
-        /// requeued chunks advance through the fault plan instead of
-        /// deterministically re-dying forever).
+        /// Execution-attempt ordinal (bumped when a panic escapes the
+        /// task, so a requeued chunk advances through the fault plan
+        /// instead of deterministically panicking forever).
         attempt: u32,
     },
-}
-
-impl<T: Scalar> Clone for Task<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Task::Plan(job) => Task::Plan(Arc::clone(job)),
-            Task::Chunk {
-                job,
-                generation,
-                index,
-                range,
-                attempt,
-            } => Task::Chunk {
-                job: Arc::clone(job),
-                generation: *generation,
-                index: *index,
-                range: range.clone(),
-                attempt: *attempt,
-            },
-        }
-    }
 }
 
 struct Shared<T: Scalar> {
@@ -288,26 +267,19 @@ struct Shared<T: Scalar> {
     shutdown: AtomicBool,
     /// Resolved fault plan (config override, else `PTSBE_FAULTS`).
     faults: Option<FaultConfig>,
-    /// One slot per worker: the task that worker currently holds. The
-    /// supervisor requeues a dead worker's slot so no claimed task is
-    /// ever lost.
-    in_flight: Mutex<Vec<Option<Task<T>>>>,
 }
-
-type WorkerTable = Arc<Mutex<Vec<Option<thread::JoinHandle<()>>>>>;
 
 /// The long-running data-collection service (see the crate docs for the
 /// architecture). Dropping the service drains the queue gracefully:
 /// every admitted job reaches a terminal state before workers exit.
 pub struct ShotService<T: Scalar = f64> {
     shared: Arc<Shared<T>>,
-    workers: WorkerTable,
-    supervisor: Option<thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
     next_id: AtomicU64,
 }
 
 impl<T: Scalar> ShotService<T> {
-    /// Start the worker pool (plus its supervisor thread).
+    /// Start the worker pool.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.queue_capacity >= 1, "queue capacity must be at least 1");
         let n_workers = if cfg.workers == 0 {
@@ -336,25 +308,19 @@ impl<T: Scalar> ShotService<T> {
             metrics: ServiceMetrics::new(),
             shutdown: AtomicBool::new(false),
             faults,
-            in_flight: Mutex::new((0..n_workers).map(|_| None).collect()),
         });
-        let workers: WorkerTable = Arc::new(Mutex::new(
-            (0..n_workers)
-                .map(|slot| Some(spawn_worker(&shared, slot)))
-                .collect(),
-        ));
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            let table = Arc::clone(&workers);
-            thread::Builder::new()
-                .name("ptsbe-svc-supervisor".into())
-                .spawn(move || supervisor_loop(shared, table))
-                .expect("spawn service supervisor")
-        };
+        let workers = (0..n_workers)
+            .map(|slot| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("ptsbe-svc-{slot}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn service worker")
+            })
+            .collect();
         Self {
             shared,
             workers,
-            supervisor: Some(supervisor),
             next_id: AtomicU64::new(1),
         }
     }
@@ -442,8 +408,9 @@ impl<T: Scalar> ShotService<T> {
         MetricsSnapshot::from_counters(&self.shared.metrics, self.shared.cache.stats())
     }
 
-    /// Worker count the pool maintains (the supervisor respawns dead
-    /// workers, so this is stable even under worker-kill faults).
+    /// Worker count of the pool (stable for the service's lifetime: a
+    /// panic that escapes a task is caught in the worker's loop, so no
+    /// worker thread dies, even under worker-kill faults).
     pub fn n_workers(&self) -> usize {
         self.shared.n_workers
     }
@@ -451,18 +418,17 @@ impl<T: Scalar> ShotService<T> {
 
 impl<T: Scalar> Drop for ShotService<T> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Published under the queue lock: a worker reads the flag
+            // under it right before parking on `queue_cv`, so a store
+            // outside it could land between that read and the park, and
+            // the notify below would wake nobody.
+            let _queue = lock_healed(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.queue_cv.notify_all();
         self.shared.admit_cv.notify_all();
-        // Supervisor first: after it exits, the worker table is stable.
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        let handles: Vec<_> = lock_healed(&self.workers)
-            .iter_mut()
-            .filter_map(Option::take)
-            .collect();
-        for h in handles {
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -495,103 +461,62 @@ fn validate(spec: &JobSpec) -> Result<(), ServiceError> {
 // ---------------------------------------------------------------------------
 // Worker side.
 
-fn spawn_worker<T: Scalar>(shared: &Arc<Shared<T>>, slot: usize) -> thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("ptsbe-svc-{slot}"))
-        .spawn(move || worker_loop(shared, slot))
-        .expect("spawn service worker")
-}
-
-/// Detect dead workers (a panic that escaped the chunk's
-/// `catch_unwind`), requeue whatever task they held, and respawn them —
-/// no claimed task is ever lost to a worker death.
-fn supervisor_loop<T: Scalar>(shared: Arc<Shared<T>>, table: WorkerTable) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        thread::sleep(Duration::from_millis(2));
-        let dead: Vec<(usize, thread::JoinHandle<()>)> = {
-            let mut t = lock_healed(&table);
-            let mut dead = Vec::new();
-            for (slot, h) in t.iter_mut().enumerate() {
-                if h.as_ref().is_some_and(thread::JoinHandle::is_finished) {
-                    dead.push((slot, h.take().expect("checked some")));
-                }
-            }
-            dead
-        };
-        for (slot, h) in dead {
-            // Reap (and discard) the panic payload.
-            let _ = h.join();
-            // Count first: a live sibling may pick the requeued task up
-            // and finish the job before this loop gets any further, and
-            // the job's waiter must already see the respawn.
-            shared
-                .metrics
-                .workers_respawned
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(task) = lock_healed(&shared.in_flight)[slot].take() {
-                lock_healed(&shared.queue).push_back(task);
-                shared.queue_cv.notify_one();
-            }
-            lock_healed(&table)[slot] = Some(spawn_worker(&shared, slot));
-        }
-    }
-}
-
-fn worker_loop<T: Scalar>(shared: Arc<Shared<T>>, slot: usize) {
+/// Pop tasks until shutdown with an empty queue. A panic that escapes a
+/// task — a `worker-kill` fault, or an organic one outside `run_chunk`'s
+/// retry guard such as a panicking sink — is caught here: the task goes
+/// back on the queue with its attempt ordinal bumped (so it advances
+/// through the fault plan instead of panicking on the same decision
+/// forever) and this thread keeps serving.
+fn worker_loop<T: Scalar>(shared: &Arc<Shared<T>>) {
     loop {
-        let task = {
+        let mut task = {
             let mut q = lock_healed(&shared.queue);
             loop {
                 if let Some(t) = q.pop_front() {
-                    break Some(t);
+                    break t;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
+                    return;
                 }
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let Some(task) = task else { return };
-        // Register the claim so the supervisor can requeue it if this
-        // thread dies before clearing the slot.
-        lock_healed(&shared.in_flight)[slot] = Some(task.clone());
-        if let (
-            Some(f),
-            Task::Chunk {
-                job,
-                index,
-                attempt,
-                ..
-            },
-        ) = (&shared.faults, &task)
-        {
-            if f.kill_worker(job.spec.seed, *index as u64, *attempt) {
-                // Bump the in-flight attempt first, so the requeued task
-                // advances through the fault plan instead of re-dying on
-                // the same decision forever.
-                if let Some(Task::Chunk { attempt, .. }) =
-                    lock_healed(&shared.in_flight)[slot].as_mut()
-                {
-                    *attempt += 1;
+        if catch_unwind(AssertUnwindSafe(|| run_task(shared, &task))).is_ok() {
+            continue;
+        }
+        if let Task::Chunk { attempt, .. } = &mut task {
+            *attempt = attempt.saturating_add(1);
+        }
+        // Count first: a sibling may pick the requeued task up and
+        // finish the job before this thread gets any further, and the
+        // job's waiter must already see the count.
+        shared
+            .metrics
+            .workers_respawned
+            .fetch_add(1, Ordering::Relaxed);
+        lock_healed(&shared.queue).push_back(task);
+        shared.queue_cv.notify_one();
+    }
+}
+
+fn run_task<T: Scalar>(shared: &Arc<Shared<T>>, task: &Task<T>) {
+    match task {
+        Task::Plan(job) => plan_job(shared, job),
+        Task::Chunk {
+            job,
+            generation,
+            index,
+            range,
+            attempt,
+        } => {
+            if let Some(f) = &shared.faults {
+                if f.kill_worker(job.spec.seed, *index as u64, *attempt) {
+                    // A panic *outside* run_chunk's retry guard.
+                    crate::fault::raise("worker-kill");
                 }
-                // A panic *outside* run_chunk's catch_unwind: this
-                // worker thread dies here; the supervisor requeues the
-                // bumped task and respawns the worker.
-                crate::fault::raise("worker-kill");
             }
+            run_chunk(shared, job, *generation, *index, range, *attempt);
         }
-        match task {
-            Task::Plan(job) => plan_job(&shared, job),
-            Task::Chunk {
-                job,
-                generation,
-                index,
-                range,
-                attempt,
-            } => run_chunk(&shared, job, generation, index, range, attempt),
-        }
-        lock_healed(&shared.in_flight)[slot] = None;
     }
 }
 
@@ -607,15 +532,15 @@ fn make_header<T: Scalar>(spec: &JobSpec, exec: &EngineExec<T>) -> DatasetHeader
 
 /// Compile (through the cache), route, stage the header, split into
 /// chunks, and enqueue them.
-fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
+fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
     if job.cancelled.load(Ordering::Acquire) {
         job.transition_terminal(JobStatus::Cancelled);
-        finalize(shared, &job);
+        finalize(shared, job);
         return;
     }
     if job.deadline_exceeded() {
         job.transition_terminal(JobStatus::TimedOut);
-        finalize(shared, &job);
+        finalize(shared, job);
         return;
     }
     job.set_running();
@@ -627,19 +552,19 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
         job.submitted_at,
         job.submitted_at.elapsed(),
     );
-    let chunks = match route_and_install(shared, &job) {
+    let chunks = match route_and_install(shared, job) {
         Ok(chunks) => chunks,
         Err(msg) => {
             job.fail(msg);
-            finalize(shared, &job);
+            finalize(shared, job);
             return;
         }
     };
     if chunks.is_empty() {
-        settle(shared, &job);
+        settle(shared, job);
         return;
     }
-    enqueue_chunks(shared, &job, 0, chunks);
+    enqueue_chunks(shared, job, 0, chunks);
 }
 
 /// Route the job (compiling through the cache), fold the verdict into
@@ -747,10 +672,10 @@ fn panic_message(index: usize, payload: Box<dyn std::any::Any + Send>, attempts:
 
 fn run_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
-    job: Arc<JobInner<T>>,
+    job: &Arc<JobInner<T>>,
     generation: u32,
     index: usize,
-    range: Range<usize>,
+    range: &Range<usize>,
     first_attempt: u32,
 ) {
     // Engine first, generation second: when the generation still matches
@@ -844,21 +769,21 @@ fn run_chunk<T: Scalar>(
         match outcome {
             Ok(out) => {
                 trie_edges = out.trie_edges;
-                deliver(shared, &job, generation, index, out.records);
+                deliver(shared, job, generation, index, out.records);
             }
             Err(msg) => {
                 if let Some(exec) = exec.as_deref().filter(|e| e.dense_fallback_allowed()) {
                     // The job was re-planned onto a fallback engine (or
                     // failed for good) here or by a sibling: this chunk
                     // is superseded — no accounting against the new plan.
-                    degrade(shared, &job, exec.kind(), generation, msg);
+                    degrade(shared, job, exec.kind(), generation, msg);
                     return;
                 }
                 job.fail(msg);
             }
         }
     }
-    account_chunk(shared, &job, generation, index, trie_edges);
+    account_chunk(shared, job, generation, index, trie_edges);
 }
 
 /// Push a finished chunk through the job's emitter and fold the
@@ -892,8 +817,8 @@ fn deliver<T: Scalar>(
     match pushed {
         Ok(out) if out.duplicate => {
             // Redundant re-execution of an already-delivered chunk (a
-            // worker died between delivery and accounting): nothing was
-            // written, nothing to count.
+            // panic escaped it between delivery and accounting): nothing
+            // was written, nothing to count.
         }
         Ok(out) => {
             job.records_emitted
@@ -967,9 +892,9 @@ fn degrade<T: Scalar>(
 }
 
 /// Exactly-once chunk accounting: the ledger makes redundant
-/// re-executions (worker died between delivery and slot clear) count
-/// once, ignores chunks of a superseded route, and the chunk that
-/// completes it settles the job.
+/// re-executions (a panic escaped the task after delivery) count once,
+/// ignores chunks of a superseded route, and the chunk that completes it
+/// settles the job.
 fn account_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
@@ -1049,4 +974,33 @@ fn finalize<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
         *active = active.saturating_sub(1);
     }
     shared.admit_cv.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker reads `shutdown` under the queue lock and then parks on
+    /// `queue_cv`; `Drop` must publish the flag under the same lock, or
+    /// its notify can fall between that read and the park and the join
+    /// waits forever.
+    #[test]
+    fn shutdown_is_published_under_the_queue_lock() {
+        let service: ShotService = ShotService::start(ServiceConfig {
+            workers: 1,
+            faults: Some(FaultConfig::default()),
+            ..ServiceConfig::default()
+        });
+        let shared = Arc::clone(&service.shared);
+        let queue = lock_healed(&shared.queue);
+        let dropper = thread::spawn(move || drop(service));
+        thread::sleep(Duration::from_millis(50));
+        assert!(
+            !shared.shutdown.load(Ordering::Acquire),
+            "shutdown was published without the queue lock"
+        );
+        drop(queue);
+        dropper.join().unwrap();
+        assert!(shared.shutdown.load(Ordering::Acquire));
+    }
 }

@@ -15,8 +15,9 @@ use ptsbe_service::{
 };
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bell_circuit(p: f64) -> NoisyCircuit {
     let mut c = Circuit::new(2);
@@ -100,15 +101,63 @@ fn faulted(f: FaultConfig, workers: usize) -> ServiceConfig {
     }
 }
 
+/// How long one service lifecycle in [`run_with`] may take.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// One job on a fresh service. The whole lifecycle (start → submit →
+/// wait → drop) runs on a helper thread, so a hang anywhere in it —
+/// shutdown included — fails the test with the job's status and the
+/// service's metrics instead of hanging the suite.
 fn run_with(spec: JobSpec, cfg: ServiceConfig) -> (Vec<u8>, JobReport, MetricsSnapshot) {
-    let service: ShotService = ShotService::start(cfg);
-    let buf = SharedBuffer::new();
-    let handle = service
-        .submit(spec, Box::new(JsonlSink::new(buf.clone())))
-        .unwrap();
-    let report = handle.wait();
-    let metrics = service.metrics();
-    (buf.bytes(), report, metrics)
+    let (probe_tx, probe_rx) = mpsc::channel();
+    let (settled_tx, settled_rx) = mpsc::channel();
+    let (dropped_tx, dropped_rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let service: Arc<ShotService> = Arc::new(ShotService::start(cfg));
+        let buf = SharedBuffer::new();
+        let handle = Arc::new(
+            service
+                .submit(spec, Box::new(JsonlSink::new(buf.clone())))
+                .unwrap(),
+        );
+        let _ = probe_tx.send((Arc::downgrade(&service), Arc::clone(&handle)));
+        let _ = settled_tx.send((handle.wait(), service.metrics()));
+        drop(service);
+        let _ = dropped_tx.send(buf.bytes());
+    });
+    let deadline = Instant::now() + WATCHDOG;
+    let left = || deadline.saturating_duration_since(Instant::now());
+    let Ok((service, handle)) = probe_rx.recv() else {
+        rethrow(helper)
+    };
+    let (report, metrics) = match settled_rx.recv_timeout(left()) {
+        Ok(settled) => settled,
+        Err(RecvTimeoutError::Disconnected) => rethrow(helper),
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "job unsettled after {WATCHDOG:?}: status {}, metrics {:?}",
+            handle.status(),
+            service.upgrade().map(|s| s.metrics())
+        ),
+    };
+    match dropped_rx.recv_timeout(left()) {
+        Ok(bytes) => {
+            helper.join().expect("the helper sent its result");
+            (bytes, report, metrics)
+        }
+        Err(RecvTimeoutError::Disconnected) => rethrow(helper),
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "service shutdown hung ({WATCHDOG:?} for the lifecycle): job status {}, metrics {metrics:?}",
+            report.status
+        ),
+    }
+}
+
+/// Re-raise the panic that ended `helper` on the test thread.
+fn rethrow(helper: std::thread::JoinHandle<()>) -> ! {
+    match helper.join() {
+        Err(payload) => std::panic::resume_unwind(payload),
+        Ok(()) => unreachable!("the helper returns only after sending its result"),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -183,13 +232,13 @@ fn presets_deliver_identical_bytes(spec: fn(u64) -> JobSpec) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker supervision
+// Panics that escape a task
 
 #[test]
 fn killed_workers_respawn_without_losing_chunks() {
-    // EVERY chunk's first attempt kills its worker: the supervisor must
-    // requeue each claimed chunk and respawn each dead worker, and the
-    // finished dataset must still be byte-identical.
+    // EVERY chunk's first attempt panics outside the retry guard: each
+    // worker must catch it, requeue the chunk with its attempt bumped and
+    // keep serving, and the finished dataset must still be byte-identical.
     let (baseline, _, _) = run_with(chunked_spec(5), faultless(1));
     let storm = FaultConfig {
         worker_kill: 1.0,
@@ -204,6 +253,54 @@ fn killed_workers_respawn_without_losing_chunks() {
         "every chunk killed a worker; got {} respawns",
         metrics.workers_respawned
     );
+}
+
+/// Sink that panics on its first record write.
+struct PanickingSink {
+    writes: usize,
+}
+
+impl RecordSink for PanickingSink {
+    fn begin(&mut self, _header: &DatasetHeader) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn write(&mut self, _record: &TrajectoryRecord) -> io::Result<()> {
+        self.writes += 1;
+        assert!(self.writes > 1, "sink panics on its first write");
+        Ok(())
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// An organic panic outside the chunk retry guard: the sink panics
+/// inside the job's emitter lock. That job fails with a typed internal
+/// error (its emitter is poisoned, so its sink state is unknowable), and
+/// the one worker survives to run the next job.
+#[test]
+fn a_panicking_sink_fails_its_job_and_the_worker_serves_on() {
+    let service: ShotService = ShotService::start(faultless(1));
+    let handle = service
+        .submit(chunked_spec(17), Box::new(PanickingSink { writes: 0 }))
+        .unwrap();
+    let report = handle.wait();
+    assert_eq!(report.status, JobStatus::Failed, "{report:?}");
+    let error = report.error.as_deref().unwrap_or("");
+    assert!(
+        error.starts_with("internal service error:") && error.contains("emitter lock poisoned"),
+        "{report:?}"
+    );
+
+    let buf = SharedBuffer::new();
+    let next = service
+        .submit(chunked_spec(17), Box::new(JsonlSink::new(buf.clone())))
+        .unwrap()
+        .wait();
+    assert_eq!(next.status, JobStatus::Done, "{next:?}");
+    assert!(!buf.bytes().is_empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -101,8 +101,8 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Run `f` with this pool's thread count installed. The previous
     /// budget is restored when `f` returns *or unwinds*: callers that
-    /// catch a panic and keep the thread (the service's chunk supervisor)
-    /// must not inherit a stale override.
+    /// catch a panic and keep the thread (the service's chunk retry and
+    /// its worker loop) must not inherit a stale override.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         struct Restore(usize);
         impl Drop for Restore {
