@@ -51,7 +51,7 @@ pub fn write<W: Write>(
     Ok(())
 }
 
-/// Read a dataset written by [`write`].
+/// Read a dataset written by [`write()`].
 ///
 /// # Errors
 /// Propagates IO and parse errors.

@@ -34,8 +34,8 @@ use crate::router::BatchGeometry;
 use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
-    Backend, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree, StatePool,
-    TreeExecutor,
+    Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree,
+    StatePool, TreeExecutor,
 };
 use ptsbe_dataset::{ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -206,15 +206,13 @@ fn ranges(total: usize, per: usize) -> Vec<Range<usize>> {
 }
 
 /// Lane geometry of a lane-swept engine over `entry`: the one place the
-/// lane count, the L2 target and the spec's chunk override are folded
-/// together, so the decision metadata and the scheduler cannot disagree.
-fn lane_geometry<T: Scalar>(
-    entry: &SvEntry<T>,
-    spec: &JobSpec,
-    cfg: &ServiceConfig,
-) -> BatchGeometry {
+/// lane count, the L2 target ([`BatchConfig::default`]) and the spec's
+/// chunk override are folded together, so the decision metadata and the
+/// scheduler cannot disagree.
+fn lane_geometry<T: Scalar>(entry: &SvEntry<T>, spec: &JobSpec) -> BatchGeometry {
+    let batch = BatchConfig::default();
     let state_bytes = (2usize << entry.backend.n_qubits()) * std::mem::size_of::<T>();
-    let lanes = cfg.batch.lanes_for_bytes(state_bytes);
+    let lanes = batch.lanes_for_bytes(state_bytes);
     let trajs_per_chunk = if spec.chunk_trajectories == 0 {
         // A few lane groups per chunk: enough work to amortize
         // scheduling, enough chunks to stream and cancel.
@@ -226,7 +224,7 @@ fn lane_geometry<T: Scalar>(
         lanes,
         trajs_per_chunk,
         state_bytes,
-        l2_target_bytes: cfg.batch.l2_target_bytes,
+        l2_target_bytes: batch.l2_target_bytes,
         kernels: ptsbe_statevector::KernelImpl::auto().label(),
     }
 }
@@ -255,10 +253,10 @@ impl<T: Scalar> EngineExec<T> {
 
     /// Lane geometry recorded on the route decision; `None` for engines
     /// that do not sweep lanes.
-    pub(crate) fn geometry(&self, spec: &JobSpec, cfg: &ServiceConfig) -> Option<BatchGeometry> {
+    pub(crate) fn geometry(&self, spec: &JobSpec) -> Option<BatchGeometry> {
         match self {
             EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
-                Some(lane_geometry(entry, spec, cfg))
+                Some(lane_geometry(entry, spec))
             }
             _ => None,
         }
@@ -267,12 +265,7 @@ impl<T: Scalar> EngineExec<T> {
     /// Cut the job into chunks (see the module docs for the unit).
     /// `workers` is the pool size the cut may use; only the two tree
     /// engines look at it.
-    pub(crate) fn chunks(
-        &self,
-        spec: &JobSpec,
-        cfg: &ServiceConfig,
-        workers: usize,
-    ) -> Vec<Range<usize>> {
+    pub(crate) fn chunks(&self, spec: &JobSpec, workers: usize) -> Vec<Range<usize>> {
         let n = spec.plan.trajectories.len();
         match self {
             EngineExec::Frame(_) => {
@@ -304,7 +297,7 @@ impl<T: Scalar> EngineExec<T> {
                 workers,
             ),
             EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
-                ranges(n, lane_geometry(entry, spec, cfg).trajs_per_chunk)
+                ranges(n, lane_geometry(entry, spec).trajs_per_chunk)
             }
         }
     }
@@ -365,7 +358,7 @@ impl<T: Scalar> EngineExec<T> {
                     seed,
                     parallel,
                     lanes: 0,
-                    cfg: cfg.batch,
+                    cfg: BatchConfig::default(),
                 }
                 .execute_slice(&entry.backend, &spec.circuit, &spec.plan, range),
             )),

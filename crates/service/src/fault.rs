@@ -26,12 +26,12 @@
 //! service start), so a panic-storm run does not bury real failures in
 //! noise. Real panics print exactly as before.
 //!
-//! Every preset is *recoverable by construction* under the default
-//! [`RetryPolicy`](crate::service::RetryPolicy): injected chunk panics
-//! and worker kills stop firing below the default retry limit, so a
-//! fault-injected run of a valid job must deliver dataset bytes
-//! identical to the fault-free run — the property the fault suite and
-//! the CI fault matrix pin.
+//! Every preset is *recoverable by construction*: injected chunk panics
+//! stop firing within the service's fixed chunk-retry limit (3 retries),
+//! worker kills are requeued without limit, and no preset injects fatal
+//! engine failures, so a fault-injected run of a valid job must deliver
+//! dataset bytes identical to the fault-free run — the property the
+//! fault suite and the CI fault matrix pin.
 
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_rng::{PhiloxRng, Rng};
@@ -109,7 +109,7 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// Every chunk's first two attempts panic (half of them after the
     /// records were computed); attempt 2 always succeeds — inside the
-    /// default retry limit of 3.
+    /// service's chunk-retry limit of 3.
     pub fn panic_storm() -> Self {
         Self {
             chunk_panic: 1.0,
@@ -401,6 +401,32 @@ mod tests {
         let kill = FaultConfig::worker_kill();
         for chunk in 0..32u64 {
             assert!(!kill.kill_worker(3, chunk, 1), "kills stop after attempt 0");
+        }
+    }
+
+    /// The module's "recoverable by construction" claim, tied to the
+    /// service's retry limit: attempt `panic_max_attempts` never panics,
+    /// and a chunk gets `CHUNK_MAX_RETRIES + 1` attempts, so every preset
+    /// (alone and stacked) heals in place; none fails an engine fatally.
+    #[test]
+    fn every_preset_recovers_within_the_chunk_retry_limit() {
+        use crate::service::CHUNK_MAX_RETRIES;
+        let all = FaultConfig::parse("panic-storm,slow-chunk,sink-flake,worker-kill")
+            .unwrap()
+            .unwrap();
+        for (name, cfg) in [
+            ("panic-storm", FaultConfig::panic_storm()),
+            ("slow-chunk", FaultConfig::slow_chunk()),
+            ("sink-flake", FaultConfig::sink_flake()),
+            ("worker-kill", FaultConfig::worker_kill()),
+            ("all four", all),
+        ] {
+            assert!(
+                cfg.panic_max_attempts <= CHUNK_MAX_RETRIES,
+                "{name}: panics until attempt {}, retry limit {CHUNK_MAX_RETRIES}",
+                cfg.panic_max_attempts
+            );
+            assert_eq!(cfg.mps_fatal, 0.0, "{name}");
         }
     }
 

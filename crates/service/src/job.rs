@@ -301,9 +301,10 @@ pub(crate) struct Emitter {
     /// `traj_id` when the last one arrives.
     merge_after: Option<usize>,
     finished: bool,
-    /// Bounded retries for transient (`Interrupted`) sink writes.
-    transient_retry_limit: u32,
 }
+
+/// Bounded retries for transient (`Interrupted`) sink writes.
+const TRANSIENT_RETRY_LIMIT: u32 = 8;
 
 impl Emitter {
     pub(crate) fn new(sink: Box<dyn RecordSink>) -> Self {
@@ -315,7 +316,6 @@ impl Emitter {
             pending: BTreeMap::new(),
             merge_after: None,
             finished: false,
-            transient_retry_limit: 8,
         }
     }
 
@@ -370,7 +370,7 @@ impl Emitter {
                 Ok(()) => return Ok(()),
                 Err(e)
                     if e.kind() == io::ErrorKind::Interrupted
-                        && attempt < self.transient_retry_limit =>
+                        && attempt < TRANSIENT_RETRY_LIMIT =>
                 {
                     *retries += 1;
                     std::thread::sleep(Duration::from_micros(50 << attempt.min(6)));

@@ -67,11 +67,12 @@
 
 //!
 //! The service layer is fault tolerant: deterministic fault injection
-//! ([`fault::FaultConfig`], `PTSBE_FAULTS`), chunk retry with capped
-//! backoff, per-job deadlines ([`JobStatus::TimedOut`]), requeue of a
-//! task a panic escaped (caught in the worker loop, so no worker thread
-//! dies), and single-shot engine degradation — all output-neutral for a
-//! fixed seed (see [`service`]'s module docs).
+//! ([`fault::FaultConfig`], `PTSBE_FAULTS`), chunk retry (3 retries,
+//! backoff doubling from 1 ms to a 100 ms cap), per-job deadlines
+//! ([`JobStatus::TimedOut`]), requeue of a task a panic escaped (caught
+//! in the worker loop, so no worker thread dies), and single-shot engine
+//! degradation — all output-neutral for a fixed seed (see [`service`]'s
+//! module docs).
 
 pub mod cache;
 mod engine;
@@ -87,7 +88,7 @@ pub use fault::{FaultConfig, InjectedFault};
 pub use job::{JobHandle, JobReport, JobSpec, JobStatus, ServiceError};
 pub use metrics::{MetricsSnapshot, RateWindow};
 pub use router::{BatchGeometry, EnginePolicy, RouteDecision, RouteReason};
-pub use service::{RetryPolicy, ServiceConfig, ShotService};
+pub use service::{ServiceConfig, ShotService};
 // Telemetry types a service embedder needs: configuration on
 // `ServiceConfig`, plus the stage taxonomy and snapshot for reading
 // back what was recorded.

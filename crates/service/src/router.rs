@@ -9,7 +9,7 @@
 //! |       |              | reset, ≤128 measured bits, deterministic       | MHz-class bulk sampling (Stim's      |
 //! |       |              | noiseless reference                            | domain, rebuilt in `ptsbe_stabilizer`)|
 //! | 2     | `MpsTree`    | register at/above the MPS qubit threshold      | statevector memory is 2^n; MPS is not|
-//! | 3     | `Tree`       | plan-tree `sharing_ratio` ≥ threshold          | prep work collapses to trie edges    |
+//! | 3     | `Tree`       | plan-tree `sharing_ratio` ≥ 0.5                | prep work collapses to trie edges    |
 //! | 4     | `BatchMajor` | everything else                                | lane-contiguous sweeps amortize      |
 //! |       |              |                                                | dispatch across trajectories         |
 //!
@@ -208,7 +208,6 @@ impl From<String> for RouteError {
 /// The verdict for running the job on `exec`: engine and lane geometry
 /// are read off the engine itself, so they cannot disagree with it.
 fn routed<T: Scalar>(
-    cfg: &ServiceConfig,
     spec: &JobSpec,
     exec: EngineExec<T>,
     reason: RouteReason,
@@ -217,11 +216,15 @@ fn routed<T: Scalar>(
     let decision = RouteDecision {
         engine: exec.kind(),
         reason,
-        geometry: exec.geometry(spec, cfg),
+        geometry: exec.geometry(spec),
         truncation,
     };
     (decision, exec)
 }
+
+/// Route the tree engine when the plan tree's sharing ratio reaches
+/// this fraction (prefix sharing pays for the walk's bookkeeping).
+const SHARING_THRESHOLD: f64 = 0.5;
 
 /// Dense-statevector feasibility ceiling for truncation-budget
 /// re-routing: 2^26 f64 amplitudes ≈ 1 GiB, the most a fallback may
@@ -273,7 +276,7 @@ fn raise_to_honest_ceiling<T: Scalar>(
         raised: cfg.mps_bond_ceiling,
     };
     let exec = EngineExec::MpsTree { entry, tree };
-    Some(routed(cfg, spec, exec, reason, Some(raised_probe)))
+    Some(routed(spec, exec, reason, Some(raised_probe)))
 }
 
 /// What the truncation probe says about running the job on `exec`.
@@ -335,7 +338,7 @@ pub(crate) fn route_job<T: Scalar>(
             let exec = build_engine(cache, spec, circuit_hash, engine)?;
             match probe_budget(cache, cfg, spec, circuit_hash, &exec) {
                 ProbeVerdict::Keep(truncation) => {
-                    Ok(routed(cfg, spec, exec, RouteReason::Forced, truncation))
+                    Ok(routed(spec, exec, RouteReason::Forced, truncation))
                 }
                 ProbeVerdict::Raised(raised) => Ok(raised),
                 // The caller demanded MPS; silently handing the job to
@@ -366,7 +369,7 @@ pub(crate) fn route_job<T: Scalar>(
                 let entry = cache.frame(nc, circuit_hash)?;
                 if entry.deterministic {
                     let reason = RouteReason::CliffordPauliDeterministic;
-                    return Ok(routed(cfg, spec, EngineExec::Frame(entry), reason, None));
+                    return Ok(routed(spec, EngineExec::Frame(entry), reason, None));
                 }
             }
             // 2. Wide registers: dense amplitudes are off the table —
@@ -381,7 +384,7 @@ pub(crate) fn route_job<T: Scalar>(
                         let reason = RouteReason::WideRegister {
                             n_qubits: nc.n_qubits(),
                         };
-                        Ok(routed(cfg, spec, exec, reason, truncation))
+                        Ok(routed(spec, exec, reason, truncation))
                     }
                     ProbeVerdict::Raised(raised) => Ok(raised),
                     ProbeVerdict::Blown(p) if nc.n_qubits() > DENSE_FEASIBLE_MAX_QUBITS => {
@@ -402,12 +405,12 @@ pub(crate) fn route_job<T: Scalar>(
                             trunc_error: p.trunc_error,
                             budget: spec.mps.trunc_budget,
                         };
-                        route_dense(cache, cfg, spec, circuit_hash, Some(reason), Some(p))
+                        route_dense(cache, spec, circuit_hash, Some(reason), Some(p))
                     }
                 };
             }
             // 3. Sharing decides between the tree walk and lane sweeps.
-            route_dense(cache, cfg, spec, circuit_hash, None, None)
+            route_dense(cache, spec, circuit_hash, None, None)
         }
     }
 }
@@ -419,7 +422,6 @@ pub(crate) fn route_job<T: Scalar>(
 /// sharing ratio.
 fn route_dense<T: Scalar>(
     cache: &CompileCache<T>,
-    cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
     rerouted: Option<RouteReason>,
@@ -428,7 +430,7 @@ fn route_dense<T: Scalar>(
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
     let entry = cache.sv(&spec.circuit, circuit_hash)?;
     let sharing_ratio = tree.sharing_ratio();
-    let (exec, by_sharing) = if sharing_ratio >= cfg.sharing_threshold {
+    let (exec, by_sharing) = if sharing_ratio >= SHARING_THRESHOLD {
         let reason = RouteReason::HighSharing { sharing_ratio };
         (EngineExec::Tree { entry, tree }, reason)
     } else {
@@ -436,7 +438,7 @@ fn route_dense<T: Scalar>(
         (EngineExec::BatchMajor(entry), reason)
     };
     let reason = rerouted.unwrap_or(by_sharing);
-    Ok(routed(cfg, spec, exec, reason, truncation))
+    Ok(routed(spec, exec, reason, truncation))
 }
 
 /// Graceful degradation: re-route a job whose engine failed fatally at
@@ -448,7 +450,6 @@ fn route_dense<T: Scalar>(
 /// [`RouteError::Invalid`] when no dense fallback is feasible.
 pub(crate) fn degrade_route<T: Scalar>(
     cache: &CompileCache<T>,
-    cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
     from: EngineKind,
@@ -461,7 +462,7 @@ pub(crate) fn degrade_route<T: Scalar>(
         )));
     }
     let reason = RouteReason::EngineFallback { from };
-    route_dense(cache, cfg, spec, circuit_hash, Some(reason), None)
+    route_dense(cache, spec, circuit_hash, Some(reason), None)
 }
 
 fn build_engine<T: Scalar>(

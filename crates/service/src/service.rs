@@ -40,9 +40,9 @@
 //! output-neutral — a faulted run of a valid job produces dataset bytes
 //! identical to the fault-free run:
 //!
-//! - **Chunk retry.** A panicking chunk attempt is retried in place
-//!   with capped exponential backoff ([`RetryPolicy`]); the retry
-//!   re-executes bitwise identically.
+//! - **Chunk retry.** A panicking chunk attempt is retried in place, up
+//!   to 3 times, with exponential backoff from 1 ms capped at 100 ms;
+//!   the retry re-executes bitwise identically.
 //! - **Escaped panics.** Every task a worker pops runs under
 //!   `catch_unwind`. A panic that escapes the chunk's retry guard (a
 //!   `worker-kill` fault, a panicking sink) is caught there: the worker
@@ -95,7 +95,6 @@ use crate::fault::{FaultConfig, FaultSink, InjectedFault};
 use crate::job::{ChunkLedger, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{degrade_route, route_job, RouteError, RouteReason, Routed};
-use ptsbe_core::BatchConfig;
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_math::Scalar;
 use ptsbe_telemetry::{spanned, stage_span, task_scope, Stage, TelemetryConfig};
@@ -118,37 +117,15 @@ fn lock_healed<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Chunk-retry policy: how many times a failed chunk attempt is retried
-/// in place, and the capped exponential backoff between attempts.
-/// Retries are output-neutral (chunks are pure functions of the spec),
-/// so none of these knobs can influence dataset bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (`0` disables retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-}
+/// Retries of a panicking chunk attempt after the first, in place.
+/// Retries are output-neutral (chunks are pure functions of the spec);
+/// every `PTSBE_FAULTS` preset stops panicking within this limit.
+pub(crate) const CHUNK_MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(100),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (0-based), exponential with
-    /// a cap.
-    pub(crate) fn backoff(&self, retry: u32) -> Duration {
-        self.backoff_cap
-            .min(self.backoff_base.saturating_mul(1u32 << retry.min(16)))
-    }
+/// Backoff before chunk retry number `retry` (0-based): 1 ms, doubling
+/// per retry, capped at 100 ms.
+fn retry_backoff(retry: u32) -> Duration {
+    Duration::from_millis(100).min(Duration::from_millis(1).saturating_mul(1u32 << retry.min(16)))
 }
 
 /// Service tuning knobs. Every field that can influence job *output* is
@@ -164,9 +141,6 @@ pub struct ServiceConfig {
     /// Maximum concurrently admitted jobs (queued + running); submission
     /// blocks (or `try_submit` refuses) beyond it. Must be ≥ 1.
     pub queue_capacity: usize,
-    /// Route the tree engine when the plan tree's sharing ratio reaches
-    /// this fraction (prefix sharing pays for the walk's bookkeeping).
-    pub sharing_threshold: f64,
     /// Route the MPS tree engine at/above this qubit count (a dense
     /// statevector of 30 qubits is 16 GiB at f64).
     pub mps_qubit_threshold: usize,
@@ -188,30 +162,25 @@ pub struct ServiceConfig {
     /// for lone jobs of ≥ 20 qubits, where one gate sweep outweighs a
     /// thread spawn, set it to `true` or run fewer workers.
     pub executor_parallel: bool,
-    /// Lane auto-sizing for the batch-major engine (L2 working-set
-    /// target and lane bounds). Output-neutral: batch-major results are
-    /// bitwise invariant under lane count (pinned by the core suite), so
-    /// this only moves the throughput/streaming trade-off.
-    pub batch: BatchConfig,
     /// Byte budget for the compile cache (`None` = unbounded). When the
     /// resident artifacts exceed it, least-recently-used entries are
     /// evicted; output-neutral by the same argument as cache warmth —
     /// an evicted artifact is simply recompiled on next use.
     pub cache_budget_bytes: Option<usize>,
-    /// Chunk-retry policy (output-neutral).
-    pub retry: RetryPolicy,
     /// Deterministic fault injection. `None` defers to the
     /// `PTSBE_FAULTS` environment presets (so the CI fault matrix can
     /// blanket a whole test suite); an explicit `Some` always wins, and
     /// `Some(FaultConfig::default())` pins faults *off* regardless of
     /// the environment.
     pub faults: Option<FaultConfig>,
-    /// Telemetry selection (off / counters / spans). `None` defers to
-    /// the `PTSBE_TELEMETRY` environment variable; an explicit `Some`
+    /// Telemetry selection (off / spans). `None` defers to the
+    /// `PTSBE_TELEMETRY` environment variable; an explicit `Some`
     /// always wins, and `Some(TelemetryConfig::off())` pins it off.
-    /// Applied process-wide at [`ShotService::start`] (telemetry is a
-    /// process global, like a logger). Output-neutral by construction:
-    /// hooks only read clocks and bump atomics.
+    /// Applied process-wide at [`ShotService::start`]: telemetry is a
+    /// process global, like a logger, so the last service started sets
+    /// the mode for every service in the process, those already running
+    /// included. Output-neutral by construction: hooks only read clocks
+    /// and bump atomics.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -220,13 +189,10 @@ impl Default for ServiceConfig {
         Self {
             workers: 0,
             queue_capacity: 64,
-            sharing_threshold: 0.5,
             mps_qubit_threshold: 30,
             mps_bond_ceiling: ptsbe_tensornet::MpsConfig::EXACT_MAX_BOND,
             executor_parallel: false,
-            batch: BatchConfig::default(),
             cache_budget_bytes: None,
-            retry: RetryPolicy::default(),
             faults: None,
             telemetry: None,
         }
@@ -618,7 +584,7 @@ fn install_route<T: Scalar>(
 ) -> Result<Vec<Range<usize>>, String> {
     shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
     let header = make_header(&job.spec, &exec);
-    let chunks = exec.chunks(&job.spec, &shared.cfg, shared.n_workers);
+    let chunks = exec.chunks(&job.spec, shared.n_workers);
     let merge_after = exec.merged_delivery().then_some(chunks.len());
     *lock_healed(&job.routed) = Some((decision, Arc::new(exec)));
     match job.emitter() {
@@ -703,7 +669,6 @@ fn run_chunk<T: Scalar>(
         // here, and the sink/backoff spans inherit (job, chunk) ids.
         let _scope = task_scope(job.id, Some(index as u32));
         let seed = job.spec.seed;
-        let retry = shared.cfg.retry;
         // Injected fatal engine failure: structural (not a panic), so it
         // skips the retry loop entirely and lands on the degradation
         // path — exactly like a real engine blowing up at runtime.
@@ -753,10 +718,10 @@ fn run_chunk<T: Scalar>(
                 match attempt_result {
                     Ok(out) => break Ok(out),
                     Err(payload) => {
-                        if attempts_here <= retry.max_retries {
+                        if attempts_here <= CHUNK_MAX_RETRIES {
                             shared.metrics.chunk_retries.fetch_add(1, Ordering::Relaxed);
                             spanned(Stage::RetryBackoff, || {
-                                thread::sleep(retry.backoff(attempts_here - 1));
+                                thread::sleep(retry_backoff(attempts_here - 1));
                             });
                             attempt = attempt.saturating_add(1);
                             continue;
@@ -871,7 +836,7 @@ fn degrade<T: Scalar>(
         }
         let routed = catch_unwind(AssertUnwindSafe(|| {
             let circuit_hash = job.spec.circuit.content_hash();
-            degrade_route(&shared.cache, &shared.cfg, &job.spec, circuit_hash, from)
+            degrade_route(&shared.cache, &job.spec, circuit_hash, from)
         }));
         let chunks = install_route(shared, job, routed.ok()?.ok()?).ok()?;
         (!chunks.is_empty()).then_some(chunks)

@@ -1,6 +1,7 @@
 //! Telemetry integration: span coverage of a job's wall time, output
-//! neutrality with telemetry on/off, and the metrics counters nothing
-//! else asserts (peak_active_jobs, engine census).
+//! neutrality with telemetry on/off, the process-wide mode (the last
+//! service started wins), and the metrics counters nothing else asserts
+//! (peak_active_jobs, engine census).
 //!
 //! Telemetry is a process global (one mode, one span ring), and libtest
 //! runs tests on concurrent threads — every test here serializes on
@@ -209,7 +210,7 @@ fn split_mps_chunks_record_their_sub_trie_builds() {
 }
 
 /// Instrumentation must never touch output bytes: the same spec yields
-/// byte-identical JSONL with telemetry off, counters, and spans.
+/// byte-identical JSONL with telemetry off and spans.
 /// (Faults stay `None` here so the CI fault matrix blankets this test
 /// too — recovery is byte-neutral and so must telemetry be under it.)
 #[test]
@@ -218,11 +219,7 @@ fn dataset_bytes_invariant_under_telemetry_mode() {
     let (nc, plan) = tree_workload();
     let spec = JobSpec::new("telemetry-bytes", nc, plan, 7);
     let mut outputs = Vec::new();
-    for mode in [
-        TelemetryConfig::off(),
-        TelemetryConfig::counters(),
-        TelemetryConfig::spans(),
-    ] {
+    for mode in [TelemetryConfig::off(), TelemetryConfig::spans()] {
         ptsbe_telemetry::reset();
         let service: ShotService = ShotService::start(ServiceConfig {
             workers: 2,
@@ -237,11 +234,35 @@ fn dataset_bytes_invariant_under_telemetry_mode() {
         assert!(report.status.is_success(), "{report:?}");
         outputs.push(buf.bytes());
     }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "counters mode changed dataset bytes"
+    assert_eq!(outputs[0], outputs[1], "spans mode changed dataset bytes");
+}
+
+/// Telemetry is one process-wide switch, not a per-service setting: the
+/// last `ShotService::start` sets it for every service in the process.
+/// A service started with spans records nothing once a later service
+/// pins telemetry off.
+#[test]
+fn the_last_started_service_sets_telemetry_for_the_process() {
+    let _g = telemetry_lock();
+    ptsbe_telemetry::reset();
+    let (nc, plan) = tree_workload();
+    let a: ShotService = ShotService::start(pinned_config(TelemetryConfig::spans()));
+    let _b: ShotService = ShotService::start(pinned_config(TelemetryConfig::off()));
+    let report = a
+        .submit(
+            JobSpec::new("telemetry-last-start", nc, plan, 11),
+            Box::new(JsonlSink::new(SharedBuffer::new())),
+        )
+        .unwrap()
+        .wait();
+    assert!(report.status.is_success(), "{report:?}");
+    let snap = ptsbe_telemetry::snapshot();
+    assert_eq!(snap.mode, TelemetryMode::Off);
+    assert!(snap.spans.is_empty(), "service A recorded spans");
+    assert!(
+        snap.hists.iter().all(|h| h.count == 0),
+        "service A fed the histograms"
     );
-    assert_eq!(outputs[0], outputs[2], "spans mode changed dataset bytes");
 }
 
 /// In off mode nothing is recorded — the histograms and ring stay empty

@@ -5,7 +5,7 @@
 //! counters/gauges (the service converts its `MetricsSnapshot`) into
 //! the text exporters without this crate depending on them.
 
-use crate::{bucket_bounds, Stage, TelemetrySnapshot};
+use crate::{bucket_bounds, Stage, TelemetrySnapshot, DEFAULT_SPAN_CAPACITY};
 use std::fmt;
 
 /// Kind of a [`Metric`] family member (Prometheus semantics).
@@ -280,7 +280,7 @@ impl fmt::Display for Summary {
             if self.snapshot.dropped_spans > 0 {
                 writeln!(
                     f,
-                    "  ({} spans dropped by ring wrap; raise PTSBE_TELEMETRY_SPANS)",
+                    "  ({} spans dropped by wrap of the {DEFAULT_SPAN_CAPACITY}-span ring)",
                     self.snapshot.dropped_spans
                 )?;
             }
@@ -306,7 +306,6 @@ mod tests {
             hists,
             spans,
             dropped_spans: 3,
-            span_capacity: 64,
         }
     }
     use crate::Stage;

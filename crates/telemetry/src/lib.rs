@@ -6,8 +6,9 @@
 //!   buckets of `AtomicU64` cells, mergeable snapshots, p50/p90/p99/max
 //!   queries. Every recorded stage interval lands here.
 //! - **Span recorder** ([`Span`], [`TaskScope`]): per-job/per-chunk
-//!   stage intervals in a bounded lock-free ring, exportable as Chrome
-//!   trace-event JSON (`chrome://tracing` / Perfetto) and JSONL.
+//!   stage intervals in a bounded lock-free ring of
+//!   [`DEFAULT_SPAN_CAPACITY`] spans, exportable as Chrome trace-event
+//!   JSON (`chrome://tracing` / Perfetto) and JSONL.
 //! - **Text exporters** ([`prometheus`], [`Summary`]): Prometheus-style
 //!   text format and a human `Display` summary over generic [`Metric`]
 //!   families plus the histograms — the service converts its own
@@ -17,9 +18,9 @@
 //!
 //! Telemetry is configured per process ([`configure`], usually via
 //! `ServiceConfig::telemetry` or the `PTSBE_TELEMETRY` env var) to one
-//! of three modes: `Off`, `Counters` (histograms only), `Spans`
-//! (histograms + ring). When off, **every hook is one relaxed atomic
-//! load and a branch** — no clock reads, no TLS writes, no allocation.
+//! of two modes: `Off` or `Spans` (histograms + ring). When off,
+//! **every hook is one relaxed atomic load and a branch** — no clock
+//! reads, no TLS writes, no allocation.
 //! The cost of switching spans *on* is measured by the `perf`
 //! benchmark's `telemetry.spans_overhead_frac`.
 //!
@@ -36,14 +37,16 @@ pub use export::{fmt_nanos, prometheus, Metric, MetricKind, Summary};
 pub use hist::{bucket_bounds, bucket_index, HistSnapshot, LogHistogram, BUCKETS};
 pub use span::{Span, TaskScope};
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Job id used for spans recorded outside any job context.
 pub const NO_JOB: u64 = 0;
 
-/// Default bounded span-ring capacity (spans, not bytes).
+/// Span-ring capacity (spans, not bytes): once it wraps, the oldest
+/// spans are overwritten and counted in
+/// [`TelemetrySnapshot::dropped_spans`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 
 /// How much the process records.
@@ -53,8 +56,6 @@ pub enum TelemetryMode {
     /// Hooks compile to one relaxed load + branch; nothing is recorded.
     #[default]
     Off = 0,
-    /// Latency histograms only (no per-event ring writes).
-    Counters = 1,
     /// Histograms plus the span ring (Chrome-trace export).
     Spans = 2,
 }
@@ -163,9 +164,6 @@ impl Stage {
 pub struct TelemetryConfig {
     /// What to record.
     pub mode: TelemetryMode,
-    /// Span-ring capacity (spans). Fixed at the first non-off
-    /// [`configure`] of the process; later values are ignored.
-    pub span_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -180,15 +178,6 @@ impl TelemetryConfig {
     pub fn off() -> Self {
         Self {
             mode: TelemetryMode::Off,
-            span_capacity: DEFAULT_SPAN_CAPACITY,
-        }
-    }
-
-    /// Histograms only.
-    pub fn counters() -> Self {
-        Self {
-            mode: TelemetryMode::Counters,
-            ..Self::off()
         }
     }
 
@@ -196,14 +185,12 @@ impl TelemetryConfig {
     pub fn spans() -> Self {
         Self {
             mode: TelemetryMode::Spans,
-            ..Self::off()
         }
     }
 
-    /// Read `PTSBE_TELEMETRY` (`off`/`0`, `counters`/`1`,
-    /// `spans`/`trace`/`2`; unknown values warn and mean off) and
-    /// `PTSBE_TELEMETRY_SPANS` (ring capacity). `None` when the mode
-    /// variable is unset or empty.
+    /// Read `PTSBE_TELEMETRY` (`off`/`0`/`none`, `spans`/`trace`/`2`;
+    /// unknown values warn and mean off). `None` when the variable is
+    /// unset or empty.
     pub fn from_env() -> Option<Self> {
         let raw = std::env::var("PTSBE_TELEMETRY").ok()?;
         let trimmed = raw.trim();
@@ -212,24 +199,16 @@ impl TelemetryConfig {
         }
         let mode = match trimmed.to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => TelemetryMode::Off,
-            "counters" | "1" => TelemetryMode::Counters,
             "spans" | "trace" | "2" => TelemetryMode::Spans,
             other => {
                 eprintln!(
                     "PTSBE_TELEMETRY: unknown mode '{other}' \
-                     (expected off|counters|spans); telemetry stays off"
+                     (expected off|spans); telemetry stays off"
                 );
                 TelemetryMode::Off
             }
         };
-        let span_capacity = std::env::var("PTSBE_TELEMETRY_SPANS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(DEFAULT_SPAN_CAPACITY);
-        Some(Self {
-            mode,
-            span_capacity,
-        })
+        Some(Self { mode })
     }
 }
 
@@ -267,37 +246,21 @@ impl Telemetry {
 }
 
 static MODE: AtomicU8 = AtomicU8::new(0);
-/// Ring capacity requested before the global recorder first
-/// materializes (0 = use the default).
-static DESIRED_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
 pub(crate) fn global() -> &'static Telemetry {
-    GLOBAL.get_or_init(|| {
-        let cap = match DESIRED_CAPACITY.load(Ordering::Relaxed) {
-            0 => DEFAULT_SPAN_CAPACITY,
-            c => c,
-        };
-        Telemetry {
-            epoch: Instant::now(),
-            hists: std::array::from_fn(|_| LogHistogram::new()),
-            ring: span::SpanRing::new(cap),
-        }
+    GLOBAL.get_or_init(|| Telemetry {
+        epoch: Instant::now(),
+        hists: std::array::from_fn(|_| LogHistogram::new()),
+        ring: span::SpanRing::new(DEFAULT_SPAN_CAPACITY),
     })
 }
 
 /// Select the process-wide telemetry mode. Telemetry is a process
-/// global (like a logger): the most recent call wins, and the span-ring
-/// capacity is fixed by the first non-off configuration. Mode changes
+/// global (like a logger): the most recent call wins. Mode changes
 /// never invalidate already-recorded data.
 pub fn configure(cfg: &TelemetryConfig) {
     if cfg.mode != TelemetryMode::Off {
-        let _ = DESIRED_CAPACITY.compare_exchange(
-            0,
-            cfg.span_capacity.max(1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
         // Materialize now so the epoch predates every span.
         let _ = global();
     }
@@ -306,10 +269,10 @@ pub fn configure(cfg: &TelemetryConfig) {
 
 /// Current mode (one relaxed load).
 pub fn mode() -> TelemetryMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => TelemetryMode::Counters,
-        2 => TelemetryMode::Spans,
-        _ => TelemetryMode::Off,
+    if enabled() {
+        TelemetryMode::Spans
+    } else {
+        TelemetryMode::Off
     }
 }
 
@@ -318,12 +281,6 @@ pub fn mode() -> TelemetryMode {
 #[inline]
 pub fn enabled() -> bool {
     MODE.load(Ordering::Relaxed) != TelemetryMode::Off as u8
-}
-
-/// Is the span ring being fed?
-#[inline]
-pub fn spans_enabled() -> bool {
-    MODE.load(Ordering::Relaxed) == TelemetryMode::Spans as u8
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +317,7 @@ pub fn timer(stage: Stage) -> StageTimer {
 
 /// Record a completed `stage` interval of `nanos`: histogram always;
 /// aggregated stages fold into the active [`TaskScope`], other stages
-/// become a ring span (identity from the scope) in spans mode.
+/// become a ring span (identity from the scope).
 fn record_nanos(stage: Stage, nanos: u64) {
     if !enabled() {
         return;
@@ -374,7 +331,7 @@ fn record_nanos(stage: Stage, nanos: u64) {
         // Outside any scope (e.g. a bare executor run on a rayon
         // thread) the histogram is the whole record.
         let _ = span::scope_accumulate(stage, nanos);
-    } else if spans_enabled() {
+    } else {
         let (job, chunk) = span::current_ids();
         let start = Instant::now() - Duration::from_nanos(nanos);
         g.push_span(stage, job, chunk, start, nanos);
@@ -382,9 +339,9 @@ fn record_nanos(stage: Stage, nanos: u64) {
 }
 
 /// Record a stage interval with an explicit job identity and start
-/// instant (histogram always, ring span in spans mode). The service
-/// calls this where it owns the timing anchor — e.g. queue-wait from
-/// the job's submission instant.
+/// instant (histogram, plus a ring span unless the stage is
+/// histogram-only). The service calls this where it owns the timing
+/// anchor — e.g. queue-wait from the job's submission instant.
 pub fn stage_span(stage: Stage, job: u64, chunk: Option<u32>, start: Instant, dur: Duration) {
     if !enabled() {
         return;
@@ -392,7 +349,7 @@ pub fn stage_span(stage: Stage, job: u64, chunk: Option<u32>, start: Instant, du
     let nanos = span::duration_nanos(dur);
     let g = global();
     g.hist(stage).record(nanos);
-    if !stage.is_histogram_only() && spans_enabled() {
+    if !stage.is_histogram_only() {
         g.push_span(stage, job, chunk, start, nanos);
     }
 }
@@ -432,8 +389,6 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<Span>,
     /// Spans overwritten by ring wrap since the last [`reset`].
     pub dropped_spans: u64,
-    /// Ring capacity (spans).
-    pub span_capacity: usize,
 }
 
 impl TelemetrySnapshot {
@@ -448,7 +403,7 @@ impl TelemetrySnapshot {
     }
 
     /// Sum of span durations for (job, stage) — the per-job stage
-    /// breakdown. Spans mode only (0 otherwise).
+    /// breakdown (0 when nothing was recorded).
     pub fn job_stage_nanos(&self, job: u64, stage: Stage) -> u64 {
         self.spans
             .iter()
@@ -472,7 +427,6 @@ pub fn snapshot() -> TelemetrySnapshot {
         hists: std::array::from_fn(|i| g.hists[i].snapshot()),
         spans,
         dropped_spans,
-        span_capacity: g.ring.capacity(),
     }
 }
 
@@ -519,10 +473,11 @@ mod tests {
             TelemetryConfig::from_env().map(|c| c.mode),
             Some(TelemetryMode::Spans)
         );
+        // `counters` names no mode: unknown values mean off.
         std::env::set_var("PTSBE_TELEMETRY", "counters");
         assert_eq!(
             TelemetryConfig::from_env().map(|c| c.mode),
-            Some(TelemetryMode::Counters)
+            Some(TelemetryMode::Off)
         );
         std::env::set_var("PTSBE_TELEMETRY", "0");
         assert_eq!(
@@ -558,21 +513,6 @@ mod tests {
         assert_eq!(s.mode, TelemetryMode::Off);
         assert!(s.spans.is_empty());
         assert!(s.hists.iter().all(|h| h.count == 0));
-    }
-
-    #[test]
-    fn counters_mode_feeds_histograms_not_ring() {
-        let _g = lock();
-        configure(&TelemetryConfig::counters());
-        reset();
-        spanned(Stage::Route, || {
-            std::thread::sleep(Duration::from_micros(50))
-        });
-        let s = snapshot();
-        configure(&TelemetryConfig::off());
-        assert_eq!(s.stage(Stage::Route).count, 1);
-        assert!(s.stage(Stage::Route).sum_nanos >= 50_000);
-        assert!(s.spans.is_empty(), "counters mode must not write spans");
     }
 
     #[test]

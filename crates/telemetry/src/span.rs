@@ -86,10 +86,6 @@ impl SpanRing {
         }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     pub(crate) fn push(
         &self,
         stage: Stage,
@@ -257,31 +253,26 @@ impl Drop for TaskScope {
         }
         let g = crate::global();
         let chunk = (d.chunk != NO_CHUNK).then_some(d.chunk);
-        let spans = crate::spans_enabled();
-        if spans {
-            // Aggregated stages laid out sequentially from the scope
-            // start: the offsets are synthetic (individual calls
-            // interleave in reality) but the widths are exact, which is
-            // what makes the chunk envelope decompose visually.
-            let mut cursor = d.start;
-            for stage in Stage::ALL {
-                if !stage.is_aggregated() {
-                    continue;
-                }
-                let nanos = d.acc[stage.index()];
-                if nanos == 0 {
-                    continue;
-                }
-                g.push_span(stage, d.job, chunk, cursor, nanos);
-                cursor += Duration::from_nanos(nanos);
+        // Aggregated stages laid out sequentially from the scope start:
+        // the offsets are synthetic (individual calls interleave in
+        // reality) but the widths are exact, which is what makes the
+        // chunk envelope decompose visually.
+        let mut cursor = d.start;
+        for stage in Stage::ALL {
+            if !stage.is_aggregated() {
+                continue;
             }
+            let nanos = d.acc[stage.index()];
+            if nanos == 0 {
+                continue;
+            }
+            g.push_span(stage, d.job, chunk, cursor, nanos);
+            cursor += Duration::from_nanos(nanos);
         }
         if chunk.is_some() {
             let total = duration_nanos(d.start.elapsed());
             g.hist(Stage::Chunk).record(total);
-            if spans {
-                g.push_span(Stage::Chunk, d.job, chunk, d.start, total);
-            }
+            g.push_span(Stage::Chunk, d.job, chunk, d.start, total);
         }
     }
 }
