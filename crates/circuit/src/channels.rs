@@ -168,6 +168,19 @@ pub fn thermal_relaxation(gamma: f64, lambda_phi: f64) -> KrausChannel {
 mod tests {
     use super::*;
 
+    /// This channel's weights sum to 1 − 2⁻⁵³, so the largest uniform
+    /// `next_f64` returns falls through `index_of`'s scan; it used to land
+    /// on the weight-0 Z branch.
+    #[test]
+    fn the_largest_uniform_never_draws_a_zero_weight_branch() {
+        let ch = pauli(0.15056502201330552, 0.17639711177445463, 0.0);
+        let probs = ch.sampling_probs();
+        assert_eq!(probs[3], 0.0);
+        assert!(probs.iter().sum::<f64>() < 1.0);
+        let r = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(ptsbe_rng::categorical::index_of(r, probs), 2);
+    }
+
     #[test]
     fn thermal_relaxation_properties() {
         // Pure T1 (no extra dephasing) reproduces amplitude damping.

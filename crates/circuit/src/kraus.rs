@@ -11,7 +11,7 @@
 
 use ptsbe_math::Matrix;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Numerical tolerance for CPTP and unitary-mixture detection.
 const CHANNEL_TOL: f64 = 1e-9;
@@ -63,6 +63,9 @@ pub enum ChannelKind {
 }
 
 /// A validated CPTP quantum channel on `arity` qubits.
+///
+/// Immutable once built (private fields, no `&mut self` method), which is
+/// what lets [`KrausChannel::content_hash`] memoize its value.
 #[derive(Debug, Clone)]
 pub struct KrausChannel {
     name: String,
@@ -72,6 +75,8 @@ pub struct KrausChannel {
     /// Index of the Kraus operator proportional to the identity, if any —
     /// the "no error happened" branch that Algorithm 2 treats specially.
     identity_index: Option<usize>,
+    /// [`KrausChannel::content_hash`], filled by its first call.
+    pub(crate) hash: OnceLock<u64>,
 }
 
 impl KrausChannel {
@@ -133,6 +138,7 @@ impl KrausChannel {
             ops,
             kind: ChannelKind::UnitaryMixture { probs, unitaries },
             identity_index,
+            hash: OnceLock::new(),
         }
     }
 
@@ -222,6 +228,7 @@ impl KrausChannel {
             ops,
             kind,
             identity_index,
+            hash: OnceLock::new(),
         })
     }
 

@@ -10,7 +10,7 @@
 use crate::circuit::Circuit;
 use crate::kraus::KrausChannel;
 use crate::op::{GateOp, Op};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One stochastic location in the circuit.
 #[derive(Clone, Debug)]
@@ -47,11 +47,17 @@ pub enum NoisyOp {
 }
 
 /// A circuit with explicit, indexed noise sites.
+///
+/// Immutable once built: the fields are private and no method takes
+/// `&mut self`. [`NoisyCircuit::content_hash`] relies on that to memoize
+/// the circuit's cache key after its first call.
 #[derive(Clone, Debug)]
 pub struct NoisyCircuit {
     n_qubits: usize,
     ops: Vec<NoisyOp>,
     sites: Vec<NoiseSite>,
+    /// [`NoisyCircuit::content_hash`], filled by its first call.
+    pub(crate) hash: OnceLock<u64>,
 }
 
 impl NoisyCircuit {
@@ -83,6 +89,7 @@ impl NoisyCircuit {
             n_qubits,
             ops,
             sites,
+            hash: OnceLock::new(),
         }
     }
 

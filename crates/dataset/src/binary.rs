@@ -32,6 +32,14 @@
 //! This crate writes version 2 and reads both; either way a frame decodes
 //! to the same `Vec<ShotWord>`. The JSON headers keep the file
 //! self-describing.
+//!
+//! One rule, two writers: the writer's decision (runs or plain, 8- or
+//! 16-byte words) writes a frame's head — the tag and, for runs, the runs
+//! — and leaves plain words to the caller. [`encode`] appends them to its
+//! buffer; [`crate::sink::BinarySink`] writes the head and then copies the
+//! words out one fixed-size piece at a time through a buffer it reuses,
+//! instead of building each frame whole (1 MiB per 65 536-shot frame
+//! record).
 
 use crate::record::{DatasetHeader, ShotWord, TrajectoryRecord};
 use ptsbe_core::assignment::TrajectoryMeta;
@@ -61,12 +69,24 @@ pub(crate) fn encode_header(header: &DatasetHeader) -> io::Result<Vec<u8>> {
 
 /// Append one trajectory frame (meta JSON + shots) to `buf`.
 pub(crate) fn encode_record(rec: &TrajectoryRecord, buf: &mut Vec<u8>) -> io::Result<()> {
+    if let Some(w) = encode_record_head(rec, buf)? {
+        put_words(&rec.shots, w, buf);
+    }
+    Ok(())
+}
+
+/// Append a frame's head to `buf`: meta JSON, shot count, and the shot
+/// section as far as [`encode_shots_head`] writes it. `Some(w)` when the
+/// record's plain `w`-byte words must follow ([`put_words`]).
+pub(crate) fn encode_record_head(
+    rec: &TrajectoryRecord,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<usize>> {
     let mjson = serde_json::to_vec(&rec.meta)?;
     buf.extend_from_slice(&(mjson.len() as u32).to_le_bytes());
     buf.extend_from_slice(&mjson);
     buf.extend_from_slice(&(rec.shots.len() as u64).to_le_bytes());
-    encode_shots(&rec.shots, u32::MAX, buf);
-    Ok(())
+    Ok(encode_shots_head(&rec.shots, u32::MAX, buf))
 }
 
 fn push_word(buf: &mut Vec<u8>, word: u128, narrow: bool) {
@@ -77,10 +97,24 @@ fn push_word(buf: &mut Vec<u8>, word: u128, narrow: bool) {
     }
 }
 
-/// The version-2 shot section: tag byte, then plain words or runs,
-/// whichever the module-level rule selects. `max_run` is `u32::MAX`
-/// outside tests.
-fn encode_shots(shots: &[ShotWord], max_run: u32, buf: &mut Vec<u8>) {
+/// Append `shots` as plain little-endian words of `w` (8 or 16) bytes.
+pub(crate) fn put_words(shots: &[ShotWord], w: usize, buf: &mut Vec<u8>) {
+    let start = buf.len();
+    buf.resize(start + shots.len() * w, 0);
+    let out = buf[start..].chunks_exact_mut(w).zip(shots);
+    if w == 8 {
+        out.for_each(|(dst, s)| dst.copy_from_slice(&(s.0 as u64).to_le_bytes()));
+    } else {
+        out.for_each(|(dst, s)| dst.copy_from_slice(&s.0.to_le_bytes()));
+    }
+}
+
+/// The version-2 shot section up to its plain words: the tag byte and,
+/// when the module-level rule picks runs, the runs. `Some(w)` when the
+/// section is plain words of `w` bytes instead, which are left to the
+/// caller: the batch encoder appends them, the streaming sink copies them
+/// out in pieces. `max_run` is `u32::MAX` outside tests.
+fn encode_shots_head(shots: &[ShotWord], max_run: u32, buf: &mut Vec<u8>) -> Option<usize> {
     // No early exit: a plain OR-fold vectorizes, and a bulk record is
     // all narrow anyway.
     let narrow = shots.iter().fold(0, |high, s| high | (s.0 >> 64)) == 0;
@@ -114,14 +148,11 @@ fn encode_shots(shots: &[ShotWord], max_run: u32, buf: &mut Vec<u8>) {
     }
     if pays {
         buf[start + 1..start + 9].copy_from_slice(&(n_runs as u64).to_le_bytes());
-        return;
+        return None;
     }
     buf.truncate(start);
     buf.push(u8::from(narrow) * TAG_NARROW);
-    buf.reserve(plain_bytes);
-    for s in shots {
-        push_word(buf, s.0, narrow);
-    }
+    Some(w)
 }
 
 /// Serialize a dataset to bytes.
@@ -534,6 +565,13 @@ mod tests {
         // A run count no buffer could hold must not overflow `n · size`.
         for n_runs in [3, u64::MAX / 12, u64::MAX] {
             assert_torn(&shard_with(5, &narrow_runs(n_runs, &[(9, 2), (4, 3)])));
+        }
+    }
+
+    /// The whole version-2 shot section, as [`encode_record`] writes it.
+    fn encode_shots(shots: &[ShotWord], max_run: u32, buf: &mut Vec<u8>) {
+        if let Some(w) = encode_shots_head(shots, max_run, buf) {
+            put_words(shots, w, buf);
         }
     }
 

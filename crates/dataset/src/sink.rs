@@ -74,15 +74,26 @@ impl<W: Write + Send> RecordSink for JsonlSink<W> {
 // ---------------------------------------------------------------------------
 
 /// Streaming binary sink: the `PTSB` format of [`crate::binary`], written
-/// one frame at a time — byte-identical to [`crate::binary::encode`].
+/// one frame at a time — byte-identical to [`crate::binary::encode`],
+/// whose decision half it shares. A frame of plain words is never built
+/// whole: after its head the words go out in 64 KiB pieces through one
+/// buffer the sink keeps.
 pub struct BinarySink<W: Write + Send> {
     w: W,
+    /// Reused for every piece of plain words a frame writes.
+    piece: Vec<u8>,
 }
+
+/// Bytes of plain words a [`BinarySink`] writes at a time.
+const PIECE_BYTES: usize = 1 << 16;
 
 impl<W: Write + Send> BinarySink<W> {
     /// Wrap a writer.
     pub fn new(w: W) -> Self {
-        Self { w }
+        Self {
+            w,
+            piece: Vec::new(),
+        }
     }
 
     /// Recover the inner writer (after [`RecordSink::finish`]).
@@ -98,12 +109,23 @@ impl<W: Write + Send> RecordSink for BinarySink<W> {
     }
 
     fn write(&mut self, record: &TrajectoryRecord) -> io::Result<()> {
-        // A fresh buffer per frame, sized by the encoder to the encoded
-        // frame: keeping one across records measured no faster and held
-        // `frame-bulk`'s peak RSS 1.1 MiB higher.
-        let mut frame = Vec::new();
-        crate::binary::encode_record(record, &mut frame)?;
-        self.w.write_all(&frame)
+        // The head (meta, shot count, tag, runs if any) in a fresh buffer,
+        // then plain words a 64 KiB piece at a time through `piece`. One
+        // 65 536-shot frame record into a writer keeping two word-wise FNV
+        // digests of its bytes (0.35 ms of the total) took 0.48 ms built
+        // whole in a fresh 1 MiB buffer a word at a time, and 0.41 ms in
+        // pieces (2-vCPU x86-64 VM).
+        let mut head = Vec::new();
+        let plain = crate::binary::encode_record_head(record, &mut head)?;
+        self.w.write_all(&head)?;
+        if let Some(w) = plain {
+            for words in record.shots.chunks(PIECE_BYTES / w) {
+                self.piece.clear();
+                crate::binary::put_words(words, w, &mut self.piece);
+                self.w.write_all(&self.piece)?;
+            }
+        }
+        Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -261,9 +283,40 @@ mod tests {
         assert_eq!(r2.len(), records.len());
     }
 
+    /// Plain-word records (shot order, so never runs) around the sink's
+    /// piece size, with 8- and 16-byte words.
+    fn plain_records() -> Vec<TrajectoryRecord> {
+        let (_, records) = sample();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state
+        };
+        let mut out = Vec::new();
+        for w in [8, 16] {
+            let piece = PIECE_BYTES / w;
+            for n in [0, 1, piece - 1, piece + 1, 100_000] {
+                let shots = (0..n)
+                    .map(|_| {
+                        let high = if w == 16 { u128::from(next()) << 64 } else { 0 };
+                        ShotWord(high | u128::from(next()))
+                    })
+                    .collect();
+                out.push(TrajectoryRecord {
+                    meta: records[0].meta.clone(),
+                    shots,
+                });
+            }
+        }
+        out
+    }
+
     #[test]
     fn binary_sink_matches_batch_encoder() {
-        let (header, records) = sample();
+        let (header, mut records) = sample();
+        records.extend(plain_records());
         let buf = SharedBuffer::new();
         let mut sink = BinarySink::new(buf.clone());
         stream_through(&mut sink, &header, &records);
@@ -273,7 +326,10 @@ mod tests {
 
         let (h2, r2) = crate::binary::decode(buf.bytes()).unwrap();
         assert_eq!(h2, header);
-        assert_eq!(r2[0].shots, records[0].shots);
+        for (got, want) in r2.iter().zip(&records) {
+            assert_eq!(got.shots, want.shots);
+        }
+        assert_eq!(r2.len(), records.len());
     }
 
     #[test]

@@ -15,11 +15,26 @@
 //!   more than 53. Used for large `p`;
 //! - **sparse**: geometric skips between set bits — O(bits * p), the same
 //!   trick Stim uses to make physical error rates of 1e-3 nearly free.
+//!
+//! Positions versus words: a sparse draw can also be had as the ascending
+//! list of its set bits ([`fill_bernoulli_positions`]), straight from the
+//! geometric-skip loop, with the same uniforms drawn in the same order as
+//! [`fill_bernoulli_words`] — so a caller that only walks the hits (the
+//! frame sampler) pays per hit instead of clearing and scanning a word per
+//! 64 bits. At p = 1e-3 over 65 536 shots that is about 65 positions
+//! against 1 024 words. Bit-sliced draws stay words: at p ≥ 0.05 the set
+//! bits are dense, and a list of them costs more than the scan.
 
 use crate::Rng;
 
 /// Probability threshold above which bit-sliced generation is used.
 const SPARSE_CUTOFF: f64 = 0.05;
+
+/// Whether [`fill_bernoulli_words`] draws Bernoulli(`p`) bits by geometric
+/// skips — the regime [`fill_bernoulli_positions`] serves.
+pub fn is_sparse(p: f64) -> bool {
+    p < SPARSE_CUTOFF
+}
 
 /// Fill `words` with bits that are iid Bernoulli(`p`). `nbits` limits the
 /// meaningful bits (the tail of the final word is left zero).
@@ -37,8 +52,8 @@ pub fn fill_bernoulli_words<R: Rng + ?Sized>(words: &mut [u64], nbits: usize, p:
         set_all(words, nbits);
         return;
     }
-    if p < SPARSE_CUTOFF {
-        sparse_fill(words, nbits, p, rng);
+    if is_sparse(p) {
+        sparse_hits(nbits, p, rng, |pos| words[pos / 64] |= 1u64 << (pos % 64));
     } else {
         bit_sliced_fill(words, nbits, p, rng);
     }
@@ -79,9 +94,41 @@ fn bit_sliced_fill<R: Rng + ?Sized>(words: &mut [u64], nbits: usize, p: f64, rng
     }
 }
 
-/// Geometric-skip sparse fill: successive flip positions are separated by
-/// Geometric(p) gaps, so work scales with the expected number of set bits.
-fn sparse_fill<R: Rng + ?Sized>(words: &mut [u64], nbits: usize, p: f64, rng: &mut R) {
+/// Fill `positions` with the bits [`fill_bernoulli_words`] would set for
+/// the same `nbits`, `p` and stream, in ascending order, drawing exactly
+/// what it draws. In the sparse regime ([`is_sparse`]) they come straight
+/// from the geometric skips; otherwise this fills words and lists their
+/// bits, which a caller that can walk words does better itself.
+pub fn fill_bernoulli_positions<R: Rng + ?Sized>(
+    positions: &mut Vec<usize>,
+    nbits: usize,
+    p: f64,
+    rng: &mut R,
+) {
+    positions.clear();
+    if is_sparse(p) {
+        if p > 0.0 && nbits > 0 {
+            sparse_hits(nbits, p, rng, |pos| positions.push(pos));
+        }
+        return;
+    }
+    let mut words = vec![0u64; nbits.div_ceil(64)];
+    fill_bernoulli_words(&mut words, nbits, p, rng);
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            positions.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The geometric-skip loop both sparse forms share: successive hit
+/// positions below `nbits` are separated by Geometric(p) gaps and handed
+/// to `hit` in ascending order, so work scales with the expected number
+/// of hits. Requires 0 < p < 1; it draws a uniform even for `nbits = 0`,
+/// which both callers return before.
+fn sparse_hits<R: Rng + ?Sized>(nbits: usize, p: f64, rng: &mut R, mut hit: impl FnMut(usize)) {
     // ln(1 − p) rounds to 0 for p ≲ 1.1e-16; ln_1p keeps it negative.
     let log1mp = (-p).ln_1p();
     debug_assert!(log1mp < 0.0);
@@ -97,7 +144,7 @@ fn sparse_fill<R: Rng + ?Sized>(words: &mut [u64], nbits: usize, p: f64, rng: &m
         if pos >= nbits {
             return;
         }
-        words[pos / 64] |= 1u64 << (pos % 64);
+        hit(pos);
         pos += 1;
     }
 }
@@ -285,6 +332,38 @@ mod tests {
                     if below { u64::MAX } else { 0 },
                     "p = {p}, m = {m}"
                 );
+            }
+        }
+    }
+
+    /// Positions are `fill_bernoulli_words`' set bits, drawn from the same
+    /// stream: equal lists, and the same next word afterwards.
+    #[test]
+    fn positions_are_the_words_set_bits_on_the_same_stream() {
+        let mut positions = Vec::new();
+        for (i, p) in [0.0, 1e-12, 1e-3, 0.049, 0.05, 0.3, 0.5, 1.0]
+            .into_iter()
+            .enumerate()
+        {
+            for nbits in [0usize, 1, 63, 64, 65, 4_000] {
+                for seed in 0..4u64 {
+                    let seed = seed + 100 * i as u64 + 50_000 * nbits as u64;
+                    let mut by_words = PhiloxRng::new(seed, 0);
+                    let mut words = vec![0u64; nbits.div_ceil(64)];
+                    fill_bernoulli_words(&mut words, nbits, p, &mut by_words);
+                    let set: Vec<usize> = (0..nbits)
+                        .filter(|&b| (words[b / 64] >> (b % 64)) & 1 == 1)
+                        .collect();
+                    let mut by_positions = PhiloxRng::new(seed, 0);
+                    positions.push(usize::MAX); // stale entries must go
+                    fill_bernoulli_positions(&mut positions, nbits, p, &mut by_positions);
+                    assert_eq!(positions, set, "p = {p}, nbits = {nbits}");
+                    assert_eq!(
+                        by_positions.next_u64(),
+                        by_words.next_u64(),
+                        "stream after p = {p}, nbits = {nbits}"
+                    );
+                }
             }
         }
     }

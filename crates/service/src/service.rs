@@ -544,8 +544,8 @@ fn route_and_install<T: Scalar>(
         // Identity scope so the compile/plan spans recorded inside the
         // cache know which job they belong to.
         let _scope = task_scope(job.id, None);
-        let circuit_hash = job.spec.circuit.content_hash();
         spanned(Stage::Route, || {
+            let circuit_hash = job.spec.circuit.content_hash();
             route_job(&shared.cache, &shared.cfg, &job.spec, circuit_hash)
         })
     }));
@@ -835,8 +835,10 @@ fn degrade<T: Scalar>(
             return None;
         }
         let routed = catch_unwind(AssertUnwindSafe(|| {
-            let circuit_hash = job.spec.circuit.content_hash();
-            degrade_route(&shared.cache, &job.spec, circuit_hash, from)
+            spanned(Stage::Route, || {
+                let circuit_hash = job.spec.circuit.content_hash();
+                degrade_route(&shared.cache, &job.spec, circuit_hash, from)
+            })
         }));
         let chunks = install_route(shared, job, routed.ok()?.ok()?).ok()?;
         (!chunks.is_empty()).then_some(chunks)

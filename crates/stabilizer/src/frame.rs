@@ -13,10 +13,18 @@
 //! mask per non-identity branch (the XOR of its qubits' sets), or the
 //! collapse after each measured qubit (a fair coin on its Z frame, Gidney,
 //! Stim §4.2). A chunk of shots is the reference word in every shot, XORed
-//! with the mask of every event drawn: per draw one Bernoulli fill over the
-//! shots ([`ptsbe_rng::mask`]), then per hit shot in ascending order a
-//! branch when there is more than one, and one XOR. Nothing is propagated
-//! per chunk.
+//! with the mask of every event drawn: per draw the shots it hits, in
+//! ascending order ([`ptsbe_rng::mask`]), then per hit a branch when there
+//! is more than one, and one XOR. Nothing is propagated per chunk, and a
+//! sparse draw costs per hit, not per shot: below the mask module's sparse
+//! cutoff (p < 0.05, every noise site of a realistic circuit) the hits
+//! arrive as positions straight from the geometric skips, so no word is
+//! cleared or scanned; above it (live collapses at p = 0.5) a bit-sliced
+//! word fill is scanned. A branch is found by binary search over the
+//! running sums of its weights, which picks `index_of`'s branch for every
+//! uniform (the weights are all positive); a `depolarizing2` site has 15.
+//! Both forms draw what the word fill and the linear scan drew, in the same
+//! order, so the records do not depend on them.
 //!
 //! Exactness domain (same as Stim): when the noiseless reference circuit
 //! has deterministic measurements, the sampled records are exact iid
@@ -45,13 +53,20 @@
 //! `frame_sampler_steane/bulk_100k_shots` 0.56–0.60 → 0.20–0.21 ms, and
 //! `frame_sampler_live_collapses/chunk_65536_shots` (96 live collapses, the
 //! one shape where they still draw: each now XORs its mask into about half
-//! the shots) 8.6–9.0 → 5.8–5.9 ms.
+//! the shots) 8.6–9.0 → 5.8–5.9 ms. Word-scanned draws with linear-CDF
+//! branch picks → position lists with binary-search picks (best of 15 in
+//! each of five alternated runs, same VM): `chunk_65536_shots` 0.76–0.78
+//! → 0.374–0.375 ms, `bulk_100k_shots` 0.21–0.29 → 0.13–0.19 ms, and the
+//! live collapses 6.12–6.15 → 5.12–5.18 ms (their collapses are word
+//! scans either way; their noise sites are sparse draws).
 
 use crate::convert::{lower, CliffordOp, PauliSite, StabOp, StabProgram};
 use crate::pauli::Pauli;
 use crate::tableau::Tableau;
 use ptsbe_circuit::NoisyCircuit;
-use ptsbe_rng::{categorical::index_of, mask::fill_bernoulli_words, Rng};
+use ptsbe_rng::categorical::{index_of, index_of_sums};
+use ptsbe_rng::mask::{fill_bernoulli_positions, fill_bernoulli_words, is_sparse};
+use ptsbe_rng::Rng;
 
 /// Frame-sampling failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,14 +114,29 @@ pub struct FrameSampler {
 }
 
 /// One random event of a chunk: a Bernoulli fill at `p` picks the shots it
-/// hits, and each hit shot XORs one of `masks` into its record — branch
-/// `index_of(r, &cond)` for a fresh uniform `r` when there is more than one.
+/// hits, and each hit shot XORs one of `masks` into its record — for a
+/// fresh uniform `r` when there is more than one, the branch `index_of`
+/// picks from the weights, found by binary search over `sums`.
 struct Draw {
     p: f64,
-    /// Branch weights among hits; empty for a collapse.
-    cond: Vec<f64>,
+    /// Running sums of the branch weights among hits (all positive),
+    /// added in `index_of`'s order; empty for a collapse.
+    sums: Vec<f64>,
     /// Per branch, the record bits it flips.
     masks: Vec<u128>,
+}
+
+impl Draw {
+    /// The record bits one hit flips, drawing its branch from `rng` when
+    /// there is a choice.
+    #[inline]
+    fn flip<R: Rng + ?Sized>(&self, rng: &mut R) -> u128 {
+        if self.masks.len() == 1 {
+            self.masks[0]
+        } else {
+            self.masks[index_of_sums(rng.next_f64(), &self.sums)]
+        }
+    }
 }
 
 impl FrameSampler {
@@ -168,20 +198,24 @@ impl FrameSampler {
     /// Sample `shots` measurement records.
     pub fn sample<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> FrameResult {
         let mut records = vec![self.reference; shots];
-        let mut hits = vec![0u64; shots.div_ceil(64)];
+        let mut hits = Vec::new();
+        let mut words = Vec::new();
         for draw in &self.draws {
-            fill_bernoulli_words(&mut hits, shots, draw.p, rng);
-            for (w, &word) in hits.iter().enumerate() {
+            if is_sparse(draw.p) {
+                fill_bernoulli_positions(&mut hits, shots, draw.p, rng);
+                for &shot in &hits {
+                    records[shot] ^= draw.flip(rng);
+                }
+                continue;
+            }
+            words.resize(shots.div_ceil(64), 0);
+            fill_bernoulli_words(&mut words, shots, draw.p, rng);
+            for (w, &word) in words.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let shot = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let branch = if draw.masks.len() == 1 {
-                        0
-                    } else {
-                        index_of(rng.next_f64(), &draw.cond)
-                    };
-                    records[shot] ^= draw.masks[branch];
+                    records[shot] ^= draw.flip(rng);
                 }
             }
         }
@@ -233,7 +267,7 @@ fn derive_draws(program: &StabProgram) -> Vec<Draw> {
                     if sz[q] != 0 {
                         draws.push(Draw {
                             p: 0.5,
-                            cond: Vec::new(),
+                            sums: Vec::new(),
                             masks: vec![sz[q]],
                         });
                     }
@@ -257,16 +291,18 @@ fn site_draw(site: &PauliSite, sx: &[u128], sz: &[u128]) -> Option<Draw> {
     let p = identity.map_or(1.0, |i| 1.0 - site.probs[i]);
     let mut draw = Draw {
         p,
-        cond: Vec::new(),
+        sums: Vec::new(),
         masks: Vec::new(),
     };
+    let mut sum = 0.0;
     for (i, (&w, paulis)) in site.probs.iter().zip(&site.paulis).enumerate() {
         if p > 0.0 && w > 0.0 && Some(i) != identity {
             let mask = site.qubits.iter().zip(paulis).fold(0, |mask, (&q, pauli)| {
                 let (x, z) = pauli.bits();
                 mask ^ (if x { sx[q] } else { 0 }) ^ (if z { sz[q] } else { 0 })
             });
-            draw.cond.push(w / p);
+            sum += w / p;
+            draw.sums.push(sum);
             draw.masks.push(mask);
         }
     }
@@ -857,7 +893,7 @@ mod tests {
             .insert(at + 1, StabOp::Site(probed.sites.len() - 1));
         let probe: Vec<Draw> = derive_draws(&probed)
             .into_iter()
-            .filter(|d| !d.cond.is_empty())
+            .filter(|d| !d.sums.is_empty())
             .collect();
         assert_eq!(probe.len(), 1);
         probe[0].masks[0]
@@ -897,7 +933,7 @@ mod tests {
             let drawn: Vec<u128> = sampler
                 .draws
                 .iter()
-                .filter(|d| d.cond.is_empty())
+                .filter(|d| d.sums.is_empty())
                 .map(|d| d.masks[0])
                 .collect();
             assert_eq!(drawn, live_masks, "circuit {i}");
@@ -915,7 +951,7 @@ mod tests {
             let len = 1 + gen.gen_index(16);
             let nc = random_circuit(&mut gen, n, len, true);
             let sampler = FrameSampler::new(&nc, &mut PhiloxRng::new(i, 1)).unwrap();
-            let collapses = sampler.draws.iter().filter(|d| d.cond.is_empty()).count();
+            let collapses = sampler.draws.iter().filter(|d| d.sums.is_empty()).count();
             if sampler.reference_was_random() {
                 random_live += usize::from(collapses > 0);
             } else {
@@ -943,7 +979,7 @@ mod tests {
         let mut rng = PhiloxRng::new(113, 0);
         let sampler = FrameSampler::new(&nc, &mut rng).unwrap();
         assert!(!sampler.reference_was_random());
-        assert!(sampler.draws.iter().all(|d| !d.cond.is_empty()));
+        assert!(sampler.draws.iter().all(|d| !d.sums.is_empty()));
         let shots = 100_000;
         let bulk = sampler.sample(shots, &mut rng);
         let mut counts_bulk = [0usize; 4];
