@@ -314,9 +314,10 @@ impl<T: Scalar> Backend for SvBackend<T> {
 /// MPS sampling mode (paper Fig. 5 discussion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MpsSampleMode {
-    /// Canonicalize once, then amortize the conditional partial
-    /// contractions across shots (and across trajectories sharing a
-    /// prepared state) through a prefix trie — the paper's
+    /// Canonicalize once, then advance every shot of every trajectory
+    /// sharing a prepared state together, one site at a time: shots that
+    /// share a bit prefix share its conditional contraction, and one pass
+    /// over each site tensor serves every live prefix — the paper's
     /// non-degenerate batched sampling. Bitwise identical to `Cached`.
     #[default]
     Batched,
@@ -450,8 +451,8 @@ impl<T: Scalar> Backend for MpsBackend<T> {
                 .map(|(shots, rng)| self.sample(state, *shots, *rng))
                 .collect();
         }
-        // One shared trie amortizes the conditional contractions across
-        // every shot of every trajectory ending on this state.
+        // One lockstep sweep amortizes the conditional contractions
+        // across every shot of every trajectory ending on this state.
         let raw = ptsbe_tensornet::sample::sample_shots_batched(state, requests);
         let measured = self.compiled.measured_qubits();
         raw.into_iter()

@@ -20,6 +20,12 @@ pub struct Qr<T: Scalar> {
 
 /// Compute the thin QR factorization of `a`.
 pub fn qr_thin<T: Scalar>(a: &Matrix<T>) -> Qr<T> {
+    qr_thin_with(a, apply_reflector_left)
+}
+
+/// [`qr_thin`] with the reflector application passed in: the tests run
+/// the same factorization through the column-sweep reference.
+fn qr_thin_with<T: Scalar>(a: &Matrix<T>, reflect: ReflectLeft<T>) -> Qr<T> {
     let m = a.rows();
     let n = a.cols();
     let k = m.min(n);
@@ -60,7 +66,7 @@ pub fn qr_thin<T: Scalar>(a: &Matrix<T>) -> Qr<T> {
             *c = c.scale(inv);
         }
         // Apply H to the trailing submatrix work[j.., j..].
-        apply_reflector_left(&mut work, &v, j);
+        reflect(&mut work, &v, j, j);
         reflectors.push(v);
     }
 
@@ -81,7 +87,8 @@ pub fn qr_thin<T: Scalar>(a: &Matrix<T>) -> Qr<T> {
         if reflectors[j].is_empty() {
             continue;
         }
-        apply_reflector_left_offset(&mut q, &reflectors[j], j);
+        // The reflector spans rows j.. and every column of Q.
+        reflect(&mut q, &reflectors[j], j, 0);
     }
 
     // Normalize so the diagonal of R is real non-negative.
@@ -287,38 +294,34 @@ fn vec_norm<T: Scalar>(v: &[Complex<T>]) -> T {
         .sqrt()
 }
 
-/// Apply `H = I - 2vv†` to rows `j..` of every column `j..` of `work`.
-fn apply_reflector_left<T: Scalar>(work: &mut Matrix<T>, v: &[Complex<T>], j: usize) {
-    let m = work.rows();
-    let n = work.cols();
-    for c in j..n {
-        // w = v† · work[j.., c]
-        let mut w = Complex::zero();
-        for (vi, r) in v.iter().zip(j..m) {
-            w += vi.conj() * work[(r, c)];
-        }
-        let w2 = w.scale(T::TWO);
-        for (vi, r) in v.iter().zip(j..m) {
-            let delta = *vi * w2;
-            work[(r, c)] -= delta;
+/// Signature of [`apply_reflector_left`].
+type ReflectLeft<T> = fn(&mut Matrix<T>, &[Complex<T>], usize, usize);
+
+/// Apply `H = I - 2vv†` to rows `j..` of columns `c0..` of `x` (`v` unit
+/// norm, one entry per row from `j`).
+///
+/// `x` is row-major, so both passes sweep rows: `w[c] += conj(v_r) ·
+/// x[r][c]` accumulates every column at once (each column still sums in
+/// ascending row order), then `x[r][c] -= v_r · 2w[c]`. Per element this
+/// is the arithmetic of a column-by-column `w = v† · x[.., c]`, in the
+/// same order, so the factors are bitwise those of a column sweep.
+fn apply_reflector_left<T: Scalar>(x: &mut Matrix<T>, v: &[Complex<T>], j: usize, c0: usize) {
+    let n = x.cols();
+    let rows = x.as_slice().chunks_exact(n).skip(j);
+    let mut w = vec![Complex::<T>::zero(); n - c0];
+    for (vi, row) in v.iter().zip(rows) {
+        let vc = vi.conj();
+        for (wc, &xc) in w.iter_mut().zip(&row[c0..]) {
+            *wc += vc * xc;
         }
     }
-}
-
-/// Same as [`apply_reflector_left`] but for the Q accumulation where the
-/// reflector spans rows `j..` and all columns.
-fn apply_reflector_left_offset<T: Scalar>(q: &mut Matrix<T>, v: &[Complex<T>], j: usize) {
-    let m = q.rows();
-    let k = q.cols();
-    for c in 0..k {
-        let mut w = Complex::zero();
-        for (vi, r) in v.iter().zip(j..m) {
-            w += vi.conj() * q[(r, c)];
-        }
-        let w2 = w.scale(T::TWO);
-        for (vi, r) in v.iter().zip(j..m) {
-            let delta = *vi * w2;
-            q[(r, c)] -= delta;
+    for wc in &mut w {
+        *wc = wc.scale(T::TWO);
+    }
+    let rows = x.as_mut_slice().chunks_exact_mut(n).skip(j);
+    for (vi, row) in v.iter().zip(rows) {
+        for (xc, &wc) in row[c0..].iter_mut().zip(&w) {
+            *xc -= *vi * wc;
         }
     }
 }
@@ -399,6 +402,93 @@ mod tests {
         let a = Matrix::<f64>::zeros(4, 3);
         let Qr { q, r } = qr_thin(&a);
         assert!(q.mul_ref(&r).max_abs_diff(&a) < 1e-12);
+    }
+
+    /// The column sweep [`apply_reflector_left`] replaced: each column's
+    /// `w = v† · x[j.., c]` strides down the row-major matrix. Kept as the
+    /// reference the row sweep must match bit for bit.
+    fn column_sweep<T: Scalar>(x: &mut Matrix<T>, v: &[Complex<T>], j: usize, c0: usize) {
+        let m = x.rows();
+        for c in c0..x.cols() {
+            let mut w = Complex::zero();
+            for (vi, r) in v.iter().zip(j..m) {
+                w += vi.conj() * x[(r, c)];
+            }
+            let w2 = w.scale(T::TWO);
+            for (vi, r) in v.iter().zip(j..m) {
+                let delta = *vi * w2;
+                x[(r, c)] -= delta;
+            }
+        }
+    }
+
+    fn assert_same_bits<T: Scalar>(got: &Matrix<T>, want: &Matrix<T>, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+        let bits = |m: &Matrix<T>| -> Vec<(u64, u64)> {
+            // f32 -> f64 is exact and keeps the sign of zero, so this is
+            // bit equality for either precision.
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+                .collect()
+        };
+        assert!(
+            bits(got) == bits(want),
+            "{what} differs from the column sweep's"
+        );
+    }
+
+    /// `qr_thin`'s `Q` and `R` equal, bit for bit, the factors the same
+    /// factorization gives through the column sweep.
+    fn check_matches_column_sweep<T: Scalar>(a: &Matrix<T>) {
+        let got = qr_thin(a);
+        let want = qr_thin_with(a, column_sweep::<T>);
+        let shape = format!("{}x{}", a.rows(), a.cols());
+        assert_same_bits(&got.q, &want.q, &format!("Q of {shape}"));
+        assert_same_bits(&got.r, &want.r, &format!("R of {shape}"));
+    }
+
+    fn row_sweep_shapes<T: Scalar>(seed: u64) {
+        let mut rng = PhiloxRng::new(seed, 0);
+        let shapes = [
+            (1usize, 1usize),
+            (1, 5),
+            (7, 1),
+            (5, 5),
+            (16, 16),
+            (8, 3),
+            (128, 64),
+            (3, 8),
+            (24, 40),
+        ];
+        for (m, n) in shapes {
+            let a = random_matrix::<T>(m, n, &mut rng);
+            check_matches_column_sweep(&a);
+            // Zero columns (and a repeated one that is zero below the
+            // diagonal once its twin is eliminated) take the
+            // empty-reflector steps.
+            let mut holes = a.clone();
+            for r in 0..m {
+                holes[(r, 0)] = Complex::zero();
+                if n > 2 {
+                    holes[(r, n / 2)] = Complex::zero();
+                    holes[(r, 2)] = holes[(r, 1)];
+                }
+            }
+            check_matches_column_sweep(&holes);
+        }
+        check_matches_column_sweep(&Matrix::<T>::zeros(4, 3));
+        check_matches_column_sweep(&Matrix::<T>::identity(6));
+    }
+
+    #[test]
+    fn row_sweep_matches_column_sweep_f64() {
+        row_sweep_shapes::<f64>(48);
+    }
+
+    #[test]
+    fn row_sweep_matches_column_sweep_f32() {
+        row_sweep_shapes::<f32>(49);
     }
 
     #[test]

@@ -372,6 +372,38 @@ fn forced_mps_job_with_a_three_qubit_site_fails_at_routing() {
     assert_eq!(service.metrics().chunk_retries, 0);
 }
 
+/// A shot is one 128-bit word, so a wider register has no engine: the
+/// router sends it to MPS (too wide for a dense state, too many measured
+/// bits for frames), whose lowering refuses it. It used to run and fold
+/// bit 129 onto bit 1.
+#[test]
+fn registers_wider_than_a_shot_word_fail_at_routing() {
+    let mut c = Circuit::new(130);
+    c.x(1).x(129).t(0);
+    c.measure_all();
+    let nc = NoiseModel::new()
+        .with_default_1q(channels::depolarizing(1e-3))
+        .apply(&c);
+    let plan = plan_for(&nc, 4, 5, true, 37);
+    let service: ShotService = ShotService::start(one_worker());
+    for policy in [EnginePolicy::Auto, EnginePolicy::Force(EngineKind::MpsTree)] {
+        let spec = JobSpec::new("too-wide", nc.clone(), plan.clone(), 7).with_engine(policy);
+        let (sink, store) = MemorySink::new();
+        let report = service.submit(spec, Box::new(sink)).unwrap().wait();
+        assert_eq!(report.status, JobStatus::Failed, "{policy:?}");
+        assert_eq!(
+            report.error.as_deref(),
+            Some(
+                "mps compile failed: 130-qubit registers unsupported on MPS \
+                 (a shot is one 128-bit word)"
+            ),
+            "{policy:?}"
+        );
+        assert!(store.lock().unwrap().records.is_empty());
+    }
+    assert_eq!(service.metrics().chunk_retries, 0);
+}
+
 /// The auto router's refusal: a register too wide for a dense fallback
 /// whose probe blows the budget with no ceiling headroom. The error text
 /// is part of what operators grep for, so it is pinned whole.

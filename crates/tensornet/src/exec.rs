@@ -17,6 +17,8 @@ pub enum MpsError {
     /// A gate (other than Toffoli) or a noise site on more than 2 qubits:
     /// the MPS kernels are one- and two-site updates.
     UnsupportedArity(usize),
+    /// A register wider than 128 qubits: a sampled shot is one `u128`.
+    TooWide(usize),
 }
 
 impl From<LowerError> for MpsError {
@@ -32,6 +34,10 @@ impl std::fmt::Display for MpsError {
             MpsError::UnsupportedArity(k) => {
                 write!(f, "{k}-qubit gates and noise sites unsupported on MPS")
             }
+            MpsError::TooWide(n) => write!(
+                f,
+                "{n}-qubit registers unsupported on MPS (a shot is one 128-bit word)"
+            ),
         }
     }
 }
@@ -74,7 +80,8 @@ pub fn compile_mps<T: Scalar>(nc: &NoisyCircuit) -> Result<MpsCompiled<T>, MpsEr
 /// decomposed into the standard 2q + T network, whose pieces then feed
 /// the same fuser — so the decomposition overhead is largely fused back
 /// away. Any other gate, and any noise site, on more than 2 qubits is
-/// refused here rather than met in the hot loop.
+/// refused here rather than met in the hot loop, and so is a register
+/// wider than a shot word ([`MpsError::TooWide`]).
 ///
 /// # Errors
 /// See [`MpsError`].
@@ -82,6 +89,9 @@ pub fn compile_mps_with<T: Scalar>(
     nc: &NoisyCircuit,
     fuse: bool,
 ) -> Result<MpsCompiled<T>, MpsError> {
+    if nc.n_qubits() > 128 {
+        return Err(MpsError::TooWide(nc.n_qubits()));
+    }
     lower::lower::<T, MpsTable>(nc, fuse)
 }
 
@@ -399,6 +409,33 @@ mod tests {
             compile_mps::<f64>(&nc).unwrap_err(),
             MpsError::Lower(LowerError::MidCircuitMeasurement)
         );
+    }
+
+    #[test]
+    fn registers_wider_than_a_shot_word_are_refused_at_lowering() {
+        // A shot is one u128: bit 129 of a 130-qubit register used to
+        // fold onto bit 1 (`x(1)` and `x(129)` sampled as 0x2).
+        let wide = |n: usize| {
+            let mut c = Circuit::new(n);
+            c.x(1).x(n - 1);
+            c.measure_all();
+            NoisyCircuit::from_circuit(c)
+        };
+        for fuse in [true, false] {
+            assert_eq!(
+                compile_mps_with::<f64>(&wide(130), fuse).unwrap_err(),
+                MpsError::TooWide(130)
+            );
+            assert_eq!(
+                compile_mps_with::<f32>(&wide(129), fuse).unwrap_err(),
+                MpsError::TooWide(129)
+            );
+        }
+        let compiled = compile_mps::<f64>(&wide(128)).unwrap();
+        let (mut mps, _) = prepare_mps(&compiled, &[], exact());
+        let mut rng = ptsbe_rng::PhiloxRng::new(5, 0);
+        let shots = crate::sample::sample_shots_batched_one(&mut mps, 4, &mut rng);
+        assert!(shots.iter().all(|&s| s == (1 << 1) | (1 << 127)));
     }
 
     #[test]

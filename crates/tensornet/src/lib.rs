@@ -5,15 +5,20 @@
 //! backend whose sampling "requires nearly all of the tensor network
 //! contraction process to reoccur for each sample"; its future-work list
 //! asks for contraction-path caching and correlated (conditional)
-//! sampling. This crate implements both ends of that spectrum so the
-//! Fig. 5 reproduction can show the current *and* projected behavior:
+//! sampling. This crate implements the projected behavior:
 //!
 //! - [`sample::sample_shots_cached`] — canonicalize once (O(n·χ³)), then
 //!   draw each shot by a conditional left-to-right sweep (O(n·χ²) per
 //!   shot): the "cached intermediates" mode;
-//! - [`sample::sample_shots_naive`] — redo the canonicalization sweep for
-//!   every shot: the surrogate for CUDA-Q's current re-contraction
-//!   behavior.
+//! - [`sample::sample_shots_batched`] — the same draws, bit for bit, with
+//!   every shot of every request advancing one site at a time together:
+//!   shots that share a bit prefix share its contraction, and one pass
+//!   over each site tensor serves every live prefix (non-degenerate
+//!   batched sampling).
+//!
+//! The surrogate for CUDA-Q's current behavior (redo the contraction for
+//! every shot) is `ptsbe_bench::sample_shots_naive`, beside the bench
+//! that measures against it.
 //!
 //! The [`mps::Mps`] type keeps a mixed-canonical gauge with an explicit
 //! orthogonality center, truncates bonds by one-sided Jacobi SVD

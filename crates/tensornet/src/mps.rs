@@ -176,6 +176,24 @@ impl<T: Scalar> Mps<T> {
         }
     }
 
+    /// A state from raw site tensors (exact config), in any gauge: the
+    /// center sits at the last site, so `move_center` re-canonicalizes
+    /// everything it sweeps.
+    #[cfg(test)]
+    pub(crate) fn from_tensors(tensors: Vec<Tensor3<T>>) -> Self {
+        let n = tensors.len();
+        Self {
+            max_bond_reached: tensors.iter().map(|t| t.dr).max().unwrap_or(1),
+            tensors,
+            center: n - 1,
+            config: MpsConfig::exact(),
+            kept_fidelity: 1.0,
+            bond_stats: vec![BondStats::default(); n - 1],
+            theta: Vec::new(),
+            theta2: Vec::new(),
+        }
+    }
+
     /// Overwrite `self` with `src`'s state, recycling this instance's
     /// tensor buffers (and keeping its scratch) instead of reallocating —
     /// the pooled-fork path (`Backend::fork_into`). Tensor entries are

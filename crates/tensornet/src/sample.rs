@@ -1,26 +1,34 @@
-//! MPS shot sampling: batched prefix-trie, cached-sweep (conditional),
-//! and naive re-contraction.
+//! MPS shot sampling: cached-sweep (conditional) and lockstep batched.
 //!
-//! `cached` and `naive` bracket the paper's Fig. 5 discussion. `cached`
-//! pays one O(n·χ³) canonicalization then O(n·χ²) per shot — the
-//! "conditional and correlated tensor network sampling \[reusing\] cached
-//! intermediates" the paper projects. `naive` redoes the sweep for every
-//! shot — the surrogate for the current CUDA-Q behavior the paper
-//! measured 16× against.
+//! `cached` ([`sample_shots_cached`]) pays one O(n·χ³) canonicalization
+//! then O(n·χ²) per shot — the "conditional and correlated tensor
+//! network sampling \[reusing\] cached intermediates" the paper projects
+//! against the per-shot re-contraction it measured 16× against (that
+//! surrogate, `sample_shots_naive`, lives in `ptsbe_bench`).
 //!
 //! `batched` ([`sample_shots_batched`]) goes one step further along the
-//! paper's non-degenerate batched-sampling axis: the conditional left
-//! environments depend only on the *bit prefix* drawn so far, so shots
-//! that share a prefix share the partial contraction. A [`SampleTrie`]
-//! memoizes, per visited prefix, the conditional branch probabilities
-//! and the two normalized child environments; repeat visits are O(1)
-//! per site instead of O(χ²). Because the memoized floats are the exact
-//! values the sequential sweep would recompute (same operations, same
-//! order) and the RNG is consulted with the same cadence, the output
-//! bytes are bitwise identical to [`sample_shots_cached`].
+//! paper's non-degenerate batched-sampling axis. The conditional left
+//! environment entering a site depends only on the *bit prefix* drawn so
+//! far, so every shot of every request advances together, one site at a
+//! time: the live nodes at site `i` are the distinct prefixes, each with
+//! its environment and its shots, and one blocked pass over the site
+//! tensor computes every node's branch weights. Shots that share a prefix
+//! share its contraction outright, and the rest share the tensor reads:
+//! a row of the site tensor is loaded once per block of nodes rather
+//! than once per shot. Each node's floats are the sequential sweep's
+//! (same operations, same order, on split re/im planes), and each shot's
+//! uniforms come from its own stream in the sequential cadence, so the
+//! output is bitwise identical to [`sample_shots_cached`].
+//!
+//! On `perf`'s `mps-brick32` leaf (32 sites, bond 64, 7 × 100 shots;
+//! `cargo bench -p ptsbe_bench --bench mps_kernels -- brick32`, one
+//! thread of a 2-vCPU Xeon VM, alternated runs) the lockstep sweep takes
+//! 38–51 ms where the prefix trie it replaced took 95–121 ms: the trie
+//! shared only the first ~10 sites, after which every shot re-read every
+//! site tensor on its own.
 
 use crate::mps::Mps;
-use ptsbe_math::{Complex, Matrix, Scalar};
+use ptsbe_math::{cplx_mul_parts, cplx_norm_sqr_parts, Complex, Scalar};
 use ptsbe_rng::Rng;
 
 /// Draw `m` shots by conditional sampling with cached canonicalization.
@@ -28,11 +36,15 @@ use ptsbe_rng::Rng;
 /// The state is right-canonicalized once (center → site 0); every shot is
 /// then a single left-to-right sweep of conditional single-site
 /// distributions.
+///
+/// # Panics
+/// If the state has more than 128 qubits (a shot is one `u128`).
 pub fn sample_shots_cached<T: Scalar, R: Rng + ?Sized>(
     mps: &mut Mps<T>,
     m: usize,
     rng: &mut R,
 ) -> Vec<u128> {
+    assert!(mps.n_qubits() <= 128, "a shot word holds 128 qubits");
     mps.move_center(0);
     // Guard against unnormalized states (e.g. post-Kraus): conditional
     // probabilities are normalized per site below, so only a zero state is
@@ -40,106 +52,35 @@ pub fn sample_shots_cached<T: Scalar, R: Rng + ?Sized>(
     (0..m).map(|_| sample_one(mps, rng)).collect()
 }
 
-/// Draw `m` shots with *no cached intermediates*: at every site of every
-/// shot, the right environment is recontracted from scratch — O(n²·χ³)
-/// per shot, the paper's "nearly all of the tensor network contraction
-/// process \[reoccurs\] for each sample, caching only the minimally
-/// optimized contraction path".
-pub fn sample_shots_naive<T: Scalar, R: Rng + ?Sized>(
-    mps: &Mps<T>,
-    m: usize,
-    rng: &mut R,
-) -> Vec<u128> {
-    (0..m).map(|_| sample_one_uncached(mps, rng)).collect()
-}
-
-/// One cache-free conditional sample. Works in any gauge: marginals are
-/// evaluated by full transfer-matrix contraction.
-fn sample_one_uncached<T: Scalar, R: Rng + ?Sized>(mps: &Mps<T>, rng: &mut R) -> u128 {
-    let n = mps.n_qubits();
-    let mut bits = 0u128;
-    // Left-conditioned density at the current left bond (starts 1×1).
-    let mut lrho = Matrix::<T>::identity(1);
-    for i in 0..n {
-        // Right environment over sites i+1.. — recomputed from scratch
-        // (this is the deliberate inefficiency).
-        let renv = right_env_from(mps, i + 1);
-        let t = mps.tensor(i);
-        let mut p = [0.0f64; 2];
-        let mut cand: [Option<Matrix<T>>; 2] = [None, None];
-        for b in 0..2 {
-            // M_b: dl × dr slice of the site tensor at physical index b.
-            let mut mb = Matrix::<T>::zeros(t.dl, t.dr);
-            for l in 0..t.dl {
-                for r in 0..t.dr {
-                    mb[(l, r)] = t.get(l, b, r);
-                }
-            }
-            let lb = mb.dagger().mul_ref(&lrho).mul_ref(&mb);
-            p[b] = lb.mul_ref(&renv).trace().re.to_f64().max(0.0);
-            cand[b] = Some(lb);
-        }
-        let total = p[0] + p[1];
-        let outcome = if total <= 0.0 {
-            false
-        } else {
-            rng.next_f64() * total >= p[0]
-        };
-        let idx = usize::from(outcome);
-        if outcome {
-            bits |= 1u128 << i;
-        }
-        let mut next = cand[idx].take().expect("candidate computed");
-        let pc = p[idx];
-        if pc > 0.0 {
-            next = next.scaled_real(T::from_f64(1.0 / pc));
-        }
-        lrho = next;
-    }
-    bits
-}
-
-/// Transfer-matrix contraction of sites `from..n` into a `dl_from ×
-/// dl_from` environment (identity at the right boundary).
-fn right_env_from<T: Scalar>(mps: &Mps<T>, from: usize) -> Matrix<T> {
-    let n = mps.n_qubits();
-    if from >= n {
-        return Matrix::identity(1);
-    }
-    let mut renv = Matrix::<T>::identity(mps.tensor(n - 1).dr);
-    for j in (from..n).rev() {
-        let t = mps.tensor(j);
-        let mut next = Matrix::<T>::zeros(t.dl, t.dl);
-        for b in 0..2 {
-            let mut mb = Matrix::<T>::zeros(t.dl, t.dr);
-            for l in 0..t.dl {
-                for r in 0..t.dr {
-                    mb[(l, r)] = t.get(l, b, r);
-                }
-            }
-            // next += M_b · R · M_b†
-            let term = mb.mul_ref(&renv).mul_ref(&mb.dagger());
-            next = &next + &term;
-        }
-        renv = next;
-    }
-    renv
-}
-
 /// One conditional sweep. Requires the center at site 0 (right-canonical
 /// tail), which both entry points guarantee.
 fn sample_one<T: Scalar, R: Rng + ?Sized>(mps: &Mps<T>, rng: &mut R) -> u128 {
     debug_assert_eq!(mps.center(), 0);
-    sample_tail(mps, 0, vec![Complex::one()], rng, 0)
+    let mut left = vec![Complex::one()];
+    let mut bits = 0u128;
+    for i in 0..mps.n_qubits() {
+        let (w0, w1, p0, p1) = site_branches(mps.tensor(i), &left);
+        let total = p0 + p1;
+        let outcome = if total <= 0.0 {
+            false
+        } else {
+            rng.next_f64() * total >= p0
+        };
+        let (chosen, pc) = if outcome { (w1, p1) } else { (w0, p0) };
+        if outcome {
+            bits |= 1u128 << i;
+        }
+        left = normalize_branch(chosen, pc);
+    }
+    bits
 }
 
 /// Conditional branch weights at one site: `w_b[r] = Σ_l left[l] ·
 /// A[l, b, r]` and the unnormalized probabilities `p_b = ‖w_b‖²`.
 ///
-/// This is the one place the per-site floats are computed — the
-/// sequential sweep, the trie expansion, and the trie's capacity
-/// fallback all call it, which is what makes batched output bitwise
-/// identical to sequential.
+/// The sequential sweep's per-site floats. [`Lockstep::run`] repeats
+/// this arithmetic on split planes, operation for operation, which is
+/// what makes batched output bitwise identical to sequential.
 #[allow(clippy::type_complexity)]
 fn site_branches<T: Scalar>(
     t: &crate::tensor::Tensor3<T>,
@@ -164,200 +105,336 @@ fn site_branches<T: Scalar>(
 /// Scale a branch weight vector into the conditional left environment
 /// for the next site (zero environment for an impossible branch).
 fn normalize_branch<T: Scalar>(w: Vec<Complex<T>>, pc: f64) -> Vec<Complex<T>> {
-    let inv = if pc > 0.0 {
-        T::from_f64(1.0 / pc.sqrt())
-    } else {
-        T::ZERO
-    };
+    let inv = branch_scale::<T>(pc);
     w.into_iter().map(|z| z.scale(inv)).collect()
 }
 
-/// Finish one shot from site `from` with left environment `left` and the
-/// bits already drawn for sites `0..from`.
-fn sample_tail<T: Scalar, R: Rng + ?Sized>(
-    mps: &Mps<T>,
-    from: usize,
-    mut left: Vec<Complex<T>>,
-    rng: &mut R,
-    mut bits: u128,
-) -> u128 {
-    let n = mps.n_qubits();
-    for i in from..n {
-        let (w0, w1, p0, p1) = site_branches(mps.tensor(i), &left);
-        let total = p0 + p1;
-        let outcome = if total <= 0.0 {
-            false
-        } else {
-            rng.next_f64() * total >= p0
-        };
-        let (chosen, pc) = if outcome { (w1, p1) } else { (w0, p0) };
-        if outcome {
-            bits |= 1u128 << i;
-        }
-        left = normalize_branch(chosen, pc);
+/// `1/√p`, the factor that normalizes a branch of probability `p` (zero
+/// for an impossible branch).
+fn branch_scale<T: Scalar>(p: f64) -> T {
+    if p > 0.0 {
+        T::from_f64(1.0 / p.sqrt())
+    } else {
+        T::ZERO
     }
-    bits
 }
 
 // ---------------------------------------------------------------------------
-// Batched sampling: the prefix trie.
+// Batched sampling: every live prefix advances one site at a time.
 
-/// Sentinel child index (also the pre-expansion placeholder).
-const NO_CHILD: u32 = u32::MAX;
+/// Bytes one block of shots may hold: per shot, a left environment at
+/// the current and at the next site (a node holds at least one shot, so
+/// a block never has more nodes than shots), its uniforms and its word.
+/// At χ = 256 in `f64` that is about 500 shots a block.
+const BLOCK_BYTES: usize = 4 << 20;
 
-/// Memory the trie may hold in cached environments before further
-/// prefixes fall back to transient [`sample_tail`] sweeps.
-const TRIE_ENV_BYTE_CAP: usize = 128 << 20;
+/// Nodes whose branch weights one pass over a site-tensor row feeds.
+/// Their `w` planes (`2·dr` per node) stay in L1 at χ = 64.
+const NODE_BLOCK: usize = 8;
 
-struct TrieNode<T: Scalar> {
-    /// Left environment entering this node's site. Freed once the node
-    /// is expanded (the branch weights have been folded into the
-    /// children); retained on unexpanded frontier nodes so a capacity
-    /// fallback can resume from here.
-    env: Vec<Complex<T>>,
-    /// Unnormalized branch probabilities, valid once `expanded`.
-    p0: f64,
-    p1: f64,
-    expanded: bool,
-    child: [u32; 2],
-}
-
-/// A prefix trie of conditional sampling state over a fixed MPS.
-///
-/// Node at depth `i` caches the branch probabilities of site `i` given
-/// the bits on the path to it; its children hold the normalized left
-/// environments entering site `i + 1`. One trie serves any number of
-/// shots and any number of independent RNG streams against the same
-/// prepared state — each draw walks root→leaf, expanding unvisited
-/// prefixes on first touch. Beyond `TRIE_ENV_BYTE_CAP` of cached
-/// environments, new prefixes are completed transiently instead of
-/// being inserted (the hot prefixes are by then already resident).
-pub struct SampleTrie<T: Scalar> {
-    nodes: Vec<TrieNode<T>>,
-    env_bytes: usize,
-    env_cap: usize,
-}
-
-impl<T: Scalar> SampleTrie<T> {
-    /// An empty trie rooted at site 0 (left boundary environment `[1]`).
-    pub fn new() -> Self {
-        Self::with_env_cap(TRIE_ENV_BYTE_CAP)
-    }
-
-    /// An empty trie with an explicit cached-environment byte budget
-    /// (tests exercise the capacity fallback with a tiny cap).
-    pub fn with_env_cap(env_cap: usize) -> Self {
-        Self {
-            nodes: vec![TrieNode {
-                env: vec![Complex::one()],
-                p0: 0.0,
-                p1: 0.0,
-                expanded: false,
-                child: [NO_CHILD; 2],
-            }],
-            env_bytes: std::mem::size_of::<Complex<T>>(),
-            env_cap,
-        }
-    }
-
-    /// Compute site `depth`'s branch weights at `node`, cache the
-    /// probabilities, and install both child environments (interior
-    /// sites only — the last site needs no children).
-    fn expand(&mut self, mps: &Mps<T>, node: u32, depth: usize) {
-        let (w0, w1, p0, p1) = site_branches(mps.tensor(depth), &self.nodes[node as usize].env);
-        if depth + 1 < mps.n_qubits() {
-            for (b, (w, pc)) in [(w0, p0), (w1, p1)].into_iter().enumerate() {
-                let env = normalize_branch(w, pc);
-                self.env_bytes += env.len() * std::mem::size_of::<Complex<T>>();
-                let idx = u32::try_from(self.nodes.len()).expect("trie node count fits u32");
-                self.nodes.push(TrieNode {
-                    env,
-                    p0: 0.0,
-                    p1: 0.0,
-                    expanded: false,
-                    child: [NO_CHILD; 2],
-                });
-                self.nodes[node as usize].child[b] = idx;
-            }
-        }
-        let nd = &mut self.nodes[node as usize];
-        nd.p0 = p0;
-        nd.p1 = p1;
-        nd.expanded = true;
-        // The environment has been folded into the children; only
-        // frontier nodes need to keep theirs.
-        self.env_bytes -= nd.env.len() * std::mem::size_of::<Complex<T>>();
-        nd.env = Vec::new();
-    }
-
-    /// Draw one shot, expanding the trie along the sampled prefix.
-    /// Requires `mps.center() == 0`, like the sequential sweep.
-    pub fn sample_one<R: Rng + ?Sized>(&mut self, mps: &Mps<T>, rng: &mut R) -> u128 {
-        debug_assert_eq!(mps.center(), 0);
-        let n = mps.n_qubits();
-        let mut bits = 0u128;
-        let mut cur = 0u32;
-        for i in 0..n {
-            if !self.nodes[cur as usize].expanded {
-                if self.env_bytes > self.env_cap {
-                    let left = self.nodes[cur as usize].env.clone();
-                    return sample_tail(mps, i, left, rng, bits);
-                }
-                self.expand(mps, cur, i);
-            }
-            let nd = &self.nodes[cur as usize];
-            let total = nd.p0 + nd.p1;
-            let outcome = if total <= 0.0 {
-                false
-            } else {
-                rng.next_f64() * total >= nd.p0
-            };
-            if outcome {
-                bits |= 1u128 << i;
-            }
-            if i + 1 < n {
-                cur = nd.child[usize::from(outcome)];
-            }
-        }
-        bits
-    }
-}
-
-impl<T: Scalar> Default for SampleTrie<T> {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Shots one lockstep block holds under [`BLOCK_BYTES`].
+fn block_shots<T: Scalar>(mps: &Mps<T>) -> usize {
+    let n = mps.n_qubits();
+    let chi = (0..n)
+        .map(|i| mps.tensor(i).dl.max(mps.tensor(i).dr))
+        .max()
+        .unwrap_or(1);
+    let per_shot = 2 * chi * std::mem::size_of::<Complex<T>>()
+        + n * std::mem::size_of::<f64>()
+        + std::mem::size_of::<u128>()
+        + 2 * std::mem::size_of::<u32>();
+    (BLOCK_BYTES / per_shot).max(1)
 }
 
 /// Draw shot batches for several independent requests — typically the
 /// deduplicated trajectories sharing one prepared tree-node state, each
-/// with its own Philox stream — amortizing the conditional partial
-/// contractions across every shot of every request through one shared
-/// [`SampleTrie`]. Bitwise identical to calling [`sample_shots_cached`]
-/// per request in order.
+/// with its own Philox stream. Bitwise identical to calling
+/// [`sample_shots_cached`] per request in order.
+///
+/// The shots of all requests advance together, one site at a time, in
+/// contiguous blocks of a few MiB of live state. At site `i` the live
+/// nodes are the distinct bit prefixes drawn so far, each with its left
+/// environment and its shots; one pass over the site tensor computes
+/// every node's branch weights, so shots that share a prefix share its
+/// contraction and the rest share the tensor reads.
+///
+/// # Panics
+/// If the state has more than 128 qubits (a shot is one `u128`;
+/// lowering refuses such circuits with `MpsError::TooWide`).
 pub fn sample_shots_batched<T: Scalar, R: Rng + ?Sized>(
     mps: &mut Mps<T>,
     requests: &mut [(usize, &mut R)],
 ) -> Vec<Vec<u128>> {
+    assert!(mps.n_qubits() <= 128, "a shot word holds 128 qubits");
     mps.move_center(0);
-    let mut trie = SampleTrie::new();
-    requests
-        .iter_mut()
-        .map(|(shots, rng)| (0..*shots).map(|_| trie.sample_one(mps, rng)).collect())
-        .collect()
+    let (_, _, p0, p1) = site_branches(mps.tensor(0), &[Complex::one()]);
+    if p0 + p1 < f64::MIN_POSITIVE {
+        // Below a normal root total the sequential sweep does not draw
+        // one uniform per site: a zero-norm state draws nothing, and under
+        // a subnormal total `u·total` can round up to `p0`, so a shot
+        // takes a branch of probability 0 and draws nothing below it.
+        // Such states keep the sequential sweep.
+        return requests
+            .iter_mut()
+            .map(|(shots, rng)| (0..*shots).map(|_| sample_one(mps, &mut **rng)).collect())
+            .collect();
+    }
+    let mut out: Vec<Vec<u128>> = requests
+        .iter()
+        .map(|(shots, _)| Vec::with_capacity(*shots))
+        .collect();
+    let block = block_shots(mps);
+    let mut sweep = Lockstep::default();
+    // (request, shots) runs of the block being filled, in shot order.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut filled = 0;
+    for (req, (shots, rng)) in requests.iter_mut().enumerate() {
+        let mut left = *shots;
+        while left > 0 {
+            let take = left.min(block - filled);
+            sweep.draw(&mut **rng, take * mps.n_qubits());
+            runs.push((req, take));
+            filled += take;
+            left -= take;
+            if filled == block {
+                sweep.run(mps);
+                sweep.deliver(&mut runs, &mut out);
+                filled = 0;
+            }
+        }
+    }
+    if filled > 0 {
+        sweep.run(mps);
+        sweep.deliver(&mut runs, &mut out);
+    }
+    out
 }
 
-/// Single-request batched sampling: one trie amortizes the conditional
-/// contractions across all `m` shots of one trajectory. Bitwise
-/// identical to [`sample_shots_cached`].
+/// Single-request batched sampling: the one-request case of
+/// [`sample_shots_batched`]. Bitwise identical to
+/// [`sample_shots_cached`].
 pub fn sample_shots_batched_one<T: Scalar, R: Rng + ?Sized>(
     mps: &mut Mps<T>,
     m: usize,
     rng: &mut R,
 ) -> Vec<u128> {
-    mps.move_center(0);
-    let mut trie = SampleTrie::new();
-    (0..m).map(|_| trie.sample_one(mps, rng)).collect()
+    sample_shots_batched(mps, &mut [(m, rng)])
+        .pop()
+        .expect("one request in, one batch out")
+}
+
+/// Complex values on split real / imaginary planes.
+#[derive(Default)]
+struct Planes<T> {
+    re: Vec<T>,
+    im: Vec<T>,
+}
+
+impl<T: Scalar> Planes<T> {
+    fn clear(&mut self) {
+        self.re.clear();
+        self.im.clear();
+    }
+
+    fn push(&mut self, z: Complex<T>) {
+        self.re.push(z.re);
+        self.im.push(z.im);
+    }
+
+    fn fill_zero(&mut self, len: usize) {
+        self.clear();
+        self.re.resize(len, T::ZERO);
+        self.im.resize(len, T::ZERO);
+    }
+}
+
+/// One lockstep block: its shots' uniforms and words, the live nodes of
+/// the current site, and the scratch every site reuses.
+#[derive(Default)]
+struct Lockstep<T: Scalar> {
+    /// `n` uniforms per shot, drawn in its stream's order (shot-major).
+    u: Vec<f64>,
+    /// The word drawn so far per shot.
+    bits: Vec<u128>,
+    /// Shots grouped by node: node `k` owns `order[nodes[k].0..nodes[k].1]`.
+    order: Vec<u32>,
+    nodes: Vec<(u32, u32)>,
+    /// Left environments entering the current site, `dl` per node.
+    env: Planes<T>,
+    next_order: Vec<u32>,
+    next_nodes: Vec<(u32, u32)>,
+    next_env: Planes<T>,
+    /// The current site tensor; row `l` is `A[l, 0, ..] ++ A[l, 1, ..]`.
+    site: Planes<T>,
+    /// Branch weights `w_0 ++ w_1` of one block of nodes, `2·dr` each.
+    w: Planes<T>,
+}
+
+impl<T: Scalar> Lockstep<T> {
+    /// Append `count` uniforms from `rng`.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, count: usize) {
+        self.u.extend((0..count).map(|_| rng.next_f64()));
+    }
+
+    /// Sample every shot whose uniforms are drawn, from the root to the
+    /// last site. Requires `mps.center() == 0` and a normal root total.
+    ///
+    /// Per node this is [`sample_one`]'s arithmetic on split planes:
+    /// `w_b[r] += v_l · A[l, b, r]` over ascending `l` (`Complex: Mul`,
+    /// then an add; a zero `v_l` skipped), `p_b` the in-order `f64` sum
+    /// of `norm_sqr`, children scaled as [`normalize_branch`] does. A
+    /// node's floats depend only on its prefix, so grouping shots into
+    /// nodes cannot change them, and each shot compares its own uniform.
+    fn run(&mut self, mps: &Mps<T>) {
+        debug_assert_eq!(mps.center(), 0);
+        let n = mps.n_qubits();
+        let shots = self.u.len() / n;
+        let Self {
+            u,
+            bits,
+            order,
+            nodes,
+            env,
+            next_order,
+            next_nodes,
+            next_env,
+            site,
+            w,
+        } = self;
+        bits.clear();
+        bits.resize(shots, 0);
+        order.clear();
+        order.extend(0..u32::try_from(shots).expect("block shots fit u32"));
+        nodes.clear();
+        nodes.push((0, order.len() as u32));
+        env.clear();
+        env.push(Complex::one());
+        for i in 0..n {
+            let t = mps.tensor(i);
+            let (dl, dr) = (t.dl, t.dr);
+            let row = 2 * dr;
+            site.clear();
+            for &z in &t.data {
+                site.push(z);
+            }
+            next_order.clear();
+            next_nodes.clear();
+            next_env.clear();
+            for first in (0..nodes.len()).step_by(NODE_BLOCK) {
+                let block = &nodes[first..nodes.len().min(first + NODE_BLOCK)];
+                block_weights(site, env, first..first + block.len(), dl, w);
+                for (q, &(start, end)) in block.iter().enumerate() {
+                    let wr = &w.re[q * row..(q + 1) * row];
+                    let wi = &w.im[q * row..(q + 1) * row];
+                    let p = [
+                        norm_sqr_sum(&wr[..dr], &wi[..dr]),
+                        norm_sqr_sum(&wr[dr..], &wi[dr..]),
+                    ];
+                    let total = p[0] + p[1];
+                    // The root total is a normal float (checked by the
+                    // caller), so `u·total < p_0` whenever `p_1 = 0`: a
+                    // drawn branch has p_b > 0 and its child environment
+                    // is a unit vector. Below the root the tail is
+                    // right-canonical (center at 0), so every deeper total
+                    // is that unit vector's norm, ≈ 1: the sequential
+                    // sweep draws one uniform at every site, which is the
+                    // cadence `u` was drawn with.
+                    debug_assert!(
+                        total > 0.0 || total.is_nan(),
+                        "site {i}: total {total} below the root"
+                    );
+                    let shots = &order[start as usize..end as usize];
+                    for &s in shots {
+                        if u[s as usize * n + i] * total >= p[0] {
+                            bits[s as usize] |= 1u128 << i;
+                        }
+                    }
+                    if i + 1 == n {
+                        continue;
+                    }
+                    for (b, &pb) in p.iter().enumerate() {
+                        let from = next_order.len();
+                        next_order.extend(
+                            shots
+                                .iter()
+                                .filter(|&&s| (bits[s as usize] >> i) & 1 == b as u128),
+                        );
+                        if next_order.len() == from {
+                            continue;
+                        }
+                        next_nodes.push((from as u32, next_order.len() as u32));
+                        let inv = branch_scale::<T>(pb);
+                        let half = b * dr..(b + 1) * dr;
+                        next_env
+                            .re
+                            .extend(wr[half.clone()].iter().map(|&x| x * inv));
+                        next_env.im.extend(wi[half].iter().map(|&x| x * inv));
+                    }
+                }
+            }
+            std::mem::swap(order, next_order);
+            std::mem::swap(nodes, next_nodes);
+            std::mem::swap(env, next_env);
+        }
+    }
+
+    /// Hand the block's words to their requests (`runs` in shot order)
+    /// and empty the block.
+    fn deliver(&mut self, runs: &mut Vec<(usize, usize)>, out: &mut [Vec<u128>]) {
+        let mut at = 0;
+        for (req, take) in runs.drain(..) {
+            out[req].extend_from_slice(&self.bits[at..at + take]);
+            at += take;
+        }
+        self.u.clear();
+    }
+}
+
+/// Branch weights `w_0 ++ w_1` (`2·dr` each, into `w`) of `nodes` at
+/// one site: `w_q += env_q[l] · A[l, .., ..]` over ascending `l`, a zero
+/// `env_q[l]` skipped. Each row of the site tensor is read once for the
+/// whole block of nodes.
+fn block_weights<T: Scalar>(
+    site: &Planes<T>,
+    env: &Planes<T>,
+    nodes: std::ops::Range<usize>,
+    dl: usize,
+    w: &mut Planes<T>,
+) {
+    let row = site.re.len() / dl;
+    w.fill_zero(nodes.len() * row);
+    for l in 0..dl {
+        let ar = &site.re[l * row..(l + 1) * row];
+        let ai = &site.im[l * row..(l + 1) * row];
+        for (q, node) in nodes.clone().enumerate() {
+            let (vr, vi) = (env.re[node * dl + l], env.im[node * dl + l]);
+            if vr == T::ZERO && vi == T::ZERO {
+                continue;
+            }
+            let wr = &mut w.re[q * row..(q + 1) * row];
+            let wi = &mut w.im[q * row..(q + 1) * row];
+            mac(vr, vi, ar, ai, wr, wi);
+        }
+    }
+}
+
+/// `w += v · a` on split planes: per element the arithmetic of
+/// `Complex: Mul` ([`cplx_mul_parts`]) followed by `Complex: AddAssign`.
+#[inline(always)]
+fn mac<T: Scalar>(vr: T, vi: T, ar: &[T], ai: &[T], wr: &mut [T], wi: &mut [T]) {
+    for (((wr, wi), &ar), &ai) in wr.iter_mut().zip(wi.iter_mut()).zip(ar).zip(ai) {
+        let (pr, pi) = cplx_mul_parts(vr, vi, ar, ai);
+        *wr += pr;
+        *wi += pi;
+    }
+}
+
+/// In-order `f64` sum of `norm_sqr` — [`site_branches`]' `p_b`.
+fn norm_sqr_sum<T: Scalar>(re: &[T], im: &[T]) -> f64 {
+    re.iter()
+        .zip(im)
+        .map(|(&r, &i)| cplx_norm_sqr_parts(r, i).to_f64())
+        .sum()
 }
 
 #[cfg(test)]
@@ -392,38 +469,6 @@ mod tests {
         let zeros = shots.iter().filter(|&&s| s == 0b00).count();
         assert_eq!(ones + zeros, m, "Bell shots must be 00 or 11");
         assert!((ones as f64 / m as f64 - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn naive_and_cached_agree_in_distribution() {
-        let mut rng = PhiloxRng::new(122, 0);
-        let n = 5;
-        let mut mps = Mps::<f64>::zero_state(n, exact());
-        for q in 0..n {
-            mps.apply_1q(&gates::ry(0.3 + 0.4 * q as f64), q);
-        }
-        for q in 0..n - 1 {
-            mps.apply_2q(&gates::cx(), q, q + 1);
-        }
-        let m = 30_000;
-        let naive = sample_shots_naive(&mps, m, &mut rng);
-        let cached = sample_shots_cached(&mut mps, m, &mut rng);
-        let mut h_naive = vec![0usize; 1 << n];
-        let mut h_cached = vec![0usize; 1 << n];
-        for &s in &naive {
-            h_naive[s as usize] += 1;
-        }
-        for &s in &cached {
-            h_cached[s as usize] += 1;
-        }
-        for i in 0..(1 << n) {
-            let a = h_naive[i] as f64 / m as f64;
-            let b = h_cached[i] as f64 / m as f64;
-            assert!(
-                (a - b).abs() < 0.015,
-                "outcome {i}: naive {a} vs cached {b}"
-            );
-        }
     }
 
     #[test]
@@ -477,25 +522,25 @@ mod tests {
         let mut mps = Mps::<f64>::zero_state(2, exact());
         let mut rng = PhiloxRng::new(125, 0);
         assert!(sample_shots_cached(&mut mps, 0, &mut rng).is_empty());
-        assert!(sample_shots_naive(&mps, 0, &mut rng).is_empty());
+        assert!(sample_shots_batched_one(&mut mps, 0, &mut rng).is_empty());
     }
 
     /// An entangled, noisy-ish state with some zero-amplitude branches.
-    fn scrambled(n: usize) -> Mps<f64> {
+    fn scrambled<T: Scalar>(n: usize) -> Mps<T> {
         let mut rng = PhiloxRng::new(777, 0);
-        let mut mps = Mps::<f64>::zero_state(n, exact());
+        let mut mps = Mps::<T>::zero_state(n, exact());
         for step in 0..2 * n {
-            let u = ptsbe_math::random::haar_unitary::<f64>(4, &mut rng);
+            let u = ptsbe_math::random::haar_unitary::<T>(4, &mut rng);
             let a = step % (n - 1);
             mps.apply_2q(&u, a, a + 1);
         }
         // A projector-like 1q Kraus op leaves unnormalized weight and an
         // exactly-impossible branch at site 0.
-        let k = ptsbe_math::Matrix::<f64>::from_vec(
+        let k = ptsbe_math::Matrix::<T>::from_vec(
             2,
             2,
             vec![
-                Complex::new(0.9, 0.0),
+                Complex::from_f64(0.9, 0.0),
                 Complex::zero(),
                 Complex::zero(),
                 Complex::zero(),
@@ -505,9 +550,30 @@ mod tests {
         mps
     }
 
+    /// `sample_shots_batched` over requests of `shots` equals
+    /// `sample_shots_cached` per request, and leaves every stream where
+    /// the sequential sweep left it.
+    fn assert_batched_matches_cached<T: Scalar>(mps: &mut Mps<T>, shots: &[usize], seed: u64) {
+        let stream = |t: usize| PhiloxRng::for_trajectory(seed, t as u64);
+        let mut seq_rngs: Vec<PhiloxRng> = (0..shots.len()).map(stream).collect();
+        let expect: Vec<Vec<u128>> = shots
+            .iter()
+            .zip(&mut seq_rngs)
+            .map(|(&m, rng)| sample_shots_cached(mps, m, rng))
+            .collect();
+        let mut rngs: Vec<PhiloxRng> = (0..shots.len()).map(stream).collect();
+        let mut reqs: Vec<(usize, &mut PhiloxRng)> =
+            shots.iter().copied().zip(rngs.iter_mut()).collect();
+        let got = sample_shots_batched(mps, &mut reqs);
+        assert!(expect == got, "batched sampling diverged from sequential");
+        for (t, (a, b)) in seq_rngs.iter_mut().zip(&mut rngs).enumerate() {
+            assert_eq!(a.next_u64(), b.next_u64(), "stream {t} ends elsewhere");
+        }
+    }
+
     #[test]
     fn batched_bitwise_matches_sequential() {
-        let mut mps = scrambled(6);
+        let mut mps = scrambled::<f64>(6);
         // Sequential reference: each request samples on its own stream
         // against the shared (canonicalized-once) state.
         let mut seq = Vec::new();
@@ -524,7 +590,7 @@ mod tests {
 
     #[test]
     fn batched_single_request_bitwise_matches_cached() {
-        let mut mps = scrambled(5);
+        let mut mps = scrambled::<f64>(5);
         let mut r1 = PhiloxRng::new(131, 0);
         let expect = sample_shots_cached(&mut mps, 1_000, &mut r1);
         let mut r2 = PhiloxRng::new(131, 0);
@@ -532,17 +598,156 @@ mod tests {
         assert_eq!(expect, got);
     }
 
+    /// The lockstep kernel's floats are `site_branches`' bit for bit:
+    /// branch weights and probabilities of a block of nodes (not the
+    /// first of the arena), environments with zero entries of either
+    /// sign included.
+    fn block_weights_match<T: Scalar>(seed: u64) {
+        let bits = |z: &Complex<T>| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits());
+        let mut rng = PhiloxRng::new(seed, 0);
+        for (dl, dr) in [
+            (1usize, 1usize),
+            (1, 2),
+            (5, 3),
+            (16, 16),
+            (64, 64),
+            (32, 7),
+        ] {
+            let m = ptsbe_math::random::random_matrix::<T>(2 * dl, dr, &mut rng);
+            let t = crate::tensor::Tensor3::from_matrix_lp_r(&m, dl);
+            let mut site = Planes::default();
+            for &z in &t.data {
+                site.push(z);
+            }
+            let envs: Vec<Vec<Complex<T>>> = (0..6)
+                .map(|k| {
+                    let mut v = ptsbe_math::random::random_matrix::<T>(dl, 1, &mut rng).into_vec();
+                    for (l, z) in v.iter_mut().enumerate() {
+                        if (l + k) % 3 == 0 {
+                            *z = Complex::new(T::from_f64(-0.0), T::ZERO);
+                        } else if (l + k) % 4 == 0 {
+                            *z = Complex::zero();
+                        }
+                    }
+                    v
+                })
+                .collect();
+            let mut env = Planes::default();
+            for &z in envs.iter().flatten() {
+                env.push(z);
+            }
+            let mut w = Planes::default();
+            block_weights(&site, &env, 2..6, dl, &mut w);
+            let row = 2 * dr;
+            for (q, node) in (2..6).enumerate() {
+                let (w0, w1, p0, p1) = site_branches(&t, &envs[node]);
+                let (wr, wi) = (&w.re[q * row..(q + 1) * row], &w.im[q * row..(q + 1) * row]);
+                let got: Vec<Complex<T>> = wr
+                    .iter()
+                    .zip(wi)
+                    .map(|(&r, &i)| Complex::new(r, i))
+                    .collect();
+                let want: Vec<Complex<T>> = w0.iter().chain(&w1).copied().collect();
+                let (got, want): (Vec<_>, Vec<_>) = (
+                    got.iter().map(bits).collect(),
+                    want.iter().map(bits).collect(),
+                );
+                assert!(got == want, "{dl}x{dr}, node {node}: w differs");
+                assert_eq!(norm_sqr_sum(&wr[..dr], &wi[..dr]).to_bits(), p0.to_bits());
+                assert_eq!(norm_sqr_sum(&wr[dr..], &wi[dr..]).to_bits(), p1.to_bits());
+            }
+        }
+    }
+
     #[test]
-    fn trie_capacity_fallback_stays_bitwise() {
-        let mut mps = scrambled(7);
-        let mut r1 = PhiloxRng::new(132, 0);
-        let expect = sample_shots_cached(&mut mps, 600, &mut r1);
-        // A cap this small forces the transient-tail fallback on nearly
-        // every shot after the first few expansions.
-        let mut trie = SampleTrie::<f64>::with_env_cap(256);
-        let mut r2 = PhiloxRng::new(132, 0);
-        let got: Vec<u128> = (0..600).map(|_| trie.sample_one(&mps, &mut r2)).collect();
-        assert_eq!(expect, got);
+    fn block_weights_equal_site_branches_bitwise() {
+        block_weights_match::<f64>(135);
+        block_weights_match::<f32>(136);
+    }
+
+    #[test]
+    fn zero_norm_state_draws_nothing() {
+        let mut mps = scrambled::<f64>(5);
+        mps.apply_1q(&ptsbe_math::Matrix::zeros(2, 2), 2);
+        let mut rng = PhiloxRng::new(133, 0);
+        let got = sample_shots_batched_one(&mut mps, 300, &mut rng);
+        assert!(got.iter().all(|&s| s == 0));
+        assert_eq!(rng.next_u64(), PhiloxRng::new(133, 0).next_u64());
+        assert_batched_matches_cached(&mut mps, &[40, 0, 7], 10);
+    }
+
+    /// Under a subnormal root total `u·total` rounds up to `p_0` for
+    /// about one uniform in 40 here, so the sequential sweep takes the
+    /// impossible branch and draws nothing at the second site.
+    #[test]
+    fn subnormal_root_total_keeps_the_sequential_cadence() {
+        let mut mps = Mps::<f64>::zero_state(2, exact());
+        mps.apply_1q(&ptsbe_math::Matrix::identity(2).scaled_real(1e-161), 0);
+        let mut rng = PhiloxRng::new(137, 0);
+        let shots = sample_shots_cached(&mut mps, 2_000, &mut rng);
+        assert!(shots.contains(&1) && shots.contains(&0));
+        assert_batched_matches_cached(&mut mps, &[500, 0, 300], 19);
+    }
+
+    #[test]
+    fn empty_requests_between_full_ones() {
+        let mut mps = scrambled::<f64>(6);
+        assert_batched_matches_cached(&mut mps, &[0, 50, 0, 0, 30, 0], 11);
+        assert_batched_matches_cached(&mut mps, &[0, 0], 12);
+        assert_batched_matches_cached(&mut mps, &[], 13);
+    }
+
+    #[test]
+    fn single_site_state() {
+        let mut mps = Mps::<f64>::zero_state(1, exact());
+        mps.apply_1q(&gates::ry(0.7), 0);
+        mps.apply_1q(&ptsbe_math::Matrix::identity(2).scaled_real(0.3), 0);
+        assert_batched_matches_cached(&mut mps, &[0, 300, 5], 14);
+    }
+
+    #[test]
+    fn single_precision_state() {
+        let mut mps = scrambled::<f32>(7);
+        assert_batched_matches_cached(&mut mps, &[200, 1, 333], 15);
+    }
+
+    #[test]
+    fn one_call_spans_several_blocks() {
+        let mut mps = scrambled::<f64>(7);
+        let block = block_shots(&mps);
+        assert_batched_matches_cached(&mut mps, &[2 * block + 37, 3], 16);
+    }
+
+    /// Requests that end exactly on, just before and just after a block
+    /// boundary: each block draws its uniforms from the streams it
+    /// overlaps, so a request split across blocks resumes its stream
+    /// where the previous block stopped.
+    #[test]
+    fn block_boundaries_stay_bitwise() {
+        let mut mps = scrambled::<f64>(7);
+        let block = block_shots(&mps);
+        assert_batched_matches_cached(&mut mps, &[block - 1, 1, block + 1, 0, block - 1, 2], 17);
+    }
+
+    /// Bond 256 in the middle of the chain (the MPS ceiling), random
+    /// site tensors: several blocks of a few hundred shots each.
+    #[test]
+    fn bond_256_state() {
+        let mut rng = PhiloxRng::new(134, 0);
+        let mut bonds: Vec<usize> = (0..=8).map(|k| 1 << k).collect();
+        bonds.extend((0..8).rev().map(|k| 1 << k));
+        let tensors = bonds
+            .windows(2)
+            .map(|d| {
+                let m = ptsbe_math::random::random_matrix::<f64>(2 * d[0], d[1], &mut rng);
+                crate::tensor::Tensor3::from_matrix_lp_r(&m, d[0])
+            })
+            .collect();
+        let mut mps = Mps::from_tensors(tensors);
+        assert_eq!(mps.max_bond_reached(), 256);
+        let block = block_shots(&mps);
+        assert!(2 * block < 1_100, "block of {block} shots");
+        assert_batched_matches_cached(&mut mps, &[600, 500], 18);
     }
 
     #[test]

@@ -223,31 +223,34 @@ proptest! {
         }
     }
 
-    /// Batched (prefix-trie) sampling is bitwise identical to the
-    /// sequential cached sweep on random circuits, across several
-    /// independent per-trajectory RNG streams.
+    /// Batched (lockstep) sampling is bitwise identical to the
+    /// sequential cached sweep on random circuits, across any number of
+    /// independent per-trajectory RNG streams with any shot counts
+    /// (empty requests included).
     #[test]
     fn batched_sampling_bitwise_matches_sequential(
         seed in 0u64..300,
         n in 2usize..7,
         ops in prop::collection::vec(
             (0usize..8, 0usize..8, prop::bool::ANY, -1.5f64..1.5), 1..20),
+        shots in prop::collection::vec(0usize..200, 1..7),
     ) {
         let c = random_circuit(n, &ops);
         let nc = NoisyCircuit::from_circuit(c);
         let compiled = compile_mps::<f64>(&nc).unwrap();
         let (mut mps, _) = prepare_mps(&compiled, &[], exact());
         let mut expect = Vec::new();
-        for t in 0..3u64 {
-            let mut rng = PhiloxRng::for_trajectory(seed, t);
+        for (t, &m) in shots.iter().enumerate() {
+            let mut rng = PhiloxRng::for_trajectory(seed, t as u64);
             expect.push(ptsbe_tensornet::sample::sample_shots_cached(
-                &mut mps, 64, &mut rng,
+                &mut mps, m, &mut rng,
             ));
         }
-        let mut rngs: Vec<PhiloxRng> =
-            (0..3).map(|t| PhiloxRng::for_trajectory(seed, t)).collect();
+        let mut rngs: Vec<PhiloxRng> = (0..shots.len())
+            .map(|t| PhiloxRng::for_trajectory(seed, t as u64))
+            .collect();
         let mut reqs: Vec<(usize, &mut PhiloxRng)> =
-            rngs.iter_mut().map(|r| (64usize, r)).collect();
+            shots.iter().copied().zip(rngs.iter_mut()).collect();
         let got = ptsbe_tensornet::sample::sample_shots_batched(&mut mps, &mut reqs);
         prop_assert_eq!(expect, got);
     }
