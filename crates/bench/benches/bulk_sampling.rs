@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ptsbe_math::gates;
 use ptsbe_rng::PhiloxRng;
-use ptsbe_statevector::{sampling, SamplingStrategy, StateVector};
+use ptsbe_statevector::{sampling, StateVector};
 use std::hint::black_box;
 
 fn uniform_state(n: usize) -> StateVector<f64> {
@@ -28,9 +28,7 @@ fn bench_sampling(c: &mut Criterion) {
     for m in [1_000usize, 100_000, 131_072, 500_000, 4_000_000] {
         group.bench_with_input(BenchmarkId::new("sorted_merge", m), &m, |b, &m| {
             let mut rng = PhiloxRng::new(1, 0);
-            b.iter(|| {
-                sampling::sample_shots(black_box(&sv), m, &mut rng, SamplingStrategy::SortedMerge)
-            });
+            b.iter(|| sampling::sample_sorted_merge(black_box(&sv), m, &mut rng));
         });
         group.bench_with_input(BenchmarkId::new("counted", m), &m, |b, &m| {
             let mut rng = PhiloxRng::new(2, 0);

@@ -130,9 +130,11 @@ pub trait Backend: Sync {
         pool.release(state);
     }
 
-    /// Whether [`Backend::sample`] mutates the state it samples from
-    /// (e.g. MPS gauge moves). When `false`, executors may sample several
-    /// trajectories from one shared prepared state without forking.
+    /// Whether [`Backend::sample`] mutates the state it samples from in a
+    /// way a later draw could see. Read only by the default
+    /// [`Backend::sample_batch`], which forks the state for every request
+    /// but the last when it is `true`; both production backends sample
+    /// without a visible trace and say `false`.
     fn sample_mutates_state(&self) -> bool {
         true
     }
@@ -167,22 +169,35 @@ pub trait Backend: Sync {
     ) -> Vec<u128>;
 
     /// Sample several shot requests — each with its own RNG stream —
-    /// from one shared prepared state, returning one record vector per
-    /// request in order. Executors call this for deduplicated
-    /// trajectories that end on the same state (only meaningful when
-    /// [`Backend::sample_mutates_state`] is `false`). Every
+    /// from one prepared state, returning one record vector per request
+    /// in order: the one sampling call every executor makes, once per
+    /// prepared state, for all the trajectories that end on it. Every
     /// implementation must be bitwise identical to calling
-    /// [`Backend::sample`] per request in order; the default does
-    /// exactly that, and backends override it to share per-state
-    /// sampling caches across requests.
+    /// [`Backend::sample`] per request on a freshly prepared copy of the
+    /// state. The default does exactly that: per-request `sample`, on a
+    /// [`Backend::fork`] for every request but the last when
+    /// [`Backend::sample_mutates_state`]; backends override it to share
+    /// per-state sampling work across requests.
     fn sample_batch<R: Rng + ?Sized>(
         &self,
         state: &mut Self::State,
         requests: &mut [(usize, &mut R)],
     ) -> Vec<Vec<u128>> {
+        let fork_until = if self.sample_mutates_state() {
+            requests.len().saturating_sub(1)
+        } else {
+            0
+        };
         requests
             .iter_mut()
-            .map(|(shots, rng)| self.sample(state, *shots, *rng))
+            .enumerate()
+            .map(|(i, (shots, rng))| {
+                if i < fork_until {
+                    self.sample(&mut self.fork(state), *shots, *rng)
+                } else {
+                    self.sample(state, *shots, *rng)
+                }
+            })
             .collect()
     }
 
@@ -199,12 +214,12 @@ pub trait Backend: Sync {
 /// Statevector backend (the paper's `nvidia` target).
 pub struct SvBackend<T: Scalar> {
     compiled: sv_exec::Compiled<T>,
-    strategy: SamplingStrategy,
 }
 
 impl<T: Scalar> SvBackend<T> {
     /// Compile a noisy circuit for repeated trajectory execution (gate
-    /// fusion on — the default every executor shares).
+    /// fusion on — the default every executor shares). `strategy` has
+    /// one value, [`SamplingStrategy::Auto`].
     ///
     /// # Errors
     /// Propagates [`sv_exec::ExecError`] (mid-circuit measurement, reset).
@@ -220,12 +235,11 @@ impl<T: Scalar> SvBackend<T> {
     /// Propagates [`sv_exec::ExecError`] (mid-circuit measurement, reset).
     pub fn new_with_fusion(
         nc: &NoisyCircuit,
-        strategy: SamplingStrategy,
+        _strategy: SamplingStrategy,
         fuse: bool,
     ) -> Result<Self, sv_exec::ExecError> {
         Ok(Self {
             compiled: sv_exec::compile_with(nc, fuse)?,
-            strategy,
         })
     }
 
@@ -303,7 +317,7 @@ impl<T: Scalar> Backend for SvBackend<T> {
         let measured = self.compiled.measured_qubits();
         // One extraction per distinct outcome where the strategy samples
         // counts, not one per shot.
-        sv_sampling::sample_words(state, shots, rng, self.strategy, |index| {
+        sv_sampling::sample_words(state, shots, rng, SamplingStrategy::Auto, |index| {
             ptsbe_rng::bits::extract_bits(u128::from(index), measured)
         })
     }
@@ -311,32 +325,30 @@ impl<T: Scalar> Backend for SvBackend<T> {
 
 // ---------------------------------------------------------------------------
 
-/// MPS sampling mode (paper Fig. 5 discussion).
+/// MPS sampling mode (paper Fig. 5 discussion): a single value, the
+/// lockstep sampler. The sequential reference sweep it is pinned against
+/// is [`ptsbe_tensornet::sample::sample_shots_cached`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MpsSampleMode {
     /// Canonicalize once, then advance every shot of every trajectory
     /// sharing a prepared state together, one site at a time: shots that
     /// share a bit prefix share its conditional contraction, and one pass
     /// over each site tensor serves every live prefix — the paper's
-    /// non-degenerate batched sampling. Bitwise identical to `Cached`.
+    /// non-degenerate batched sampling.
     #[default]
     Batched,
-    /// Canonicalize once, conditional-sample per shot (the projected
-    /// "cached intermediates" behavior; the sequential reference the
-    /// batched mode is pinned against).
-    Cached,
 }
 
 /// Tensor-network backend (the paper's `tensornet` target).
 pub struct MpsBackend<T: Scalar> {
     compiled: MpsCompiled<T>,
     config: MpsConfig,
-    mode: MpsSampleMode,
 }
 
 impl<T: Scalar> MpsBackend<T> {
     /// Compile a noisy circuit for MPS execution (gate fusion on — the
-    /// default every executor shares).
+    /// default every executor shares). `mode` has one value,
+    /// [`MpsSampleMode::Batched`].
     ///
     /// # Errors
     /// Propagates [`ptsbe_tensornet::MpsError`].
@@ -356,13 +368,12 @@ impl<T: Scalar> MpsBackend<T> {
     pub fn new_with_fusion(
         nc: &NoisyCircuit,
         config: MpsConfig,
-        mode: MpsSampleMode,
+        _mode: MpsSampleMode,
         fuse: bool,
     ) -> Result<Self, ptsbe_tensornet::MpsError> {
         Ok(Self {
             compiled: compile_mps_with(nc, fuse)?,
             config,
-            mode,
         })
     }
 
@@ -425,14 +436,7 @@ impl<T: Scalar> Backend for MpsBackend<T> {
         shots: usize,
         rng: &mut R,
     ) -> Vec<u128> {
-        let raw = match self.mode {
-            MpsSampleMode::Batched => {
-                ptsbe_tensornet::sample::sample_shots_batched_one(state, shots, rng)
-            }
-            MpsSampleMode::Cached => {
-                ptsbe_tensornet::sample::sample_shots_cached(state, shots, rng)
-            }
-        };
+        let raw = ptsbe_tensornet::sample::sample_shots_batched_one(state, shots, rng);
         let measured = self.compiled.measured_qubits();
         raw.into_iter()
             .map(|full| ptsbe_rng::bits::extract_bits(full, measured))
@@ -444,13 +448,6 @@ impl<T: Scalar> Backend for MpsBackend<T> {
         state: &mut Self::State,
         requests: &mut [(usize, &mut R)],
     ) -> Vec<Vec<u128>> {
-        let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::SampleBatch);
-        if self.mode != MpsSampleMode::Batched {
-            return requests
-                .iter_mut()
-                .map(|(shots, rng)| self.sample(state, *shots, *rng))
-                .collect();
-        }
         // One lockstep sweep amortizes the conditional contractions
         // across every shot of every trajectory ending on this state.
         let raw = ptsbe_tensornet::sample::sample_shots_batched(state, requests);
@@ -495,7 +492,7 @@ mod tests {
         let mps = MpsBackend::<f64>::new(
             &nc,
             MpsConfig::exact().with_max_bond(16),
-            MpsSampleMode::Cached,
+            MpsSampleMode::default(),
         )
         .unwrap();
         assert_eq!(sv.n_qubits(), 3);

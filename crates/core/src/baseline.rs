@@ -70,7 +70,7 @@ pub fn baseline_one_sv_into<T: Scalar, R: Rng + ?Sized>(
     advance_with(compiled, sv, 0..compiled.n_segments(), |_| {
         Pick::Uniform(rng.next_f64())
     });
-    let shot = sample_shots(sv, 1, rng, SamplingStrategy::SortedMerge)[0];
+    let shot = sample_shots(sv, 1, rng, SamplingStrategy::Auto)[0];
     u128::from(extract_bits(shot, compiled.measured_qubits()))
 }
 

@@ -161,23 +161,21 @@ impl BatchedExecutor {
         let base = range.start;
         let run_one = |(off, traj): (usize, &crate::plan::PlannedTrajectory)| {
             let idx = base + off;
-            let mut rng = PhiloxRng::for_trajectory(self.seed, idx as u64);
             let (mut state, realized) = {
                 let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Prep);
                 backend.prepare(&traj.choices)
             };
-            // Physically impossible trajectories (e.g. a damping branch on
-            // a qubit already in |0⟩) leave a zero state: no shots exist.
-            let shots = if realized > 0.0 {
-                let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Sample);
-                backend.sample(&mut state, traj.shots, &mut rng)
-            } else {
-                Vec::new()
+            let leaf = Leaf {
+                nc,
+                plan,
+                seed: self.seed,
+                realized,
             };
-            let mut meta = TrajectoryMeta::from_assignment(nc, idx, &traj.choices);
-            meta.realized_prob = realized;
-            meta.truncation = backend.truncation_stats(&state);
-            TrajectoryResult { meta, shots }
+            let (_, result) = leaf
+                .sample(backend, &mut state, &[idx])
+                .pop()
+                .expect("one trajectory in, one result out");
+            result
         };
         let trajectories = fan_out(
             self.parallel,
@@ -431,11 +429,8 @@ impl<B: Backend> TreeCtx<'_, B> {
     }
 
     /// Finish a leaf: apply the trailing gate segment (fires no site),
-    /// then sample every trajectory ending here on its own Philox
-    /// stream. Duplicate assignments share the prepared state but sample
-    /// from a fork each when the backend's sampling mutates state, so
-    /// their records match what a flat executor draws from a freshly
-    /// prepared state.
+    /// then sample every trajectory ending here from the one prepared
+    /// state, each on its own Philox stream.
     fn emit_leaf(
         &self,
         seed: u64,
@@ -451,69 +446,68 @@ impl<B: Backend> TreeCtx<'_, B> {
             self.backend
                 .advance(&mut state, node.depth..self.backend.n_segments(), choices)
         };
-        let fork_per_leaf = self.backend.sample_mutates_state();
-        out.reserve(node.leaves.len());
-        if !fork_per_leaf && node.leaves.len() > 1 && realized > 0.0 {
-            // Deduplicated trajectories ending on this state sample in
-            // one batched call: per-state caches are shared while each
-            // trajectory keeps its own absolute-plan-index Philox
-            // stream, so the records stay bitwise identical to the
-            // per-leaf loop below.
-            let mut rngs: Vec<PhiloxRng> = node
-                .leaves
-                .iter()
-                .map(|&idx| PhiloxRng::for_trajectory(seed, idx as u64))
-                .collect();
-            let mut requests: Vec<(usize, &mut PhiloxRng)> = node
-                .leaves
-                .iter()
-                .zip(rngs.iter_mut())
-                .map(|(&idx, rng)| (self.plan.trajectories[idx].shots, rng))
-                .collect();
-            let batches = {
-                let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Sample);
-                self.backend.sample_batch(&mut state, &mut requests)
-            };
-            for (&idx, shots) in node.leaves.iter().zip(batches) {
-                let traj = &self.plan.trajectories[idx];
-                let mut meta = TrajectoryMeta::from_assignment(self.nc, idx, &traj.choices);
-                meta.realized_prob = realized;
-                meta.truncation = self.backend.truncation_stats(&state);
-                out.push((idx, TrajectoryResult { meta, shots }));
-            }
-            self.backend.release(state, self.pool);
-            return;
-        }
-        for (i, &idx) in node.leaves.iter().enumerate() {
-            let traj = &self.plan.trajectories[idx];
-            let mut rng = PhiloxRng::for_trajectory(seed, idx as u64);
-            let shots = if realized > 0.0 {
-                let mut leaf_state = if !fork_per_leaf || i + 1 == node.leaves.len() {
-                    None
-                } else {
-                    Some(self.backend.fork_pooled(&state, self.pool))
-                };
-                let st = leaf_state.as_mut().unwrap_or(&mut state);
-                let shots = {
-                    let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Sample);
-                    self.backend.sample(st, traj.shots, &mut rng)
-                };
-                if let Some(s) = leaf_state {
-                    self.backend.release(s, self.pool);
-                }
-                shots
-            } else {
-                Vec::new()
-            };
-            let mut meta = TrajectoryMeta::from_assignment(self.nc, idx, &traj.choices);
-            meta.realized_prob = realized;
-            // Sampling never truncates (gauge moves are QR-only), so the
-            // shared node state's stats hold for a forked leaf too.
-            meta.truncation = self.backend.truncation_stats(&state);
-            out.push((idx, TrajectoryResult { meta, shots }));
-        }
+        let leaf = Leaf {
+            nc: self.nc,
+            plan: self.plan,
+            seed,
+            realized,
+        };
+        out.extend(leaf.sample(self.backend, &mut state, &node.leaves));
         // The leaf's own buffers go back to the arena for the next fork.
         self.backend.release(state, self.pool);
+    }
+}
+
+/// The trajectories that end on one prepared state: Batched Execution's
+/// sampling step, the one all three executors go through.
+struct Leaf<'a> {
+    nc: &'a NoisyCircuit,
+    plan: &'a PtsPlan,
+    seed: u64,
+    /// The state's realized trajectory probability.
+    realized: f64,
+}
+
+impl Leaf<'_> {
+    /// Draw the shots of every trajectory in `leaves` (plan indices) from
+    /// `state` in one [`Backend::sample_batch`] call, trajectory `i` on
+    /// Philox stream `for_trajectory(seed, i)`, and attach provenance —
+    /// `(plan index, result)` pairs in `leaves` order. A physically
+    /// impossible trajectory (e.g. a damping branch on a qubit already in
+    /// `|0⟩`) leaves a zero state, `realized == 0`: no shots exist.
+    fn sample<B: Backend>(
+        &self,
+        backend: &B,
+        state: &mut B::State,
+        leaves: &[usize],
+    ) -> Vec<(usize, TrajectoryResult)> {
+        let trajs = &self.plan.trajectories;
+        let shots = if self.realized > 0.0 {
+            let mut rngs: Vec<PhiloxRng> = leaves
+                .iter()
+                .map(|&idx| PhiloxRng::for_trajectory(self.seed, idx as u64))
+                .collect();
+            let mut requests: Vec<(usize, &mut PhiloxRng)> = leaves
+                .iter()
+                .map(|&idx| trajs[idx].shots)
+                .zip(rngs.iter_mut())
+                .collect();
+            let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Sample);
+            backend.sample_batch(state, &mut requests)
+        } else {
+            vec![Vec::new(); leaves.len()]
+        };
+        let truncation = backend.truncation_stats(state);
+        leaves
+            .iter()
+            .zip(shots)
+            .map(|(&idx, shots)| {
+                let mut meta = TrajectoryMeta::from_assignment(self.nc, idx, &trajs[idx].choices);
+                meta.realized_prob = self.realized;
+                meta.truncation = truncation;
+                (idx, TrajectoryResult { meta, shots })
+            })
+            .collect()
     }
 }
 
@@ -590,7 +584,7 @@ impl BatchConfig {
 /// [`BatchedExecutor`] with the same seed: every lane applies exactly
 /// the flat op sequence through kernels that share their arithmetic with
 /// the scalar path, and every trajectory samples through
-/// [`Backend::sample`] on its own Philox stream keyed by plan index.
+/// [`Backend::sample_batch`] on its own Philox stream keyed by plan index.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchMajorExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
@@ -693,96 +687,77 @@ impl BatchMajorExecutor {
         // Collapse duplicate assignments: lanes hold *unique* assignments
         // only. State preparation is deterministic given the assignment,
         // so every duplicate would produce a bitwise-identical lane;
-        // instead each duplicate samples from the shared prepared lane on
-        // its own Philox stream (keyed by absolute plan index, exactly as
-        // before), which is the flat executor's output bit for bit. At
-        // low noise most sampled trajectories are the all-identity
-        // assignment, so this removes the bulk of the sweep work — the
-        // same duplicate-sharing the tree executor gets from trie leaves.
+        // instead the lane is sampled once for all of them, each on its
+        // own Philox stream (keyed by absolute plan index), which is the
+        // flat executor's output bit for bit. At low noise most sampled
+        // trajectories are the all-identity assignment, so this removes
+        // the bulk of the sweep work — the same duplicate-sharing the
+        // tree executor gets from trie leaves. `leaves_of[u]` holds the
+        // plan indices of unique assignment `u`, in first-seen order.
         let mut unique_of: std::collections::HashMap<&[usize], usize> =
             std::collections::HashMap::new();
-        let mut uniques: Vec<&[usize]> = Vec::new();
-        let mut lane_of: Vec<usize> = Vec::with_capacity(trajs.len());
-        for t in trajs {
+        let mut leaves_of: Vec<Vec<usize>> = Vec::new();
+        for (j, t) in trajs.iter().enumerate() {
             assert_eq!(
                 t.choices.len(),
                 n_sites,
                 "assignment length does not match site count"
             );
-            let id = *unique_of.entry(t.choices.as_slice()).or_insert_with(|| {
-                uniques.push(t.choices.as_slice());
-                uniques.len() - 1
+            let u = *unique_of.entry(t.choices.as_slice()).or_insert_with(|| {
+                leaves_of.push(Vec::new());
+                leaves_of.len() - 1
             });
-            lane_of.push(id);
+            leaves_of[u].push(base + j);
         }
-        // Trajectories bucketed by the lane group their unique assignment
-        // landed in; each group prepares its lanes once and samples every
-        // member trajectory from them.
-        let n_groups = uniques.len().div_ceil(lanes);
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        for (j, &u) in lane_of.iter().enumerate() {
-            members[u / lanes].push(j);
-        }
-        let run_group = |(g, group_members): (usize, Vec<usize>)| {
-            let lo = g * lanes;
-            let hi = (lo + lanes).min(uniques.len());
-            let group_width = hi - lo;
-            let choices = &uniques[lo..hi];
+        let run_group = |group: &[Vec<usize>]| {
+            let choices: Vec<&[usize]> = group
+                .iter()
+                .map(|leaves| plan.trajectories[leaves[0]].choices.as_slice())
+                .collect();
             let mut state_batch = match pool.acquire() {
                 Some(mut recycled) => {
-                    recycled.reinit(n_qubits, group_width);
+                    recycled.reinit(n_qubits, group.len());
                     recycled
                 }
-                None => batch::StateBatch::zero_states(n_qubits, group_width),
+                None => batch::StateBatch::zero_states(n_qubits, group.len()),
             };
-            let mut realized = vec![1.0f64; group_width];
+            let mut realized = vec![1.0f64; group.len()];
             {
                 let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Prep);
                 batch::advance_batch(
                     compiled,
                     &mut state_batch,
                     0..n_segments,
-                    choices,
+                    &choices,
                     &mut realized,
                 );
             }
-            // One scratch state per group: each trajectory's lane is
-            // gathered into it and bulk-sampled through the backend's own
-            // sampler, so the records are the ones a flat executor would
-            // draw. Re-extracting per trajectory (not per lane) keeps
-            // duplicates correct even when sampling mutates the scratch.
+            // One scratch state per group: each lane is gathered into it
+            // once and sampled through the backend's own sampler for
+            // every trajectory it serves.
             let mut scratch = StateVector::zero_state(n_qubits);
-            let results = group_members
-                .into_iter()
-                .map(|j| {
-                    let traj = &trajs[j];
-                    let lane = lane_of[j] - lo;
-                    let idx = base + j;
-                    let mut rng = PhiloxRng::for_trajectory(self.seed, idx as u64);
-                    let shots = if realized[lane] > 0.0 {
-                        state_batch.extract_lane_into(lane, &mut scratch);
-                        let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Sample);
-                        backend.sample(&mut scratch, traj.shots, &mut rng)
-                    } else {
-                        Vec::new()
-                    };
-                    let mut meta = TrajectoryMeta::from_assignment(nc, idx, &traj.choices);
-                    meta.realized_prob = realized[lane];
-                    (j, TrajectoryResult { meta, shots })
-                })
-                .collect::<Vec<_>>();
+            let mut results = Vec::new();
+            for (lane, leaves) in group.iter().enumerate() {
+                state_batch.extract_lane_into(lane, &mut scratch);
+                let leaf = Leaf {
+                    nc,
+                    plan,
+                    seed: self.seed,
+                    realized: realized[lane],
+                };
+                results.extend(leaf.sample(backend, &mut scratch, leaves));
+            }
             pool.release(state_batch);
             results
         };
-        let groups: Vec<(usize, Vec<usize>)> = members.into_iter().enumerate().collect();
-        // Scatter back to plan order: groups emit (position, result)
-        // pairs because duplicate collapse unorders the traversal.
+        // Scatter back to plan order: duplicate collapse unorders the
+        // traversal.
         let mut slots: Vec<Option<TrajectoryResult>> = (0..trajs.len()).map(|_| None).collect();
-        for (j, r) in fan_out(self.parallel, groups, run_group)
+        for (idx, r) in fan_out(self.parallel, leaves_of.chunks(lanes).collect(), run_group)
             .into_iter()
             .flatten()
         {
-            slots[j] = Some(r);
+            slots[idx - base] = Some(r);
         }
         let trajectories = slots
             .into_iter()
@@ -1083,7 +1058,7 @@ mod tests {
         let plan = ProbabilisticPts {
             n_samples: 60,
             shots_per_trajectory: 40,
-            dedup: false, // duplicates exercise the shared-leaf fork path
+            dedup: false, // duplicates exercise the shared-leaf batch path
         }
         .sample_plan(&nc, &mut rng);
         let flat = BatchedExecutor {
@@ -1107,11 +1082,56 @@ mod tests {
         }
     }
 
+    /// [`MpsBackend`](crate::backend::MpsBackend) sampling through the
+    /// sequential reference sweep
+    /// ([`ptsbe_tensornet::sample::sample_shots_cached`]) instead of the
+    /// lockstep sampler — the oracle the batched tree walk is pinned to.
+    struct CachedSweep(crate::backend::MpsBackend<f64>);
+
+    impl Backend for CachedSweep {
+        type State = ptsbe_tensornet::Mps<f64>;
+
+        fn n_qubits(&self) -> usize {
+            self.0.n_qubits()
+        }
+        fn measured_qubits(&self) -> &[usize] {
+            self.0.measured_qubits()
+        }
+        fn n_segments(&self) -> usize {
+            self.0.n_segments()
+        }
+        fn initial_state(&self) -> Self::State {
+            self.0.initial_state()
+        }
+        fn advance(
+            &self,
+            state: &mut Self::State,
+            segments: std::ops::Range<usize>,
+            choices: &[usize],
+        ) -> f64 {
+            self.0.advance(state, segments, choices)
+        }
+        fn fork(&self, state: &Self::State) -> Self::State {
+            self.0.fork(state)
+        }
+        fn sample<R: ptsbe_rng::Rng + ?Sized>(
+            &self,
+            state: &mut Self::State,
+            shots: usize,
+            rng: &mut R,
+        ) -> Vec<u128> {
+            ptsbe_tensornet::sample::sample_shots_cached(state, shots, rng)
+                .into_iter()
+                .map(|full| ptsbe_rng::bits::extract_bits(full, self.measured_qubits()))
+                .collect()
+        }
+    }
+
     #[test]
     fn mps_tree_batched_bitwise_matches_sequential_flat() {
-        // Batched prefix-trie sampling over the tree walk (shared leaf
-        // states, one sample_batch call per node) must reproduce —
-        // bitwise — a flat execution with the sequential cached sweep.
+        // Lockstep sampling over the tree walk (shared leaf states, one
+        // sample_batch call per leaf) must reproduce — bitwise — a flat
+        // execution with the sequential cached sweep.
         use crate::backend::{MpsBackend, MpsSampleMode};
         use ptsbe_tensornet::MpsConfig;
         let nc = noisy_bell(0.15);
@@ -1122,15 +1142,16 @@ mod tests {
             dedup: false, // duplicates exercise the shared-leaf batch path
         }
         .sample_plan(&nc, &mut rng);
-        let sequential =
-            MpsBackend::<f64>::new(&nc, MpsConfig::exact(), MpsSampleMode::Cached).unwrap();
+        let batched =
+            MpsBackend::<f64>::new(&nc, MpsConfig::exact(), MpsSampleMode::Batched).unwrap();
+        let sequential = CachedSweep(
+            MpsBackend::<f64>::new(&nc, MpsConfig::exact(), MpsSampleMode::Batched).unwrap(),
+        );
         let flat = BatchedExecutor {
             seed: 7,
             parallel: false,
         }
         .execute(&sequential, &nc, &plan);
-        let batched =
-            MpsBackend::<f64>::new(&nc, MpsConfig::exact(), MpsSampleMode::Batched).unwrap();
         for parallel in [false, true] {
             let tree = TreeExecutor { seed: 7, parallel }.execute(&batched, &nc, &plan);
             assert_eq!(tree.trajectories.len(), flat.trajectories.len());
@@ -1142,6 +1163,98 @@ mod tests {
                     "realized probability must be bitwise identical"
                 );
                 assert_eq!(a.shots, b.shots, "shots must be bitwise identical");
+            }
+        }
+    }
+
+    /// [`SvBackend`] whose sampling leaves a visible trace: after drawing
+    /// it resets the state to `|0…0⟩`, so a second draw from the same
+    /// state would come out all zeros.
+    struct Resetting(SvBackend<f64>);
+
+    impl Backend for Resetting {
+        type State = StateVector<f64>;
+
+        fn n_qubits(&self) -> usize {
+            self.0.n_qubits()
+        }
+        fn measured_qubits(&self) -> &[usize] {
+            self.0.measured_qubits()
+        }
+        fn n_segments(&self) -> usize {
+            self.0.n_segments()
+        }
+        fn initial_state(&self) -> Self::State {
+            self.0.initial_state()
+        }
+        fn advance(
+            &self,
+            state: &mut Self::State,
+            segments: std::ops::Range<usize>,
+            choices: &[usize],
+        ) -> f64 {
+            self.0.advance(state, segments, choices)
+        }
+        fn fork(&self, state: &Self::State) -> Self::State {
+            self.0.fork(state)
+        }
+        fn sample_mutates_state(&self) -> bool {
+            true
+        }
+        fn sample<R: ptsbe_rng::Rng + ?Sized>(
+            &self,
+            state: &mut Self::State,
+            shots: usize,
+            rng: &mut R,
+        ) -> Vec<u128> {
+            let out = self.0.sample(state, shots, rng);
+            state.reset_zero();
+            out
+        }
+    }
+
+    #[test]
+    fn default_sample_batch_forks_for_a_mutating_sampler() {
+        let nc = noisy_bell(0.2);
+        let backend = Resetting(SvBackend::new(&nc, SamplingStrategy::Auto).unwrap());
+        let choices = nc.identity_assignment().unwrap();
+        let shots = [40, 25, 40];
+        let mut rngs: Vec<PhiloxRng> = (0..shots.len() as u64)
+            .map(|i| PhiloxRng::for_trajectory(3, i))
+            .collect();
+        let mut requests: Vec<(usize, &mut PhiloxRng)> =
+            shots.iter().copied().zip(rngs.iter_mut()).collect();
+        let (mut shared, _) = backend.prepare(&choices);
+        let batched = backend.sample_batch(&mut shared, &mut requests);
+        for (i, (&m, got)) in shots.iter().zip(&batched).enumerate() {
+            let (mut fresh, _) = backend.prepare(&choices);
+            let want = backend.sample(&mut fresh, m, &mut PhiloxRng::for_trajectory(3, i as u64));
+            assert_eq!(*got, want, "request {i}");
+        }
+        assert!(batched.iter().all(|s| s.iter().any(|&w| w != 0)));
+
+        // Duplicates share a tree leaf, so the walk reaches the fork too.
+        let mut rng = PhiloxRng::new(171, 0);
+        let plan = ProbabilisticPts {
+            n_samples: 40,
+            shots_per_trajectory: 30,
+            dedup: false,
+        }
+        .sample_plan(&nc, &mut rng);
+        let tree = PtsPlanTree::from_plan(&plan);
+        assert!((0..tree.n_nodes()).any(|i| tree.node(i).leaves.len() > 1));
+        let flat = BatchedExecutor {
+            seed: 5,
+            parallel: false,
+        }
+        .execute(&backend, &nc, &plan);
+        for parallel in [false, true] {
+            let walked =
+                TreeExecutor { seed: 5, parallel }.execute_tree(&backend, &nc, &plan, &tree);
+            assert_eq!(walked.trajectories.len(), flat.trajectories.len());
+            for (a, b) in walked.trajectories.iter().zip(&flat.trajectories) {
+                assert_eq!(a.meta.choices, b.meta.choices);
+                assert_eq!(a.shots, b.shots, "parallel {parallel}");
             }
         }
     }

@@ -38,10 +38,10 @@ const QR_FIRST_ASPECT: usize = 2;
 const QRCP_MIN_DIM: usize = 64;
 
 /// Thin SVD with a shape-aware front end. Matrices whose small side is
-/// at least [`QRCP_MIN_DIM`] go through the rank-revealing,
-/// doubly-preconditioned route ([`svd_qrcp`]) regardless of aspect —
+/// at least `QRCP_MIN_DIM` (64) go through the rank-revealing,
+/// doubly-preconditioned route (`svd_qrcp`) regardless of aspect —
 /// the dominant win on MPS two-site updates. Smaller matrices with
-/// aspect ≥ [`QR_FIRST_ASPECT`] factor the long dimension away with one
+/// aspect ≥ `QR_FIRST_ASPECT` (2) factor the long dimension away with one
 /// Householder QR pass and iterate only on the `k×k` core
 /// (`k = min(m, n)`); small near-square inputs fall through to [`svd`]
 /// untouched (bitwise identical).
@@ -196,7 +196,7 @@ fn svd_qrcp<T: Scalar>(a: &Matrix<T>) -> Svd<T> {
 /// Compute the thin SVD of `a`.
 ///
 /// # Panics
-/// Panics if the iteration fails to converge within [`MAX_SWEEPS`] sweeps
+/// Panics if the iteration fails to converge within `MAX_SWEEPS` (60) sweeps
 /// (practically unreachable for the well-scaled matrices produced by gate
 /// applications).
 pub fn svd<T: Scalar>(a: &Matrix<T>) -> Svd<T> {

@@ -30,7 +30,7 @@
 
 use crate::cache::{FrameEntry, MpsEntry, SvEntry};
 use crate::job::JobSpec;
-use crate::router::BatchGeometry;
+use crate::router::{BatchGeometry, EnginePolicy};
 use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
@@ -381,12 +381,13 @@ impl<T: Scalar> EngineExec<T> {
         matches!(self, EngineExec::MpsTree { .. })
     }
 
-    /// Whether a fatal runtime failure of this engine may re-route the
-    /// job to a dense fallback: only the MPS engine, whose merged
+    /// Whether a fatal runtime failure of this engine may re-route
+    /// `spec`'s job to a dense fallback: only the MPS engine, whose merged
     /// delivery behind a lazily-written header guarantees nothing reached
-    /// the sink while any of its chunks can still fail.
-    pub(crate) fn dense_fallback_allowed(&self) -> bool {
-        self.merged_delivery()
+    /// the sink while any of its chunks can still fail, and only when the
+    /// router chose it — a job that forced its engine fails instead.
+    pub(crate) fn dense_fallback_allowed(&self, spec: &JobSpec) -> bool {
+        spec.engine == EnginePolicy::Auto && self.merged_delivery()
     }
 }
 

@@ -673,7 +673,7 @@ fn run_chunk<T: Scalar>(
         // skips the retry loop entirely and lands on the degradation
         // path — exactly like a real engine blowing up at runtime.
         let injected_fatal = |exec: &EngineExec<T>| {
-            exec.dense_fallback_allowed()
+            exec.kind() == EngineKind::MpsTree
                 && shared
                     .faults
                     .as_ref()
@@ -737,7 +737,10 @@ fn run_chunk<T: Scalar>(
                 deliver(shared, job, generation, index, out.records);
             }
             Err(msg) => {
-                if let Some(exec) = exec.as_deref().filter(|e| e.dense_fallback_allowed()) {
+                if let Some(exec) = exec
+                    .as_deref()
+                    .filter(|e| e.dense_fallback_allowed(&job.spec))
+                {
                     // The job was re-planned onto a fallback engine (or
                     // failed for good) here or by a sibling: this chunk
                     // is superseded — no accounting against the new plan.
@@ -811,15 +814,15 @@ fn deliver<T: Scalar>(
 }
 
 /// Graceful engine degradation: a chunk of route `generation` failed
-/// for good on engine `from` (the MPS engine — the only one that allows
-/// a dense fallback). Exactly one of the route's failing chunks wins
-/// [`JobInner::supersede`]; from that moment every sibling is stale, and
-/// the winner alone decides the job: it re-plans the job once onto a
-/// dense fallback (the route records the failed engine) *if nothing
-/// reached the sink yet* — which an MPS job's merged delivery behind a
-/// lazy header guarantees while any of its chunks can still fail — and
-/// otherwise fails and settles it with `msg`. The fallback is dense, so
-/// it gets no fallback of its own.
+/// for good on engine `from` (the MPS engine of a job the router chose
+/// it for — the only case that allows a dense fallback). Exactly one of
+/// the route's failing chunks wins [`JobInner::supersede`]; from that
+/// moment every sibling is stale, and the winner alone decides the job:
+/// it re-plans the job once onto a dense fallback (the route records the
+/// failed engine) *if nothing reached the sink yet* — which an MPS job's
+/// merged delivery behind a lazy header guarantees while any of its
+/// chunks can still fail — and otherwise fails and settles it with
+/// `msg`. The fallback is dense, so it gets no fallback of its own.
 fn degrade<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,

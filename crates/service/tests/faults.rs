@@ -471,6 +471,37 @@ fn fatal_mps_failure_degrades_to_dense_fallback() {
     assert_eq!(bytes, dense_bytes, "degraded bytes must match a dense run");
 }
 
+/// `EnginePolicy::Force` requires its engine at run time too: a forced
+/// MPS job whose chunks fail fatally fails with the chunk's message
+/// instead of re-routing onto a dense engine.
+#[test]
+fn fatal_failure_of_a_forced_mps_job_fails_it() {
+    let nc = bell_circuit(0.3);
+    let plan = plan_for(&nc, 20, 3, 3);
+    let spec = JobSpec::new("forced-mps", nc, plan, 21)
+        .with_engine(EnginePolicy::Force(EngineKind::MpsTree));
+    let cfg = faulted(
+        FaultConfig {
+            mps_fatal: 1.0,
+            ..FaultConfig::default()
+        },
+        2,
+    );
+    let (_, report, metrics) = run_with(spec, cfg);
+    assert_eq!(report.status, JobStatus::Failed, "{report:?}");
+    assert_eq!(report.engine, Some(EngineKind::MpsTree), "{report:?}");
+    assert!(
+        report
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("injected fatal engine failure")),
+        "{report:?}"
+    );
+    assert_eq!(metrics.engine_fallbacks, 0);
+    assert_eq!((metrics.jobs_done, metrics.jobs_failed), (0, 1));
+    assert_eq!(report.records, 0, "a failed merge writes no record");
+}
+
 /// Degradation stays exactly-once with several MPS chunks in flight:
 /// whichever subset of them fails fatally — all, or some while healthy
 /// siblings finish before, during and after the re-route (chunks are

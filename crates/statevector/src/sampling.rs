@@ -6,20 +6,21 @@
 //! samplers are implemented, both deterministic under a Philox stream and
 //! both emitting outcomes in ascending basis-index order:
 //!
-//! - **sorted merge** ([`SamplingStrategy::SortedMerge`]): draw `m`
-//!   sorted uniforms in O(m) ([`ptsbe_rng::sorted`]), then resolve all of
-//!   them in a *single* streaming pass over the amplitudes — O(2ⁿ + m),
+//! - **sorted merge** ([`sample_sorted_merge`]): draw `m` sorted
+//!   uniforms in O(m) ([`ptsbe_rng::sorted`]), then resolve all of them
+//!   in a *single* streaming pass over the amplitudes — O(2ⁿ + m),
 //!   parallelized over amplitude blocks. One logarithm per shot.
 //! - **counted** ([`sample_counts`]): the shots of one state are a
 //!   multinomial histogram, drawn directly as one conditional binomial
 //!   per amplitude ([`ptsbe_rng::binomial`]) — O(2ⁿ) whatever `m` is, and
 //!   the caller gets `(outcome, count)` pairs instead of `m` words.
 //!
-//! [`SamplingStrategy::Auto`] takes the counted sampler from
-//! `m ≥ 2·2ⁿ` and the merge below, a rule in `m` and the state size
-//! only. That is the crossover the `bulk_sampling` bench measures on the
-//! state that is hardest on the counted sampler (uniform, 16 qubits: no
-//! amplitude can be skipped), two cores, mean per call:
+//! [`sample_shots`] takes the counted sampler from `m ≥ 2·2ⁿ` and the
+//! merge below ([`SamplingStrategy::Auto`], the one strategy), a rule in
+//! `m` and the state size only. That is the crossover the
+//! `bulk_sampling` bench measures on the state that is hardest on the
+//! counted sampler (uniform, 16 qubits: no amplitude can be skipped),
+//! two cores, mean per call:
 //!
 //! ```text
 //! m                  sorted_merge     counted
@@ -48,21 +49,20 @@ use rayon::prelude::*;
 
 use crate::state::StateVector;
 
-/// Bulk sampling strategy selection.
+/// Bulk sampling strategy: a single value. The sorted merge at every
+/// `m` is [`sample_sorted_merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingStrategy {
     /// The counted sampler from `m ≥ 2·2ⁿ`, the sorted merge below.
     #[default]
     Auto,
-    /// Sorted-uniform single-pass merge (O(2^n + m)) at every `m`.
-    SortedMerge,
 }
 
 impl SamplingStrategy {
     /// Whether this strategy samples `m` shots of a `n_amps`-amplitude
     /// state as counts ([`sample_counts`]) rather than shot by shot.
     pub fn is_counted(self, m: usize, n_amps: usize) -> bool {
-        self == SamplingStrategy::Auto && m >= n_amps.saturating_mul(COUNTED_MIN_SHOTS_PER_AMP)
+        m >= n_amps.saturating_mul(COUNTED_MIN_SHOTS_PER_AMP)
     }
 }
 
@@ -204,7 +204,11 @@ fn chain<T: Scalar, R: Rng + ?Sized>(
     left
 }
 
-fn sample_sorted_merge<T: Scalar, R: Rng + ?Sized>(
+/// Draw `m` basis-index shots from `|ψ|²` by the sorted merge at any
+/// `m`: `m` sorted uniforms resolved in one pass over the amplitudes,
+/// O(2ⁿ + m), parallel over amplitude blocks from 2¹⁴ amplitudes up.
+/// Shots come out in ascending index order.
+pub fn sample_sorted_merge<T: Scalar, R: Rng + ?Sized>(
     sv: &StateVector<T>,
     m: usize,
     rng: &mut R,
@@ -324,7 +328,7 @@ mod tests {
     fn bell_shots_only_00_and_11() {
         let sv = bell();
         let mut rng = PhiloxRng::new(70, 0);
-        let shots = sample_shots(&sv, 10_000, &mut rng, SamplingStrategy::SortedMerge);
+        let shots = sample_sorted_merge(&sv, 10_000, &mut rng);
         assert_eq!(shots.len(), 10_000);
         let ones = shots.iter().filter(|&&s| s == 0b11).count();
         let zeros = shots.iter().filter(|&&s| s == 0b00).count();
@@ -344,8 +348,9 @@ mod tests {
     fn deterministic_state_always_same_shot() {
         let sv = StateVector::<f64>::basis_state(4, 0b1010);
         let mut rng = PhiloxRng::new(73, 0);
-        for strategy in [SamplingStrategy::SortedMerge, SamplingStrategy::Auto] {
-            let shots = sample_shots(&sv, 1000, &mut rng, strategy);
+        let merged = sample_sorted_merge(&sv, 1000, &mut rng);
+        let auto = sample_shots(&sv, 1000, &mut rng, SamplingStrategy::Auto);
+        for shots in [merged, auto] {
             assert!(shots.iter().all(|&s| s == 0b1010));
         }
         assert_eq!(sample_counts(&sv, 1000, &mut rng), [(0b1010, 1000)]);
@@ -361,7 +366,7 @@ mod tests {
         }
         let mut rng = PhiloxRng::new(74, 0);
         let m = 200_000;
-        let shots = sample_shots(&sv, m, &mut rng, SamplingStrategy::SortedMerge);
+        let shots = sample_sorted_merge(&sv, m, &mut rng);
         assert_eq!(shots.len(), m);
         // Uniform distribution: each qubit marginal ~ 0.5.
         for q in 0..n {
@@ -505,12 +510,7 @@ mod tests {
         let (stat, dof) = chi2_against_state(&sv, &counts);
         assert!(dof > 15_000, "pooling kept {dof} cells");
         assert!(stat < chi2_limit(dof), "counted: chi2 {stat:.0} on {dof}");
-        let merged = sample_shots(
-            &sv,
-            m,
-            &mut PhiloxRng::new(79, 0),
-            SamplingStrategy::SortedMerge,
-        );
+        let merged = sample_sorted_merge(&sv, m, &mut PhiloxRng::new(79, 0));
         let mut runs: Vec<(u64, u64)> = Vec::new();
         for s in merged {
             match runs.last_mut() {
@@ -534,16 +534,10 @@ mod tests {
         let auto = SamplingStrategy::Auto;
         assert!(!auto.is_counted(2 * 1024 - 1, 1024));
         assert!(auto.is_counted(2 * 1024, 1024));
-        assert!(!SamplingStrategy::SortedMerge.is_counted(1 << 30, 4));
         // Below the switch Auto is the merge, draw for draw.
         let sv = uniform::<f64>(10);
         let a = sample_shots(&sv, 2_047, &mut PhiloxRng::new(5, 0), auto);
-        let b = sample_shots(
-            &sv,
-            2_047,
-            &mut PhiloxRng::new(5, 0),
-            SamplingStrategy::SortedMerge,
-        );
+        let b = sample_sorted_merge(&sv, 2_047, &mut PhiloxRng::new(5, 0));
         assert_eq!(a, b);
     }
 

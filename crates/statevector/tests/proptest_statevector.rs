@@ -63,8 +63,9 @@ proptest! {
             sv.apply_1q(&u, q);
         }
         let m = 40_000;
-        for strategy in [SamplingStrategy::SortedMerge, SamplingStrategy::Auto] {
-            let shots = sampling::sample_shots(&sv, m, &mut rng, strategy);
+        let merged = sampling::sample_sorted_merge(&sv, m, &mut rng);
+        let auto = sampling::sample_shots(&sv, m, &mut rng, SamplingStrategy::Auto);
+        for (sampler, shots) in [("merge", merged), ("auto", auto)] {
             let mut counts = vec![0usize; 1 << n];
             for &s in &shots {
                 counts[s as usize] += 1;
@@ -72,7 +73,7 @@ proptest! {
             for (i, &c) in counts.iter().enumerate() {
                 let expect = sv.probability(i as u64);
                 let frac = c as f64 / m as f64;
-                prop_assert!((frac - expect).abs() < 0.02, "{strategy:?} outcome {i}: {frac} vs {expect}");
+                prop_assert!((frac - expect).abs() < 0.02, "{sampler} outcome {i}: {frac} vs {expect}");
             }
         }
     }

@@ -91,15 +91,11 @@ pub enum Stage {
     MpsSvd = 8,
     /// Whole-chunk envelope (emitted by [`TaskScope`] on drop).
     Chunk = 9,
-    /// One batched multi-trajectory MPS sampling call (histogram-only:
-    /// it nests inside the per-chunk `Sample` aggregate, so emitting it
-    /// as a span too would double-count the chunk decomposition).
-    SampleBatch = 10,
 }
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every stage, in index order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -113,7 +109,6 @@ impl Stage {
         Stage::RetryBackoff,
         Stage::MpsSvd,
         Stage::Chunk,
-        Stage::SampleBatch,
     ];
 
     /// Stable label (exporters, trace event names).
@@ -129,7 +124,6 @@ impl Stage {
             Stage::RetryBackoff => "retry-backoff",
             Stage::MpsSvd => "mps-svd",
             Stage::Chunk => "chunk",
-            Stage::SampleBatch => "sample-batch",
         }
     }
 
@@ -143,7 +137,7 @@ impl Stage {
     }
 
     /// Stages whose individual calls are too fine-grained for one span
-    /// each (a sample call per trajectory, an advance per tree edge):
+    /// each (a sample call per prepared state, an advance per tree edge):
     /// they always feed the histogram, and inside a [`TaskScope`] their
     /// durations fold into one per-chunk span per stage.
     pub fn is_aggregated(self) -> bool {
@@ -153,7 +147,7 @@ impl Stage {
     /// Stages recorded into histograms only, never the span ring —
     /// they time work nested inside another stage's span.
     pub fn is_histogram_only(self) -> bool {
-        matches!(self, Stage::MpsSvd | Stage::SampleBatch)
+        matches!(self, Stage::MpsSvd)
     }
 }
 

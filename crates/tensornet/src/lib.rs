@@ -9,12 +9,14 @@
 //!
 //! - [`sample::sample_shots_cached`] — canonicalize once (O(n·χ³)), then
 //!   draw each shot by a conditional left-to-right sweep (O(n·χ²) per
-//!   shot): the "cached intermediates" mode;
-//! - [`sample::sample_shots_batched`] — the same draws, bit for bit, with
-//!   every shot of every request advancing one site at a time together:
-//!   shots that share a bit prefix share its contraction, and one pass
-//!   over each site tensor serves every live prefix (non-degenerate
-//!   batched sampling).
+//!   shot): the "cached intermediates" mode, kept as the sequential
+//!   reference and as the single-shot sampler of the Algorithm-1
+//!   baseline;
+//! - [`sample::sample_shots_batched`] — the one production sampler: the
+//!   same draws, bit for bit, with every shot of every request advancing
+//!   one site at a time together: shots that share a bit prefix share
+//!   its contraction, and one pass over each site tensor serves every
+//!   live prefix (non-degenerate batched sampling).
 //!
 //! The surrogate for CUDA-Q's current behavior (redo the contraction for
 //! every shot) is `ptsbe_bench::sample_shots_naive`, beside the bench

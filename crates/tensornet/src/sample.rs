@@ -20,6 +20,12 @@
 //! uniforms come from its own stream in the sequential cadence, so the
 //! output is bitwise identical to [`sample_shots_cached`].
 //!
+//! `batched` is the one production sampler: the MPS backend samples
+//! every prepared state through it, once for all the trajectories that
+//! end on that state. `cached` stays as the sequential reference the
+//! lockstep sweep is pinned against, and as the single-shot sampler of
+//! the Algorithm-1 baseline, where there is nothing to batch.
+//!
 //! On `perf`'s `mps-brick32` leaf (32 sites, bond 64, 7 × 100 shots;
 //! `cargo bench -p ptsbe_bench --bench mps_kernels -- brick32`, one
 //! thread of a 2-vCPU Xeon VM, alternated runs) the lockstep sweep takes

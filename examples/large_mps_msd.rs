@@ -32,7 +32,7 @@ fn main() {
     println!("noise sites: {} (depolarizing p = {p})", noisy.n_sites());
 
     let config = MpsConfig::new(64).with_cutoff(1e-10);
-    let backend = MpsBackend::<f64>::new(&noisy, config, MpsSampleMode::Cached).unwrap();
+    let backend = MpsBackend::<f64>::new(&noisy, config, MpsSampleMode::default()).unwrap();
 
     // A modest PTS plan: the most likely Kraus sets, large shot batches.
     let mut rng = PhiloxRng::new(5050, 0);

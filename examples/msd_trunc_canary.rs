@@ -20,7 +20,7 @@ fn main() {
     let config = MpsConfig::adaptive(256, 1e-5, 1e-2);
 
     let t0 = Instant::now();
-    let backend = MpsBackend::<f64>::new(&noisy, config, MpsSampleMode::Cached).unwrap();
+    let backend = MpsBackend::<f64>::new(&noisy, config, MpsSampleMode::default()).unwrap();
     let (mut state, _) = backend.prepare(&[]);
     let prep = t0.elapsed();
     let mut rng = PhiloxRng::new(1, 0);
@@ -60,6 +60,16 @@ fn main() {
     assert!(
         (analysis.acceptance() - 0.1691).abs() < 5e-4,
         "canary: acceptance {:.4} drifted from the pinned 0.1691",
+        analysis.acceptance()
+    );
+    // Physics, not only determinism: the acceptance is a 30k-shot
+    // binomial estimate of the exact 1/6, so it must sit within five
+    // standard errors of it.
+    let p = 1.0 / 6.0;
+    let five_sigma = 5.0 * (p * (1.0 - p) / shots.len() as f64).sqrt();
+    assert!(
+        (analysis.acceptance() - p).abs() <= five_sigma,
+        "canary: acceptance {:.4} is more than 5σ ({five_sigma:.4}) from the exact 1/6",
         analysis.acceptance()
     );
 }

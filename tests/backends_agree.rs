@@ -61,7 +61,7 @@ fn ptsbe_agrees_across_backends() {
     let mps = MpsBackend::<f64>::new(
         &noisy,
         MpsConfig::exact().with_max_bond(32),
-        MpsSampleMode::Cached,
+        MpsSampleMode::default(),
     )
     .unwrap();
     let exec = BatchedExecutor::default();
@@ -141,7 +141,7 @@ fn tree_executor_is_bitwise_identical_to_flat_on_both_backends() {
     let mps = MpsBackend::<f64>::new(
         &noisy,
         MpsConfig::exact().with_max_bond(32),
-        MpsSampleMode::Cached,
+        MpsSampleMode::default(),
     )
     .unwrap();
 
@@ -192,7 +192,7 @@ fn tree_executor_is_bitwise_identical_to_flat_on_both_backends() {
     let small_mps = MpsBackend::<f64>::new(
         &small_noisy,
         MpsConfig::exact().with_max_bond(16),
-        MpsSampleMode::Cached,
+        MpsSampleMode::default(),
     )
     .unwrap();
 

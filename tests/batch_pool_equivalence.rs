@@ -186,7 +186,7 @@ fn pooled_tree_matches_flat_on_mps() {
     for (name, nc) in zoo() {
         let config = MpsConfig::exact().with_max_bond(32);
         let backend =
-            MpsBackend::<f64>::new(&nc, config, ptsbe::core::backend::MpsSampleMode::Cached)
+            MpsBackend::<f64>::new(&nc, config, ptsbe::core::backend::MpsSampleMode::default())
                 .unwrap();
         let plan = plan_for(&nc, 0x3B5);
         let tree = PtsPlanTree::from_plan(&plan);

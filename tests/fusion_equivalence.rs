@@ -185,9 +185,10 @@ fn fused_bitstreams_identical_on_mps_across_zoo() {
         ("rotations", zoo_rotations(0.05)),
         ("damping", zoo_damping()),
     ] {
-        let fused = MpsBackend::<f64>::new(&nc, config, MpsSampleMode::Cached).unwrap();
+        let fused = MpsBackend::<f64>::new(&nc, config, MpsSampleMode::default()).unwrap();
         let unfused =
-            MpsBackend::<f64>::new_with_fusion(&nc, config, MpsSampleMode::Cached, false).unwrap();
+            MpsBackend::<f64>::new_with_fusion(&nc, config, MpsSampleMode::default(), false)
+                .unwrap();
         let mut rng = PhiloxRng::new(2100, 0);
         let plan = ProbabilisticPts {
             n_samples: 30,
@@ -291,7 +292,7 @@ fn fused_mps_matches_fused_sv_physics() {
     let mps = MpsBackend::<f64>::new(
         &nc,
         MpsConfig::exact().with_max_bond(32),
-        MpsSampleMode::Cached,
+        MpsSampleMode::default(),
     )
     .unwrap();
     let mut choices = nc.identity_assignment().unwrap();

@@ -99,7 +99,7 @@ fn mps_tree_and_flat_agree_bitwise_with_skip() {
     let backend = MpsBackend::<f64>::new(
         &nc,
         MpsConfig::exact().with_max_bond(32),
-        MpsSampleMode::Cached,
+        MpsSampleMode::default(),
     )
     .unwrap();
     let mut rng = PhiloxRng::new(0xA6, 0);

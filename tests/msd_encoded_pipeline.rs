@@ -60,7 +60,7 @@ fn encoded_msd_matches_bare_at_zero_noise() {
     let backend = MpsBackend::<f64>::new(
         &noisy,
         MpsConfig::adaptive(256, 1e-5, 1e-2),
-        MpsSampleMode::Cached,
+        MpsSampleMode::default(),
     )
     .unwrap();
     let plan = ptsbe::core::plan::PtsPlan {
@@ -110,7 +110,7 @@ fn encoded_msd_with_noise_and_decoding() {
     // cheap χ=64 config: its assertions are statistical (decoding beats
     // raw post-selection), not exact-amplitude.
     let backend =
-        MpsBackend::<f64>::new(&noisy, MpsConfig::new(64), MpsSampleMode::Cached).unwrap();
+        MpsBackend::<f64>::new(&noisy, MpsConfig::new(64), MpsSampleMode::default()).unwrap();
     let mut rng = PhiloxRng::new(920, 0);
     let plan = ProbabilisticPts {
         n_samples: 40,

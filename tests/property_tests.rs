@@ -575,7 +575,7 @@ proptest! {
         let mps = MpsBackend::<f64>::new(
             &noisy,
             MpsConfig::exact().with_max_bond(16),
-            MpsSampleMode::Cached,
+            MpsSampleMode::default(),
         )
         .unwrap();
         let (m_src, _) = mps.prepare(&src_choices);
