@@ -1,18 +1,18 @@
 //! The code zoo.
 //!
 //! The triangular 6.6.6 color-code generator reproduces the standard
-//! family ([[7,1,3]] = Steane-equivalent, [[19,1,5]], [[37,1,7]], …) from
+//! family (`[[7,1,3]]` = Steane-equivalent, `[[19,1,5]]`, `[[37,1,7]]`, …) from
 //! honeycomb geometry; construction and distance are verified by
 //! `StabilizerCode` validation plus exhaustive distance search in tests.
-//! The paper's distance-5 block is the 4.8.8 [[17,1,5]] code; this
-//! workspace substitutes the verified 6.6.6 [[19,1,5]] (same distance, two
+//! The paper's distance-5 block is the 4.8.8 `[[17,1,5]]` code; this
+//! workspace substitutes the verified 6.6.6 `[[19,1,5]]` (same distance, two
 //! more qubits per block), which the generator produces without a
 //! hand-entered stabilizer table.
 
 use crate::code::StabilizerCode;
 use ptsbe_stabilizer::{Pauli, PauliString};
 
-/// The perfect [[5,1,3]] code (cyclic generators XZZXI).
+/// The perfect `[[5,1,3]]` code (cyclic generators XZZXI).
 pub fn five_one_three() -> StabilizerCode {
     let gens = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
         .iter()
@@ -27,7 +27,7 @@ pub fn five_one_three() -> StabilizerCode {
     )
 }
 
-/// The Steane [[7,1,3]] code (CSS from the [7,4] Hamming code).
+/// The Steane `[[7,1,3]]` code (CSS from the `[7,4]` Hamming code).
 pub fn steane() -> StabilizerCode {
     let supports = [[3usize, 4, 5, 6], [1, 2, 5, 6], [0, 2, 4, 6]];
     let mut gens = Vec::with_capacity(6);
@@ -49,8 +49,8 @@ pub fn steane() -> StabilizerCode {
     )
 }
 
-/// Triangular 6.6.6 color code of odd distance `d` — [[7,1,3]] at d = 3,
-/// [[19,1,5]] at d = 5, [[37,1,7]] at d = 7.
+/// Triangular 6.6.6 color code of odd distance `d` — `[[7,1,3]]` at d = 3,
+/// `[[19,1,5]]` at d = 5, `[[37,1,7]]` at d = 7.
 ///
 /// Construction: honeycomb faces from the triangular lattice `x, y ≥ 0`,
 /// `x + y ≤ 3(d−1)/2`, with face centers on the sublattice
@@ -117,7 +117,7 @@ pub fn color_code(d: usize) -> StabilizerCode {
     StabilizerCode::new(format!("color 6.6.6 [[{n},1,{d}]]"), d, gens, lx, lz)
 }
 
-/// The n-qubit bit-flip repetition code ([[n,1,1]] against phase flips;
+/// The n-qubit bit-flip repetition code (`[[n,1,1]]` against phase flips;
 /// distance n against bit flips). Used as the minimal pedagogical code in
 /// examples.
 pub fn repetition(n: usize) -> StabilizerCode {
@@ -138,7 +138,7 @@ pub fn repetition(n: usize) -> StabilizerCode {
     StabilizerCode::new(format!("repetition [[{n},1,1]]"), 1, gens, lx, lz)
 }
 
-/// Shor's [[9,1,3]] code.
+/// Shor's `[[9,1,3]]` code.
 pub fn shor9() -> StabilizerCode {
     let mut gens = Vec::new();
     // Z-type pairs inside each block of three.

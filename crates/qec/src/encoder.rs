@@ -5,7 +5,7 @@
 //! Clifford circuit `E` and an input-qubit index `u` such that running `E`
 //! on `|0…0⟩` with an arbitrary single-qubit state `|ψ⟩` pre-loaded on
 //! qubit `u` yields the encoded logical `|ψ̄⟩`. Works for CSS and non-CSS
-//! codes alike (the [[5,1,3]] magic-state distillation workload needs the
+//! codes alike (the `[[5,1,3]]` magic-state distillation workload needs the
 //! latter).
 //!
 //! Construction sketch:

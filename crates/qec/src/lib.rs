@@ -2,16 +2,16 @@
 //! evaluation (§2.3, §4).
 //!
 //! The paper benchmarks PTSBE on 5→1 magic-state distillation circuits
-//! over color-code blocks — 35 physical qubits for the [[7,1,3]] code and
-//! 85 for the [[17,1,5]] 4.8.8 code. This crate builds everything those
+//! over color-code blocks — 35 physical qubits for the `[[7,1,3]]` code and
+//! 85 for the `[[17,1,5]]` 4.8.8 code. This crate builds everything those
 //! workloads need, from scratch and algorithmically verified:
 //!
 //! - [`gf2`] — bit-packed GF(2) linear algebra (rank, kernel, span);
 //! - [`code::StabilizerCode`] — generators + logicals with full
 //!   commutation/independence/distance validation;
-//! - [`codes`] — the zoo: [[5,1,3]], Steane, triangular 6.6.6 color codes
-//!   of any odd distance (d = 5 gives [[19,1,5]], which stands in for
-//!   the paper's 4.8.8 [[17,1,5]]: same distance, generated and verified
+//! - [`codes`] — the zoo: `[[5,1,3]]`, Steane, triangular 6.6.6 color codes
+//!   of any odd distance (d = 5 gives `[[19,1,5]]`, which stands in for
+//!   the paper's 4.8.8 `[[17,1,5]]`: same distance, generated and verified
 //!   from honeycomb geometry, 95 physical qubits for the 5→1 protocol
 //!   instead of 85), repetition and Shor codes;
 //! - [`encoder`] — the Gottesman standard-form encoding circuit,

@@ -1,6 +1,6 @@
 //! The 5→1 magic-state distillation workload (paper §2.3, Figs. 1–3).
 //!
-//! Bravyi–Kitaev distillation with the [[5,1,3]] code: five noisy T-type
+//! Bravyi–Kitaev distillation with the `[[5,1,3]]` code: five noisy T-type
 //! magic states enter, the code's *decoding* circuit maps the codespace
 //! component onto four syndrome wires plus one output wire, trivial
 //! syndromes are post-selected, and the surviving output is a
@@ -12,7 +12,7 @@
 //! - [`msd_bare`] — the 5-qubit logical-level protocol (validated against
 //!   the density-matrix oracle in the workspace tests);
 //! - [`msd_encoded`] — each logical wire encoded in a self-dual CSS block
-//!   (Steane → 35 physical qubits; [[19,1,5]] → 95, the documented
+//!   (Steane → 35 physical qubits; `[[19,1,5]]` → 95, the documented
 //!   substitute for the paper's 85), logical gates compiled to
 //!   transversal layers, and the output block measured in a chosen Pauli
 //!   basis as in Fig. 3.
@@ -54,7 +54,7 @@ pub fn prepare_magic(c: &mut Circuit, qubit: usize) {
 pub struct MsdLayout {
     /// Physical qubits per logical wire (1 for bare).
     pub block_size: usize,
-    /// Output wire index (0..5) — the [[5,1,3]] encoder's input position.
+    /// Output wire index (0..5) — the `[[5,1,3]]` encoder's input position.
     pub output_wire: usize,
     /// Block-local support of the logical-Z readout (bare: `[0]`).
     pub logical_z_support: Vec<usize>,

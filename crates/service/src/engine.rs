@@ -2,13 +2,10 @@
 //!
 //! An engine is the paper's batched-execution contract — *(compiled
 //! artifact, slice of the pre-sampled plan, seed) → records in plan
-//! order* — behind four questions the rest of the service asks without
+//! order* — behind three questions the rest of the service asks without
 //! ever naming a variant: what [`kind`](EngineExec::kind) it is, how its
-//! work is cut ([`chunks`](EngineExec::chunks)), what one cut produces
-//! ([`run`](EngineExec::run)), and whether a fatal failure may fall back
-//! to a dense engine
-//! ([`dense_fallback_allowed`](EngineExec::dense_fallback_allowed)). The
-//! router builds an [`EngineExec`] from cached artifacts; the scheduler
+//! work is cut ([`chunks`](EngineExec::chunks)), and what one cut
+//! produces ([`run`](EngineExec::run)). The router builds an [`EngineExec`] from cached artifacts; the scheduler
 //! only moves the ranges it hands out.
 //!
 //! A chunk is a `Range<usize>` in the engine's own unit. The dense
@@ -30,7 +27,7 @@
 
 use crate::cache::{FrameEntry, MpsEntry, SvEntry};
 use crate::job::JobSpec;
-use crate::router::{BatchGeometry, EnginePolicy};
+use crate::router::BatchGeometry;
 use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
@@ -379,15 +376,6 @@ impl<T: Scalar> EngineExec<T> {
     /// chunks are not plan-contiguous.
     pub(crate) fn merged_delivery(&self) -> bool {
         matches!(self, EngineExec::MpsTree { .. })
-    }
-
-    /// Whether a fatal runtime failure of this engine may re-route
-    /// `spec`'s job to a dense fallback: only the MPS engine, whose merged
-    /// delivery behind a lazily-written header guarantees nothing reached
-    /// the sink while any of its chunks can still fail, and only when the
-    /// router chose it — a job that forced its engine fails instead.
-    pub(crate) fn dense_fallback_allowed(&self, spec: &JobSpec) -> bool {
-        spec.engine == EnginePolicy::Auto && self.merged_delivery()
     }
 }
 

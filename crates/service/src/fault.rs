@@ -1,8 +1,8 @@
 //! Deterministic fault injection.
 //!
 //! Every recovery path in the service — chunk retry, escaped-panic requeue,
-//! transient-sink retry, engine degradation, deadline enforcement — is
-//! exercised by *reproducible* faults, not luck. A [`FaultConfig`]
+//! transient-sink retry, deadline enforcement — and the fatal-failure
+//! path are exercised by *reproducible* faults, not luck. A [`FaultConfig`]
 //! describes which faults fire and how often; whether a given fault
 //! fires at a given point is a pure function of
 //! `(fault seed, job seed, chunk index, attempt)` through a dedicated
@@ -81,11 +81,11 @@ pub struct FaultConfig {
     pub kill_max_attempts: u32,
     /// Probability that an MPS-tree chunk execution fails *fatally* — a
     /// structural, non-retryable error, the real-world shape of an
-    /// engine blowing up at runtime — exercising graceful degradation
-    /// onto a dense fallback. Keyed per chunk (not per attempt): a
-    /// fatal engine failure does not heal on retry. Not part of any
-    /// preset: degradation changes the executing engine, so it is
-    /// exempt from the presets' byte-identity contract.
+    /// engine blowing up at runtime — which fails the job with the
+    /// message "injected fatal engine failure". Keyed per chunk (not per
+    /// attempt): a fatal engine failure does not heal on retry. Not part
+    /// of any preset: a failed job delivers no dataset, so it is exempt
+    /// from the presets' byte-identity contract.
     pub mps_fatal: f64,
 }
 

@@ -10,8 +10,8 @@ use ptsbe_math::Scalar;
 use ptsbe_tensornet::MpsConfig;
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Service-level failures.
@@ -215,8 +215,7 @@ pub struct JobReport {
     /// engine, trie-order leaf runs for the MPS one).
     pub route_reason: String,
     /// Scheduler chunks the job was split into (0 when it never reached
-    /// planning or had nothing to run; after engine degradation, the
-    /// fallback's count).
+    /// planning or had nothing to run).
     pub chunks: u64,
     /// Tree engines: the edges of the sub-trie each chunk walked, in
     /// chunk order (0 for a chunk that never ran) — with `chunks`, what
@@ -278,12 +277,11 @@ pub(crate) struct PushOutcome {
 ///   index is detected and dropped, so at-least-once scheduling becomes
 ///   exactly-once sink delivery.
 /// - **Lazy header.** The header is staged at plan time but written
-///   with the first record batch (or at [`Emitter::finish`]): until
-///   something is committed the sink holds zero bytes, which is what
-///   lets engine degradation re-route a failed job and re-stage the
-///   fallback engine's header. A merged job commits nothing until its
-///   last chunk is in, so it stays re-routable for as long as any of
-///   its chunks can still fail; re-staging drops what was held.
+///   with the first record batch (or at [`Emitter::finish`]), so the
+///   sink's `begin` runs on the same path as its writes: a failing
+///   `begin` fails the job as a sink write (or finish) failure, and a
+///   job that fails before committing anything leaves a header-only
+///   shard.
 /// - **Transient-write retry.** Writes failing with
 ///   [`io::ErrorKind::Interrupted`] — the transient contract: *no bytes
 ///   were written* — are retried with a short capped backoff before the
@@ -319,32 +317,12 @@ impl Emitter {
         }
     }
 
-    /// Stage a route's delivery: its dataset header (written lazily with
-    /// the first commit) and, for `merge_after: Some(n)`, merged delivery
-    /// of its `n` chunks. Restaging is allowed until the header reaches
-    /// the sink — the engine-degradation path replaces the failed
-    /// engine's header with the fallback's and drops the chunks the
-    /// failed engine's siblings had parked.
-    pub(crate) fn stage(
-        &mut self,
-        header: DatasetHeader,
-        merge_after: Option<usize>,
-    ) -> io::Result<()> {
-        if self.header_written {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "header already written",
-            ));
-        }
+    /// Stage the route's delivery, once, before any chunk runs: its
+    /// dataset header (written lazily with the first commit) and, for
+    /// `merge_after: Some(n)`, merged delivery of its `n` chunks.
+    pub(crate) fn stage(&mut self, header: DatasetHeader, merge_after: Option<usize>) {
         self.header = Some(header);
         self.merge_after = merge_after;
-        self.pending.clear();
-        Ok(())
-    }
-
-    /// True when nothing — not even the header — has reached the sink.
-    pub(crate) fn untouched(&self) -> bool {
-        !self.header_written && self.next == 0
     }
 
     fn write_header_if_needed(&mut self) -> io::Result<u64> {
@@ -444,11 +422,10 @@ impl Emitter {
     }
 }
 
-/// Per-chunk accounting of one installed route's cut. A chunk index
-/// counts exactly once even when an escaped panic re-queues a chunk
-/// that already completed (the exactly-once counterpart of the emitter's
-/// delivery dedupe), and all of it sits under one lock so a re-cut
-/// (engine degradation) replaces it atomically.
+/// Per-chunk accounting of the job's cut. A chunk index counts exactly
+/// once even when an escaped panic re-queues a chunk that already
+/// completed (the exactly-once counterpart of the emitter's delivery
+/// dedupe); the chunk that fills it settles the job.
 #[derive(Default)]
 pub(crate) struct ChunkLedger {
     /// Whether chunk `i` has been accounted.
@@ -466,16 +443,10 @@ pub(crate) struct JobInner<T: Scalar> {
     pub(crate) status: AtomicU8,
     pub(crate) cancelled: AtomicBool,
     /// The routing verdict and the engine it materialized, installed
-    /// together at plan time (and replaced together on degradation).
-    pub(crate) routed: Mutex<Option<(RouteDecision, Arc<EngineExec<T>>)>>,
-    /// Which installed route is current: 0 for the planned one, bumped
-    /// by [`JobInner::supersede`] the moment a failed chunk claims the
-    /// degradation — *before* the fallback is routed — so every sibling
-    /// chunk of the failed route is stale from then on. Every chunk task
-    /// carries the generation it was cut under.
-    pub(crate) generation: AtomicU32,
+    /// together, once, at plan time.
+    pub(crate) routed: OnceLock<(RouteDecision, EngineExec<T>)>,
     pub(crate) emitter: Mutex<Emitter>,
-    /// Exactly-once chunk accounting of the current generation's cut.
+    /// Exactly-once chunk accounting of the job's cut.
     pub(crate) ledger: Mutex<ChunkLedger>,
     pub(crate) records_emitted: AtomicU64,
     pub(crate) shots_emitted: AtomicU64,
@@ -492,8 +463,7 @@ impl<T: Scalar> JobInner<T> {
             spec,
             status: AtomicU8::new(JobStatus::Queued.to_u8()),
             cancelled: AtomicBool::new(false),
-            routed: Mutex::new(None),
-            generation: AtomicU32::new(0),
+            routed: OnceLock::new(),
             emitter: Mutex::new(Emitter::new(sink)),
             ledger: Mutex::new(ChunkLedger::default()),
             records_emitted: AtomicU64::new(0),
@@ -578,40 +548,14 @@ impl<T: Scalar> JobInner<T> {
         })
     }
 
-    /// The current routing verdict, once made.
+    /// The routing verdict, once made.
     pub(crate) fn route(&self) -> Option<RouteDecision> {
-        let routed = self.routed.lock().unwrap_or_else(|e| e.into_inner());
-        routed.as_ref().map(|(decision, _)| decision.clone())
+        self.routed.get().map(|(decision, _)| decision.clone())
     }
 
     /// The engine chunks run on, once routed.
-    pub(crate) fn exec(&self) -> Option<Arc<EngineExec<T>>> {
-        let routed = self.routed.lock().unwrap_or_else(|e| e.into_inner());
-        routed.as_ref().map(|(_, exec)| Arc::clone(exec))
-    }
-
-    /// True while chunks cut under `generation` still belong to the
-    /// job's current route. A stale chunk must leave no trace: it
-    /// neither delivers, accounts, fails the job nor degrades it. The
-    /// emitter and the ledger re-check under their own locks, which
-    /// [`JobInner::supersede`]'s caller takes *after* the bump to
-    /// re-stage them — so a chunk that passes there wrote into state the
-    /// re-stage then replaces, and one that comes later sees the bump.
-    pub(crate) fn is_current(&self, generation: u32) -> bool {
-        self.generation.load(Ordering::Acquire) == generation
-    }
-
-    /// Claim the replacement of route `generation`: true for exactly one
-    /// caller, after which every chunk of that generation is stale.
-    pub(crate) fn supersede(&self, generation: u32) -> bool {
-        self.generation
-            .compare_exchange(
-                generation,
-                generation + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
+    pub(crate) fn exec(&self) -> Option<&EngineExec<T>> {
+        self.routed.get().map(|(_, exec)| exec)
     }
 
     pub(crate) fn report(&self) -> JobReport {
@@ -620,8 +564,8 @@ impl<T: Scalar> JobInner<T> {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .unwrap_or_else(|| self.submitted_at.elapsed());
-        let route = self.route();
-        let unit = route.as_ref().and_then(|r| r.engine.trie_chunk_unit());
+        let route = self.routed.get().map(|(decision, _)| decision);
+        let unit = route.and_then(|r| r.engine.trie_chunk_unit());
         let (chunks, chunk_edges) = {
             let ledger = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
             let edges = unit.map(|_| ledger.trie_edges.clone());
@@ -630,9 +574,8 @@ impl<T: Scalar> JobInner<T> {
         JobReport {
             job_id: self.id,
             status: self.status(),
-            engine: route.as_ref().map(|r| r.engine),
+            engine: route.map(|r| r.engine),
             route_reason: route
-                .as_ref()
                 .map(|r| match unit {
                     Some(unit) => format!("{}; walked as {chunks} {unit} chunk(s)", r.reason),
                     None => r.reason.to_string(),
@@ -673,9 +616,7 @@ impl<T: Scalar> JobHandle<T> {
         self.inner.status()
     }
 
-    /// The routing decision, once made. After engine degradation this
-    /// is the *fallback* decision (its reason records the failed
-    /// engine).
+    /// The routing decision, once made.
     pub fn route(&self) -> Option<RouteDecision> {
         self.inner.route()
     }

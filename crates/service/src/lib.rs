@@ -35,9 +35,9 @@
 //!   module that knows what an engine *is*: [`EngineKind`] plus one enum
 //!   over the cached artifacts with `kind()`, `chunks()` (how a job is
 //!   cut into plain ranges, in the engine's own unit), `run()` (one
-//!   range → records in plan order) and `dense_fallback_allowed()`. The
-//!   router builds it, the service schedules its ranges without naming a
-//!   variant; adding an engine touches `engine` and `router` only.
+//!   range → records in plan order). The router builds it, the service
+//!   schedules its ranges without naming a variant; adding an engine
+//!   touches `engine` and `router` only.
 //!
 //! ```
 //! use ptsbe_circuit::{channels, Circuit, NoiseModel};
@@ -69,10 +69,9 @@
 //! The service layer is fault tolerant: deterministic fault injection
 //! ([`fault::FaultConfig`], `PTSBE_FAULTS`), chunk retry (3 retries,
 //! backoff doubling from 1 ms to a 100 ms cap), per-job deadlines
-//! ([`JobStatus::TimedOut`]), requeue of a task a panic escaped (caught
-//! in the worker loop, so no worker thread dies), and single-shot engine
-//! degradation — all output-neutral for a fixed seed (see [`service`]'s
-//! module docs).
+//! ([`JobStatus::TimedOut`]), and requeue of a task a panic escaped
+//! (caught in the worker loop, so no worker thread dies) — all
+//! output-neutral for a fixed seed (see [`service`]'s module docs).
 
 pub mod cache;
 mod engine;

@@ -20,10 +20,8 @@ pub(crate) struct ServiceMetrics {
     pub(crate) shots_emitted: AtomicU64,
     pub(crate) engine_jobs: [AtomicU64; EngineKind::ALL.len()],
     pub(crate) peak_active_jobs: AtomicUsize,
-    /// MPS jobs re-routed to a dense engine after the truncation probe
-    /// blew their cumulative budget.
-    pub(crate) mps_probe_reroutes: AtomicU64,
-    /// MPS jobs refused outright (budget blown, no dense fallback).
+    /// MPS jobs refused outright (budget blown even at the honest
+    /// ceiling).
     pub(crate) mps_budget_refusals: AtomicU64,
     /// Largest per-trajectory truncation error delivered (f64 bits:
     /// non-negative IEEE floats order like their bit patterns, so
@@ -40,9 +38,6 @@ pub(crate) struct ServiceMetrics {
     /// Tasks requeued after a panic escaped them (see
     /// [`MetricsSnapshot::workers_respawned`]).
     pub(crate) workers_respawned: AtomicU64,
-    /// Jobs re-routed to their dense fallback engine after a fatal
-    /// engine failure (graceful degradation).
-    pub(crate) engine_fallbacks: AtomicU64,
     /// Transient sink-write failures absorbed by the emitter's retry.
     pub(crate) sink_write_retries: AtomicU64,
 }
@@ -59,7 +54,6 @@ impl ServiceMetrics {
             shots_emitted: AtomicU64::new(0),
             engine_jobs: std::array::from_fn(|_| AtomicU64::new(0)),
             peak_active_jobs: AtomicUsize::new(0),
-            mps_probe_reroutes: AtomicU64::new(0),
             mps_budget_refusals: AtomicU64::new(0),
             peak_trunc_error_bits: AtomicU64::new(0),
             peak_bond_reached: AtomicUsize::new(0),
@@ -67,7 +61,6 @@ impl ServiceMetrics {
             chunk_retries: AtomicU64::new(0),
             chunks_timed_out: AtomicU64::new(0),
             workers_respawned: AtomicU64::new(0),
-            engine_fallbacks: AtomicU64::new(0),
             sink_write_retries: AtomicU64::new(0),
         }
     }
@@ -85,8 +78,7 @@ impl ServiceMetrics {
     }
 }
 
-/// Jobs routed to each engine (a job that degraded to a fallback engine
-/// counts once under each).
+/// Jobs routed to each engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCensus([u64; EngineKind::ALL.len()]);
 
@@ -117,10 +109,8 @@ pub struct MetricsSnapshot {
     pub engines: EngineCensus,
     /// Highest concurrent admitted-job count observed.
     pub peak_active_jobs: usize,
-    /// MPS jobs re-routed to a dense engine by the truncation probe.
-    pub mps_probe_reroutes: u64,
-    /// MPS jobs refused because their truncation budget was blown and
-    /// no dense fallback was feasible.
+    /// MPS jobs refused because their truncation budget was blown even
+    /// at the honest bond ceiling.
     pub mps_budget_refusals: u64,
     /// Largest per-trajectory truncation error delivered (0 when no MPS
     /// trajectory has run).
@@ -140,8 +130,6 @@ pub struct MetricsSnapshot {
     /// a panicking sink. The worker catches the panic and keeps serving
     /// (no thread is respawned; the name predates that).
     pub workers_respawned: u64,
-    /// Jobs that gracefully degraded to their dense fallback engine.
-    pub engine_fallbacks: u64,
     /// Transient sink-write failures absorbed by bounded retry.
     pub sink_write_retries: u64,
     /// Compile/plan cache counters.
@@ -265,19 +253,9 @@ impl MetricsSnapshot {
                 self.workers_respawned,
             ),
             c(
-                "ptsbe_engine_fallbacks",
-                "Jobs degraded to a dense fallback.",
-                self.engine_fallbacks,
-            ),
-            c(
                 "ptsbe_sink_write_retries",
                 "Transient sink writes retried.",
                 self.sink_write_retries,
-            ),
-            c(
-                "ptsbe_mps_probe_reroutes",
-                "MPS jobs re-routed by the probe.",
-                self.mps_probe_reroutes,
             ),
             c(
                 "ptsbe_mps_budget_refusals",
@@ -345,7 +323,6 @@ impl MetricsSnapshot {
             shots_emitted: load(&m.shots_emitted),
             engines: EngineCensus(std::array::from_fn(|i| load(&m.engine_jobs[i]))),
             peak_active_jobs: m.peak_active_jobs.load(Ordering::Relaxed),
-            mps_probe_reroutes: load(&m.mps_probe_reroutes),
             mps_budget_refusals: load(&m.mps_budget_refusals),
             peak_trunc_error: f64::from_bits(m.peak_trunc_error_bits.load(Ordering::Relaxed)),
             peak_bond_reached: m.peak_bond_reached.load(Ordering::Relaxed),
@@ -353,7 +330,6 @@ impl MetricsSnapshot {
             chunk_retries: load(&m.chunk_retries),
             chunks_timed_out: load(&m.chunks_timed_out),
             workers_respawned: load(&m.workers_respawned),
-            engine_fallbacks: load(&m.engine_fallbacks),
             sink_write_retries: load(&m.sink_write_retries),
             cache,
             uptime_secs: m.started_at.elapsed().as_secs_f64(),
@@ -417,9 +393,7 @@ mod tests {
             "ptsbe_chunk_retries",
             "ptsbe_chunks_timed_out",
             "ptsbe_workers_respawned",
-            "ptsbe_engine_fallbacks",
             "ptsbe_sink_write_retries",
-            "ptsbe_mps_probe_reroutes",
             "ptsbe_mps_budget_refusals",
             "ptsbe_peak_trunc_error",
             "ptsbe_peak_bond_reached",

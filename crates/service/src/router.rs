@@ -8,7 +8,7 @@
 //! | 1     | `Frame`      | Clifford gates, Pauli-mixture channels, no     | bit-packed frames: 64 shots/word,    |
 //! |       |              | reset, ≤128 measured bits, deterministic       | MHz-class bulk sampling (Stim's      |
 //! |       |              | noiseless reference                            | domain, rebuilt in `ptsbe_stabilizer`)|
-//! | 2     | `MpsTree`    | register at/above the MPS qubit threshold      | statevector memory is 2^n; MPS is not|
+//! | 2     | `MpsTree`    | register of ≥ 30 qubits                        | statevector memory is 2^n; MPS is not|
 //! | 3     | `Tree`       | plan-tree `sharing_ratio` ≥ 0.5                | prep work collapses to trie edges    |
 //! | 4     | `BatchMajor` | everything else                                | lane-contiguous sweeps amortize      |
 //! |       |              |                                                | dispatch across trajectories         |
@@ -17,6 +17,10 @@
 //! plan's assignments: it trades per-trajectory Kraus provenance for raw
 //! throughput (exactly Stim's trade). Jobs that need assignment-exact
 //! provenance force a statevector engine via [`EnginePolicy::Force`].
+//!
+//! A job routed to MPS stays there: its register is too wide for a dense
+//! state, so a blown truncation budget is a refusal and a fatal engine
+//! failure fails the job.
 
 use crate::cache::{CompileCache, MpsEntry};
 use crate::engine::{EngineExec, EngineKind};
@@ -60,14 +64,6 @@ pub enum RouteReason {
         /// The tree's sharing ratio.
         sharing_ratio: f64,
     },
-    /// The MPS identity-assignment probe blew the job's cumulative
-    /// truncation budget, so the job was re-routed to a dense engine.
-    TruncationBudgetBlown {
-        /// The probe's cumulative truncation error.
-        trunc_error: f64,
-        /// The budget it exceeded.
-        budget: f64,
-    },
     /// The job's own bond cap was binding when its probe blew the
     /// truncation budget, so the router routed MPS at the service's
     /// honest bond ceiling instead of refusing or shrinking — a tighter
@@ -78,13 +74,6 @@ pub enum RouteReason {
         requested: usize,
         /// The ceiling the job actually ran at.
         raised: usize,
-    },
-    /// The originally routed engine failed fatally at runtime (retry
-    /// budget exhausted before any output was committed), and the job
-    /// gracefully degraded to a dense fallback.
-    EngineFallback {
-        /// The engine that failed.
-        from: EngineKind,
     },
 }
 
@@ -116,28 +105,11 @@ impl std::fmt::Display for RouteReason {
                     sharing_ratio * 100.0
                 )
             }
-            RouteReason::TruncationBudgetBlown {
-                trunc_error,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "mps probe truncation {trunc_error:.3e} exceeds budget {budget:.3e}; \
-                     re-routed to a dense engine"
-                )
-            }
             RouteReason::HonestCeiling { requested, raised } => {
                 write!(
                     f,
                     "bond cap {requested} was binding when the mps probe blew the truncation \
                      budget; routed at the honest ceiling {raised}"
-                )
-            }
-            RouteReason::EngineFallback { from } => {
-                write!(
-                    f,
-                    "engine {} failed fatally at runtime; degraded to a dense fallback",
-                    from.label()
                 )
             }
         }
@@ -226,10 +198,9 @@ fn routed<T: Scalar>(
 /// this fraction (prefix sharing pays for the walk's bookkeeping).
 const SHARING_THRESHOLD: f64 = 0.5;
 
-/// Dense-statevector feasibility ceiling for truncation-budget
-/// re-routing: 2^26 f64 amplitudes ≈ 1 GiB, the most a fallback may
-/// silently allocate.
-const DENSE_FEASIBLE_MAX_QUBITS: usize = 26;
+/// Route the MPS tree engine at/above this qubit count (a dense
+/// statevector of 30 qubits is 16 GiB at f64).
+const MPS_QUBIT_THRESHOLD: usize = 30;
 
 /// Run (or reuse) the identity-assignment truncation probe on a
 /// compiled MPS entry: prepare the noise-free trajectory once under the
@@ -250,7 +221,7 @@ fn mps_probe<T: Scalar>(entry: &MpsEntry<T>, nc: &NoisyCircuit) -> Option<Trunca
 /// MPS entry at the service ceiling and re-probe. Returns the raised
 /// route when the probe passes there; `None` when the cap was not the
 /// problem, the ceiling is no higher, or the budget is blown even at
-/// the ceiling (the caller falls through to refusal/dense logic).
+/// the ceiling (the caller refuses the job).
 fn raise_to_honest_ceiling<T: Scalar>(
     cache: &CompileCache<T>,
     cfg: &ServiceConfig,
@@ -288,7 +259,7 @@ enum ProbeVerdict<T: Scalar> {
     /// The job's own bond cap caused the blowout: run MPS at the honest
     /// ceiling instead.
     Raised(Routed<T>),
-    /// Blown even at the ceiling: the caller refuses or goes dense.
+    /// Blown even at the ceiling: the caller refuses the job.
     Blown(TruncationStats),
 }
 
@@ -325,7 +296,7 @@ fn probe_budget<T: Scalar>(
 /// # Errors
 /// [`RouteError::Invalid`] when the (possibly forced) engine cannot
 /// accept the circuit; [`RouteError::Refused`] when the MPS probe blows
-/// the job's cumulative budget and no dense fallback is feasible.
+/// the job's cumulative budget even at the honest ceiling.
 pub(crate) fn route_job<T: Scalar>(
     cache: &CompileCache<T>,
     cfg: &ServiceConfig,
@@ -372,12 +343,11 @@ pub(crate) fn route_job<T: Scalar>(
                     return Ok(routed(spec, EngineExec::Frame(entry), reason, None));
                 }
             }
-            // 2. Wide registers: dense amplitudes are off the table —
-            //    unless the job carries a cumulative truncation budget
-            //    and the identity-assignment probe blows it, in which
-            //    case an accurate-but-slow dense fallback (when one
-            //    fits) beats delivering out-of-budget MPS data.
-            if nc.n_qubits() >= cfg.mps_qubit_threshold {
+            // 2. Wide registers: dense amplitudes are off the table, so
+            //    a probe that blows the job's cumulative truncation
+            //    budget refuses it rather than deliver out-of-budget
+            //    MPS data.
+            if nc.n_qubits() >= MPS_QUBIT_THRESHOLD {
                 let exec = build_engine(cache, spec, circuit_hash, EngineKind::MpsTree)?;
                 return match probe_budget(cache, cfg, spec, circuit_hash, &exec) {
                     ProbeVerdict::Keep(truncation) => {
@@ -387,82 +357,43 @@ pub(crate) fn route_job<T: Scalar>(
                         Ok(routed(spec, exec, reason, truncation))
                     }
                     ProbeVerdict::Raised(raised) => Ok(raised),
-                    ProbeVerdict::Blown(p) if nc.n_qubits() > DENSE_FEASIBLE_MAX_QUBITS => {
-                        Err(RouteError::Refused(format!(
-                            "mps engine refused: identity-assignment probe truncation {:.3e} \
-                             exceeds the cumulative budget {:.3e}, and {} qubits is too wide for \
-                             a dense fallback — raise max_bond (ceiling {} reached: {}) or the \
-                             budget",
-                            p.trunc_error,
-                            spec.mps.trunc_budget,
-                            nc.n_qubits(),
-                            spec.mps.max_bond,
-                            p.max_bond_reached >= spec.mps.max_bond,
-                        )))
-                    }
-                    ProbeVerdict::Blown(p) => {
-                        let reason = RouteReason::TruncationBudgetBlown {
-                            trunc_error: p.trunc_error,
-                            budget: spec.mps.trunc_budget,
-                        };
-                        route_dense(cache, spec, circuit_hash, Some(reason), Some(p))
-                    }
+                    ProbeVerdict::Blown(p) => Err(RouteError::Refused(format!(
+                        "mps engine refused: identity-assignment probe truncation {:.3e} \
+                         exceeds the cumulative budget {:.3e}, and {} qubits is too wide for \
+                         a dense fallback — raise max_bond (ceiling {} reached: {}) or the \
+                         budget",
+                        p.trunc_error,
+                        spec.mps.trunc_budget,
+                        nc.n_qubits(),
+                        spec.mps.max_bond,
+                        p.max_bond_reached >= spec.mps.max_bond,
+                    ))),
                 };
             }
             // 3. Sharing decides between the tree walk and lane sweeps.
-            route_dense(cache, spec, circuit_hash, None, None)
+            route_dense(cache, spec, circuit_hash)
         }
     }
 }
 
 /// The dense (statevector) route: the plan tree's sharing ratio decides
-/// between the tree walk and lane sweeps. A job that lands here because
-/// another engine gave it up (`rerouted`: the MPS probe rejected it, or
-/// the engine failed at runtime) records that provenance instead of the
-/// sharing ratio.
+/// between the tree walk and lane sweeps.
 fn route_dense<T: Scalar>(
     cache: &CompileCache<T>,
     spec: &JobSpec,
     circuit_hash: u64,
-    rerouted: Option<RouteReason>,
-    truncation: Option<TruncationStats>,
 ) -> Result<Routed<T>, RouteError> {
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
     let entry = cache.sv(&spec.circuit, circuit_hash)?;
     let sharing_ratio = tree.sharing_ratio();
-    let (exec, by_sharing) = if sharing_ratio >= SHARING_THRESHOLD {
+    let (exec, reason) = if sharing_ratio >= SHARING_THRESHOLD {
         let reason = RouteReason::HighSharing { sharing_ratio };
         (EngineExec::Tree { entry, tree }, reason)
     } else {
         let reason = RouteReason::LowSharing { sharing_ratio };
         (EngineExec::BatchMajor(entry), reason)
     };
-    let reason = rerouted.unwrap_or(by_sharing);
-    Ok(routed(spec, exec, reason, truncation))
-}
-
-/// Graceful degradation: re-route a job whose engine failed fatally at
-/// runtime onto a dense fallback. Only meaningful before any output was
-/// committed (the caller checks), and only when a dense statevector
-/// fits the register.
-///
-/// # Errors
-/// [`RouteError::Invalid`] when no dense fallback is feasible.
-pub(crate) fn degrade_route<T: Scalar>(
-    cache: &CompileCache<T>,
-    spec: &JobSpec,
-    circuit_hash: u64,
-    from: EngineKind,
-) -> Result<Routed<T>, RouteError> {
-    let n_qubits = spec.circuit.n_qubits();
-    if n_qubits > DENSE_FEASIBLE_MAX_QUBITS {
-        return Err(RouteError::Invalid(format!(
-            "engine {} failed fatally and {n_qubits} qubits is too wide for a dense fallback",
-            from.label()
-        )));
-    }
-    let reason = RouteReason::EngineFallback { from };
-    route_dense(cache, spec, circuit_hash, Some(reason), None)
+    Ok(routed(spec, exec, reason, None))
 }
 
 fn build_engine<T: Scalar>(
@@ -497,4 +428,58 @@ fn build_engine<T: Scalar>(
             tree: tree(),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptsbe_circuit::{channels, Circuit, NoiseModel};
+    use ptsbe_core::{PlannedTrajectory, PtsPlan};
+
+    /// A T gate, then a CX chain over `n` qubits under depolarizing
+    /// noise: outside the frame domain at any width.
+    fn t_chain(n: usize) -> NoisyCircuit {
+        let mut c = Circuit::new(n);
+        c.h(0).t(0);
+        for q in 1..n {
+            c.cx(q - 1, q);
+        }
+        c.measure_all();
+        NoiseModel::new()
+            .with_default_2q(channels::depolarizing(0.01))
+            .apply(&c)
+    }
+
+    /// The MPS boundary from both sides: routing compiles the op stream
+    /// but allocates no state, so a 29-qubit dense route is cheap to ask
+    /// for.
+    #[test]
+    fn auto_routes_mps_from_thirty_qubits_and_dense_below() {
+        let cache = CompileCache::<f64>::new();
+        let cfg = ServiceConfig::default();
+        for n in [29, 30] {
+            let nc = t_chain(n);
+            let identity = PlannedTrajectory {
+                choices: vec![0; nc.sites().len()],
+                shots: 4,
+            };
+            let plan = PtsPlan {
+                trajectories: vec![identity],
+            };
+            let spec = JobSpec::new("boundary", nc, plan, 1);
+            let hash = spec.circuit.content_hash();
+            let Ok((decision, _)) = route_job(&cache, &cfg, &spec, hash) else {
+                panic!("{n} qubits did not route");
+            };
+            if n < 30 {
+                assert!(
+                    matches!(decision.engine, EngineKind::Tree | EngineKind::BatchMajor),
+                    "{n} qubits: {decision:?}"
+                );
+            } else {
+                assert_eq!(decision.engine, EngineKind::MpsTree, "{n} qubits");
+                assert_eq!(decision.reason, RouteReason::WideRegister { n_qubits: n });
+            }
+        }
+    }
 }

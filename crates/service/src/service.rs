@@ -49,15 +49,13 @@
 //!   requeues the task with its attempt ordinal bumped and keeps
 //!   serving. A chunk that was already delivered before the panic is
 //!   deduplicated by the emitter and the per-job accounting bitmap.
-//! - **Engine degradation.** A chunk that exhausts its retry budget on
-//!   the MPS engine re-routes the job once to a dense fallback
-//!   (recorded as [`RouteReason::EngineFallback`](crate::router::RouteReason)),
-//!   provided nothing reached the sink yet — guaranteed for MPS jobs,
-//!   whose chunks are held behind a lazily-written header until the
-//!   last one is in. The failing chunk bumps the job's route
-//!   *generation* first; sibling chunks of the failed route still in
-//!   flight are stale from that moment and leave no trace (no delivery,
-//!   no accounting, no verdict, no second fallback).
+//! - **Fatal chunk failures.** A chunk that exhausts its retry budget,
+//!   or whose engine fails structurally, fails the job with the chunk's
+//!   message on every engine. There is no engine to fall back to: a job
+//!   is routed to MPS only when no dense state fits. Sibling chunks
+//!   drain as no-ops (or finish what they started), and the chunk that
+//!   fills the ledger settles the job. An MPS job's held chunks never
+//!   reach the sink, so its shard is header-only.
 //! - **Deadlines.** [`crate::JobSpec::deadline`] is enforced
 //!   cooperatively at chunk boundaries; an expired job transitions
 //!   [`JobStatus::TimedOut`] within one chunk of the expiry and its
@@ -94,7 +92,7 @@ use crate::engine::{ChunkOutput, EngineExec, EngineKind};
 use crate::fault::{FaultConfig, FaultSink, InjectedFault};
 use crate::job::{ChunkLedger, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::router::{degrade_route, route_job, RouteError, RouteReason, Routed};
+use crate::router::{route_job, RouteError};
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_math::Scalar;
 use ptsbe_telemetry::{spanned, stage_span, task_scope, Stage, TelemetryConfig};
@@ -141,16 +139,13 @@ pub struct ServiceConfig {
     /// Maximum concurrently admitted jobs (queued + running); submission
     /// blocks (or `try_submit` refuses) beyond it. Must be ≥ 1.
     pub queue_capacity: usize,
-    /// Route the MPS tree engine at/above this qubit count (a dense
-    /// statevector of 30 qubits is 16 GiB at f64).
-    pub mps_qubit_threshold: usize,
     /// Honest bond ceiling: when a job's own `max_bond` blows its
     /// cumulative truncation budget *because the cap was binding*, the
     /// router retries the probe at this ceiling and routes MPS there
-    /// instead of refusing or degrading to a dense engine. Tight caps
-    /// are a false economy — the ROADMAP measured χ=192 both slower
-    /// (more per-bond truncations) and wrong (28% truncation error)
-    /// against χ=256 on the encoded-MSD workload.
+    /// instead of refusing the job. Tight caps are a false economy — the
+    /// ROADMAP measured χ=192 both slower (more per-bond truncations)
+    /// and wrong (28% truncation error) against χ=256 on the encoded-MSD
+    /// workload.
     pub mps_bond_ceiling: usize,
     /// Let executors fan out over rayon *inside* a chunk — across
     /// trajectories / subtrees / lane groups, and inside the dense
@@ -189,7 +184,6 @@ impl Default for ServiceConfig {
         Self {
             workers: 0,
             queue_capacity: 64,
-            mps_qubit_threshold: 30,
             mps_bond_ceiling: ptsbe_tensornet::MpsConfig::EXACT_MAX_BOND,
             executor_parallel: false,
             cache_budget_bytes: None,
@@ -203,9 +197,6 @@ enum Task<T: Scalar> {
     Plan(Arc<JobInner<T>>),
     Chunk {
         job: Arc<JobInner<T>>,
-        /// The route generation the chunk was cut under; once the job
-        /// has moved on (engine degradation) the chunk is stale.
-        generation: u32,
         index: usize,
         /// What the chunk covers, in the engine's own unit (plan
         /// indices; trie-order positions for the MPS tree engine; shot
@@ -470,7 +461,6 @@ fn run_task<T: Scalar>(shared: &Arc<Shared<T>>, task: &Task<T>) {
         Task::Plan(job) => plan_job(shared, job),
         Task::Chunk {
             job,
-            generation,
             index,
             range,
             attempt,
@@ -481,7 +471,7 @@ fn run_task<T: Scalar>(shared: &Arc<Shared<T>>, task: &Task<T>) {
                     crate::fault::raise("worker-kill");
                 }
             }
-            run_chunk(shared, job, *generation, *index, range, *attempt);
+            run_chunk(shared, job, *index, range, *attempt);
         }
     }
 }
@@ -530,12 +520,13 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
         settle(shared, job);
         return;
     }
-    enqueue_chunks(shared, job, 0, chunks);
+    enqueue_chunks(shared, job, chunks);
 }
 
-/// Route the job (compiling through the cache), fold the verdict into
-/// the service counters, and install it. The error is the job's failure
-/// text.
+/// Route the job (compiling through the cache) and make the verdict its
+/// engine: count it, install it, stage its delivery (dataset header;
+/// merged or chunk-order), and return the chunks it cuts the job into.
+/// The error is the job's failure text.
 fn route_and_install<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
@@ -561,46 +552,23 @@ fn route_and_install<T: Scalar>(
         Ok(Err(RouteError::Invalid(msg))) => return Err(msg),
         Err(_) => return Err("planning panicked".to_string()),
     };
-    let decision = &routed.0;
+    let (decision, exec) = job.routed.get_or_init(|| routed);
     if let Some(p) = &decision.truncation {
         shared.metrics.note_truncation(p);
     }
-    if matches!(decision.reason, RouteReason::TruncationBudgetBlown { .. }) {
-        shared
-            .metrics
-            .mps_probe_reroutes
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    install_route(shared, job, routed)
-}
-
-/// Make `routed` the job's engine: count it, install it, stage its
-/// delivery (dataset header; merged or chunk-order), and return the
-/// chunks it cuts the job into.
-fn install_route<T: Scalar>(
-    shared: &Arc<Shared<T>>,
-    job: &Arc<JobInner<T>>,
-    (decision, exec): Routed<T>,
-) -> Result<Vec<Range<usize>>, String> {
     shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
-    let header = make_header(&job.spec, &exec);
     let chunks = exec.chunks(&job.spec, shared.n_workers);
     let merge_after = exec.merged_delivery().then_some(chunks.len());
-    *lock_healed(&job.routed) = Some((decision, Arc::new(exec)));
-    match job.emitter() {
-        Ok(mut em) => em
-            .stage(header, merge_after)
-            .map_err(|e| format!("sink begin failed: {e}"))?,
-        Err(se) => return Err(se.to_string()),
-    }
+    job.emitter()
+        .map_err(|se| se.to_string())?
+        .stage(make_header(&job.spec, exec), merge_after);
     Ok(chunks)
 }
 
-/// Open the ledger of route `generation`'s cut and queue its chunks.
+/// Open the ledger of the job's cut and queue its chunks.
 fn enqueue_chunks<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
-    generation: u32,
     chunks: Vec<Range<usize>>,
 ) {
     *lock_healed(&job.ledger) = ChunkLedger {
@@ -613,7 +581,6 @@ fn enqueue_chunks<T: Scalar>(
         for (index, range) in chunks.into_iter().enumerate() {
             q.push_back(Task::Chunk {
                 job: Arc::clone(job),
-                generation,
                 index,
                 range,
                 attempt: 0,
@@ -639,18 +606,10 @@ fn panic_message(index: usize, payload: Box<dyn std::any::Any + Send>, attempts:
 fn run_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
-    generation: u32,
     index: usize,
     range: &Range<usize>,
     first_attempt: u32,
 ) {
-    // Engine first, generation second: when the generation still matches
-    // afterwards, the engine read above is that generation's (a
-    // replacement is installed only after the bump).
-    let exec = job.exec();
-    if !job.is_current(generation) {
-        return; // a chunk of a superseded route leaves no trace
-    }
     let mut drain = job.cancelled.load(Ordering::Acquire) || job.status().is_terminal();
     if !drain && job.deadline_exceeded() {
         // Cooperative deadline enforcement: the first chunk boundary
@@ -670,8 +629,8 @@ fn run_chunk<T: Scalar>(
         let _scope = task_scope(job.id, Some(index as u32));
         let seed = job.spec.seed;
         // Injected fatal engine failure: structural (not a panic), so it
-        // skips the retry loop entirely and lands on the degradation
-        // path — exactly like a real engine blowing up at runtime.
+        // skips the retry loop entirely and fails the job — exactly like
+        // a real engine blowing up at runtime.
         let injected_fatal = |exec: &EngineExec<T>| {
             exec.kind() == EngineKind::MpsTree
                 && shared
@@ -687,7 +646,7 @@ fn run_chunk<T: Scalar>(
         };
         let mut attempt = first_attempt;
         let mut attempts_here = 0u32;
-        let outcome: Result<ChunkOutput, String> = match &exec {
+        let outcome: Result<ChunkOutput, String> = match job.exec() {
             None => Err("internal: chunk scheduled before its engine was installed".to_string()),
             Some(exec) if injected_fatal(exec) => {
                 // A delayed chunk blows up late, like an engine that
@@ -734,24 +693,14 @@ fn run_chunk<T: Scalar>(
         match outcome {
             Ok(out) => {
                 trie_edges = out.trie_edges;
-                deliver(shared, job, generation, index, out.records);
+                deliver(shared, job, index, out.records);
             }
             Err(msg) => {
-                if let Some(exec) = exec
-                    .as_deref()
-                    .filter(|e| e.dense_fallback_allowed(&job.spec))
-                {
-                    // The job was re-planned onto a fallback engine (or
-                    // failed for good) here or by a sibling: this chunk
-                    // is superseded — no accounting against the new plan.
-                    degrade(shared, job, exec.kind(), generation, msg);
-                    return;
-                }
                 job.fail(msg);
             }
         }
     }
-    account_chunk(shared, job, generation, index, trie_edges);
+    account_chunk(shared, job, index, trie_edges);
 }
 
 /// Push a finished chunk through the job's emitter and fold the
@@ -759,23 +708,15 @@ fn run_chunk<T: Scalar>(
 fn deliver<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
-    generation: u32,
     index: usize,
     records: Vec<TrajectoryRecord>,
 ) {
-    let emitter = job.emitter();
-    // Checked with the emitter held: the fallback of a superseded route
-    // re-stages the emitter after the bump, so a push that gets past
-    // this check lands in state that re-stage then drops.
-    if !job.is_current(generation) {
-        return;
-    }
     for r in &records {
         if let Some(t) = &r.meta.truncation {
             shared.metrics.note_truncation(t);
         }
     }
-    let pushed = match emitter {
+    let pushed = match job.emitter() {
         Ok(mut em) => spanned(Stage::SinkWrite, || {
             em.push(index, records)
                 .map_err(|e| format!("sink write failed: {e}"))
@@ -813,70 +754,18 @@ fn deliver<T: Scalar>(
     }
 }
 
-/// Graceful engine degradation: a chunk of route `generation` failed
-/// for good on engine `from` (the MPS engine of a job the router chose
-/// it for — the only case that allows a dense fallback). Exactly one of
-/// the route's failing chunks wins [`JobInner::supersede`]; from that
-/// moment every sibling is stale, and the winner alone decides the job:
-/// it re-plans the job once onto a dense fallback (the route records the
-/// failed engine) *if nothing reached the sink yet* — which an MPS job's
-/// merged delivery behind a lazy header guarantees while any of its
-/// chunks can still fail — and otherwise fails and settles it with
-/// `msg`. The fallback is dense, so it gets no fallback of its own.
-fn degrade<T: Scalar>(
-    shared: &Arc<Shared<T>>,
-    job: &Arc<JobInner<T>>,
-    from: EngineKind,
-    generation: u32,
-    msg: String,
-) {
-    if !job.supersede(generation) {
-        return; // a sibling got here first
-    }
-    let replan = || {
-        if !job.emitter().is_ok_and(|em| em.untouched()) {
-            return None;
-        }
-        let routed = catch_unwind(AssertUnwindSafe(|| {
-            spanned(Stage::Route, || {
-                let circuit_hash = job.spec.circuit.content_hash();
-                degrade_route(&shared.cache, &job.spec, circuit_hash, from)
-            })
-        }));
-        let chunks = install_route(shared, job, routed.ok()?.ok()?).ok()?;
-        (!chunks.is_empty()).then_some(chunks)
-    };
-    match replan() {
-        Some(chunks) => {
-            shared
-                .metrics
-                .engine_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            enqueue_chunks(shared, job, generation + 1, chunks);
-        }
-        None => {
-            job.fail(msg);
-            settle(shared, job);
-        }
-    }
-}
-
 /// Exactly-once chunk accounting: the ledger makes redundant
 /// re-executions (a panic escaped the task after delivery) count once,
-/// ignores chunks of a superseded route, and the chunk that completes it
-/// settles the job.
+/// and the chunk that completes it settles the job.
 fn account_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
-    generation: u32,
     index: usize,
     trie_edges: u64,
 ) {
     {
         let mut ledger = lock_healed(&job.ledger);
-        // Checked with the ledger held, for the same reason as in
-        // `deliver`: a re-cut replaces the ledger after the bump.
-        if !job.is_current(generation) || ledger.accounted.get(index) != Some(&false) {
+        if ledger.accounted.get(index) != Some(&false) {
             return;
         }
         ledger.accounted[index] = true;

@@ -427,53 +427,10 @@ fn stopped_split_mps_job_leaves_a_valid_empty_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine degradation
-
-#[test]
-fn fatal_mps_failure_degrades_to_dense_fallback() {
-    let nc = bell_circuit(0.02);
-    let plan = plan_for(&nc, 20, 3, 3);
-    let spec = JobSpec::new("degrade", nc, plan, 21);
-
-    // Reference: the same spec Auto-routed on a default service lands on
-    // a dense engine (2 qubits is far below the MPS threshold).
-    let (dense_bytes, dense_report, _) = run_with(spec.clone(), faultless(2));
-    assert!(dense_report.status.is_success());
-    assert_ne!(dense_report.engine, Some(EngineKind::MpsTree));
-
-    // Same spec, but the service is configured to prefer MPS for
-    // everything — and MPS chunks fail fatally. The job must re-route
-    // once onto the dense fallback and deliver identical bytes.
-    let cfg = ServiceConfig {
-        mps_qubit_threshold: 2,
-        ..faulted(
-            FaultConfig {
-                mps_fatal: 1.0,
-                ..FaultConfig::default()
-            },
-            2,
-        )
-    };
-    let (bytes, report, metrics) = run_with(spec, cfg);
-    assert_eq!(report.status, JobStatus::Done, "{report:?}");
-    assert_eq!(
-        report.engine, dense_report.engine,
-        "{}",
-        report.route_reason
-    );
-    assert!(
-        report.route_reason.contains("degraded to a dense fallback"),
-        "route must record the fallback: {}",
-        report.route_reason
-    );
-    assert_eq!(metrics.engine_fallbacks, 1);
-    assert_eq!(report.chunks, dense_report.chunks, "the fallback's cut");
-    assert_eq!(bytes, dense_bytes, "degraded bytes must match a dense run");
-}
+// Fatal engine failure
 
 /// `EnginePolicy::Force` requires its engine at run time too: a forced
-/// MPS job whose chunks fail fatally fails with the chunk's message
-/// instead of re-routing onto a dense engine.
+/// MPS job whose chunks fail fatally fails with the chunk's message.
 #[test]
 fn fatal_failure_of_a_forced_mps_job_fails_it() {
     let nc = bell_circuit(0.3);
@@ -497,35 +454,39 @@ fn fatal_failure_of_a_forced_mps_job_fails_it() {
             .is_some_and(|e| e.contains("injected fatal engine failure")),
         "{report:?}"
     );
-    assert_eq!(metrics.engine_fallbacks, 0);
     assert_eq!((metrics.jobs_done, metrics.jobs_failed), (0, 1));
     assert_eq!(report.records, 0, "a failed merge writes no record");
 }
 
-/// Degradation stays exactly-once with several MPS chunks in flight:
-/// whichever subset of them fails fatally — all, or some while healthy
-/// siblings finish before, during and after the re-route (chunks are
-/// slowed, so they fail together or arrive late) — the job falls back once,
-/// reaches one terminal status, and its sink holds the dense run's bytes
-/// with no record of the superseded plan.
+/// The Bell pair of [`bell_circuit`] on a 30-qubit register whose other
+/// 28 qubits sit idle: the narrowest register the router sends to MPS.
+fn wide_bell_circuit(p: f64) -> NoisyCircuit {
+    let mut c = Circuit::new(30);
+    c.h(0).cx(0, 1).measure_all();
+    NoiseModel::new()
+        .with_default_1q(channels::depolarizing(p))
+        .with_default_2q(channels::depolarizing(p))
+        .apply(&c)
+}
+
+/// An Auto-routed MPS job has no dense engine to fall back to: whichever
+/// subset of its chunks fails fatally — all, or some while healthy
+/// siblings finish before, during and after the failure (chunks are
+/// slowed, so they fail together or arrive late) — the job fails once
+/// with the chunk's message, and its shard holds the header and no
+/// record of the held chunks. A seed that spares every chunk delivers
+/// the fault-free bytes.
 #[test]
-fn fatal_failure_of_split_mps_chunks_degrades_exactly_once() {
-    let nc = bell_circuit(0.3);
+fn fatal_failure_of_split_wide_mps_chunks_fails_the_job() {
+    let nc = wide_bell_circuit(0.3);
     let plan = plan_for(&nc, 30, 3, 3);
-    let mut spec = JobSpec::new("degrade-split", nc, plan, 21);
+    let mut spec = JobSpec::new("fatal-split", nc, plan, 21);
     spec.chunk_trajectories = 3;
 
-    let (dense_bytes, dense_report, _) = run_with(spec.clone(), faultless(2));
-    assert!(dense_report.status.is_success());
-    assert_ne!(dense_report.engine, Some(EngineKind::MpsTree));
-
-    // The same spec on a service that prefers MPS, fault-free: the job
-    // this test degrades really is cut into several chunks.
-    let prefers_mps = |cfg: ServiceConfig| ServiceConfig {
-        mps_qubit_threshold: 2,
-        ..cfg
-    };
-    let (_, mps_report, _) = run_with(spec.clone(), prefers_mps(faultless(2)));
+    // Fault-free, the job really is routed to MPS and cut into several
+    // chunks.
+    let (mps_bytes, mps_report, _) = run_with(spec.clone(), faultless(2));
+    assert_eq!(mps_report.status, JobStatus::Done, "{mps_report:?}");
     assert_eq!(mps_report.engine, Some(EngineKind::MpsTree));
     assert!(mps_report.chunks >= 4, "{}", mps_report.route_reason);
 
@@ -544,27 +505,31 @@ fn fatal_failure_of_split_mps_chunks_degrades_exactly_once() {
                 let label = format!(
                     "mps_fatal {mps_fatal}, delay {chunk_delay}, {workers} workers, seed {fault_seed}"
                 );
-                let cfg = prefers_mps(faulted(faults, workers));
-                let (bytes, report, metrics) = run_with(spec.clone(), cfg);
-                if report.engine == Some(EngineKind::MpsTree) {
+                let (bytes, report, metrics) = run_with(spec.clone(), faulted(faults, workers));
+                assert_eq!(report.engine, Some(EngineKind::MpsTree), "{label}");
+                assert_eq!(metrics.jobs_done + metrics.jobs_failed, 1, "{label}");
+                if report.status == JobStatus::Done {
                     // This fault seed spared every chunk.
                     assert!(mps_fatal < 1.0, "{label}");
-                    assert_eq!(report.status, JobStatus::Done, "{label}: {report:?}");
-                    assert_eq!(metrics.engine_fallbacks, 0, "{label}");
+                    assert_eq!(report.records, mps_report.records, "{label}");
+                    assert_eq!(bytes, mps_bytes, "{label}");
                     continue;
                 }
-                assert_eq!(report.status, JobStatus::Done, "{label}: {report:?}");
-                assert_eq!(report.engine, dense_report.engine, "{label}");
+                assert_eq!(report.status, JobStatus::Failed, "{label}: {report:?}");
                 assert!(
-                    report.route_reason.contains("degraded to a dense fallback"),
-                    "{label}: {}",
-                    report.route_reason
+                    report
+                        .error
+                        .as_deref()
+                        .is_some_and(|e| e.contains("injected fatal engine failure")),
+                    "{label}: {report:?}"
                 );
-                assert_eq!(metrics.engine_fallbacks, 1, "{label}");
-                assert_eq!((metrics.jobs_done, metrics.jobs_failed), (1, 0), "{label}");
-                assert_eq!(report.chunks, dense_report.chunks, "{label}");
-                assert_eq!(report.records, dense_report.records, "{label}");
-                assert_eq!(bytes, dense_bytes, "{label}");
+                assert_eq!(
+                    report.records, 0,
+                    "{label}: a failed merge writes no record"
+                );
+                let (header, records) = ptsbe_dataset::jsonl::read(bytes.as_slice()).unwrap();
+                assert!(header.backend.starts_with("mps-tree"), "{label}");
+                assert!(records.is_empty(), "{label}: part of a merge was written");
             }
         }
     }

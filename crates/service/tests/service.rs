@@ -31,6 +31,18 @@ fn bell_circuit(p: f64) -> NoisyCircuit {
         .apply(&c)
 }
 
+/// The Bell pair of [`bell_circuit`] on a 30-qubit register whose other
+/// 28 qubits sit idle: wide enough that the router sends it to the MPS
+/// engine, and still only bond 2.
+fn wide_bell_circuit(p: f64) -> NoisyCircuit {
+    let mut c = Circuit::new(30);
+    c.h(0).cx(0, 1).measure_all();
+    NoiseModel::new()
+        .with_default_1q(channels::depolarizing(p))
+        .with_default_2q(channels::depolarizing(p))
+        .apply(&c)
+}
+
 /// Non-Clifford workload (T gates): statevector engines only.
 fn t_circuit(p: f64) -> NoisyCircuit {
     let mut c = Circuit::new(3);
@@ -190,11 +202,10 @@ fn sharing_ratio_splits_tree_and_batch_major() {
 
 #[test]
 fn wide_registers_route_to_mps_tree() {
-    let nc = bell_circuit(0.3);
+    let nc = wide_bell_circuit(0.3);
     let plan = plan_for(&nc, 10, 5, false, 15);
     let service: ShotService = ShotService::start(ServiceConfig {
         workers: 2,
-        mps_qubit_threshold: 2, // force the wide-register branch
         ..ServiceConfig::default()
     });
     let (sink, store) = MemorySink::new();
@@ -234,19 +245,15 @@ fn wide_registers_route_to_mps_tree() {
 }
 
 // ---------------------------------------------------------------------------
-// Truncation-budget probe: refusal and re-route
+// Truncation-budget probe: refusal and the honest ceiling
 
 /// An MPS job whose budget survives the identity probe keeps the MPS
 /// engine, and the probe's stats land on the route decision.
 #[test]
 fn mps_job_within_budget_keeps_engine_and_records_probe() {
-    let nc = bell_circuit(0.02);
+    let nc = wide_bell_circuit(0.02);
     let plan = plan_for(&nc, 8, 5, true, 31);
-    let service: ShotService = ShotService::start(ServiceConfig {
-        workers: 1,
-        mps_qubit_threshold: 2,
-        ..ServiceConfig::default()
-    });
+    let service: ShotService = ShotService::start(one_worker());
     let mut spec = JobSpec::new("in-budget", nc, plan, 7);
     spec.mps = ptsbe_tensornet::MpsConfig::adaptive(64, 1e-8, 0.5);
     let (sink, _) = MemorySink::new();
@@ -256,59 +263,11 @@ fn mps_job_within_budget_keeps_engine_and_records_probe() {
     assert_eq!(report.engine, Some(EngineKind::MpsTree));
     let probe = handle.route().unwrap().truncation.expect("probe must run");
     assert!(!probe.budget_exhausted);
-    assert_eq!(probe.trunc_error, 0.0, "2-qubit circuit cannot truncate");
-    assert_eq!(service.metrics().mps_probe_reroutes, 0);
+    assert_eq!(probe.trunc_error, 0.0, "a Bell pair cannot truncate");
 }
 
-/// With `max_bond: 1` a Bell pair sheds half its mass: the probe blows
-/// the cumulative budget and the auto router falls back to a dense
-/// engine instead of delivering out-of-budget samples. The honest bond
-/// ceiling is pinned at the job's own cap here — when the service has
-/// no headroom to raise to, the dense fallback is still the answer.
-#[test]
-fn blown_truncation_budget_reroutes_to_dense() {
-    let nc = bell_circuit(0.02);
-    let plan = plan_for(&nc, 8, 5, true, 32);
-    let service: ShotService = ShotService::start(ServiceConfig {
-        workers: 1,
-        mps_qubit_threshold: 2,
-        mps_bond_ceiling: 1,
-        ..ServiceConfig::default()
-    });
-    let mut spec = JobSpec::new("blown-budget", nc, plan.clone(), 7);
-    spec.mps = ptsbe_tensornet::MpsConfig::adaptive(1, 1e-6, 1e-3);
-    let (sink, store) = MemorySink::new();
-    let handle = service.submit(spec, Box::new(sink)).unwrap();
-    let report = handle.wait();
-    assert!(report.status.is_success(), "{report:?}");
-    assert!(
-        matches!(
-            report.engine,
-            Some(EngineKind::Tree | EngineKind::BatchMajor)
-        ),
-        "expected a dense fallback, got {:?} ({})",
-        report.engine,
-        report.route_reason
-    );
-    assert!(
-        report.route_reason.contains("re-routed"),
-        "{}",
-        report.route_reason
-    );
-    assert_eq!(store.lock().unwrap().records.len(), plan.n_trajectories());
-    let m = service.metrics();
-    assert_eq!(m.mps_probe_reroutes, 1);
-    assert_eq!(m.mps_budget_refusals, 0);
-    assert!(
-        m.peak_trunc_error > 0.4,
-        "probe peak must be observable: {}",
-        m.peak_trunc_error
-    );
-}
-
-/// Forcing the MPS engine removes the dense fallback: with no ceiling
-/// headroom either, a blown budget is a refusal, not a silent engine
-/// swap.
+/// A forced MPS job stays on MPS: with no ceiling headroom, a blown
+/// budget is a refusal, not a silent engine swap.
 #[test]
 fn forced_mps_job_with_blown_budget_is_refused() {
     let nc = bell_circuit(0.02);
@@ -409,7 +368,7 @@ fn registers_wider_than_a_shot_word_fail_at_routing() {
 /// is part of what operators grep for, so it is pinned whole.
 #[test]
 fn wide_auto_job_with_blown_budget_and_no_dense_fallback_is_refused() {
-    let n = 28;
+    let n = 30;
     let mut c = Circuit::new(n);
     c.h(0);
     for q in 1..n {
@@ -422,7 +381,6 @@ fn wide_auto_job_with_blown_budget_and_no_dense_fallback_is_refused() {
     let plan = plan_for(&nc, 4, 2, true, 36);
     let service: ShotService = ShotService::start(ServiceConfig {
         workers: 1,
-        mps_qubit_threshold: 20,
         mps_bond_ceiling: 1,
         ..ServiceConfig::default()
     });
@@ -436,27 +394,24 @@ fn wide_auto_job_with_blown_budget_and_no_dense_fallback_is_refused() {
         report.error.as_deref(),
         Some(
             "mps engine refused: identity-assignment probe truncation 5.000e-1 exceeds the \
-             cumulative budget 1.000e-3, and 28 qubits is too wide for a dense fallback — raise \
+             cumulative budget 1.000e-3, and 30 qubits is too wide for a dense fallback — raise \
              max_bond (ceiling 1 reached: true) or the budget"
         )
     );
-    let m = service.metrics();
-    assert_eq!(m.mps_budget_refusals, 1);
-    assert_eq!(m.mps_probe_reroutes, 0);
+    assert_eq!(service.metrics().mps_budget_refusals, 1);
 }
 
 /// The ROADMAP's χ=192-vs-256 lesson, scaled down: a binding bond cap
 /// (χ=1 on a Bell pair) blows the truncation budget, but the blowout is
 /// the cap's fault, not the circuit's — the router must route MPS at
-/// the service's honest ceiling instead of shrinking to a dense engine,
-/// and the delivered data must be truncation-free.
+/// the service's honest ceiling instead of refusing the job, and the
+/// delivered data must be truncation-free.
 #[test]
 fn binding_bond_cap_routes_at_honest_ceiling() {
-    let nc = bell_circuit(0.02);
+    let nc = wide_bell_circuit(0.02);
     let plan = plan_for(&nc, 8, 5, true, 34);
     let service: ShotService = ShotService::start(ServiceConfig {
         workers: 1,
-        mps_qubit_threshold: 2,
         mps_bond_ceiling: 16,
         ..ServiceConfig::default()
     });
@@ -484,9 +439,7 @@ fn binding_bond_cap_routes_at_honest_ceiling() {
         "at the honest ceiling the Bell pair is exact"
     );
     assert_eq!(store.lock().unwrap().records.len(), plan.n_trajectories());
-    let m = service.metrics();
-    assert_eq!(m.mps_probe_reroutes, 0, "the job stayed on MPS");
-    assert_eq!(m.mps_budget_refusals, 0);
+    assert_eq!(service.metrics().mps_budget_refusals, 0);
 }
 
 /// `Force(MpsTree)` composes with the honest ceiling: raising the cap
