@@ -26,6 +26,7 @@
 //! Eviction is output-neutral by the same argument as warmth: an
 //! evicted artifact is recompiled on next use, byte-identically.
 
+use crate::lock_healed;
 use ptsbe_circuit::hash::combine;
 use ptsbe_circuit::{FusionStats, NoisyCircuit, StableHasher};
 use ptsbe_core::{MpsBackend, PtsPlan, PtsPlanTree, StatePool, SvBackend};
@@ -173,18 +174,6 @@ pub struct CompileCache<T: Scalar> {
     clock: AtomicU64,
     resident_bytes: AtomicUsize,
     evictions: AtomicU64,
-}
-
-/// Lock with poison healing. Cache maps are only ever mutated through
-/// short, non-panicking critical sections (pure map/counter updates;
-/// compiles run *outside* the lock), so a poisoned flag can only come
-/// from a panic unwinding *through* a guard on some other path — the
-/// protected state itself is consistent. Healing keeps one panicking
-/// worker from turning every later cache access into a second panic;
-/// job-scoped state with real mid-operation invariants takes the typed
-/// [`ServiceError::Internal`](crate::ServiceError) route instead.
-fn lock_healed<X>(m: &Mutex<X>) -> std::sync::MutexGuard<'_, X> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One cached artifact plus its LRU bookkeeping.

@@ -2,6 +2,7 @@
 //! they get back.
 
 use crate::engine::{EngineExec, EngineKind};
+use crate::lock_healed;
 use crate::router::{EnginePolicy, RouteDecision};
 use ptsbe_circuit::NoisyCircuit;
 use ptsbe_core::PtsPlan;
@@ -10,7 +11,7 @@ use ptsbe_math::Scalar;
 use ptsbe_tensornet::MpsConfig;
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -80,28 +81,6 @@ impl JobStatus {
             self,
             JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled | JobStatus::TimedOut
         )
-    }
-
-    pub(crate) fn to_u8(self) -> u8 {
-        match self {
-            JobStatus::Queued => 0,
-            JobStatus::Running => 1,
-            JobStatus::Done => 2,
-            JobStatus::Failed => 3,
-            JobStatus::Cancelled => 4,
-            JobStatus::TimedOut => 5,
-        }
-    }
-
-    pub(crate) fn from_u8(v: u8) -> Self {
-        match v {
-            0 => JobStatus::Queued,
-            1 => JobStatus::Running,
-            2 => JobStatus::Done,
-            3 => JobStatus::Failed,
-            5 => JobStatus::TimedOut,
-            _ => JobStatus::Cancelled,
-        }
     }
 }
 
@@ -256,8 +235,8 @@ pub(crate) struct PushOutcome {
     /// Transient sink-write failures absorbed by retry.
     pub(crate) write_retries: u64,
     /// The chunk index was already delivered (a redundant re-execution
-    /// after a panic escaped the task between delivery and accounting);
-    /// nothing was written.
+    /// after a panic between delivery and accounting); nothing was
+    /// written.
     pub(crate) duplicate: bool,
 }
 
@@ -271,8 +250,8 @@ pub(crate) struct PushOutcome {
 ///
 /// Fault-tolerance duties beyond reordering:
 ///
-/// - **Exactly-once delivery.** A task requeued after an escaped panic
-///   can re-execute a chunk that was already delivered (the panic came
+/// - **Exactly-once delivery.** A chunk retried after a panic can
+///   re-execute a chunk that was already delivered (the panic came
 ///   *after* pushing but *before* accounting); a re-push of a delivered
 ///   index is detected and dropped, so at-least-once scheduling becomes
 ///   exactly-once sink delivery.
@@ -423,9 +402,9 @@ impl Emitter {
 }
 
 /// Per-chunk accounting of the job's cut. A chunk index counts exactly
-/// once even when an escaped panic re-queues a chunk that already
-/// completed (the exactly-once counterpart of the emitter's delivery
-/// dedupe); the chunk that fills it settles the job.
+/// once even when a panic requeues a chunk that already completed (the
+/// exactly-once counterpart of the emitter's delivery dedupe); the chunk
+/// that fills it settles the job.
 #[derive(Default)]
 pub(crate) struct ChunkLedger {
     /// Whether chunk `i` has been accounted.
@@ -436,12 +415,27 @@ pub(crate) struct ChunkLedger {
     pub(crate) trie_edges: Vec<u64>,
 }
 
+/// A job's lifecycle, under one lock that is never held across sink IO,
+/// engine code, or the emitter and ledger locks, so no sink or engine
+/// panic can poison it.
+pub(crate) struct Lifecycle {
+    pub(crate) status: JobStatus,
+    /// Cancel requested; the next boundary settles the job `Cancelled`
+    /// unless another terminal state won first.
+    pub(crate) cancelled: bool,
+    /// The first failure message.
+    pub(crate) error: Option<String>,
+    /// Admission to settlement; `Some` once the job is settled.
+    pub(crate) wall: Option<Duration>,
+}
+
 /// Shared job state (handle side + worker side).
 pub(crate) struct JobInner<T: Scalar> {
     pub(crate) id: u64,
     pub(crate) spec: JobSpec,
-    pub(crate) status: AtomicU8,
-    pub(crate) cancelled: AtomicBool,
+    lifecycle: Mutex<Lifecycle>,
+    /// Signalled when the job settles.
+    pub(crate) settled: Condvar,
     /// The routing verdict and the engine it materialized, installed
     /// together, once, at plan time.
     pub(crate) routed: OnceLock<(RouteDecision, EngineExec<T>)>,
@@ -450,10 +444,7 @@ pub(crate) struct JobInner<T: Scalar> {
     pub(crate) ledger: Mutex<ChunkLedger>,
     pub(crate) records_emitted: AtomicU64,
     pub(crate) shots_emitted: AtomicU64,
-    pub(crate) error: Mutex<Option<String>>,
     pub(crate) submitted_at: Instant,
-    pub(crate) wall: Mutex<Option<Duration>>,
-    pub(crate) done: (Mutex<bool>, Condvar),
 }
 
 impl<T: Scalar> JobInner<T> {
@@ -461,70 +452,60 @@ impl<T: Scalar> JobInner<T> {
         Self {
             id,
             spec,
-            status: AtomicU8::new(JobStatus::Queued.to_u8()),
-            cancelled: AtomicBool::new(false),
+            lifecycle: Mutex::new(Lifecycle {
+                status: JobStatus::Queued,
+                cancelled: false,
+                error: None,
+                wall: None,
+            }),
+            settled: Condvar::new(),
             routed: OnceLock::new(),
             emitter: Mutex::new(Emitter::new(sink)),
             ledger: Mutex::new(ChunkLedger::default()),
             records_emitted: AtomicU64::new(0),
             shots_emitted: AtomicU64::new(0),
-            error: Mutex::new(None),
             submitted_at: Instant::now(),
-            wall: Mutex::new(None),
-            done: (Mutex::new(false), Condvar::new()),
         }
+    }
+
+    /// The lifecycle lock (healed: its critical sections are plain field
+    /// updates).
+    pub(crate) fn lifecycle(&self) -> MutexGuard<'_, Lifecycle> {
+        lock_healed(&self.lifecycle)
     }
 
     pub(crate) fn status(&self) -> JobStatus {
-        JobStatus::from_u8(self.status.load(Ordering::Acquire))
+        self.lifecycle().status
     }
 
-    /// Move to a non-terminal state (Queued → Running). Never overwrites
-    /// a terminal state.
+    /// Move Queued → Running. Never leaves a terminal state.
     pub(crate) fn set_running(&self) {
-        let _ = self.status.compare_exchange(
-            JobStatus::Queued.to_u8(),
-            JobStatus::Running.to_u8(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let mut life = self.lifecycle();
+        if life.status == JobStatus::Queued {
+            life.status = JobStatus::Running;
+        }
     }
 
-    /// Atomically move to terminal state `s`; returns `false` (leaving
-    /// the existing state untouched) if the job is already terminal.
-    /// This is the fix for the cancellation/failure race: a chunk that
-    /// observes `cancelled` after another worker recorded a sink
-    /// failure must not overwrite `Failed` with `Cancelled` (or vice
-    /// versa) — first terminal transition wins, always.
+    /// Move to terminal state `s`; returns `false` (leaving the existing
+    /// state untouched) if the job is already terminal. First terminal
+    /// transition wins, always: a chunk that observes the cancel after
+    /// another worker recorded a sink failure must not overwrite
+    /// `Failed` with `Cancelled`, nor the other way round.
     pub(crate) fn transition_terminal(&self, s: JobStatus) -> bool {
         debug_assert!(s.is_terminal());
-        let mut cur = self.status.load(Ordering::Acquire);
-        loop {
-            if JobStatus::from_u8(cur).is_terminal() {
-                return false;
-            }
-            match self.status.compare_exchange_weak(
-                cur,
-                s.to_u8(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => cur = observed,
-            }
+        let mut life = self.lifecycle();
+        if life.status.is_terminal() {
+            return false;
         }
+        life.status = s;
+        true
     }
 
     /// Record `msg` (first error wins) and transition to `Failed`.
     /// Returns `false` when the job was already terminal (the message is
     /// still recorded if no earlier error was).
     pub(crate) fn fail(&self, msg: String) -> bool {
-        {
-            let mut err = self.error.lock().unwrap_or_else(|e| e.into_inner());
-            if err.is_none() {
-                *err = Some(msg);
-            }
-        }
+        self.lifecycle().error.get_or_insert(msg);
         self.transition_terminal(JobStatus::Failed)
     }
 
@@ -559,21 +540,17 @@ impl<T: Scalar> JobInner<T> {
     }
 
     pub(crate) fn report(&self) -> JobReport {
-        let wall = self
-            .wall
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .unwrap_or_else(|| self.submitted_at.elapsed());
         let route = self.routed.get().map(|(decision, _)| decision);
         let unit = route.and_then(|r| r.engine.trie_chunk_unit());
         let (chunks, chunk_edges) = {
-            let ledger = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
+            let ledger = lock_healed(&self.ledger);
             let edges = unit.map(|_| ledger.trie_edges.clone());
             (ledger.accounted.len() as u64, edges.unwrap_or_default())
         };
+        let life = self.lifecycle();
         JobReport {
             job_id: self.id,
-            status: self.status(),
+            status: life.status,
             engine: route.map(|r| r.engine),
             route_reason: route
                 .map(|r| match unit {
@@ -585,8 +562,8 @@ impl<T: Scalar> JobInner<T> {
             chunk_edges,
             records: self.records_emitted.load(Ordering::Relaxed),
             shots: self.shots_emitted.load(Ordering::Relaxed),
-            wall,
-            error: self.error.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+            wall: life.wall.unwrap_or_else(|| self.submitted_at.elapsed()),
+            error: life.error.clone(),
         }
     }
 }
@@ -630,18 +607,114 @@ impl<T: Scalar> JobHandle<T> {
     /// already-emitted records stay in the sink (a valid plan-order
     /// prefix). Idempotent; has no effect on terminal jobs.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Release);
+        self.inner.lifecycle().cancelled = true;
     }
 
     /// Block until the job reaches a terminal state and return its
     /// report.
     pub fn wait(&self) -> JobReport {
-        let (lock, cv) = &self.inner.done;
-        let mut done = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = cv.wait(done).unwrap_or_else(|e| e.into_inner());
+        let inner = &self.inner;
+        let mut life = inner.lifecycle();
+        while life.wall.is_none() {
+            life = inner.settled.wait(life).unwrap_or_else(|e| e.into_inner());
         }
-        drop(done);
-        self.inner.report()
+        drop(life);
+        inner.report()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptsbe_circuit::{Circuit, NoiseModel};
+    use ptsbe_dataset::MemorySink;
+
+    const TERMINAL: [JobStatus; 4] = [
+        JobStatus::Done,
+        JobStatus::Failed,
+        JobStatus::Cancelled,
+        JobStatus::TimedOut,
+    ];
+
+    fn job() -> JobInner<f64> {
+        let mut c = Circuit::new(1);
+        c.h(0).measure_all();
+        let plan = PtsPlan {
+            trajectories: vec![],
+        };
+        let spec = JobSpec::new("lifecycle", NoiseModel::new().apply(&c), plan, 1);
+        let (sink, _) = MemorySink::new();
+        JobInner::new(1, spec, Box::new(sink))
+    }
+
+    #[test]
+    fn set_running_never_leaves_a_terminal_state() {
+        let queued = job();
+        assert_eq!(queued.status(), JobStatus::Queued);
+        queued.set_running();
+        queued.set_running();
+        assert_eq!(queued.status(), JobStatus::Running);
+        for s in TERMINAL {
+            let job = job();
+            assert!(job.transition_terminal(s), "{s}");
+            job.set_running();
+            assert_eq!(job.status(), s);
+        }
+    }
+
+    #[test]
+    fn a_failure_after_a_cancel_keeps_cancelled_and_records_the_error() {
+        let job = job();
+        job.set_running();
+        assert!(job.transition_terminal(JobStatus::Cancelled));
+        assert!(!job.fail("disk full".to_string()));
+        let report = job.report();
+        assert_eq!(report.status, JobStatus::Cancelled);
+        assert_eq!(report.error.as_deref(), Some("disk full"));
+    }
+
+    #[test]
+    fn a_cancel_after_a_failure_keeps_failed_and_the_first_error() {
+        let job = job();
+        job.set_running();
+        assert!(job.fail("disk full".to_string()));
+        assert!(!job.transition_terminal(JobStatus::Cancelled));
+        assert!(!job.fail("sink finish failed".to_string()));
+        let report = job.report();
+        assert_eq!(report.status, JobStatus::Failed);
+        assert_eq!(report.error.as_deref(), Some("disk full"));
+    }
+
+    /// Eight threads, released together, race one terminal transition
+    /// each: exactly one wins, and the status is the winner's.
+    #[test]
+    fn transition_terminal_returns_true_exactly_once() {
+        for s in TERMINAL {
+            let job = job();
+            assert!(job.transition_terminal(s));
+            for t in TERMINAL {
+                assert!(!job.transition_terminal(t), "{s} then {t}");
+            }
+            assert_eq!(job.status(), s);
+        }
+        let job = Arc::new(job());
+        job.set_running();
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let racers: Vec<_> = (0..8)
+            .map(|i| {
+                let (job, start) = (Arc::clone(&job), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let s = TERMINAL[i % TERMINAL.len()];
+                    start.wait();
+                    job.transition_terminal(s).then_some(s)
+                })
+            })
+            .collect();
+        let winners: Vec<JobStatus> = racers
+            .into_iter()
+            .filter_map(|r| r.join().unwrap())
+            .collect();
+        assert_eq!(winners.len(), 1, "{winners:?}");
+        assert_eq!(job.status(), winners[0]);
     }
 }

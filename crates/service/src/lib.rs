@@ -67,10 +67,10 @@
 
 //!
 //! The service layer is fault tolerant: deterministic fault injection
-//! ([`fault::FaultConfig`], `PTSBE_FAULTS`), chunk retry (3 retries,
-//! backoff doubling from 1 ms to a 100 ms cap), per-job deadlines
-//! ([`JobStatus::TimedOut`]), and requeue of a task a panic escaped
-//! (caught in the worker loop, so no worker thread dies) — all
+//! ([`fault::FaultConfig`], `PTSBE_FAULTS`), chunk retry (a panicking
+//! chunk attempt is caught in the worker loop, so no worker thread dies,
+//! and requeued up to 3 times with backoff doubling from 1 ms to a
+//! 100 ms cap), and per-job deadlines ([`JobStatus::TimedOut`]) — all
 //! output-neutral for a fixed seed (see [`service`]'s module docs).
 
 pub mod cache;
@@ -92,3 +92,12 @@ pub use service::{ServiceConfig, ShotService};
 // `ServiceConfig`, plus the stage taxonomy and snapshot for reading
 // back what was recorded.
 pub use ptsbe_telemetry::{Stage, TelemetryConfig, TelemetryMode, TelemetrySnapshot};
+
+/// Lock with poison healing, for state consistent at every release point
+/// (queue, admission count, cache maps, a job's lifecycle and ledger):
+/// healing keeps one panicking task from wedging the service. The
+/// emitter, torn by a panic mid sink write, is NOT healed; it surfaces a
+/// typed [`ServiceError::Internal`] instead.
+pub(crate) fn lock_healed<X>(m: &std::sync::Mutex<X>) -> std::sync::MutexGuard<'_, X> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -31,13 +31,10 @@ pub(crate) struct ServiceMetrics {
     pub(crate) peak_bond_reached: AtomicUsize,
     /// Jobs that reached the `TimedOut` terminal state.
     pub(crate) jobs_timed_out: AtomicU64,
-    /// Chunk executions retried after a recoverable failure.
+    /// Chunk attempts retried after a panic.
     pub(crate) chunk_retries: AtomicU64,
     /// Chunks abandoned at a deadline boundary (their job timed out).
     pub(crate) chunks_timed_out: AtomicU64,
-    /// Tasks requeued after a panic escaped them (see
-    /// [`MetricsSnapshot::workers_respawned`]).
-    pub(crate) workers_respawned: AtomicU64,
     /// Transient sink-write failures absorbed by the emitter's retry.
     pub(crate) sink_write_retries: AtomicU64,
 }
@@ -60,7 +57,6 @@ impl ServiceMetrics {
             jobs_timed_out: AtomicU64::new(0),
             chunk_retries: AtomicU64::new(0),
             chunks_timed_out: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
             sink_write_retries: AtomicU64::new(0),
         }
     }
@@ -119,17 +115,13 @@ pub struct MetricsSnapshot {
     pub peak_bond_reached: usize,
     /// Jobs that terminated `TimedOut` (deadline expired).
     pub jobs_timed_out: u64,
-    /// Chunk executions retried after a recoverable failure (injected or
-    /// real panic, transient error). Retries are output-neutral: a
-    /// retried chunk re-executes bitwise identically.
+    /// Chunk attempts retried after a panic, wherever it struck: an
+    /// injected or real engine panic, a `worker-kill` fault, a panicking
+    /// sink. The worker catches it and keeps serving. Retries are
+    /// output-neutral: a retried chunk re-executes bitwise identically.
     pub chunk_retries: u64,
     /// Chunks abandoned at a deadline boundary.
     pub chunks_timed_out: u64,
-    /// Tasks requeued after a panic escaped them — a `worker-kill`
-    /// fault, or an organic panic outside the chunk retry guard such as
-    /// a panicking sink. The worker catches the panic and keeps serving
-    /// (no thread is respawned; the name predates that).
-    pub workers_respawned: u64,
     /// Transient sink-write failures absorbed by bounded retry.
     pub sink_write_retries: u64,
     /// Compile/plan cache counters.
@@ -239,18 +231,13 @@ impl MetricsSnapshot {
             ),
             c(
                 "ptsbe_chunk_retries",
-                "Chunk executions retried.",
+                "Chunk attempts retried after a panic.",
                 self.chunk_retries,
             ),
             c(
                 "ptsbe_chunks_timed_out",
                 "Chunks abandoned at a deadline.",
                 self.chunks_timed_out,
-            ),
-            c(
-                "ptsbe_workers_respawned",
-                "Tasks requeued after a panic escaped them.",
-                self.workers_respawned,
             ),
             c(
                 "ptsbe_sink_write_retries",
@@ -329,7 +316,6 @@ impl MetricsSnapshot {
             jobs_timed_out: load(&m.jobs_timed_out),
             chunk_retries: load(&m.chunk_retries),
             chunks_timed_out: load(&m.chunks_timed_out),
-            workers_respawned: load(&m.workers_respawned),
             sink_write_retries: load(&m.sink_write_retries),
             cache,
             uptime_secs: m.started_at.elapsed().as_secs_f64(),
@@ -392,7 +378,6 @@ mod tests {
             "ptsbe_peak_active_jobs",
             "ptsbe_chunk_retries",
             "ptsbe_chunks_timed_out",
-            "ptsbe_workers_respawned",
             "ptsbe_sink_write_retries",
             "ptsbe_mps_budget_refusals",
             "ptsbe_peak_trunc_error",

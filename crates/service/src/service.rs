@@ -40,15 +40,15 @@
 //! output-neutral — a faulted run of a valid job produces dataset bytes
 //! identical to the fault-free run:
 //!
-//! - **Chunk retry.** A panicking chunk attempt is retried in place, up
-//!   to 3 times, with exponential backoff from 1 ms capped at 100 ms;
-//!   the retry re-executes bitwise identically.
-//! - **Escaped panics.** Every task a worker pops runs under
-//!   `catch_unwind`. A panic that escapes the chunk's retry guard (a
-//!   `worker-kill` fault, a panicking sink) is caught there: the worker
-//!   requeues the task with its attempt ordinal bumped and keeps
-//!   serving. A chunk that was already delivered before the panic is
-//!   deduplicated by the emitter and the per-job accounting bitmap.
+//! - **Chunk retry.** Every task a worker pops runs under one
+//!   `catch_unwind`, the only recovery path for a chunk attempt: an
+//!   injected or engine panic, a `worker-kill` fault and a panicking
+//!   sink all unwind to it. The worker keeps serving and requeues the
+//!   chunk at the front of the queue with its attempt ordinal bumped, up
+//!   to 3 times, after a backoff from 1 ms doubling to a 100 ms cap; the
+//!   retry re-executes bitwise identically. A chunk that was already
+//!   delivered before the panic is deduplicated by the emitter and the
+//!   per-job ledger.
 //! - **Fatal chunk failures.** A chunk that exhausts its retry budget,
 //!   or whose engine fails structurally, fails the job with the chunk's
 //!   message on every engine. There is no engine to fall back to: a job
@@ -82,46 +82,38 @@
 //! [`crate::JobHandle::cancel`] flips a per-job flag. Workers check it
 //! before planning and before every chunk; unexecuted chunks drain as
 //! no-ops, already-written records remain (a valid plan-order prefix),
-//! and the job terminates `Cancelled`. Terminal states are settled by a
-//! compare-and-swap — the first terminal transition wins — so the
-//! cancel/fail race cannot overwrite a `Failed` verdict or finalize a
-//! sink twice.
+//! and the job terminates `Cancelled`. A job's status, cancel flag,
+//! error and settlement live under one lifecycle lock, and the first
+//! terminal transition wins, so the cancel/fail race cannot overwrite a
+//! `Failed` verdict or finalize a sink twice.
 
 use crate::cache::CompileCache;
-use crate::engine::{ChunkOutput, EngineExec, EngineKind};
+use crate::engine::{EngineExec, EngineKind};
 use crate::fault::{FaultConfig, FaultSink, InjectedFault};
 use crate::job::{ChunkLedger, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
+use crate::lock_healed;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{route_job, RouteError};
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_math::Scalar;
 use ptsbe_telemetry::{spanned, stage_span, task_scope, Stage, TelemetryConfig};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Lock with poison healing: service-global locks (queue, admission)
-/// guard state that is consistent at every await point, so a panic
-/// between acquire and release cannot leave them torn — healing is safe
-/// and keeps one panicking task from wedging the whole service.
-/// Job-*scoped* state with real mid-operation invariants (the emitter)
-/// is NOT healed; it surfaces a typed [`ServiceError::Internal`] instead
-/// (see [`crate::job::JobInner::emitter`]).
-fn lock_healed<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Retries of a panicking chunk attempt after the first, in place.
-/// Retries are output-neutral (chunks are pure functions of the spec);
-/// every `PTSBE_FAULTS` preset stops panicking within this limit.
+/// Retries of a panicking chunk after its first attempt. Retries are
+/// output-neutral (chunks are pure functions of the spec); every
+/// `PTSBE_FAULTS` preset, alone or stacked, stops panicking and killing
+/// within this limit.
 pub(crate) const CHUNK_MAX_RETRIES: u32 = 3;
 
-/// Backoff before chunk retry number `retry` (0-based): 1 ms, doubling
-/// per retry, capped at 100 ms.
+/// Backoff before retrying a chunk whose attempt `retry` (0-based)
+/// panicked: 1 ms, doubling per retry, capped at 100 ms.
 fn retry_backoff(retry: u32) -> Duration {
     Duration::from_millis(100).min(Duration::from_millis(1).saturating_mul(1u32 << retry.min(16)))
 }
@@ -202,9 +194,10 @@ enum Task<T: Scalar> {
         /// indices; trie-order positions for the MPS tree engine; shot
         /// offsets for the frame engine).
         range: Range<usize>,
-        /// Execution-attempt ordinal (bumped when a panic escapes the
-        /// task, so a requeued chunk advances through the fault plan
-        /// instead of deterministically panicking forever).
+        /// Execution-attempt ordinal: every fault decision is keyed on
+        /// it, and each panicked attempt requeues the chunk with it
+        /// bumped by one, so a retry advances through the fault plan and
+        /// the budget ([`CHUNK_MAX_RETRIES`]) bounds how often.
         attempt: u32,
     },
 }
@@ -366,8 +359,8 @@ impl<T: Scalar> ShotService<T> {
     }
 
     /// Worker count of the pool (stable for the service's lifetime: a
-    /// panic that escapes a task is caught in the worker's loop, so no
-    /// worker thread dies, even under worker-kill faults).
+    /// panicking task is caught in the worker's loop, so no worker
+    /// thread dies, even under worker-kill faults).
     pub fn n_workers(&self) -> usize {
         self.shared.n_workers
     }
@@ -418,15 +411,12 @@ fn validate(spec: &JobSpec) -> Result<(), ServiceError> {
 // ---------------------------------------------------------------------------
 // Worker side.
 
-/// Pop tasks until shutdown with an empty queue. A panic that escapes a
-/// task — a `worker-kill` fault, or an organic one outside `run_chunk`'s
-/// retry guard such as a panicking sink — is caught here: the task goes
-/// back on the queue with its attempt ordinal bumped (so it advances
-/// through the fault plan instead of panicking on the same decision
-/// forever) and this thread keeps serving.
+/// Pop tasks until shutdown with an empty queue. Every task runs under
+/// `catch_unwind`, the one recovery path for a panicking chunk attempt
+/// (see [`recover`]), and this thread keeps serving either way.
 fn worker_loop<T: Scalar>(shared: &Arc<Shared<T>>) {
     loop {
-        let mut task = {
+        let task = {
             let mut q = lock_healed(&shared.queue);
             loop {
                 if let Some(t) = q.pop_front() {
@@ -438,21 +428,45 @@ fn worker_loop<T: Scalar>(shared: &Arc<Shared<T>>) {
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        if catch_unwind(AssertUnwindSafe(|| run_task(shared, &task))).is_ok() {
-            continue;
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_task(shared, &task))) {
+            recover(shared, task, payload);
         }
-        if let Task::Chunk { attempt, .. } = &mut task {
-            *attempt = attempt.saturating_add(1);
+    }
+}
+
+/// The one recovery path for a panicked task. A chunk within its budget
+/// is counted first (a sibling may finish the job before this thread
+/// gets further, and the waiter must see the count), backed off, and
+/// requeued at the front with its attempt bumped; past its budget it
+/// fails the job and is accounted, unless the ledger already holds it.
+/// A plan task that panicked past `route_and_install`'s catch fails its
+/// job.
+fn recover<T: Scalar>(shared: &Arc<Shared<T>>, mut task: Task<T>, payload: Box<dyn Any + Send>) {
+    match &mut task {
+        Task::Plan(job) => {
+            job.fail("planning panicked".to_string());
+            finalize(shared, job);
         }
-        // Count first: a sibling may pick the requeued task up and
-        // finish the job before this thread gets any further, and the
-        // job's waiter must already see the count.
-        shared
-            .metrics
-            .workers_respawned
-            .fetch_add(1, Ordering::Relaxed);
-        lock_healed(&shared.queue).push_back(task);
-        shared.queue_cv.notify_one();
+        Task::Chunk {
+            job,
+            index,
+            attempt,
+            ..
+        } => {
+            if *attempt < CHUNK_MAX_RETRIES {
+                shared.metrics.chunk_retries.fetch_add(1, Ordering::Relaxed);
+                let _scope = task_scope(job.id, Some(*index as u32));
+                spanned(Stage::RetryBackoff, || {
+                    thread::sleep(retry_backoff(*attempt))
+                });
+                *attempt += 1;
+                lock_healed(&shared.queue).push_front(task);
+                shared.queue_cv.notify_one();
+            } else if lock_healed(&job.ledger).accounted.get(*index) == Some(&false) {
+                job.fail(panic_message(*index, payload, *attempt + 1));
+                account_chunk(shared, job, *index, 0);
+            }
+        }
     }
 }
 
@@ -464,15 +478,7 @@ fn run_task<T: Scalar>(shared: &Arc<Shared<T>>, task: &Task<T>) {
             index,
             range,
             attempt,
-        } => {
-            if let Some(f) = &shared.faults {
-                if f.kill_worker(job.spec.seed, *index as u64, *attempt) {
-                    // A panic *outside* run_chunk's retry guard.
-                    crate::fault::raise("worker-kill");
-                }
-            }
-            run_chunk(shared, job, *index, range, *attempt);
-        }
+        } => run_chunk(shared, job, *index, range, *attempt),
     }
 }
 
@@ -489,7 +495,7 @@ fn make_header<T: Scalar>(spec: &JobSpec, exec: &EngineExec<T>) -> DatasetHeader
 /// Compile (through the cache), route, stage the header, split into
 /// chunks, and enqueue them.
 fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
-    if job.cancelled.load(Ordering::Acquire) {
+    if job.lifecycle().cancelled {
         job.transition_terminal(JobStatus::Cancelled);
         finalize(shared, job);
         return;
@@ -603,14 +609,25 @@ fn panic_message(index: usize, payload: Box<dyn std::any::Any + Send>, attempts:
     format!("chunk {index} panicked after {attempts} attempt(s){detail}")
 }
 
+/// One attempt at chunk `index`, straight through: a panic anywhere in
+/// it — an injected fault, the engine, the sink — unwinds to the worker
+/// loop, which retries the chunk or fails the job (see [`recover`]).
 fn run_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
     index: usize,
     range: &Range<usize>,
-    first_attempt: u32,
+    attempt: u32,
 ) {
-    let mut drain = job.cancelled.load(Ordering::Acquire) || job.status().is_terminal();
+    let faults = shared.faults.as_ref();
+    let (seed, chunk) = (job.spec.seed, index as u64);
+    if faults.is_some_and(|f| f.kill_worker(seed, chunk, attempt)) {
+        crate::fault::raise("worker-kill");
+    }
+    let mut drain = {
+        let life = job.lifecycle();
+        life.cancelled || life.status.is_terminal()
+    };
     if !drain && job.deadline_exceeded() {
         // Cooperative deadline enforcement: the first chunk boundary
         // past the expiry flips the job to TimedOut; every later chunk
@@ -625,78 +642,39 @@ fn run_chunk<T: Scalar>(
     let mut trie_edges = 0;
     if !drain {
         // Chunk identity scope: executor prep/sample hooks aggregate
-        // here, and the sink/backoff spans inherit (job, chunk) ids.
+        // here, and the sink spans inherit (job, chunk) ids.
         let _scope = task_scope(job.id, Some(index as u32));
-        let seed = job.spec.seed;
-        // Injected fatal engine failure: structural (not a panic), so it
-        // skips the retry loop entirely and fails the job — exactly like
-        // a real engine blowing up at runtime.
-        let injected_fatal = |exec: &EngineExec<T>| {
-            exec.kind() == EngineKind::MpsTree
-                && shared
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.mps_fatal_chunk(seed, index as u64))
-        };
-        let injected_delay = |attempt: u32| {
-            let delay = shared.faults.as_ref();
-            if let Some(d) = delay.and_then(|f| f.chunk_delay(seed, index as u64, attempt)) {
-                thread::sleep(d);
+        if let Some(d) = faults.and_then(|f| f.chunk_delay(seed, chunk, attempt)) {
+            thread::sleep(d);
+        }
+        match job.exec() {
+            None => {
+                job.fail("internal: chunk scheduled before its engine was installed".to_string());
             }
-        };
-        let mut attempt = first_attempt;
-        let mut attempts_here = 0u32;
-        let outcome: Result<ChunkOutput, String> = match job.exec() {
-            None => Err("internal: chunk scheduled before its engine was installed".to_string()),
-            Some(exec) if injected_fatal(exec) => {
-                // A delayed chunk blows up late, like an engine that
-                // fails mid-run: siblings have started by then.
-                injected_delay(attempt);
-                Err("injected fatal engine failure".to_string())
+            // Injected fatal engine failure: structural (not a panic), so
+            // it is not retried and fails the job — exactly like a real
+            // engine blowing up at runtime. A delayed chunk blows up
+            // late, like an engine that fails mid-run: siblings have
+            // started by then.
+            Some(exec)
+                if exec.kind() == EngineKind::MpsTree
+                    && faults.is_some_and(|f| f.mps_fatal_chunk(seed, chunk)) =>
+            {
+                job.fail("injected fatal engine failure".to_string());
             }
-            Some(exec) => loop {
-                injected_delay(attempt);
-                attempts_here += 1;
-                let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(f) = &shared.faults {
-                        if f.panic_early(seed, index as u64, attempt) {
-                            crate::fault::raise("chunk-panic-early");
-                        }
-                    }
-                    let out = exec.run(&job.spec, index, range.clone(), &shared.cfg);
-                    if let Some(f) = &shared.faults {
-                        // The partial panic: the chunk's records exist, but
-                        // the panic discards them before delivery — the
-                        // retry must rebuild them bitwise identically.
-                        if f.panic_late(seed, index as u64, attempt) {
-                            crate::fault::raise("chunk-panic-late");
-                        }
-                    }
-                    out
-                }));
-                match attempt_result {
-                    Ok(out) => break Ok(out),
-                    Err(payload) => {
-                        if attempts_here <= CHUNK_MAX_RETRIES {
-                            shared.metrics.chunk_retries.fetch_add(1, Ordering::Relaxed);
-                            spanned(Stage::RetryBackoff, || {
-                                thread::sleep(retry_backoff(attempts_here - 1));
-                            });
-                            attempt = attempt.saturating_add(1);
-                            continue;
-                        }
-                        break Err(panic_message(index, payload, attempts_here));
-                    }
+            Some(exec) => {
+                if faults.is_some_and(|f| f.panic_early(seed, chunk, attempt)) {
+                    crate::fault::raise("chunk-panic-early");
                 }
-            },
-        };
-        match outcome {
-            Ok(out) => {
+                let out = exec.run(&job.spec, index, range.clone(), &shared.cfg);
+                // The partial panic: the chunk's records exist, but the
+                // panic discards them before delivery — the retry must
+                // rebuild them bitwise identically.
+                if faults.is_some_and(|f| f.panic_late(seed, chunk, attempt)) {
+                    crate::fault::raise("chunk-panic-late");
+                }
                 trie_edges = out.trie_edges;
                 deliver(shared, job, index, out.records);
-            }
-            Err(msg) => {
-                job.fail(msg);
             }
         }
     }
@@ -725,9 +703,9 @@ fn deliver<T: Scalar>(
     };
     match pushed {
         Ok(out) if out.duplicate => {
-            // Redundant re-execution of an already-delivered chunk (a
-            // panic escaped it between delivery and accounting): nothing
-            // was written, nothing to count.
+            // Redundant re-execution of an already-delivered chunk (it
+            // panicked between delivery and accounting): nothing was
+            // written, nothing to count.
         }
         Ok(out) => {
             job.records_emitted
@@ -755,7 +733,7 @@ fn deliver<T: Scalar>(
 }
 
 /// Exactly-once chunk accounting: the ledger makes redundant
-/// re-executions (a panic escaped the task after delivery) count once,
+/// re-executions (a chunk that panicked after delivery) count once,
 /// and the chunk that completes it settles the job.
 fn account_chunk<T: Scalar>(
     shared: &Arc<Shared<T>>,
@@ -778,26 +756,24 @@ fn account_chunk<T: Scalar>(
     settle(shared, job);
 }
 
-/// End-of-job settlement, reached once per job: the terminal transition
-/// CASes the status — first terminal transition wins — and relies on the
-/// emitter's idempotent finish, so the cancel/fail race can neither
-/// overwrite a `Failed` verdict nor double-finalize the sink.
+/// End-of-job settlement, reached once per job: the first terminal
+/// transition wins, under the job's lifecycle lock, and the emitter's
+/// finish is idempotent, so the cancel/fail race can neither overwrite a
+/// `Failed` verdict nor double-finalize the sink.
 fn settle<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
-    if !job.status().is_terminal() {
-        if job.cancelled.load(Ordering::Acquire) {
-            job.transition_terminal(JobStatus::Cancelled);
-        } else {
-            let finished = match job.emitter() {
-                Ok(mut em) => em.finish().map_err(|e| format!("sink finish failed: {e}")),
-                Err(se) => Err(se.to_string()),
-            };
-            match finished {
-                Ok(()) => {
-                    job.transition_terminal(JobStatus::Done);
-                }
-                Err(msg) => {
-                    job.fail(msg);
-                }
+    if job.lifecycle().cancelled {
+        job.transition_terminal(JobStatus::Cancelled);
+    } else if !job.status().is_terminal() {
+        let finished = match job.emitter() {
+            Ok(mut em) => em.finish().map_err(|e| format!("sink finish failed: {e}")),
+            Err(se) => Err(se.to_string()),
+        };
+        match finished {
+            Ok(()) => {
+                job.transition_terminal(JobStatus::Done);
+            }
+            Err(msg) => {
+                job.fail(msg);
             }
         }
     }
@@ -812,22 +788,22 @@ fn settle<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
     finalize(shared, job);
 }
 
-/// Terminal bookkeeping shared by every exit path: metrics, the waiter
-/// handshake, and the admission slot release.
+/// Terminal bookkeeping shared by every exit path: the status counter
+/// (before the waiter wakes, so its metrics already hold the job), the
+/// waiter handshake, and the admission slot release.
 fn finalize<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
-    *lock_healed(&job.wall) = Some(job.submitted_at.elapsed());
-    let counter = match job.status() {
-        JobStatus::Done => &shared.metrics.jobs_done,
-        JobStatus::Cancelled => &shared.metrics.jobs_cancelled,
-        JobStatus::TimedOut => &shared.metrics.jobs_timed_out,
-        _ => &shared.metrics.jobs_failed,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
     {
-        let (lock, cv) = &job.done;
-        *lock_healed(lock) = true;
-        cv.notify_all();
+        let mut life = job.lifecycle();
+        let counter = match life.status {
+            JobStatus::Done => &shared.metrics.jobs_done,
+            JobStatus::Cancelled => &shared.metrics.jobs_cancelled,
+            JobStatus::TimedOut => &shared.metrics.jobs_timed_out,
+            _ => &shared.metrics.jobs_failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        life.wall = Some(job.submitted_at.elapsed());
     }
+    job.settled.notify_all();
     {
         let mut active = lock_healed(&shared.active);
         *active = active.saturating_sub(1);

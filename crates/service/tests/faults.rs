@@ -222,23 +222,20 @@ fn presets_deliver_identical_bytes(spec: fn(u64) -> JobSpec) {
                 metrics.sink_write_retries > 0,
                 "flakes must count transient write retries"
             ),
-            "worker-kill" => assert!(
-                metrics.workers_respawned > 0,
-                "kills must count respawned workers"
-            ),
+            "worker-kill" => assert!(metrics.chunk_retries > 0, "kills must count retried chunks"),
             _ => {}
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Panics that escape a task
+// Panics caught by the worker loop
 
 #[test]
 fn killed_workers_respawn_without_losing_chunks() {
-    // EVERY chunk's first attempt panics outside the retry guard: each
-    // worker must catch it, requeue the chunk with its attempt bumped and
-    // keep serving, and the finished dataset must still be byte-identical.
+    // EVERY chunk's first attempt is killed: each worker must catch it,
+    // requeue the chunk with its attempt bumped and keep serving, and the
+    // finished dataset must still be byte-identical.
     let (baseline, _, _) = run_with(chunked_spec(5), faultless(1));
     let storm = FaultConfig {
         worker_kill: 1.0,
@@ -249,9 +246,9 @@ fn killed_workers_respawn_without_losing_chunks() {
     assert_eq!(report.status, JobStatus::Done, "{report:?}");
     assert_eq!(bytes, baseline);
     assert!(
-        metrics.workers_respawned >= 2,
-        "every chunk killed a worker; got {} respawns",
-        metrics.workers_respawned
+        metrics.chunk_retries >= 2,
+        "every chunk killed a worker; got {} retries",
+        metrics.chunk_retries
     );
 }
 
@@ -276,8 +273,8 @@ impl RecordSink for PanickingSink {
     }
 }
 
-/// An organic panic outside the chunk retry guard: the sink panics
-/// inside the job's emitter lock. That job fails with a typed internal
+/// An organic panic in delivery: the sink panics inside the job's
+/// emitter lock. That job fails with a typed internal
 /// error (its emitter is poisoned, so its sink state is unknowable), and
 /// the one worker survives to run the next job.
 #[test]
@@ -301,6 +298,61 @@ fn a_panicking_sink_fails_its_job_and_the_worker_serves_on() {
         .wait();
     assert_eq!(next.status, JobStatus::Done, "{next:?}");
     assert!(!buf.bytes().is_empty());
+}
+
+/// A chunk that panics on every attempt spends the whole retry budget
+/// (`CHUNK_MAX_RETRIES` = 3, so four attempts) and fails its job with
+/// the last attempt's panic. The shard holds a valid plan-order prefix,
+/// and the workers serve on: the same service then runs a job to `Done`
+/// (one with no chunks, the only kind a certain panic spares).
+#[test]
+fn a_chunk_that_never_stops_panicking_fails_its_job() {
+    let (full_bytes, full_report, _) = run_with(chunked_spec(23), faultless(1));
+    assert_eq!(full_report.status, JobStatus::Done);
+    let (_, full) = ptsbe_dataset::jsonl::read(io::BufReader::new(full_bytes.as_slice())).unwrap();
+    let storm = FaultConfig {
+        chunk_panic: 1.0,
+        panic_max_attempts: u32::MAX,
+        ..FaultConfig::default()
+    };
+    for workers in [1, 2] {
+        let service: ShotService = ShotService::start(faulted(storm.clone(), workers));
+        let buf = SharedBuffer::new();
+        let report = service
+            .submit(chunked_spec(23), Box::new(JsonlSink::new(buf.clone())))
+            .unwrap()
+            .wait();
+        assert_eq!(report.status, JobStatus::Failed, "{workers}: {report:?}");
+        let error = report.error.as_deref().unwrap_or("");
+        assert!(
+            error.starts_with("chunk ")
+                && error
+                    .contains("panicked after 4 attempt(s) (injected fault: chunk-panic-early)"),
+            "{workers}: {report:?}"
+        );
+        let metrics = service.metrics();
+        assert!(metrics.chunk_retries >= 3, "{workers}: {metrics:?}");
+        assert_eq!(metrics.jobs_failed, 1, "{workers}: {metrics:?}");
+        let bytes = buf.bytes();
+        let (_, records) =
+            ptsbe_dataset::jsonl::read(io::BufReader::new(bytes.as_slice())).unwrap();
+        assert_eq!(records.len() as u64, report.records, "{workers}");
+        assert!(records.len() < full.len(), "{workers}");
+        for (got, want) in records.iter().zip(&full) {
+            assert_eq!(got.meta.traj_id, want.meta.traj_id, "{workers}");
+            assert_eq!(got.shots, want.shots, "{workers}");
+        }
+
+        let mut empty = chunked_spec(23);
+        empty.plan = Arc::new(PtsPlan {
+            trajectories: vec![],
+        });
+        let next = service
+            .submit(empty, Box::new(JsonlSink::new(SharedBuffer::new())))
+            .unwrap()
+            .wait();
+        assert_eq!(next.status, JobStatus::Done, "{workers}: {next:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
