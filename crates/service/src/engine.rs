@@ -83,16 +83,22 @@ impl EngineKind {
         self as usize
     }
 
-    /// What a chunk of a prefix-trie walk is called in a job report
-    /// (the report says how many the walk was cut into, and how many
-    /// trie edges each advanced through); `None` for the engines that
-    /// walk no trie.
-    pub(crate) fn trie_chunk_unit(self) -> Option<&'static str> {
+    /// How a job report names the engine's cut — "walked as 2
+    /// plan-range chunk(s)" — as (verb, chunk unit); `None` for the frame
+    /// engine, whose cut is a pure function of the spec.
+    pub(crate) fn cut_words(self) -> Option<(&'static str, &'static str)> {
         match self {
-            EngineKind::Tree => Some("plan-range"),
-            EngineKind::MpsTree => Some("trie-order"),
-            _ => None,
+            EngineKind::Tree => Some(("walked", "plan-range")),
+            EngineKind::MpsTree => Some(("walked", "trie-order")),
+            EngineKind::BatchMajor | EngineKind::Flat => Some(("swept", "plan-range")),
+            EngineKind::Frame => None,
         }
+    }
+
+    /// Whether the engine walks a prefix trie (its report lists the
+    /// edges each chunk walked).
+    pub(crate) fn walks_trie(self) -> bool {
+        matches!(self, EngineKind::Tree | EngineKind::MpsTree)
     }
 }
 
@@ -128,20 +134,47 @@ const FRAME_AUTO_CHUNK_SHOTS: usize = 1 << 16;
 /// the shared spine (each extra range repeats up to one root-to-leaf
 /// path of `n_sites` edges).
 const TREE_SPINE_BUDGET_DIV: usize = 4;
-/// Amplitude updates (`edges · 2^n`) a range must keep to be worth a
-/// queue task: 2^19 is about 2 ms of segment sweeps.
-const TREE_MIN_CHUNK_SWEEP: u128 = 1 << 19;
+/// Amplitude updates a dense chunk must keep to be worth a worker of
+/// its own: `edges · 2ⁿ` for a tree range, `trajectories · segments ·
+/// 2ⁿ` for a lane range. 2^21 is a few milliseconds of segment sweeps;
+/// it keeps `svc-small`'s lane jobs (2^20.1–2^20.7) whole, which read
+/// 2–21 % slower per job when split (`job_p50_s`, four seeds).
+const MIN_CHUNK_SWEEP: u128 = 1 << 21;
 
-/// How many plan ranges a dense tree job is cut into when the spec
-/// leaves it to the service: never more than there are workers (so a
-/// one-worker service repeats nothing), never so many that the repeated
-/// spine exceeds a quarter of the trie, never chunks too small to pay
-/// for their scheduling.
-fn tree_auto_chunks(tree: &PtsPlanTree, n_qubits: usize, workers: usize) -> usize {
-    let edges = tree.n_edges();
-    let by_spine = 1 + edges / (TREE_SPINE_BUDGET_DIV * tree.n_sites()).max(1);
-    let by_work = ((edges as u128) << n_qubits.min(64)) / TREE_MIN_CHUNK_SWEEP;
-    (workers.min(by_spine) as u128).min(by_work).max(1) as usize
+/// Per-worker shares a dense job of `work` amplitude updates is cut
+/// into: at most `workers`, and none lighter than [`MIN_CHUNK_SWEEP`].
+fn work_shares(work: u128, workers: usize) -> usize {
+    (workers as u128).min(work / MIN_CHUNK_SWEEP).max(1) as usize
+}
+
+/// How many plan ranges a dense tree job of `edges` trie edges over
+/// `n_sites` sites is cut into when the spec leaves it to the service:
+/// never more than there are workers (so a one-worker service repeats
+/// nothing), never so many that the repeated spine exceeds a quarter of
+/// the trie, never chunks too small to pay for their scheduling.
+fn tree_auto_chunks(edges: usize, n_sites: usize, n_qubits: usize, workers: usize) -> usize {
+    let by_spine = 1 + edges / (TREE_SPINE_BUDGET_DIV * n_sites).max(1);
+    work_shares((edges as u128) << n_qubits.min(64), workers.min(by_spine))
+}
+
+/// Trajectories per chunk of a lane-swept job of `n` trajectories
+/// through `segments` segments on `n_qubits` qubits, `lanes` to a lane
+/// group. A chunk holds at most `(8·lanes).clamp(16, 512)` trajectories,
+/// a few lane groups: enough work to amortize scheduling, enough chunks
+/// to stream and cancel. The chunk count is rounded up to a multiple of
+/// the job's [`work_shares`] (every trajectory walks every segment), so
+/// each worker sweeps an equal share.
+fn lane_chunk_trajectories(
+    n: usize,
+    lanes: usize,
+    segments: usize,
+    n_qubits: usize,
+    workers: usize,
+) -> usize {
+    let cap = (lanes * 8).clamp(16, 512);
+    let shares = work_shares((n as u128 * segments as u128) << n_qubits.min(64), workers);
+    let chunks = n.div_ceil(cap).div_ceil(shares) * shares;
+    n.div_ceil(chunks.max(1))
 }
 
 /// Edges one shot of an MPS leaf weighs in the leaf cut's balance: at
@@ -202,18 +235,19 @@ fn ranges(total: usize, per: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Lane geometry of a lane-swept engine over `entry`: the one place the
-/// lane count, the L2 target ([`BatchConfig::default`]) and the spec's
-/// chunk override are folded together, so the decision metadata and the
+/// Lane geometry of a lane-swept engine over `entry` on a pool of
+/// `workers`: the one place the lane count, the L2 target
+/// ([`BatchConfig::default`]), the cut rule and the spec's chunk
+/// override are folded together, so the decision metadata and the
 /// scheduler cannot disagree.
-fn lane_geometry<T: Scalar>(entry: &SvEntry<T>, spec: &JobSpec) -> BatchGeometry {
+fn lane_geometry<T: Scalar>(entry: &SvEntry<T>, spec: &JobSpec, workers: usize) -> BatchGeometry {
     let batch = BatchConfig::default();
-    let state_bytes = (2usize << entry.backend.n_qubits()) * std::mem::size_of::<T>();
+    let backend = &entry.backend;
+    let state_bytes = (2usize << backend.n_qubits()) * std::mem::size_of::<T>();
     let lanes = batch.lanes_for_bytes(state_bytes);
     let trajs_per_chunk = if spec.chunk_trajectories == 0 {
-        // A few lane groups per chunk: enough work to amortize
-        // scheduling, enough chunks to stream and cancel.
-        (lanes * 8).clamp(16, 512)
+        let n = spec.plan.trajectories.len();
+        lane_chunk_trajectories(n, lanes, backend.n_segments(), backend.n_qubits(), workers)
     } else {
         spec.chunk_trajectories
     };
@@ -248,20 +282,20 @@ impl<T: Scalar> EngineExec<T> {
         }
     }
 
-    /// Lane geometry recorded on the route decision; `None` for engines
-    /// that do not sweep lanes.
-    pub(crate) fn geometry(&self, spec: &JobSpec) -> Option<BatchGeometry> {
+    /// Lane geometry recorded on the route decision, for a pool of
+    /// `workers`; `None` for engines that do not sweep lanes.
+    pub(crate) fn geometry(&self, spec: &JobSpec, workers: usize) -> Option<BatchGeometry> {
         match self {
             EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
-                Some(lane_geometry(entry, spec))
+                Some(lane_geometry(entry, spec, workers))
             }
             _ => None,
         }
     }
 
     /// Cut the job into chunks (see the module docs for the unit).
-    /// `workers` is the pool size the cut may use; only the two tree
-    /// engines look at it.
+    /// `workers` is the pool size the cut may use; only the frame engine
+    /// ignores it, because its cut is part of the byte contract.
     pub(crate) fn chunks(&self, spec: &JobSpec, workers: usize) -> Vec<Range<usize>> {
         let n = spec.plan.trajectories.len();
         match self {
@@ -277,7 +311,9 @@ impl<T: Scalar> EngineExec<T> {
             // sub-trie: a range repeats only the trie's shared spine.
             EngineExec::Tree { tree, .. } => {
                 let per = if spec.chunk_trajectories == 0 {
-                    n.div_ceil(tree_auto_chunks(tree, spec.circuit.n_qubits(), workers))
+                    let (edges, sites) = (tree.n_edges(), tree.n_sites());
+                    let k = tree_auto_chunks(edges, sites, spec.circuit.n_qubits(), workers);
+                    n.div_ceil(k)
                 } else {
                     spec.chunk_trajectories
                 };
@@ -293,8 +329,10 @@ impl<T: Scalar> EngineExec<T> {
                 mps_bond_estimate(entry),
                 workers,
             ),
+            // One equal share of lane groups per worker, when the job
+            // is heavy enough to pay for more than one.
             EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
-                ranges(n, lane_geometry(entry, spec).trajs_per_chunk)
+                ranges(n, lane_geometry(entry, spec, workers).trajs_per_chunk)
             }
         }
     }
@@ -525,6 +563,76 @@ mod tests {
         let forced = mps_leaf_chunks(&tree, &plan, 1, 8, 2);
         assert_eq!(forced, vec![0..21, 21..22, 22..23, 23..24]);
         assert_eq!(mps_leaf_chunks(&tree, &plan, 22, 8, 2), vec![0..22, 22..24]);
+    }
+
+    /// The lane cut of an `n`-trajectory, `segments`-segment f64 job on
+    /// `n_qubits` qubits and `workers` workers, checked against what
+    /// every cut must be: contiguous ranges covering `0..n`, none longer
+    /// than the `(8·lanes).clamp(16, 512)` cap.
+    fn lane_cut(n: usize, segments: usize, n_qubits: usize, workers: usize) -> Vec<Range<usize>> {
+        let lanes = BatchConfig::default().lanes_for::<f64>(n_qubits);
+        let per = lane_chunk_trajectories(n, lanes, segments, n_qubits, workers);
+        let cut = ranges(n, per);
+        let cap = (8 * lanes).clamp(16, 512);
+        let covered: Vec<usize> = cut.iter().flat_map(|r| r.clone()).collect();
+        assert_eq!(covered, (0..n).collect::<Vec<_>>(), "{cut:?}");
+        assert!(
+            cut.iter().all(|r| !r.is_empty() && r.len() <= cap),
+            "{cut:?}"
+        );
+        cut
+    }
+
+    /// `sv-sample` (4 trajectories, 121 segments, 16 qubits: two lanes)
+    /// and `sv-divergent` (97 trajectories, 92 segments, 14 qubits: four
+    /// lanes) are one job each: the cut gives every worker an equal
+    /// share.
+    #[test]
+    fn a_lone_heavy_lane_job_is_cut_into_equal_shares_per_worker() {
+        for (workers, chunks) in [(1, 1), (2, 2), (4, 4)] {
+            assert_eq!(lane_cut(4, 121, 16, workers).len(), chunks, "{workers}");
+        }
+        for workers in [1, 2] {
+            let cut = lane_cut(97, 92, 14, workers);
+            assert_eq!(cut.len(), 4, "{workers} workers: {cut:?}");
+            assert!(cut.iter().all(|r| r.len() <= 25), "{cut:?}");
+        }
+    }
+
+    /// `svc-small`'s lane jobs (2^20.1, 2^20.7 and 2^20.5 amplitude
+    /// updates) are below the floor: one chunk on any pool.
+    #[test]
+    fn light_lane_jobs_stay_one_chunk() {
+        for (n, segments, n_qubits) in [(150, 29, 8), (32, 46, 10), (150, 43, 8)] {
+            for workers in [1, 2, 4, 8] {
+                let cut = lane_cut(n, segments, n_qubits, workers);
+                assert_eq!(
+                    cut,
+                    vec![0..n],
+                    "({n}, {segments}, {n_qubits}) on {workers}"
+                );
+            }
+        }
+        assert!(lane_cut(0, 10, 8, 2).is_empty());
+    }
+
+    /// The floor both dense rules share leaves the benchmark's tree cuts
+    /// as the tree rule's own 2^19 floor made them: `sv-shared`'s trie
+    /// (1 463–1 495 edges over 91 sites, 14 qubits) one range per worker
+    /// up to the spine budget, `svc-small`'s tries (10 qubits) whole.
+    #[test]
+    fn the_shared_floor_keeps_the_benchmark_tree_cuts() {
+        for edges in [1463, 1495] {
+            let cuts: Vec<usize> = [1, 2, 4, 8]
+                .map(|workers| tree_auto_chunks(edges, 91, 14, workers))
+                .into();
+            assert_eq!(cuts, vec![1, 2, 4, 5], "{edges} edges");
+        }
+        for (edges, sites) in [(117, 36), (203, 45), (365, 54)] {
+            for workers in [1, 2, 4, 8] {
+                assert_eq!(tree_auto_chunks(edges, sites, 10, workers), 1);
+            }
+        }
     }
 
     #[test]

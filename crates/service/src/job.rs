@@ -129,7 +129,8 @@ pub struct JobSpec {
     /// geometry by construction — every trajectory draws from the Philox
     /// stream of its *absolute* plan index and the emitter commits
     /// records in plan order — so the auto rule is free to look at the
-    /// worker count (both tree engines cut at most one chunk per worker).
+    /// worker count (the tree engines cut at most one chunk per worker,
+    /// the lane-swept ones a multiple of the workers they keep busy).
     /// Only the frame engine's chunking is part of the byte contract (its
     /// streams are keyed by chunk ordinal; see
     /// [`JobSpec::frame_chunk_shots`]).
@@ -189,9 +190,10 @@ pub struct JobReport {
     pub status: JobStatus,
     /// Routed engine (absent when the job failed before routing).
     pub engine: Option<EngineKind>,
-    /// Human-readable routing rationale; tree routes also say how many
-    /// chunks the walk was cut into (plan ranges for the dense tree
-    /// engine, trie-order leaf runs for the MPS one).
+    /// Human-readable routing rationale; every engine but the frame one
+    /// also says how many chunks the job was cut into ("walked as" plan
+    /// ranges for the dense tree engine and trie-order leaf runs for the
+    /// MPS one, "swept as" plan ranges for the lane-swept engines).
     pub route_reason: String,
     /// Scheduler chunks the job was split into (0 when it never reached
     /// planning or had nothing to run).
@@ -541,10 +543,11 @@ impl<T: Scalar> JobInner<T> {
 
     pub(crate) fn report(&self) -> JobReport {
         let route = self.routed.get().map(|(decision, _)| decision);
-        let unit = route.and_then(|r| r.engine.trie_chunk_unit());
         let (chunks, chunk_edges) = {
             let ledger = lock_healed(&self.ledger);
-            let edges = unit.map(|_| ledger.trie_edges.clone());
+            let edges = route
+                .filter(|r| r.engine.walks_trie())
+                .map(|_| ledger.trie_edges.clone());
             (ledger.accounted.len() as u64, edges.unwrap_or_default())
         };
         let life = self.lifecycle();
@@ -553,8 +556,10 @@ impl<T: Scalar> JobInner<T> {
             status: life.status,
             engine: route.map(|r| r.engine),
             route_reason: route
-                .map(|r| match unit {
-                    Some(unit) => format!("{}; walked as {chunks} {unit} chunk(s)", r.reason),
+                .map(|r| match r.engine.cut_words() {
+                    Some((verb, unit)) => {
+                        format!("{}; {verb} as {chunks} {unit} chunk(s)", r.reason)
+                    }
                     None => r.reason.to_string(),
                 })
                 .unwrap_or_default(),

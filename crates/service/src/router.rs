@@ -118,12 +118,15 @@ impl std::fmt::Display for RouteReason {
 
 /// Chosen batch-major lane geometry, recorded on the route decision so
 /// operators can see how the split-plane working set was sized against
-/// the L2 target. Present only for the batch-major and flat engines.
+/// the L2 target and how the job was cut on the service's pool. Present
+/// only for the batch-major and flat engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchGeometry {
     /// Lanes per `StateBatch` group (auto-sized from the working set).
     pub lanes: usize,
-    /// Trajectories per scheduler chunk.
+    /// Trajectories per scheduler chunk: the size the scheduler cuts
+    /// on the service's pool, so a plan of `n` trajectories runs as
+    /// `⌈n / trajs_per_chunk⌉` chunks.
     pub trajs_per_chunk: usize,
     /// Bytes of one lane's split re/im planes (`2 · 2^n · size_of::<T>`).
     pub state_bytes: usize,
@@ -160,6 +163,10 @@ pub struct RouteDecision {
 /// A routed job: the verdict plus the engine that will run it.
 pub(crate) type Routed<T> = (RouteDecision, EngineExec<T>);
 
+/// The router's choice before the pool is consulted: the engine, why,
+/// and its truncation probe.
+type Choice<T> = (EngineExec<T>, RouteReason, Option<TruncationStats>);
+
 /// Why a job could not be routed. Either way the message becomes the
 /// job's error text verbatim.
 pub(crate) enum RouteError {
@@ -177,18 +184,18 @@ impl From<String> for RouteError {
     }
 }
 
-/// The verdict for running the job on `exec`: engine and lane geometry
-/// are read off the engine itself, so they cannot disagree with it.
+/// The verdict for running the job on `exec` over a pool of `workers`:
+/// engine and lane geometry are read off the engine itself, so they
+/// cannot disagree with it or with the cut the scheduler makes.
 fn routed<T: Scalar>(
     spec: &JobSpec,
-    exec: EngineExec<T>,
-    reason: RouteReason,
-    truncation: Option<TruncationStats>,
+    (exec, reason, truncation): Choice<T>,
+    workers: usize,
 ) -> Routed<T> {
     let decision = RouteDecision {
         engine: exec.kind(),
         reason,
-        geometry: exec.geometry(spec),
+        geometry: exec.geometry(spec, workers),
         truncation,
     };
     (decision, exec)
@@ -228,7 +235,7 @@ fn raise_to_honest_ceiling<T: Scalar>(
     spec: &JobSpec,
     circuit_hash: u64,
     probe: &TruncationStats,
-) -> Option<Routed<T>> {
+) -> Option<Choice<T>> {
     if probe.max_bond_reached < spec.mps.max_bond || cfg.mps_bond_ceiling <= spec.mps.max_bond {
         return None;
     }
@@ -246,8 +253,11 @@ fn raise_to_honest_ceiling<T: Scalar>(
         requested: spec.mps.max_bond,
         raised: cfg.mps_bond_ceiling,
     };
-    let exec = EngineExec::MpsTree { entry, tree };
-    Some(routed(spec, exec, reason, Some(raised_probe)))
+    Some((
+        EngineExec::MpsTree { entry, tree },
+        reason,
+        Some(raised_probe),
+    ))
 }
 
 /// What the truncation probe says about running the job on `exec`.
@@ -258,7 +268,7 @@ enum ProbeVerdict<T: Scalar> {
     Keep(Option<TruncationStats>),
     /// The job's own bond cap caused the blowout: run MPS at the honest
     /// ceiling instead.
-    Raised(Routed<T>),
+    Raised(Choice<T>),
     /// Blown even at the ceiling: the caller refuses the job.
     Blown(TruncationStats),
 }
@@ -291,7 +301,8 @@ fn probe_budget<T: Scalar>(
     }
 }
 
-/// Route `spec` and materialize its engine from `cache`.
+/// Route `spec`, materialize its engine from `cache`, and record the
+/// lane geometry it is cut into on a pool of `workers`.
 ///
 /// # Errors
 /// [`RouteError::Invalid`] when the (possibly forced) engine cannot
@@ -302,15 +313,25 @@ pub(crate) fn route_job<T: Scalar>(
     cfg: &ServiceConfig,
     spec: &JobSpec,
     circuit_hash: u64,
+    workers: usize,
 ) -> Result<Routed<T>, RouteError> {
+    let choice = choose_engine(cache, cfg, spec, circuit_hash)?;
+    Ok(routed(spec, choice, workers))
+}
+
+/// The engine the job runs on (the table in the module docs).
+fn choose_engine<T: Scalar>(
+    cache: &CompileCache<T>,
+    cfg: &ServiceConfig,
+    spec: &JobSpec,
+    circuit_hash: u64,
+) -> Result<Choice<T>, RouteError> {
     let nc = spec.circuit.as_ref();
     match spec.engine {
         EnginePolicy::Force(engine) => {
             let exec = build_engine(cache, spec, circuit_hash, engine)?;
             match probe_budget(cache, cfg, spec, circuit_hash, &exec) {
-                ProbeVerdict::Keep(truncation) => {
-                    Ok(routed(spec, exec, RouteReason::Forced, truncation))
-                }
+                ProbeVerdict::Keep(truncation) => Ok((exec, RouteReason::Forced, truncation)),
                 ProbeVerdict::Raised(raised) => Ok(raised),
                 // The caller demanded MPS; silently handing the job to
                 // another engine would violate `Force`, so refuse
@@ -340,7 +361,7 @@ pub(crate) fn route_job<T: Scalar>(
                 let entry = cache.frame(nc, circuit_hash)?;
                 if entry.deterministic {
                     let reason = RouteReason::CliffordPauliDeterministic;
-                    return Ok(routed(spec, EngineExec::Frame(entry), reason, None));
+                    return Ok((EngineExec::Frame(entry), reason, None));
                 }
             }
             // 2. Wide registers: dense amplitudes are off the table, so
@@ -354,7 +375,7 @@ pub(crate) fn route_job<T: Scalar>(
                         let reason = RouteReason::WideRegister {
                             n_qubits: nc.n_qubits(),
                         };
-                        Ok(routed(spec, exec, reason, truncation))
+                        Ok((exec, reason, truncation))
                     }
                     ProbeVerdict::Raised(raised) => Ok(raised),
                     ProbeVerdict::Blown(p) => Err(RouteError::Refused(format!(
@@ -382,18 +403,17 @@ fn route_dense<T: Scalar>(
     cache: &CompileCache<T>,
     spec: &JobSpec,
     circuit_hash: u64,
-) -> Result<Routed<T>, RouteError> {
+) -> Result<Choice<T>, RouteError> {
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
     let entry = cache.sv(&spec.circuit, circuit_hash)?;
     let sharing_ratio = tree.sharing_ratio();
-    let (exec, reason) = if sharing_ratio >= SHARING_THRESHOLD {
+    Ok(if sharing_ratio >= SHARING_THRESHOLD {
         let reason = RouteReason::HighSharing { sharing_ratio };
-        (EngineExec::Tree { entry, tree }, reason)
+        (EngineExec::Tree { entry, tree }, reason, None)
     } else {
         let reason = RouteReason::LowSharing { sharing_ratio };
-        (EngineExec::BatchMajor(entry), reason)
-    };
-    Ok(routed(spec, exec, reason, None))
+        (EngineExec::BatchMajor(entry), reason, None)
+    })
 }
 
 fn build_engine<T: Scalar>(
@@ -468,7 +488,7 @@ mod tests {
             };
             let spec = JobSpec::new("boundary", nc, plan, 1);
             let hash = spec.circuit.content_hash();
-            let Ok((decision, _)) = route_job(&cache, &cfg, &spec, hash) else {
+            let Ok((decision, _)) = route_job(&cache, &cfg, &spec, hash, 2) else {
                 panic!("{n} qubits did not route");
             };
             if n < 30 {

@@ -32,6 +32,9 @@
 //! which repeats only what the two sides of a cut share (nothing for a
 //! root fork). Such chunks are not plan-contiguous, so the emitter holds
 //! them and writes them merged by plan index when the last one arrives.
+//! A lane-swept job is cut into a multiple of one equal share per
+//! worker, so a lone job of a few heavy trajectories fills the pool too;
+//! the dense cuts share one floor of work per chunk.
 //!
 //! # Fault tolerance
 //!
@@ -543,7 +546,13 @@ fn route_and_install<T: Scalar>(
         let _scope = task_scope(job.id, None);
         spanned(Stage::Route, || {
             let circuit_hash = job.spec.circuit.content_hash();
-            route_job(&shared.cache, &shared.cfg, &job.spec, circuit_hash)
+            route_job(
+                &shared.cache,
+                &shared.cfg,
+                &job.spec,
+                circuit_hash,
+                shared.n_workers,
+            )
         })
     }));
     let routed = match planned {

@@ -70,6 +70,27 @@ fn split_tree_spec(seed: u64) -> JobSpec {
     spec
 }
 
+/// A lane job the service cuts itself: 256 iid trajectories of a
+/// 14-qubit CX chain, eight 32-trajectory chunks on one or two workers
+/// and nine equal shares on three (the faulted runs), so the presets'
+/// 25 % per-chunk faults have chunks to hit.
+fn split_lane_spec(seed: u64) -> JobSpec {
+    let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
+    let mut c = Circuit::new(n);
+    c.h(0).t(0);
+    for q in 1..n {
+        c.cx(q - 1, q);
+    }
+    c.measure_all();
+    let nc = NoiseModel::new()
+        .with_default_1q(channels::amplitude_damping(0.2))
+        .with_default_2q(channels::depolarizing(0.05))
+        .apply(&c);
+    let plan = plan_for(&nc, 256, 4, 43);
+    JobSpec::new("faults-lane", nc, plan, seed)
+        .with_engine(EnginePolicy::Force(EngineKind::BatchMajor))
+}
+
 /// An MPS tree job cut in trie order into leaf runs of at least three
 /// trajectories (saturated noise: nearly every trajectory is a leaf of
 /// its own), whose chunks the emitter holds and merges.
@@ -187,6 +208,17 @@ fn split_mps_chunks_recover_under_every_preset() {
     assert_eq!(report.engine, Some(EngineKind::MpsTree));
     assert!(report.chunks >= 6, "{}", report.route_reason);
     presets_deliver_identical_bytes(split_mps_spec);
+}
+
+/// Lane chunks of the service's own cut recover as byte-neutrally.
+#[test]
+fn split_lane_chunks_recover_under_every_preset() {
+    let (_, report, _) = run_with(split_lane_spec(42), faultless(2));
+    assert_eq!(report.engine, Some(EngineKind::BatchMajor));
+    assert_eq!(report.chunks, 8, "{}", report.route_reason);
+    let (_, report, _) = run_with(split_lane_spec(42), faultless(3));
+    assert_eq!(report.chunks, 9, "{}", report.route_reason);
+    presets_deliver_identical_bytes(split_lane_spec);
 }
 
 fn presets_deliver_identical_bytes(spec: fn(u64) -> JobSpec) {

@@ -680,40 +680,48 @@ fn bytes_identical_across_executor_parallel_above_fanout_threshold() {
     }
 }
 
-/// A dense tree job heavy enough for the automatic rule is cut into
-/// plan ranges — at most one per worker, none on a one-worker service —
-/// and the cut never shows in the bytes.
+/// A dense job heavy enough for the automatic rule is cut into plan
+/// ranges — at most one per worker, none on a one-worker service — and
+/// the cut never shows in the bytes. That holds for the tree walk and
+/// for lane sweeps; the lane plan stays within one chunk's cap (32
+/// trajectories of 14 qubits), so only the worker shares cut it.
 #[test]
 fn split_tree_job_bytes_identical_across_worker_counts() {
     let nc = Arc::new(threshold_circuit());
-    let plan = Arc::new(plan_for(&nc, 400, 4, false, 43));
-    let spec = JobSpec::new("split-tree", Arc::clone(&nc), Arc::clone(&plan), 17)
-        .with_engine(EnginePolicy::Force(EngineKind::Tree));
-    let (reference, report) = run_binary(spec.clone(), 1);
-    assert!(report.status.is_success(), "{report:?}");
-    assert_eq!(report.chunks, 1, "one worker must not split: {report:?}");
-    assert!(
-        report.route_reason.contains("1 plan-range chunk"),
-        "{}",
-        report.route_reason
-    );
-    for workers in [2usize, 4, 8] {
-        let (bytes, report) = run_binary(spec.clone(), workers);
-        assert!(report.status.is_success(), "{workers}: {report:?}");
+    for (engine, n) in [(EngineKind::Tree, 400), (EngineKind::BatchMajor, 32)] {
+        let plan = Arc::new(plan_for(&nc, n, 4, false, 43));
+        let spec = JobSpec::new("split-dense", Arc::clone(&nc), Arc::clone(&plan), 17)
+            .with_engine(EnginePolicy::Force(engine));
+        let (reference, report) = run_binary(spec.clone(), 1);
+        assert!(report.status.is_success(), "{report:?}");
+        assert_eq!(report.engine, Some(engine));
+        assert_eq!(report.chunks, 1, "one worker must not split: {report:?}");
         assert!(
-            report.chunks > 1 && report.chunks <= workers as u64,
-            "{workers} workers: cut into {} chunks",
-            report.chunks
-        );
-        assert!(
-            report
-                .route_reason
-                .contains(&format!("{} plan-range chunk", report.chunks)),
+            report.route_reason.contains("1 plan-range chunk"),
             "{}",
             report.route_reason
         );
-        assert_eq!(report.records, plan.n_trajectories() as u64);
-        assert_eq!(bytes, reference, "split at {workers} workers changed bytes");
+        for workers in [2usize, 4, 8] {
+            let (bytes, report) = run_binary(spec.clone(), workers);
+            assert!(report.status.is_success(), "{workers}: {report:?}");
+            assert!(
+                report.chunks > 1 && report.chunks <= workers as u64,
+                "{engine:?} on {workers} workers: cut into {} chunks",
+                report.chunks
+            );
+            assert!(
+                report
+                    .route_reason
+                    .contains(&format!("{} plan-range chunk", report.chunks)),
+                "{}",
+                report.route_reason
+            );
+            assert_eq!(report.records, plan.n_trajectories() as u64);
+            assert_eq!(
+                bytes, reference,
+                "{engine:?} split at {workers} workers changed bytes"
+            );
+        }
     }
 }
 
