@@ -321,6 +321,19 @@ impl<T: Scalar> Backend for SvBackend<T> {
             ptsbe_rng::bits::extract_bits(u128::from(index), measured)
         })
     }
+
+    fn sample_batch<R: Rng + ?Sized>(
+        &self,
+        state: &mut Self::State,
+        requests: &mut [(usize, &mut R)],
+    ) -> Vec<Vec<u128>> {
+        // Every shot-by-shot request on this state resolves against one
+        // cumulative distribution, summed once for all of them.
+        let measured = self.compiled.measured_qubits();
+        sv_sampling::sample_words_batch(state, requests, |index| {
+            ptsbe_rng::bits::extract_bits(u128::from(index), measured)
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------

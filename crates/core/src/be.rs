@@ -49,7 +49,7 @@ use rayon::prelude::*;
 /// three executors route their parallelism through. `parallel` fans the
 /// items out over rayon; otherwise they run in turn on the calling
 /// thread *under a one-thread rayon budget*, so no kernel underneath
-/// (gate sweeps, norms, Kraus probabilities, lane sweeps, sorted-merge
+/// (gate sweeps, norms, Kraus probabilities, lane sweeps, block-CDF
 /// sampling) fans out either. Output-neutral: the kernels key their
 /// summation grouping on the qubit count, never on the thread count.
 fn fan_out<T, R, F>(parallel: bool, items: Vec<T>, f: F) -> Vec<R>

@@ -1,10 +1,12 @@
 //! O(m) generation of sorted uniform variates.
 //!
 //! Bulk shot sampling ("collect all `m_alpha` shots at once", the BE half of
-//! PTSBE) inverts the cumulative distribution of `|psi|^2`. Sorting `m`
-//! uniforms first turns inversion into a *single* linear merge over the
-//! 2^n-entry probability vector — O(2^n + m) instead of O(m log 2^n) binary
-//! searches or an O(m log m) sort.
+//! PTSBE) inverts the cumulative distribution of `|psi|^2`. Drawing the `m`
+//! uniforms already sorted, with no O(m log m) sort, makes the shots come
+//! out in ascending outcome order: a linear merge over a probability
+//! vector resolves them in one pass ([`merge_sorted_into_cdf`]), and the
+//! statevector sampler's binary searches against its block CDF each start
+//! where the previous uniform resolved.
 //!
 //! The classic order-statistics identity is used: if `E_1..E_{m+1}` are iid
 //! Exp(1), then the normalized prefix sums `S_i / S_{m+1}` (i = 1..m) are
@@ -49,8 +51,8 @@ fn exp1<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Merge `m` sorted uniforms against a probability slice, invoking
 /// `emit(index, count)` for every outcome index that receives at least one
-/// draw. This is the linear bulk CDF-inversion kernel shared by the
-/// statevector sampler and the categorical sampler.
+/// draw: the linear bulk CDF inversion behind
+/// [`crate::categorical::multinomial_counts`].
 ///
 /// `probs` need not be exactly normalized; any residual mass due to
 /// floating-point round-off is assigned to the final outcome.

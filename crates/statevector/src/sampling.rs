@@ -6,38 +6,57 @@
 //! samplers are implemented, both deterministic under a Philox stream and
 //! both emitting outcomes in ascending basis-index order:
 //!
-//! - **sorted merge** ([`sample_sorted_merge`]): draw `m` sorted
-//!   uniforms in O(m) ([`ptsbe_rng::sorted`]), then resolve all of them
-//!   in a *single* streaming pass over the amplitudes — O(2ⁿ + m),
-//!   parallelized over amplitude blocks. One logarithm per shot.
+//! - **sorted uniforms against a block CDF** ([`sample_sorted_merge`],
+//!   [`sample_words_batch`]): draw `m` sorted uniforms in O(m)
+//!   ([`ptsbe_rng::sorted`]) and resolve them against the cumulative
+//!   distribution of `|ψ|²`, summed *once per prepared state* however
+//!   many trajectories sample it: one pass for the 2¹³-amplitude block
+//!   masses, one over each block a uniform lands in, then a galloping
+//!   binary search per uniform. One logarithm per shot.
 //! - **counted** ([`sample_counts`]): the shots of one state are a
 //!   multinomial histogram, drawn directly as one conditional binomial
 //!   per amplitude ([`ptsbe_rng::binomial`]) — O(2ⁿ) whatever `m` is, and
 //!   the caller gets `(outcome, count)` pairs instead of `m` words.
 //!
 //! [`sample_shots`] takes the counted sampler from `m ≥ 2·2ⁿ` and the
-//! merge below ([`SamplingStrategy::Auto`], the one strategy), a rule in
-//! `m` and the state size only. That is the crossover the
+//! block CDF below ([`SamplingStrategy::Auto`], the one strategy), a rule
+//! in `m` and the state size only. That is the crossover the
 //! `bulk_sampling` bench measures on the state that is hardest on the
 //! counted sampler (uniform, 16 qubits: no amplitude can be skipped),
-//! two cores, mean per call:
+//! two cores of a 2-vCPU VM, mean per call over two runs:
 //!
 //! ```text
 //! m                  sorted_merge     counted
-//!     1 000             0.360 ms      2.167 ms
-//!   100 000             3.456 ms      3.925 ms
-//!   131 072 (2·2ⁿ)      5.285 ms      4.046 ms
-//!   500 000            14.711 ms      4.950 ms
-//! 4 000 000           107.935 ms      5.364 ms
+//!     1 000             0.403 ms      4.725 ms
+//!   100 000             5.491 ms      5.681 ms
+//!   131 072 (2·2ⁿ)      6.488 ms      5.890 ms
+//!   500 000            25.288 ms      7.528 ms
+//! 4 000 000           164.543 ms      9.327 ms
 //! ```
 //!
-//! (`counted` is the histogram; expanding it into `m` words, as
-//! [`sample_shots`] does, adds a fill of ≈ 1 ns a shot.) The Walker alias
-//! table that `Auto` used to take from `m ≥ 8·2ⁿ` read 10.0 ms at
-//! `m` = 500 000 and 72.1 ms at 4·10⁶ in the last run that had it, next
-//! to 5.1 and 6.1 ms counted — slower wherever it was chosen, and
-//! unsorted, which would have undone the run-length dataset frames — so
-//! it is gone.
+//! Summing once is what a tree leaf buys: `k` trajectories of 16 shots
+//! ending on one 14-qubit state (`sv-shared`'s leaves), one thread, as
+//! the service runs executors — `k` per-request `SvBackend::sample`
+//! calls against one `SvBackend::sample_batch` (the bench's
+//! `shared_state` group, same runs):
+//!
+//! ```text
+//!  k     per-request      sample_batch
+//!  1        0.033 ms         0.033 ms
+//!  8        0.259 ms         0.053 ms
+//! 64        2.110 ms         0.172 ms
+//! ```
+//!
+//! (`counted` is the histogram. Expanding it into `m` fresh words, as
+//! [`sample_shots`] does, costs more than the draw: ≈ 10.7 ms against
+//! ≈ 7.8 ms for one 500 k-shot `sv-sample` trajectory, traced in an
+//! instrumented build — ≈ 1 950 minor page faults of a fresh 8 MB
+//! buffer; the fill itself is ≈ 1.7 ms into a buffer already faulted
+//! in.) The Walker alias table that `Auto` used to take from `m ≥ 8·2ⁿ`
+//! read 10.0 ms at `m` = 500 000 and 72.1 ms at 4·10⁶ in the last run
+//! that had it, next to 5.1 and 6.1 ms counted — slower wherever it was
+//! chosen, and unsorted, which would have undone the run-length dataset
+//! frames — so it is gone.
 //!
 //! Probabilities are accumulated in `f64` regardless of the amplitude
 //! precision: at `n = 2^20+` amplitudes an `f32` running sum would lose
@@ -49,11 +68,11 @@ use rayon::prelude::*;
 
 use crate::state::StateVector;
 
-/// Bulk sampling strategy: a single value. The sorted merge at every
-/// `m` is [`sample_sorted_merge`].
+/// Bulk sampling strategy: a single value. Sorted-uniform inversion at
+/// every `m` is [`sample_sorted_merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingStrategy {
-    /// The counted sampler from `m ≥ 2·2ⁿ`, the sorted merge below.
+    /// The counted sampler from `m ≥ 2·2ⁿ`, the block CDF below.
     #[default]
     Auto,
 }
@@ -66,19 +85,21 @@ impl SamplingStrategy {
     }
 }
 
-/// Minimum amplitude count before the merge parallelizes.
-const PAR_MIN_AMPS: usize = 1 << 14;
-
-/// Amplitudes per block: the unit of the merge's parallel pass and of the
-/// counted sampler's two-level split.
+/// Amplitudes per block: the unit the block CDF restarts at (and
+/// resolves in parallel), and of the counted sampler's two-level split.
 const BLOCK: usize = 1 << 13;
+
+/// Running sums a block CDF materialises between checks for whether the
+/// block's largest uniform is already covered.
+const SUM_PIECE: usize = 256;
 
 /// `Auto` samples counts from `m ≥ this · 2ⁿ` up (the measured crossover
 /// in the module doc).
 const COUNTED_MIN_SHOTS_PER_AMP: usize = 2;
 
-/// Draw `m` basis-index shots from `|ψ|²`: the sorted merge, or the
-/// expansion of [`sample_counts`] where `strategy` takes it.
+/// Draw `m` basis-index shots from `|ψ|²`: sorted uniforms resolved
+/// against the block CDF, or the expansion of [`sample_counts`] where
+/// `strategy` takes it.
 ///
 /// Shots come out sorted by basis index; they are exchangeable, so
 /// callers needing iid *order* should shuffle.
@@ -101,19 +122,53 @@ pub fn sample_words<T: Scalar, R: Rng + ?Sized, W: Clone>(
     strategy: SamplingStrategy,
     word: impl Fn(u64) -> W,
 ) -> Vec<W> {
-    if m == 0 {
-        return Vec::new();
-    }
-    if strategy.is_counted(m, sv.amplitudes().len()) {
-        let mut out = Vec::with_capacity(m);
-        for (index, count) in sample_counts(sv, m, rng) {
-            out.resize(out.len() + count as usize, word(index));
+    let SamplingStrategy::Auto = strategy;
+    sample_words_batch(sv, &mut [(m, rng)], word)
+        .pop()
+        .expect("one request in, one out")
+}
+
+/// [`sample_words`] for several requests on one state, each drawing from
+/// its own stream: request `i` gets exactly what
+/// `sample_words(sv, m_i, rng_i, Auto, word)` would. The shot-by-shot
+/// requests are resolved together against one block CDF, so the state
+/// is summed once for all of them, not once per request; counted
+/// requests (`m ≥ 2·2ⁿ`) each draw their own histogram.
+pub fn sample_words_batch<T: Scalar, R: Rng + ?Sized, W: Clone>(
+    sv: &StateVector<T>,
+    requests: &mut [(usize, &mut R)],
+    word: impl Fn(u64) -> W,
+) -> Vec<Vec<W>> {
+    let n_amps = sv.amplitudes().len();
+    let by_cdf = |m: usize| m > 0 && !SamplingStrategy::Auto.is_counted(m, n_amps);
+    let mut resolved = {
+        let uniforms: Vec<Vec<f64>> = requests
+            .iter_mut()
+            .filter(|(m, _)| by_cdf(*m))
+            .map(|(m, rng)| sorted_uniforms(*m, &mut **rng))
+            .collect();
+        if uniforms.is_empty() {
+            Vec::new()
+        } else {
+            BlockCdf::new(sv).resolve(&uniforms)
         }
-        return out;
     }
-    sample_sorted_merge(sv, m, rng)
-        .into_iter()
-        .map(word)
+    .into_iter();
+    requests
+        .iter_mut()
+        .map(|(m, rng)| {
+            if by_cdf(*m) {
+                let shots = resolved.next().expect("one resolution per such request");
+                return shots.into_iter().map(&word).collect();
+            }
+            let mut out = Vec::with_capacity(*m);
+            if *m > 0 {
+                for (index, count) in sample_counts(sv, *m, &mut **rng) {
+                    out.resize(out.len() + count as usize, word(index));
+                }
+            }
+            out
+        })
         .collect()
 }
 
@@ -158,7 +213,7 @@ pub fn sample_counts<T: Scalar, R: Rng + ?Sized>(
         left = left - k + chain(block, (b * BLOCK) as u64, k, rng, &mut tail, &mut out);
     }
     // Only a state without a norm (all zero, or NaN) leaves shots over;
-    // like the merge's round-off stragglers they go to the last index.
+    // like the block CDF's round-off stragglers they go to the last index.
     if left > 0 {
         let last = (amps.len() - 1) as u64;
         match out.last_mut() {
@@ -204,102 +259,195 @@ fn chain<T: Scalar, R: Rng + ?Sized>(
     left
 }
 
-/// Draw `m` basis-index shots from `|ψ|²` by the sorted merge at any
-/// `m`: `m` sorted uniforms resolved in one pass over the amplitudes,
-/// O(2ⁿ + m), parallel over amplitude blocks from 2¹⁴ amplitudes up.
-/// Shots come out in ascending index order.
+/// Draw `m` basis-index shots from `|ψ|²` by sorted-uniform inversion at
+/// any `m`: `m` sorted uniforms resolved against the state's block CDF
+/// (one request of [`sample_words_batch`]'s shot-by-shot regime). Shots
+/// come out in ascending index order.
 pub fn sample_sorted_merge<T: Scalar, R: Rng + ?Sized>(
     sv: &StateVector<T>,
     m: usize,
     rng: &mut R,
 ) -> Vec<u64> {
-    let amps = sv.amplitudes();
     let u = sorted_uniforms(m, rng);
+    BlockCdf::new(sv)
+        .resolve(&[u])
+        .pop()
+        .expect("one request in, one out")
+}
 
-    if amps.len() < PAR_MIN_AMPS {
-        // Serial single pass.
-        let total: f64 = amps.iter().map(|z| z.norm_sqr().to_f64()).sum();
+/// The cumulative distribution of `|ψ|²` that sorted uniforms are
+/// inverted against, summed once per prepared state however many
+/// requests it serves.
+///
+/// It restarts at every 2¹³-amplitude block: block `c` owns the uniforms
+/// in `[bounds[c], bounds[c + 1])`, the exclusive prefixes of the
+/// normalized block masses, and its running sums start again from
+/// `bounds[c]` — so the shots do not depend on which blocks a pass
+/// visits, or on the thread budget (a state of at most 2¹³ amplitudes is
+/// one block: plain inversion). Only the block masses are kept; a
+/// block's running sums are materialised when a uniform lands in it, and
+/// only as far as its largest uniform, so the extra memory is one block
+/// (64 KiB) per block resolved at a time, never a second 2ⁿ array.
+struct BlockCdf<'a, T: Scalar> {
+    amps: &'a [Complex<T>],
+    inv_total: f64,
+    bounds: Vec<f64>,
+}
+
+/// One request's uniforms that land in one block, and the output slots
+/// they resolve into.
+type Run<'r> = (&'r [f64], &'r mut [u64]);
+
+impl<'a, T: Scalar> BlockCdf<'a, T> {
+    fn new(sv: &'a StateVector<T>) -> Self {
+        let amps = sv.amplitudes();
+        let block_mass = |c: &[Complex<T>]| -> f64 { c.iter().map(prob).sum() };
+        // One block stays on the calling thread (here and in `resolve`):
+        // outside a thread budget, asking rayon for its thread count
+        // (≈ 15 µs) costs more than the block.
+        let mass: Vec<f64> = if amps.len() > BLOCK {
+            amps.par_chunks(BLOCK).map(block_mass).collect()
+        } else {
+            vec![block_mass(amps)]
+        };
+        let total: f64 = mass.iter().sum();
         let inv_total = 1.0 / total;
-        let mut out = Vec::with_capacity(m);
-        let mut cum = 0.0f64;
-        let mut j = 0usize;
-        for (i, z) in amps.iter().enumerate() {
-            cum += z.norm_sqr().to_f64() * inv_total;
-            while j < u.len() && u[j] < cum {
-                out.push(i as u64);
-                j += 1;
+        let mut bounds = Vec::with_capacity(mass.len() + 1);
+        let mut acc = 0.0f64;
+        bounds.push(acc);
+        for &cm in &mass {
+            acc += cm * inv_total;
+            bounds.push(acc);
+        }
+        Self {
+            amps,
+            inv_total,
+            bounds,
+        }
+    }
+
+    /// Resolve each request's sorted uniforms to basis indices, ascending:
+    /// a uniform goes to the first index of its block whose running sum
+    /// exceeds it, to the block's last index when none does (round-off),
+    /// and to the state's last index when it is past the final bound.
+    /// A running sum that turns NaN (a state without a norm) matches
+    /// nothing. Every touched block is summed once for all requests.
+    fn resolve(&self, requests: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        let last = (self.amps.len() - 1) as u64;
+        let mut out: Vec<Vec<u64>> = requests.iter().map(|u| vec![last; u.len()]).collect();
+        let blocks = self.touched_blocks(requests, &mut out);
+        if blocks.len() > 1 {
+            blocks
+                .into_par_iter()
+                .for_each(|(c, runs)| self.resolve_block(c, runs));
+        } else {
+            for (c, runs) in blocks {
+                self.resolve_block(c, runs);
             }
-            if j == u.len() {
+        }
+        out
+    }
+
+    /// The blocks some uniform lands in, ascending, each with the runs of
+    /// every request that land there (uniforms past the final bound are
+    /// left out: their slots keep the last index).
+    fn touched_blocks<'r>(
+        &self,
+        requests: &'r [Vec<f64>],
+        out: &'r mut [Vec<u64>],
+    ) -> Vec<(usize, Vec<Run<'r>>)> {
+        let end = self.bounds[self.bounds.len() - 1];
+        let mut runs: Vec<(usize, Run<'r>)> = Vec::new();
+        for (u, o) in requests.iter().zip(out.iter_mut()) {
+            // `end` is NaN for a state without a norm (a NaN sum stays
+            // NaN), and nothing is placed; otherwise the bounds ascend.
+            let placed = u.partition_point(|&x| x < end);
+            let (mut u, mut o) = (&u[..placed], &mut o[..placed]);
+            while let Some(&first) = u.first() {
+                let c = self.bounds[1..].partition_point(|&b| b <= first);
+                let n = u.partition_point(|&x| x < self.bounds[c + 1]);
+                let (head, tail) = u.split_at(n);
+                let (slots, rest) = std::mem::take(&mut o).split_at_mut(n);
+                runs.push((c, (head, slots)));
+                (u, o) = (tail, rest);
+            }
+        }
+        runs.sort_by_key(|&(c, _)| c);
+        let mut blocks: Vec<(usize, Vec<Run<'r>>)> = Vec::new();
+        for (c, run) in runs {
+            match blocks.last_mut() {
+                Some((b, block_runs)) if *b == c => block_runs.push(run),
+                _ => blocks.push((c, vec![run])),
+            }
+        }
+        blocks
+    }
+
+    /// Resolve every run landing in block `c` against its running sums,
+    /// each uniform by a galloping binary search from where the previous
+    /// one of its run resolved.
+    fn resolve_block(&self, c: usize, runs: Vec<Run<'_>>) {
+        let top = runs
+            .iter()
+            .map(|(u, _)| u[u.len() - 1])
+            .fold(f64::NEG_INFINITY, f64::max);
+        let sums = self.running_sums(c, top);
+        let base = c * BLOCK;
+        let straggler = ((base + BLOCK).min(self.amps.len()) - 1) as u64;
+        for (u, slots) in runs {
+            let mut at = 0;
+            for (&x, slot) in u.iter().zip(slots) {
+                at = first_above(&sums, at, x);
+                *slot = if at < sums.len() {
+                    (base + at) as u64
+                } else {
+                    straggler
+                };
+            }
+        }
+    }
+
+    /// Block `c`'s running sums from `bounds[c]`, materialised
+    /// [`SUM_PIECE`] at a time until one exceeds `top` (or the block
+    /// ends), and cut before the first NaN: a NaN sum stays NaN and
+    /// matches nothing.
+    fn running_sums(&self, c: usize, top: f64) -> Vec<f64> {
+        let block = &self.amps[c * BLOCK..((c + 1) * BLOCK).min(self.amps.len())];
+        let mut sums = Vec::with_capacity(block.len());
+        let mut cum = self.bounds[c];
+        // Checked once a piece: a per-amplitude exit test would stall the
+        // running sum's add chain (≈ 4× slower).
+        for piece in block.chunks(SUM_PIECE) {
+            sums.extend(piece.iter().map(|z| {
+                cum += prob(z) * self.inv_total;
+                cum
+            }));
+            if top < cum || cum.is_nan() {
                 break;
             }
         }
-        while out.len() < m {
-            out.push((amps.len() - 1) as u64);
-        }
-        return out;
+        sums.truncate(sums.partition_point(|s| !s.is_nan()));
+        sums
     }
+}
 
-    // Parallel: per-chunk mass, exclusive prefix, then each chunk resolves
-    // its own slice of the sorted uniforms independently.
-    let chunk = BLOCK;
-    let chunk_mass: Vec<f64> = amps
-        .par_chunks(chunk)
-        .map(|c| c.iter().map(prob).sum())
-        .collect();
-    let total: f64 = chunk_mass.iter().sum();
-    let inv_total = 1.0 / total;
-    let mut prefix = Vec::with_capacity(chunk_mass.len() + 1);
-    let mut acc = 0.0f64;
-    prefix.push(0.0);
-    for &cm in &chunk_mass {
-        acc += cm * inv_total;
-        prefix.push(acc);
+/// The first index at or after `from` whose running sum exceeds `x`
+/// (`sums.len()` when none does). Galloping: probes at `from + 2ᵏ − 1`
+/// until one exceeds `x`, then a binary search behind it, so a uniform
+/// costs O(log) of the distance from the previous one's index — O(1)
+/// apiece when a run is dense, like a merge.
+fn first_above(sums: &[f64], from: usize, x: f64) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    loop {
+        let probe = lo + step - 1;
+        if probe >= sums.len() || sums[probe] > x {
+            let hi = probe.min(sums.len());
+            return lo + sums[lo..hi].partition_point(|&s| s <= x);
+        }
+        lo = probe + 1;
+        step *= 2;
     }
-    // Uniform range handled by each chunk: [prefix[c], prefix[c+1]).
-    let jobs: Vec<(usize, usize, usize)> = (0..chunk_mass.len())
-        .map(|c| {
-            let lo = u.partition_point(|&x| x < prefix[c]);
-            let hi = u.partition_point(|&x| x < prefix[c + 1]);
-            (c, lo, hi)
-        })
-        .collect();
-    let pieces: Vec<Vec<u64>> = jobs
-        .into_par_iter()
-        .map(|(c, lo, hi)| {
-            let mut out = Vec::with_capacity(hi - lo);
-            if lo == hi {
-                return out;
-            }
-            let base = c * chunk;
-            let slice = &amps[base..(base + chunk).min(amps.len())];
-            let mut cum = prefix[c];
-            let mut j = lo;
-            for (i, z) in slice.iter().enumerate() {
-                cum += z.norm_sqr().to_f64() * inv_total;
-                while j < hi && u[j] < cum {
-                    out.push((base + i) as u64);
-                    j += 1;
-                }
-                if j == hi {
-                    break;
-                }
-            }
-            // Round-off stragglers land on the chunk's last index.
-            while out.len() < hi - lo {
-                out.push((base + slice.len() - 1) as u64);
-            }
-            out
-        })
-        .collect();
-    let mut out = Vec::with_capacity(m);
-    for p in pieces {
-        out.extend(p);
-    }
-    // Uniforms beyond the final prefix (round-off): last basis state.
-    while out.len() < m {
-        out.push((amps.len() - 1) as u64);
-    }
-    out
 }
 
 /// Extract the measured-qubit bits from a basis-index shot: output bit `t`
@@ -549,6 +697,92 @@ mod tests {
             [(7, 1_000)]
         );
         assert!(sample_counts(&dead, 0, &mut PhiloxRng::new(6, 0)).is_empty());
+    }
+
+    #[test]
+    fn a_one_shot_request_on_16_qubits_sums_one_block() {
+        let sv = uniform::<f64>(16);
+        let cdf = BlockCdf::new(&sv);
+        assert_eq!(cdf.bounds.len(), 9, "eight blocks");
+        let one = [sorted_uniforms(1, &mut PhiloxRng::new(8, 0))];
+        let mut out = vec![vec![0; 1]];
+        assert_eq!(cdf.touched_blocks(&one, &mut out).len(), 1);
+        let many = [sorted_uniforms(1_000, &mut PhiloxRng::new(8, 1))];
+        let mut out = vec![vec![0; 1_000]];
+        assert_eq!(cdf.touched_blocks(&many, &mut out).len(), 8);
+    }
+
+    #[test]
+    fn block_sums_are_the_merges_bit_for_bit() {
+        // The streaming merge's floats: serial block masses, their
+        // normalized exclusive prefix, and in-block running sums
+        // restarted at it, each `cum += p · (1 / total)` in index order.
+        let amps = ptsbe_math::random::random_state::<f32>(1 << 15, &mut PhiloxRng::new(4, 3));
+        let sv = StateVector::from_amplitudes(amps);
+        let cdf = BlockCdf::new(&sv);
+        let mass: Vec<f64> = sv
+            .amplitudes()
+            .chunks(BLOCK)
+            .map(|c| c.iter().map(prob).sum())
+            .collect();
+        let inv_total = 1.0 / mass.iter().sum::<f64>();
+        assert_eq!(cdf.inv_total.to_bits(), inv_total.to_bits());
+        let mut prefix = 0.0f64;
+        for (c, block) in sv.amplitudes().chunks(BLOCK).enumerate() {
+            assert_eq!(cdf.bounds[c].to_bits(), prefix.to_bits(), "bound {c}");
+            let mut cum = prefix;
+            let want: Vec<u64> = block
+                .iter()
+                .map(|z| {
+                    cum += prob(z) * inv_total;
+                    cum.to_bits()
+                })
+                .collect();
+            let got: Vec<u64> = cdf
+                .running_sums(c, 2.0)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(got, want, "block {c}");
+            // Stopped early: a whole number of pieces, the last past `top`.
+            let top = f64::from_bits(want[1000]);
+            let part = cdf.running_sums(c, top);
+            assert_eq!(part.len(), 4 * SUM_PIECE);
+            assert!(top < part[part.len() - 1]);
+            prefix += mass[c] * inv_total;
+        }
+    }
+
+    #[test]
+    fn round_off_stragglers_go_where_the_merge_sent_them() {
+        // A uniform at a block's last running sum but below the block's
+        // upper bound goes to the block's last index; one at the final
+        // bound, to the state's last index. Find a state that has both
+        // gaps (they are round-off, so most do).
+        let n = 15;
+        for seed in 0..200 {
+            let amps =
+                ptsbe_math::random::random_state::<f64>(1 << n, &mut PhiloxRng::new(seed, 3));
+            let sv = StateVector::from_amplitudes(amps);
+            let cdf = BlockCdf::new(&sv);
+            let block_end = |c: usize| {
+                let block = &sv.amplitudes()[c * BLOCK..(c + 1) * BLOCK];
+                block
+                    .iter()
+                    .fold(cdf.bounds[c], |cum, z| cum + prob(z) * cdf.inv_total)
+            };
+            let end = cdf.bounds[4];
+            let Some(c) = (0..4).find(|&c| block_end(c) < cdf.bounds[c + 1]) else {
+                continue;
+            };
+            if end >= 1.0 {
+                continue;
+            }
+            let resolved = cdf.resolve(&[vec![block_end(c), end]]);
+            assert_eq!(resolved, [vec![((c + 1) * BLOCK - 1) as u64, (1 << n) - 1]]);
+            return;
+        }
+        panic!("no state with both round-off gaps");
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! (The issue that asked for this read 14.9 / 36.0 / 12.4 for `Cx` and
 //! 4.72 / 6.29 / 2.53 ms in total on the same box on another day.) The
 //! low-qubit `G2`s did not move on purpose: their runs are shorter than
-//! a vector, and in-register gathers for them wait for a like-for-like
-//! Algorithm-1 baseline (ROADMAP item 8).
+//! a vector, and in-register gathers for them (ROADMAP item 7(i)) wait
+//! for a like-for-like Algorithm-1 baseline (item 11).
 
 use ptsbe_math::{vec_ops, Complex, Matrix, Scalar};
 use rayon::prelude::*;
