@@ -131,10 +131,10 @@ pub trait Backend: Sync {
     }
 
     /// Whether [`Backend::sample`] mutates the state it samples from in a
-    /// way a later draw could see. Read only by the default
-    /// [`Backend::sample_batch`], which forks the state for every request
-    /// but the last when it is `true`; both production backends sample
-    /// without a visible trace and say `false`.
+    /// way a later draw could see. Nothing in the library reads it: every
+    /// [`Backend::sample_batch`] must already equal per-request sampling
+    /// of fresh copies. Both production backends sample without a
+    /// visible trace and say `false`.
     fn sample_mutates_state(&self) -> bool {
         true
     }
@@ -174,32 +174,12 @@ pub trait Backend: Sync {
     /// prepared state, for all the trajectories that end on it. Every
     /// implementation must be bitwise identical to calling
     /// [`Backend::sample`] per request on a freshly prepared copy of the
-    /// state. The default does exactly that: per-request `sample`, on a
-    /// [`Backend::fork`] for every request but the last when
-    /// [`Backend::sample_mutates_state`]; backends override it to share
-    /// per-state sampling work across requests.
+    /// state; backends share per-state sampling work across requests.
     fn sample_batch<R: Rng + ?Sized>(
         &self,
         state: &mut Self::State,
         requests: &mut [(usize, &mut R)],
-    ) -> Vec<Vec<u128>> {
-        let fork_until = if self.sample_mutates_state() {
-            requests.len().saturating_sub(1)
-        } else {
-            0
-        };
-        requests
-            .iter_mut()
-            .enumerate()
-            .map(|(i, (shots, rng))| {
-                if i < fork_until {
-                    self.sample(&mut self.fork(state), *shots, *rng)
-                } else {
-                    self.sample(state, *shots, *rng)
-                }
-            })
-            .collect()
-    }
+    ) -> Vec<Vec<u128>>;
 
     /// Truncation observability for a prepared state: `None` for exact
     /// backends, `Some` for lossy ones (MPS). Executors attach this to
@@ -214,7 +194,15 @@ pub trait Backend: Sync {
 /// Statevector backend (the paper's `nvidia` target).
 pub struct SvBackend<T: Scalar> {
     compiled: sv_exec::Compiled<T>,
+    /// Bulk shot buffers handed back through [`SvBackend::recycle_shots`],
+    /// reused last in, first out by the counted sampler.
+    shots: StatePool<Vec<u128>>,
 }
+
+/// Words a shot buffer must hold for [`SvBackend::recycle_shots`] to
+/// park it: 1 MiB. Smaller records are cheap to allocate, and a frame
+/// chunk's 65 536-word records never come back here.
+const PARKED_SHOTS_MIN_WORDS: usize = 1 << 16;
 
 impl<T: Scalar> SvBackend<T> {
     /// Compile a noisy circuit for repeated trajectory execution (gate
@@ -240,6 +228,7 @@ impl<T: Scalar> SvBackend<T> {
     ) -> Result<Self, sv_exec::ExecError> {
         Ok(Self {
             compiled: sv_exec::compile_with(nc, fuse)?,
+            shots: StatePool::new(),
         })
     }
 
@@ -254,6 +243,34 @@ impl<T: Scalar> SvBackend<T> {
     /// [`ptsbe_statevector::batch::advance_batch`] over it directly).
     pub fn compiled(&self) -> &sv_exec::Compiled<T> {
         &self.compiled
+    }
+
+    /// Hand back a record's shot buffer once it has been written, so a
+    /// later counted draw fills memory that is already faulted in
+    /// instead of a fresh 8 MB per 500 k-shot trajectory. Buffers of
+    /// fewer than 65 536 words are dropped.
+    pub fn recycle_shots(&self, shots: Vec<u128>) {
+        if shots.capacity() >= PARKED_SHOTS_MIN_WORDS {
+            self.shots.release(shots);
+        }
+    }
+
+    /// An empty buffer with room for `m` shots: the last one parked when
+    /// it is large enough (a smaller one is dropped, not grown, so no
+    /// more are ever parked than were live at once), else a fresh one.
+    fn shot_buffer(&self, m: usize) -> Vec<u128> {
+        match self.shots.acquire() {
+            Some(mut buf) if buf.capacity() >= m => {
+                buf.clear();
+                buf
+            }
+            _ => Vec::with_capacity(m),
+        }
+    }
+
+    /// Shot buffers parked for reuse.
+    pub fn parked_shot_buffers(&self) -> usize {
+        self.shots.parked()
     }
 }
 
@@ -330,9 +347,12 @@ impl<T: Scalar> Backend for SvBackend<T> {
         // Every shot-by-shot request on this state resolves against one
         // cumulative distribution, summed once for all of them.
         let measured = self.compiled.measured_qubits();
-        sv_sampling::sample_words_batch(state, requests, |index| {
-            ptsbe_rng::bits::extract_bits(u128::from(index), measured)
-        })
+        sv_sampling::sample_words_batch_with(
+            state,
+            requests,
+            |index| ptsbe_rng::bits::extract_bits(u128::from(index), measured),
+            |m| self.shot_buffer(m),
+        )
     }
 }
 
@@ -527,6 +547,36 @@ mod tests {
                 "outcome {outcome}"
             );
         }
+    }
+
+    #[test]
+    fn recycled_shot_buffers_are_refilled_and_small_ones_dropped() {
+        let nc = noisy_ghz(0.1);
+        let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let (mut state, _) = sv.prepare(&nc.identity_assignment().unwrap());
+        let mut draw = |m: usize| {
+            let mut rng = PhiloxRng::new(152, 0);
+            sv.sample_batch(&mut state, &mut [(m, &mut rng)])
+                .pop()
+                .unwrap()
+        };
+        // 70 000 shots of 3 qubits are a counted draw.
+        let first = draw(70_000);
+        let want = first.clone();
+        let at = first.as_ptr();
+        sv.recycle_shots(first);
+        assert_eq!(sv.parked_shot_buffers(), 1);
+        let again = draw(70_000);
+        assert_eq!(again.as_ptr(), at, "the parked buffer is refilled");
+        assert_eq!(again, want);
+        assert_eq!(sv.parked_shot_buffers(), 0);
+        // Too small for the next request: dropped, not grown.
+        sv.recycle_shots(again);
+        let bigger = draw(90_000);
+        assert_eq!((bigger.len(), sv.parked_shot_buffers()), (90_000, 0));
+        // Under 65 536 words a buffer is never parked.
+        sv.recycle_shots(Vec::with_capacity(65_535));
+        assert_eq!(sv.parked_shot_buffers(), 0);
     }
 
     #[test]

@@ -889,6 +889,17 @@ mod tests {
             self.record();
             self.inner.sample(state, shots, rng)
         }
+        fn sample_batch<R: ptsbe_rng::Rng + ?Sized>(
+            &self,
+            state: &mut Self::State,
+            requests: &mut [(usize, &mut R)],
+        ) -> Vec<Vec<u128>> {
+            // Per request: each `sample` records the budget it ran under.
+            requests
+                .iter_mut()
+                .map(|(shots, rng)| self.sample(state, *shots, *rng))
+                .collect()
+        }
     }
 
     #[test]
@@ -1125,6 +1136,17 @@ mod tests {
                 .map(|full| ptsbe_rng::bits::extract_bits(full, self.measured_qubits()))
                 .collect()
         }
+        fn sample_batch<R: ptsbe_rng::Rng + ?Sized>(
+            &self,
+            state: &mut Self::State,
+            requests: &mut [(usize, &mut R)],
+        ) -> Vec<Vec<u128>> {
+            // The sweep only canonicalizes, which changes no later draw.
+            requests
+                .iter_mut()
+                .map(|(shots, rng)| self.sample(state, *shots, *rng))
+                .collect()
+        }
     }
 
     #[test]
@@ -1163,98 +1185,6 @@ mod tests {
                     "realized probability must be bitwise identical"
                 );
                 assert_eq!(a.shots, b.shots, "shots must be bitwise identical");
-            }
-        }
-    }
-
-    /// [`SvBackend`] whose sampling leaves a visible trace: after drawing
-    /// it resets the state to `|0…0⟩`, so a second draw from the same
-    /// state would come out all zeros.
-    struct Resetting(SvBackend<f64>);
-
-    impl Backend for Resetting {
-        type State = StateVector<f64>;
-
-        fn n_qubits(&self) -> usize {
-            self.0.n_qubits()
-        }
-        fn measured_qubits(&self) -> &[usize] {
-            self.0.measured_qubits()
-        }
-        fn n_segments(&self) -> usize {
-            self.0.n_segments()
-        }
-        fn initial_state(&self) -> Self::State {
-            self.0.initial_state()
-        }
-        fn advance(
-            &self,
-            state: &mut Self::State,
-            segments: std::ops::Range<usize>,
-            choices: &[usize],
-        ) -> f64 {
-            self.0.advance(state, segments, choices)
-        }
-        fn fork(&self, state: &Self::State) -> Self::State {
-            self.0.fork(state)
-        }
-        fn sample_mutates_state(&self) -> bool {
-            true
-        }
-        fn sample<R: ptsbe_rng::Rng + ?Sized>(
-            &self,
-            state: &mut Self::State,
-            shots: usize,
-            rng: &mut R,
-        ) -> Vec<u128> {
-            let out = self.0.sample(state, shots, rng);
-            state.reset_zero();
-            out
-        }
-    }
-
-    #[test]
-    fn default_sample_batch_forks_for_a_mutating_sampler() {
-        let nc = noisy_bell(0.2);
-        let backend = Resetting(SvBackend::new(&nc, SamplingStrategy::Auto).unwrap());
-        let choices = nc.identity_assignment().unwrap();
-        let shots = [40, 25, 40];
-        let mut rngs: Vec<PhiloxRng> = (0..shots.len() as u64)
-            .map(|i| PhiloxRng::for_trajectory(3, i))
-            .collect();
-        let mut requests: Vec<(usize, &mut PhiloxRng)> =
-            shots.iter().copied().zip(rngs.iter_mut()).collect();
-        let (mut shared, _) = backend.prepare(&choices);
-        let batched = backend.sample_batch(&mut shared, &mut requests);
-        for (i, (&m, got)) in shots.iter().zip(&batched).enumerate() {
-            let (mut fresh, _) = backend.prepare(&choices);
-            let want = backend.sample(&mut fresh, m, &mut PhiloxRng::for_trajectory(3, i as u64));
-            assert_eq!(*got, want, "request {i}");
-        }
-        assert!(batched.iter().all(|s| s.iter().any(|&w| w != 0)));
-
-        // Duplicates share a tree leaf, so the walk reaches the fork too.
-        let mut rng = PhiloxRng::new(171, 0);
-        let plan = ProbabilisticPts {
-            n_samples: 40,
-            shots_per_trajectory: 30,
-            dedup: false,
-        }
-        .sample_plan(&nc, &mut rng);
-        let tree = PtsPlanTree::from_plan(&plan);
-        assert!((0..tree.n_nodes()).any(|i| tree.node(i).leaves.len() > 1));
-        let flat = BatchedExecutor {
-            seed: 5,
-            parallel: false,
-        }
-        .execute(&backend, &nc, &plan);
-        for parallel in [false, true] {
-            let walked =
-                TreeExecutor { seed: 5, parallel }.execute_tree(&backend, &nc, &plan, &tree);
-            assert_eq!(walked.trajectories.len(), flat.trajectories.len());
-            for (a, b) in walked.trajectories.iter().zip(&flat.trajectories) {
-                assert_eq!(a.meta.choices, b.meta.choices);
-                assert_eq!(a.shots, b.shots, "parallel {parallel}");
             }
         }
     }

@@ -61,6 +61,12 @@ impl ShotWord {
     pub fn wrap(shots: Vec<u128>) -> Vec<ShotWord> {
         shots.into_iter().map(ShotWord).collect()
     }
+
+    /// [`ShotWord::wrap`] undone, in place: a written record's buffer
+    /// goes back to the sampler that filled it as the same allocation.
+    pub fn unwrap(shots: Vec<ShotWord>) -> Vec<u128> {
+        shots.into_iter().map(|s| s.0).collect()
+    }
 }
 
 impl Serialize for ShotWord {
@@ -173,6 +179,21 @@ mod tests {
             },
             shots: vec![ShotWord(u128::MAX), ShotWord(0), ShotWord(0x1f)],
         }
+    }
+
+    #[test]
+    fn wrap_and_unwrap_keep_the_allocation() {
+        let mut shots = Vec::with_capacity(1 << 16);
+        shots.extend(0..1000u128);
+        let (ptr, cap) = (shots.as_ptr() as usize, shots.capacity());
+        let wrapped = ShotWord::wrap(shots);
+        assert_eq!(wrapped.as_ptr() as usize, ptr);
+        assert_eq!((wrapped.len(), wrapped.capacity()), (1000, cap));
+        assert_eq!(wrapped[999], ShotWord(999));
+        let back = ShotWord::unwrap(wrapped);
+        assert_eq!(back.as_ptr() as usize, ptr);
+        assert_eq!((back.len(), back.capacity()), (1000, cap));
+        assert_eq!(back[999], 999);
     }
 
     #[test]

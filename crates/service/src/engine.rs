@@ -32,7 +32,7 @@ use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
     Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree,
-    StatePool, TreeExecutor,
+    StatePool, SvBackend, TreeExecutor,
 };
 use ptsbe_dataset::{ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -279,6 +279,18 @@ impl<T: Scalar> EngineExec<T> {
             | EngineExec::BatchMajor(entry)
             | EngineExec::Flat(entry) => entry.backend.measured_qubits().len(),
             EngineExec::MpsTree { entry, .. } => entry.backend.measured_qubits().len(),
+        }
+    }
+
+    /// The statevector backend whose counted sampler filled this
+    /// engine's records, and takes their shot buffers back once written;
+    /// `None` for the frame and MPS engines, whose records are freed.
+    pub(crate) fn dense_backend(&self) -> Option<&SvBackend<T>> {
+        match self {
+            EngineExec::Tree { entry, .. }
+            | EngineExec::BatchMajor(entry)
+            | EngineExec::Flat(entry) => Some(&entry.backend),
+            EngineExec::Frame(_) | EngineExec::MpsTree { .. } => None,
         }
     }
 

@@ -228,7 +228,7 @@ impl JobReport {
 // Internals shared between the handle and the workers.
 
 /// What one emitter push did (the caller folds these into metrics).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 pub(crate) struct PushOutcome {
     /// Records written to the sink by this call (drained in-order runs).
     pub(crate) records: u64,
@@ -240,6 +240,9 @@ pub(crate) struct PushOutcome {
     /// after a panic between delivery and accounting); nothing was
     /// written.
     pub(crate) duplicate: bool,
+    /// The records this call wrote, handed back so their shot buffers
+    /// are freed or recycled after the emitter lock is released.
+    pub(crate) written: Vec<TrajectoryRecord>,
 }
 
 /// Plan-order reassembly buffer in front of the sink. Workers finish
@@ -353,7 +356,8 @@ impl Emitter {
 
     /// Park `records` as chunk `idx`, then write what is ready: every
     /// in-order chunk, or — for a merged route — everything once all
-    /// chunks are parked, sorted by `traj_id`. Duplicate deliveries of an
+    /// chunks are parked, sorted by `traj_id`; the written records come
+    /// back in [`PushOutcome::written`]. Duplicate deliveries of an
     /// already-pushed index are dropped (see the exactly-once note on
     /// the type).
     pub(crate) fn push(
@@ -379,11 +383,13 @@ impl Emitter {
                 all.sort_by_key(|r| r.meta.traj_id);
                 self.write_batch(&all, &mut out)?;
                 self.next = n;
+                out.written = all;
             }
             None => {
                 while let Some(batch) = self.pending.remove(&self.next) {
                     self.write_batch(&batch, &mut out)?;
                     self.next += 1;
+                    out.written.extend(batch);
                 }
             }
         }

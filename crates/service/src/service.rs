@@ -36,6 +36,13 @@
 //! worker, so a lone job of a few heavy trajectories fills the pool too;
 //! the dense cuts share one floor of work per chunk.
 //!
+//! A dense record's shots are one buffer per trajectory, 8 MB at 500 k
+//! shots. Once the emitter has written it, delivery hands the buffer
+//! back to the backend that filled it
+//! ([`SvBackend::recycle_shots`](ptsbe_core::SvBackend::recycle_shots)),
+//! outside the emitter lock, and the next counted draw fills memory that
+//! is already faulted in. Frame and MPS records are freed.
+//!
 //! # Fault tolerance
 //!
 //! Because chunks are pure functions of (spec, chunk index) and the
@@ -97,7 +104,7 @@ use crate::job::{ChunkLedger, JobHandle, JobInner, JobSpec, JobStatus, ServiceEr
 use crate::lock_healed;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{route_job, RouteError};
-use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
+use ptsbe_dataset::{DatasetHeader, RecordSink, ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
 use ptsbe_telemetry::{spanned, stage_span, task_scope, Stage, TelemetryConfig};
 use std::any::Any;
@@ -703,13 +710,24 @@ fn deliver<T: Scalar>(
             shared.metrics.note_truncation(t);
         }
     }
-    let pushed = match job.emitter() {
+    let mut pushed = match job.emitter() {
         Ok(mut em) => spanned(Stage::SinkWrite, || {
             em.push(index, records)
                 .map_err(|e| format!("sink write failed: {e}"))
         }),
         Err(se) => Err(se.to_string()),
     };
+    // After the emitter lock: written dense records' buffers go back to
+    // the backend that filled them, the rest are freed here.
+    let written = pushed
+        .as_mut()
+        .map(|out| std::mem::take(&mut out.written))
+        .unwrap_or_default();
+    if let Some(backend) = job.exec().and_then(EngineExec::dense_backend) {
+        for rec in written {
+            backend.recycle_shots(ShotWord::unwrap(rec.shots));
+        }
+    }
     match pushed {
         Ok(out) if out.duplicate => {
             // Redundant re-execution of an already-delivered chunk (it
@@ -823,6 +841,145 @@ fn finalize<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnginePolicy;
+    use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
+    use ptsbe_core::{BatchedExecutor, ProbabilisticPts, PtsPlan, PtsSampler, SvBackend};
+    use ptsbe_dataset::{binary, BinarySink, SharedBuffer};
+    use ptsbe_rng::PhiloxRng;
+    use ptsbe_statevector::SamplingStrategy;
+
+    /// Clifford gates and Pauli channels on four qubits, with a
+    /// deterministic noiseless reference: every engine can run it.
+    fn parity_circuit() -> NoisyCircuit {
+        let mut c = Circuit::new(4);
+        c.x(0).cx(0, 1).cx(1, 2).cx(2, 3).cz(0, 3);
+        c.measure_all();
+        NoiseModel::new()
+            .with_default_1q(channels::bit_flip(0.05))
+            .with_default_2q(channels::depolarizing(0.05))
+            .apply(&c)
+    }
+
+    /// Six trajectories of 70 000 shots: counted draws (from 2·2⁴), each
+    /// record past the 65 536 words a recycled buffer must hold.
+    fn counted_plan(nc: &NoisyCircuit) -> PtsPlan {
+        ProbabilisticPts {
+            n_samples: 6,
+            shots_per_trajectory: 70_000,
+            dedup: false,
+        }
+        .sample_plan(nc, &mut PhiloxRng::new(5, 0))
+    }
+
+    fn run_binary(service: &ShotService, spec: JobSpec) -> Vec<u8> {
+        let buf = SharedBuffer::new();
+        let report = service
+            .submit(spec, Box::new(BinarySink::new(buf.clone())))
+            .unwrap()
+            .wait();
+        assert!(report.status.is_success(), "{report:?}");
+        buf.bytes()
+    }
+
+    fn two_workers() -> ShotService {
+        ShotService::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        })
+    }
+
+    fn dense_entry(service: &ShotService, nc: &NoisyCircuit) -> Arc<crate::cache::SvEntry<f64>> {
+        service.shared.cache.sv(nc, nc.content_hash()).unwrap()
+    }
+
+    /// A counted dense job writes the same bytes cold, after another
+    /// job has parked its shot buffers, and as the direct library call.
+    #[test]
+    fn recycled_shot_buffers_leave_the_bytes_unchanged() {
+        let nc = parity_circuit();
+        let plan = counted_plan(&nc);
+        assert!(SamplingStrategy::Auto.is_counted(70_000, 1 << 4));
+        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let library = BatchedExecutor {
+            seed: 11,
+            parallel: false,
+        }
+        .execute(&backend, &nc, &plan);
+        for engine in [EngineKind::Tree, EngineKind::BatchMajor, EngineKind::Flat] {
+            let spec = |seed| {
+                let mut spec = JobSpec::new("recycled", nc.clone(), plan.clone(), seed)
+                    .with_engine(EnginePolicy::Force(engine));
+                spec.chunk_trajectories = 2;
+                spec
+            };
+            let service = two_workers();
+            let cold = run_binary(&service, spec(11));
+            let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
+            assert!(
+                (1..=6).contains(&parked),
+                "{engine:?}: {parked} parked after one job"
+            );
+            assert_ne!(
+                run_binary(&service, spec(12)),
+                cold,
+                "{engine:?}: seeds differ"
+            );
+            let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
+            assert!(
+                (1..=6).contains(&parked),
+                "{engine:?}: {parked} parked after two jobs"
+            );
+            let warm = run_binary(&service, spec(11));
+            assert_eq!(warm, cold, "{engine:?}: warm bytes");
+            let (_, records) = binary::decode(&warm).unwrap();
+            assert_eq!(records.len(), library.trajectories.len());
+            for (rec, want) in records.iter().zip(&library.trajectories) {
+                assert_eq!(rec.meta.traj_id, want.meta.traj_id);
+                assert_eq!(rec.meta.choices, want.meta.choices);
+                let want = ShotWord::wrap(want.shots.clone());
+                assert!(
+                    rec.shots == want,
+                    "{engine:?}: trajectory {}",
+                    rec.meta.traj_id
+                );
+            }
+        }
+    }
+
+    /// Only the dense engines' records go back to a backend: the frame
+    /// and MPS engines' 1 MiB-and-up records are freed, and a dense
+    /// entry of the same circuit keeps what its own job parked.
+    #[test]
+    fn frame_and_mps_records_are_never_parked() {
+        let nc = parity_circuit();
+        let plan = counted_plan(&nc);
+        let service = two_workers();
+        let job = |engine| {
+            JobSpec::new("parked", nc.clone(), plan.clone(), 3)
+                .with_engine(EnginePolicy::Force(engine))
+        };
+        run_binary(&service, job(EngineKind::BatchMajor));
+        let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
+        assert!(parked > 0);
+        let mut frame = job(EngineKind::Frame);
+        frame.frame_chunk_shots = 1 << 17;
+        run_binary(&service, frame);
+        run_binary(&service, job(EngineKind::MpsTree));
+        assert_eq!(
+            dense_entry(&service, &nc).backend.parked_shot_buffers(),
+            parked
+        );
+        let exec = |engine| {
+            let handle =
+                service.submit(job(engine), Box::new(BinarySink::new(SharedBuffer::new())));
+            let handle = handle.unwrap();
+            handle.wait();
+            handle.inner.exec().map(|e| e.dense_backend().is_some())
+        };
+        assert_eq!(exec(EngineKind::Frame), Some(false));
+        assert_eq!(exec(EngineKind::MpsTree), Some(false));
+        assert_eq!(exec(EngineKind::Tree), Some(true));
+    }
 
     /// A worker reads `shutdown` under the queue lock and then parks on
     /// `queue_cv`; `Drop` must publish the flag under the same lock, or

@@ -47,13 +47,18 @@
 //! 64        2.110 ms         0.172 ms
 //! ```
 //!
-//! (`counted` is the histogram. Expanding it into `m` fresh words, as
-//! [`sample_shots`] does, costs more than the draw: ≈ 10.7 ms against
-//! ≈ 7.8 ms for one 500 k-shot `sv-sample` trajectory, traced in an
-//! instrumented build — ≈ 1 950 minor page faults of a fresh 8 MB
-//! buffer; the fill itself is ≈ 1.7 ms into a buffer already faulted
-//! in.) The Walker alias table that `Auto` used to take from `m ≥ 8·2ⁿ`
-//! read 10.0 ms at `m` = 500 000 and 72.1 ms at 4·10⁶ in the last run
+//! (`counted` is the histogram. Expanding it into `m` words costs more
+//! than the draw when the words are fresh memory: ≈ 10.7 ms against
+//! ≈ 7.8 ms for one 500 k-shot `sv-sample` trajectory in an instrumented
+//! build, ≈ 1 950 minor page faults of a new 8 MB buffer, while the fill
+//! itself is ≈ 1.7 ms into a buffer already faulted in. So
+//! [`sample_words_batch_with`] fills whatever buffer its caller hands
+//! it, and the service returns each written record's buffer to the
+//! `SvBackend` that filled it: a traced one-worker `sv-sample` job went
+//! from ≈ 9 700 minor page faults to ≈ 5, and its `stage.sample_s` from
+//! 42.7 to 32.5 ms for four trajectories (three seeds each, 2-vCPU
+//! VM).) The Walker alias table that `Auto` used to take from
+//! `m ≥ 8·2ⁿ` read 10.0 ms at `m` = 500 000 and 72.1 ms at 4·10⁶ in the last run
 //! that had it, next to 5.1 and 6.1 ms counted — slower wherever it was
 //! chosen, and unsorted, which would have undone the run-length dataset
 //! frames — so it is gone.
@@ -139,6 +144,20 @@ pub fn sample_words_batch<T: Scalar, R: Rng + ?Sized, W: Clone>(
     requests: &mut [(usize, &mut R)],
     word: impl Fn(u64) -> W,
 ) -> Vec<Vec<W>> {
+    sample_words_batch_with(sv, requests, word, Vec::with_capacity)
+}
+
+/// [`sample_words_batch`] with each counted request's output taken from
+/// `buffer(m)`, an empty vector with room for `m` words: a caller that
+/// keeps its bulk shot buffers faulted in hands them back here instead
+/// of paying for fresh memory per trajectory. The shots are the same
+/// whatever the buffer.
+pub fn sample_words_batch_with<T: Scalar, R: Rng + ?Sized, W: Clone>(
+    sv: &StateVector<T>,
+    requests: &mut [(usize, &mut R)],
+    word: impl Fn(u64) -> W,
+    mut buffer: impl FnMut(usize) -> Vec<W>,
+) -> Vec<Vec<W>> {
     let n_amps = sv.amplitudes().len();
     let by_cdf = |m: usize| m > 0 && !SamplingStrategy::Auto.is_counted(m, n_amps);
     let mut resolved = {
@@ -161,11 +180,13 @@ pub fn sample_words_batch<T: Scalar, R: Rng + ?Sized, W: Clone>(
                 let shots = resolved.next().expect("one resolution per such request");
                 return shots.into_iter().map(&word).collect();
             }
-            let mut out = Vec::with_capacity(*m);
-            if *m > 0 {
-                for (index, count) in sample_counts(sv, *m, &mut **rng) {
-                    out.resize(out.len() + count as usize, word(index));
-                }
+            if *m == 0 {
+                return Vec::new();
+            }
+            let mut out = buffer(*m);
+            debug_assert!(out.is_empty() && out.capacity() >= *m);
+            for (index, count) in sample_counts(sv, *m, &mut **rng) {
+                out.resize(out.len() + count as usize, word(index));
             }
             out
         })

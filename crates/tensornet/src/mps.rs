@@ -25,7 +25,8 @@ use ptsbe_math::{Complex, Matrix, Scalar};
 pub struct MpsConfig {
     /// Hard cap on bond dimension χ.
     pub max_bond: usize,
-    /// Relative singular-value cutoff: σᵢ < cutoff·σ₀ is discarded.
+    /// Relative singular-value cutoff: σᵢ < cutoff·σ₀ is discarded (and
+    /// σᵢ < 64·ε·σ₀ always is, see [`MpsConfig::exact`]).
     pub cutoff: f64,
     /// Per-update truncation budget: the largest relative discarded mass
     /// a single two-site update may incur. `0.0` disables budget-driven
@@ -37,6 +38,15 @@ pub struct MpsConfig {
     /// disables the cumulative check.
     pub trunc_budget: f64,
 }
+
+/// Relative singular-value floor every config truncates at, whatever its
+/// cutoff: σᵢ < 64·ε·σ₀ (ε the `f64` machine epsilon, ≈ 1.4·10⁻¹⁴) is
+/// SVD round-off, not entanglement. Dropping it keeps
+/// [`MpsConfig::exact`] lossless to rounding — a dropped value's share
+/// of the mass, ≤ (64·ε)² ≈ 2·10⁻²⁸, vanishes in the `f64` sum, so
+/// `trunc_error` stays 0 — while bonds follow the Schmidt rank instead
+/// of padding up to the cap with numerical zeros.
+const ROUNDING_FLOOR: f64 = 64.0 * f64::EPSILON;
 
 impl MpsConfig {
     /// Default bond ceiling shared by [`MpsConfig::new`] and
@@ -59,7 +69,8 @@ impl MpsConfig {
         }
     }
 
-    /// Lossless contraction for small circuits: zero cutoff, no budgets,
+    /// Lossless contraction for small circuits: no cutoff past the
+    /// round-off floor every config has (σᵢ < 64·ε·σ₀), no budgets,
     /// and a ceiling of [`MpsConfig::EXACT_MAX_BOND`]. This is *the* one
     /// constructor every exact-oracle test helper shares, so callers
     /// cannot silently disagree on capacity.
@@ -706,14 +717,14 @@ impl<T: Scalar> Mps<T> {
             let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::MpsSvd);
             svd_qr(mat)
         };
-        // Truncate: cutoff and cap give the hard-stop `keep` (the legacy
-        // cap-driven policy); under a per-update budget, `keep` then grows
-        // from 1 only until the discarded relative mass drops below the
+        // Truncate: cutoff (never below [`ROUNDING_FLOOR`]) and cap give
+        // the hard-stop `keep` (the legacy cap-driven policy); under a
+        // per-update budget, `keep` then grows from 1 only until the discarded relative mass drops below the
         // effective allowance, so weightless tails are dropped without
         // waiting for them to fall under `cutoff`.
         let total: f64 = dec.s.iter().map(|&s| (s * s).to_f64()).sum();
         let smax = dec.s.first().copied().unwrap_or(T::ZERO);
-        let rel_cut = T::from_f64(self.config.cutoff) * smax;
+        let rel_cut = T::from_f64(self.config.cutoff.max(ROUNDING_FLOOR)) * smax;
         let mut keep = 0usize;
         for (i, &s) in dec.s.iter().enumerate() {
             if i >= self.config.max_bond || (i > 0 && s < rel_cut) {
@@ -1025,6 +1036,34 @@ mod tests {
         assert!((mps.amplitude(0).re - 1.0).abs() < 1e-12);
         assert!(mps.amplitude(5).abs() < 1e-12);
         assert!((mps.norm_sqr() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_bonds_follow_the_schmidt_rank_not_the_cap() {
+        // S and CX bricks on |0…0⟩ stay a product state: every split's
+        // trailing singular values are round-off, and the floor drops
+        // them (with a zero cutoff alone every bond padded to the cap).
+        let n = 40;
+        let mut mps = Mps::<f64>::zero_state(n, exact().with_max_bond(64));
+        for layer in 0..8 {
+            for q in 0..n {
+                mps.apply_1q(&gates::s(), q);
+            }
+            for q in (layer % 2..n - 1).step_by(2) {
+                mps.apply_2q(&gates::cx(), q, q + 1);
+            }
+        }
+        assert_eq!(mps.max_bond_reached(), 1);
+        assert_eq!(mps.truncation_error(), 0.0);
+        assert!((mps.amplitude(0).norm_sqr() - 1.0).abs() < 1e-12);
+        // An entangled state keeps its full rank: GHZ bonds are 2.
+        let mut ghz = Mps::<f64>::zero_state(8, exact());
+        ghz.apply_1q(&gates::h(), 0);
+        for q in 0..7 {
+            ghz.apply_2q(&gates::cx(), q, q + 1);
+        }
+        assert_eq!(ghz.max_bond_reached(), 2);
+        assert_eq!(ghz.truncation_error(), 0.0);
     }
 
     #[test]
