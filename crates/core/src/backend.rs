@@ -199,11 +199,6 @@ pub struct SvBackend<T: Scalar> {
     shots: StatePool<Vec<u128>>,
 }
 
-/// Words a shot buffer must hold for [`SvBackend::recycle_shots`] to
-/// park it: 1 MiB. Smaller records are cheap to allocate, and a frame
-/// chunk's 65 536-word records never come back here.
-const PARKED_SHOTS_MIN_WORDS: usize = 1 << 16;
-
 impl<T: Scalar> SvBackend<T> {
     /// Compile a noisy circuit for repeated trajectory execution (gate
     /// fusion on — the default every executor shares). `strategy` has
@@ -247,17 +242,20 @@ impl<T: Scalar> SvBackend<T> {
 
     /// Hand back a record's shot buffer once it has been written, so a
     /// later counted draw fills memory that is already faulted in
-    /// instead of a fresh 8 MB per 500 k-shot trajectory. Buffers of
-    /// fewer than 65 536 words are dropped.
-    pub fn recycle_shots(&self, shots: Vec<u128>) {
-        if shots.capacity() >= PARKED_SHOTS_MIN_WORDS {
-            self.shots.release(shots);
+    /// instead of a fresh 8 MB per 500 k-shot trajectory. Only a record
+    /// of the counted regime is parked — every such draw takes a parked
+    /// buffer back, so no more are parked than were live at once — and
+    /// only while fewer than `keep` are; anything else is dropped.
+    pub fn recycle_shots(&self, shots: Vec<u128>, keep: usize) {
+        let n_amps = 1usize << self.compiled.n_qubits();
+        if SamplingStrategy::Auto.is_counted(shots.len(), n_amps) {
+            self.shots.release_up_to(shots, keep);
         }
     }
 
-    /// An empty buffer with room for `m` shots: the last one parked when
-    /// it is large enough (a smaller one is dropped, not grown, so no
-    /// more are ever parked than were live at once), else a fresh one.
+    /// An empty buffer with room for `m` shots, for a counted draw: the
+    /// last one parked when it is large enough (a smaller one is
+    /// dropped, not grown), else a fresh one.
     fn shot_buffer(&self, m: usize) -> Vec<u128> {
         match self.shots.acquire() {
             Some(mut buf) if buf.capacity() >= m => {
@@ -550,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn recycled_shot_buffers_are_refilled_and_small_ones_dropped() {
+    fn only_counted_shot_buffers_are_parked_and_refilled() {
         let nc = noisy_ghz(0.1);
         let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
         let (mut state, _) = sv.prepare(&nc.identity_assignment().unwrap());
@@ -560,23 +558,31 @@ mod tests {
                 .pop()
                 .unwrap()
         };
-        // 70 000 shots of 3 qubits are a counted draw.
+        // Three qubits: a draw is counted from 2·2³ = 16 shots.
         let first = draw(70_000);
         let want = first.clone();
         let at = first.as_ptr();
-        sv.recycle_shots(first);
+        sv.recycle_shots(first, 4);
         assert_eq!(sv.parked_shot_buffers(), 1);
         let again = draw(70_000);
         assert_eq!(again.as_ptr(), at, "the parked buffer is refilled");
         assert_eq!(again, want);
         assert_eq!(sv.parked_shot_buffers(), 0);
         // Too small for the next request: dropped, not grown.
-        sv.recycle_shots(again);
+        sv.recycle_shots(again, 4);
         let bigger = draw(90_000);
         assert_eq!((bigger.len(), sv.parked_shot_buffers()), (90_000, 0));
-        // Under 65 536 words a buffer is never parked.
-        sv.recycle_shots(Vec::with_capacity(65_535));
+        // A shot-by-shot draw never takes a buffer back, so its record
+        // is never parked, whatever its capacity.
+        let mut cdf = draw(15);
+        cdf.reserve(1 << 20);
+        sv.recycle_shots(cdf, 4);
         assert_eq!(sv.parked_shot_buffers(), 0);
+        // At most `keep` are parked.
+        for _ in 0..3 {
+            sv.recycle_shots(vec![0; 16], 2);
+        }
+        assert_eq!(sv.parked_shot_buffers(), 2);
     }
 
     #[test]

@@ -86,11 +86,21 @@ impl<S> StatePool<S> {
 
     /// Park a no-longer-needed state for later reuse.
     pub fn release(&self, state: S) {
-        self.released.fetch_add(1, Ordering::Relaxed);
+        self.release_up_to(state, usize::MAX);
+    }
+
+    /// [`StatePool::release`] unless `cap` states are parked already, in
+    /// which case `state` is dropped (after the pool lock is released).
+    pub fn release_up_to(&self, state: S, cap: usize) {
         let mut free = self.free.lock().expect("pool lock");
+        if free.len() >= cap {
+            drop(free);
+            return;
+        }
         free.push(state);
         let len = free.len();
         drop(free);
+        self.released.fetch_add(1, Ordering::Relaxed);
         self.high_water.fetch_max(len, Ordering::Relaxed);
     }
 
@@ -129,6 +139,19 @@ mod tests {
         assert_eq!(stats.released, 2);
         assert_eq!(stats.high_water, 2);
         assert!((stats.recycle_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_capped_release_drops_what_does_not_fit() {
+        let pool = StatePool::<Vec<u8>>::new();
+        pool.release_up_to(vec![1], 2);
+        pool.release_up_to(vec![2], 2);
+        pool.release_up_to(vec![3], 2);
+        assert_eq!(pool.parked(), 2);
+        assert_eq!(pool.stats().released, 2);
+        assert_eq!(pool.acquire(), Some(vec![2]));
+        pool.release_up_to(vec![4], 0);
+        assert_eq!(pool.parked(), 1);
     }
 
     #[test]

@@ -181,18 +181,6 @@ fn push_runs(shots: &[ShotWord], w: usize, max_run: u32, buf: &mut Vec<u8>) -> O
     run(last, shots.len() - run_start, buf).then_some(n_runs)
 }
 
-/// The whole version-2 shot section of `shots`, as [`encode`] writes it
-/// after a frame's shot count, with runs split at `max_run`. Test surface
-/// for the run-scan oracle in `tests/`; not part of the API.
-#[doc(hidden)]
-pub fn encode_shot_section(shots: &[ShotWord], max_run: u32) -> Vec<u8> {
-    let mut buf = Vec::new();
-    if let Some(w) = encode_shots_head(shots, max_run, &mut buf) {
-        put_words(shots, w, &mut buf);
-    }
-    buf
-}
-
 /// Serialize a dataset to bytes.
 ///
 /// # Errors
@@ -404,6 +392,16 @@ pub fn decode_prefix(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole version-2 shot section of `shots`, as [`encode`] writes
+    /// it after a frame's shot count, with runs split at `max_run`.
+    fn encode_shot_section(shots: &[ShotWord], max_run: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        if let Some(w) = encode_shots_head(shots, max_run, &mut buf) {
+            put_words(shots, w, &mut buf);
+        }
+        buf
+    }
 
     fn sample() -> (DatasetHeader, Vec<TrajectoryRecord>) {
         let header = DatasetHeader {
@@ -689,5 +687,146 @@ mod tests {
         // No version 3 yet.
         v1[4..8].copy_from_slice(&3u32.to_le_bytes());
         assert!(decode(&v1).unwrap_err().to_string().contains("version"));
+    }
+
+    mod run_scan_oracle {
+        //! The block-mask run scan against the word-at-a-time scan it replaced.
+        //!
+        //! A version-2 `PTSB` shot section is runs of equal words when the
+        //! record never descends and the runs pay, plain words otherwise. The
+        //! writer finds run ends 64 adjacent pairs at a time; the oracle here is
+        //! the scan it replaced, one `take_while` per run, which wrote runs as it
+        //! found them and gave up at the first descent or the first run too
+        //! many. Both must write the same bytes: on sorted, descending, random
+        //! and nearly sorted records, at every length 0–300 (so across several
+        //! 64-word block boundaries), with runs split at small `max_run`s.
+
+        use super::super::{push_word, TAG_NARROW, TAG_RUNS};
+        use super::encode_shot_section;
+        use crate::record::ShotWord;
+        use proptest::prelude::*;
+
+        /// The shot section as the word-at-a-time scan wrote it.
+        fn oracle_section(shots: &[ShotWord], max_run: u32) -> Vec<u8> {
+            let narrow = shots.iter().fold(0, |high, s| high | (s.0 >> 64)) == 0;
+            let w = if narrow { 8 } else { 16 };
+            let plain_bytes = shots.len() * w;
+            let mut buf = vec![TAG_RUNS | (u8::from(narrow) * TAG_NARROW)];
+            buf.extend_from_slice(&[0; 8]);
+            let mut n_runs = 0usize;
+            let mut rest = shots;
+            let mut last = 0;
+            let mut pays = 8 < plain_bytes;
+            while pays && !rest.is_empty() {
+                let word = rest[0].0;
+                let len = rest
+                    .iter()
+                    .take(max_run as usize)
+                    .take_while(|s| s.0 == word)
+                    .count();
+                push_word(&mut buf, word, narrow);
+                buf.extend_from_slice(&(len as u32).to_le_bytes());
+                rest = &rest[len..];
+                n_runs += 1;
+                pays = last <= word && 8 + n_runs * (w + 4) < plain_bytes;
+                last = word;
+            }
+            if pays {
+                buf[1..9].copy_from_slice(&(n_runs as u64).to_le_bytes());
+                return buf;
+            }
+            let mut buf = vec![u8::from(narrow) * TAG_NARROW];
+            for s in shots {
+                push_word(&mut buf, s.0, narrow);
+            }
+            buf
+        }
+
+        /// A record of `len` words from `seed` in one of the shapes the writer
+        /// tells apart: sorted with repeats, narrow (0) or with some words past
+        /// 64 bits (1); descending (2); random (3); sorted with one descent (4);
+        /// sorted at the top of the 64-bit range (5); one word throughout (6).
+        fn record(shape: usize, len: usize, alphabet: u64, seed: u64) -> Vec<ShotWord> {
+            let mut rng = TestRng::new(seed);
+            let mut words: Vec<u128> = (0..len)
+                .map(|i| {
+                    let w = u128::from(rng.below(alphabet));
+                    match shape {
+                        1 if i % 7 == 3 => w | 1 << 64,
+                        5 => u128::from(u64::MAX) - w,
+                        6 => 0,
+                        _ => w,
+                    }
+                })
+                .collect();
+            match shape {
+                0 | 1 | 4 | 5 => words.sort_unstable(),
+                2 => words.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => {}
+            }
+            if shape == 4 && len > 1 {
+                let at = rng.below(len as u64 - 1) as usize;
+                words[at + 1] = words[at].saturating_sub(1);
+            }
+            words.into_iter().map(ShotWord).collect()
+        }
+
+        const MAX_RUNS: [u32; 7] = [1, 2, 3, 5, 64, 65, u32::MAX];
+
+        #[test]
+        fn every_length_to_300_matches_the_oracle() {
+            for len in 0..=300 {
+                for shape in 0..7 {
+                    for alphabet in [1u64, 3, 40, 1 << 20] {
+                        let shots = record(shape, len, alphabet, (len * 7 + shape) as u64);
+                        for max_run in MAX_RUNS {
+                            assert_eq!(
+                                encode_shot_section(&shots, max_run),
+                                oracle_section(&shots, max_run),
+                                "len {len}, shape {shape}, alphabet {alphabet}, max_run {max_run}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn runs_ending_on_block_boundaries_match_the_oracle() {
+            // One run ending exactly at each candidate boundary, then another.
+            for cut in [1usize, 63, 64, 65, 127, 128, 129, 192] {
+                let mut words = vec![ShotWord(5); cut];
+                words.extend(vec![ShotWord(9); 200]);
+                for max_run in MAX_RUNS {
+                    let got = encode_shot_section(&words, max_run);
+                    assert_eq!(
+                        got,
+                        oracle_section(&words, max_run),
+                        "cut {cut}, max_run {max_run}"
+                    );
+                }
+                assert_eq!(
+                    encode_shot_section(&words, u32::MAX)[0],
+                    TAG_RUNS | TAG_NARROW
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn random_records_match_the_oracle(
+                shape in 0usize..7,
+                len in 0usize..2_000,
+                alphabet in 1u64..5_000,
+                seed in 0u64..u64::MAX,
+                max_run in 0usize..7,
+            ) {
+                let shots = record(shape, len, alphabet, seed);
+                let max_run = MAX_RUNS[max_run];
+                prop_assert_eq!(encode_shot_section(&shots, max_run), oracle_section(&shots, max_run));
+            }
+        }
     }
 }

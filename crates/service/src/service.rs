@@ -41,7 +41,9 @@
 //! back to the backend that filled it
 //! ([`SvBackend::recycle_shots`](ptsbe_core::SvBackend::recycle_shots)),
 //! outside the emitter lock, and the next counted draw fills memory that
-//! is already faulted in. Frame and MPS records are freed.
+//! is already faulted in. A cached backend keeps at most one delivered
+//! chunk's records per worker parked after its jobs end. Frame and MPS
+//! records are freed.
 //!
 //! # Fault tolerance
 //!
@@ -710,6 +712,8 @@ fn deliver<T: Scalar>(
             shared.metrics.note_truncation(t);
         }
     }
+    // One chunk's records per worker is all the next draws can take back.
+    let keep = shared.n_workers * records.len();
     let mut pushed = match job.emitter() {
         Ok(mut em) => spanned(Stage::SinkWrite, || {
             em.push(index, records)
@@ -718,14 +722,15 @@ fn deliver<T: Scalar>(
         Err(se) => Err(se.to_string()),
     };
     // After the emitter lock: written dense records' buffers go back to
-    // the backend that filled them, the rest are freed here.
+    // the backend that filled them, up to `keep` parked; the rest are
+    // freed here.
     let written = pushed
         .as_mut()
         .map(|out| std::mem::take(&mut out.written))
         .unwrap_or_default();
     if let Some(backend) = job.exec().and_then(EngineExec::dense_backend) {
         for rec in written {
-            backend.recycle_shots(ShotWord::unwrap(rec.shots));
+            backend.recycle_shots(ShotWord::unwrap(rec.shots), keep);
         }
     }
     match pushed {
@@ -848,11 +853,15 @@ mod tests {
     use ptsbe_rng::PhiloxRng;
     use ptsbe_statevector::SamplingStrategy;
 
-    /// Clifford gates and Pauli channels on four qubits, with a
+    /// Clifford gates and Pauli channels on `n` qubits, with a
     /// deterministic noiseless reference: every engine can run it.
-    fn parity_circuit() -> NoisyCircuit {
-        let mut c = Circuit::new(4);
-        c.x(0).cx(0, 1).cx(1, 2).cx(2, 3).cz(0, 3);
+    fn parity_circuit(n: usize) -> NoisyCircuit {
+        let mut c = Circuit::new(n);
+        c.x(0);
+        for q in 1..n {
+            c.cx(q - 1, q);
+        }
+        c.cz(0, n - 1);
         c.measure_all();
         NoiseModel::new()
             .with_default_1q(channels::bit_flip(0.05))
@@ -860,11 +869,12 @@ mod tests {
             .apply(&c)
     }
 
-    /// Six trajectories of 70 000 shots: counted draws (from 2·2⁴), each
-    /// record past the 65 536 words a recycled buffer must hold.
-    fn counted_plan(nc: &NoisyCircuit) -> PtsPlan {
+    /// `n_samples` trajectories of 70 000 shots each: 1 MiB and more a
+    /// record, counted draws on four qubits (from 2·2⁴ shots) and
+    /// shot-by-shot ones on sixteen (below 2·2¹⁶).
+    fn bulk_plan(nc: &NoisyCircuit, n_samples: usize) -> PtsPlan {
         ProbabilisticPts {
-            n_samples: 6,
+            n_samples,
             shots_per_trajectory: 70_000,
             dedup: false,
         }
@@ -896,8 +906,8 @@ mod tests {
     /// job has parked its shot buffers, and as the direct library call.
     #[test]
     fn recycled_shot_buffers_leave_the_bytes_unchanged() {
-        let nc = parity_circuit();
-        let plan = counted_plan(&nc);
+        let nc = parity_circuit(4);
+        let plan = bulk_plan(&nc, 6);
         assert!(SamplingStrategy::Auto.is_counted(70_000, 1 << 4));
         let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
         let library = BatchedExecutor {
@@ -915,20 +925,14 @@ mod tests {
             let service = two_workers();
             let cold = run_binary(&service, spec(11));
             let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
-            assert!(
-                (1..=6).contains(&parked),
-                "{engine:?}: {parked} parked after one job"
-            );
+            assert!(parked > 0, "{engine:?}: nothing parked after one job");
             assert_ne!(
                 run_binary(&service, spec(12)),
                 cold,
                 "{engine:?}: seeds differ"
             );
             let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
-            assert!(
-                (1..=6).contains(&parked),
-                "{engine:?}: {parked} parked after two jobs"
-            );
+            assert!(parked > 0, "{engine:?}: nothing parked after two jobs");
             let warm = run_binary(&service, spec(11));
             assert_eq!(warm, cold, "{engine:?}: warm bytes");
             let (_, records) = binary::decode(&warm).unwrap();
@@ -946,13 +950,56 @@ mod tests {
         }
     }
 
+    /// A finished job leaves at most one chunk's records per worker
+    /// parked: a job cut into one-trajectory chunks trims what a job of
+    /// six-trajectory chunks left on the same entry down to two.
+    #[test]
+    fn parked_shot_buffers_stay_within_a_chunk_per_worker() {
+        let nc = parity_circuit(4);
+        let plan = bulk_plan(&nc, 12);
+        for engine in [EngineKind::Tree, EngineKind::BatchMajor, EngineKind::Flat] {
+            let service = two_workers();
+            for (chunk, bound) in [(6, 12), (1, 2), (1, 2)] {
+                let mut spec = JobSpec::new("bounded", nc.clone(), plan.clone(), 1)
+                    .with_engine(EnginePolicy::Force(engine));
+                spec.chunk_trajectories = chunk;
+                run_binary(&service, spec);
+                let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
+                assert!(
+                    (1..=bound).contains(&parked),
+                    "{engine:?}, chunks of {chunk}: {parked} parked"
+                );
+            }
+        }
+    }
+
+    /// A shot-by-shot record is never parked, however large: no draw
+    /// takes it back. Sixteen qubits at 70 000 shots a trajectory are
+    /// below the counted regime's 2·2¹⁶.
+    #[test]
+    fn shot_by_shot_records_are_never_parked() {
+        let nc = parity_circuit(16);
+        let plan = bulk_plan(&nc, 2);
+        assert!(!SamplingStrategy::Auto.is_counted(70_000, 1 << 16));
+        let service = two_workers();
+        for engine in [EngineKind::Tree, EngineKind::BatchMajor, EngineKind::Flat] {
+            for seed in [1, 2] {
+                let spec = JobSpec::new("cdf", nc.clone(), plan.clone(), seed)
+                    .with_engine(EnginePolicy::Force(engine));
+                run_binary(&service, spec);
+                let parked = dense_entry(&service, &nc).backend.parked_shot_buffers();
+                assert_eq!(parked, 0, "{engine:?}, seed {seed}");
+            }
+        }
+    }
+
     /// Only the dense engines' records go back to a backend: the frame
-    /// and MPS engines' 1 MiB-and-up records are freed, and a dense
+    /// and MPS engines' records are freed, and a dense
     /// entry of the same circuit keeps what its own job parked.
     #[test]
     fn frame_and_mps_records_are_never_parked() {
-        let nc = parity_circuit();
-        let plan = counted_plan(&nc);
+        let nc = parity_circuit(4);
+        let plan = bulk_plan(&nc, 6);
         let service = two_workers();
         let job = |engine| {
             JobSpec::new("parked", nc.clone(), plan.clone(), 3)
