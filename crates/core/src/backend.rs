@@ -234,8 +234,9 @@ impl<T: Scalar> SvBackend<T> {
         self.compiled.fusion_stats()
     }
 
-    /// The lowered circuit (the batch-major executor drives
-    /// [`ptsbe_statevector::batch::advance_batch`] over it directly).
+    /// The lowered circuit, for callers that drive the statevector
+    /// crate's own entry points (`exec::prepare`,
+    /// [`ptsbe_statevector::batch::advance_batch`]) over it directly.
     pub fn compiled(&self) -> &sv_exec::Compiled<T> {
         &self.compiled
     }

@@ -1,6 +1,6 @@
 //! Batched Execution: the BE half of PTSBE.
 //!
-//! Three executors share this module:
+//! Two executors share this module:
 //!
 //! - [`BatchedExecutor`] (flat): prepares each trajectory's state from
 //!   `|0…0⟩` exactly once, bulk-samples its `m_α` shots, and attaches
@@ -13,27 +13,27 @@
 //!   drops from `O(trajectories × circuit_len)` gate applications to
 //!   `O(trie_edges)` — while producing **bitwise identical** shots,
 //!   because every leaf replays exactly the flat op sequence and keeps
-//!   the Philox stream keyed by its original plan index. Branch-point
-//!   forks draw recycled buffers from a [`crate::pool::StatePool`] and
-//!   finished leaves release theirs back, so the walk's hot loop is
-//!   allocation-free in steady state.
-//! - [`BatchMajorExecutor`] (statevector only): packs up to `lanes`
-//!   trajectories into one amplitude-major
-//!   [`ptsbe_statevector::batch::StateBatch`] and sweeps every compiled
-//!   op across all lanes at once — one dispatch and one cache-blocked
-//!   pass serve the whole group, with a lane-contiguous inner loop that
-//!   autovectorizes. Also bitwise identical to the flat executor.
+//!   the Philox stream keyed by its original plan index. Each node's
+//!   heaviest child is visited last and takes over the parent's state,
+//!   so a walk keeps at most ⌊log₂ leaf nodes⌋ + 1 states live.
+//!   Branch-point forks draw recycled buffers from a
+//!   [`crate::pool::StatePool`] and finished leaves release theirs back,
+//!   so the walk's hot loop is allocation-free in steady state.
 //!
-//! All three fan out over rayon (the CPU analog of the paper's
+//! A plan with no shared prefixes is a trie whose branch points sit near
+//! the root, so the tree walk is also the low-sharing dense executor:
+//! [`BatchMajorExecutor`] keeps its name and entry points, and walks the
+//! sub-trie of the range it is given.
+//!
+//! Both fan out over rayon (the CPU analog of the paper's
 //! inter-trajectory multi-GPU distribution): the flat executor maps over
 //! trajectories, the tree executor expands a bounded frontier of
-//! independent subtrees and maps over those, the batch-major executor
-//! maps over lane groups. With `parallel: false` an execution is one
-//! thread all the way down — the statevector kernels' own per-gate
-//! fan-out is switched off with it — so a caller that parallelizes
-//! *across* executions keeps exactly one parallel layer. Every trajectory
-//! is seeded with its own counter-based stream, so results are
-//! reproducible regardless of scheduling.
+//! independent subtrees and maps over those. With `parallel: false` an
+//! execution is one thread all the way down — the statevector kernels'
+//! own per-gate fan-out is switched off with it — so a caller that
+//! parallelizes *across* executions keeps exactly one parallel layer.
+//! Every trajectory is seeded with its own counter-based stream, so
+//! results are reproducible regardless of scheduling.
 
 use crate::assignment::TrajectoryMeta;
 use crate::backend::{Backend, SvBackend};
@@ -42,16 +42,15 @@ use crate::pool::StatePool;
 use ptsbe_circuit::NoisyCircuit;
 use ptsbe_math::Scalar;
 use ptsbe_rng::PhiloxRng;
-use ptsbe_statevector::{batch, StateVector};
 use rayon::prelude::*;
 
-/// Order-preserving map over owned items — the single switch point all
-/// three executors route their parallelism through. `parallel` fans the
+/// Order-preserving map over owned items — the single switch point both
+/// executors route their parallelism through. `parallel` fans the
 /// items out over rayon; otherwise they run in turn on the calling
 /// thread *under a one-thread rayon budget*, so no kernel underneath
-/// (gate sweeps, norms, Kraus probabilities, lane sweeps, block-CDF
-/// sampling) fans out either. Output-neutral: the kernels key their
-/// summation grouping on the qubit count, never on the thread count.
+/// (gate sweeps, norms, Kraus probabilities, block-CDF sampling) fans
+/// out either. Output-neutral: the kernels key their summation grouping
+/// on the qubit count, never on the thread count.
 fn fan_out<T, R, F>(parallel: bool, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -323,8 +322,11 @@ impl TreeExecutor {
     /// probability `acc`. Iterative (an explicit frame stack, so depth is
     /// never bounded by the call stack — low-noise tries are one long
     /// single-child chain per shared prefix), with siblings processed one
-    /// at a time so at most one live forked state exists per *branch
-    /// point* on the current path, not per sibling. Returns
+    /// at a time, heaviest last: a branch point keeps its state live only
+    /// while a lighter child is walked, so the live states are bounded by
+    /// the halvings of the leaf count, not by the branch points on the
+    /// path (an identity spine with single-error branches holds one
+    /// state per branch point when walked spine first). Returns
     /// `(plan index, result)` pairs for every leaf underneath.
     fn walk<B: Backend>(
         &self,
@@ -392,13 +394,15 @@ struct TreeCtx<'a, B: Backend> {
 }
 
 impl<B: Backend> TreeCtx<'_, B> {
-    /// Take the parent state out of `carrier` (the last sibling consumes
-    /// the original allocation; earlier siblings fork it) and advance it
-    /// one segment along child `i` of `node_idx`. Returns the child's
-    /// `(node index, state, accumulated probability)` — the single code
-    /// path both the serial walk and the parallel frontier expansion go
-    /// through, so fork order and probability association can never
-    /// diverge between them.
+    /// Take the parent state out of `carrier` (the last sibling visited
+    /// consumes the original allocation; earlier siblings fork it) and
+    /// advance it one segment along the `i`-th child of `node_idx` in
+    /// visiting order: the stored order with the heaviest child
+    /// ([`PtsPlanTree::heaviest_child`]) moved to the end. Returns the
+    /// child's `(node index, state, accumulated probability)` — the
+    /// single code path both the serial walk and the parallel frontier
+    /// expansion go through, so fork order and probability association
+    /// can never diverge between them.
     fn fork_and_advance(
         &self,
         node_idx: usize,
@@ -408,6 +412,14 @@ impl<B: Backend> TreeCtx<'_, B> {
     ) -> (usize, B::State, f64) {
         let node = self.tree.node(node_idx);
         let last = node.children.len() - 1;
+        let heaviest = self.tree.heaviest_child(node_idx);
+        let stored = if i == last {
+            heaviest
+        } else if i >= heaviest {
+            i + 1
+        } else {
+            i
+        };
         // Fork + advance are both state preparation from telemetry's
         // point of view: one Prep timer covers the pair.
         let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Prep);
@@ -419,7 +431,7 @@ impl<B: Backend> TreeCtx<'_, B> {
                 self.pool,
             )
         };
-        let (_branch, child_idx) = node.children[i];
+        let (_branch, child_idx) = node.children[stored];
         let child = self.tree.node(child_idx);
         let choices = &self.plan.trajectories[child.rep].choices;
         let partial = self
@@ -459,7 +471,7 @@ impl<B: Backend> TreeCtx<'_, B> {
 }
 
 /// The trajectories that end on one prepared state: Batched Execution's
-/// sampling step, the one all three executors go through.
+/// sampling step, the one every executor goes through.
 struct Leaf<'a> {
     nc: &'a NoisyCircuit,
     plan: &'a PtsPlan,
@@ -512,10 +524,12 @@ impl Leaf<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-major executor (statevector backend)
+// Low-sharing dense entry points
 
-/// Lane-group geometry for batch-major execution over split re/im
-/// amplitude planes.
+/// Lane-group geometry for [`ptsbe_statevector::batch::StateBatch`]
+/// sweeps over split re/im amplitude planes. No executor sweeps lanes;
+/// the service still sizes its low-sharing plan-range cut in these
+/// lanes.
 ///
 /// The per-group working set is `lanes` states of `2^n` amplitudes in
 /// two scalar planes (`2 · 2^n · lanes · size_of::<T>()` bytes), swept
@@ -567,40 +581,24 @@ impl BatchConfig {
     }
 }
 
-/// The batch-major executor: executes up to [`BatchMajorExecutor::lanes`]
-/// trajectories at a time inside one
-/// [`ptsbe_statevector::batch::StateBatch`] — `B` states in split re/im
-/// amplitude planes, every compiled op swept across all lanes at once
-/// instead of once per state.
+/// The low-sharing dense executor's entry points:
+/// [`BatchMajorExecutor::execute_slice`] walks the prefix trie of its
+/// range with [`TreeExecutor`], exactly as a tree chunk does. Bitwise
+/// identical to [`BatchedExecutor`] with the same seed, for any slicing.
 ///
-/// Where [`TreeExecutor`] removes *redundant* gate applications (shared
-/// prefixes), this executor makes the *remaining* ones cheaper: one
-/// dispatch, one matrix remap and one cache-friendly sweep serve `B`
-/// trajectories, with a lane-contiguous inner loop the compiler
-/// vectorizes. Duplicate assignments inside a chunk collapse onto one
-/// lane (state preparation is deterministic, so duplicates share the
-/// prepared state and only sampling is per-trajectory) — the dominant
-/// saving on low-noise plans sampled without dedup. Bitwise identical to
-/// [`BatchedExecutor`] with the same seed: every lane applies exactly
-/// the flat op sequence through kernels that share their arithmetic with
-/// the scalar path, and every trajectory samples through
-/// [`Backend::sample_batch`] on its own Philox stream keyed by plan index.
+/// It does not sweep [`ptsbe_statevector::batch::StateBatch`] lanes: on
+/// every plan shape the service routes here, the trie walk measured as
+/// fast or faster with the same bits.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchMajorExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
     pub seed: u64,
-    /// Fan lane-groups out over rayon. `false` runs the groups in turn
-    /// under a one-thread rayon budget, lane sweeps included (see
-    /// [`BatchedExecutor::parallel`]).
+    /// Fan sibling subtrees out over rayon (see [`TreeExecutor::parallel`]).
     pub parallel: bool,
-    /// Maximum trajectories per batch; `0` sizes the group automatically
-    /// from `cfg` (see [`BatchConfig::lanes_for`]). More lanes amortize
-    /// dispatch further but grow the per-sweep working set
-    /// (`2^n · lanes` amplitudes per plane) — once it spills the cache
-    /// budget the repeated sweeps turn bandwidth-bound and lose to
-    /// cache-resident per-state execution.
+    /// Ignored: the trie walk has no lanes. Kept so existing struct
+    /// literals still build.
     pub lanes: usize,
-    /// Lane auto-sizing geometry, consulted when `lanes == 0`.
+    /// Ignored, like [`BatchMajorExecutor::lanes`].
     pub cfg: BatchConfig,
 }
 
@@ -617,8 +615,8 @@ impl Default for BatchMajorExecutor {
 }
 
 impl BatchMajorExecutor {
-    /// Execute a plan in lane groups of up to `self.lanes` trajectories
-    /// (auto-sized groups when `lanes == 0`).
+    /// Execute a whole plan ([`BatchMajorExecutor::execute_slice`] over
+    /// `0..n`).
     ///
     /// # Panics
     /// Panics when an assignment does not cover the site count exactly
@@ -632,12 +630,9 @@ impl BatchMajorExecutor {
         self.execute_slice(backend, nc, plan, 0..plan.trajectories.len())
     }
 
-    /// Execute only `plan.trajectories[range]` in lane groups, keying
-    /// every lane's Philox stream by its *absolute* plan index — the
-    /// chunked-emission entry point for the data-collection service.
-    /// Bitwise identical to the flat executor for any slicing (lane
-    /// grouping never affects per-lane results; see the
-    /// `batch_major_bitwise_matches_flat_for_any_lane_count` test).
+    /// Execute only `plan.trajectories[range]` through the range's own
+    /// prefix trie ([`PtsPlanTree::from_plan_range`]), keying every
+    /// trajectory's Philox stream by its *absolute* plan index.
     ///
     /// # Panics
     /// Panics when `range` exceeds the plan or an assignment does not
@@ -649,121 +644,19 @@ impl BatchMajorExecutor {
         plan: &PtsPlan,
         range: std::ops::Range<usize>,
     ) -> BatchResult {
-        let pool = StatePool::new();
-        self.execute_slice_pooled(backend, nc, plan, range, &pool)
-    }
-
-    /// [`BatchMajorExecutor::execute_slice`] with a caller-owned arena
-    /// for the lane-group plane buffers: after the first wave of groups
-    /// warms it up, every group `reinit`s a recycled [`batch::StateBatch`]
-    /// instead of allocating two fresh planes. Recycling is bitwise
-    /// invisible (`reinit` overwrites every element); `pool.stats()`
-    /// afterwards reports the recycled/fresh split.
-    ///
-    /// # Panics
-    /// Same contract as [`BatchMajorExecutor::execute_slice`].
-    pub fn execute_slice_pooled<T: Scalar>(
-        &self,
-        backend: &SvBackend<T>,
-        nc: &NoisyCircuit,
-        plan: &PtsPlan,
-        range: std::ops::Range<usize>,
-        pool: &StatePool<batch::StateBatch<T>>,
-    ) -> BatchResult {
-        if range.is_empty() {
-            return BatchResult::default();
-        }
-        let base = range.start;
-        let compiled = backend.compiled();
-        let n_sites = compiled.sites().len();
-        let n_segments = compiled.n_segments();
-        let n_qubits = compiled.n_qubits();
-        let lanes = if self.lanes == 0 {
-            self.cfg.lanes_for::<T>(n_qubits)
-        } else {
-            self.lanes
-        };
-        let trajs = &plan.trajectories[range];
-        // Collapse duplicate assignments: lanes hold *unique* assignments
-        // only. State preparation is deterministic given the assignment,
-        // so every duplicate would produce a bitwise-identical lane;
-        // instead the lane is sampled once for all of them, each on its
-        // own Philox stream (keyed by absolute plan index), which is the
-        // flat executor's output bit for bit. At low noise most sampled
-        // trajectories are the all-identity assignment, so this removes
-        // the bulk of the sweep work — the same duplicate-sharing the
-        // tree executor gets from trie leaves. `leaves_of[u]` holds the
-        // plan indices of unique assignment `u`, in first-seen order.
-        let mut unique_of: std::collections::HashMap<&[usize], usize> =
-            std::collections::HashMap::new();
-        let mut leaves_of: Vec<Vec<usize>> = Vec::new();
-        for (j, t) in trajs.iter().enumerate() {
-            assert_eq!(
-                t.choices.len(),
-                n_sites,
-                "assignment length does not match site count"
-            );
-            let u = *unique_of.entry(t.choices.as_slice()).or_insert_with(|| {
-                leaves_of.push(Vec::new());
-                leaves_of.len() - 1
-            });
-            leaves_of[u].push(base + j);
-        }
-        let run_group = |group: &[Vec<usize>]| {
-            let choices: Vec<&[usize]> = group
+        let n_sites = backend.compiled().sites().len();
+        assert!(
+            plan.trajectories[range.clone()]
                 .iter()
-                .map(|leaves| plan.trajectories[leaves[0]].choices.as_slice())
-                .collect();
-            let mut state_batch = match pool.acquire() {
-                Some(mut recycled) => {
-                    recycled.reinit(n_qubits, group.len());
-                    recycled
-                }
-                None => batch::StateBatch::zero_states(n_qubits, group.len()),
-            };
-            let mut realized = vec![1.0f64; group.len()];
-            {
-                let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Prep);
-                batch::advance_batch(
-                    compiled,
-                    &mut state_batch,
-                    0..n_segments,
-                    &choices,
-                    &mut realized,
-                );
-            }
-            // One scratch state per group: each lane is gathered into it
-            // once and sampled through the backend's own sampler for
-            // every trajectory it serves.
-            let mut scratch = StateVector::zero_state(n_qubits);
-            let mut results = Vec::new();
-            for (lane, leaves) in group.iter().enumerate() {
-                state_batch.extract_lane_into(lane, &mut scratch);
-                let leaf = Leaf {
-                    nc,
-                    plan,
-                    seed: self.seed,
-                    realized: realized[lane],
-                };
-                results.extend(leaf.sample(backend, &mut scratch, leaves));
-            }
-            pool.release(state_batch);
-            results
-        };
-        // Scatter back to plan order: duplicate collapse unorders the
-        // traversal.
-        let mut slots: Vec<Option<TrajectoryResult>> = (0..trajs.len()).map(|_| None).collect();
-        for (idx, r) in fan_out(self.parallel, leaves_of.chunks(lanes).collect(), run_group)
-            .into_iter()
-            .flatten()
-        {
-            slots[idx - base] = Some(r);
+                .all(|t| t.choices.len() == n_sites),
+            "assignment length does not match site count"
+        );
+        let tree = PtsPlanTree::from_plan_range(plan, range);
+        TreeExecutor {
+            seed: self.seed,
+            parallel: self.parallel,
         }
-        let trajectories = slots
-            .into_iter()
-            .map(|s| s.expect("every trajectory belongs to exactly one group"))
-            .collect();
-        BatchResult { trajectories }
+        .execute_tree(backend, nc, plan, &tree)
     }
 }
 
@@ -774,7 +667,7 @@ mod tests {
     use crate::pts::{ExhaustivePts, ProbabilisticPts, PtsSampler};
     use ptsbe_circuit::{channels, Circuit, NoiseModel};
     use ptsbe_rng::PhiloxRng;
-    use ptsbe_statevector::SamplingStrategy;
+    use ptsbe_statevector::{SamplingStrategy, StateVector};
 
     fn noisy_bell(p: f64) -> NoisyCircuit {
         let mut c = Circuit::new(2);
@@ -1298,12 +1191,13 @@ mod tests {
         }
     }
 
-    /// Sites on three qubits: the dense table lowers them, `advance`
-    /// applies them through `apply_kq`, and the batch-major path takes
-    /// its per-lane scalar fallback — a mixture (identity branch skipped)
-    /// and a general channel, bitwise across flat / tree / batch-major.
+    /// Sites on three qubits: the dense table lowers them and `advance`
+    /// applies them through `apply_kq` — a mixture (identity branch
+    /// skipped) and a general channel, bitwise across flat and tree. (The
+    /// lane kernels' per-lane fallback for them is tested against
+    /// `exec::prepare` in `ptsbe_statevector::batch`.)
     #[test]
-    fn three_qubit_sites_bitwise_across_flat_tree_and_batch_major() {
+    fn three_qubit_sites_bitwise_across_flat_and_tree() {
         use ptsbe_circuit::KrausChannel;
         use ptsbe_math::{gates, Matrix};
         let kron3 = |a: &Matrix<f64>, b: &Matrix<f64>, c: &Matrix<f64>| a.kron(b).kron(c);
@@ -1365,22 +1259,14 @@ mod tests {
             parallel: false,
         }
         .execute(&backend, &nc, &plan);
-        let batched = BatchMajorExecutor {
-            seed: 12,
-            lanes: 7,
-            ..Default::default()
-        }
-        .execute(&backend, &nc, &plan);
-        for other in [&tree, &batched] {
-            assert_eq!(other.trajectories.len(), flat.trajectories.len());
-            for (a, b) in other.trajectories.iter().zip(&flat.trajectories) {
-                assert_eq!(a.meta.choices, b.meta.choices);
-                assert_eq!(
-                    a.meta.realized_prob.to_bits(),
-                    b.meta.realized_prob.to_bits()
-                );
-                assert_eq!(a.shots, b.shots);
-            }
+        assert_eq!(tree.trajectories.len(), flat.trajectories.len());
+        for (a, b) in tree.trajectories.iter().zip(&flat.trajectories) {
+            assert_eq!(a.meta.choices, b.meta.choices);
+            assert_eq!(
+                a.meta.realized_prob.to_bits(),
+                b.meta.realized_prob.to_bits()
+            );
+            assert_eq!(a.shots, b.shots);
         }
     }
 
@@ -1409,68 +1295,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_major_pool_recycles_plane_buffers() {
-        let nc = noisy_bell(0.15);
-        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
-        let mut rng = PhiloxRng::new(167, 0);
-        let plan = ProbabilisticPts {
-            n_samples: 41,
-            shots_per_trajectory: 10,
-            dedup: false,
-        }
-        .sample_plan(&nc, &mut rng);
-        let exec = BatchMajorExecutor {
-            seed: 13,
-            parallel: false,
-            lanes: 4,
-            ..Default::default()
-        };
-        let baseline = exec.execute(&backend, &nc, &plan);
-        let pool = crate::pool::StatePool::new();
-        let pooled =
-            exec.execute_slice_pooled(&backend, &nc, &plan, 0..plan.trajectories.len(), &pool);
-        let stats = pool.stats();
-        // Serial groups: the first allocates, every later group recycles.
-        // Group count follows the *unique* assignments (duplicates
-        // collapse onto shared lanes).
-        let unique: std::collections::HashSet<&[usize]> = plan
-            .trajectories
-            .iter()
-            .map(|t| t.choices.as_slice())
-            .collect();
-        let groups = unique.len().div_ceil(exec.lanes);
-        assert!(groups >= 3, "workload too deduplicated to test recycling");
-        assert_eq!(stats.fresh, 1, "only the first group may allocate");
-        assert_eq!(
-            stats.recycled,
-            groups - 1,
-            "later groups must recycle: {stats:?}"
-        );
-        // Recycling must be bitwise invisible.
-        for (a, b) in pooled.trajectories.iter().zip(&baseline.trajectories) {
-            assert_eq!(
-                a.meta.realized_prob.to_bits(),
-                b.meta.realized_prob.to_bits()
-            );
-            assert_eq!(a.shots, b.shots);
-        }
-        // A warm pool serves the next run without allocating.
-        let before = pool.stats();
-        exec.execute_slice_pooled(&backend, &nc, &plan, 0..plan.trajectories.len(), &pool);
-        assert_eq!(
-            pool.stats().fresh,
-            before.fresh,
-            "warm pool must not allocate"
-        );
-    }
-
-    #[test]
     fn batch_major_empty_plan() {
         let nc = noisy_bell(0.1);
         let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
         let result =
             BatchMajorExecutor::default().execute(&backend, &nc, &crate::plan::PtsPlan::default());
         assert!(result.trajectories.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment length does not match site count")]
+    fn batch_major_rejects_a_short_assignment() {
+        let nc = noisy_bell(0.1);
+        let backend = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let plan = crate::plan::PtsPlan {
+            trajectories: vec![crate::plan::PlannedTrajectory {
+                choices: vec![0; nc.n_sites() - 1],
+                shots: 1,
+            }],
+        };
+        BatchMajorExecutor::default().execute(&backend, &nc, &plan);
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub struct PtsTreeNode {
 #[derive(Debug, Clone)]
 pub struct PtsPlanTree {
     nodes: Vec<PtsTreeNode>,
+    /// Per node, the position in its `children` of the child with the
+    /// most leaf nodes beneath it ([`PtsPlanTree::heaviest_child`]).
+    heaviest: Vec<usize>,
     n_sites: usize,
     n_trajectories: usize,
 }
@@ -183,8 +186,25 @@ impl PtsPlanTree {
             }
             nodes[at].leaves.push(idx);
         }
+        // Leaf nodes under each node: children come after their parent
+        // in preorder, so one backward pass sees every child first.
+        let mut weight = vec![0usize; nodes.len()];
+        for i in (0..nodes.len()).rev() {
+            weight[i] = match nodes[i].children.as_slice() {
+                [] => 1,
+                children => children.iter().map(|&(_, c)| weight[c]).sum(),
+            };
+        }
+        let heaviest = nodes
+            .iter()
+            .map(|n| {
+                let by_weight = (0..n.children.len()).max_by_key(|&i| weight[n.children[i].1]);
+                by_weight.unwrap_or(0)
+            })
+            .collect();
         Self {
             nodes,
+            heaviest,
             n_sites,
             n_trajectories: order.len(),
         }
@@ -198,6 +218,16 @@ impl PtsPlanTree {
     /// Node accessor.
     pub fn node(&self, i: usize) -> &PtsTreeNode {
         &self.nodes[i]
+    }
+
+    /// Position in `node(i).children` of the child with the most leaf
+    /// nodes beneath it (the last such on a tie; 0 for a leaf). A walk
+    /// that visits it last, handing it the parent's state, only ever
+    /// holds a parent's state across a child with at most half the
+    /// parent's leaves, so it keeps at most ⌊log₂ leaf nodes⌋ + 1 states
+    /// live.
+    pub(crate) fn heaviest_child(&self, i: usize) -> usize {
+        self.heaviest[i]
     }
 
     /// Total node count (root included).

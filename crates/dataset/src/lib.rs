@@ -16,7 +16,7 @@
 //! - [`decoder_export`] — supervised (features, labels) pairs for
 //!   decoder training: the measurement record plus the injected errors;
 //! - [`sink`] — streaming [`sink::RecordSink`]s (jsonl/binary/in-memory)
-//!   the data-collection service delivers records through as lane groups
+//!   the data-collection service delivers records through as chunks
 //!   finish, byte-identical to the batch writers;
 //! - [`atomic`] — crash-safe file sinks (tmp-file + fsync + atomic
 //!   rename), paired with the valid-prefix recovery readers

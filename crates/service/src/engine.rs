@@ -31,8 +31,8 @@ use crate::router::BatchGeometry;
 use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
-    Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree,
-    StatePool, SvBackend, TreeExecutor,
+    Backend, BatchConfig, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree, StatePool, SvBackend,
+    TreeExecutor,
 };
 use ptsbe_dataset::{ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -48,7 +48,8 @@ pub enum EngineKind {
     Frame,
     /// Prefix-sharing tree executor over the pooled statevector backend.
     Tree,
-    /// Batch-major (lane-swept) statevector executor.
+    /// Low-sharing statevector jobs: the same trie walk as `Tree`, cut
+    /// into plan ranges by trajectory count.
     BatchMajor,
     /// Flat batched executor (one preparation per trajectory) — never
     /// auto-routed; available for baselines via `Force`.
@@ -88,9 +89,9 @@ impl EngineKind {
     /// engine, whose cut is a pure function of the spec.
     pub(crate) fn cut_words(self) -> Option<(&'static str, &'static str)> {
         match self {
-            EngineKind::Tree => Some(("walked", "plan-range")),
+            EngineKind::Tree | EngineKind::BatchMajor => Some(("walked", "plan-range")),
             EngineKind::MpsTree => Some(("walked", "trie-order")),
-            EngineKind::BatchMajor | EngineKind::Flat => Some(("swept", "plan-range")),
+            EngineKind::Flat => Some(("swept", "plan-range")),
             EngineKind::Frame => None,
         }
     }
@@ -98,7 +99,10 @@ impl EngineKind {
     /// Whether the engine walks a prefix trie (its report lists the
     /// edges each chunk walked).
     pub(crate) fn walks_trie(self) -> bool {
-        matches!(self, EngineKind::Tree | EngineKind::MpsTree)
+        matches!(
+            self,
+            EngineKind::Tree | EngineKind::BatchMajor | EngineKind::MpsTree
+        )
     }
 }
 
@@ -119,7 +123,10 @@ pub(crate) enum EngineExec<T: Scalar> {
         entry: Arc<SvEntry<T>>,
         tree: Arc<PtsPlanTree>,
     },
-    BatchMajor(Arc<SvEntry<T>>),
+    BatchMajor {
+        entry: Arc<SvEntry<T>>,
+        tree: Arc<PtsPlanTree>,
+    },
     Flat(Arc<SvEntry<T>>),
     MpsTree {
         entry: Arc<MpsEntry<T>>,
@@ -136,9 +143,10 @@ const FRAME_AUTO_CHUNK_SHOTS: usize = 1 << 16;
 const TREE_SPINE_BUDGET_DIV: usize = 4;
 /// Amplitude updates a dense chunk must keep to be worth a worker of
 /// its own: `edges · 2ⁿ` for a tree range, `trajectories · segments ·
-/// 2ⁿ` for a lane range. 2^21 is a few milliseconds of segment sweeps;
-/// it keeps `svc-small`'s lane jobs (2^20.1–2^20.7) whole, which read
-/// 2–21 % slower per job when split (`job_p50_s`, four seeds).
+/// 2ⁿ` for a low-sharing range. 2^21 is a few milliseconds of segment
+/// sweeps; it keeps `svc-small`'s low-sharing jobs (2^20.1–2^20.7)
+/// whole, which read 2–21 % slower per job when split (`job_p50_s`,
+/// four seeds).
 const MIN_CHUNK_SWEEP: u128 = 1 << 21;
 
 /// Per-worker shares a dense job of `work` amplitude updates is cut
@@ -157,11 +165,13 @@ fn tree_auto_chunks(edges: usize, n_sites: usize, n_qubits: usize, workers: usiz
     work_shares((edges as u128) << n_qubits.min(64), workers.min(by_spine))
 }
 
-/// Trajectories per chunk of a lane-swept job of `n` trajectories
-/// through `segments` segments on `n_qubits` qubits, `lanes` to a lane
-/// group. A chunk holds at most `(8·lanes).clamp(16, 512)` trajectories,
-/// a few lane groups: enough work to amortize scheduling, enough chunks
-/// to stream and cancel. The chunk count is rounded up to a multiple of
+/// Trajectories per chunk of a low-sharing (or flat) dense job of `n`
+/// trajectories through `segments` segments on `n_qubits` qubits,
+/// `lanes` being [`BatchConfig::lanes_for`] of its state. A chunk holds
+/// at most `(8·lanes).clamp(16, 512)` trajectories: enough work to
+/// amortize scheduling, enough chunks to stream and cancel (the tree
+/// cut would give `sv-divergent` one chunk per worker, and a later first
+/// record). The chunk count is rounded up to a multiple of
 /// the job's [`work_shares`] (every trajectory walks every segment), so
 /// each worker sweeps an equal share.
 fn lane_chunk_trajectories(
@@ -235,29 +245,21 @@ fn ranges(total: usize, per: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Lane geometry of a lane-swept engine over `entry` on a pool of
-/// `workers`: the one place the lane count, the L2 target
-/// ([`BatchConfig::default`]), the cut rule and the spec's chunk
+/// The plan-range cut of a low-sharing or flat dense job over `entry`
+/// on a pool of `workers`: the one place the lane count
+/// ([`BatchConfig::lanes_for`]), the cut rule and the spec's chunk
 /// override are folded together, so the decision metadata and the
 /// scheduler cannot disagree.
-fn lane_geometry<T: Scalar>(entry: &SvEntry<T>, spec: &JobSpec, workers: usize) -> BatchGeometry {
-    let batch = BatchConfig::default();
+fn range_geometry<T: Scalar>(entry: &SvEntry<T>, spec: &JobSpec, workers: usize) -> BatchGeometry {
     let backend = &entry.backend;
-    let state_bytes = (2usize << backend.n_qubits()) * std::mem::size_of::<T>();
-    let lanes = batch.lanes_for_bytes(state_bytes);
     let trajs_per_chunk = if spec.chunk_trajectories == 0 {
         let n = spec.plan.trajectories.len();
+        let lanes = BatchConfig::default().lanes_for::<T>(backend.n_qubits());
         lane_chunk_trajectories(n, lanes, backend.n_segments(), backend.n_qubits(), workers)
     } else {
         spec.chunk_trajectories
     };
-    BatchGeometry {
-        lanes,
-        trajs_per_chunk,
-        state_bytes,
-        l2_target_bytes: batch.l2_target_bytes,
-        kernels: ptsbe_statevector::KernelImpl::auto().label(),
-    }
+    BatchGeometry { trajs_per_chunk }
 }
 
 impl<T: Scalar> EngineExec<T> {
@@ -265,7 +267,7 @@ impl<T: Scalar> EngineExec<T> {
         match self {
             EngineExec::Frame(_) => EngineKind::Frame,
             EngineExec::Tree { .. } => EngineKind::Tree,
-            EngineExec::BatchMajor(_) => EngineKind::BatchMajor,
+            EngineExec::BatchMajor { .. } => EngineKind::BatchMajor,
             EngineExec::Flat(_) => EngineKind::Flat,
             EngineExec::MpsTree { .. } => EngineKind::MpsTree,
         }
@@ -276,7 +278,7 @@ impl<T: Scalar> EngineExec<T> {
         match self {
             EngineExec::Frame(e) => e.sampler.n_measured(),
             EngineExec::Tree { entry, .. }
-            | EngineExec::BatchMajor(entry)
+            | EngineExec::BatchMajor { entry, .. }
             | EngineExec::Flat(entry) => entry.backend.measured_qubits().len(),
             EngineExec::MpsTree { entry, .. } => entry.backend.measured_qubits().len(),
         }
@@ -288,18 +290,18 @@ impl<T: Scalar> EngineExec<T> {
     pub(crate) fn dense_backend(&self) -> Option<&SvBackend<T>> {
         match self {
             EngineExec::Tree { entry, .. }
-            | EngineExec::BatchMajor(entry)
+            | EngineExec::BatchMajor { entry, .. }
             | EngineExec::Flat(entry) => Some(&entry.backend),
             EngineExec::Frame(_) | EngineExec::MpsTree { .. } => None,
         }
     }
 
-    /// Lane geometry recorded on the route decision, for a pool of
-    /// `workers`; `None` for engines that do not sweep lanes.
+    /// Plan-range cut recorded on the route decision, for a pool of
+    /// `workers`; `None` for engines cut by another rule.
     pub(crate) fn geometry(&self, spec: &JobSpec, workers: usize) -> Option<BatchGeometry> {
         match self {
-            EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
-                Some(lane_geometry(entry, spec, workers))
+            EngineExec::BatchMajor { entry, .. } | EngineExec::Flat(entry) => {
+                Some(range_geometry(entry, spec, workers))
             }
             _ => None,
         }
@@ -341,10 +343,10 @@ impl<T: Scalar> EngineExec<T> {
                 mps_bond_estimate(entry),
                 workers,
             ),
-            // One equal share of lane groups per worker, when the job
+            // One equal share of plan ranges per worker, when the job
             // is heavy enough to pay for more than one.
-            EngineExec::BatchMajor(entry) | EngineExec::Flat(entry) => {
-                ranges(n, lane_geometry(entry, spec, workers).trajs_per_chunk)
+            EngineExec::BatchMajor { entry, .. } | EngineExec::Flat(entry) => {
+                ranges(n, range_geometry(entry, spec, workers).trajs_per_chunk)
             }
         }
     }
@@ -400,16 +402,7 @@ impl<T: Scalar> EngineExec<T> {
                     range,
                 ),
             )),
-            EngineExec::BatchMajor(entry) => no_trie(to_records(
-                BatchMajorExecutor {
-                    seed,
-                    parallel,
-                    lanes: 0,
-                    cfg: BatchConfig::default(),
-                }
-                .execute_slice(&entry.backend, &spec.circuit, &spec.plan, range),
-            )),
-            EngineExec::Tree { entry, tree } => {
+            EngineExec::Tree { entry, tree } | EngineExec::BatchMajor { entry, tree } => {
                 let indices: Vec<usize> = range.collect();
                 walk_chunk(spec, parallel, &entry.backend, &entry.pool, tree, &indices)
             }

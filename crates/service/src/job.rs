@@ -130,7 +130,8 @@ pub struct JobSpec {
     /// stream of its *absolute* plan index and the emitter commits
     /// records in plan order — so the auto rule is free to look at the
     /// worker count (the tree engines cut at most one chunk per worker,
-    /// the lane-swept ones a multiple of the workers they keep busy).
+    /// the batch-major and flat ones a multiple of the workers they keep
+    /// busy).
     /// Only the frame engine's chunking is part of the byte contract (its
     /// streams are keyed by chunk ordinal; see
     /// [`JobSpec::frame_chunk_shots`]).
@@ -192,16 +193,18 @@ pub struct JobReport {
     pub engine: Option<EngineKind>,
     /// Human-readable routing rationale; every engine but the frame one
     /// also says how many chunks the job was cut into ("walked as" plan
-    /// ranges for the dense tree engine and trie-order leaf runs for the
-    /// MPS one, "swept as" plan ranges for the lane-swept engines).
+    /// ranges for the dense tree and batch-major engines and trie-order
+    /// leaf runs for the MPS one, "swept as" plan ranges for the flat
+    /// engine).
     pub route_reason: String,
     /// Scheduler chunks the job was split into (0 when it never reached
     /// planning or had nothing to run).
     pub chunks: u64,
-    /// Tree engines: the edges of the sub-trie each chunk walked, in
-    /// chunk order (0 for a chunk that never ran) — with `chunks`, what
-    /// reconstructs how evenly the walk was cut and how much shared
-    /// prefix the cut repeated. Empty for the other engines.
+    /// Engines that walk a trie (dense tree, batch-major, MPS tree): the
+    /// edges of the sub-trie each chunk walked, in chunk order (0 for a
+    /// chunk that never ran) — with `chunks`, what reconstructs how
+    /// evenly the walk was cut and how much shared prefix the cut
+    /// repeated. Empty for the frame and flat engines.
     pub chunk_edges: Vec<u64>,
     /// Trajectory records delivered to the sink.
     pub records: u64,

@@ -11,7 +11,7 @@
 //!   behind a bounded admission queue with backpressure, per-job
 //!   cancellation, and streaming delivery of
 //!   [`ptsbe_dataset::TrajectoryRecord`]s into
-//!   [`ptsbe_dataset::sink::RecordSink`]s as lane groups finish. A
+//!   [`ptsbe_dataset::sink::RecordSink`]s as chunks finish. A
 //!   per-job reorder buffer commits chunks in plan order, so for a fixed
 //!   job seed the emitted dataset is **byte-identical for any worker
 //!   count and any cache state**.
@@ -27,10 +27,10 @@
 //! - [`router`] — adaptive engine choice per job: Clifford circuits under
 //!   Pauli noise with a deterministic noiseless reference go to the bulk
 //!   [`ptsbe_stabilizer::FrameSampler`]; plans whose prefix tree shares
-//!   heavily go to the [`ptsbe_core::TreeExecutor`] over a pooled arena;
-//!   everything else takes the [`ptsbe_core::BatchMajorExecutor`]. Wide
-//!   registers fall to the MPS tree engine. Policies can force any
-//!   engine.
+//!   heavily go to the [`ptsbe_core::TreeExecutor`] over a pooled arena,
+//!   cut by trie edges; everything else runs the same walk labelled
+//!   batch-major, cut into plan ranges. Wide registers fall to the MPS
+//!   tree engine. Policies can force any engine.
 //! - `engine` (private) — the seam the other three meet at, and the only
 //!   module that knows what an engine *is*: [`EngineKind`] plus one enum
 //!   over the cached artifacts with `kind()`, `chunks()` (how a job is

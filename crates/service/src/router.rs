@@ -10,8 +10,11 @@
 //! |       |              | noiseless reference                            | domain, rebuilt in `ptsbe_stabilizer`)|
 //! | 2     | `MpsTree`    | register of ≥ 30 qubits                        | statevector memory is 2^n; MPS is not|
 //! | 3     | `Tree`       | plan-tree `sharing_ratio` ≥ 0.5                | prep work collapses to trie edges    |
-//! | 4     | `BatchMajor` | everything else                                | lane-contiguous sweeps amortize      |
-//! |       |              |                                                | dispatch across trajectories         |
+//! | 4     | `BatchMajor` | everything else                                | the same trie walk, cut in plan      |
+//! |       |              |                                                | ranges that stream early records     |
+//!
+//! Rows 3 and 4 run one executor, [`ptsbe_core::TreeExecutor`]'s trie
+//! walk: the sharing ratio picks only the label and the chunk cut.
 //!
 //! The frame engine samples noise per shot instead of consuming the
 //! plan's assignments: it trades per-trajectory Kraus provenance for raw
@@ -59,7 +62,8 @@ pub enum RouteReason {
         /// The tree's sharing ratio.
         sharing_ratio: f64,
     },
-    /// Too little prefix sharing; lane sweeps win.
+    /// Too little prefix sharing to cut the walk by trie edges; the job
+    /// is cut into plan ranges instead.
     LowSharing {
         /// The tree's sharing ratio.
         sharing_ratio: f64,
@@ -116,33 +120,20 @@ impl std::fmt::Display for RouteReason {
     }
 }
 
-/// Chosen batch-major lane geometry, recorded on the route decision so
-/// operators can see how the split-plane working set was sized against
-/// the L2 target and how the job was cut on the service's pool. Present
-/// only for the batch-major and flat engines.
+/// The plan-range cut of a batch-major or flat job, recorded on the
+/// route decision so operators can see how the job was cut on the
+/// service's pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchGeometry {
-    /// Lanes per `StateBatch` group (auto-sized from the working set).
-    pub lanes: usize,
     /// Trajectories per scheduler chunk: the size the scheduler cuts
     /// on the service's pool, so a plan of `n` trajectories runs as
     /// `⌈n / trajs_per_chunk⌉` chunks.
     pub trajs_per_chunk: usize,
-    /// Bytes of one lane's split re/im planes (`2 · 2^n · size_of::<T>`).
-    pub state_bytes: usize,
-    /// The cache budget the lane count was fitted to.
-    pub l2_target_bytes: usize,
-    /// Resolved batch-kernel dispatch label (`scalar`/`soa`/`simd`).
-    pub kernels: &'static str,
 }
 
 impl std::fmt::Display for BatchGeometry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} lanes × {} B split-plane state ({} kernels, L2 target {} B, {} traj/chunk)",
-            self.lanes, self.state_bytes, self.kernels, self.l2_target_bytes, self.trajs_per_chunk
-        )
+        write!(f, "{} traj/chunk", self.trajs_per_chunk)
     }
 }
 
@@ -153,7 +144,8 @@ pub struct RouteDecision {
     pub engine: EngineKind,
     /// Rationale.
     pub reason: RouteReason,
-    /// Lane geometry, when a lane-swept engine was chosen.
+    /// The plan-range cut, when the batch-major or flat engine was
+    /// chosen (the others record theirs in the job report).
     pub geometry: Option<BatchGeometry>,
     /// Identity-assignment truncation probe result, when the MPS engine
     /// was considered under a finite cumulative truncation budget.
@@ -185,7 +177,7 @@ impl From<String> for RouteError {
 }
 
 /// The verdict for running the job on `exec` over a pool of `workers`:
-/// engine and lane geometry are read off the engine itself, so they
+/// engine and plan-range cut are read off the engine itself, so they
 /// cannot disagree with it or with the cut the scheduler makes.
 fn routed<T: Scalar>(
     spec: &JobSpec,
@@ -201,8 +193,9 @@ fn routed<T: Scalar>(
     (decision, exec)
 }
 
-/// Route the tree engine when the plan tree's sharing ratio reaches
-/// this fraction (prefix sharing pays for the walk's bookkeeping).
+/// Label a dense job `Tree` (and cut it by trie edges) when the plan
+/// tree's sharing ratio reaches this fraction; below it the job is
+/// labelled `BatchMajor` and cut into plan ranges.
 const SHARING_THRESHOLD: f64 = 0.5;
 
 /// Route the MPS tree engine at/above this qubit count (a dense
@@ -302,7 +295,7 @@ fn probe_budget<T: Scalar>(
 }
 
 /// Route `spec`, materialize its engine from `cache`, and record the
-/// lane geometry it is cut into on a pool of `workers`.
+/// plan-range cut it gets on a pool of `workers`.
 ///
 /// # Errors
 /// [`RouteError::Invalid`] when the (possibly forced) engine cannot
@@ -391,14 +384,14 @@ fn choose_engine<T: Scalar>(
                     ))),
                 };
             }
-            // 3. Sharing decides between the tree walk and lane sweeps.
+            // 3. Sharing decides the dense label and cut.
             route_dense(cache, spec, circuit_hash)
         }
     }
 }
 
-/// The dense (statevector) route: the plan tree's sharing ratio decides
-/// between the tree walk and lane sweeps.
+/// The dense (statevector) route: both labels walk the plan tree; its
+/// sharing ratio decides the label and how the walk is cut.
 fn route_dense<T: Scalar>(
     cache: &CompileCache<T>,
     spec: &JobSpec,
@@ -412,7 +405,7 @@ fn route_dense<T: Scalar>(
         (EngineExec::Tree { entry, tree }, reason, None)
     } else {
         let reason = RouteReason::LowSharing { sharing_ratio };
-        (EngineExec::BatchMajor(entry), reason, None)
+        (EngineExec::BatchMajor { entry, tree }, reason, None)
     })
 }
 
@@ -441,7 +434,10 @@ fn build_engine<T: Scalar>(
             entry: sv()?,
             tree: tree(),
         },
-        EngineKind::BatchMajor => EngineExec::BatchMajor(sv()?),
+        EngineKind::BatchMajor => EngineExec::BatchMajor {
+            entry: sv()?,
+            tree: tree(),
+        },
         EngineKind::Flat => EngineExec::Flat(sv()?),
         EngineKind::MpsTree => EngineExec::MpsTree {
             entry: cache.mps(nc, circuit_hash, spec.mps)?,

@@ -32,9 +32,12 @@
 //! which repeats only what the two sides of a cut share (nothing for a
 //! root fork). Such chunks are not plan-contiguous, so the emitter holds
 //! them and writes them merged by plan index when the last one arrives.
-//! A lane-swept job is cut into a multiple of one equal share per
-//! worker, so a lone job of a few heavy trajectories fills the pool too;
-//! the dense cuts share one floor of work per chunk.
+//! A low-sharing dense job (labelled batch-major) runs the same trie
+//! walk, over the sub-trie of each plan range, but keeps the cut its
+//! lane sweep had: a multiple of one equal share per worker, so a lone
+//! job of a few heavy trajectories fills the pool too and its first
+//! records stream early; the dense cuts share one floor of work per
+//! chunk.
 //!
 //! A dense record's shots are one buffer per trajectory, 8 MB at 500 k
 //! shots. Once the emitter has written it, delivery hands the buffer
@@ -152,7 +155,7 @@ pub struct ServiceConfig {
     /// workload.
     pub mps_bond_ceiling: usize,
     /// Let executors fan out over rayon *inside* a chunk — across
-    /// trajectories / subtrees / lane groups, and inside the dense
+    /// trajectories or subtrees, and inside the dense
     /// kernels (per-gate sweeps of ≥ 14-qubit states). Output-neutral
     /// (executors are scheduling-deterministic and kernels key their
     /// summation order on the qubit count, not the thread count). `false`

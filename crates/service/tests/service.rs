@@ -200,6 +200,60 @@ fn sharing_ratio_splits_tree_and_batch_major() {
     );
 }
 
+/// A low-sharing job keeps its `BatchMajor` label and its plan-range
+/// cut, and walks each range's sub-trie: the report says "walked as",
+/// lists every range's trie edges, and the bytes do not move with the
+/// cut.
+#[test]
+fn a_low_sharing_job_walks_the_trie_of_each_plan_range() {
+    let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
+    let mut c = Circuit::new(n);
+    c.h(0).t(0);
+    for q in 1..n {
+        c.cx(q - 1, q);
+    }
+    c.measure_all();
+    let nc = Arc::new(
+        NoiseModel::new()
+            .with_default_1q(channels::depolarizing(0.6))
+            .with_default_2q(channels::depolarizing(0.6))
+            .apply(&c),
+    );
+    let plan = Arc::new(plan_for(&nc, 40, 4, true, 16));
+    assert_eq!(plan.n_trajectories(), 40);
+    assert_eq!(nc.n_sites(), 28);
+    let spec = JobSpec::new("lo-share-cut", Arc::clone(&nc), Arc::clone(&plan), 5);
+    let mut reference = None;
+    // The plan-range cut: 14 qubits give 4 lanes, so at most 32
+    // trajectories a chunk, and 40 · 29 segments · 2¹⁴ amplitude
+    // updates are nine 2²¹ shares, so the chunk count rounds up to a
+    // multiple of the workers.
+    for (workers, per) in [(1, 20), (2, 20), (4, 10)] {
+        let (bytes, report) = run_binary(spec.clone(), workers);
+        assert!(report.status.is_success(), "{report:?}");
+        assert_eq!(report.engine, Some(EngineKind::BatchMajor));
+        assert!(
+            report.route_reason.starts_with("plan tree shares only"),
+            "{}",
+            report.route_reason
+        );
+        let cut: Vec<_> = (0..40).step_by(per).map(|s| s..s + per).collect();
+        assert!(
+            report
+                .route_reason
+                .ends_with(&format!("walked as {} plan-range chunk(s)", cut.len())),
+            "{workers} workers: {}",
+            report.route_reason
+        );
+        let edges: Vec<u64> = cut
+            .iter()
+            .map(|r| PtsPlanTree::from_plan_range(&plan, r.clone()).n_edges() as u64)
+            .collect();
+        assert_eq!(report.chunk_edges, edges, "{workers} workers");
+        assert_eq!(&bytes, reference.get_or_insert_with(|| bytes.clone()));
+    }
+}
+
 #[test]
 fn wide_registers_route_to_mps_tree() {
     let nc = wide_bell_circuit(0.3);
@@ -682,9 +736,9 @@ fn bytes_identical_across_executor_parallel_above_fanout_threshold() {
 
 /// A dense job heavy enough for the automatic rule is cut into plan
 /// ranges — at most one per worker, none on a one-worker service — and
-/// the cut never shows in the bytes. That holds for the tree walk and
-/// for lane sweeps; the lane plan stays within one chunk's cap (32
-/// trajectories of 14 qubits), so only the worker shares cut it.
+/// the cut never shows in the bytes. That holds for both dense cuts;
+/// the batch-major plan stays within one chunk's cap (32 trajectories of
+/// 14 qubits), so only the worker shares cut it.
 #[test]
 fn split_tree_job_bytes_identical_across_worker_counts() {
     let nc = Arc::new(threshold_circuit());

@@ -1028,4 +1028,84 @@ mod tests {
             }
         }
     }
+
+    /// Sites on three qubits take the per-lane scalar fallback: a
+    /// mixture (identity branch skipped) and a general channel, each lane
+    /// bitwise `exec::prepare` of its assignment, weights included.
+    #[test]
+    fn advance_batch_three_qubit_sites_bitwise() {
+        use ptsbe_circuit::KrausChannel;
+        use ptsbe_math::Matrix;
+        let kron3 = |a: &Matrix<f64>, b: &Matrix<f64>, c: &Matrix<f64>| a.kron(b).kron(c);
+        let (i2, x, z, h) = (Matrix::identity(2), gates::x(), gates::z(), gates::h());
+        let mixture = KrausChannel::new(
+            "mix3",
+            vec![
+                Matrix::identity(8).scaled_real(0.7f64.sqrt()),
+                kron3(&x, &x, &x).scaled_real(0.2f64.sqrt()),
+                kron3(&z, &h, &i2).scaled_real(0.1f64.sqrt()),
+            ],
+        )
+        .unwrap();
+        assert!(mixture.is_unitary_mixture());
+        let damping = channels::amplitude_damping(0.3);
+        let general = KrausChannel::new(
+            "damp3",
+            damping
+                .ops()
+                .iter()
+                .map(|k| kron3(&i2, k, &i2))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        assert!(!general.is_unitary_mixture());
+        let mut c = Circuit::new(4);
+        c.h(0).cx(0, 1).h(2).cx(2, 3);
+        c.noise(std::sync::Arc::new(mixture), &[2, 0, 3]);
+        c.t(1).cx(1, 2);
+        c.noise(std::sync::Arc::new(general), &[1, 3, 0]);
+        c.h(3).measure_all();
+        let nc = NoiseModel::new()
+            .with_default_2q(channels::depolarizing2(0.1))
+            .apply(&c);
+        let compiled = compile::<f64>(&nc).unwrap();
+        let wide: Vec<usize> = (0..compiled.sites().len())
+            .filter(|&i| compiled.sites()[i].qubits.len() == 3)
+            .collect();
+        let [mix, damp] = wide[..] else {
+            panic!("two wide sites expected, got {wide:?}");
+        };
+        // Every (mixture, damping) branch pair once, the 2q sites varied
+        // alongside, then a lane that repeats the first.
+        let mut assignments: Vec<Vec<usize>> = (0..6)
+            .map(|k| {
+                let mut choices = vec![0; compiled.sites().len()];
+                choices[mix] = k % 3;
+                choices[damp] = k / 3;
+                choices[0] = (5 * k) % 16;
+                choices
+            })
+            .collect();
+        assignments.push(assignments[0].clone());
+        let lanes: Vec<&[usize]> = assignments.iter().map(Vec::as_slice).collect();
+        let mut batch = StateBatch::zero_states(4, lanes.len());
+        let mut realized = vec![1.0f64; lanes.len()];
+        advance_batch(
+            &compiled,
+            &mut batch,
+            0..compiled.n_segments(),
+            &lanes,
+            &mut realized,
+        );
+        let mut scratch = Sv::zero_state(0);
+        for (lane, choice) in lanes.iter().enumerate() {
+            let (sv, p) = prepare(&compiled, choice);
+            assert_eq!(realized[lane].to_bits(), p.to_bits(), "lane {lane} weight");
+            batch.extract_lane_into(lane, &mut scratch);
+            for (a, b) in scratch.amplitudes().iter().zip(sv.amplitudes()) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "lane {lane}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "lane {lane}");
+            }
+        }
+    }
 }

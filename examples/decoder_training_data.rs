@@ -5,7 +5,7 @@
 //! depolarizing noise and submits two dataset jobs to the
 //! [`ShotService`]: the first compiles and caches the workload, the
 //! second (a fresh seed for a second corpus shard) runs entirely from
-//! the warm cache. Records stream into a JSONL sink as lane groups
+//! the warm cache. Records stream into a JSONL sink as chunks
 //! finish; the shard is then read back and a lookup decoder is evaluated
 //! against the ground-truth labels — the full data-generation →
 //! training-corpus → decoder-evaluation loop an AlphaQubit-style

@@ -623,3 +623,109 @@ proptest! {
         }
     }
 }
+
+/// A 3-qubit brick of `layers` layers under 1q and 2q depolarizing noise
+/// at `p`: five noise sites a layer, so a plan's trie is deep enough for
+/// long shared spines.
+fn deep_brick(layers: usize, p: f64) -> NoisyCircuit {
+    let mut c = Circuit::new(3);
+    for layer in 0..layers {
+        c.h(layer % 3).t((layer + 1) % 3).cx(0, 1).cx(1, 2);
+    }
+    c.measure_all();
+    NoiseModel::new()
+        .with_default_1q(channels::depolarizing(p))
+        .with_default_2q(channels::depolarizing(p))
+        .apply(&c)
+}
+
+/// Fresh states a cold serial walk of `plan`'s trie draws from its pool
+/// (the most states it held live at once), and the trie's leaf nodes.
+fn cold_walk_draws<B: ptsbe::core::Backend>(
+    backend: &B,
+    nc: &NoisyCircuit,
+    plan: &PtsPlan,
+) -> (usize, usize) {
+    let tree = PtsPlanTree::from_plan(plan);
+    let pool = StatePool::new();
+    TreeExecutor {
+        seed: 3,
+        parallel: false,
+    }
+    .execute_tree_pooled(backend, nc, plan, &tree, &pool);
+    let leaves = (0..tree.n_nodes())
+        .filter(|&i| tree.node(i).children.is_empty())
+        .count();
+    (pool.stats().fresh, leaves)
+}
+
+/// The heavy-last walk's bound on those draws: ⌊log₂ leaf nodes⌋ + 1
+/// live states, plus one of slack.
+fn heavy_last_bound(leaf_nodes: usize) -> usize {
+    leaf_nodes.max(1).ilog2() as usize + 2
+}
+
+fn mps_of(nc: &NoisyCircuit) -> MpsBackend<f64> {
+    MpsBackend::<f64>::new(nc, MpsConfig::exact(), MpsSampleMode::default()).unwrap()
+}
+
+/// `sv-shared`'s trie shape: an identity spine with 25 single-error
+/// branches off it, plus repeats of the identity. Walked spine first,
+/// every branch point keeps its state live until the spine's end (26
+/// draws); heaviest child last, the walk holds at most a few.
+#[test]
+fn a_spine_with_single_error_branches_keeps_few_states_live() {
+    let nc = deep_brick(12, 1e-3);
+    let sites = nc.n_sites();
+    let identity = nc.identity_assignment().unwrap();
+    let mut trajectories: Vec<_> = (0..25)
+        .map(|k| {
+            let mut choices = identity.clone();
+            choices[(k * 7 + 3) % sites] = 1 + k % 3;
+            ptsbe::core::PlannedTrajectory { choices, shots: 4 }
+        })
+        .collect();
+    for _ in 0..5 {
+        trajectories.push(ptsbe::core::PlannedTrajectory {
+            choices: identity.clone(),
+            shots: 4,
+        });
+    }
+    let plan = PtsPlan { trajectories };
+    let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+    let (drawn, leaves) = cold_walk_draws(&sv, &nc, &plan);
+    assert_eq!(leaves, 26);
+    assert!(
+        drawn <= heavy_last_bound(leaves),
+        "sv: {drawn} states drawn"
+    );
+    let (drawn, _) = cold_walk_draws(&mps_of(&nc), &nc, &plan);
+    assert!(
+        drawn <= heavy_last_bound(leaves),
+        "mps: {drawn} states drawn"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever the plan, a cold serial walk draws at most ⌊log₂ leaf
+    /// nodes⌋ + 2 states from its pool, on both backends.
+    #[test]
+    fn a_cold_walk_draws_at_most_log2_leaves_plus_two_states(
+        layers in 1usize..10,
+        p in 0.0..0.4f64,
+        n_samples in 1usize..80,
+        dedup in prop::bool::ANY,
+        seed in 0u64..10_000,
+    ) {
+        let nc = deep_brick(layers, p);
+        let plan = ProbabilisticPts { n_samples, shots_per_trajectory: 2, dedup }
+            .sample_plan(&nc, &mut PhiloxRng::new(seed, 0));
+        let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let (drawn, leaves) = cold_walk_draws(&sv, &nc, &plan);
+        prop_assert!(drawn <= heavy_last_bound(leaves), "sv: {} drawn, {} leaves", drawn, leaves);
+        let (drawn, _) = cold_walk_draws(&mps_of(&nc), &nc, &plan);
+        prop_assert!(drawn <= heavy_last_bound(leaves), "mps: {} drawn, {} leaves", drawn, leaves);
+    }
+}
