@@ -1,14 +1,13 @@
 //! Statevector gate-kernel microbenchmarks: dense 1q/2q application vs.
-//! the permutation fast paths, f32 vs. f64, the batch-major lane sweeps
-//! against an equal number of per-state sweeps, the per-gate thread
-//! fan-out against a one-thread sweep around the fan-out threshold, and
-//! `sv-shared`'s compiled program replayed per op kind in each layout.
+//! the permutation fast paths, f32 vs. f64, the per-gate thread fan-out
+//! against a one-thread sweep around the fan-out threshold, and
+//! `sv-shared`'s compiled program replayed per op kind.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptsbe_circuit::{channels, Circuit, NoiseModel};
 use ptsbe_math::gates;
 use ptsbe_statevector::exec::{compile, CompiledOp};
-use ptsbe_statevector::{advance_batch, KernelImpl, StateBatch, StateVector};
+use ptsbe_statevector::StateVector;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -48,92 +47,6 @@ fn bench_gates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch-major lane sweep vs. the same op applied to `B` separate
-/// states: the constant-factor the amplitude-major layout buys.
-fn bench_batch_vs_per_state(c: &mut Criterion) {
-    let n = 10;
-    let b = 8;
-    let mut group = c.benchmark_group("batch_vs_per_state_n10x8");
-    group.sample_size(20);
-
-    let h = gates::h::<f64>();
-    let cx_mat = gates::cx::<f64>();
-    group.bench_function("per_state_1q", |bch| {
-        let mut svs: Vec<StateVector<f64>> = (0..b).map(|_| StateVector::zero_state(n)).collect();
-        bch.iter(|| {
-            for s in svs.iter_mut() {
-                s.apply_1q(black_box(&h), 4);
-            }
-        });
-    });
-    group.bench_function("batch_1q", |bch| {
-        let mut batch = StateBatch::<f64>::zero_states(n, b);
-        bch.iter(|| batch.apply_1q(black_box(&h), 4));
-    });
-    group.bench_function("per_state_2q_dense", |bch| {
-        let mut svs: Vec<StateVector<f64>> = (0..b).map(|_| StateVector::zero_state(n)).collect();
-        bch.iter(|| {
-            for s in svs.iter_mut() {
-                s.apply_2q(black_box(&cx_mat), 2, 7);
-            }
-        });
-    });
-    group.bench_function("batch_2q_dense", |bch| {
-        let mut batch = StateBatch::<f64>::zero_states(n, b);
-        bch.iter(|| batch.apply_2q(black_box(&cx_mat), 2, 7));
-    });
-    group.bench_function("per_state_cx", |bch| {
-        let mut svs: Vec<StateVector<f64>> = (0..b).map(|_| StateVector::zero_state(n)).collect();
-        bch.iter(|| {
-            for s in svs.iter_mut() {
-                s.apply_cx(black_box(2), 7);
-            }
-        });
-    });
-    group.bench_function("batch_cx", |bch| {
-        let mut batch = StateBatch::<f64>::zero_states(n, b);
-        bch.iter(|| batch.apply_cx(black_box(2), 7));
-    });
-    group.finish();
-}
-
-/// The same batch sweeps under each dispatch impl — scalar-reference
-/// (per-lane Complex arithmetic, the old AoS-equivalent path) vs. the
-/// SoA autovec wide loops vs. the hand-vectorized SoA kernels. All
-/// three are bitwise identical; this group is the per-kernel-class
-/// speedup ledger behind that free choice.
-fn bench_kernel_dispatch(c: &mut Criterion) {
-    let n = 10;
-    let b = 8;
-    let mut group = c.benchmark_group("kernel_dispatch_n10x8");
-    group.sample_size(20);
-
-    let h = gates::h::<f64>();
-    let cx_mat = gates::cx::<f64>();
-    for kernels in [KernelImpl::Scalar, KernelImpl::Soa, KernelImpl::Simd] {
-        let tag = kernels.label();
-        group.bench_function(format!("{tag}_1q"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            bch.iter(|| batch.apply_1q(black_box(&h), 4));
-        });
-        group.bench_function(format!("{tag}_2q_dense"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            bch.iter(|| batch.apply_2q(black_box(&cx_mat), 2, 7));
-        });
-        group.bench_function(format!("{tag}_cx"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            bch.iter(|| batch.apply_cx(black_box(2), 7));
-        });
-        group.bench_function(format!("{tag}_norm_sqr"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            batch.apply_1q(&h, 4);
-            let mut out = vec![0.0f64; b];
-            bch.iter(|| batch.norm_sqr_lanes(black_box(&mut out)));
-        });
-    }
-    group.finish();
-}
-
 /// Where the per-gate fan-out starts paying: the same dense 2q sweep as
 /// the kernel runs it on a bare thread (above
 /// `PARALLEL_THRESHOLD_QUBITS` that is a thread spawn + join per gate)
@@ -161,24 +74,22 @@ fn bench_fanout_break_even(c: &mut Criterion) {
     group.finish();
 }
 
-/// One gate op on either layout (the bench-side copy of the crate's
-/// private `apply_op!` table; sites are not replayed).
-macro_rules! apply_gate {
-    ($state:expr, $op:expr) => {
-        match $op {
-            CompiledOp::G1(m, q) => $state.apply_1q(m, *q),
-            CompiledOp::G2(m, a, b) => $state.apply_2q(m, *a, *b),
-            CompiledOp::D1(d, q) => $state.apply_diag_1q(d, *q),
-            CompiledOp::D2(d, a, b) => $state.apply_diag_2q(d, *a, *b),
-            CompiledOp::P1(p, ph, q) => $state.apply_perm_1q(p, ph, *q),
-            CompiledOp::P2(p, ph, a, b) => $state.apply_perm_2q(p, ph, *a, *b),
-            CompiledOp::Cx(c, t) => $state.apply_cx(*c, *t),
-            CompiledOp::Cz(a, b) => $state.apply_cz(*a, *b),
-            CompiledOp::Swap(a, b) => $state.apply_swap(*a, *b),
-            CompiledOp::Gk(m, qs) => $state.apply_kq(m, qs),
-            CompiledOp::Site(_) => {}
-        }
-    };
+/// One gate op (the bench-side copy of `exec::advance_with`'s op
+/// table; sites are not replayed).
+fn apply_gate(sv: &mut StateVector<f64>, op: &CompiledOp<f64>) {
+    match op {
+        CompiledOp::G1(m, q) => sv.apply_1q(m, *q),
+        CompiledOp::G2(m, a, b) => sv.apply_2q(m, *a, *b),
+        CompiledOp::D1(d, q) => sv.apply_diag_1q(d, *q),
+        CompiledOp::D2(d, a, b) => sv.apply_diag_2q(d, *a, *b),
+        CompiledOp::P1(p, ph, q) => sv.apply_perm_1q(p, ph, *q),
+        CompiledOp::P2(p, ph, a, b) => sv.apply_perm_2q(p, ph, *a, *b),
+        CompiledOp::Cx(c, t) => sv.apply_cx(*c, *t),
+        CompiledOp::Cz(a, b) => sv.apply_cz(*a, *b),
+        CompiledOp::Swap(a, b) => sv.apply_swap(*a, *b),
+        CompiledOp::Gk(m, qs) => sv.apply_kq(m, qs),
+        CompiledOp::Site(_) => {}
+    }
 }
 
 fn op_kind(op: &CompiledOp<f64>) -> &'static str {
@@ -200,10 +111,10 @@ fn op_kind(op: &CompiledOp<f64>) -> &'static str {
 /// `perf`'s `sv-shared` program — the msd-like 14-qubit, depth-14
 /// brickwork with depolarizing noise on the entanglers, compiled with
 /// fusion on — replayed per op kind on a prepared identity-trajectory
-/// state in each layout, one thread. Every job of that workload walks
-/// these ops once per trie edge, so this table is where a change to a
-/// gate kernel shows first; the last lines print it as µs per op (per
-/// lane for the batch) and the whole program's sweep in ms.
+/// state, one thread. Every job of that workload walks these ops once
+/// per trie edge, so this table is where a change to a gate kernel shows
+/// first; the last lines print it as µs per op and the whole program's
+/// sweep in ms.
 fn bench_op_mix(c: &mut Criterion) {
     let (n, depth) = (14usize, 14usize);
     let mut circuit = Circuit::new(n);
@@ -249,71 +160,42 @@ fn bench_op_mix(c: &mut Criterion) {
         .expect("a one-thread pool always builds");
     let mut group = c.benchmark_group("op_mix_n14");
     group.sample_size(20);
-    // (layout, lanes, kind or "all", ops replayed, best time of one replay)
-    let mut table: Vec<(&'static str, usize, &'static str, usize, Duration)> = Vec::new();
+    // (kind or "all", ops replayed, best time of one replay)
+    let mut table: Vec<(&'static str, usize, Duration)> = Vec::new();
     one_thread.install(|| {
-        for (layout, lanes) in [("aos", 1usize), ("batch_b1", 1), ("batch_b4", 4)] {
-            for kind in kinds.iter().copied().chain(["all"]) {
-                let ops: Vec<&CompiledOp<f64>> = gates
-                    .iter()
-                    .copied()
-                    .filter(|op| kind == "all" || op_kind(op) == kind)
-                    .collect();
-                group.bench_function(format!("{layout}_{kind}_x{}", ops.len()), |b| {
-                    if layout == "aos" {
-                        let (mut sv, _) = ptsbe_statevector::exec::prepare(&compiled, &ident);
-                        b.iter(|| {
-                            for op in &ops {
-                                apply_gate!(sv, black_box(*op));
-                            }
-                        });
-                    } else {
-                        let mut batch = StateBatch::<f64>::zero_states(n, lanes);
-                        let choices: Vec<&[usize]> = vec![ident.as_slice(); lanes];
-                        let mut realized = vec![1.0f64; lanes];
-                        advance_batch(
-                            &compiled,
-                            &mut batch,
-                            0..compiled.n_segments(),
-                            &choices,
-                            &mut realized,
-                        );
-                        b.iter(|| {
-                            for op in &ops {
-                                apply_gate!(batch, black_box(*op));
-                            }
-                        });
+        for kind in kinds.iter().copied().chain(["all"]) {
+            let ops: Vec<&CompiledOp<f64>> = gates
+                .iter()
+                .copied()
+                .filter(|op| kind == "all" || op_kind(op) == kind)
+                .collect();
+            group.bench_function(format!("aos_{kind}_x{}", ops.len()), |b| {
+                let (mut sv, _) = ptsbe_statevector::exec::prepare(&compiled, &ident);
+                b.iter(|| {
+                    for op in &ops {
+                        apply_gate(&mut sv, black_box(*op));
                     }
-                    table.push((layout, lanes, kind, ops.len(), b.last_best));
                 });
-            }
+                table.push((kind, ops.len(), b.last_best));
+            });
         }
     });
     group.finish();
     if !table.is_empty() {
-        println!(
-            "op_mix_n14: best µs per op (per lane); `all` is the whole program in ms per lane"
-        );
+        println!("op_mix_n14: best µs per op; `all` is the whole program in ms");
     }
-    for (layout, lanes, kind, count, best) in table {
-        let per_lane = best.as_secs_f64() / lanes as f64;
+    for (kind, count, best) in table {
+        let secs = best.as_secs_f64();
         if kind == "all" {
-            println!("  {layout:<9} all  x{count:<4} {:>8.2} ms", per_lane * 1e3);
+            println!("  all  x{count:<4} {:>8.2} ms", secs * 1e3);
         } else {
             println!(
-                "  {layout:<9} {kind:<4} x{count:<4} {:>8.1} µs",
-                per_lane * 1e6 / count as f64
+                "  {kind:<4} x{count:<4} {:>8.1} µs",
+                secs * 1e6 / count as f64
             );
         }
     }
 }
 
-criterion_group!(
-    benches,
-    bench_gates,
-    bench_batch_vs_per_state,
-    bench_kernel_dispatch,
-    bench_fanout_break_even,
-    bench_op_mix
-);
+criterion_group!(benches, bench_gates, bench_fanout_break_even, bench_op_mix);
 criterion_main!(benches);

@@ -235,7 +235,7 @@ impl<T: Scalar> SvBackend<T> {
     }
 
     /// The lowered circuit, for callers that drive the statevector
-    /// crate's own entry points (`exec::prepare`,
+    /// crate's own entry points (`exec::prepare`, `exec::advance`,
     /// [`ptsbe_statevector::batch::advance_batch`]) over it directly.
     pub fn compiled(&self) -> &sv_exec::Compiled<T> {
         &self.compiled

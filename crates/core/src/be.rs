@@ -526,27 +526,20 @@ impl Leaf<'_> {
 // ---------------------------------------------------------------------------
 // Low-sharing dense entry points
 
-/// Lane-group geometry for [`ptsbe_statevector::batch::StateBatch`]
-/// sweeps over split re/im amplitude planes. No executor sweeps lanes;
-/// the service still sizes its low-sharing plan-range cut in these
-/// lanes.
-///
-/// The per-group working set is `lanes` states of `2^n` amplitudes in
-/// two scalar planes (`2 · 2^n · lanes · size_of::<T>()` bytes), swept
-/// once per compiled op — so the group should fit the cache level the
-/// sweeps stream from. More lanes amortize dispatch and matrix setup
-/// further; past the cache budget the repeated sweeps turn
-/// bandwidth-bound and lose the advantage.
+/// Lane-group sizing from the split-plane lane kernels the statevector
+/// crate once had: how many states of `2^n` amplitudes
+/// (`2 · 2^n · size_of::<T>()` bytes each) fit one cache-sized group.
+/// No executor and no service cut reads it; it stays for
+/// [`BatchMajorExecutor::cfg`] and for callers that size a
+/// [`ptsbe_statevector::StateBatch`] group with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Working-set budget for one lane group's planes, in bytes.
+    /// Working-set budget for one lane group, in bytes.
     /// Defaults to 1 MiB (about half a typical per-core L2).
     pub l2_target_bytes: usize,
     /// Lane-count floor: below this, batching can't amortize anything.
     pub min_lanes: usize,
-    /// Lane-count ceiling: split-plane kernels keep amortizing further
-    /// than the interleaved layout did, so this defaults higher (32)
-    /// than the old AoS tuning (16).
+    /// Lane-count ceiling (32).
     pub max_lanes: usize,
 }
 
@@ -561,10 +554,9 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Lane count for a per-lane state footprint of `state_bytes` (both
-    /// planes). Counts ≥ 8 are rounded down to a multiple of 8 so
-    /// per-lane (Kraus-divergent) kernel rows fill whole AVX2 vectors
-    /// (8 `f32` / 2×4 `f64`) with no tail.
+    /// Lane count for a per-lane state footprint of `state_bytes`.
+    /// Counts ≥ 8 are rounded down to a multiple of 8 (whole AVX2
+    /// vectors of lanes, in the layout this was tuned for).
     pub fn lanes_for_bytes(&self, state_bytes: usize) -> usize {
         let mut lanes =
             (self.l2_target_bytes / state_bytes.max(1)).clamp(self.min_lanes, self.max_lanes);
@@ -575,7 +567,7 @@ impl BatchConfig {
     }
 
     /// [`BatchConfig::lanes_for_bytes`] for an `n_qubits`-qubit state of
-    /// scalar type `T` (split planes: `2 · 2^n · size_of::<T>()` bytes).
+    /// scalar type `T` (`2 · 2^n · size_of::<T>()` bytes).
     pub fn lanes_for<T: Scalar>(&self, n_qubits: usize) -> usize {
         self.lanes_for_bytes(2 * (1usize << n_qubits) * std::mem::size_of::<T>())
     }
@@ -586,9 +578,9 @@ impl BatchConfig {
 /// range with [`TreeExecutor`], exactly as a tree chunk does. Bitwise
 /// identical to [`BatchedExecutor`] with the same seed, for any slicing.
 ///
-/// It does not sweep [`ptsbe_statevector::batch::StateBatch`] lanes: on
-/// every plan shape the service routes here, the trie walk measured as
-/// fast or faster with the same bits.
+/// It sweeps no lanes: on every plan shape the service routes here, the
+/// trie walk measured as fast as split-plane lane sweeps or faster, with
+/// the same bits.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchMajorExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
@@ -1193,9 +1185,7 @@ mod tests {
 
     /// Sites on three qubits: the dense table lowers them and `advance`
     /// applies them through `apply_kq` — a mixture (identity branch
-    /// skipped) and a general channel, bitwise across flat and tree. (The
-    /// lane kernels' per-lane fallback for them is tested against
-    /// `exec::prepare` in `ptsbe_statevector::batch`.)
+    /// skipped) and a general channel, bitwise across flat and tree.
     #[test]
     fn three_qubit_sites_bitwise_across_flat_and_tree() {
         use ptsbe_circuit::KrausChannel;

@@ -1,19 +1,9 @@
-//! Complex vector kernels shared by the statevector and MPS backends.
-//!
-//! Two families live here:
-//!
-//! - interleaved helpers ([`mat2_apply`]/[`mat4_apply`]) operating on
-//!   [`Complex`] values — the scalar statevector path;
-//! - split-plane helpers ([`mat2_planes`]/[`mat4_planes`]/[`cmul_plane`]
-//!   and friends) operating on separate `re`/`im` slices — the
-//!   structure-of-arrays batch path. They compose the same parts-level
-//!   primitives ([`crate::complex::cplx_mul_parts`] /
-//!   [`crate::complex::cplx_mul_add_parts`]) the [`Complex`] operators
-//!   route through, so the two layouts produce bit-identical amplitudes,
-//!   and their loops are shuffle-free mul/`mul_add` chains the compiler
-//!   lowers to packed FMA.
+//! Complex vector kernels shared by the statevector and MPS backends:
+//! norms, inner products, and the per-element gate steps
+//! ([`mat2_apply`] / [`mat4_apply`]) the statevector's run kernels are
+//! built from.
 
-use crate::complex::{cplx_mul_add_parts, cplx_mul_parts, Complex};
+use crate::complex::Complex;
 use crate::scalar::Scalar;
 
 /// Sum of squared moduli.
@@ -41,8 +31,7 @@ pub fn normalize<T: Scalar>(v: &mut [Complex<T>]) -> T {
 
 /// `y_r = Σ_c e[2r + c] · x_c` for a 2×2 matrix in row-major entry order
 /// `[m00, m01, m10, m11]` — the FMA-form inner step of every 1-qubit gate
-/// kernel. The scalar and batch-major statevector paths both call this,
-/// which is what makes their amplitudes bitwise identical.
+/// kernel; the statevector's AVX2 path forms the same products.
 #[inline(always)]
 pub fn mat2_apply<T: Scalar>(
     e: &[Complex<T>; 4],
@@ -53,8 +42,7 @@ pub fn mat2_apply<T: Scalar>(
 }
 
 /// `y_r = Σ_c m[r][c] · x_c` for a 4×4 matrix — the FMA-form inner step of
-/// every dense 2-qubit gate kernel, shared by the scalar and batch-major
-/// paths for the same bitwise-identity reason as [`mat2_apply`].
+/// every dense 2-qubit gate kernel (see [`mat2_apply`]).
 #[inline(always)]
 pub fn mat4_apply<T: Scalar>(mm: &[[Complex<T>; 4]; 4], x: &[Complex<T>; 4]) -> [Complex<T>; 4] {
     let mut y = [Complex::zero(); 4];
@@ -64,114 +52,6 @@ pub fn mat4_apply<T: Scalar>(mm: &[[Complex<T>; 4]; 4], x: &[Complex<T>; 4]) -> 
         *yr = row[3].mul_add(x[3], acc);
     }
     y
-}
-
-// ---------------------------------------------------------------------------
-// Split-plane (structure-of-arrays) run kernels
-
-/// In-place plain complex scale of a split-plane run: `z_j *= d` with the
-/// exact `Complex: Mul` arithmetic — the diagonal-gate inner loop.
-#[inline(always)]
-pub fn cmul_plane<T: Scalar>(dr: T, di: T, re: &mut [T], im: &mut [T]) {
-    let n = re.len();
-    let (re, im) = (&mut re[..n], &mut im[..n]);
-    for j in 0..n {
-        let (yr, yi) = cplx_mul_parts(re[j], im[j], dr, di);
-        re[j] = yr;
-        im[j] = yi;
-    }
-}
-
-/// In-place real scale of a split-plane run: `z_j *= s` (the exact
-/// arithmetic of `Complex::scale`).
-#[inline(always)]
-pub fn scale_plane<T: Scalar>(s: T, re: &mut [T], im: &mut [T]) {
-    let n = re.len();
-    let (re, im) = (&mut re[..n], &mut im[..n]);
-    for j in 0..n {
-        re[j] *= s;
-        im[j] *= s;
-    }
-}
-
-/// In-place negation of a split-plane run (the exact arithmetic of
-/// `Complex: Neg`, including signed zeros).
-#[inline(always)]
-pub fn neg_plane<T: Scalar>(re: &mut [T], im: &mut [T]) {
-    let n = re.len();
-    let (re, im) = (&mut re[..n], &mut im[..n]);
-    for j in 0..n {
-        re[j] = -re[j];
-        im[j] = -im[j];
-    }
-}
-
-/// [`mat2_apply`] over a split-plane run pair: for every `j`,
-/// `(lo_j, hi_j) ← M · (lo_j, hi_j)` with the 2×2 matrix given as
-/// separate entry planes `er`/`ei` (row-major `[m00, m01, m10, m11]`).
-/// Bitwise identical to calling [`mat2_apply`] per element.
-#[inline(always)]
-pub fn mat2_planes<T: Scalar>(
-    er: &[T; 4],
-    ei: &[T; 4],
-    lo_re: &mut [T],
-    lo_im: &mut [T],
-    hi_re: &mut [T],
-    hi_im: &mut [T],
-) {
-    let n = lo_re.len();
-    let (lo_re, lo_im) = (&mut lo_re[..n], &mut lo_im[..n]);
-    let (hi_re, hi_im) = (&mut hi_re[..n], &mut hi_im[..n]);
-    for j in 0..n {
-        let (x0r, x0i, x1r, x1i) = (lo_re[j], lo_im[j], hi_re[j], hi_im[j]);
-        let (t0r, t0i) = cplx_mul_parts(er[1], ei[1], x1r, x1i);
-        let (y0r, y0i) = cplx_mul_add_parts(er[0], ei[0], x0r, x0i, t0r, t0i);
-        let (t1r, t1i) = cplx_mul_parts(er[3], ei[3], x1r, x1i);
-        let (y1r, y1i) = cplx_mul_add_parts(er[2], ei[2], x0r, x0i, t1r, t1i);
-        lo_re[j] = y0r;
-        lo_im[j] = y0i;
-        hi_re[j] = y1r;
-        hi_im[j] = y1i;
-    }
-}
-
-/// [`mat4_apply`] over four split-plane runs: for every `j`, the quad
-/// `(x0..x3)_j ← M · (x0..x3)_j` with the 4×4 matrix given as separate
-/// entry planes. Bitwise identical to calling [`mat4_apply`] per element.
-#[inline(always)]
-pub fn mat4_planes<T: Scalar>(
-    mr: &[[T; 4]; 4],
-    mi: &[[T; 4]; 4],
-    re: [&mut [T]; 4],
-    im: [&mut [T]; 4],
-) {
-    let [r0, r1, r2, r3] = re;
-    let [i0, i1, i2, i3] = im;
-    let n = r0.len();
-    let (r0, r1, r2, r3) = (&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]);
-    let (i0, i1, i2, i3) = (&mut i0[..n], &mut i1[..n], &mut i2[..n], &mut i3[..n]);
-    for j in 0..n {
-        let xr = [r0[j], r1[j], r2[j], r3[j]];
-        let xi = [i0[j], i1[j], i2[j], i3[j]];
-        let mut yr = [T::ZERO; 4];
-        let mut yi = [T::ZERO; 4];
-        for r in 0..4 {
-            let (tr, ti) = cplx_mul_parts(mr[r][1], mi[r][1], xr[1], xi[1]);
-            let (ar, ai) = cplx_mul_add_parts(mr[r][0], mi[r][0], xr[0], xi[0], tr, ti);
-            let (ar, ai) = cplx_mul_add_parts(mr[r][2], mi[r][2], xr[2], xi[2], ar, ai);
-            let (fr, fi) = cplx_mul_add_parts(mr[r][3], mi[r][3], xr[3], xi[3], ar, ai);
-            yr[r] = fr;
-            yi[r] = fi;
-        }
-        r0[j] = yr[0];
-        r1[j] = yr[1];
-        r2[j] = yr[2];
-        r3[j] = yr[3];
-        i0[j] = yi[0];
-        i1[j] = yi[1];
-        i2[j] = yi[2];
-        i3[j] = yi[3];
-    }
 }
 
 /// Hermitian inner product `⟨a|b⟩ = Σ conj(a_i)·b_i`.
@@ -238,120 +118,6 @@ mod tests {
                 naive += mm[r][c] * xc;
             }
             assert!((*yr - naive).abs() < 1e-14, "row {r}");
-        }
-    }
-
-    fn bits(z: C64) -> (u64, u64) {
-        (z.re.to_bits(), z.im.to_bits())
-    }
-
-    #[test]
-    fn plane_kernels_bitwise_match_interleaved() {
-        // Pseudo-random operands; the property under test is bit equality
-        // between the split-plane loops and the Complex-valued helpers.
-        let mut s = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 11) as f64) / (1u64 << 53) as f64 - 0.5
-        };
-        let n = 13; // odd length exercises any tail handling
-        let mut zs: Vec<Vec<C64>> = (0..4)
-            .map(|_| (0..n).map(|_| C64::new(next(), next())).collect())
-            .collect();
-        let mut res: Vec<Vec<f64>> = zs
-            .iter()
-            .map(|v| v.iter().map(|z| z.re).collect())
-            .collect();
-        let mut ims: Vec<Vec<f64>> = zs
-            .iter()
-            .map(|v| v.iter().map(|z| z.im).collect())
-            .collect();
-        let e: [C64; 4] = [0, 1, 2, 3].map(|_| C64::new(next(), next()));
-        let er = e.map(|z| z.re);
-        let ei = e.map(|z| z.im);
-        let mm: [[C64; 4]; 4] =
-            [[0; 4]; 4].map(|row: [i32; 4]| row.map(|_| C64::new(next(), next())));
-        let mr = mm.map(|row| row.map(|z| z.re));
-        let mi = mm.map(|row| row.map(|z| z.im));
-        let d = C64::new(next(), next());
-
-        // mat2 on planes 0/1 vs. interleaved.
-        {
-            let (lo, hi) = res.split_at_mut(1);
-            let (loi, hii) = ims.split_at_mut(1);
-            mat2_planes(&er, &ei, &mut lo[0], &mut loi[0], &mut hi[0], &mut hii[0]);
-        }
-        for j in 0..n {
-            let (y0, y1) = mat2_apply(&e, zs[0][j], zs[1][j]);
-            assert_eq!(
-                bits(C64::new(res[0][j], ims[0][j])),
-                bits(y0),
-                "mat2 lo {j}"
-            );
-            assert_eq!(
-                bits(C64::new(res[1][j], ims[1][j])),
-                bits(y1),
-                "mat2 hi {j}"
-            );
-            zs[0][j] = y0;
-            zs[1][j] = y1;
-        }
-
-        // mat4 over all four planes vs. interleaved.
-        {
-            let mut rit = res.iter_mut();
-            let (a, b, c, dd) = (
-                rit.next().unwrap(),
-                rit.next().unwrap(),
-                rit.next().unwrap(),
-                rit.next().unwrap(),
-            );
-            let mut iit = ims.iter_mut();
-            let (ia, ib, ic, id) = (
-                iit.next().unwrap(),
-                iit.next().unwrap(),
-                iit.next().unwrap(),
-                iit.next().unwrap(),
-            );
-            mat4_planes(&mr, &mi, [a, b, c, dd], [ia, ib, ic, id]);
-        }
-        for j in 0..n {
-            let x = [zs[0][j], zs[1][j], zs[2][j], zs[3][j]];
-            let y = mat4_apply(&mm, &x);
-            for r in 0..4 {
-                assert_eq!(
-                    bits(C64::new(res[r][j], ims[r][j])),
-                    bits(y[r]),
-                    "mat4 {r} {j}"
-                );
-                zs[r][j] = y[r];
-            }
-        }
-
-        // cmul / scale / neg.
-        cmul_plane(d.re, d.im, &mut res[2], &mut ims[2]);
-        scale_plane(0.37, &mut res[3], &mut ims[3]);
-        for j in 0..n {
-            assert_eq!(
-                bits(C64::new(res[2][j], ims[2][j])),
-                bits(zs[2][j] * d),
-                "cmul {j}"
-            );
-            assert_eq!(
-                bits(C64::new(res[3][j], ims[3][j])),
-                bits(zs[3][j].scale(0.37)),
-                "scale {j}"
-            );
-        }
-        neg_plane(&mut res[1], &mut ims[1]);
-        for j in 0..n {
-            assert_eq!(
-                bits(C64::new(res[1][j], ims[1][j])),
-                bits(-zs[1][j]),
-                "neg {j}"
-            );
         }
     }
 

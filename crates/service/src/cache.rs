@@ -243,7 +243,12 @@ impl<T: Scalar> CompileCache<T> {
     /// approximation described in the module docs; live `Arc` handles
     /// held by in-flight jobs keep evicted artifacts alive until the
     /// job finishes, so the budget bounds the *cache's* retention, not
-    /// peak process memory.
+    /// peak process memory. Nor does it count the shot buffers a dense
+    /// entry's [`SvBackend`] keeps parked for reuse
+    /// ([`SvBackend::recycle_shots`]): at most workers × one delivered
+    /// chunk's records per entry, 32 MB at `sv-sample`'s shape, freed
+    /// with the entry. Charging them would make an entry's size depend
+    /// on the jobs it served, not on its compile inputs.
     pub fn with_budget(budget: Option<usize>) -> Self {
         Self {
             sv: Shelf::new(0),

@@ -31,8 +31,7 @@ use crate::router::BatchGeometry;
 use crate::service::ServiceConfig;
 use ptsbe_core::assignment::TrajectoryMeta;
 use ptsbe_core::{
-    Backend, BatchConfig, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree, StatePool, SvBackend,
-    TreeExecutor,
+    Backend, BatchResult, BatchedExecutor, PtsPlan, PtsPlanTree, StatePool, SvBackend, TreeExecutor,
 };
 use ptsbe_dataset::{ShotWord, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -165,23 +164,33 @@ fn tree_auto_chunks(edges: usize, n_sites: usize, n_qubits: usize, workers: usiz
     work_shares((edges as u128) << n_qubits.min(64), workers.min(by_spine))
 }
 
+/// State bytes one plan-range chunk is sized to (see
+/// [`range_chunk_cap`]).
+const RANGE_CHUNK_BYTES: usize = 8 << 20;
+
+/// States of `n_qubits` qubits at precision `T` that fit
+/// [`RANGE_CHUNK_BYTES`], within `16..=256`: the most trajectories one
+/// chunk of a low-sharing (or flat) dense job holds.
+fn range_chunk_cap<T: Scalar>(n_qubits: usize) -> usize {
+    let state_bytes = (2usize << n_qubits) * std::mem::size_of::<T>();
+    (RANGE_CHUNK_BYTES / state_bytes).clamp(16, 256)
+}
+
 /// Trajectories per chunk of a low-sharing (or flat) dense job of `n`
-/// trajectories through `segments` segments on `n_qubits` qubits,
-/// `lanes` being [`BatchConfig::lanes_for`] of its state. A chunk holds
-/// at most `(8·lanes).clamp(16, 512)` trajectories: enough work to
-/// amortize scheduling, enough chunks to stream and cancel (the tree
-/// cut would give `sv-divergent` one chunk per worker, and a later first
-/// record). The chunk count is rounded up to a multiple of
-/// the job's [`work_shares`] (every trajectory walks every segment), so
-/// each worker sweeps an equal share.
-fn lane_chunk_trajectories(
+/// trajectories through `segments` segments on `n_qubits` qubits at
+/// precision `T`. A chunk holds at most [`range_chunk_cap`]
+/// trajectories: enough work to amortize scheduling, enough chunks to
+/// stream and cancel (the tree cut would give `sv-divergent` one chunk
+/// per worker, and a later first record). The chunk count is rounded up
+/// to a multiple of the job's [`work_shares`] (every trajectory walks
+/// every segment), so each worker sweeps an equal share.
+fn range_chunk_trajectories<T: Scalar>(
     n: usize,
-    lanes: usize,
     segments: usize,
     n_qubits: usize,
     workers: usize,
 ) -> usize {
-    let cap = (lanes * 8).clamp(16, 512);
+    let cap = range_chunk_cap::<T>(n_qubits);
     let shares = work_shares((n as u128 * segments as u128) << n_qubits.min(64), workers);
     let chunks = n.div_ceil(cap).div_ceil(shares) * shares;
     n.div_ceil(chunks.max(1))
@@ -246,16 +255,15 @@ fn ranges(total: usize, per: usize) -> Vec<Range<usize>> {
 }
 
 /// The plan-range cut of a low-sharing or flat dense job over `entry`
-/// on a pool of `workers`: the one place the lane count
-/// ([`BatchConfig::lanes_for`]), the cut rule and the spec's chunk
+/// on a pool of `workers`: the one place the chunk cap
+/// ([`range_chunk_cap`]), the cut rule and the spec's chunk
 /// override are folded together, so the decision metadata and the
 /// scheduler cannot disagree.
 fn range_geometry<T: Scalar>(entry: &SvEntry<T>, spec: &JobSpec, workers: usize) -> BatchGeometry {
     let backend = &entry.backend;
     let trajs_per_chunk = if spec.chunk_trajectories == 0 {
         let n = spec.plan.trajectories.len();
-        let lanes = BatchConfig::default().lanes_for::<T>(backend.n_qubits());
-        lane_chunk_trajectories(n, lanes, backend.n_segments(), backend.n_qubits(), workers)
+        range_chunk_trajectories::<T>(n, backend.n_segments(), backend.n_qubits(), workers)
     } else {
         spec.chunk_trajectories
     };
@@ -570,15 +578,14 @@ mod tests {
         assert_eq!(mps_leaf_chunks(&tree, &plan, 22, 8, 2), vec![0..22, 22..24]);
     }
 
-    /// The lane cut of an `n`-trajectory, `segments`-segment f64 job on
+    /// The plan-range cut of an `n`-trajectory, `segments`-segment f64 job on
     /// `n_qubits` qubits and `workers` workers, checked against what
     /// every cut must be: contiguous ranges covering `0..n`, none longer
-    /// than the `(8·lanes).clamp(16, 512)` cap.
-    fn lane_cut(n: usize, segments: usize, n_qubits: usize, workers: usize) -> Vec<Range<usize>> {
-        let lanes = BatchConfig::default().lanes_for::<f64>(n_qubits);
-        let per = lane_chunk_trajectories(n, lanes, segments, n_qubits, workers);
+    /// than the [`range_chunk_cap`].
+    fn range_cut(n: usize, segments: usize, n_qubits: usize, workers: usize) -> Vec<Range<usize>> {
+        let per = range_chunk_trajectories::<f64>(n, segments, n_qubits, workers);
         let cut = ranges(n, per);
-        let cap = (8 * lanes).clamp(16, 512);
+        let cap = range_chunk_cap::<f64>(n_qubits);
         let covered: Vec<usize> = cut.iter().flat_map(|r| r.clone()).collect();
         assert_eq!(covered, (0..n).collect::<Vec<_>>(), "{cut:?}");
         assert!(
@@ -588,17 +595,40 @@ mod tests {
         cut
     }
 
-    /// `sv-sample` (4 trajectories, 121 segments, 16 qubits: two lanes)
-    /// and `sv-divergent` (97 trajectories, 92 segments, 14 qubits: four
-    /// lanes) are one job each: the cut gives every worker an equal
+    /// The byte-budget cap is the one the cut used to count in split-plane
+    /// lanes, `(8 · BatchConfig::lanes_for::<T>(n)).clamp(16, 512)`, for
+    /// every register a dense job can hold at both precisions: no cut
+    /// moves.
+    #[test]
+    fn the_byte_cap_equals_the_old_lane_cap() {
+        fn lane_cap<T: Scalar>(n: usize) -> usize {
+            (8 * ptsbe_core::BatchConfig::default().lanes_for::<T>(n)).clamp(16, 512)
+        }
+        for n in 0..30 {
+            assert_eq!(
+                range_chunk_cap::<f32>(n),
+                lane_cap::<f32>(n),
+                "f32, n = {n}"
+            );
+            assert_eq!(
+                range_chunk_cap::<f64>(n),
+                lane_cap::<f64>(n),
+                "f64, n = {n}"
+            );
+        }
+    }
+
+    /// `sv-sample` (4 trajectories, 121 segments, 16 qubits: a cap of 16)
+    /// and `sv-divergent` (97 trajectories, 92 segments, 14 qubits: a cap
+    /// of 32) are one job each: the cut gives every worker an equal
     /// share.
     #[test]
     fn a_lone_heavy_lane_job_is_cut_into_equal_shares_per_worker() {
         for (workers, chunks) in [(1, 1), (2, 2), (4, 4)] {
-            assert_eq!(lane_cut(4, 121, 16, workers).len(), chunks, "{workers}");
+            assert_eq!(range_cut(4, 121, 16, workers).len(), chunks, "{workers}");
         }
         for workers in [1, 2] {
-            let cut = lane_cut(97, 92, 14, workers);
+            let cut = range_cut(97, 92, 14, workers);
             assert_eq!(cut.len(), 4, "{workers} workers: {cut:?}");
             assert!(cut.iter().all(|r| r.len() <= 25), "{cut:?}");
         }
@@ -610,7 +640,7 @@ mod tests {
     fn light_lane_jobs_stay_one_chunk() {
         for (n, segments, n_qubits) in [(150, 29, 8), (32, 46, 10), (150, 43, 8)] {
             for workers in [1, 2, 4, 8] {
-                let cut = lane_cut(n, segments, n_qubits, workers);
+                let cut = range_cut(n, segments, n_qubits, workers);
                 assert_eq!(
                     cut,
                     vec![0..n],
@@ -618,7 +648,7 @@ mod tests {
                 );
             }
         }
-        assert!(lane_cut(0, 10, 8, 2).is_empty());
+        assert!(range_cut(0, 10, 8, 2).is_empty());
     }
 
     /// The floor both dense rules share leaves the benchmark's tree cuts

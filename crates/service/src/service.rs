@@ -168,6 +168,12 @@ pub struct ServiceConfig {
     /// resident artifacts exceed it, least-recently-used entries are
     /// evicted; output-neutral by the same argument as cache warmth —
     /// an evicted artifact is simply recompiled on next use.
+    ///
+    /// A dense entry is charged for its compiled circuit only. The shot
+    /// buffers its backend keeps parked for reuse — at most workers ×
+    /// one delivered chunk's records, 32 MB at `sv-sample`'s shape (two
+    /// workers, two 8 MB records per chunk) — are not counted, so the
+    /// budget does not bound them; they are freed with the entry.
     pub cache_budget_bytes: Option<usize>,
     /// Deterministic fault injection. `None` defers to the
     /// `PTSBE_FAULTS` environment presets (so the CI fault matrix can

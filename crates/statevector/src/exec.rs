@@ -72,29 +72,6 @@ pub enum CompiledOp<T: Scalar> {
     Site(usize),
 }
 
-/// The one `CompiledOp` → kernel table. `$state` is anything with the ten
-/// `apply_*` gate kernels ([`StateVector`], [`crate::batch::StateBatch`]);
-/// a site runs `$site` with its id bound to `$id`.
-macro_rules! apply_op {
-    ($state:expr, $op:expr, $id:ident => $site:expr) => {{
-        use $crate::exec::CompiledOp as Op;
-        match $op {
-            Op::G1(m, q) => $state.apply_1q(m, *q),
-            Op::G2(m, a, b) => $state.apply_2q(m, *a, *b),
-            Op::D1(d, q) => $state.apply_diag_1q(d, *q),
-            Op::D2(d, a, b) => $state.apply_diag_2q(d, *a, *b),
-            Op::P1(p, ph, q) => $state.apply_perm_1q(p, ph, *q),
-            Op::P2(p, ph, a, b) => $state.apply_perm_2q(p, ph, *a, *b),
-            Op::Cx(c, t) => $state.apply_cx(*c, *t),
-            Op::Cz(a, b) => $state.apply_cz(*a, *b),
-            Op::Swap(a, b) => $state.apply_swap(*a, *b),
-            Op::Gk(m, qs) => $state.apply_kq(m, qs),
-            Op::Site($id) => $site,
-        }
-    }};
-}
-pub(crate) use apply_op;
-
 /// One lowered noise site (see [`LoweredSite`]).
 pub type CompiledSite<T> = LoweredSite<T>;
 
@@ -118,8 +95,8 @@ pub fn compile<T: Scalar>(nc: &NoisyCircuit) -> Result<Compiled<T>, ExecError> {
 /// pipeline the fusion equivalence suite compares against). With
 /// `fuse = true` runs of adjacent ≤2-qubit gates are merged and classified
 /// into dense/diagonal/permutation kernels; wider gates are fusion
-/// barriers. Site arities are unrestricted: `apply_kq` and the batch
-/// path's scalar fallback take ≥3-qubit sites.
+/// barriers. Site arities are unrestricted: `apply_kq` takes ≥3-qubit
+/// sites.
 ///
 /// # Errors
 /// [`LowerError`] for gates after a measurement and for resets.
@@ -259,8 +236,23 @@ pub fn advance_with<T: Scalar>(
     mut pick: impl FnMut(usize) -> Pick,
 ) -> f64 {
     let mut realized = 1.0f64;
+    // The one `CompiledOp` → kernel table.
     for op in compiled.segment_ops(segments) {
-        apply_op!(sv, op, id => realized *= apply_site(sv, &compiled.sites()[*id], pick(*id)));
+        match op {
+            CompiledOp::G1(m, q) => sv.apply_1q(m, *q),
+            CompiledOp::G2(m, a, b) => sv.apply_2q(m, *a, *b),
+            CompiledOp::D1(d, q) => sv.apply_diag_1q(d, *q),
+            CompiledOp::D2(d, a, b) => sv.apply_diag_2q(d, *a, *b),
+            CompiledOp::P1(p, ph, q) => sv.apply_perm_1q(p, ph, *q),
+            CompiledOp::P2(p, ph, a, b) => sv.apply_perm_2q(p, ph, *a, *b),
+            CompiledOp::Cx(c, t) => sv.apply_cx(*c, *t),
+            CompiledOp::Cz(a, b) => sv.apply_cz(*a, *b),
+            CompiledOp::Swap(a, b) => sv.apply_swap(*a, *b),
+            CompiledOp::Gk(m, qs) => sv.apply_kq(m, qs),
+            CompiledOp::Site(id) => {
+                realized *= apply_site(sv, &compiled.sites()[*id], pick(*id));
+            }
+        }
     }
     realized
 }
@@ -271,11 +263,7 @@ pub fn advance_with<T: Scalar>(
 /// keeps them bitwise aligned), the renormalization factor for a general
 /// channel.
 #[inline]
-pub(crate) fn apply_site<T: Scalar>(
-    sv: &mut StateVector<T>,
-    site: &CompiledSite<T>,
-    pick: Pick,
-) -> f64 {
+fn apply_site<T: Scalar>(sv: &mut StateVector<T>, site: &CompiledSite<T>, pick: Pick) -> f64 {
     if site.is_unitary_mixture {
         let k = pick.branch(|| &site.probs);
         if !site.skip_identity[k] {

@@ -7,15 +7,13 @@
 //!   `f32`/`f64`; the paper uses `complex64`, i.e. `f32` pairs) with
 //!   rayon-parallel 1-/2-/k-qubit gate kernels and permutation fast paths
 //!   for CX/CZ/SWAP;
-//! - [`batch::StateBatch`] — batch-major execution: `B` trajectory states
-//!   in split re/im amplitude planes (structure-of-arrays), each fused
-//!   kernel swept across all `B` lanes at once with lane-contiguous
-//!   shuffle-free inner loops, bit-identical per lane to the scalar
-//!   kernels;
-//! - [`kernels`] — the pluggable run-kernel dispatch seam behind the
-//!   batch sweeps ([`kernels::BatchKernels`]): scalar-reference,
-//!   SoA-autovec, and AVX2/FMA implementations selected at batch
-//!   construction (`PTSBE_BATCH_KERNELS` overrides);
+//! - [`kernels`] — the run kernels behind `StateVector`'s dense and
+//!   diagonal gates: per-element loops, or AVX2/FMA paths bitwise
+//!   identical to them, picked by [`KernelImpl::auto`]
+//!   (`PTSBE_BATCH_KERNELS` overrides);
+//! - [`batch::StateBatch`] — `B` trajectory states, one `StateVector`
+//!   per lane, advanced together by [`advance_batch`] (one
+//!   [`exec::advance`] per lane);
 //! - [`sampling`] — the *bulk* shot sampler: O(2^n + m) sorted-uniform
 //!   merge, or O(2^n) multinomial counts once `m` passes twice the state
 //!   size, the polynomial-cost step whose
@@ -46,7 +44,7 @@ pub mod state;
 
 pub use batch::{advance_batch, StateBatch};
 pub use exec::{prepare_with_assignment, run_pure, ExecError};
-pub use kernels::{BatchKernels, KernelImpl};
+pub use kernels::KernelImpl;
 pub use sampling::SamplingStrategy;
 pub use state::StateVector;
 

@@ -1,23 +1,24 @@
 //! The statevector type and its gate kernels.
 //!
 //! Amplitudes are interleaved [`Complex`] values. Every 1-/2-qubit kernel
-//! sweeps contiguous *runs* of them — the decomposition
-//! [`crate::batch::StateBatch`] uses with `B` lanes per row
-//! (`kernels::quad_runs`) at one complex per row: CX and SWAP
-//! exchange two of a quad's four runs (`swap_with_slice`), CZ negates
-//! one, a diagonal scales each by a constant, and the dense 1q/2q gates
-//! and the diagonals hand their runs to [`crate::kernels`]' interleaved
-//! kernels, which take AVX2/FMA paths under the same
-//! `PTSBE_BATCH_KERNELS` switch as the batch (bitwise identical to the
-//! per-element loops, which runs shorter than a vector still take). The
-//! forms that test an index bit per amplitude are gone from the crate;
-//! `tests/run_geometry.rs` keeps them as the reference side.
+//! sweeps contiguous *runs* of them (`kernels::quad_runs` cuts a
+//! two-qubit gate's chunk into four): CX and SWAP exchange two of a
+//! quad's four runs (`swap_with_slice`), CZ negates one, a diagonal
+//! scales each by a constant, and the dense 1q/2q gates and the
+//! diagonals hand their runs to [`crate::kernels`]' interleaved kernels,
+//! which take AVX2/FMA paths under the `PTSBE_BATCH_KERNELS` switch
+//! (bitwise identical to the per-element loops, which runs shorter than
+//! a vector still take). The forms that test an index bit per amplitude
+//! are gone from the crate; `tests/run_geometry.rs` keeps them as the
+//! reference side.
 //!
 //! What that is worth, on `perf`'s `sv-shared` program (14 qubits; 217
 //! gate ops: 77 `Cx`, 69 `G1`, 57 `D1`, 10 `G2` all on low qubit 0 or 1,
 //! 4 `P2`) replayed per op kind under a one-thread budget — `cargo bench
 //! -p ptsbe_bench --bench gate_kernels -- op_mix`, best µs per op, this
-//! layout / `StateBatch` B = 1 / B = 4 per lane, 2-vCPU Xeon @ 2.1 GHz:
+//! layout / the split-plane lane layout this crate had until its lane
+//! stack was deleted, at B = 1 / B = 4 per lane, 2-vCPU Xeon @ 2.1 GHz
+//! (`op_mix` now times only the first column):
 //!
 //! | op kind | per-index predicates, scalar AoS dense (before) | runs + AVX2 (after) |
 //! |---------|---------------------|---------------------|
@@ -217,8 +218,7 @@ impl<T: Scalar> StateVector<T> {
     // Every 1-/2-qubit kernel sweeps contiguous *runs*: the amplitudes a
     // gate on qubit `q` pairs sit `2^q` apart, so a `2·2^q` chunk is a
     // `(lo, hi)` run pair, and a two-qubit gate's `2·sh` chunk is `sh/2sl`
-    // quads of four `sl`-long runs ([`quad_runs`], the decomposition
-    // `StateBatch` uses with `B` lanes per row). No kernel tests an index
+    // quads of four `sl`-long runs ([`quad_runs`]). No kernel tests an index
     // bit per amplitude. Gate kernels are per-amplitude independent, so
     // chunking never changes a value; rayon splits at chunk boundaries.
 
@@ -499,13 +499,8 @@ impl<T: Scalar> StateVector<T> {
 
 /// Remap a two-qubit gate matrix from the `(bit_a << 1) | bit_b` argument
 /// basis to local positions `[hl]` (h = high-qubit bit, l = low-qubit
-/// bit) — the gather order of the 2-qubit amplitude sweeps. Shared by the
-/// scalar and batch-major kernels so both read identical entries.
-pub(crate) fn local_2q_matrix<T: Scalar>(
-    m: &Matrix<T>,
-    a: usize,
-    b: usize,
-) -> [[Complex<T>; 4]; 4] {
+/// bit) — the gather order of the 2-qubit amplitude sweeps.
+fn local_2q_matrix<T: Scalar>(m: &Matrix<T>, a: usize, b: usize) -> [[Complex<T>; 4]; 4] {
     let qh = a.max(b);
     let pos_to_basis = |h: usize, l: usize| -> usize {
         let bit_a = if a == qh { h } else { l };
@@ -525,7 +520,7 @@ pub(crate) fn local_2q_matrix<T: Scalar>(
 
 /// Remap a gate-basis diagonal to local `[hl]` run order, mirroring
 /// [`local_2q_matrix`].
-pub(crate) fn local_2q_diag<T: Scalar>(d: &[Complex<T>; 4], a: usize, b: usize) -> [Complex<T>; 4] {
+fn local_2q_diag<T: Scalar>(d: &[Complex<T>; 4], a: usize, b: usize) -> [Complex<T>; 4] {
     let pick = |h: usize, l: usize| {
         let (bit_a, bit_b) = if a > b { (h, l) } else { (l, h) };
         d[(bit_a << 1) | bit_b]
@@ -535,7 +530,7 @@ pub(crate) fn local_2q_diag<T: Scalar>(d: &[Complex<T>; 4], a: usize, b: usize) 
 
 /// Remap a gate-basis permutation/phase pair to local `[hl]` positions,
 /// mirroring [`local_2q_matrix`].
-pub(crate) fn local_2q_perm<T: Scalar>(
+fn local_2q_perm<T: Scalar>(
     perm: &[usize; 4],
     phase: &[Complex<T>; 4],
     a: usize,

@@ -1,15 +1,15 @@
 //! The run-structured permutation / diagonal kernels against their
 //! per-index predicate forms.
 //!
-//! `Cx`, `Swap`, `Cz`, `D1` and `D2` sweep contiguous runs in both
-//! layouts (`quad_runs`: which of a quad's four runs swap, flip or
-//! scale). The forms that test index bits per amplitude used to be the
-//! production kernels; they live here now as the reference side: for
-//! every qubit and every ordered pair, run form == predicate form bit for
-//! bit, on `StateVector` and on every lane of a `StateBatch`.
+//! `Cx`, `Swap`, `Cz`, `D1` and `D2` sweep contiguous runs
+//! (`quad_runs`: which of a quad's four runs swap, flip or scale). The
+//! forms that test index bits per amplitude used to be the production
+//! kernels; they live here now as the reference side: for every qubit
+//! and every ordered pair, run form == predicate form bit for bit, on
+//! `StateVector`.
 
 use ptsbe_math::Complex;
-use ptsbe_statevector::{StateBatch, StateVector};
+use ptsbe_statevector::StateVector;
 
 type C = Complex<f64>;
 
@@ -75,73 +75,52 @@ fn bits(z: &C) -> (u64, u64) {
     (z.re.to_bits(), z.im.to_bits())
 }
 
-/// The state under test in both layouts, and one predicate-form mirror
-/// per lane (mirror 0 doubles as the `StateVector`'s).
+/// The state under test and its predicate-form mirror.
 struct Mirrored {
     sv: StateVector<f64>,
-    batch: StateBatch<f64>,
-    mirrors: Vec<Vec<C>>,
-    scratch: StateVector<f64>,
+    mirror: Vec<C>,
 }
 
 impl Mirrored {
-    fn new(n: usize, lanes: usize) -> Self {
-        let mirrors: Vec<Vec<C>> = (0..lanes)
-            .map(|lane| random_amps(n, 1 + lane as u64))
-            .collect();
-        let mut batch = StateBatch::zero_states(n, lanes);
-        for (lane, m) in mirrors.iter().enumerate() {
-            batch.load_lane(lane, &StateVector::from_amplitudes(m.clone()));
-        }
+    fn new(n: usize) -> Self {
+        let mirror = random_amps(n, 1);
         Self {
-            sv: StateVector::from_amplitudes(mirrors[0].clone()),
-            batch,
-            mirrors,
-            scratch: StateVector::zero_state(0),
+            sv: StateVector::from_amplitudes(mirror.clone()),
+            mirror,
         }
     }
 
-    /// Apply one op in run form to both layouts and in predicate form to
-    /// the mirrors, then compare every amplitude's bits.
+    /// Apply one op in run form to the state and in predicate form to
+    /// the mirror, then compare every amplitude's bits.
     fn step(
         &mut self,
         label: &str,
         on_sv: impl Fn(&mut StateVector<f64>),
-        on_batch: impl Fn(&mut StateBatch<f64>),
         pred: impl Fn(&mut [C]),
     ) {
         on_sv(&mut self.sv);
-        on_batch(&mut self.batch);
-        for m in &mut self.mirrors {
-            pred(m);
-        }
-        let same = |got: &[C], want: &[C]| got.iter().map(bits).eq(want.iter().map(bits));
+        pred(&mut self.mirror);
         assert!(
-            same(self.sv.amplitudes(), &self.mirrors[0]),
+            self.sv
+                .amplitudes()
+                .iter()
+                .map(bits)
+                .eq(self.mirror.iter().map(bits)),
             "{label}: StateVector differs from the predicate form"
         );
-        for (lane, m) in self.mirrors.iter().enumerate() {
-            self.batch.extract_lane_into(lane, &mut self.scratch);
-            assert!(
-                same(self.scratch.amplitudes(), m),
-                "{label}: StateBatch lane {lane} of {} differs from the predicate form",
-                self.mirrors.len()
-            );
-        }
     }
 }
 
 /// Every qubit and every ordered pair of an `n`-qubit register.
-fn every_qubit_and_ordered_pair(n: usize, lanes: usize) {
+fn every_qubit_and_ordered_pair(n: usize) {
     let d1 = D1.map(|(re, im)| C::new(re, im));
     let d2 = D2.map(|(re, im)| C::new(re, im));
-    let mut m = Mirrored::new(n, lanes);
-    let tag = |op: &str| format!("{op}, n = {n}, B = {lanes}");
+    let mut m = Mirrored::new(n);
+    let tag = |op: &str| format!("{op}, n = {n}");
     for q in 0..n {
         m.step(
             &tag(&format!("D1({q})")),
             |s| s.apply_diag_1q(&d1, q),
-            |b| b.apply_diag_1q(&d1, q),
             |a| d1_pred(a, &d1, q),
         );
     }
@@ -150,24 +129,20 @@ fn every_qubit_and_ordered_pair(n: usize, lanes: usize) {
             m.step(
                 &tag(&format!("Cx({a},{b})")),
                 |s| s.apply_cx(a, b),
-                |s| s.apply_cx(a, b),
                 |x| cx_pred(x, a, b),
             );
             m.step(
                 &tag(&format!("Swap({a},{b})")),
-                |s| s.apply_swap(a, b),
                 |s| s.apply_swap(a, b),
                 |x| swap_pred(x, a, b),
             );
             m.step(
                 &tag(&format!("Cz({a},{b})")),
                 |s| s.apply_cz(a, b),
-                |s| s.apply_cz(a, b),
                 |x| cz_pred(x, a, b),
             );
             m.step(
                 &tag(&format!("D2({a},{b})")),
-                |s| s.apply_diag_2q(&d2, a, b),
                 |s| s.apply_diag_2q(&d2, a, b),
                 |x| d2_pred(x, &d2, a, b),
             );
@@ -175,14 +150,10 @@ fn every_qubit_and_ordered_pair(n: usize, lanes: usize) {
     }
 }
 
-const LANES: [usize; 4] = [1, 3, 4, 8];
-
 #[test]
 fn run_forms_match_predicate_forms_on_small_registers() {
     for n in 1..=7 {
-        for lanes in LANES {
-            every_qubit_and_ordered_pair(n, lanes);
-        }
+        every_qubit_and_ordered_pair(n);
     }
 }
 
@@ -196,9 +167,5 @@ fn run_forms_match_predicate_forms_when_sweeps_fan_out() {
         .num_threads(2)
         .build()
         .expect("a two-thread pool always builds");
-    two_threads.install(|| {
-        for lanes in LANES {
-            every_qubit_and_ordered_pair(n, lanes);
-        }
-    });
+    two_threads.install(|| every_qubit_and_ordered_pair(n));
 }
