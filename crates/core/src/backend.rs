@@ -130,13 +130,15 @@ pub trait Backend: Sync {
         pool.release(state);
     }
 
-    /// Whether [`Backend::sample`] mutates the state it samples from in a
-    /// way a later draw could see. Nothing in the library reads it: every
-    /// [`Backend::sample_batch`] must already equal per-request sampling
-    /// of fresh copies. Both production backends sample without a
-    /// visible trace and say `false`.
+    /// Whether sampling mutates the state it samples from in a way a
+    /// later draw could see. Nothing in the library reads it: every
+    /// [`Backend::sample_batch`] must already equal one-request calls on
+    /// fresh copies. Defaults to `false`, which both backends here are
+    /// (the statevector sampler only reads amplitudes; the MPS sampler's
+    /// one move, center → site 0, is an idempotent gauge move that never
+    /// truncates).
     fn sample_mutates_state(&self) -> bool {
-        true
+        false
     }
 
     /// Execute the circuit under a fixed branch assignment. Returns the
@@ -160,21 +162,26 @@ pub trait Backend: Sync {
     }
 
     /// Bulk-sample `shots` measurement records (bit `t` = measured qubit
-    /// `t`).
+    /// `t`): one request of [`Backend::sample_batch`].
     fn sample<R: Rng + ?Sized>(
         &self,
         state: &mut Self::State,
         shots: usize,
         rng: &mut R,
-    ) -> Vec<u128>;
+    ) -> Vec<u128> {
+        self.sample_batch(state, &mut [(shots, rng)])
+            .pop()
+            .expect("one request in, one record vector out")
+    }
 
     /// Sample several shot requests — each with its own RNG stream —
     /// from one prepared state, returning one record vector per request
-    /// in order: the one sampling call every executor makes, once per
-    /// prepared state, for all the trajectories that end on it. Every
-    /// implementation must be bitwise identical to calling
-    /// [`Backend::sample`] per request on a freshly prepared copy of the
-    /// state; backends share per-state sampling work across requests.
+    /// in order (bit `t` = measured qubit `t`): the one sampling call
+    /// every executor makes, once per prepared state, for all the
+    /// trajectories that end on it. `k` requests on one state must give,
+    /// bit for bit, what `k` one-request calls on freshly prepared copies
+    /// of it give; backends share per-state sampling work across
+    /// requests.
     fn sample_batch<R: Rng + ?Sized>(
         &self,
         state: &mut Self::State,
@@ -319,25 +326,6 @@ impl<T: Scalar> Backend for SvBackend<T> {
         }
     }
 
-    fn sample_mutates_state(&self) -> bool {
-        // Statevector bulk sampling only reads amplitudes.
-        false
-    }
-
-    fn sample<R: Rng + ?Sized>(
-        &self,
-        state: &mut Self::State,
-        shots: usize,
-        rng: &mut R,
-    ) -> Vec<u128> {
-        let measured = self.compiled.measured_qubits();
-        // One extraction per distinct outcome where the strategy samples
-        // counts, not one per shot.
-        sv_sampling::sample_words(state, shots, rng, SamplingStrategy::Auto, |index| {
-            ptsbe_rng::bits::extract_bits(u128::from(index), measured)
-        })
-    }
-
     fn sample_batch<R: Rng + ?Sized>(
         &self,
         state: &mut Self::State,
@@ -454,27 +442,6 @@ impl<T: Scalar> Backend for MpsBackend<T> {
         dst.copy_from(src);
     }
 
-    fn sample_mutates_state(&self) -> bool {
-        // Conditional sampling only canonicalizes (center → site 0), a
-        // deterministic, idempotent gauge move that never truncates —
-        // records drawn after it are bitwise independent of whether a
-        // previous trajectory already canonicalized the shared state.
-        false
-    }
-
-    fn sample<R: Rng + ?Sized>(
-        &self,
-        state: &mut Self::State,
-        shots: usize,
-        rng: &mut R,
-    ) -> Vec<u128> {
-        let raw = ptsbe_tensornet::sample::sample_shots_batched_one(state, shots, rng);
-        let measured = self.compiled.measured_qubits();
-        raw.into_iter()
-            .map(|full| ptsbe_rng::bits::extract_bits(full, measured))
-            .collect()
-    }
-
     fn sample_batch<R: Rng + ?Sized>(
         &self,
         state: &mut Self::State,
@@ -553,29 +520,33 @@ mod tests {
         let nc = noisy_ghz(0.1);
         let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
         let (mut state, _) = sv.prepare(&nc.identity_assignment().unwrap());
-        let mut draw = |m: usize| {
+        let draw = |state: &mut StateVector<f64>, m: usize| {
             let mut rng = PhiloxRng::new(152, 0);
-            sv.sample_batch(&mut state, &mut [(m, &mut rng)])
-                .pop()
-                .unwrap()
+            sv.sample_batch(state, &mut [(m, &mut rng)]).pop().unwrap()
         };
         // Three qubits: a draw is counted from 2·2³ = 16 shots.
-        let first = draw(70_000);
+        let first = draw(&mut state, 70_000);
         let want = first.clone();
         let at = first.as_ptr();
         sv.recycle_shots(first, 4);
         assert_eq!(sv.parked_shot_buffers(), 1);
-        let again = draw(70_000);
+        let again = draw(&mut state, 70_000);
         assert_eq!(again.as_ptr(), at, "the parked buffer is refilled");
         assert_eq!(again, want);
         assert_eq!(sv.parked_shot_buffers(), 0);
-        // Too small for the next request: dropped, not grown.
+        // `sample`, one request of `sample_batch`, takes it back too.
         sv.recycle_shots(again, 4);
-        let bigger = draw(90_000);
+        assert_eq!(sv.parked_shot_buffers(), 1);
+        let once = sv.sample(&mut state, 70_000, &mut PhiloxRng::new(152, 0));
+        assert_eq!((once.as_ptr(), sv.parked_shot_buffers()), (at, 0));
+        assert_eq!(once, want);
+        // Too small for the next request: dropped, not grown.
+        sv.recycle_shots(once, 4);
+        let bigger = draw(&mut state, 90_000);
         assert_eq!((bigger.len(), sv.parked_shot_buffers()), (90_000, 0));
         // A shot-by-shot draw never takes a buffer back, so its record
         // is never parked, whatever its capacity.
-        let mut cdf = draw(15);
+        let mut cdf = draw(&mut state, 15);
         cdf.reserve(1 << 20);
         sv.recycle_shots(cdf, 4);
         assert_eq!(sv.parked_shot_buffers(), 0);
@@ -584,6 +555,63 @@ mod tests {
             sv.recycle_shots(vec![0; 16], 2);
         }
         assert_eq!(sv.parked_shot_buffers(), 2);
+    }
+
+    /// Three qubits in superposition, measured as record bits
+    /// `(q2, q0, q1)`, so the extraction reorders.
+    fn skewed_subset() -> NoisyCircuit {
+        let mut c = Circuit::new(3);
+        c.h(0).ry(1, 0.7).cx(0, 2).ry(2, 0.3).measure(&[2, 0, 1]);
+        NoiseModel::new()
+            .with_default_2q(channels::depolarizing(0.1))
+            .apply(&c)
+    }
+
+    /// The default `sample` is the sampler's own one-request draw with
+    /// the measured bits extracted: below the counted threshold
+    /// (2·2³ = 16 shots), at it and above it.
+    #[test]
+    fn sv_sample_matches_sample_shots_and_extraction() {
+        let nc = skewed_subset();
+        let sv = SvBackend::<f64>::new(&nc, SamplingStrategy::Auto).unwrap();
+        let mut choices = nc.identity_assignment().unwrap();
+        choices[0] = 2;
+        let (mut state, _) = sv.prepare(&choices);
+        for (seed, m) in [(0, 0), (1, 1), (2, 15), (3, 16), (4, 1_000)] {
+            let mut rng = PhiloxRng::new(160, seed);
+            let got = sv.sample(&mut state, m, &mut rng);
+            let mut oracle = PhiloxRng::new(160, seed);
+            let want: Vec<u128> =
+                sv_sampling::sample_shots(&state, m, &mut oracle, SamplingStrategy::Auto)
+                    .into_iter()
+                    .map(|i| ptsbe_rng::bits::extract_bits(u128::from(i), sv.measured_qubits()))
+                    .collect();
+            assert_eq!(got, want, "{m} shots");
+            assert_eq!(rng.next_u64(), oracle.next_u64(), "{m} shots: stream");
+        }
+    }
+
+    #[test]
+    fn mps_sample_matches_cached_sweep_and_extraction() {
+        let nc = skewed_subset();
+        let mps =
+            MpsBackend::<f64>::new(&nc, MpsConfig::exact(), MpsSampleMode::default()).unwrap();
+        let mut choices = nc.identity_assignment().unwrap();
+        choices[0] = 3;
+        for (seed, m) in [(0, 0), (1, 1), (2, 700)] {
+            let (mut state, _) = mps.prepare(&choices);
+            let (mut copy, _) = mps.prepare(&choices);
+            let mut rng = PhiloxRng::new(161, seed);
+            let got = mps.sample(&mut state, m, &mut rng);
+            let mut oracle = PhiloxRng::new(161, seed);
+            let want: Vec<u128> =
+                ptsbe_tensornet::sample::sample_shots_cached(&mut copy, m, &mut oracle)
+                    .into_iter()
+                    .map(|full| ptsbe_rng::bits::extract_bits(full, mps.measured_qubits()))
+                    .collect();
+            assert_eq!(got, want, "{m} shots");
+            assert_eq!(rng.next_u64(), oracle.next_u64(), "{m} shots: stream");
+        }
     }
 
     #[test]

@@ -29,10 +29,8 @@ pub mod categorical;
 pub mod mask;
 pub mod philox;
 pub mod sorted;
-pub mod splitmix;
 
 pub use philox::{Philox4x32, PhiloxRng};
-pub use splitmix::SplitMix64;
 
 /// Minimal RNG interface used throughout the workspace.
 ///

@@ -1,9 +1,9 @@
 //! Property tests for the RNG substrate.
 
 use proptest::prelude::*;
-use ptsbe_rng::categorical::{index_of, multinomial_counts, sample_weighted};
+use ptsbe_rng::categorical::{index_of, multinomial_counts};
 use ptsbe_rng::sorted::sorted_uniforms;
-use ptsbe_rng::{PhiloxRng, Rng, SplitMix64};
+use ptsbe_rng::{PhiloxRng, Rng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
@@ -64,23 +64,5 @@ proptest! {
         let counts = multinomial_counts(&probs, total, &mut rng);
         prop_assert_eq!(counts.iter().sum::<usize>(), total);
         prop_assert_eq!(counts.len(), probs.len());
-    }
-
-    #[test]
-    fn sample_weighted_skips_zeros(seed in 0u64..1000, idx in 0usize..5) {
-        let mut w = vec![0.0f64; 5];
-        w[idx] = 1.0;
-        let mut rng = PhiloxRng::new(seed, 4);
-        for _ in 0..20 {
-            prop_assert_eq!(sample_weighted(&w, &mut rng), idx);
-        }
-    }
-
-    #[test]
-    fn splitmix_is_injective_on_small_ranges(a in 0u64..5000, b in 0u64..5000) {
-        prop_assume!(a != b);
-        let mut ra = SplitMix64::new(a);
-        let mut rb = SplitMix64::new(b);
-        prop_assert_ne!(ra.next(), rb.next());
     }
 }

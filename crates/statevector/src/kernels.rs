@@ -90,16 +90,21 @@ impl KernelImpl {
         static CHOICE: OnceLock<KernelImpl> = OnceLock::new();
         *CHOICE.get_or_init(|| {
             match std::env::var("PTSBE_BATCH_KERNELS") {
-                Ok(v) => match v.as_str() {
-                    "scalar" => KernelImpl::Scalar,
-                    "soa" => KernelImpl::Soa,
-                    "simd" => KernelImpl::Simd,
-                    other => panic!("PTSBE_BATCH_KERNELS must be scalar|soa|simd, got {other:?}"),
-                },
+                Ok(v) => Self::parse(&v),
                 Err(_) => KernelImpl::Simd,
             }
             .resolve()
         })
+    }
+
+    /// A `PTSBE_BATCH_KERNELS` value (see [`KernelImpl::auto`]).
+    fn parse(v: &str) -> Self {
+        match v {
+            "scalar" => KernelImpl::Scalar,
+            "soa" => KernelImpl::Soa,
+            "simd" => KernelImpl::Simd,
+            other => panic!("PTSBE_BATCH_KERNELS must be scalar|soa|simd, got {other:?}"),
+        }
     }
 }
 
@@ -899,6 +904,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every `PTSBE_BATCH_KERNELS` value parses to its selection.
+    #[test]
+    fn kernel_switch_values_parse() {
+        assert_eq!(KernelImpl::parse("scalar"), KernelImpl::Scalar);
+        assert_eq!(KernelImpl::parse("soa"), KernelImpl::Soa);
+        assert_eq!(KernelImpl::parse("simd"), KernelImpl::Simd);
+    }
+
+    #[test]
+    #[should_panic(expected = "PTSBE_BATCH_KERNELS must be scalar|soa|simd, got \"avx\"")]
+    fn kernel_switch_typo_panics() {
+        KernelImpl::parse("avx");
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!
 //! Summing once is what a tree leaf buys: `k` trajectories of 16 shots
 //! ending on one 14-qubit state (`sv-shared`'s leaves), one thread, as
-//! the service runs executors — `k` per-request `SvBackend::sample`
-//! calls against one `SvBackend::sample_batch` (the bench's
+//! the service runs executors — `k` one-request `SvBackend::sample`
+//! calls against one `k`-request `SvBackend::sample_batch` (the bench's
 //! `shared_state` group, same runs):
 //!
 //! ```text
@@ -114,31 +114,20 @@ pub fn sample_shots<T: Scalar, R: Rng + ?Sized>(
     rng: &mut R,
     strategy: SamplingStrategy,
 ) -> Vec<u64> {
-    sample_words(sv, m, rng, strategy, |index| index)
-}
-
-/// [`sample_shots`] with every basis index mapped through `word` (a
-/// backend's measured-bit extraction) — once per *distinct* outcome where
-/// `strategy` samples counts, once per shot otherwise.
-pub fn sample_words<T: Scalar, R: Rng + ?Sized, W: Clone>(
-    sv: &StateVector<T>,
-    m: usize,
-    rng: &mut R,
-    strategy: SamplingStrategy,
-    word: impl Fn(u64) -> W,
-) -> Vec<W> {
     let SamplingStrategy::Auto = strategy;
-    sample_words_batch(sv, &mut [(m, rng)], word)
+    sample_words_batch(sv, &mut [(m, rng)], |index| index)
         .pop()
         .expect("one request in, one out")
 }
 
-/// [`sample_words`] for several requests on one state, each drawing from
-/// its own stream: request `i` gets exactly what
-/// `sample_words(sv, m_i, rng_i, Auto, word)` would. The shot-by-shot
-/// requests are resolved together against one block CDF, so the state
-/// is summed once for all of them, not once per request; counted
-/// requests (`m ≥ 2·2ⁿ`) each draw their own histogram.
+/// [`sample_shots`] for several requests on one state, each drawing from
+/// its own stream, with every basis index mapped through `word` (a
+/// backend's measured-bit extraction) — once per *distinct* outcome where
+/// a request is counted, once per shot otherwise. Request `i` gets
+/// exactly what a one-request call with `(m_i, rng_i)` would. The
+/// shot-by-shot requests are resolved together against one block CDF,
+/// so the state is summed once for all of them, not once per request;
+/// counted requests (`m ≥ 2·2ⁿ`) each draw their own histogram.
 pub fn sample_words_batch<T: Scalar, R: Rng + ?Sized, W: Clone>(
     sv: &StateVector<T>,
     requests: &mut [(usize, &mut R)],

@@ -434,7 +434,9 @@ mod tests {
         let compiled = compile_mps::<f64>(&wide(128)).unwrap();
         let (mut mps, _) = prepare_mps(&compiled, &[], exact());
         let mut rng = ptsbe_rng::PhiloxRng::new(5, 0);
-        let shots = crate::sample::sample_shots_batched_one(&mut mps, 4, &mut rng);
+        let shots = crate::sample::sample_shots_batched(&mut mps, &mut [(4, &mut rng)])
+            .pop()
+            .unwrap();
         assert!(shots.iter().all(|&s| s == (1 << 1) | (1 << 127)));
     }
 

@@ -528,109 +528,6 @@ impl<T: Scalar> Mps<T> {
         self.center = hi;
     }
 
-    /// Reference long-range application via full ×rank bond inflation,
-    /// gauge repair, and a truncating identity sweep — the pre-zip-up
-    /// path. Kept (test-only surface) so differential tests can pin the
-    /// zip-up against it on random circuits; not part of the public API.
-    #[doc(hidden)]
-    pub fn apply_2q_via_inflation(&mut self, m: &Matrix<T>, a: usize, b: usize) {
-        assert!(a != b && a < self.n_qubits() && b < self.n_qubits());
-        let (lo, hi) = (a.min(b), a.max(b));
-        let m_local = reorder_for_sites(m, a < b);
-        if hi - lo == 1 {
-            self.apply_2q_adjacent(&m_local, lo);
-            return;
-        }
-        self.apply_2q_long_range_inflate(&m_local, lo, hi);
-    }
-
-    fn apply_2q_long_range_inflate(&mut self, m: &Matrix<T>, lo: usize, hi: usize) {
-        debug_assert!(lo + 1 < hi && hi < self.n_qubits());
-        let (a_ops, b_ops) = operator_schmidt(m);
-        let rank = a_ops.len();
-        if rank == 1 {
-            self.apply_1q(&a_ops[0], lo);
-            self.apply_1q(&b_ops[0], hi);
-            return;
-        }
-        // Bring the center to `lo` so every site in (lo, hi] is
-        // right-canonical before absorption.
-        self.move_center(lo);
-        // Site lo: T'[l, p', r·rank + k] = Σ_p A_k[p', p] T[l, p, r].
-        {
-            let t = &self.tensors[lo];
-            let (dl, dr) = (t.dl, t.dr);
-            let mut out = Tensor3::<T>::zeros(dl, dr * rank);
-            for l in 0..dl {
-                for po in 0..2 {
-                    for pi in 0..2 {
-                        for (k, ak) in a_ops.iter().enumerate() {
-                            let g = ak[(po, pi)];
-                            if g == Complex::zero() {
-                                continue;
-                            }
-                            for r in 0..dr {
-                                let add = g * t.get(l, pi, r);
-                                let cur = out.get(l, po, r * rank + k);
-                                out.set(l, po, r * rank + k, cur + add);
-                            }
-                        }
-                    }
-                }
-            }
-            self.tensors[lo] = out;
-        }
-        // Middle sites: kron the bonds with an identity on the Schmidt
-        // index; right-canonical tensors stay right-canonical.
-        for j in lo + 1..hi {
-            self.tensors[j] = self.tensors[j].expand_bonds(rank);
-        }
-        // Site hi: T'[l·rank + k, p', r] = Σ_p B_k[p', p] T[l, p, r].
-        {
-            let t = &self.tensors[hi];
-            let (dl, dr) = (t.dl, t.dr);
-            let mut out = Tensor3::<T>::zeros(dl * rank, dr);
-            for l in 0..dl {
-                for po in 0..2 {
-                    for pi in 0..2 {
-                        for (k, bk) in b_ops.iter().enumerate() {
-                            let g = bk[(po, pi)];
-                            if g == Complex::zero() {
-                                continue;
-                            }
-                            for r in 0..dr {
-                                let add = g * t.get(l, pi, r);
-                                let cur = out.get(l * rank + k, po, r);
-                                out.set(l * rank + k, po, r, cur + add);
-                            }
-                        }
-                    }
-                }
-            }
-            self.tensors[hi] = out;
-        }
-        // Gauge repair: sites (lo, hi] lost canonical form (lo absorbed
-        // the A_k, hi the B_k; the kron middles stayed right-canonical).
-        // A QR sweep from hi back to lo right-canonicalizes the span
-        // without truncation, leaving the true center at lo.
-        self.center = hi;
-        self.move_center(lo);
-        // Compress the ×rank-inflated bonds with a truncating identity
-        // sweep — this is where the gate's truncation error is actually
-        // incurred and recorded, via the same policy as any two-site
-        // update. Ends with the center at `hi`.
-        let id4 = {
-            let mut id = Matrix::<T>::zeros(4, 4);
-            for i in 0..4 {
-                id[(i, i)] = Complex::one();
-            }
-            id
-        };
-        for q in lo..hi {
-            self.apply_2q_adjacent(&id4, q);
-        }
-    }
-
     /// Two-site update on `(q, q+1)` with matrix in `(p_lo << 1) | p_hi`
     /// basis; SVD-truncates the new bond.
     fn apply_2q_adjacent(&mut self, m: &Matrix<T>, q: usize) {

@@ -216,19 +216,6 @@ pub fn sample_shots_batched<T: Scalar, R: Rng + ?Sized>(
     out
 }
 
-/// Single-request batched sampling: the one-request case of
-/// [`sample_shots_batched`]. Bitwise identical to
-/// [`sample_shots_cached`].
-pub fn sample_shots_batched_one<T: Scalar, R: Rng + ?Sized>(
-    mps: &mut Mps<T>,
-    m: usize,
-    rng: &mut R,
-) -> Vec<u128> {
-    sample_shots_batched(mps, &mut [(m, rng)])
-        .pop()
-        .expect("one request in, one batch out")
-}
-
 /// Complex values on split real / imaginary planes.
 #[derive(Default)]
 struct Planes<T> {
@@ -454,6 +441,11 @@ mod tests {
         MpsConfig::exact()
     }
 
+    /// [`sample_shots_batched`] of the one request `(m, rng)`.
+    fn batched_one<T: Scalar>(mps: &mut Mps<T>, m: usize, rng: &mut PhiloxRng) -> Vec<u128> {
+        sample_shots_batched(mps, &mut [(m, rng)]).pop().unwrap()
+    }
+
     #[test]
     fn deterministic_state_sampling() {
         let mut mps = Mps::<f64>::zero_state(5, exact());
@@ -528,7 +520,7 @@ mod tests {
         let mut mps = Mps::<f64>::zero_state(2, exact());
         let mut rng = PhiloxRng::new(125, 0);
         assert!(sample_shots_cached(&mut mps, 0, &mut rng).is_empty());
-        assert!(sample_shots_batched_one(&mut mps, 0, &mut rng).is_empty());
+        assert!(batched_one(&mut mps, 0, &mut rng).is_empty());
     }
 
     /// An entangled, noisy-ish state with some zero-amplitude branches.
@@ -600,7 +592,7 @@ mod tests {
         let mut r1 = PhiloxRng::new(131, 0);
         let expect = sample_shots_cached(&mut mps, 1_000, &mut r1);
         let mut r2 = PhiloxRng::new(131, 0);
-        let got = sample_shots_batched_one(&mut mps, 1_000, &mut r2);
+        let got = batched_one(&mut mps, 1_000, &mut r2);
         assert_eq!(expect, got);
     }
 
@@ -676,7 +668,7 @@ mod tests {
         let mut mps = scrambled::<f64>(5);
         mps.apply_1q(&ptsbe_math::Matrix::zeros(2, 2), 2);
         let mut rng = PhiloxRng::new(133, 0);
-        let got = sample_shots_batched_one(&mut mps, 300, &mut rng);
+        let got = batched_one(&mut mps, 300, &mut rng);
         assert!(got.iter().all(|&s| s == 0));
         assert_eq!(rng.next_u64(), PhiloxRng::new(133, 0).next_u64());
         assert_batched_matches_cached(&mut mps, &[40, 0, 7], 10);

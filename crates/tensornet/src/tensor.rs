@@ -124,30 +124,6 @@ impl<T: Scalar> Tensor3<T> {
         }
     }
 
-    /// Kron both bond indices with a `rank`-dimensional identity:
-    /// `out[l·rank + k, p, r·rank + k] = self[l, p, r]`. This is the
-    /// middle-site step of routing an operator-Schmidt index through the
-    /// chain when a long-range two-site gate is applied in MPO form; it
-    /// preserves left/right-canonical form (the isometry condition holds
-    /// blockwise per `k`).
-    pub fn expand_bonds(&self, rank: usize) -> Self {
-        let mut out = Self::zeros(self.dl * rank, self.dr * rank);
-        for l in 0..self.dl {
-            for p in 0..2 {
-                for r in 0..self.dr {
-                    let v = self.get(l, p, r);
-                    if v == Complex::zero() {
-                        continue;
-                    }
-                    for k in 0..rank {
-                        out.set(l * rank + k, p, r * rank + k, v);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Squared Frobenius norm.
     pub fn norm_sqr(&self) -> T {
         self.data
