@@ -92,29 +92,38 @@ fn apply_gate(sv: &mut StateVector<f64>, op: &CompiledOp<f64>) {
     }
 }
 
-fn op_kind(op: &CompiledOp<f64>) -> &'static str {
-    match op {
-        CompiledOp::G1(..) => "G1",
-        CompiledOp::G2(..) => "G2",
-        CompiledOp::D1(..) => "D1",
-        CompiledOp::D2(..) => "D2",
-        CompiledOp::P1(..) => "P1",
-        CompiledOp::P2(..) => "P2",
-        CompiledOp::Cx(..) => "Cx",
-        CompiledOp::Cz(..) => "Cz",
-        CompiledOp::Swap(..) => "Swap",
-        CompiledOp::Gk(..) => "Gk",
-        CompiledOp::Site(_) => "Site",
+/// `op`'s kind, suffixed `<v` when its lowest qubit's run is shorter
+/// than one AVX2 vector of `f64` complexes (qubit 0 or 1): the ops the
+/// gate kernels run as gathered tiles rather than whole-vector runs.
+fn op_kind(op: &CompiledOp<f64>) -> String {
+    let (kind, low) = match op {
+        CompiledOp::G1(_, q) => ("G1", *q),
+        CompiledOp::G2(_, a, b) => ("G2", *a.min(b)),
+        CompiledOp::D1(_, q) => ("D1", *q),
+        CompiledOp::D2(_, a, b) => ("D2", *a.min(b)),
+        CompiledOp::P1(_, _, q) => ("P1", *q),
+        CompiledOp::P2(_, _, a, b) => ("P2", *a.min(b)),
+        CompiledOp::Cx(a, b) => ("Cx", *a.min(b)),
+        CompiledOp::Cz(a, b) => ("Cz", *a.min(b)),
+        CompiledOp::Swap(a, b) => ("Swap", *a.min(b)),
+        CompiledOp::Gk(_, qs) => ("Gk", qs.iter().copied().min().unwrap_or(0)),
+        CompiledOp::Site(_) => ("Site", usize::MAX),
+    };
+    if low < 2 {
+        format!("{kind}<v")
+    } else {
+        kind.to_string()
     }
 }
 
 /// `perf`'s `sv-shared` program — the msd-like 14-qubit, depth-14
 /// brickwork with depolarizing noise on the entanglers, compiled with
 /// fusion on — replayed per op kind on a prepared identity-trajectory
-/// state, one thread. Every job of that workload walks these ops once
-/// per trie edge, so this table is where a change to a gate kernel shows
-/// first; the last lines print it as µs per op and the whole program's
-/// sweep in ms.
+/// state, one thread, each kind split by whether its lowest qubit's run
+/// fills a vector ([`op_kind`]). Every job of that workload walks these
+/// ops once per trie edge, so this table is where a change to a gate
+/// kernel shows first; the last lines print it as µs per op and the
+/// whole program's sweep in ms.
 fn bench_op_mix(c: &mut Criterion) {
     let (n, depth) = (14usize, 14usize);
     let mut circuit = Circuit::new(n);
@@ -150,7 +159,7 @@ fn bench_op_mix(c: &mut Criterion) {
         .iter()
         .filter(|op| !matches!(op, CompiledOp::Site(_)))
         .collect();
-    let mut kinds: Vec<&'static str> = gates.iter().map(|op| op_kind(op)).collect();
+    let mut kinds: Vec<String> = gates.iter().map(|op| op_kind(op)).collect();
     kinds.sort_unstable();
     kinds.dedup();
 
@@ -161,9 +170,9 @@ fn bench_op_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("op_mix_n14");
     group.sample_size(20);
     // (kind or "all", ops replayed, best time of one replay)
-    let mut table: Vec<(&'static str, usize, Duration)> = Vec::new();
+    let mut table: Vec<(&str, usize, Duration)> = Vec::new();
     one_thread.install(|| {
-        for kind in kinds.iter().copied().chain(["all"]) {
+        for kind in kinds.iter().map(String::as_str).chain(["all"]) {
             let ops: Vec<&CompiledOp<f64>> = gates
                 .iter()
                 .copied()
@@ -187,10 +196,10 @@ fn bench_op_mix(c: &mut Criterion) {
     for (kind, count, best) in table {
         let secs = best.as_secs_f64();
         if kind == "all" {
-            println!("  all  x{count:<4} {:>8.2} ms", secs * 1e3);
+            println!("  all    x{count:<4} {:>8.2} ms", secs * 1e3);
         } else {
             println!(
-                "  {kind:<4} x{count:<4} {:>8.1} µs",
+                "  {kind:<6} x{count:<4} {:>8.1} µs",
                 secs * 1e6 / count as f64
             );
         }

@@ -10,20 +10,26 @@
 //! |----------------|--------------------|--------------------------------------------|
 //! | `Scalar`       | `scalar-reference` | per-element [`Complex`] ops                |
 //! | `Soa`          | `soa-autovec`      | per-element [`Complex`] ops (as `Scalar`)  |
-//! | `Simd`         | `soa-simd`         | AVX2/FMA once a run fills a vector         |
+//! | `Simd`         | `soa-simd`         | AVX2/FMA tiles at every qubit              |
 //!
 //! The two loop bodies are **bitwise identical**: the AVX2 paths form
 //! each product with the same packed multiply / multiply-add the
 //! [`Complex`] operators' parts-level helpers
 //! ([`ptsbe_math::cplx_mul_parts`] / [`ptsbe_math::cplx_mul_add_parts`])
 //! use, with the same compile-time fused/unfused choice (see
-//! [`x86::FUSED`]). An interleaved run is de-interleaved in registers,
-//! so it vectorises only when it holds at least one vector of complexes
-//! (4 at `f64`: qubit ≥ 2; 8 at `f32`: qubit ≥ 3); shorter runs take the
-//! per-element loops under every selection. The selection is read per
-//! gate from [`KernelImpl::auto`] — SIMD when the CPU supports it, or
-//! forced via the `PTSBE_BATCH_KERNELS` environment variable (`scalar` |
-//! `soa` | `simd`) for equivalence testing.
+//! [`x86::FUSED`]). An AVX2 step is a *tile*: one per-element step in
+//! each lane of a register pair (4 lanes at `f64`, 8 at `f32`). A dense
+//! kernel gathers one row of the tile's consecutive pairs or quads into
+//! the pair — whole 256-bit loads once a run fills a register, 128- or
+//! 64-bit pieces of shorter runs (qubit < 2 at `f64`, < 3 at `f32`) — and
+//! scatters it back; a diagonal scales consecutive complexes by per-lane
+//! factors. Under `Simd` a slice takes the tiles whenever it holds a
+//! whole number of them, so only states smaller than one tile keep the
+//! per-element loops (a `G1` tile is 8 complexes at `f64` and 16 at
+//! `f32`, a `G2` tile twice that, a diagonal's half). The selection is read per gate from
+//! [`KernelImpl::auto`] — SIMD when the CPU supports it, or forced via the
+//! `PTSBE_BATCH_KERNELS` environment variable (`scalar` | `soa` | `simd`)
+//! for equivalence testing.
 
 use ptsbe_math::{vec_ops, Complex, Scalar};
 
@@ -40,10 +46,10 @@ pub enum KernelImpl {
     /// matching on every variant (the perf harness's `kernel_impl`
     /// code) and `PTSBE_BATCH_KERNELS=soa` keep working.
     Soa,
-    /// AVX2/FMA `core::arch` paths for the dense 1q/2q and diagonal
-    /// runs that fill a vector; shorter runs take the per-element
-    /// loops. Falls back to `Soa` off x86-64 or when the CPU lacks
-    /// AVX2+FMA.
+    /// AVX2/FMA `core::arch` tiles for the dense 1q/2q and diagonal
+    /// kernels at every qubit, gathering runs shorter than a vector; a
+    /// state smaller than one tile takes the per-element loops. Falls
+    /// back to `Soa` off x86-64 or when the CPU lacks AVX2+FMA.
     Simd,
 }
 
@@ -143,7 +149,7 @@ fn same<T: 'static, U: 'static>() -> bool {
 }
 
 /// Which loop the interleaved runs of one `StateVector` gate take: the
-/// AVX2 kernels, or the per-element loops. Resolved once per gate call.
+/// AVX2 tiles, or the per-element loops. Resolved once per gate call.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct IlPath {
     /// Set only by [`IlPath::with`], after [`KernelImpl::resolve`] kept
@@ -153,28 +159,36 @@ pub(crate) struct IlPath {
 }
 
 impl IlPath {
-    /// The path for runs of `run` complexes under [`KernelImpl::auto`].
-    pub(crate) fn for_run<T: Scalar>(run: usize) -> Self {
-        Self::with::<T>(KernelImpl::auto(), run)
+    /// The path under [`KernelImpl::auto`].
+    pub(crate) fn auto() -> Self {
+        Self::with(KernelImpl::auto())
     }
 
-    /// AVX2 iff `kernels` resolves to `Simd` here and a run holds at
-    /// least one vector of complexes.
-    fn with<T: Scalar>(kernels: KernelImpl, run: usize) -> Self {
+    /// AVX2 iff `kernels` resolves to `Simd` here.
+    fn with(kernels: KernelImpl) -> Self {
         Self {
-            simd: run >= Self::vector::<T>() && kernels.resolve() == KernelImpl::Simd,
+            simd: kernels.resolve() == KernelImpl::Simd,
         }
     }
 
-    /// Complexes per AVX2 step: two 256-bit registers of interleaved
-    /// `T`s (no width that has no AVX2 kernel ever reaches it).
+    /// Whether a slice of `len` complexes takes the AVX2 tiles of a kernel
+    /// whose per-element step reads `rows` amplitudes (2 for a pair, 4 for
+    /// a quad, 1 for a diagonal): AVX2 must run here and the slice must
+    /// be a whole number of tiles, one vector of such steps each.
+    fn tiles<T: Scalar>(self, len: usize, rows: usize) -> bool {
+        self.simd && len > 0 && len.is_multiple_of(rows * Self::vector::<T>())
+    }
+
+    /// Complexes per AVX2 register pair: two 256-bit registers of
+    /// interleaved `T`s (0, which no slice fits, for a width without
+    /// AVX2 kernels).
     fn vector<T: Scalar>() -> usize {
         if same::<T, f64>() {
             4
         } else if same::<T, f32>() {
             8
         } else {
-            usize::MAX
+            0
         }
     }
 }
@@ -182,6 +196,7 @@ impl IlPath {
 /// Dense 1q over interleaved amplitudes: `amps` is any whole number of
 /// `2·stride` chunks, each a `(lo, hi)` run pair that becomes
 /// `M · (lo, hi)` elementwise; `e` is row-major `[m00, m01, m10, m11]`.
+/// `stride` is a power of two.
 #[inline]
 pub(crate) fn mat2_il<T: Scalar>(
     path: IlPath,
@@ -190,7 +205,7 @@ pub(crate) fn mat2_il<T: Scalar>(
     stride: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if path.simd {
+    if path.tiles::<T>(amps.len(), 2) {
         // SAFETY: `path.simd` is set only by `IlPath::with`, after
         // `KernelImpl::resolve` kept `Simd`, i.e. `x86::supported()` saw
         // AVX2 and FMA on this CPU.
@@ -200,7 +215,8 @@ pub(crate) fn mat2_il<T: Scalar>(
 }
 
 /// Dense 2q over interleaved amplitudes: `amps` is any whole number of
-/// `2·sh` chunks; `mm` in local `[hl]` order.
+/// `2·sh` chunks; `mm` in local `[hl]` order; `sh` and `sl` are powers of
+/// two, `sh > sl`.
 #[inline]
 pub(crate) fn mat4_il<T: Scalar>(
     path: IlPath,
@@ -210,7 +226,7 @@ pub(crate) fn mat4_il<T: Scalar>(
     sl: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if path.simd {
+    if path.tiles::<T>(amps.len(), 4) {
         // SAFETY: as in `mat2_il` — `path.simd` proves AVX2 and FMA.
         return unsafe { simd_impl::mat4_il(mm, amps, sh, sl) };
     }
@@ -220,6 +236,7 @@ pub(crate) fn mat4_il<T: Scalar>(
 /// Diagonal factors over interleaved amplitudes: `amps` is any whole
 /// number of `2·run` chunks, whose first `run` amplitudes are multiplied
 /// by `d[0]` and the rest by `d[1]` (plain complex multiply, `z · d`).
+/// `run` is a power of two.
 #[inline]
 pub(crate) fn cmul_il<T: Scalar>(
     path: IlPath,
@@ -228,7 +245,7 @@ pub(crate) fn cmul_il<T: Scalar>(
     run: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if path.simd {
+    if path.tiles::<T>(amps.len(), 1) {
         // SAFETY: as in `mat2_il` — `path.simd` proves AVX2 and FMA.
         return unsafe { simd_impl::cmul_il(d, amps, run) };
     }
@@ -237,7 +254,8 @@ pub(crate) fn cmul_il<T: Scalar>(
 
 /// Two-qubit diagonal over interleaved amplitudes: `amps` is any whole
 /// number of `2·sh` chunks; the four `sl`-long runs of each quad are
-/// multiplied by `ld[0..4]` (local `[hl]` order).
+/// multiplied by `ld[0..4]` (local `[hl]` order); `sh` and `sl` are
+/// powers of two, `sh > sl`.
 #[inline]
 pub(crate) fn diag2_il<T: Scalar>(
     path: IlPath,
@@ -246,17 +264,12 @@ pub(crate) fn diag2_il<T: Scalar>(
     sh: usize,
     sl: usize,
 ) {
-    if path.simd {
-        // Each half of a chunk is a one-qubit diagonal on the low qubit.
-        let (d_h0, d_h1) = ([ld[0], ld[1]], [ld[2], ld[3]]);
-        for chunk in amps.chunks_exact_mut(2 * sh) {
-            let (h0, h1) = chunk.split_at_mut(sh);
-            cmul_il(path, &d_h0, h0, sl);
-            cmul_il(path, &d_h1, h1, sl);
-        }
-    } else {
-        diag2_il_scalar(ld, amps, sh, sl);
+    #[cfg(target_arch = "x86_64")]
+    if path.tiles::<T>(amps.len(), 1) {
+        // SAFETY: as in `mat2_il` — `path.simd` proves AVX2 and FMA.
+        return unsafe { simd_impl::diag2_il(ld, amps, sh, sl) };
     }
+    diag2_il_scalar(ld, amps, sh, sl);
 }
 
 /// Per-element form of [`mat2_il`]: the fallback, and the reference the
@@ -415,6 +428,25 @@ mod simd_impl {
             x86::f32w::cmul_il(cast_ref(d), flat_mut(amps), run);
         }
     }
+
+    /// AVX2 arm of [`super::diag2_il`].
+    ///
+    /// # Safety
+    /// As for [`mat2_il`]: AVX2 and FMA, proven by the caller's
+    /// [`IlPath`].
+    #[inline]
+    pub(super) unsafe fn diag2_il<T: Scalar>(
+        ld: &[Complex<T>; 4],
+        amps: &mut [Complex<T>],
+        sh: usize,
+        sl: usize,
+    ) {
+        if same::<T, f64>() {
+            x86::f64w::diag2_il(cast_ref(ld), flat_mut(amps), sh, sl);
+        } else {
+            x86::f32w::diag2_il(cast_ref(ld), flat_mut(amps), sh, sl);
+        }
+    }
 }
 
 /// AVX2/FMA lowering of the interleaved run kernels.
@@ -422,16 +454,20 @@ mod simd_impl {
 /// Bitwise contract: every vector op is the exact IEEE operation of the
 /// scalar form — packed mul/add/sub for the plain complex product, and
 /// packed FMA *iff* this compilation's [`ptsbe_math::cplx_mul_add_parts`]
-/// uses the fused form ([`x86::FUSED`] is the same `cfg!` switch). The
-/// `_il` kernels de-interleave two registers into `re` / `im` vectors,
-/// run the packed products, and re-interleave; they take whole vectors
-/// only (asserted), and their callers send shorter runs to the scalar
-/// loops, so run length never changes a bit.
+/// uses the fused form ([`x86::FUSED`] is the same `cfg!` switch). Each
+/// lane of a step is one per-element step of the scalar form: the dense
+/// kernels gather one row of `W` consecutive pairs or quads into a
+/// register pair (whole-vector loads of runs that fill a register, 128-
+/// or 64-bit piece loads of shorter ones), de-interleave it into `re` /
+/// `im` vectors, run the packed products and scatter it back; the
+/// diagonals multiply `W` consecutive complexes by a per-lane factor
+/// vector. Loads, stores and shuffles only move bits, so run length never
+/// changes one.
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
-    use super::quad_runs;
     use core::arch::x86_64::*;
     use ptsbe_math::Complex;
+    use std::mem::size_of;
 
     /// Whether this compilation contracts complex multiply-accumulate to
     /// hardware FMA — must match [`ptsbe_math::cplx_mul_add_parts`].
@@ -492,11 +528,131 @@ pub mod x86 {
         (_mm256_unpacklo_ps(re, im), _mm256_unpackhi_ps(re, im))
     }
 
+    /// `x` as it is: the `f64` width's no-op in place of the `f32`
+    /// width's `__m256` <-> `__m256d` casts.
+    #[inline(always)]
+    fn as_is(x: __m256d) -> __m256d {
+        x
+    }
+
+    // Tile geometry. A dense kernel's per-element step reads one *group*
+    // of amplitudes: a pair (row offsets `0, s`) or a quad (`0, sl, sh,
+    // sh + sl`). Group `t` of a sweep starts at complex `t` with a zero
+    // bit inserted at each row-offset bit, and a *tile* is `W` consecutive
+    // groups, `W` the lanes of a register pair. One row of a tile is
+    // gathered register by register from contiguous pieces of
+    // `min(s_low, W/2)` complexes, `s_low` the lowest row offset: one
+    // 256-bit load per register once a run fills it, else two 128-bit or
+    // four 64-bit loads. Tile starts are exactly the byte offsets whose
+    // `fixed` bits are clear, so the sweep steps from one to the next
+    // with a masked increment instead of inserting bits per tile.
+
+    /// Where a sweep's tiles and their pieces sit, in bytes.
+    #[derive(Clone, Copy)]
+    struct Tiling {
+        /// `!(g - 1)` for each row-offset bit `g` in bytes, lowest first;
+        /// 0 (inserts nothing) where a pair has no second bit.
+        masks: [usize; 2],
+        /// The bits clear in every tile's start: those below the second
+        /// tile's start, and the row-offset bits.
+        fixed: usize,
+        /// Pieces per register: 1, 2 or 4.
+        parts: usize,
+        /// Each register's pieces, from the tile's first group.
+        offs: [[usize; 4]; 2],
+    }
+
+    impl Tiling {
+        /// Tiles of `w` groups of `cb`-byte complexes whose row-offset bits
+        /// are `gaps` (powers of two in complexes, lowest first; 0 for
+        /// none).
+        fn new(w: usize, gaps: [usize; 2], cb: usize) -> Self {
+            let half = w / 2;
+            let piece = gaps[0].min(half);
+            let mut t = Self {
+                masks: gaps.map(|g| if g == 0 { 0 } else { !(g * cb - 1) }),
+                fixed: 0,
+                parts: half / piece,
+                offs: [[0; 4]; 2],
+            };
+            t.fixed = (t.spread(w * cb) - 1) | (gaps[0] * cb) | (gaps[1] * cb);
+            for r in 0..2 {
+                for k in 0..t.parts {
+                    t.offs[r][k] = t.spread((r * half + k * piece) * cb);
+                }
+            }
+            t
+        }
+
+        /// Byte offset `x` of a group counted as if groups were single
+        /// complexes, with a zero bit inserted at each row-offset bit.
+        fn spread(&self, x: usize) -> usize {
+            let x = x + (x & self.masks[0]);
+            x + (x & self.masks[1])
+        }
+
+        /// The start of the tile after the one at `at`: the next offset
+        /// with every [`Tiling::fixed`] bit clear (`at` has none set, so
+        /// `at + fixed` is `at | fixed`).
+        #[inline(always)]
+        fn next(&self, at: usize) -> usize {
+            (at + self.fixed + 1) & !self.fixed
+        }
+    }
+
+    /// One register of interleaved scalars from `parts` pieces, piece `k`
+    /// at `p + offs[k] + at`: one 256-bit, two 128-bit or four 64-bit
+    /// loads. Pure data movement, for `f64` and (cast) `f32` registers
+    /// alike. (`at` is added last so that `p + offs[k]` stays fixed over
+    /// a sweep and each address is one register plus `at`.)
+    ///
+    /// # Safety
+    /// AVX2 ([`supported`]); each piece must be valid for reading
+    /// `32 / parts` bytes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_reg<const PARTS: usize>(p: *const u8, offs: &[usize; 4], at: usize) -> __m256d {
+        let piece = |k: usize| p.add(offs[k]).add(at);
+        match PARTS {
+            1 => _mm256_loadu_pd(piece(0).cast()),
+            2 => _mm256_loadu2_m128d(piece(1).cast(), piece(0).cast()),
+            _ => _mm256_castsi256_pd(_mm256_set_epi64x(
+                piece(3).cast::<i64>().read_unaligned(),
+                piece(2).cast::<i64>().read_unaligned(),
+                piece(1).cast::<i64>().read_unaligned(),
+                piece(0).cast::<i64>().read_unaligned(),
+            )),
+        }
+    }
+
+    /// Inverse of [`load_reg`]: `v` back to its pieces.
+    ///
+    /// # Safety
+    /// AVX2 ([`supported`]); each piece must be valid for writing
+    /// `32 / parts` bytes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_reg<const PARTS: usize>(p: *mut u8, offs: &[usize; 4], at: usize, v: __m256d) {
+        let piece = |k: usize| p.add(offs[k]).add(at);
+        match PARTS {
+            1 => _mm256_storeu_pd(piece(0).cast(), v),
+            2 => _mm256_storeu2_m128d(piece(1).cast(), piece(0).cast(), v),
+            _ => {
+                let v = _mm256_castpd_si256(v);
+                let put = |k: usize, x: i64| piece(k).cast::<i64>().write_unaligned(x);
+                put(0, _mm256_extract_epi64::<0>(v));
+                put(1, _mm256_extract_epi64::<1>(v));
+                put(2, _mm256_extract_epi64::<2>(v));
+                put(3, _mm256_extract_epi64::<3>(v));
+            }
+        }
+    }
+
     macro_rules! avx2_width {
         ($name:ident, $t:ty, $v:ty, $w:expr,
          $loadu:ident, $storeu:ident, $set1:ident,
          $mul:ident, $add:ident, $sub:ident, $fmadd:ident, $fnmadd:ident,
-         $deint:ident, $int:ident) => {
+         $deint:ident, $int:ident, $from_pd:ident, $to_pd:ident) => {
             /// Width-specialized kernels (see module docs).
             pub mod $name {
                 use super::*;
@@ -612,6 +768,101 @@ pub mod x86 {
                     $storeu(p.add($w), b);
                 }
 
+                /// Gather one row of the tile at `at` ([`Tiling`]), the
+                /// row starting at `p` in the sweep's first tile, as
+                /// `(re, im)` in [`load_il`]'s element order.
+                ///
+                /// # Safety
+                /// AVX2 and FMA ([`supported`]); every piece of the row
+                /// must be valid for reading.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn load_row<const PARTS: usize>(
+                    p: *const u8,
+                    at: usize,
+                    t: &Tiling,
+                ) -> ($v, $v) {
+                    $deint(
+                        $from_pd(load_reg::<PARTS>(p, &t.offs[0], at)),
+                        $from_pd(load_reg::<PARTS>(p, &t.offs[1], at)),
+                    )
+                }
+
+                /// Scatter `(re, im)` from [`load_row`]'s order back.
+                ///
+                /// # Safety
+                /// AVX2 and FMA ([`supported`]); every piece of the row
+                /// must be valid for writing.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn store_row<const PARTS: usize>(
+                    p: *mut u8,
+                    at: usize,
+                    t: &Tiling,
+                    z: ($v, $v),
+                ) {
+                    let (a, b) = $int(z.0, z.1);
+                    store_reg::<PARTS>(p, &t.offs[0], at, $to_pd(a));
+                    store_reg::<PARTS>(p, &t.offs[1], at, $to_pd(b));
+                }
+
+                /// Diagonal factors, `W` consecutive complexes per step:
+                /// complex `i` of `amps` (scalars `[re, im, …]`) is
+                /// multiplied by `ld[2·[i & hi ≠ 0] + [i & lo ≠ 0]]`
+                /// (`hi`, `lo` powers of two, or `hi = 0`).
+                ///
+                /// # Safety
+                /// AVX2 and FMA ([`supported`]).
+                ///
+                /// # Panics
+                /// Panics unless `amps` is a whole number of steps, and of
+                /// `2·hi` and `2·lo` chunks.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn diag_il(ld: &[Complex<$t>; 4], amps: &mut [$t], hi: usize, lo: usize) {
+                    let n = amps.len() / 2;
+                    assert!(n > 0 && n % $w == 0 && n % (2 * hi.max(lo)) == 0);
+                    // A step starts at a multiple of `W`: a bit of `hi` or
+                    // `lo` below `W` takes the same pattern within every
+                    // step, one at or above it is constant over the step.
+                    // So step `b`'s factors are `f[sel(b)]`, and lane `i`
+                    // of `f[s]` holds `ld[s ^ sel(i)]`.
+                    let sel = |i: usize| 2 * usize::from(i & hi != 0) + usize::from(i & lo != 0);
+                    let mut fs: [[$t; 2 * $w]; 4] = [[0.0; 2 * $w]; 4];
+                    for (s, row) in fs.iter_mut().enumerate() {
+                        for i in 0..$w {
+                            let z = ld[s ^ sel(i)];
+                            row[2 * i] = z.re;
+                            row[2 * i + 1] = z.im;
+                        }
+                    }
+                    let f = [
+                        load_il(fs[0].as_ptr()),
+                        load_il(fs[1].as_ptr()),
+                        load_il(fs[2].as_ptr()),
+                        load_il(fs[3].as_ptr()),
+                    ];
+                    // The factors stay over blocks of the lowest of `hi`,
+                    // `lo` at or above `W` (a power of two that divides
+                    // `n`, as `amps` is a whole number of its chunks), or
+                    // over all of `amps`.
+                    let block = [hi, lo]
+                        .into_iter()
+                        .filter(|&m| m >= $w)
+                        .fold(n, usize::min);
+                    let p = amps.as_mut_ptr();
+                    for start in (0..n).step_by(block) {
+                        let (fr, fi) = f[sel(start)];
+                        // `block` and `n` are whole numbers of `W`-complex
+                        // steps (asserted), so every step stays inside
+                        // `amps`.
+                        for b in (start..start + block).step_by($w) {
+                            let (xr, xi) = load_il(p.add(2 * b));
+                            store_il(p.add(2 * b), vmul(xr, xi, fr, fi));
+                        }
+                    }
+                }
+
                 /// Diagonal factors over interleaved chunks: `amps`
                 /// (scalars `[re, im, …]`) is a whole number of `2·run`
                 /// complex chunks; the first `run` complexes of each are
@@ -623,31 +874,44 @@ pub mod x86 {
                 /// [`crate::kernels::KernelImpl::resolve`] ([`supported`]) let stand.
                 ///
                 /// # Panics
-                /// Panics unless a run is a whole number of vectors and
-                /// `amps` a whole number of chunks.
+                /// Panics unless `run` is a power of two and `amps` a
+                /// whole number of chunks and of `W`-complex steps.
                 #[inline]
                 #[target_feature(enable = "avx2", enable = "fma")]
                 pub unsafe fn cmul_il(d: &[Complex<$t>; 2], amps: &mut [$t], run: usize) {
-                    let len = 2 * run;
-                    assert!(len > 0 && len % (2 * $w) == 0 && amps.len() % (2 * len) == 0);
-                    let d = d.map(|z| ($set1(z.re), $set1(z.im)));
-                    for (k, half) in amps.chunks_exact_mut(len).enumerate() {
-                        let (vdr, vdi) = d[k & 1];
-                        let p = half.as_mut_ptr();
-                        let mut j = 0usize;
-                        // `len` is a multiple of `2·W` (asserted), so
-                        // every step stays inside `half`.
-                        while j < len {
-                            let (xr, xi) = load_il(p.add(j));
-                            store_il(p.add(j), vmul(xr, xi, vdr, vdi));
-                            j += 2 * $w;
-                        }
-                    }
+                    assert!(run.is_power_of_two());
+                    diag_il(&[d[0], d[1], d[0], d[1]], amps, 0, run);
+                }
+
+                /// Two-qubit diagonal over interleaved chunks: `amps`
+                /// (scalars) is a whole number of `2·sh` complex chunks;
+                /// the four `sl`-complex runs of each quad are multiplied
+                /// by `ld[0..4]` (local `[hl]` order).
+                ///
+                /// # Safety
+                /// The CPU must support AVX2 and FMA: selected only
+                /// through a `kernels::IlPath` that
+                /// [`crate::kernels::KernelImpl::resolve`] ([`supported`]) let stand.
+                ///
+                /// # Panics
+                /// Panics unless `sh > sl` are powers of two and `amps`
+                /// a whole number of chunks and of `W`-complex steps.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                pub unsafe fn diag2_il(
+                    ld: &[Complex<$t>; 4],
+                    amps: &mut [$t],
+                    sh: usize,
+                    sl: usize,
+                ) {
+                    assert!(sl.is_power_of_two() && sh.is_power_of_two() && sh > sl);
+                    diag_il(ld, amps, sh, sl);
                 }
 
                 /// Dense 1q over interleaved chunks: `amps` (scalars) is
                 /// a whole number of `2·stride` complex chunks, each a
-                /// `(lo, hi)` run pair.
+                /// `(lo, hi)` run pair, swept a tile of `W` pairs at a
+                /// time.
                 ///
                 /// # Safety
                 /// The CPU must support AVX2 and FMA: selected only
@@ -655,33 +919,58 @@ pub mod x86 {
                 /// [`crate::kernels::KernelImpl::resolve`] ([`supported`]) let stand.
                 ///
                 /// # Panics
-                /// Panics unless a run is a whole number of vectors and
-                /// `amps` a whole number of chunks.
+                /// Panics unless `stride` is a power of two and `amps` a
+                /// whole number of chunks and of tiles.
                 #[inline]
                 #[target_feature(enable = "avx2", enable = "fma")]
                 pub unsafe fn mat2_il(e: &[Complex<$t>; 4], amps: &mut [$t], stride: usize) {
-                    let len = 2 * stride;
-                    assert!(len > 0 && len % (2 * $w) == 0 && amps.len() % (2 * len) == 0);
+                    let n = amps.len() / 2;
+                    assert!(
+                        stride.is_power_of_two()
+                            && n > 0
+                            && n % (2 * stride) == 0
+                            && n % (2 * $w) == 0
+                    );
+                    let t = Tiling::new($w, [stride, 0], size_of::<Complex<$t>>());
+                    match t.parts {
+                        1 => mat2_tiles::<1>(e, amps, stride, &t),
+                        2 => mat2_tiles::<2>(e, amps, stride, &t),
+                        _ => mat2_tiles::<4>(e, amps, stride, &t),
+                    }
+                }
+
+                /// [`mat2_il`]'s loop, row loads of `PARTS` pieces.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn mat2_tiles<const PARTS: usize>(
+                    e: &[Complex<$t>; 4],
+                    amps: &mut [$t],
+                    stride: usize,
+                    t: &Tiling,
+                ) {
                     let (ver, vei) = splat4c(e);
-                    for chunk in amps.chunks_exact_mut(2 * len) {
-                        let (lo, hi) = chunk.split_at_mut(len);
-                        let (lo, hi) = (lo.as_mut_ptr(), hi.as_mut_ptr());
-                        let mut j = 0usize;
-                        // `len` is a multiple of `2·W` (asserted), so
-                        // every step stays inside both `len`-long runs.
-                        while j < len {
-                            let (y0, y1) =
-                                vmat2(&ver, &vei, load_il(lo.add(j)), load_il(hi.add(j)));
-                            store_il(lo.add(j), y0);
-                            store_il(hi.add(j), y1);
-                            j += 2 * $w;
-                        }
+                    let hi = stride * size_of::<Complex<$t>>();
+                    let p = amps.as_mut_ptr().cast::<u8>();
+                    let (lo, hi) = (p, p.add(hi));
+                    let mut at = 0usize;
+                    // `amps` is a whole number of tiles (asserted by
+                    // `mat2_il`), and tile starts run in increasing order.
+                    for _ in 0..amps.len() / (4 * $w) {
+                        let (y0, y1) = vmat2(
+                            &ver,
+                            &vei,
+                            load_row::<PARTS>(lo, at, t),
+                            load_row::<PARTS>(hi, at, t),
+                        );
+                        store_row::<PARTS>(lo, at, t, y0);
+                        store_row::<PARTS>(hi, at, t, y1);
+                        at = t.next(at);
                     }
                 }
 
                 /// Dense 2q over interleaved chunks: `amps` (scalars) is
-                /// a whole number of `2·sh` complex chunks, swept quad
-                /// by quad over their four `sl`-complex runs.
+                /// a whole number of `2·sh` complex chunks, swept a tile
+                /// of `W` quads (rows `0, sl, sh, sh + sl`) at a time.
                 ///
                 /// # Safety
                 /// The CPU must support AVX2 and FMA: selected only
@@ -689,9 +978,8 @@ pub mod x86 {
                 /// [`crate::kernels::KernelImpl::resolve`] ([`supported`]) let stand.
                 ///
                 /// # Panics
-                /// Panics unless a run is a whole number of vectors,
-                /// `sh` a whole number of run pairs and `amps` a whole
-                /// number of chunks.
+                /// Panics unless `sh > sl` are powers of two and `amps`
+                /// a whole number of chunks and of tiles.
                 #[inline]
                 #[target_feature(enable = "avx2", enable = "fma")]
                 pub unsafe fn mat4_il(
@@ -700,13 +988,33 @@ pub mod x86 {
                     sh: usize,
                     sl: usize,
                 ) {
-                    let len = 2 * sl;
+                    let n = amps.len() / 2;
                     assert!(
-                        len > 0
-                            && len % (2 * $w) == 0
-                            && sh % (2 * sl) == 0
-                            && amps.len() % (4 * sh) == 0
+                        sl.is_power_of_two()
+                            && sh.is_power_of_two()
+                            && sh > sl
+                            && n > 0
+                            && n % (2 * sh) == 0
+                            && n % (4 * $w) == 0
                     );
+                    let t = Tiling::new($w, [sl, sh], size_of::<Complex<$t>>());
+                    match t.parts {
+                        1 => mat4_tiles::<1>(mm, amps, sh, sl, &t),
+                        2 => mat4_tiles::<2>(mm, amps, sh, sl, &t),
+                        _ => mat4_tiles::<4>(mm, amps, sh, sl, &t),
+                    }
+                }
+
+                /// [`mat4_il`]'s loop, row loads of `PARTS` pieces.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn mat4_tiles<const PARTS: usize>(
+                    mm: &[[Complex<$t>; 4]; 4],
+                    amps: &mut [$t],
+                    sh: usize,
+                    sl: usize,
+                    t: &Tiling,
+                ) {
                     let rows = [
                         splat4c(&mm[0]),
                         splat4c(&mm[1]),
@@ -714,29 +1022,24 @@ pub mod x86 {
                         splat4c(&mm[3]),
                     ];
                     let (mvr, mvi) = (rows.map(|r| r.0), rows.map(|r| r.1));
-                    for chunk in amps.chunks_exact_mut(4 * sh) {
-                        let mut base = 0usize;
-                        while base < sh {
-                            // Rows of two scalars: each run is `len` long.
-                            let p = quad_runs(chunk, base, sh, sl, 2).map(|r| r.as_mut_ptr());
-                            let mut j = 0usize;
-                            // `len` is a multiple of `2·W` (asserted), so
-                            // every step stays inside all four runs.
-                            while j < len {
-                                let x = [
-                                    load_il(p[0].add(j)),
-                                    load_il(p[1].add(j)),
-                                    load_il(p[2].add(j)),
-                                    load_il(p[3].add(j)),
-                                ];
-                                let (yr, yi) = vmat4(&mvr, &mvi, x.map(|z| z.0), x.map(|z| z.1));
-                                for k in 0..4 {
-                                    store_il(p[k].add(j), (yr[k], yi[k]));
-                                }
-                                j += 2 * $w;
-                            }
-                            base += 2 * sl;
+                    let cb = size_of::<Complex<$t>>();
+                    let p = amps.as_mut_ptr().cast::<u8>();
+                    let r = [0, sl, sh, sh + sl].map(|r| p.add(r * cb));
+                    let mut at = 0usize;
+                    // `amps` is a whole number of tiles (asserted by
+                    // `mat4_il`), and tile starts run in increasing order.
+                    for _ in 0..amps.len() / (8 * $w) {
+                        let x = [
+                            load_row::<PARTS>(r[0], at, t),
+                            load_row::<PARTS>(r[1], at, t),
+                            load_row::<PARTS>(r[2], at, t),
+                            load_row::<PARTS>(r[3], at, t),
+                        ];
+                        let (yr, yi) = vmat4(&mvr, &mvi, x.map(|z| z.0), x.map(|z| z.1));
+                        for k in 0..4 {
+                            store_row::<PARTS>(r[k], at, t, (yr[k], yi[k]));
                         }
+                        at = t.next(at);
                     }
                 }
             }
@@ -757,7 +1060,9 @@ pub mod x86 {
         _mm256_fmadd_pd,
         _mm256_fnmadd_pd,
         deint_pd,
-        int_pd
+        int_pd,
+        as_is,
+        as_is
     );
     avx2_width!(
         f32w,
@@ -773,7 +1078,9 @@ pub mod x86 {
         _mm256_fmadd_ps,
         _mm256_fnmadd_ps,
         deint_ps,
-        int_ps
+        int_ps,
+        _mm256_castpd_ps,
+        _mm256_castps_pd
     );
 }
 
@@ -839,16 +1146,12 @@ mod tests {
         }
     }
 
-    /// The path a gate whose runs hold `run` complexes takes when SIMD is
-    /// requested, checked against what this machine can do — so the
-    /// tests below compare AVX2 with scalar wherever AVX2 can run, and
-    /// scalar with itself elsewhere.
-    fn simd_path<T: Scalar>(run: usize) -> IlPath {
-        let path = IlPath::with::<T>(KernelImpl::Simd, run);
-        assert_eq!(
-            path.simd,
-            KernelImpl::simd_supported() && run >= IlPath::vector::<T>()
-        );
+    /// The path a gate takes when SIMD is requested, checked against what
+    /// this machine can do — so the tests below compare AVX2 with scalar
+    /// wherever AVX2 can run, and scalar with itself elsewhere.
+    fn simd_path() -> IlPath {
+        let path = IlPath::with(KernelImpl::Simd);
+        assert_eq!(path.simd, KernelImpl::simd_supported());
         path
     }
 
@@ -868,13 +1171,17 @@ mod tests {
         let e_plain: [Complex<T>; 4] = std::array::from_fn(plain);
         let mm_plain: [[Complex<T>; 4]; 4] =
             std::array::from_fn(|r| std::array::from_fn(|c| plain(4 * r + c + 1)));
-        // n ≤ 2 never vectorises; n = 6 reaches whole-vector runs at
-        // both widths (q ≥ 2 at f64, q ≥ 3 at f32).
-        for n in 1..=6usize {
+        // Every qubit below the top one has runs shorter than a vector
+        // at small n: states under one tile (n ≤ 2 at f64, n ≤ 3 at f32
+        // for the 1q kernels) take the per-element loops, and n = 7
+        // reaches every gathered tile shape at both widths (a quad tile
+        // is 16 complexes at f64, 32 at f32) as well as whole-vector runs
+        // (q ≥ 2 at f64, q ≥ 3 at f32).
+        let path = simd_path();
+        for n in 1..=7usize {
             let amps = salted::<T>(n, n as u64);
             for q in 0..n {
                 let stride = 1usize << q;
-                let path = simd_path::<T>(stride);
                 for (tag, e) in [("salted", &e), ("plain", &e_plain)] {
                     let (mut a, mut b) = (amps.clone(), amps.clone());
                     mat2_il(path, e, &mut a, stride);
@@ -889,7 +1196,6 @@ mod tests {
                 }
                 for ql in 0..q {
                     let (sh, sl) = (stride, 1usize << ql);
-                    let path = simd_path::<T>(sl);
                     for (tag, mm) in [("salted", &mm), ("plain", &mm_plain)] {
                         let (mut a, mut b) = (amps.clone(), amps.clone());
                         mat4_il(path, mm, &mut a, sh, sl);
@@ -931,21 +1237,33 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_path_needs_simd_and_a_whole_vector() {
-        for run in [1usize, 2, 4, 8, 1024] {
-            for kernels in [KernelImpl::Scalar, KernelImpl::Soa] {
-                assert!(!IlPath::with::<f64>(kernels, run).simd);
-                assert!(!IlPath::with::<f32>(kernels, run).simd);
+    fn interleaved_path_needs_simd_and_a_whole_tile() {
+        for kernels in [KernelImpl::Scalar, KernelImpl::Soa] {
+            assert!(!IlPath::with(kernels).simd);
+        }
+        let path = IlPath::with(KernelImpl::Simd);
+        let on = KernelImpl::simd_supported();
+        assert_eq!(path.simd, on);
+        // A tile is one register pair's lanes (4 at f64, 8 at f32) of
+        // per-element steps of `rows` amplitudes, whatever the run length.
+        for rows in [1usize, 2, 4] {
+            for len in [1usize, 2, 4, 8, 16, 32, 64, 1024, 3 * 16, 6 * 32] {
+                for kernels in [KernelImpl::Scalar, KernelImpl::Soa] {
+                    assert!(!IlPath::with(kernels).tiles::<f64>(len, rows));
+                    assert!(!IlPath::with(kernels).tiles::<f32>(len, rows));
+                }
+                assert_eq!(
+                    path.tiles::<f64>(len, rows),
+                    on && len % (4 * rows) == 0,
+                    "f64 len={len} rows={rows}"
+                );
+                assert_eq!(
+                    path.tiles::<f32>(len, rows),
+                    on && len % (8 * rows) == 0,
+                    "f32 len={len} rows={rows}"
+                );
             }
-            let on = KernelImpl::simd_supported();
-            assert_eq!(
-                IlPath::with::<f64>(KernelImpl::Simd, run).simd,
-                on && run >= 4
-            );
-            assert_eq!(
-                IlPath::with::<f32>(KernelImpl::Simd, run).simd,
-                on && run >= 8
-            );
+            assert!(!path.tiles::<f64>(0, rows));
         }
     }
 

@@ -6,34 +6,41 @@
 //! quad's four runs (`swap_with_slice`), CZ negates one, a diagonal
 //! scales each by a constant, and the dense 1q/2q gates and the
 //! diagonals hand their runs to [`crate::kernels`]' interleaved kernels,
-//! which take AVX2/FMA paths under the `PTSBE_BATCH_KERNELS` switch
-//! (bitwise identical to the per-element loops, which runs shorter than
-//! a vector still take). The forms that test an index bit per amplitude
-//! are gone from the crate; `tests/run_geometry.rs` keeps them as the
-//! reference side.
+//! which take AVX2/FMA tiles at every qubit under the `PTSBE_BATCH_KERNELS`
+//! switch (bitwise identical to the per-element loops, which only states
+//! smaller than one tile still take; runs shorter than a vector are
+//! gathered into the tile's registers). The forms that test an index bit
+//! per amplitude are gone from the crate; `tests/run_geometry.rs` keeps
+//! them, and pair-by-pair / quad-by-quad dense forms, as the reference
+//! side.
 //!
 //! What that is worth, on `perf`'s `sv-shared` program (14 qubits; 217
-//! gate ops: 77 `Cx`, 69 `G1`, 57 `D1`, 10 `G2` all on low qubit 0 or 1,
-//! 4 `P2`) replayed per op kind under a one-thread budget — `cargo bench
-//! -p ptsbe_bench --bench gate_kernels -- op_mix`, best µs per op, this
-//! layout / the split-plane lane layout this crate had until its lane
-//! stack was deleted, at B = 1 / B = 4 per lane, 2-vCPU Xeon @ 2.1 GHz
-//! (`op_mix` now times only the first column):
+//! gate ops) replayed per op kind under a one-thread budget — `cargo bench
+//! -p ptsbe_bench --bench gate_kernels -- op_mix`, best µs per op, median
+//! of three alternated runs per build, 2-vCPU x86-64 VM with AVX2. A `<v`
+//! kind's lowest qubit is 0 or 1, so its runs are shorter than a vector
+//! at `f64`:
 //!
-//! | op kind | per-index predicates, scalar AoS dense (before) | runs + AVX2 (after) |
-//! |---------|---------------------|---------------------|
-//! | `Cx`    | 13.0 / 29.8 / 10.7  | 3.4 / 3.8 / 3.3     |
-//! | `D1`    | 14.7 / 10.0 / 6.5   | 5.7 / 10.2 / 6.8    |
-//! | `G1`    | 20.9 / 17.1 / 8.9   | 7.3 / 18.8 / 9.2    |
-//! | `G2`    | 61.4 / 106.5 / 27.2 | 61.1 / 105.2 / 27.2 |
-//! | `P2`    | 26.9 / 49.5 / 24.7  | 17.1 / 47.6 / 24.8  |
-//! | whole program (ms) | 4.25 / 5.43 / 2.16 | 1.79 / 3.33 / 1.62 |
+//! | op kind    | per-element below a vector (before) | tiles at every qubit (after) |
+//! |------------|-----------------|-----------------|
+//! | `Cx` ×77   | 4.2             | 4.1             |
+//! | `D1` ×54   | 7.4             | 7.3             |
+//! | `D1<v` ×3  | 19.4            | 6.5             |
+//! | `G1` ×66   | 8.8             | 8.8             |
+//! | `G1<v` ×3  | 15.9            | 12.7            |
+//! | `G2<v` ×10 | 76.7            | 16.9            |
+//! | `P2<v` ×4  | 22.0            | 21.8            |
+//! | whole program (ms) | 2.78 (1.98–2.91) | 1.46 (1.46–1.47) |
 //!
-//! (The issue that asked for this read 14.9 / 36.0 / 12.4 for `Cx` and
-//! 4.72 / 6.29 / 2.53 ms in total on the same box on another day.) The
-//! low-qubit `G2`s did not move on purpose: their runs are shorter than
-//! a vector, and in-register gathers for them (ROADMAP item 7(i)) wait
-//! for a like-for-like Algorithm-1 baseline (item 11).
+//! The ten `G2<v`s (fused two-qubit gates on (0, 1) and (1, 2)) were a
+//! third of the sweep. `perf`'s `alg1_speedup` moved with them, ten alternated pairs each:
+//! up on `sv-shared` (×1.28) and `sv-divergent` (×1.32), whose
+//! Algorithm-1 baselines are bound by the per-gate thread fan-out rather
+//! than the kernels, and down on `svc-small` (×0.87, 142 → 123), whose
+//! Algorithm-1 side is 8–10-qubit dense shots on these same kernels while
+//! its PTSBE side is per-job service cost. `P2` (a permutation with
+//! phases, per-element at every qubit) is the next per-element kernel in
+//! the table.
 
 use ptsbe_math::{vec_ops, Complex, Matrix, Scalar};
 use rayon::prelude::*;
@@ -243,7 +250,7 @@ impl<T: Scalar> StateVector<T> {
         assert_eq!((m.rows(), m.cols()), (2, 2));
         let e = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
         let stride = 1usize << q;
-        let path = IlPath::for_run::<T>(stride);
+        let path = IlPath::auto();
         self.sweep(2 * stride, move |amps| mat2_il(path, &e, amps, stride));
     }
 
@@ -254,7 +261,7 @@ impl<T: Scalar> StateVector<T> {
         assert_eq!((m.rows(), m.cols()), (4, 4));
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let mm = local_2q_matrix(m, a, b);
-        let path = IlPath::for_run::<T>(sl);
+        let path = IlPath::auto();
         self.sweep(2 * sh, move |amps| mat4_il(path, &mm, amps, sh, sl));
     }
 
@@ -265,7 +272,7 @@ impl<T: Scalar> StateVector<T> {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let d = *d;
         let stride = 1usize << q;
-        let path = IlPath::for_run::<T>(stride);
+        let path = IlPath::auto();
         self.sweep(2 * stride, move |amps| cmul_il(path, &d, amps, stride));
     }
 
@@ -275,7 +282,7 @@ impl<T: Scalar> StateVector<T> {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let ld = local_2q_diag(d, a, b);
-        let path = IlPath::for_run::<T>(sl);
+        let path = IlPath::auto();
         self.sweep(2 * sh, move |amps| diag2_il(path, &ld, amps, sh, sl));
     }
 

@@ -1,14 +1,17 @@
-//! The run-structured permutation / diagonal kernels against their
-//! per-index predicate forms.
+//! The run-structured gate kernels against their per-index forms.
 //!
 //! `Cx`, `Swap`, `Cz`, `D1` and `D2` sweep contiguous runs
-//! (`quad_runs`: which of a quad's four runs swap, flip or scale). The
-//! forms that test index bits per amplitude used to be the production
-//! kernels; they live here now as the reference side: for every qubit
-//! and every ordered pair, run form == predicate form bit for bit, on
+//! (`quad_runs`: which of a quad's four runs swap, flip or scale), and
+//! the dense `G1` / `G2` sweep them in tiles of consecutive pairs or
+//! quads, gathered when a run is shorter than a vector. The forms that
+//! test index bits per amplitude, or apply a dense gate one pair or quad
+//! at a time, are the reference side here: for every qubit and every
+//! ordered pair, run form == per-index form bit for bit, on
 //! `StateVector`.
 
-use ptsbe_math::Complex;
+use ptsbe_math::random::haar_unitary;
+use ptsbe_math::{vec_ops, Complex, Matrix};
+use ptsbe_rng::PhiloxRng;
 use ptsbe_statevector::StateVector;
 
 type C = Complex<f64>;
@@ -52,6 +55,44 @@ fn d1_pred(amps: &mut [C], d: &[C; 2], q: usize) {
 fn d2_pred(amps: &mut [C], d: &[C; 4], a: usize, b: usize) {
     for (i, z) in amps.iter_mut().enumerate() {
         *z *= d[(((i >> a) & 1) << 1) | ((i >> b) & 1)];
+    }
+}
+
+/// `G1` one pair at a time: `vec_ops::mat2_apply` on amplitudes `i` and
+/// `i + 2^q` for every `i` with bit `q` clear.
+fn g1_pair_by_pair(amps: &mut [C], m: &Matrix<f64>, q: usize) {
+    let e = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
+    let s = 1usize << q;
+    for i in (0..amps.len()).filter(|i| i & s == 0) {
+        let (y0, y1) = vec_ops::mat2_apply(&e, amps[i], amps[i + s]);
+        amps[i] = y0;
+        amps[i + s] = y1;
+    }
+}
+
+/// `G2` on qubits `(a, b)` one quad at a time: `vec_ops::mat4_apply` on
+/// the amplitudes at `i`, `i + sl`, `i + sh`, `i + sh + sl` (`sh`, `sl`
+/// the higher and lower qubit's bit) for every `i` with both bits clear,
+/// with `m`'s gate basis `(bit_a << 1) | bit_b` read in that order.
+fn g2_quad_by_quad(amps: &mut [C], m: &Matrix<f64>, a: usize, b: usize) {
+    let (qh, ql) = (a.max(b), a.min(b));
+    let (sh, sl) = (1usize << qh, 1usize << ql);
+    // Quad position `k` = (high bit, low bit) -> gate-basis index.
+    let basis = |k: usize| {
+        let (h, l) = (k >> 1, k & 1);
+        if a == qh {
+            (h << 1) | l
+        } else {
+            (l << 1) | h
+        }
+    };
+    let mm: [[C; 4]; 4] = std::array::from_fn(|r| std::array::from_fn(|c| m[(basis(r), basis(c))]));
+    for i in (0..amps.len()).filter(|i| i & (sh | sl) == 0) {
+        let at = [i, i + sl, i + sh, i + sh + sl];
+        let y = vec_ops::mat4_apply(&mm, &at.map(|j| amps[j]));
+        for (j, z) in at.into_iter().zip(y) {
+            amps[j] = z;
+        }
     }
 }
 
@@ -115,6 +156,11 @@ impl Mirrored {
 fn every_qubit_and_ordered_pair(n: usize) {
     let d1 = D1.map(|(re, im)| C::new(re, im));
     let d2 = D2.map(|(re, im)| C::new(re, im));
+    // Haar gates keep the state's norm, so hundreds of dense steps
+    // neither overflow nor underflow.
+    let mut rng = PhiloxRng::new(n as u64, 40);
+    let u2 = haar_unitary::<f64>(2, &mut rng);
+    let u4 = haar_unitary::<f64>(4, &mut rng);
     let mut m = Mirrored::new(n);
     let tag = |op: &str| format!("{op}, n = {n}");
     for q in 0..n {
@@ -122,6 +168,11 @@ fn every_qubit_and_ordered_pair(n: usize) {
             &tag(&format!("D1({q})")),
             |s| s.apply_diag_1q(&d1, q),
             |a| d1_pred(a, &d1, q),
+        );
+        m.step(
+            &tag(&format!("G1({q})")),
+            |s| s.apply_1q(&u2, q),
+            |a| g1_pair_by_pair(a, &u2, q),
         );
     }
     for a in 0..n {
@@ -146,10 +197,18 @@ fn every_qubit_and_ordered_pair(n: usize) {
                 |s| s.apply_diag_2q(&d2, a, b),
                 |x| d2_pred(x, &d2, a, b),
             );
+            m.step(
+                &tag(&format!("G2({a},{b})")),
+                |s| s.apply_2q(&u4, a, b),
+                |x| g2_quad_by_quad(x, &u4, a, b),
+            );
         }
     }
 }
 
+/// n = 1..=7 holds states smaller than one tile (which take the
+/// per-element loops) and every gathered tile shape, including quads whose
+/// tile spans several `2·sh` chunks.
 #[test]
 fn run_forms_match_predicate_forms_on_small_registers() {
     for n in 1..=7 {
@@ -158,8 +217,9 @@ fn run_forms_match_predicate_forms_on_small_registers() {
 }
 
 /// At 14 qubits the sweeps may fan out: under a two-thread budget rayon
-/// hands each thread whole `2·sh` chunks, so every run a kernel swaps or
-/// scales lies inside one piece.
+/// hands each thread whole `2·sh` chunks, or `PAR_PIECE` amplitudes of
+/// shorter ones, so every run a kernel swaps or scales, and every tile it
+/// gathers, lies inside one piece.
 #[test]
 fn run_forms_match_predicate_forms_when_sweeps_fan_out() {
     let n = ptsbe_statevector::PARALLEL_THRESHOLD_QUBITS;
